@@ -57,6 +57,13 @@ COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 
 THREADS_ENV = "RAMSEY_LAB_THREADS"
 
+# config keys whose values must be numbers; the integer ones reject fractions
+_INT_KEYS = (
+    "k", "m", "seed", "r", "n", "threads", "cycle_cap", "coloring_seed", "color",
+    "randomize_choices", "trials", "trial_seed", "fixed_vertex",
+)
+_FLOAT_KEYS = ("p", "c_eff")
+
 
 # ---------------------------------------------------------------------------
 # argument parsing and config resolution
@@ -166,6 +173,13 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
             continue
         config[key] = value
     config.setdefault("threads", _env_threads())
+    for key in _INT_KEYS + _FLOAT_KEYS:
+        value = config.get(key)
+        integral = key in _INT_KEYS
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
+        ):
+            raise ConfigError(key, f"must be {'an integer' if integral else 'a number'}, got {value!r}")
     if config.get("threads", 1) < 1:
         raise ConfigError("threads", "must be positive")
     if config.get("cycle_cap") is not None and config["cycle_cap"] <= 0:
@@ -183,16 +197,19 @@ def _env_threads() -> int:
         raise ConfigError(THREADS_ENV, f"not an integer: {raw!r}")
 
 
-def _expand_canonical(config: dict) -> dict:
-    """Apply the canonical parameterization, keeping explicit overrides."""
+def _expand_canonical(config: dict) -> None:
+    """Apply the canonical parameterization in place, keeping explicit overrides."""
     if "canonical" not in config:
-        return config
+        return
     trio = config["canonical"]
-    if not (isinstance(trio, (list, tuple)) and len(trio) == 3):
+    if not (
+        isinstance(trio, (list, tuple))
+        and len(trio) == 3
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in trio)
+    ):
         raise ConfigError("canonical", "expected three integers K R N")
-    k, r, n = (int(x) for x in trio)
+    k, r, n = trio
     params = canonical_params(k, r, n)
-    config = dict(config)
     config["k"] = k
     config.setdefault("r", r)
     config.setdefault("n", n)
@@ -203,7 +220,6 @@ def _expand_canonical(config: dict) -> dict:
         "part_size": params.part_size,
         "p": params.p,
     }
-    return config
 
 
 def _resolve_graph(config: dict) -> tuple[LayeredGraph, dict]:
@@ -219,7 +235,7 @@ def _resolve_graph(config: dict) -> tuple[LayeredGraph, dict]:
         except OSError as exc:
             raise ConfigError("graph", str(exc))
         return g, {"graph": config["graph"], "k": g.k, "m": g.m}
-    config = _expand_canonical(config)
+    _expand_canonical(config)
     for fieldname in ("k", "m", "p", "seed"):
         if config.get(fieldname) is None:
             raise ConfigError(fieldname, "required (or provide --graph/--canonical)")
@@ -230,8 +246,6 @@ def _resolve_graph(config: dict) -> tuple[LayeredGraph, dict]:
         seed=int(config["seed"]),
     )
     echo = {"k": params.k, "m": params.part_size, "p": params.edge_prob, "seed": int(config["seed"])}
-    if "canonical_expansion" in config:
-        echo["canonical_expansion"] = config["canonical_expansion"]
     return generate_random(params), echo
 
 
@@ -246,7 +260,7 @@ def _resolve_coloring(config: dict, h, default_seed: int) -> tuple[Coloring, dic
         try:
             with open(path) as fh:
                 col = Coloring.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError("coloring", f"cannot read coloring file {path}: {exc}")
         if col.r != r:
             raise ConfigError("coloring", f"file has r={col.r}, run has r={r}")

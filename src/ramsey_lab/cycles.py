@@ -7,15 +7,18 @@ part, along a consecutive arc of parts.
 
 Canonical encoding: a proper cycle is stored part-indexed, so it has one
 representation, and is ranked by the mixed-radix key
-``sum(local_i * m**(k-1-i))`` over parts ``i``.  Enumeration emits keys in
-ascending order; counting quantities are computed from adjacency-block
-matrix products without materializing cycles (entries of all intermediate
-products are integers, kept exactly representable - see ``_check_exact``).
+``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
+``encode_keys`` and ``decode_keys`` - is the only code that knows this
+format; everything else encodes and decodes through it.  Enumeration emits
+keys in ascending order; counting quantities are computed from
+adjacency-block matrix products without materializing cycles (entries of
+all intermediate products are integers, kept exactly representable - see
+``_check_exact``).
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ __all__ = [
     "cycles_through_vertex",
     "cycle_keys",
     "enumerate_proper_cycles",
+    "encode_keys",
     "decode_keys",
     "extend_path",
     "count_family_extensions",
@@ -216,10 +220,24 @@ def count_cycles_meeting(g: LayeredGraph, cset) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _radices(k: int, m: int) -> np.ndarray:
-    if k * math.log2(max(m, 2)) >= 64:
+    """Per-part key radices ``m**(k-1-i)``; read-only, computed once per (k, m)."""
+    if m**k >= 2**64:
         raise ResourceLimitError("canonical key space exceeds 64 bits", m**k, 2**64)
-    return np.array([m ** (k - 1 - i) for i in range(k)], dtype=np.uint64)
+    radix = np.array([m ** (k - 1 - i) for i in range(k)], dtype=np.uint64)
+    radix.setflags(write=False)
+    return radix
+
+
+def encode_keys(cols, m: int):
+    """Canonical keys from k columns of part-local indices (column i: part i).
+
+    Columns broadcast against each other, so a scalar column fixes that
+    part's index for every key; all-scalar columns give one key.
+    """
+    radix = _radices(len(cols), m)
+    return sum(np.asarray(c, dtype=np.uint64) * r for c, r in zip(cols, radix))
 
 
 def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
@@ -232,7 +250,6 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
     if total > cap:
         raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     k, m = g.k, g.m
-    radix = _radices(k, m)
     csrs = [g.csr(part, "forward") for part in range(k - 1)]
     close = g.blocks[k - 1]
     chunks: list[np.ndarray] = []
@@ -259,10 +276,7 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
         keep = close[ends, a]
         if not keep.any():
             continue
-        keys = np.zeros(int(keep.sum()), dtype=np.uint64)
-        for i, c in enumerate(cols):
-            keys += c[keep].astype(np.uint64) * radix[i]
-        chunks.append(keys)
+        chunks.append(encode_keys([c[keep] for c in cols], m))
     if not chunks:
         return np.empty(0, dtype=np.uint64)
     out = np.concatenate(chunks)
@@ -272,31 +286,24 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
 
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     """Decode canonical keys into (len, k) int64 part-local indices."""
+    radix = _radices(k, m)
     out = np.empty((keys.size, k), dtype=np.int64)
-    rem = keys.astype(np.uint64).copy()
+    rem = keys.astype(np.uint64)
     for i in range(k):
-        radix = np.uint64(m ** (k - 1 - i))
-        out[:, i] = (rem // radix).astype(np.int64)
-        rem %= radix
+        out[:, i], rem = np.divmod(rem, radix[i])
     return out
 
 
-def _key_to_cycle(key: int, k: int, m: int) -> ProperCycle:
-    locs = []
-    rem = int(key)
-    for i in range(k):
-        radix = m ** (k - 1 - i)
-        locs.append(rem // radix)
-        rem %= radix
-    return ProperCycle(tuple(loc + i * m for i, loc in enumerate(locs)))
+def _cycles_of(keys: np.ndarray, k: int, m: int) -> list[ProperCycle]:
+    verts = decode_keys(keys, k, m) + np.arange(k, dtype=np.int64) * m
+    return [ProperCycle(tuple(row)) for row in verts.tolist()]
 
 
 def enumerate_proper_cycles(
     g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP
 ) -> list[ProperCycle]:
     """Every proper cycle exactly once, in canonical (ascending key) order."""
-    keys = cycle_keys(g, cap)
-    return [_key_to_cycle(int(key), g.k, g.m) for key in keys]
+    return _cycles_of(cycle_keys(g, cap), g.k, g.m)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +311,25 @@ def enumerate_proper_cycles(
 # ---------------------------------------------------------------------------
 
 
-def _missing_part(g: LayeredGraph, path: ProperPath) -> int:
-    hit = {g.part_of(v) for v in path.vertices}
-    (q,) = set(range(g.k)) - hit
-    return q
+def _extensions(
+    g: LayeredGraph, vertices, allowed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Completions of a (k-1)-vertex proper path into proper cycles.
+
+    Returns the completing vertices (ascending global ids) and the canonical
+    keys of the cycles they close.  A completing vertex lies in the one part
+    q the path misses and is adjacent to the path's vertices in parts q-1
+    and q+1; with ``allowed`` (a bool mask over all vertices) it must also
+    be allowed.
+    """
+    k, m = g.k, g.m
+    locs = {v // m: v % m for v in vertices}
+    (q,) = set(range(k)) - locs.keys()
+    mask = g.blocks[(q - 1) % k][locs[(q - 1) % k]] & g.blocks[q][:, locs[(q + 1) % k]]
+    if allowed is not None:
+        mask &= allowed[q * m : (q + 1) * m]
+    locs[q] = mask.nonzero()[0]
+    return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
 
 
 def extend_path(g: LayeredGraph, path: ProperPath | list[int]) -> np.ndarray:
@@ -322,34 +344,14 @@ def extend_path(g: LayeredGraph, path: ProperPath | list[int]) -> np.ndarray:
         raise InvariantViolationError(
             f"extend_path needs a path of exactly {g.k - 1} vertices, got {len(pp)}"
         )
-    q = _missing_part(g, pp)
-    mask = np.ones(g.m, dtype=bool)
-    for endpoint in (pp.vertices[0], pp.vertices[-1]):
-        ep, el = g.part_of(endpoint), g.local(endpoint)
-        if (ep - q) % g.k == 1:  # endpoint sits in part q+1: column of block q
-            mask &= g.blocks[q][:, el]
-        else:  # endpoint sits in part q-1: row of block q-1
-            mask &= g.blocks[(q - 1) % g.k][el]
-    return np.nonzero(mask)[0].astype(np.int64) + q * g.m
-
-
-def _extension_keys(g: LayeredGraph, path: ProperPath, ext: np.ndarray) -> np.ndarray:
-    """Canonical keys of the cycles obtained by each extension vertex."""
-    radix = _radices(g.k, g.m)
-    base = np.uint64(0)
-    for v in path.vertices:
-        base += np.uint64(g.local(v)) * radix[g.part_of(v)]
-    q = _missing_part(g, path)
-    return base + (ext % g.m).astype(np.uint64) * radix[q]
+    return _extensions(g, pp.vertices)[0]
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
     """Number of distinct proper cycles extending at least one family path."""
     if not isinstance(fam, TrashFamily):
         fam = trash_family(g, fam)
-    keys = [
-        _extension_keys(g, p, extend_path(g, p)) for p in fam.paths
-    ]
+    keys = [_extensions(g, p.vertices)[1] for p in fam.paths]
     if not keys:
         return 0
     return int(np.unique(np.concatenate(keys)).size)
@@ -362,14 +364,9 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
     allowed = {int(v) for v in aset} | fam.vertex_set()
     for v in allowed:
         g._check_vertex(v)
-    keys = []
-    for p in fam.paths:
-        ext = extend_path(g, p)
-        if ext.size == 0:
-            continue
-        sel = np.fromiter((int(u) in allowed for u in ext), dtype=bool, count=ext.size)
-        if sel.any():
-            keys.append(_extension_keys(g, p, ext[sel]))
+    mask = np.zeros(g.num_vertices, dtype=bool)
+    mask[list(allowed)] = True
+    keys = [_extensions(g, p.vertices, mask)[1] for p in fam.paths]
     if not keys:
         return 0
     return int(np.unique(np.concatenate(keys)).size)
@@ -414,10 +411,10 @@ class TightHypergraph:
         return self.graph.num_vertices
 
     def hyperedge(self, idx: int) -> ProperCycle:
-        return _key_to_cycle(int(self.keys[idx]), self.graph.k, self.graph.m)
+        return _cycles_of(self.keys[[idx]], self.graph.k, self.graph.m)[0]
 
     def hyperedges(self) -> list[ProperCycle]:
-        return [self.hyperedge(i) for i in range(len(self))]
+        return _cycles_of(self.keys, self.graph.k, self.graph.m)
 
     def key_of(self, vertices) -> int:
         """Canonical key of a one-per-part vertex set (any order)."""
@@ -430,10 +427,7 @@ class TightHypergraph:
             locs[p] = g.local(int(v))
         if -1 in locs:
             raise InvariantViolationError("vertex set misses a part")
-        key = 0
-        for i, loc in enumerate(locs):
-            key += loc * g.m ** (g.k - 1 - i)
-        return key
+        return int(encode_keys(locs, g.m))
 
     def edge_id(self, vertices) -> int:
         """Id of the hyperedge with this vertex set, or -1 if absent."""
@@ -454,10 +448,9 @@ class TightHypergraph:
 
     def extension_ids(self, path: ProperPath) -> np.ndarray:
         """Ids of hyperedges extending a (k-1)-path (the on-demand path index)."""
-        ext = extend_path(self.graph, path)
-        if ext.size == 0:
+        keys = _extensions(self.graph, path.vertices)[1]
+        if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        keys = _extension_keys(self.graph, path, ext)
         ids = self.ids_for_keys(keys)
         return ids[ids >= 0]
 
@@ -466,14 +459,13 @@ class TightHypergraph:
         g = self.graph
         g._check_vertex(int(v))
         part, local = g.part_of(int(v)), g.local(int(v))
-        radix = np.uint64(g.m ** (g.k - 1 - part))
-        locs = (self.keys // radix) % np.uint64(g.m)
+        locs = (self.keys // _radices(g.k, g.m)[part]) % np.uint64(g.m)
         return np.nonzero(locs == np.uint64(local))[0].astype(np.int64)
 
     def to_json(self) -> dict:
         return {
             "vertices": self.num_vertices,
-            "edges": [list(self.hyperedge(i).vertices) for i in range(len(self))],
+            "edges": [list(c.vertices) for c in self.hyperedges()],
         }
 
     @classmethod
@@ -492,10 +484,7 @@ class TightHypergraph:
                     raise InvariantViolationError(
                         f"cycle {verts} misses adjacency at part {i}"
                     )
-            key = 0
-            for i, v in enumerate(verts):
-                key += graph.local(int(v)) * graph.m ** (graph.k - 1 - i)
-            keys.append(key)
+            keys.append(int(encode_keys([graph.local(int(v)) for v in verts], graph.m)))
         arr = np.array(sorted(keys), dtype=np.uint64)
         if arr.size != np.unique(arr).size:
             raise InvariantViolationError("duplicate cycles")
@@ -513,12 +502,13 @@ def build_hypergraph(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> TightHype
 
 
 def validate_tight_path_verbose(
-    h: TightHypergraph, seq, coloring=None, color: int | None = None
+    h: TightHypergraph, seq, coloring=None, color: int | None = None, deleted=None
 ) -> tuple[bool, str | None]:
     """Check a vertex sequence is a tight path of h; returns (ok, reason).
 
     Reasons: too-short, unknown-vertex, repeated-vertex, window-not-one-per-part,
-    window-not-hyperedge, window-wrong-color, deleted-window (never raised here).
+    window-not-hyperedge, window-wrong-color, deleted-window (a window whose
+    hyperedge is set in the ``deleted`` mask over hyperedge ids).
     """
     g = h.graph
     seq = [int(v) for v in seq]
@@ -539,6 +529,8 @@ def validate_tight_path_verbose(
             return False, "window-not-hyperedge"
         if coloring is not None and int(coloring.colors[eid]) != int(color):
             return False, "window-wrong-color"
+        if deleted is not None and deleted[eid]:
+            return False, "deleted-window"
     return True, None
 
 

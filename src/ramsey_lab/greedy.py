@@ -28,8 +28,11 @@ from .cycles import (
     count_proper_cycles,
     count_restricted_extensions,
     decode_keys,
+    encode_keys,
     proper_path,
     trash_family,
+    validate_tight_path_verbose,
+    _extensions,
 )
 from .errors import ParameterError, ResourceLimitError
 from .layered_graph import LayeredGraph
@@ -73,14 +76,20 @@ class Coloring:
     colors: np.ndarray
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ParameterError(f"r must be >= 2, got {self.r}")
-        object.__setattr__(
-            self, "colors", np.ascontiguousarray(self.colors, dtype=np.uint8)
-        )
-        if self.colors.size and int(self.colors.max()) >= self.r:
-            raise ParameterError("color out of range")
+        self.check_r(self.r)
+        colors = np.asarray(self.colors)
+        if colors.size and (
+            colors.dtype.kind not in "iu" or colors.min() < 0 or colors.max() >= self.r
+        ):
+            raise ParameterError(f"colors must be integers in 0..{self.r - 1}")
+        object.__setattr__(self, "colors", np.ascontiguousarray(colors, dtype=np.uint8))
         self.colors.setflags(write=False)
+
+    @staticmethod
+    def check_r(r: int) -> None:
+        """Colors are stored as uint8, so a coloring has 2..256 colors."""
+        if not 2 <= r <= 256:
+            raise ParameterError(f"r must lie in 2..256, got {r}")
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.colors, minlength=self.r)
@@ -90,13 +99,12 @@ class Coloring:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
-        return cls(int(doc["r"]), np.array(doc["colors"], dtype=np.uint8))
+        return cls(int(doc["r"]), np.asarray(doc["colors"]))
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     """I.i.d. uniform colors from the Philox stream for ``seed``."""
-    if r > 255:
-        raise ParameterError("at most 255 colors supported")
+    Coloring.check_r(r)
     colors = make_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
     return Coloring(r, colors)
 
@@ -130,18 +138,18 @@ def _balanced_greedy_coloring(h: TightHypergraph, r: int) -> Coloring:
             "balanced-greedy strategy is for small hypergraphs", len(h), _BALANCED_GREEDY_CAP
         )
     g = h.graph
-    radix = [g.m ** (g.k - 1 - i) for i in range(g.k)]
+    locs = decode_keys(h.keys, g.k, g.m)
+    # slot[q][eid]: the key of edge eid with part q's index zeroed, shared by
+    # every edge that differs from it in part q only
+    slot = [
+        encode_keys([0 if i == q else locs[:, i] for i in range(g.k)], g.m).tolist()
+        for q in range(g.k)
+    ]
     neighbor_counts: dict[tuple[int, int], np.ndarray] = {}
     used = np.zeros(r, dtype=np.int64)
     colors = np.empty(len(h), dtype=np.uint8)
     for eid in range(len(h)):
-        key = int(h.keys[eid])
-        wildcards = []
-        rem = key
-        for q in range(g.k):
-            loc = rem // radix[q]
-            rem %= radix[q]
-            wildcards.append((q, key - loc * radix[q]))
+        wildcards = [(q, slot[q][eid]) for q in range(g.k)]
         score = np.zeros(r, dtype=np.int64)
         for w in wildcards:
             cnt = neighbor_counts.get(w)
@@ -165,8 +173,7 @@ def adversarial_coloring(
     random quarter of the vertices get color 0, the rest color 1;
     round_robin: colors cycle 0..r-1 in canonical edge order.
     """
-    if r < 2:
-        raise ParameterError(f"r must be >= 2, got {r}")
+    Coloring.check_r(r)
     if strategy == "round_robin":
         return Coloring(r, (np.arange(len(h)) % r).astype(np.uint8))
     if strategy == "vertex_cut":
@@ -258,7 +265,7 @@ class GreedyState:
             self.unused[v] = True
         self.path = []
 
-    def check_invariants(self, h: TightHypergraph, colors, color, deleted) -> None:
+    def check_invariants(self, h: TightHypergraph, col, color, deleted) -> None:
         g = h.graph
         in_path = set(self.path)
         in_trash = {v for p in self.trash for v in p.vertices}
@@ -267,8 +274,9 @@ class GreedyState:
         expected = np.ones(g.num_vertices, dtype=bool)
         expected[sorted(in_path | in_trash)] = False
         assert np.array_equal(expected, self.unused), "unused mask out of sync"
-        if self.path:
-            _assert_window_invariant(h, colors, color, deleted, self.path)
+        if len(self.path) >= g.k:
+            ok, reason = validate_tight_path_verbose(h, self.path, col, color, deleted)
+            assert ok, f"path is not a live working-color tight path: {reason}"
 
 
 def _find_start_edge(
@@ -307,36 +315,13 @@ def _eligible_extensions(
     path: list[int],
 ) -> np.ndarray:
     """Unused vertices extending the last k-1 of the path by a working edge."""
-    g = h.graph
-    k, m = g.k, g.m
-    last = path[-1]
-    first = path[-(k - 1)]
-    q = (g.part_of(last) + 1) % k
-    mask = g.blocks[(q - 1) % k][last % m].copy()
-    mask &= g.blocks[q][:, first % m]
-    mask &= unused[q * m : (q + 1) * m]
-    locs = np.nonzero(mask)[0]
-    if locs.size == 0:
-        return locs.astype(np.int64)
-    base = np.uint64(0)
-    for v in path[-(k - 1) :]:
-        base += np.uint64(v % m) * np.uint64(m ** (k - 1 - g.part_of(v)))
-    keys = base + locs.astype(np.uint64) * np.uint64(m ** (k - 1 - q))
+    ext, keys = _extensions(h.graph, path[-(h.graph.k - 1) :], unused)
+    if ext.size == 0:
+        return ext
     ids = h.ids_for_keys(keys)
     ok = ids >= 0
     ok[ok] &= (colors[ids[ok]] == color) & ~deleted[ids[ok]]
-    return locs[ok].astype(np.int64) + q * m
-
-
-def _assert_window_invariant(
-    h: TightHypergraph, colors, color, deleted, path: list[int]
-) -> None:
-    g = h.graph
-    for s in range(len(path) - g.k + 1):
-        eid = h.edge_id(path[s : s + g.k])
-        assert eid >= 0, "path window is not a hyperedge"
-        assert int(colors[eid]) == color, "path window has the wrong color"
-        assert not deleted[eid], "path window is a deleted hyperedge"
+    return ext[ok]
 
 
 def greedy_round(
@@ -367,7 +352,7 @@ def greedy_round(
 
     def checked(kind: RoundOutcome, path: list[int]) -> RoundResult:
         if debug:
-            state.check_invariants(h, colors, color, deleted)
+            state.check_invariants(h, col, color, deleted)
         return RoundResult(kind, list(path), trash_family(g, state.trash))
 
     while True:
@@ -376,7 +361,7 @@ def greedy_round(
             return checked(RoundOutcome.NO_WORKING_EDGE, [])
         state.claim(h.hyperedge(eid).vertices)
         if debug:
-            state.check_invariants(h, colors, color, deleted)
+            state.check_invariants(h, col, color, deleted)
         if len(state.path) >= n:
             return checked(RoundOutcome.PATH_FOUND, state.path)
         while state.path:
@@ -384,7 +369,7 @@ def greedy_round(
             if ext.size:
                 state.claim([policy.pick(ext)])
                 if debug:
-                    state.check_invariants(h, colors, color, deleted)
+                    state.check_invariants(h, col, color, deleted)
                 if len(state.path) >= n:
                     return checked(RoundOutcome.PATH_FOUND, state.path)
                 continue
@@ -395,7 +380,7 @@ def greedy_round(
             if len(state.path) < g.k:
                 state.release_stump()
             if debug:
-                state.check_invariants(h, colors, color, deleted)
+                state.check_invariants(h, col, color, deleted)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .cycles import ProperCycle, TightHypergraph, _key_to_cycle
+from .cycles import ProperCycle, TightHypergraph
 from .errors import ParameterError, ResourceLimitError
 from .layered_graph import LayeredGraph
 
@@ -85,7 +85,9 @@ def brute_force_cycle_keys(g: LayeredGraph, cap: int = BRUTE_TUPLE_CAP) -> np.nd
 
 def brute_force_cycles(g: LayeredGraph, cap: int = BRUTE_TUPLE_CAP) -> list[ProperCycle]:
     """All proper cycles in canonical order, via the all-tuples filter."""
-    return [_key_to_cycle(int(key), g.k, g.m) for key in brute_force_cycle_keys(g, cap)]
+    keys = brute_force_cycle_keys(g, cap).astype(np.int64)
+    locs = np.stack(np.unravel_index(keys, (g.m,) * g.k), axis=1)
+    return [ProperCycle(tuple(row)) for row in (locs + np.arange(g.k) * g.m).tolist()]
 
 
 def _edge_vertex_sets(

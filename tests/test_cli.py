@@ -127,6 +127,16 @@ class TestGreedy:
         assert code == 0
         assert json.loads(stdout)["results"]["outcome"]["kind"] == "path"
 
+    def test_bad_coloring_file_exit_1(self, tmp_path, capsys):
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"r": 2, "colors": [0, 1, 300, 0, 1, 0, 1, 0]}))
+        code, _, err = run_cli(
+            ["greedy", "--k", "3", "--m", "2", "--p", "1", "--seed", "0", "--r", "2",
+             "--n", "3", "--coloring", f"@{col}"],
+            capsys,
+        )
+        assert code == 1 and err.startswith("error: coloring: ")
+
     def test_explicit_color_flag(self, capsys):
         code, stdout, _ = run_cli(
             ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2",
@@ -270,6 +280,38 @@ class TestConfigHandling:
             capsys,
         )
         assert code == 1 and "graph" in err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"k": "x"}, "k"),
+            ({"threads": "2"}, "threads"),
+            ({"k": 3, "m": 5, "p": "0.5", "seed": 1}, "p"),
+            ({"k": 3.5, "m": 5, "p": 0.5, "seed": 1}, "k"),
+            ({"canonical": [3, "2", 30], "seed": 1}, "canonical"),
+        ],
+        ids=["k-string", "threads-string", "p-string", "k-fraction", "canonical-string"],
+    )
+    def test_non_numeric_config_value_exit_1(self, tmp_path, capsys, doc, field):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(["generate", "--config", str(cfg)], capsys)
+        assert code == 1 and err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["verify", "--property", "iii", "--m", "60"], (2, 30)),
+            (["greedy", "--m", "40", "--p", "0.2"], (2, 30)),
+            (["greedy", "--m", "40", "--p", "0.2", "--r", "3", "--n", "5"], (3, 5)),
+        ],
+        ids=["verify", "greedy", "explicit-wins"],
+    )
+    def test_canonical_r_and_n_survive(self, capsys, argv, want):
+        code, stdout, err = run_cli(argv + ["--canonical", "3", "2", "30", "--seed", "1"], capsys)
+        assert code == 0, err
+        config = json.loads(stdout)["config"]
+        assert (config["r"], config["n"]) == want  # explicit --r/--n win
 
     def test_threads_env(self, monkeypatch, capsys):
         monkeypatch.setenv("RAMSEY_LAB_THREADS", "4")

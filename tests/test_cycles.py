@@ -25,7 +25,7 @@ from ramsey_lab import (
     validate_tight_path,
     validate_tight_path_verbose,
 )
-from ramsey_lab.cycles import cycle_keys, decode_keys
+from ramsey_lab.cycles import _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.reporting import validate_document
 from conftest import random_graph
@@ -125,6 +125,24 @@ class TestExtendPath:
     def test_rejects_short_path(self, tiny_complete):
         with pytest.raises(InvariantViolationError):
             extend_path(complete_layered(4, 2), proper_path(complete_layered(4, 2), [0, 2]))
+
+    @pytest.mark.parametrize("k, m, p, seed", [(3, 6, 0.5, 1), (3, 5, 0.8, 2), (4, 4, 0.7, 3), (5, 3, 0.8, 4)])
+    def test_extensions_match_brute_force(self, k, m, p, seed):
+        # every (k-1)-subpath of every cycle extends to exactly the brute-force
+        # cycles containing it, by exactly their remaining vertices
+        g = random_graph(k, m, p, seed)
+        brute = list(zip(brute_force_cycle_keys(g).tolist(), brute_force_cycles(g)))
+        assert brute
+        for _, c in brute:
+            for b in cycle_subpaths(g, c):
+                ext, keys = _extensions(g, b.vertices)
+                expected = {
+                    key: (set(d.vertices) - set(b.vertices)).pop()
+                    for key, d in brute
+                    if set(b.vertices) <= set(d.vertices)
+                }
+                assert dict(zip(keys.tolist(), ext.tolist())) == expected
+                assert list(ext) == sorted(expected.values())
 
 
 class TestProperPath:
@@ -343,6 +361,25 @@ class TestHypergraph:
         with pytest.raises(InvariantViolationError):
             TightHypergraph.from_cycles(tiny_complete, [(0, 1, 4)])  # part hit twice
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_codec_roundtrip_up_to_64_bits(self, k):
+        m = round(2 ** (64 / k))
+        while m**k >= 2**64:
+            m -= 1
+        assert (m + 1) ** k >= 2**64 > m**k  # the largest m whose keys fit
+        rng = np.random.default_rng(k)
+        locs = np.vstack([np.zeros(k, dtype=np.int64), np.full(k, m - 1), rng.integers(0, m, (50, k))])
+        keys = encode_keys(list(locs.T), m)
+        assert keys.dtype == np.uint64 and int(keys[1]) == m**k - 1
+        assert np.array_equal(decode_keys(keys, k, m), locs)
+        # scalar columns broadcast: part 0 fixed for every key
+        fixed = encode_keys([0] + list(locs.T[1:]), m)
+        assert np.array_equal(decode_keys(fixed, k, m)[:, 1:], locs[:, 1:])
+        with pytest.raises(ResourceLimitError):
+            encode_keys([0] * k, m + 1)
+        with pytest.raises(ResourceLimitError):
+            decode_keys(keys, k, m + 1)
+
     def test_decode_keys_roundtrip(self):
         g = random_graph(4, 5, 0.5, 83)
         keys = cycle_keys(g)
@@ -397,6 +434,14 @@ class TestValidateTightPath:
         assert validate_tight_path(h, [0, 2, 4], col, 1)
         ok, reason = validate_tight_path_verbose(h, [0, 2, 4], col, 0)
         assert not ok and reason == "window-wrong-color"
+
+    def test_deleted_window(self, tiny_complete):
+        h = build_hypergraph(tiny_complete)
+        deleted = np.zeros(len(h), dtype=bool)
+        assert validate_tight_path_verbose(h, [0, 2, 4], deleted=deleted) == (True, None)
+        deleted[h.edge_id([0, 2, 4])] = True
+        ok, reason = validate_tight_path_verbose(h, [0, 2, 4], deleted=deleted)
+        assert not ok and reason == "deleted-window"
 
     def test_unknown_vertex(self, tiny_complete):
         h = build_hypergraph(tiny_complete)

@@ -86,6 +86,25 @@ class TestColorings:
         with pytest.raises(ParameterError):
             Coloring(2, np.array([0, 2], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda h: adversarial_coloring(h, 300, "round_robin"),  # used to wrap to 256
+            lambda h: random_coloring(h, 300, 1),
+            lambda h: Coloring(1, np.zeros(len(h), dtype=np.uint8)),
+            lambda h: Coloring.from_json({"r": 3, "colors": [0, 1, 300]}),
+            lambda h: Coloring.from_json({"r": 3, "colors": [0, -1]}),
+            lambda h: Coloring.from_json({"r": 3, "colors": [0.5]}),
+        ],
+        ids=["round-robin-r300", "random-r300", "r1", "color300", "negative", "fractional"],
+    )
+    def test_one_color_rule(self, complete_h, make):
+        with pytest.raises(ParameterError):
+            make(complete_h)
+
+    def test_uint8_holds_256_colors(self, complete_h):
+        assert random_coloring(complete_h, 256, 3).r == 256
+
 
 class TestMajority:
     def test_basic(self, complete_h):
