@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -55,11 +54,9 @@ MODES = ("generate", "enumerate", "color", "greedy", "verify", "concentration", 
 
 COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 
-THREADS_ENV = "RAMSEY_LAB_THREADS"
-
 # config keys whose values must be numbers; the integer ones reject fractions
 _INT_KEYS = (
-    "k", "m", "seed", "r", "n", "threads", "cycle_cap", "coloring_seed", "color",
+    "k", "m", "seed", "r", "n", "cycle_cap", "coloring_seed", "color",
     "randomize_choices", "trials", "trial_seed", "fixed_vertex",
 )
 _FLOAT_KEYS = ("p", "c_eff")
@@ -95,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(mode)
         sub.add_argument("--config", help="JSON config file; flags override")
         sub.add_argument("--report", help="report output path (default: stdout)")
-        sub.add_argument("--threads", type=int, help=f"worker bound (or ${THREADS_ENV})")
         common[mode] = sub
 
     _add_graph_source(common["generate"])
@@ -172,7 +168,6 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
         if key in ("mode", "config") or value is None:
             continue
         config[key] = value
-    config.setdefault("threads", _env_threads())
     for key in _INT_KEYS + _FLOAT_KEYS:
         value = config.get(key)
         integral = key in _INT_KEYS
@@ -180,21 +175,9 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
             isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
         ):
             raise ConfigError(key, f"must be {'an integer' if integral else 'a number'}, got {value!r}")
-    if config.get("threads", 1) < 1:
-        raise ConfigError("threads", "must be positive")
     if config.get("cycle_cap") is not None and config["cycle_cap"] <= 0:
         raise ConfigError("cycle_cap", "must be positive")
     return config
-
-
-def _env_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(THREADS_ENV, f"not an integer: {raw!r}")
 
 
 def _expand_canonical(config: dict) -> None:
@@ -354,8 +337,8 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
     config.update(col_echo)
     if len(h) == 0:
         raise ParameterError("graph has no proper cycles; nothing to color or traverse")
-    color = config.get("color")
-    color = pick_majority_color(col) if color is None else int(color)
+    majority = pick_majority_color(col)
+    color = majority if config.get("color") is None else int(config["color"])
     policy = (
         RandomChoice(int(config["randomize_choices"]))
         if config.get("randomize_choices") is not None
@@ -365,7 +348,7 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
     return 0, {
         "total_cycles": len(h),
         "color_counts": [int(c) for c in col.counts()],
-        "majority_color": pick_majority_color(col),
+        "majority_color": majority,
         "working_color": color,
         "n": n,
         "outcome": outcome_to_json(outcome),
@@ -384,7 +367,6 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
         raise ConfigError("r", "required, must be >= 2")
     if n < 1:
         raise ConfigError("n", "required, must be >= 1")
-    workers = int(config.get("threads", 1))
     emit = config.get("emit_trials")
     if prop == "iii":
         report = check_property_iii(g, r, n, c_eff=config.get("c_eff"))
@@ -393,9 +375,7 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
     trial_seed = int(config.get("trial_seed", derive_seed(int(config.get("seed", 0)), 2)))
     config["trial_seed"] = trial_seed
     if prop == "i":
-        report = check_property_i(
-            g, r, n, trials, trial_seed, emit_trials=bool(emit), workers=workers
-        )
+        report = check_property_i(g, r, n, trials, trial_seed, emit_trials=bool(emit))
     else:
         report = check_property_ii(
             g,
@@ -405,7 +385,6 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
             trial_seed,
             include_adversarial=config.get("adversarial", True),
             emit_trials=bool(emit),
-            workers=workers,
         )
     doc = report.to_json()
     if emit:
@@ -432,7 +411,6 @@ def _mode_concentration(config: dict) -> tuple[int, dict]:
         int(config.get("seed", 0)),
         fixed_vertex=int(config.get("fixed_vertex", 0)),
         emit_trials=bool(config.get("emit_trials")),
-        workers=int(config.get("threads", 1)),
     )
     doc = report.to_json()
     emit = config.get("emit_trials")

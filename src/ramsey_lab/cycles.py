@@ -250,7 +250,7 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
     if total > cap:
         raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     k, m = g.k, g.m
-    csrs = [g.csr(part, "forward") for part in range(k - 1)]
+    csrs = [g.csr(part) for part in range(k - 1)]
     close = g.blocks[k - 1]
     chunks: list[np.ndarray] = []
     for a in range(m):

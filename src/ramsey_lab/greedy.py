@@ -519,8 +519,6 @@ def run_outer(
     n: int,
     color: int | None = None,
     policy=None,
-    audit: bool = True,
-    debug: bool = False,
 ) -> GreedyOutcome:
     """Greedy rounds with restarts until a path is found or edges run out.
 
@@ -528,13 +526,14 @@ def run_outer(
     trashed path is deleted and the round restarts with a fresh trash set;
     vertices stay usable.  Terminates because each trashed path forces at
     least one fresh deletion (the window that carried it into the path).
+    A certificate is returned with its audit attached.
     """
     if color is None:
         color = pick_majority_color(col)
     deleted = np.zeros(len(h), dtype=bool)
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
-        res = greedy_round(h, g, col, color, n, deleted, policy, debug)
+        res = greedy_round(h, g, col, color, n, deleted, policy)
         if res.kind is RoundOutcome.PATH_FOUND:
             return FoundPath(color=color, vertices=res.path)
         if res.kind is RoundOutcome.TRASH_FULL:
@@ -548,8 +547,7 @@ def run_outer(
         cert = Certificate(
             color=color, rounds=rounds, final_trash=res.trash, intersecting_set=cset
         )
-        if audit:
-            cert.audit = audit_certificate(cert, h, g, col)
+        cert.audit = audit_certificate(cert, h, g, col)
         return cert
     raise AssertionError("outer loop failed to terminate")  # pragma: no cover
 

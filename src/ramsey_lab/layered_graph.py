@@ -13,20 +13,23 @@ are derived lazily.
 
 Random generation draws one uniform per candidate pair from a Philox
 stream keyed by the seed, consuming draws in (part, row, column) ascending
-order, so equal seeds give bit-identical graphs independent of platform
-and worker count.
+order, so equal seeds give bit-identical graphs independent of platform.
+Both constructors from outside input (random generation and edge lists)
+refuse, before allocating, a graph whose arrays would not fit in the
+machine's physical memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError, UnknownVertexError
+from .errors import ParameterError, ResourceLimitError, UnknownVertexError
 from .seeds import make_rng
 
 __all__ = [
@@ -120,7 +123,7 @@ class LayeredGraph:
         self.blocks = [np.ascontiguousarray(b) for b in blocks]
         for b in self.blocks:
             b.setflags(write=False)
-        self._csr: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -166,24 +169,17 @@ class LayeredGraph:
 
     # -- derived neighbor lists ---------------------------------------------
 
-    def csr(self, part: int, direction: str = "forward") -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of sorted local neighbor lists for one block.
-
-        forward: rows of ``blocks[part]`` (part -> part+1);
-        backward: columns of ``blocks[part-1]`` (part -> part-1).
-        """
-        key = (part, direction)
-        cached = self._csr.get(key)
+    def csr(self, part: int) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the sorted forward neighbor lists of one part:
+        the rows of ``blocks[part]`` (part -> part+1)."""
+        cached = self._csr.get(part)
         if cached is not None:
             return cached
-        if direction == "forward":
-            mat = self.blocks[part]
-        else:
-            mat = self.blocks[(part - 1) % self.k].T
+        mat = self.blocks[part]
         counts = mat.sum(axis=1)
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         indices = np.nonzero(mat)[1].astype(np.int32)
-        self._csr[key] = (indptr, indices)
+        self._csr[part] = (indptr, indices)
         return indptr, indices
 
     # -- serialization -------------------------------------------------------
@@ -209,6 +205,7 @@ class LayeredGraph:
 
     @classmethod
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":
+        _check_fits_in_memory(k * m * m)
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
         for u, v in edges:
@@ -257,6 +254,13 @@ class LayeredGraph:
         return iter(range(self.k * self.m))
 
 
+def _check_fits_in_memory(required: int) -> None:
+    """Raise ResourceLimitError when ``required`` bytes exceed physical memory."""
+    cap = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if required > cap:
+        raise ResourceLimitError("graph arrays need more bytes than physical memory", required, cap)
+
+
 def generate_random(params: GraphParams) -> LayeredGraph:
     """Sample the random layered graph defined by ``params``.
 
@@ -265,6 +269,8 @@ def generate_random(params: GraphParams) -> LayeredGraph:
     ((i*m + u)*m + w)-th uniform draw of the Philox stream for the seed.
     """
     k, m, p = params.k, params.part_size, params.edge_prob
+    # the float64 draws and the boolean blocks are alive together
+    _check_fits_in_memory(9 * k * m * m)
     rng = make_rng(int(params.seed))
     draws = rng.random((k, m, m))
     blocks = [draws[i] < p for i in range(k)]

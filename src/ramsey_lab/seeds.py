@@ -2,10 +2,10 @@
 
 Every random draw in the package comes from a counter-based Philox4x64
 generator keyed through ``numpy.random.SeedSequence``, so a run is fully
-determined by the user-facing integer seeds regardless of execution order
-or worker count.  Multi-trial harnesses derive one independent stream per
-trial from ``(master_seed, trial_index)``; parallel and serial execution
-therefore produce identical results.
+determined by the user-facing integer seeds regardless of execution order.
+Multi-trial harnesses derive one independent stream per trial from
+``(master_seed, trial_index)``, so a trial's draws do not depend on which
+trials ran before it.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ disjoint path families with random restriction sets for the extension
 ratio, random (plus one adversarial, highest-traffic) vertex sets for the
 intersection ratio, and repeated graph regeneration for concentration of
 the counting statistics.  Every trial derives its RNG stream from
-(master seed, trial index), so reports are reproducible and independent of
-worker count.
+(master seed, trial index), so reports are reproducible.  Trials run one
+after another; the only parallelism is the BLAS library behind numpy's
+matrix products.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -171,7 +171,6 @@ def check_property_i(
     trials: int,
     seed: int,
     emit_trials: bool = False,
-    workers: int = 1,
 ) -> PropertyReport:
     """Sampled check that restricted extensions stay under family/(2kr).
 
@@ -197,7 +196,7 @@ def check_property_i(
         kind = "violation" if y >= bound else "pass"
         return (kind, bound - y, "restricted_extensions", y, bound)
 
-    outcomes = _run_trials(one, trials, workers)
+    outcomes = [one(t) for t in range(trials)]
     params = {
         "k": k,
         "m": g.m,
@@ -221,7 +220,6 @@ def check_property_ii(
     seed: int,
     include_adversarial: bool = True,
     emit_trials: bool = False,
-    workers: int = 1,
 ) -> PropertyReport:
     """Sampled check that cycles meeting a (k-1)n-set stay under total/(2r).
 
@@ -254,7 +252,7 @@ def check_property_ii(
         kind = "violation" if z >= bound else "pass"
         return (kind, bound - z, "meeting_count", z, bound)
 
-    outcomes = _run_trials(one, trials, workers)
+    outcomes = [one(t) for t in range(trials)]
     params = {
         "k": k,
         "m": g.m,
@@ -314,13 +312,6 @@ class ConcentrationReport:
         return asdict(self)
 
 
-def _run_trials(fn, trials: int, workers: int) -> list:
-    if workers <= 1 or trials <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def concentration_experiment(
     base: GraphParams,
     statistic: str,
@@ -328,7 +319,6 @@ def concentration_experiment(
     seed: int,
     fixed_vertex: int = 0,
     emit_trials: bool = False,
-    workers: int = 1,
 ) -> ConcentrationReport:
     """Regenerate the random graph per trial and track one counting statistic.
 
@@ -366,7 +356,7 @@ def concentration_experiment(
             return None
         return float(count_family_extensions(g, fam))
 
-    values = _run_trials(one, trials, workers)
+    values = [one(t) for t in range(trials)]
     kept = [v for v in values if v is not None]
     skips = len(values) - len(kept)
     arr = np.array(kept, dtype=np.float64)

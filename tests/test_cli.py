@@ -285,12 +285,12 @@ class TestConfigHandling:
         "doc, field",
         [
             ({"k": "x"}, "k"),
-            ({"threads": "2"}, "threads"),
+            ({"trials": "2"}, "trials"),
             ({"k": 3, "m": 5, "p": "0.5", "seed": 1}, "p"),
             ({"k": 3.5, "m": 5, "p": 0.5, "seed": 1}, "k"),
             ({"canonical": [3, "2", 30], "seed": 1}, "canonical"),
         ],
-        ids=["k-string", "threads-string", "p-string", "k-fraction", "canonical-string"],
+        ids=["k-string", "trials-string", "p-string", "k-fraction", "canonical-string"],
     )
     def test_non_numeric_config_value_exit_1(self, tmp_path, capsys, doc, field):
         cfg = tmp_path / "run.json"
@@ -313,20 +313,29 @@ class TestConfigHandling:
         config = json.loads(stdout)["config"]
         assert (config["r"], config["n"]) == want  # explicit --r/--n win
 
-    def test_threads_env(self, monkeypatch, capsys):
+    def test_threads_env_does_not_change_report(self, monkeypatch, capsys):
+        argv = ["generate", "--k", "3", "--m", "4", "--p", "0.5", "--seed", "0"]
+        monkeypatch.delenv("RAMSEY_LAB_THREADS", raising=False)
+        code_a, plain, _ = run_cli(argv, capsys)
         monkeypatch.setenv("RAMSEY_LAB_THREADS", "4")
-        code, stdout, _ = run_cli(
-            ["generate", "--k", "3", "--m", "2", "--p", "0", "--seed", "0"], capsys
-        )
-        assert code == 0
-        assert json.loads(stdout)["config"]["threads"] == 4
+        code_b, with_env, _ = run_cli(argv, capsys)
+        assert code_a == code_b == 0
+        assert strip_timestamp(plain) == strip_timestamp(with_env)
 
-    def test_bad_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("RAMSEY_LAB_THREADS", "soup")
-        code, _, err = run_cli(
-            ["generate", "--k", "3", "--m", "2", "--p", "0", "--seed", "0"], capsys
-        )
-        assert code == 1 and "RAMSEY_LAB_THREADS" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--k", "3", "--m", "100000", "--p", "0.5", "--seed", "0"],
+            ["enumerate", "--graph", "{graph}"],
+        ],
+        ids=["generate", "graph-file"],
+    )
+    def test_oversized_graph_exit_1(self, tmp_path, capsys, argv):
+        gfile = tmp_path / "huge.json"
+        gfile.write_text(json.dumps({"k": 3, "m": 1_000_000, "edges": []}))
+        code, stdout, err = run_cli([a.format(graph=gfile) for a in argv], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_run_api_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):

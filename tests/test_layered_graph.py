@@ -10,9 +10,11 @@ from ramsey_lab import (
     GraphParams,
     LayeredGraph,
     ParameterError,
+    ResourceLimitError,
     UnknownVertexError,
     canonical_params,
     complete_layered,
+    generate_random,
     neighbors,
 )
 from conftest import random_graph
@@ -197,3 +199,15 @@ class TestStructure:
         path = tmp_path / "g.json"
         g.save(path)
         assert LayeredGraph.load(path) == g
+
+
+class TestOversized:
+    """Graphs whose arrays cannot fit in physical memory fail before allocating."""
+
+    def test_generate_raises(self):
+        with pytest.raises(ResourceLimitError):
+            generate_random(GraphParams(k=3, part_size=100_000, edge_prob=0.5, seed=0))
+
+    def test_from_json_raises(self):
+        with pytest.raises(ResourceLimitError):
+            LayeredGraph.from_json({"k": 3, "m": 1_000_000, "edges": []})
