@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .cycles import (
     DEFAULT_CYCLE_CAP,
-    ProperCycle,
     ProperPath,
     TightHypergraph,
     TrashFamily,
@@ -46,8 +45,6 @@ from .greedy import (
     CertificateAudit,
     Coloring,
     FoundPath,
-    LexChoice,
-    RandomChoice,
     adversarial_coloring,
     audit_certificate,
     greedy_round,

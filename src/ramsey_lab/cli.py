@@ -28,8 +28,6 @@ from .cycles import (
 from .errors import ConfigError, InvariantViolationError, ParameterError, ResourceLimitError
 from .greedy import (
     Coloring,
-    LexChoice,
-    RandomChoice,
     adversarial_coloring,
     outcome_to_json,
     pick_majority_color,
@@ -57,7 +55,7 @@ COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 # config keys whose values must be numbers; the integer ones reject fractions
 _INT_KEYS = (
     "k", "m", "seed", "r", "n", "cycle_cap", "coloring_seed", "color",
-    "randomize_choices", "trials", "trial_seed", "fixed_vertex",
+    "trials", "trial_seed", "fixed_vertex",
 )
 _FLOAT_KEYS = ("p", "c_eff")
 
@@ -118,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common["greedy"].add_argument("--coloring-seed", dest="coloring_seed", type=int)
     common["greedy"].add_argument("--color", type=int, help="working color (default: majority)")
-    common["greedy"].add_argument(
-        "--randomize-choices", dest="randomize_choices", type=int, metavar="SEED",
-        help="seeded random greedy choices instead of lexicographic",
-    )
 
     common["verify"].add_argument("--property", choices=("i", "ii", "iii"))
     common["verify"].add_argument("--r", type=int)
@@ -175,6 +169,9 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
             isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
         ):
             raise ConfigError(key, f"must be {'an integer' if integral else 'a number'}, got {value!r}")
+    unknown = sorted(config.keys() - vars(args).keys())
+    if unknown:
+        raise ConfigError(unknown[0], "unknown config key")
     if config.get("cycle_cap") is not None and config["cycle_cap"] <= 0:
         raise ConfigError("cycle_cap", "must be positive")
     return config
@@ -215,8 +212,8 @@ def _resolve_graph(config: dict) -> tuple[LayeredGraph, dict]:
             )
         try:
             g = LayeredGraph.load(config["graph"])
-        except OSError as exc:
-            raise ConfigError("graph", str(exc))
+        except (OSError, LookupError, TypeError, ValueError) as exc:
+            raise ConfigError("graph", f"cannot read graph file {config['graph']}: {exc}")
         return g, {"graph": config["graph"], "k": g.k, "m": g.m}
     _expand_canonical(config)
     for fieldname in ("k", "m", "p", "seed"):
@@ -339,12 +336,7 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
         raise ParameterError("graph has no proper cycles; nothing to color or traverse")
     majority = pick_majority_color(col)
     color = majority if config.get("color") is None else int(config["color"])
-    policy = (
-        RandomChoice(int(config["randomize_choices"]))
-        if config.get("randomize_choices") is not None
-        else LexChoice()
-    )
-    outcome = run_outer(h, g, col, n, color=color, policy=policy)
+    outcome = run_outer(h, g, col, n, color=color)
     return 0, {
         "total_cycles": len(h),
         "color_counts": [int(c) for c in col.counts()],

@@ -6,7 +6,8 @@ the tight-path hypergraph.  A *proper path* visits at most one vertex per
 part, along a consecutive arc of parts.
 
 Canonical encoding: a proper cycle is stored part-indexed, so it has one
-representation, and is ranked by the mixed-radix key
+representation - a tuple (or an ``(N, k)`` row block) of global vertex ids
+whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it.  Enumeration emits
@@ -28,7 +29,6 @@ from .layered_graph import LayeredGraph
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
-    "ProperCycle",
     "ProperPath",
     "TrashFamily",
     "proper_path",
@@ -57,16 +57,6 @@ DEFAULT_CYCLE_CAP = 100_000_000
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class ProperCycle:
-    """A proper cycle as part-indexed global vertex ids (vertices[i] in part i)."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True, order=True)
@@ -294,16 +284,11 @@ def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     return out
 
 
-def _cycles_of(keys: np.ndarray, k: int, m: int) -> list[ProperCycle]:
-    verts = decode_keys(keys, k, m) + np.arange(k, dtype=np.int64) * m
-    return [ProperCycle(tuple(row)) for row in verts.tolist()]
-
-
 def enumerate_proper_cycles(
     g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP
-) -> list[ProperCycle]:
+) -> list[tuple[int, ...]]:
     """Every proper cycle exactly once, in canonical (ascending key) order."""
-    return _cycles_of(cycle_keys(g, cap), g.k, g.m)
+    return build_hypergraph(g, cap).hyperedges()
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +357,12 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
     return int(np.unique(np.concatenate(keys)).size)
 
 
-def cycle_subpaths(g: LayeredGraph, cycle: ProperCycle) -> list[ProperPath]:
-    """The k proper (k-1)-paths a proper cycle extends (one per dropped part)."""
+def cycle_subpaths(g: LayeredGraph, cycle: tuple[int, ...]) -> list[ProperPath]:
+    """The k proper (k-1)-paths a part-indexed proper cycle extends (one per dropped part)."""
     k = g.k
     out = []
     for q in range(k):
-        seq = [cycle.vertices[(q + 1 + j) % k] for j in range(k - 1)]
+        seq = [cycle[(q + 1 + j) % k] for j in range(k - 1)]
         out.append(proper_path(g, seq))
     return out
 
@@ -410,11 +395,18 @@ class TightHypergraph:
     def num_vertices(self) -> int:
         return self.graph.num_vertices
 
-    def hyperedge(self, idx: int) -> ProperCycle:
-        return _cycles_of(self.keys[[idx]], self.graph.k, self.graph.m)[0]
+    def vertex_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Hyperedges lo..hi-1 as an (N, k) int64 block of part-indexed global ids."""
+        g = self.graph
+        return decode_keys(self.keys[lo:hi], g.k, g.m) + np.arange(g.k, dtype=np.int64) * g.m
 
-    def hyperedges(self) -> list[ProperCycle]:
-        return _cycles_of(self.keys, self.graph.k, self.graph.m)
+    def hyperedge(self, idx: int) -> tuple[int, ...]:
+        if not 0 <= idx < len(self):
+            raise IndexError(f"hyperedge id {idx} out of range [0, {len(self)})")
+        return tuple(self.vertex_rows(idx, idx + 1)[0].tolist())
+
+    def hyperedges(self) -> list[tuple[int, ...]]:
+        return [tuple(row) for row in self.vertex_rows().tolist()]
 
     def key_of(self, vertices) -> int:
         """Canonical key of a one-per-part vertex set (any order)."""
@@ -454,26 +446,14 @@ class TightHypergraph:
         ids = self.ids_for_keys(keys)
         return ids[ids >= 0]
 
-    def edges_containing(self, v: int) -> np.ndarray:
-        """Ids of hyperedges containing vertex v (vectorized incidence scan)."""
-        g = self.graph
-        g._check_vertex(int(v))
-        part, local = g.part_of(int(v)), g.local(int(v))
-        locs = (self.keys // _radices(g.k, g.m)[part]) % np.uint64(g.m)
-        return np.nonzero(locs == np.uint64(local))[0].astype(np.int64)
-
     def to_json(self) -> dict:
-        return {
-            "vertices": self.num_vertices,
-            "edges": [list(c.vertices) for c in self.hyperedges()],
-        }
+        return {"vertices": self.num_vertices, "edges": self.vertex_rows().tolist()}
 
     @classmethod
     def from_cycles(cls, graph: LayeredGraph, cycles) -> "TightHypergraph":
-        """Hand-built hypergraph from explicit proper cycles (validated)."""
+        """Hand-built hypergraph from explicit part-indexed proper cycles (validated)."""
         keys = []
-        for c in cycles:
-            verts = c.vertices if isinstance(c, ProperCycle) else tuple(c)
+        for verts in cycles:
             for i, v in enumerate(verts):
                 if graph.part_of(int(v)) != i:
                     raise InvariantViolationError(

@@ -7,14 +7,13 @@ eligible starting edges.  The outer loop restarts after each full trash,
 deleting every working-color hyperedge that extends a trashed path, and
 finishes with either a found path or an audited certificate.
 
-All choices (starting edge, extension vertex) default to the
-lexicographically least eligible option, so runs are replayable; a seeded
-random policy is available for experiments.
+Every choice (starting edge, extension vertex) is the lexicographically
+least eligible option, so runs are replayable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,8 +42,6 @@ __all__ = [
     "random_coloring",
     "adversarial_coloring",
     "pick_majority_color",
-    "LexChoice",
-    "RandomChoice",
     "RoundOutcome",
     "RoundResult",
     "GreedyState",
@@ -109,12 +106,6 @@ def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     return Coloring(r, colors)
 
 
-def _decoded_globals(h: TightHypergraph, lo: int, hi: int) -> np.ndarray:
-    g = h.graph
-    locs = decode_keys(h.keys[lo:hi], g.k, g.m)
-    return locs + (np.arange(g.k, dtype=np.int64) * g.m)[None, :]
-
-
 def _vertex_cut_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     g = h.graph
     rng = make_rng(seed)
@@ -124,7 +115,7 @@ def _vertex_cut_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     colors = np.empty(len(h), dtype=np.uint8)
     for lo in range(0, len(h), _SCAN_CHUNK):
         hi = min(lo + _SCAN_CHUNK, len(h))
-        verts = _decoded_globals(h, lo, hi)
+        verts = h.vertex_rows(lo, hi)
         colors[lo:hi] = np.where(cut[verts].any(axis=1), 0, 1)
     return Coloring(r, colors)
 
@@ -188,32 +179,6 @@ def pick_majority_color(col: Coloring) -> int:
     if col.colors.size == 0:
         raise ParameterError("cannot pick a majority color of an empty hypergraph")
     return int(np.argmax(col.counts()))
-
-
-# ---------------------------------------------------------------------------
-# choice policies
-# ---------------------------------------------------------------------------
-
-
-class LexChoice:
-    """Always take the lexicographically least eligible option."""
-
-    exhaustive = False
-
-    def pick(self, candidates: np.ndarray) -> int:
-        return int(candidates[0])
-
-
-class RandomChoice:
-    """Seeded uniform choice among eligible options (for experiments)."""
-
-    exhaustive = True
-
-    def __init__(self, seed: int):
-        self._rng = make_rng(seed)
-
-    def pick(self, candidates: np.ndarray) -> int:
-        return int(self._rng.choice(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +250,18 @@ def _find_start_edge(
     color: int,
     deleted: np.ndarray,
     unused: np.ndarray,
-    policy,
 ) -> int | None:
-    """Least (or random) working-color, non-deleted hyperedge inside U."""
-    hits: list[np.ndarray] = []
+    """Least working-color, non-deleted hyperedge inside U."""
     for lo in range(0, len(h), _SCAN_CHUNK):
         hi = min(lo + _SCAN_CHUNK, len(h))
         elig = (colors[lo:hi] == color) & ~deleted[lo:hi]
         if not elig.any():
             continue
         idxs = np.nonzero(elig)[0].astype(np.int64) + lo
-        verts = _decoded_globals(h, lo, hi)[idxs - lo]
-        ok = unused[verts].all(axis=1)
+        ok = unused[h.vertex_rows(lo, hi)[idxs - lo]].all(axis=1)
         if ok.any():
-            if not policy.exhaustive:
-                return int(idxs[ok][0])
-            hits.append(idxs[ok])
-    if not hits:
-        return None
-    return policy.pick(np.concatenate(hits))
+            return int(idxs[ok][0])
+    return None
 
 
 def _eligible_extensions(
@@ -331,7 +289,6 @@ def greedy_round(
     color: int,
     n: int,
     deleted: np.ndarray | None = None,
-    policy=None,
     debug: bool = False,
 ) -> RoundResult:
     """Run one greedy round against the non-deleted working-color hyperedges."""
@@ -345,8 +302,6 @@ def greedy_round(
         raise ParameterError("coloring is not total over the hypergraph")
     if deleted is None:
         deleted = np.zeros(len(h), dtype=bool)
-    if policy is None:
-        policy = LexChoice()
     colors = col.colors
     state = GreedyState.fresh(g.num_vertices)
 
@@ -356,10 +311,10 @@ def greedy_round(
         return RoundResult(kind, list(path), trash_family(g, state.trash))
 
     while True:
-        eid = _find_start_edge(h, colors, color, deleted, state.unused, policy)
+        eid = _find_start_edge(h, colors, color, deleted, state.unused)
         if eid is None:
             return checked(RoundOutcome.NO_WORKING_EDGE, [])
-        state.claim(h.hyperedge(eid).vertices)
+        state.claim(h.hyperedge(eid))
         if debug:
             state.check_invariants(h, col, color, deleted)
         if len(state.path) >= n:
@@ -367,7 +322,7 @@ def greedy_round(
         while state.path:
             ext = _eligible_extensions(h, colors, color, deleted, state.unused, state.path)
             if ext.size:
-                state.claim([policy.pick(ext)])
+                state.claim([int(ext[0])])
                 if debug:
                     state.check_invariants(h, col, color, deleted)
                 if len(state.path) >= n:
@@ -518,7 +473,6 @@ def run_outer(
     col: Coloring,
     n: int,
     color: int | None = None,
-    policy=None,
 ) -> GreedyOutcome:
     """Greedy rounds with restarts until a path is found or edges run out.
 
@@ -533,7 +487,7 @@ def run_outer(
     deleted = np.zeros(len(h), dtype=bool)
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
-        res = greedy_round(h, g, col, color, n, deleted, policy)
+        res = greedy_round(h, g, col, color, n, deleted)
         if res.kind is RoundOutcome.PATH_FOUND:
             return FoundPath(color=color, vertices=res.path)
         if res.kind is RoundOutcome.TRASH_FULL:
@@ -573,31 +527,5 @@ def outcome_to_json(outcome: GreedyOutcome) -> dict:
         ],
         "final_trash": [list(map(int, p.vertices)) for p in outcome.final_trash.paths],
         "intersecting_set": list(map(int, outcome.intersecting_set)),
-        "audit": None
-        if audit is None
-        else {
-            "k": audit.k,
-            "r": audit.r,
-            "color": audit.color,
-            "total_cycles": audit.total_cycles,
-            "working_color_edges": audit.working_color_edges,
-            "rounds": [
-                {
-                    "restricted_extensions": a.restricted_extensions,
-                    "family_extensions": a.family_extensions,
-                    "bound": a.bound,
-                    "margin": a.margin,
-                    "ok": a.ok,
-                }
-                for a in audit.rounds
-            ],
-            "meeting_final_trash": audit.meeting_final_trash,
-            "meeting_bound": audit.meeting_bound,
-            "accounting_ok": audit.accounting_ok,
-            "per_round_ok": audit.per_round_ok,
-            "meeting_ok": audit.meeting_ok,
-            "extension_budget_ok": audit.extension_budget_ok,
-            "minority_ok": audit.minority_ok,
-            "minority_margin": audit.minority_margin,
-        },
+        "audit": None if audit is None else asdict(audit),
     }

@@ -25,7 +25,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -205,6 +204,8 @@ class LayeredGraph:
 
     @classmethod
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":
+        if k < 3 or m < 1:
+            raise ParameterError(f"need k >= 3 and m >= 1, got k={k}, m={m}")
         _check_fits_in_memory(k * m * m)
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
@@ -249,9 +250,6 @@ class LayeredGraph:
 
     def __repr__(self) -> str:
         return f"LayeredGraph(k={self.k}, m={self.m}, edges={self.edge_count()})"
-
-    def iter_vertices(self) -> Iterator[int]:
-        return iter(range(self.k * self.m))
 
 
 def _check_fits_in_memory(required: int) -> None:

@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .cycles import ProperCycle, TightHypergraph
+from .cycles import TightHypergraph
 from .errors import ParameterError, ResourceLimitError
 from .layered_graph import LayeredGraph
 
@@ -83,11 +83,11 @@ def brute_force_cycle_keys(g: LayeredGraph, cap: int = BRUTE_TUPLE_CAP) -> np.nd
     return np.concatenate(out)
 
 
-def brute_force_cycles(g: LayeredGraph, cap: int = BRUTE_TUPLE_CAP) -> list[ProperCycle]:
-    """All proper cycles in canonical order, via the all-tuples filter."""
+def brute_force_cycles(g: LayeredGraph, cap: int = BRUTE_TUPLE_CAP) -> list[tuple[int, ...]]:
+    """All proper cycles, part-indexed, in canonical order, via the all-tuples filter."""
     keys = brute_force_cycle_keys(g, cap).astype(np.int64)
     locs = np.stack(np.unravel_index(keys, (g.m,) * g.k), axis=1)
-    return [ProperCycle(tuple(row)) for row in (locs + np.arange(g.k) * g.m).tolist()]
+    return [tuple(row) for row in (locs + np.arange(g.k) * g.m).tolist()]
 
 
 def _edge_vertex_sets(
@@ -97,7 +97,7 @@ def _edge_vertex_sets(
     for i in range(len(h)):
         if coloring is not None and int(coloring.colors[i]) != int(color):
             continue
-        sets.append(frozenset(h.hyperedge(i).vertices))
+        sets.append(frozenset(h.hyperedge(i)))
     return sets
 
 

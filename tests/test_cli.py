@@ -1,11 +1,17 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ramsey_lab.cli import main, run
+from ramsey_lab.cli import build_parser, main, run
 from ramsey_lab.errors import ConfigError
 from ramsey_lab.reporting import strip_timestamp, validate_document
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = json.loads((ROOT / "tests" / "data" / "pinned_greedy_reports.json").read_text())
 
 
 def run_cli(argv, capsys):
@@ -71,6 +77,26 @@ class TestEnumerate:
         )
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 3, "m": -1, "edges": []}',
+            '{"k": 3, "m": 2}',
+            '{"k": 3, "m": 2, "edges": [[0, "a"]]}',
+            "[1, 2]",
+            "not json",
+            '{"k": 3, "m": 2, "edges": [[0, 2, 5]]}',
+            '{"k": 3, "m": 2, "edges": [[0, 2.5]]}',
+        ],
+        ids=["negative-m", "no-edges", "string-vertex", "list", "not-json", "triple", "float-vertex"],
+    )
+    def test_malformed_graph_file_exit_1(self, tmp_path, capsys, text):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(text)
+        code, stdout, err = run_cli(["enumerate", "--graph", str(gfile)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: graph: ") and err.count("\n") == 1
 
 
 class TestColor:
@@ -146,17 +172,14 @@ class TestGreedy:
         assert code == 0
         assert json.loads(stdout)["results"]["working_color"] == 1
 
-    def test_randomize_choices_seeded(self, capsys):
-        args = ["greedy", "--k", "3", "--m", "6", "--p", "1", "--seed", "0", "--r", "2",
-                "--n", "5", "--coloring", "random", "--randomize-choices", "21"]
-        code, out1, _ = run_cli(args, capsys)
-        assert code == 0
-        _, out2, _ = run_cli(args, capsys)
-        strip = lambda s: [l for l in s.splitlines() if "timestamp" not in l]
-        assert strip(out1) == strip(out2)
-        # a different choice seed may legitimately pick a different path
-        doc = json.loads(out1)
-        assert doc["results"]["outcome"]["kind"] in ("path", "certificate")
+    @pytest.mark.parametrize("pin", PINNED, ids=[p["name"] for p in PINNED])
+    def test_pinned_report(self, capsys, pin):
+        # config and results are pinned byte for byte; a change that alters
+        # them on purpose regenerates tests/data/pinned_greedy_reports.json
+        code, stdout, err = run_cli(pin["argv"], capsys)
+        assert code == 0, err
+        doc = json.loads(stdout)
+        assert (doc["config"], doc["results"]) == (pin["config"], pin["results"])
 
 
 class TestVerify:
@@ -337,6 +360,39 @@ class TestConfigHandling:
         assert code == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["randomize_choices", "threads", "colour"])
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 21}))
+        code, stdout, err = run_cli(
+            ["greedy", "--config", str(cfg), "--k", "3", "--m", "4", "--p", "1",
+             "--seed", "0", "--r", "2", "--n", "3"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: {key}: unknown config key\n"
+
+    def test_removed_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["greedy", "--randomize-choices", "21"])
+        assert exc.value.code == 2
+
     def test_run_api_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             run("fly", {})
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # every command in README's CLI block must still parse
+        readme = (ROOT / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [
+            shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("ramsey-lab ")
+        ]
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ramsey_lab import (
     InvariantViolationError,
     LayeredGraph,
-    ProperCycle,
     ResourceLimitError,
     TightHypergraph,
     build_hypergraph,
@@ -32,14 +31,14 @@ from conftest import random_graph
 
 
 def brute_sets(g):
-    return [set(c.vertices) for c in brute_force_cycles(g)]
+    return [set(c) for c in brute_force_cycles(g)]
 
 
 class TestEnumeration:
     def test_complete_3_2_has_8_cycles(self, tiny_complete):
         cycles = enumerate_proper_cycles(tiny_complete)
         assert len(cycles) == 8
-        assert cycles[0] == ProperCycle((0, 2, 4))
+        assert cycles[0] == (0, 2, 4)
         assert cycles == sorted(cycles)
 
     def test_empty_graph_has_none(self):
@@ -119,7 +118,7 @@ class TestExtendPath:
                 assert len(subs) == k
                 assert len(set(subs)) == k
                 for b in subs:
-                    (dropped,) = set(c.vertices) - set(b.vertices)
+                    (dropped,) = set(c) - set(b.vertices)
                     assert dropped in extend_path(g, b)
 
     def test_rejects_short_path(self, tiny_complete):
@@ -137,9 +136,9 @@ class TestExtendPath:
             for b in cycle_subpaths(g, c):
                 ext, keys = _extensions(g, b.vertices)
                 expected = {
-                    key: (set(d.vertices) - set(b.vertices)).pop()
+                    key: (set(d) - set(b.vertices)).pop()
                     for key, d in brute
-                    if set(b.vertices) <= set(d.vertices)
+                    if set(b.vertices) <= set(d)
                 }
                 assert dict(zip(keys.tolist(), ext.tolist())) == expected
                 assert list(ext) == sorted(expected.values())
@@ -326,22 +325,26 @@ class TestHypergraph:
         g = random_graph(3, 7, 0.5, 71)
         assert len(build_hypergraph(g)) == len(enumerate_proper_cycles(g))
 
-    def test_incidence_consistency(self):
-        g = random_graph(3, 5, 0.6, 73)
+    def test_vertex_rows_are_part_indexed_hyperedges(self):
+        g = random_graph(4, 4, 0.7, 73)
         h = build_hypergraph(g)
-        for v in range(g.num_vertices):
-            ids = set(int(i) for i in h.edges_containing(v))
-            for eid in range(len(h)):
-                assert (eid in ids) == (v in h.hyperedge(eid).vertices)
+        rows = h.vertex_rows()
+        assert rows.shape == (len(h), 4) and rows.dtype == np.int64
+        assert [tuple(r) for r in rows.tolist()] == h.hyperedges() == brute_force_cycles(g)
+        assert np.array_equal(h.vertex_rows(2, 5), rows[2:5])
+        assert (rows // g.m == np.arange(4)).all()  # entry i lies in part i
+        assert h.hyperedge(len(h) - 1) == tuple(rows[-1].tolist())
+        with pytest.raises(IndexError):
+            h.hyperedge(len(h))
 
     def test_edge_id_roundtrip(self):
         g = random_graph(4, 4, 0.6, 79)
         h = build_hypergraph(g)
         for eid in range(len(h)):
             cyc = h.hyperedge(eid)
-            assert h.edge_id(cyc.vertices) == eid
+            assert h.edge_id(cyc) == eid
             # any ordering of the vertex set resolves to the same id
-            assert h.edge_id(tuple(reversed(cyc.vertices))) == eid
+            assert h.edge_id(tuple(reversed(cyc))) == eid
 
     def test_extension_ids(self, tiny_complete):
         h = build_hypergraph(tiny_complete)
@@ -349,7 +352,7 @@ class TestHypergraph:
         ids = h.extension_ids(b)
         assert len(ids) == 2
         for eid in ids:
-            assert {0, 2} <= set(h.hyperedge(int(eid)).vertices)
+            assert {0, 2} <= set(h.hyperedge(int(eid)))
 
     def test_export_schema(self, tiny_complete):
         doc = build_hypergraph(tiny_complete).to_json()

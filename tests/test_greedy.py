@@ -6,7 +6,6 @@ from ramsey_lab import (
     Coloring,
     FoundPath,
     ParameterError,
-    RandomChoice,
     adversarial_coloring,
     audit_certificate,
     build_hypergraph,
@@ -65,7 +64,7 @@ class TestColorings:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
         cut = set(rng.choice(g.num_vertices, size=max(1, g.num_vertices // 4), replace=False).tolist())
         for eid in range(len(complete_h)):
-            meets = bool(cut & set(complete_h.hyperedge(eid).vertices))
+            meets = bool(cut & set(complete_h.hyperedge(eid)))
             assert col.colors[eid] == (0 if meets else 1)
 
     def test_balanced_greedy_small(self, complete_h):
@@ -224,14 +223,6 @@ class TestRunOuter:
         col = random_coloring(complete_h, 2, 3)
         a = run_outer(complete_h, tiny_complete, col, n=4)
         b = run_outer(complete_h, tiny_complete, col, n=4)
-        assert outcome_to_json(a) == outcome_to_json(b)
-
-    def test_random_policy_deterministic(self):
-        g = complete_layered(3, 5)
-        h = build_hypergraph(g)
-        col = random_coloring(h, 2, 5)
-        a = run_outer(h, g, col, n=5, policy=RandomChoice(11))
-        b = run_outer(h, g, col, n=5, policy=RandomChoice(11))
         assert outcome_to_json(a) == outcome_to_json(b)
 
     def test_path_soundness_across_seeds(self):

@@ -190,6 +190,11 @@ class TestStructure:
         with pytest.raises(ParameterError):
             LayeredGraph.from_edges(3, 2, [(0, 9)])
 
+    def test_from_edges_rejects_negative_m(self):
+        # checked before the blocks are sized, so a negative m never reaches numpy
+        with pytest.raises(ParameterError):
+            LayeredGraph.from_edges(3, -1, [])
+
     def test_blocks_immutable(self, tiny_complete):
         with pytest.raises(ValueError):
             tiny_complete.blocks[0][0, 0] = False

@@ -8,7 +8,6 @@ from ramsey_lab import (
     Coloring,
     FoundPath,
     LayeredGraph,
-    ProperCycle,
     ResourceLimitError,
     Verdict,
     arrow_check,
@@ -30,7 +29,7 @@ class TestBruteForce:
     def test_complete_3_2(self, tiny_complete):
         cycles = brute_force_cycles(tiny_complete)
         assert len(cycles) == 8
-        assert cycles[0] == ProperCycle((0, 2, 4))
+        assert cycles[0] == (0, 2, 4)
 
     def test_empty(self):
         assert brute_force_cycles(random_graph(3, 4, 0.0, 0)) == []
