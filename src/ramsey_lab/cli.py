@@ -52,12 +52,19 @@ MODES = ("generate", "enumerate", "color", "greedy", "verify", "concentration", 
 
 COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 
-# config keys whose values must be numbers; the integer ones reject fractions
-_INT_KEYS = (
-    "k", "m", "seed", "r", "n", "cycle_cap", "coloring_seed", "color",
-    "trials", "trial_seed", "fixed_vertex",
-)
-_FLOAT_KEYS = ("p", "c_eff")
+# the JSON kind of every config key (every flag's destination), as accepted
+# Python types and a noun for the error; a bool is never a number.
+# ``canonical`` (three integers) is checked by _expand_canonical.
+_INT, _NUMBER = ((int,), "an integer"), ((int, float), "a number")
+_STRING, _BOOL = ((str,), "a string"), ((bool,), "true or false")
+_CONFIG_KINDS = {
+    "graph": _STRING, "k": _INT, "m": _INT, "p": _NUMBER, "seed": _INT, "canonical": None,
+    "report": _STRING, "out": _STRING, "cycle_cap": _INT, "export_hypergraph": _STRING,
+    "r": _INT, "n": _INT, "strategy": _STRING, "coloring": _STRING, "coloring_seed": _INT,
+    "color": _INT, "property": _STRING, "trials": _INT, "trial_seed": _INT, "c_eff": _NUMBER,
+    "adversarial": _BOOL, "emit_trials": _STRING, "statistic": _STRING,
+    "fixed_vertex": _INT, "check": _STRING,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +169,13 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
         if key in ("mode", "config") or value is None:
             continue
         config[key] = value
-    for key in _INT_KEYS + _FLOAT_KEYS:
-        value = config.get(key)
-        integral = key in _INT_KEYS
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
-        ):
-            raise ConfigError(key, f"must be {'an integer' if integral else 'a number'}, got {value!r}")
+    for key, value in config.items():
+        kind = _CONFIG_KINDS.get(key)
+        if kind is None or value is None:
+            continue
+        types, noun = kind
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ConfigError(key, f"must be {noun}, got {value!r}")
     unknown = sorted(config.keys() - vars(args).keys())
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")

@@ -11,10 +11,10 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it.  Enumeration emits
-keys in ascending order; counting quantities are computed from
-adjacency-block matrix products without materializing cycles (entries of
-all intermediate products are integers, kept exactly representable - see
-``_check_exact``).
+keys in ascending order.  Every block-chain count (total, per vertex,
+meeting a vertex set) sums ``_closed_walks`` over the float64 blocks from
+``_float_blocks``, which first checks that the chain stays exact; both
+extension counts go through ``_count_extensions``.
 """
 
 from __future__ import annotations
@@ -135,56 +135,44 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
 # ---------------------------------------------------------------------------
 
 
-def _check_exact(g: LayeredGraph) -> None:
+def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
+    """Fresh float64 copies of the adjacency blocks, once counting is exact."""
     # intermediate chain entries are bounded by m**(k-1); keep them exactly
     # representable in float64, and totals within int64
     if g.m ** (g.k - 1) > 2**52:
-        raise ResourceLimitError(
-            "exact float64 counting range exceeded", g.m ** (g.k - 1), 2**52
-        )
+        raise ResourceLimitError("exact float64 counting range exceeded", g.m ** (g.k - 1), 2**52)
     if g.m**g.k >= 2**63:
         raise ResourceLimitError("cycle totals exceed int64 range", g.m**g.k, 2**63)
+    return [b.astype(np.float64) for b in g.blocks]
 
 
-def _chain(blocks_f: list[np.ndarray]) -> np.ndarray:
-    out = blocks_f[0]
-    for b in blocks_f[1:]:
-        out = out @ b
-    return out
+def _closed_walks(fb: list[np.ndarray], part: int, rows=slice(None)) -> np.ndarray:
+    """Proper cycles through the local vertices ``rows`` of ``part``: the closing
+    diagonal of the block chain rotated to start at ``part`` (closed walks
+    part -> part+1 -> ... -> part), as int64."""
+    k = len(fb)
+    prefix = fb[part][rows]
+    for j in range(1, k - 1):
+        prefix = prefix @ fb[(part + j) % k]
+    return np.einsum("ab,ba->a", prefix, fb[(part - 1) % k][:, rows]).astype(np.int64)
 
 
 def count_proper_cycles(g: LayeredGraph) -> int:
     """Total number of proper cycles (no materialization)."""
-    _check_exact(g)
-    fb = [b.astype(np.float64) for b in g.blocks]
-    prefix = _chain(fb[:-1])
-    per_start = np.einsum("ab,ba->a", prefix, fb[-1])
-    return int(per_start.astype(np.int64).sum())
+    return int(_closed_walks(_float_blocks(g), 0).sum())
 
 
 def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
     """Proper-cycle count through every vertex, as an int64 array of length k*m."""
-    _check_exact(g)
-    fb = [b.astype(np.float64) for b in g.blocks]
-    out = np.empty(g.k * g.m, dtype=np.int64)
-    for part in range(g.k):
-        order = [fb[(part + j) % g.k] for j in range(g.k)]
-        prefix = _chain(order[:-1])
-        diag = np.einsum("ab,ba->a", prefix, order[-1])
-        out[part * g.m : (part + 1) * g.m] = diag.astype(np.int64)
-    return out
+    fb = _float_blocks(g)
+    return np.concatenate([_closed_walks(fb, part) for part in range(g.k)])
 
 
 def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
     """Number of proper cycles containing vertex v."""
     g._check_vertex(int(v))
-    _check_exact(g)
     part, local = g.part_of(int(v)), g.local(int(v))
-    vec = np.zeros(g.m, dtype=np.float64)
-    vec[local] = 1.0
-    for j in range(g.k):
-        vec = vec @ g.blocks[(part + j) % g.k].astype(np.float64)
-    return int(vec[local])
+    return int(_closed_walks(_float_blocks(g), part, [local])[0])
 
 
 def count_cycles_meeting(g: LayeredGraph, cset) -> int:
@@ -194,15 +182,14 @@ def count_cycles_meeting(g: LayeredGraph, cset) -> int:
         g._check_vertex(v)
     if not verts:
         return 0
-    keep = np.ones(g.k * g.m, dtype=bool)
-    keep[verts] = False
-    masks = [keep[i * g.m : (i + 1) * g.m] for i in range(g.k)]
-    masked = [
-        g.blocks[i] & masks[i][:, None] & masks[(i + 1) % g.k][None, :]
-        for i in range(g.k)
-    ]
-    avoiding = count_proper_cycles(LayeredGraph(g.k, g.m, masked))
-    return count_proper_cycles(g) - avoiding
+    total = count_proper_cycles(g)
+    # cycles avoiding cset: the chain with cset's rows and columns zeroed
+    gone = np.isin(np.arange(g.num_vertices), verts).reshape(g.k, g.m)
+    fb = _float_blocks(g)
+    for i, b in enumerate(fb):
+        b[gone[i]] = 0.0
+        b[:, gone[(i + 1) % g.k]] = 0.0
+    return total - int(_closed_walks(fb, 0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -317,44 +304,38 @@ def _extensions(
     return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
 
 
-def extend_path(g: LayeredGraph, path: ProperPath | list[int]) -> np.ndarray:
+def extend_path(g: LayeredGraph, path: ProperPath) -> np.ndarray:
     """Global ids of vertices completing a (k-1)-vertex proper path into a cycle.
 
     The completing vertex lies in the one part the path misses and must be
     adjacent to both path endpoints; each returned vertex closes a distinct
     proper cycle.
     """
-    pp = path if isinstance(path, ProperPath) else proper_path(g, path)
-    if len(pp) != g.k - 1:
+    if len(path) != g.k - 1:
         raise InvariantViolationError(
-            f"extend_path needs a path of exactly {g.k - 1} vertices, got {len(pp)}"
+            f"extend_path needs a path of exactly {g.k - 1} vertices, got {len(path)}"
         )
-    return _extensions(g, pp.vertices)[0]
+    return _extensions(g, path.vertices)[0]
+
+
+def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
+    """Distinct proper cycles extending some family path (by an allowed vertex)."""
+    keys = [_extensions(g, p.vertices, allowed)[1] for p in fam.paths]
+    return int(np.unique(np.concatenate(keys)).size) if keys else 0
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
     """Number of distinct proper cycles extending at least one family path."""
-    if not isinstance(fam, TrashFamily):
-        fam = trash_family(g, fam)
-    keys = [_extensions(g, p.vertices)[1] for p in fam.paths]
-    if not keys:
-        return 0
-    return int(np.unique(np.concatenate(keys)).size)
+    return _count_extensions(g, fam)
 
 
 def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
     """Distinct cycles extending a family path by a vertex from aset or the family."""
-    if not isinstance(fam, TrashFamily):
-        fam = trash_family(g, fam)
-    allowed = {int(v) for v in aset} | fam.vertex_set()
-    for v in allowed:
+    allowed = np.zeros(g.num_vertices, dtype=bool)
+    for v in {int(v) for v in aset} | fam.vertex_set():
         g._check_vertex(v)
-    mask = np.zeros(g.num_vertices, dtype=bool)
-    mask[list(allowed)] = True
-    keys = [_extensions(g, p.vertices, mask)[1] for p in fam.paths]
-    if not keys:
-        return 0
-    return int(np.unique(np.concatenate(keys)).size)
+        allowed[v] = True
+    return _count_extensions(g, fam, allowed)
 
 
 def cycle_subpaths(g: LayeredGraph, cycle: tuple[int, ...]) -> list[ProperPath]:

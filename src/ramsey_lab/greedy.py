@@ -22,10 +22,7 @@ from .cycles import (
     ProperPath,
     TightHypergraph,
     TrashFamily,
-    count_cycles_meeting,
-    count_family_extensions,
     count_proper_cycles,
-    count_restricted_extensions,
     decode_keys,
     encode_keys,
     proper_path,
@@ -36,6 +33,7 @@ from .cycles import (
 from .errors import ParameterError, ResourceLimitError
 from .layered_graph import LayeredGraph
 from .seeds import make_rng
+from .verifier import RoundAudit, meeting_check, restricted_check
 
 __all__ = [
     "Coloring",
@@ -49,7 +47,6 @@ __all__ = [
     "FoundPath",
     "Certificate",
     "RoundRecord",
-    "RoundAudit",
     "CertificateAudit",
     "run_outer",
     "audit_certificate",
@@ -360,15 +357,6 @@ class FoundPath:
 
 
 @dataclass
-class RoundAudit:
-    restricted_extensions: int  # cycles extending a trashed path by a used vertex
-    family_extensions: int  # cycles extending some trashed path
-    bound: float  # family_extensions / (2kr)
-    margin: float
-    ok: bool
-
-
-@dataclass
 class CertificateAudit:
     """Recomputed counting facts behind a certificate.
 
@@ -431,22 +419,8 @@ def audit_certificate(
         raise ParameterError("hypergraph does not enumerate all proper cycles of g")
     working = int((col.colors == color).sum())
     k, r = g.k, col.r
-    rounds: list[RoundAudit] = []
-    for rec in outcome.rounds:
-        y = count_restricted_extensions(g, rec.path_snapshot, rec.trash)
-        t_fam = count_family_extensions(g, rec.trash)
-        bound = t_fam / (2 * k * r)
-        rounds.append(
-            RoundAudit(
-                restricted_extensions=y,
-                family_extensions=t_fam,
-                bound=bound,
-                margin=bound - y,
-                ok=y < bound,
-            )
-        )
-    meeting = count_cycles_meeting(g, outcome.intersecting_set)
-    meeting_bound = total / (2 * r)
+    rounds = [restricted_check(g, rec.path_snapshot, rec.trash, r) for rec in outcome.rounds]
+    meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total)
     sum_y = sum(a.restricted_extensions for a in rounds)
     sum_fam = sum(a.family_extensions for a in rounds)
     return CertificateAudit(

@@ -225,7 +225,9 @@ class LayeredGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredGraph":
-        return cls.from_edges(int(doc["k"]), int(doc["m"]), doc["edges"])
+        if not all(type(doc[key]) is int for key in ("k", "m")):
+            raise ParameterError(f"k and m must be integers, got {doc['k']!r}, {doc['m']!r}")
+        return cls.from_edges(doc["k"], doc["m"], doc["edges"])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

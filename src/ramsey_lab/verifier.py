@@ -1,5 +1,8 @@
 """Monte Carlo checks of the construction's counting properties.
 
+Properties (i) and (ii) are one function each, ``restricted_check`` and
+``meeting_check``, shared by the sampled checks and the certificate audit.
+
 The structural claims are universally quantified over exponentially many
 family/set choices, so desk-scale verification samples them: random
 disjoint path families with random restriction sets for the extension
@@ -39,6 +42,9 @@ __all__ = [
     "PropertyReport",
     "RatioReport",
     "ConcentrationReport",
+    "RoundAudit",
+    "restricted_check",
+    "meeting_check",
     "sample_trash_family",
     "check_property_i",
     "check_property_ii",
@@ -90,6 +96,30 @@ class RatioReport:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class RoundAudit:
+    """Property (i) on one family; its fields are the report's ``audit.rounds`` keys."""
+
+    restricted_extensions: int  # cycles extending a family path by a vertex of aset or the family
+    family_extensions: int  # cycles extending some family path
+    bound: float  # family_extensions / (2kr)
+    margin: float
+    ok: bool
+
+
+def restricted_check(g: LayeredGraph, aset, fam: TrashFamily, r: int) -> RoundAudit:
+    """Property (i): restricted extensions of ``fam`` stay under family/(2kr)."""
+    y = count_restricted_extensions(g, aset, fam)
+    t_fam = count_family_extensions(g, fam)
+    bound = t_fam / (2 * g.k * r)
+    return RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound)
+
+
+def meeting_check(g: LayeredGraph, cset, r: int, total: int) -> tuple[int, float]:
+    """Property (ii): cycles meeting ``cset`` against total/(2r); returns (count, bound)."""
+    return count_cycles_meeting(g, cset), total / (2 * r)
 
 
 def sample_trash_family(
@@ -190,11 +220,9 @@ def check_property_i(
         rest = np.nonzero(~np.isin(np.arange(g.num_vertices), sorted(fam.vertex_set())))[0]
         a_size = min(n, rest.size)
         aset = rng.choice(rest, size=a_size, replace=False) if a_size else np.empty(0, int)
-        y = count_restricted_extensions(g, aset, fam)
-        t_fam = count_family_extensions(g, fam)
-        bound = t_fam / (2 * k * r)
-        kind = "violation" if y >= bound else "pass"
-        return (kind, bound - y, "restricted_extensions", y, bound)
+        a = restricted_check(g, aset, fam, r)
+        kind = "pass" if a.ok else "violation"
+        return (kind, a.margin, "restricted_extensions", a.restricted_extensions, a.bound)
 
     outcomes = [one(t) for t in range(trials)]
     params = {
@@ -234,7 +262,6 @@ def check_property_ii(
     if g.num_vertices < c_size:
         raise ConfigError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
     total = count_proper_cycles(g)
-    bound = total / (2 * r)
     heavy: np.ndarray | None = None
     if include_adversarial and trials > 0 and total > 0:
         per_vertex = cycles_per_vertex(g)
@@ -248,7 +275,7 @@ def check_property_ii(
         else:
             rng = spawn_rng(seed, trial)
             cset = rng.choice(g.num_vertices, size=c_size, replace=False)
-        z = count_cycles_meeting(g, cset)
+        z, bound = meeting_check(g, cset, r, total)
         kind = "violation" if z >= bound else "pass"
         return (kind, bound - z, "meeting_count", z, bound)
 
@@ -275,6 +302,8 @@ def check_property_iii(
     k = g.k
     if c_eff is None:
         c_eff = g.m / n
+    if not (math.isfinite(c_eff) and c_eff > 0):
+        raise ConfigError("c_eff", f"must be positive and finite, got {c_eff!r}")
     total = count_proper_cycles(g)
     scale = (n * math.log(n)) ** (k / 2.0)
     ratio_c = total / ((c_eff**k) * scale)

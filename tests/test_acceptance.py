@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The desk-scale instance
 (k=3, r=2, n=30, part size 40*n, p = sqrt(ln n / n)) is built once and shared;
 it carries roughly 66 million hyperedges, so this module needs ~1.5 GB RAM
-and a few minutes.
+and about 75 s on two cores.
 """
 
 import json

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ramsey_lab.cli import build_parser, main, run
+from ramsey_lab.cli import _CONFIG_KINDS, MODES, build_parser, main, run
 from ramsey_lab.errors import ConfigError
 from ramsey_lab.reporting import strip_timestamp, validate_document
 
@@ -88,8 +88,11 @@ class TestEnumerate:
             "not json",
             '{"k": 3, "m": 2, "edges": [[0, 2, 5]]}',
             '{"k": 3, "m": 2, "edges": [[0, 2.5]]}',
+            '{"k": 3, "m": 2.5, "edges": []}',
+            '{"k": 3.0, "m": 2, "edges": []}',
         ],
-        ids=["negative-m", "no-edges", "string-vertex", "list", "not-json", "triple", "float-vertex"],
+        ids=["negative-m", "no-edges", "string-vertex", "list", "not-json", "triple",
+             "float-vertex", "fractional-m", "float-k"],
     )
     def test_malformed_graph_file_exit_1(self, tmp_path, capsys, text):
         gfile = tmp_path / "g.json"
@@ -223,6 +226,16 @@ class TestVerify:
         res = json.loads(stdout)["results"]
         assert res["ratio_c"] == pytest.approx((4 / math.log(4)) ** 1.5, rel=1e-12)
 
+    @pytest.mark.parametrize("c_eff", ["nan", "inf", "0", "-1"])
+    def test_bad_c_eff_exit_1(self, capsys, c_eff):
+        code, stdout, err = run_cli(
+            ["verify", "--property", "iii", "--k", "3", "--m", "8", "--p", "1",
+             "--seed", "0", "--r", "2", "--n", "4", f"--c-eff={c_eff}"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: c_eff: ") and err.count("\n") == 1
+
     def test_missing_property_exit_1(self, capsys):
         code, _, err = run_cli(
             ["verify", "--k", "3", "--m", "5", "--p", "0.5", "--seed", "0",
@@ -305,21 +318,33 @@ class TestConfigHandling:
         assert code == 1 and "graph" in err
 
     @pytest.mark.parametrize(
-        "doc, field",
+        "mode, doc, field",
         [
-            ({"k": "x"}, "k"),
-            ({"trials": "2"}, "trials"),
-            ({"k": 3, "m": 5, "p": "0.5", "seed": 1}, "p"),
-            ({"k": 3.5, "m": 5, "p": 0.5, "seed": 1}, "k"),
-            ({"canonical": [3, "2", 30], "seed": 1}, "canonical"),
+            ("generate", {"k": "x"}, "k"),
+            ("generate", {"trials": "2"}, "trials"),
+            ("generate", {"k": 3, "m": 5, "p": "0.5", "seed": 1}, "p"),
+            ("generate", {"k": 3.5, "m": 5, "p": 0.5, "seed": 1}, "k"),
+            ("generate", {"canonical": [3, "2", 30], "seed": 1}, "canonical"),
+            ("greedy", {"coloring": 5}, "coloring"),
+            ("color", {"strategy": 7}, "strategy"),
+            ("enumerate", {"export_hypergraph": 3.5}, "export_hypergraph"),
+            ("verify", {"property": "ii", "adversarial": "no"}, "adversarial"),
+            ("generate", {"report": True}, "report"),
         ],
-        ids=["k-string", "trials-string", "p-string", "k-fraction", "canonical-string"],
+        ids=["k-string", "trials-string", "p-string", "k-fraction", "canonical-string",
+             "coloring-int", "strategy-int", "export-float", "adversarial-string", "report-bool"],
     )
-    def test_non_numeric_config_value_exit_1(self, tmp_path, capsys, doc, field):
+    def test_non_numeric_config_value_exit_1(self, tmp_path, capsys, mode, doc, field):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
-        code, _, err = run_cli(["generate", "--config", str(cfg)], capsys)
-        assert code == 1 and err.startswith(f"error: {field}: ")
+        code, stdout, err = run_cli([mode, "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {field}: ")
+
+    def test_every_config_key_has_a_kind(self):
+        parser = build_parser()
+        keys = set().union(*(vars(parser.parse_args([mode])) for mode in MODES))
+        assert set(_CONFIG_KINDS) == keys - {"mode", "config"}
 
     @pytest.mark.parametrize(
         "argv, want",

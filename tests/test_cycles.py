@@ -74,9 +74,14 @@ class TestVertexCounts:
         g = random_graph(3, 4, 0.0, 0)
         assert cycles_through_vertex(g, 0) == 0
 
-    def test_matches_brute_filter(self):
-        g = random_graph(3, 6, 0.4, 17)
+    @pytest.mark.parametrize(
+        "k, m, p", [(3, 6, 0.4), (4, 4, 0.6), (5, 3, 0.8)], ids=["k3", "k4", "k5"]
+    )
+    def test_matches_brute_filter(self, k, m, p):
+        # k > 3 runs the rotated chain through more than one middle block
+        g = random_graph(k, m, p, 17)
         sets = brute_sets(g)
+        assert sets
         for v in range(g.num_vertices):
             assert cycles_through_vertex(g, v) == sum(1 for s in sets if v in s)
 
@@ -277,9 +282,13 @@ class TestMeetingCounts:
     def test_single_vertex_equals_vertex_count(self, tiny_complete):
         assert count_cycles_meeting(tiny_complete, [0]) == 4
 
-    def test_matches_brute(self):
-        g = random_graph(3, 6, 0.5, 61)
+    @pytest.mark.parametrize(
+        "k, m, p", [(3, 6, 0.5), (4, 4, 0.6), (5, 3, 0.8)], ids=["k3", "k4", "k5"]
+    )
+    def test_matches_brute(self, k, m, p):
+        g = random_graph(k, m, p, 61)
         sets = brute_sets(g)
+        assert sets
         for cset in ([0], [0, 7, 13], list(range(6)), [2, 3]):
             expected = sum(1 for s in sets if s & set(cset))
             assert count_cycles_meeting(g, cset) == expected
