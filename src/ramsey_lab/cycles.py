@@ -175,14 +175,18 @@ def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
     return int(_closed_walks(_float_blocks(g), part, [local])[0])
 
 
-def count_cycles_meeting(g: LayeredGraph, cset) -> int:
-    """Number of proper cycles intersecting the vertex set ``cset``."""
+def count_cycles_meeting(g: LayeredGraph, cset, total: int | None = None) -> int:
+    """Number of proper cycles intersecting the vertex set ``cset``.
+
+    ``total``, if given, must be ``count_proper_cycles(g)``; it saves a recount.
+    """
     verts = sorted({int(v) for v in cset})
     for v in verts:
         g._check_vertex(v)
     if not verts:
         return 0
-    total = count_proper_cycles(g)
+    if total is None:
+        total = count_proper_cycles(g)
     # cycles avoiding cset: the chain with cset's rows and columns zeroed
     gone = np.isin(np.arange(g.num_vertices), verts).reshape(g.k, g.m)
     fb = _float_blocks(g)

@@ -8,7 +8,9 @@ deleting every working-color hyperedge that extends a trashed path, and
 finishes with either a found path or an audited certificate.
 
 Every choice (starting edge, extension vertex) is the lexicographically
-least eligible option, so runs are replayable.
+least eligible option, so runs are replayable.  Within a round the
+start-edge scan resumes at the last start edge, because the eligible set
+only shrinks there (see ``greedy_round``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
 ]
 
 _SCAN_CHUNK = 1 << 20
+_FIRST_SCAN_CHUNK = 1 << 10
 _BALANCED_GREEDY_CAP = 200_000
 
 
@@ -247,17 +250,24 @@ def _find_start_edge(
     color: int,
     deleted: np.ndarray,
     unused: np.ndarray,
+    lo: int = 0,
 ) -> int | None:
-    """Least working-color, non-deleted hyperedge inside U."""
-    for lo in range(0, len(h), _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, len(h))
+    """Least working-color, non-deleted hyperedge inside U with id >= ``lo``.
+
+    The scan starts with a chunk of ``_FIRST_SCAN_CHUNK`` ids and doubles it
+    up to ``_SCAN_CHUNK``, so a hit near ``lo`` decodes few keys.
+    """
+    step = _FIRST_SCAN_CHUNK
+    while lo < len(h):
+        hi = min(lo + step, len(h))
         elig = (colors[lo:hi] == color) & ~deleted[lo:hi]
-        if not elig.any():
-            continue
-        idxs = np.nonzero(elig)[0].astype(np.int64) + lo
-        ok = unused[h.vertex_rows(lo, hi)[idxs - lo]].all(axis=1)
-        if ok.any():
-            return int(idxs[ok][0])
+        if elig.any():
+            idxs = np.nonzero(elig)[0].astype(np.int64) + lo
+            ok = unused[h.vertex_rows(lo, hi)[idxs - lo]].all(axis=1)
+            if ok.any():
+                return int(idxs[ok][0])
+        lo = hi
+        step = min(2 * step, _SCAN_CHUNK)
     return None
 
 
@@ -288,7 +298,14 @@ def greedy_round(
     deleted: np.ndarray | None = None,
     debug: bool = False,
 ) -> RoundResult:
-    """Run one greedy round against the non-deleted working-color hyperedges."""
+    """Run one greedy round against the non-deleted working-color hyperedges.
+
+    Each start-edge scan resumes at the last start edge (the cursor ``lo``).
+    This is exact: every scan runs with an empty path, so U = V \\ trash;
+    within a round the trash only grows, and ``deleted`` and the colors do
+    not change; so the eligible set only shrinks, and its least id never
+    decreases.
+    """
     if g is not h.graph:
         raise ParameterError("hypergraph was built over a different graph")
     if not 0 <= color < col.r:
@@ -307,10 +324,16 @@ def greedy_round(
             state.check_invariants(h, col, color, deleted)
         return RoundResult(kind, list(path), trash_family(g, state.trash))
 
+    lo = 0
     while True:
-        eid = _find_start_edge(h, colors, color, deleted, state.unused)
+        eid = _find_start_edge(h, colors, color, deleted, state.unused, lo)
+        if debug:
+            assert eid == _find_start_edge(h, colors, color, deleted, state.unused), (
+                "start-edge cursor skipped an eligible edge"
+            )
         if eid is None:
             return checked(RoundOutcome.NO_WORKING_EDGE, [])
+        lo = eid
         state.claim(h.hyperedge(eid))
         if debug:
             state.check_invariants(h, col, color, deleted)

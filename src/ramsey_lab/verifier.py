@@ -119,7 +119,7 @@ def restricted_check(g: LayeredGraph, aset, fam: TrashFamily, r: int) -> RoundAu
 
 def meeting_check(g: LayeredGraph, cset, r: int, total: int) -> tuple[int, float]:
     """Property (ii): cycles meeting ``cset`` against total/(2r); returns (count, bound)."""
-    return count_cycles_meeting(g, cset), total / (2 * r)
+    return count_cycles_meeting(g, cset, total), total / (2 * r)
 
 
 def sample_trash_family(
@@ -361,6 +361,11 @@ def concentration_experiment(
         raise ConfigError("statistic", f"unknown statistic {statistic!r}")
     if trials < 0:
         raise ConfigError("trials", "trials must be >= 0")
+    num_vertices = base.k * base.part_size
+    if not 0 <= fixed_vertex < num_vertices:
+        raise ConfigError(
+            "fixed_vertex", f"vertex {fixed_vertex} not in graph with {num_vertices} vertices"
+        )
     stats = expected_stats(base.k, base.part_size, base.edge_prob)
     expectation = {
         "total_cycles": stats.total_cycles,

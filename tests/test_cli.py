@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from ramsey_lab.reporting import strip_timestamp, validate_document
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = json.loads((ROOT / "tests" / "data" / "pinned_greedy_reports.json").read_text())
+DIGESTS = json.loads((ROOT / "tests" / "data" / "pinned_greedy_digests.json").read_text())
 
 
 def run_cli(argv, capsys):
@@ -184,6 +186,19 @@ class TestGreedy:
         doc = json.loads(stdout)
         assert (doc["config"], doc["results"]) == (pin["config"], pin["results"])
 
+    @pytest.mark.parametrize("pin", DIGESTS, ids=[p["name"] for p in DIGESTS])
+    def test_pinned_digest(self, capsys, pin):
+        # a restart-heavy certificate, too large to pin in full: its round
+        # count and the sha256 of its canonical results JSON.  At least 4096
+        # hyperedges, so the start-edge scan runs past its first chunks.
+        code, stdout, err = run_cli(pin["argv"], capsys)
+        assert code == 0, err
+        res = json.loads(stdout)["results"]
+        assert res["total_cycles"] == pin["total_cycles"] >= 4096
+        assert len(res["outcome"]["rounds"]) == pin["rounds"] >= 50
+        canon = json.dumps(res, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canon.encode()).hexdigest() == pin["results_sha256"]
+
 
 class TestVerify:
     def test_property_i_report(self, tmp_path, capsys):
@@ -258,6 +273,39 @@ class TestConcentration:
         validate_document(doc, "report-v1")
         assert doc["results"]["trials"] == 8
         assert doc["results"]["expectation"] == pytest.approx(1000 * 0.125)
+
+    @pytest.mark.parametrize(
+        "statistic, trials",
+        [
+            ("total_cycles", "2"),
+            ("cycles_through_vertex", "2"),
+            ("single_path_extensions", "2"),
+            ("cycles_through_vertex", "0"),
+        ],
+        ids=["total", "through-vertex", "extensions", "no-trials"],
+    )
+    @pytest.mark.parametrize("vertex", ["12", "99", "-1"])
+    def test_fixed_vertex_outside_graph_exit_1(self, capsys, statistic, trials, vertex):
+        # k*m = 12 vertices; the check runs before any trial, whatever the statistic
+        code, stdout, err = run_cli(
+            ["concentration", "--statistic", statistic, "--k", "3", "--m", "4", "--p", "1",
+             "--trials", trials, "--fixed-vertex", vertex],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: fixed_vertex: ")
+
+    def test_last_vertex_is_a_valid_fixed_vertex(self, capsys):
+        code, stdout, _ = run_cli(
+            ["concentration", "--statistic", "cycles_through_vertex", "--k", "3", "--m", "4",
+             "--p", "1", "--trials", "1", "--fixed-vertex", "11"],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(stdout)["results"]
+        assert res["params"]["fixed_vertex"] == 11
+        assert res["mean"] == 16.0  # complete graph: m^(k-1) cycles through each vertex
 
 
 class TestOracleMode:

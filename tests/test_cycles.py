@@ -289,9 +289,11 @@ class TestMeetingCounts:
         g = random_graph(k, m, p, 61)
         sets = brute_sets(g)
         assert sets
+        total = count_proper_cycles(g)
         for cset in ([0], [0, 7, 13], list(range(6)), [2, 3]):
             expected = sum(1 for s in sets if s & set(cset))
             assert count_cycles_meeting(g, cset) == expected
+            assert count_cycles_meeting(g, cset, total) == expected
 
     def test_bounded_by_total(self):
         g = random_graph(4, 5, 0.5, 67)

@@ -16,6 +16,7 @@ from ramsey_lab import (
     run_outer,
     validate_tight_path,
 )
+from ramsey_lab import greedy
 from ramsey_lab.cycles import decode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
 from conftest import random_graph
@@ -187,6 +188,89 @@ class TestGreedyRound:
         col = mono_coloring(complete_h, 0)
         with pytest.raises(ParameterError):
             greedy_round(complete_h, other, col, 0, 3)
+
+
+class TestStartEdgeCursor:
+    """``_find_start_edge`` scans from ``lo`` in chunks of 1024, 2048, ... ids."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        # 8000 hyperedges; scans from 0 end chunks at 1024, 3072 and 7168
+        return build_hypergraph(complete_layered(3, 20))
+
+    @staticmethod
+    def scan(h, eligible, lo=0, unused=None):
+        colors = np.ones(len(h), dtype=np.uint8)
+        colors[list(eligible)] = 0
+        if unused is None:
+            unused = np.ones(h.graph.num_vertices, dtype=bool)
+        return greedy._find_start_edge(h, colors, 0, np.zeros(len(h), dtype=bool), unused, lo)
+
+    @pytest.mark.parametrize("target", [0, 1023, 1024, 3071, 3072, 7168, 7999])
+    def test_first_eligible_id(self, big, target):
+        assert self.scan(big, [target]) == target
+        assert self.scan(big, [target], lo=target) == target
+        assert self.scan(big, [target], lo=target + 1) is None
+
+    def test_lo_skips_lower_ids(self, big):
+        assert self.scan(big, [5, 2000, 5000], lo=6) == 2000
+        assert self.scan(big, [5, 2000, 5000], lo=1030) == 2000
+
+    def test_used_vertex_skips_edge(self, big):
+        v = big.hyperedge(100)[0]
+        assert v not in big.hyperedge(5000)
+        unused = np.ones(big.graph.num_vertices, dtype=bool)
+        unused[v] = False
+        assert self.scan(big, [100, 5000], unused=unused) == 5000
+
+    def test_nothing_eligible(self, big):
+        assert self.scan(big, []) is None
+
+    @pytest.mark.parametrize("past", [0, 1, 5000])
+    def test_lo_past_the_end(self, big, past):
+        assert self.scan(big, [0, len(big) - 1], lo=len(big) + past) is None
+
+    @pytest.mark.parametrize(
+        "k, m, p, seed", [(3, 600, 0.03, 1), (4, 80, 0.08, 3), (5, 20, 0.2, 1)],
+        ids=["k3", "k4", "k5"],
+    )
+    def test_cursor_matches_full_scan_in_run_outer(self, monkeypatch, k, m, p, seed):
+        # sparse restart-heavy instances: every resumed scan must give the
+        # answer of a scan from id 0
+        g = random_graph(k, m, p, seed)
+        h = build_hypergraph(g)
+        if k == 3:
+            assert len(h) > 4 * 1024  # resumed scans cross doubling boundaries
+        col = random_coloring(h, 2, seed)
+        full_scan = greedy._find_start_edge
+        resumed = []
+
+        def checked_scan(h, colors, color, deleted, unused, lo=0):
+            eid = full_scan(h, colors, color, deleted, unused, lo)
+            assert eid == full_scan(h, colors, color, deleted, unused)
+            resumed.append(lo > 0)
+            return eid
+
+        monkeypatch.setattr(greedy, "_find_start_edge", checked_scan)
+        out = run_outer(h, g, col, n=10)
+        assert isinstance(out, Certificate) and len(out.rounds) > 0
+        assert any(resumed)
+
+    def test_debug_round_rescans_from_zero(self, monkeypatch):
+        g = random_graph(3, 600, 0.03, 1)
+        h = build_hypergraph(g)
+        col = random_coloring(h, 2, 1)
+        full_scan = greedy._find_start_edge
+        los = []
+
+        def spy(h, colors, color, deleted, unused, lo=0):
+            los.append(lo)
+            return full_scan(h, colors, color, deleted, unused, lo)
+
+        monkeypatch.setattr(greedy, "_find_start_edge", spy)
+        greedy_round(h, g, col, pick_majority_color(col), n=10, debug=True)
+        # debug mode follows every cursor scan with a scan from id 0
+        assert any(lo > 0 for lo in los[0::2]) and not any(los[1::2])
 
 
 class TestRunOuter:
