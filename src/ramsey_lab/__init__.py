@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .cycles import (
     DEFAULT_CYCLE_CAP,
-    ProperPath,
     TightHypergraph,
     TrashFamily,
     build_hypergraph,
@@ -23,12 +22,10 @@ from .cycles import (
     count_family_extensions,
     count_proper_cycles,
     count_restricted_extensions,
-    cycle_subpaths,
     cycles_per_vertex,
     cycles_through_vertex,
     enumerate_proper_cycles,
     extend_path,
-    proper_path,
     trash_family,
     validate_tight_path,
     validate_tight_path_verbose,
@@ -59,7 +56,6 @@ from .layered_graph import (
     canonical_params,
     complete_layered,
     generate_random,
-    neighbors,
 )
 from .oracle import (
     ArrowResult,

@@ -13,8 +13,15 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 format; everything else encodes and decodes through it.  Enumeration emits
 keys in ascending order.  Every block-chain count (total, per vertex,
 meeting a vertex set) sums ``_closed_walks`` over the float64 blocks from
-``_float_blocks``, which first checks that the chain stays exact; both
-extension counts go through ``_count_extensions``.
+``_float_blocks``, which first checks that the chain stays exact.
+
+A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
+int64 array that only ``trash_family`` builds, after checking every row and
+that the rows are pairwise vertex-disjoint.  A row runs along its arc of
+parts and starts in the lower-numbered of its two endpoint parts.  Both
+extension counts go through ``_count_extensions``, a plain sum over the
+rows: two (k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle
+extends two paths of a disjoint family.
 """
 
 from __future__ import annotations
@@ -29,9 +36,7 @@ from .layered_graph import LayeredGraph
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
-    "ProperPath",
     "TrashFamily",
-    "proper_path",
     "trash_family",
     "count_proper_cycles",
     "cycles_per_vertex",
@@ -44,7 +49,6 @@ __all__ = [
     "count_family_extensions",
     "count_restricted_extensions",
     "count_cycles_meeting",
-    "cycle_subpaths",
     "TightHypergraph",
     "build_hypergraph",
     "validate_tight_path",
@@ -59,75 +63,55 @@ DEFAULT_CYCLE_CAP = 100_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ProperPath:
-    """A proper path: consecutive vertices adjacent, one part each, arc of parts.
+@dataclass(frozen=True, eq=False)
+class TrashFamily:
+    """Pairwise vertex-disjoint proper paths of exactly k-1 vertices each.
 
-    Orientation is normalized so the first vertex lies in the lower-numbered
-    of the two endpoint parts.
+    ``rows`` is a read-only ``(N, k-1)`` int64 array, one path per row; only
+    ``trash_family`` builds it.
     """
 
-    vertices: tuple[int, ...]
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class TrashFamily:
-    """Pairwise vertex-disjoint proper paths of exactly k-1 vertices each."""
-
-    paths: tuple[ProperPath, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def vertex_set(self) -> set[int]:
-        out: set[int] = set()
-        for p in self.paths:
-            out.update(p.vertices)
-        return out
-
-
-def proper_path(g: LayeredGraph, vertices) -> ProperPath:
-    """Validate and normalize a vertex sequence into a ProperPath."""
-    seq = [int(v) for v in vertices]
-    if not 1 <= len(seq) <= g.k - 1:
-        raise InvariantViolationError(
-            f"proper path must have 1..{g.k - 1} vertices, got {len(seq)}"
-        )
-    if len(set(seq)) != len(seq):
-        raise InvariantViolationError("proper path has repeated vertices")
-    parts = [g.part_of(v) for v in seq]
-    if len(set(parts)) != len(parts):
-        raise InvariantViolationError("proper path hits a part twice")
-    for a, b in zip(seq, seq[1:]):
-        if not g.adjacent(a, b):
-            raise InvariantViolationError(f"consecutive vertices {a}, {b} not adjacent")
-    # adjacency forces consecutive parts to differ by +-1 cyclically; with all
-    # parts distinct the walk is monotone, so the part set is an arc.
-    if parts[0] > parts[-1]:
-        seq.reverse()
-    return ProperPath(tuple(seq))
+        return len(self.rows)
 
 
 def trash_family(g: LayeredGraph, paths) -> TrashFamily:
-    """Validate a family of (k-1)-vertex proper paths for pairwise disjointness."""
-    norm: list[ProperPath] = []
-    for p in paths:
-        pp = p if isinstance(p, ProperPath) else proper_path(g, p)
-        if len(pp) != g.k - 1:
-            raise InvariantViolationError(
-                f"trash paths must have exactly {g.k - 1} vertices, got {len(pp)}"
-            )
-        norm.append(pp)
+    """Validate and orient a family of pairwise-disjoint (k-1)-vertex proper paths.
+
+    Each path must have k-1 distinct vertices in distinct parts, consecutive
+    ones adjacent; it is stored starting in the lower-numbered of its two
+    endpoint parts.
+    """
+    rows: list[list[int]] = []
     seen: set[int] = set()
-    for pp in norm:
-        for v in pp.vertices:
+    for p in paths:
+        seq = [int(v) for v in p]
+        if len(seq) != g.k - 1:
+            raise InvariantViolationError(
+                f"trash paths must have exactly {g.k - 1} vertices, got {len(seq)}"
+            )
+        if len(set(seq)) != len(seq):
+            raise InvariantViolationError("proper path has repeated vertices")
+        parts = [g.part_of(v) for v in seq]
+        if len(set(parts)) != len(parts):
+            raise InvariantViolationError("proper path hits a part twice")
+        for a, b in zip(seq, seq[1:]):
+            if not g.adjacent(a, b):
+                raise InvariantViolationError(f"consecutive vertices {a}, {b} not adjacent")
+        # adjacency forces consecutive parts to differ by +-1 cyclically; with all
+        # parts distinct the walk is monotone, so the part set is an arc.
+        if parts[0] > parts[-1]:
+            seq.reverse()
+        for v in seq:
             if v in seen:
                 raise InvariantViolationError(f"trash paths overlap at vertex {v}")
             seen.add(v)
-    return TrashFamily(tuple(norm))
+        rows.append(seq)
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), g.k - 1)
+    arr.setflags(write=False)
+    return TrashFamily(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +292,23 @@ def _extensions(
     return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
 
 
-def extend_path(g: LayeredGraph, path: ProperPath) -> np.ndarray:
+def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
     """Global ids of vertices completing a (k-1)-vertex proper path into a cycle.
 
-    The completing vertex lies in the one part the path misses and must be
-    adjacent to both path endpoints; each returned vertex closes a distinct
-    proper cycle.
+    The path is validated as a one-row family.  The completing vertex lies in
+    the one part the path misses and must be adjacent to both path endpoints;
+    each returned vertex closes a distinct proper cycle.
     """
-    if len(path) != g.k - 1:
-        raise InvariantViolationError(
-            f"extend_path needs a path of exactly {g.k - 1} vertices, got {len(path)}"
-        )
-    return _extensions(g, path.vertices)[0]
+    (row,) = trash_family(g, [vertices]).rows.tolist()
+    return _extensions(g, row)[0]
 
 
 def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
-    """Distinct proper cycles extending some family path (by an allowed vertex)."""
-    keys = [_extensions(g, p.vertices, allowed)[1] for p in fam.paths]
-    return int(np.unique(np.concatenate(keys)).size) if keys else 0
+    """Proper cycles extending some family path (by an allowed vertex).
+
+    A per-path sum: the family is disjoint, so no cycle extends two paths.
+    """
+    return sum(_extensions(g, row, allowed)[0].size for row in fam.rows.tolist())
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
@@ -336,20 +319,11 @@ def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
 def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
     """Distinct cycles extending a family path by a vertex from aset or the family."""
     allowed = np.zeros(g.num_vertices, dtype=bool)
-    for v in {int(v) for v in aset} | fam.vertex_set():
+    for v in {int(v) for v in aset}:
         g._check_vertex(v)
         allowed[v] = True
+    allowed[fam.rows] = True
     return _count_extensions(g, fam, allowed)
-
-
-def cycle_subpaths(g: LayeredGraph, cycle: tuple[int, ...]) -> list[ProperPath]:
-    """The k proper (k-1)-paths a part-indexed proper cycle extends (one per dropped part)."""
-    k = g.k
-    out = []
-    for q in range(k):
-        seq = [cycle[(q + 1 + j) % k] for j in range(k - 1)]
-        out.append(proper_path(g, seq))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +367,8 @@ class TightHypergraph:
     def hyperedges(self) -> list[tuple[int, ...]]:
         return [tuple(row) for row in self.vertex_rows().tolist()]
 
-    def key_of(self, vertices) -> int:
-        """Canonical key of a one-per-part vertex set (any order)."""
+    def edge_id(self, vertices) -> int:
+        """Id of the hyperedge with this one-per-part vertex set (any order), or -1."""
         g = self.graph
         locs = [-1] * g.k
         for v in vertices:
@@ -404,15 +378,7 @@ class TightHypergraph:
             locs[p] = g.local(int(v))
         if -1 in locs:
             raise InvariantViolationError("vertex set misses a part")
-        return int(encode_keys(locs, g.m))
-
-    def edge_id(self, vertices) -> int:
-        """Id of the hyperedge with this vertex set, or -1 if absent."""
-        key = np.uint64(self.key_of(vertices))
-        pos = int(np.searchsorted(self.keys, key))
-        if pos < len(self) and self.keys[pos] == key:
-            return pos
-        return -1
+        return int(self.ids_for_keys(encode_keys(locs, g.m)))
 
     def ids_for_keys(self, keys: np.ndarray) -> np.ndarray:
         """Ids for canonical keys; -1 where the key is not a hyperedge."""
@@ -423,9 +389,9 @@ class TightHypergraph:
         ok = self.keys[np.minimum(pos, len(self) - 1)] == keys
         return np.where(ok, pos, -1).astype(np.int64)
 
-    def extension_ids(self, path: ProperPath) -> np.ndarray:
+    def extension_ids(self, path) -> np.ndarray:
         """Ids of hyperedges extending a (k-1)-path (the on-demand path index)."""
-        keys = _extensions(self.graph, path.vertices)[1]
+        keys = _extensions(self.graph, path)[1]
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
         ids = self.ids_for_keys(keys)
@@ -433,27 +399,6 @@ class TightHypergraph:
 
     def to_json(self) -> dict:
         return {"vertices": self.num_vertices, "edges": self.vertex_rows().tolist()}
-
-    @classmethod
-    def from_cycles(cls, graph: LayeredGraph, cycles) -> "TightHypergraph":
-        """Hand-built hypergraph from explicit part-indexed proper cycles (validated)."""
-        keys = []
-        for verts in cycles:
-            for i, v in enumerate(verts):
-                if graph.part_of(int(v)) != i:
-                    raise InvariantViolationError(
-                        "cycle vertices must be part-indexed (vertices[i] in part i)"
-                    )
-            for i in range(graph.k):
-                if not graph.adjacent(int(verts[i]), int(verts[(i + 1) % graph.k])):
-                    raise InvariantViolationError(
-                        f"cycle {verts} misses adjacency at part {i}"
-                    )
-            keys.append(int(encode_keys([graph.local(int(v)) for v in verts], graph.m)))
-        arr = np.array(sorted(keys), dtype=np.uint64)
-        if arr.size != np.unique(arr).size:
-            raise InvariantViolationError("duplicate cycles")
-        return cls(graph, arr)
 
 
 def build_hypergraph(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> TightHypergraph:

@@ -21,13 +21,11 @@ from enum import Enum
 import numpy as np
 
 from .cycles import (
-    ProperPath,
     TightHypergraph,
     TrashFamily,
     count_proper_cycles,
     decode_keys,
     encode_keys,
-    proper_path,
     trash_family,
     validate_tight_path_verbose,
     _extensions,
@@ -96,7 +94,9 @@ class Coloring:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
-        return cls(int(doc["r"]), np.asarray(doc["colors"]))
+        if type(doc["r"]) is not int:
+            raise ParameterError(f"r must be an integer, got {doc['r']!r}")
+        return cls(doc["r"], np.asarray(doc["colors"]))
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
@@ -202,10 +202,11 @@ class RoundResult:
 @dataclass
 class GreedyState:
     """Mutable state of one greedy round: the working path, this round's
-    trash, and the unused-vertex mask (complement of path and trash)."""
+    trash (vertex tuples, validated by ``trash_family`` when the round ends),
+    and the unused-vertex mask (complement of path and trash)."""
 
     path: list[int]
-    trash: list[ProperPath]
+    trash: list[tuple[int, ...]]
     unused: np.ndarray
 
     @classmethod
@@ -216,13 +217,10 @@ class GreedyState:
         self.path.extend(vertices)
         self.unused[list(vertices)] = False
 
-    def trash_tail(self, g: LayeredGraph) -> ProperPath:
+    def trash_tail(self, g: LayeredGraph) -> None:
         """Move the last k-1 path vertices into the trash (they stay used)."""
-        tail = self.path[-(g.k - 1) :]
+        self.trash.append(tuple(self.path[-(g.k - 1) :]))
         del self.path[-(g.k - 1) :]
-        dropped = proper_path(g, tail)
-        self.trash.append(dropped)
-        return dropped
 
     def release_stump(self) -> None:
         """A leftover shorter than k is no tight path; return it to U."""
@@ -233,7 +231,7 @@ class GreedyState:
     def check_invariants(self, h: TightHypergraph, col, color, deleted) -> None:
         g = h.graph
         in_path = set(self.path)
-        in_trash = {v for p in self.trash for v in p.vertices}
+        in_trash = {v for p in self.trash for v in p}
         assert len(in_path) == len(self.path), "path repeats a vertex"
         assert not (in_path & in_trash), "path and trash overlap"
         expected = np.ones(g.num_vertices, dtype=bool)
@@ -489,12 +487,12 @@ def run_outer(
             return FoundPath(color=color, vertices=res.path)
         if res.kind is RoundOutcome.TRASH_FULL:
             rounds.append(RoundRecord(path_snapshot=res.path, trash=res.trash))
-            for b in res.trash.paths:
-                ids = h.extension_ids(b)
+            for row in res.trash.rows.tolist():
+                ids = h.extension_ids(row)
                 if ids.size:
                     deleted[ids[col.colors[ids] == color]] = True
             continue
-        cset = sorted(res.trash.vertex_set())
+        cset = sorted(res.trash.rows.ravel().tolist())
         cert = Certificate(
             color=color, rounds=rounds, final_trash=res.trash, intersecting_set=cset
         )
@@ -518,11 +516,11 @@ def outcome_to_json(outcome: GreedyOutcome) -> dict:
         "rounds": [
             {
                 "path_snapshot": list(map(int, rec.path_snapshot)),
-                "trash": [list(map(int, p.vertices)) for p in rec.trash.paths],
+                "trash": rec.trash.rows.tolist(),
             }
             for rec in outcome.rounds
         ],
-        "final_trash": [list(map(int, p.vertices)) for p in outcome.final_trash.paths],
+        "final_trash": outcome.final_trash.rows.tolist(),
         "intersecting_set": list(map(int, outcome.intersecting_set)),
         "audit": None if audit is None else asdict(audit),
     }

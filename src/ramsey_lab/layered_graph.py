@@ -38,7 +38,6 @@ __all__ = [
     "LayeredGraph",
     "generate_random",
     "complete_layered",
-    "neighbors",
 ]
 
 
@@ -156,11 +155,6 @@ class LayeredGraph:
         """Boolean mask over the next part's locals adjacent to v."""
         p = self.part_of(v)
         return self.blocks[p][v % self.m]
-
-    def backward_mask(self, v: int) -> np.ndarray:
-        """Boolean mask over the previous part's locals adjacent to v."""
-        p = self.part_of(v)
-        return self.blocks[(p - 1) % self.k][:, v % self.m]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.k * self.m:
@@ -284,17 +278,3 @@ def complete_layered(k: int, m: int) -> LayeredGraph:
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     return LayeredGraph(k, m, [np.ones((m, m), dtype=bool) for _ in range(k)])
-
-
-def neighbors(g: LayeredGraph, v: int, direction: str = "forward") -> np.ndarray:
-    """Sorted global ids of v's neighbors in the next (or previous) part."""
-    g._check_vertex(v)
-    if direction == "forward":
-        mask = g.forward_mask(v)
-        part = (g.part_of(v) + 1) % g.k
-    elif direction == "backward":
-        mask = g.backward_mask(v)
-        part = (g.part_of(v) - 1) % g.k
-    else:
-        raise ParameterError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    return np.nonzero(mask)[0].astype(np.int64) + part * g.m

@@ -90,7 +90,7 @@ def brute_force_cycles(g: LayeredGraph, cap: int = BRUTE_TUPLE_CAP) -> list[tupl
     return [tuple(row) for row in (locs + np.arange(g.k) * g.m).tolist()]
 
 
-def _edge_vertex_sets(
+def _colored_edges(
     h: TightHypergraph, coloring=None, color: int | None = None
 ) -> list[frozenset[int]]:
     sets = []
@@ -118,7 +118,7 @@ def tight_path_exists(
     g = h.graph
     if n < g.k:
         raise ParameterError(f"n must be >= k, got n={n}, k={g.k}")
-    edges = _edge_vertex_sets(h, coloring, color)
+    edges = _colored_edges(h, coloring, color)
     completions: dict[frozenset[int], list[int]] = {}
     for es in edges:
         for v in es:

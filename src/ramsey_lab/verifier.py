@@ -30,7 +30,6 @@ from .cycles import (
     count_restricted_extensions,
     cycles_per_vertex,
     cycles_through_vertex,
-    proper_path,
     trash_family,
 )
 from .errors import ConfigError, ParameterError
@@ -157,7 +156,7 @@ def sample_trash_family(
             seq.append(int(rng.choice(cand)) + part * g.m)
         if not ok:
             continue
-        paths.append(proper_path(g, seq))
+        paths.append(seq)
         used[seq] = True
         unused_ids = np.nonzero(~used)[0]
     return trash_family(g, paths)
@@ -217,7 +216,7 @@ def check_property_i(
         fam = sample_trash_family(g, n, rng)
         if fam is None:
             return ("skip", None, "restricted_extensions", None, None)
-        rest = np.nonzero(~np.isin(np.arange(g.num_vertices), sorted(fam.vertex_set())))[0]
+        rest = np.setdiff1d(np.arange(g.num_vertices), fam.rows)
         a_size = min(n, rest.size)
         aset = rng.choice(rest, size=a_size, replace=False) if a_size else np.empty(0, int)
         a = restricted_check(g, aset, fam, r)

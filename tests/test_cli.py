@@ -168,6 +168,22 @@ class TestGreedy:
         )
         assert code == 1 and err.startswith("error: coloring: ")
 
+    @pytest.mark.parametrize(
+        "r_value, r_flag", [(2.5, "2"), (3.0, "3"), (True, "2")], ids=["fraction", "float", "bool"]
+    )
+    def test_coloring_file_r_must_be_integer(self, tmp_path, capsys, r_value, r_flag):
+        # k=3, m=4, p=1 has 64 hyperedges; a float or bool r is refused, not cast
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"r": r_value, "colors": [0, 1] * 32}))
+        code, stdout, err = run_cli(
+            ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", r_flag,
+             "--n", "6", "--coloring", f"@{col}"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: coloring: ") and err.count("\n") == 1
+        assert f"r must be an integer, got {r_value!r}" in err
+
     def test_explicit_color_flag(self, capsys):
         code, stdout, _ = run_cli(
             ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2",

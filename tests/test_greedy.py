@@ -329,9 +329,9 @@ class TestRunOuter:
         if isinstance(out, Certificate):
             seen = set()
             for rec in out.rounds:
-                for p in rec.trash.paths:
-                    assert p.vertices not in seen
-                    seen.add(p.vertices)
+                for row in rec.trash.rows.tolist():
+                    assert tuple(row) not in seen
+                    seen.add(tuple(row))
 
 
 class TestParityInstance:

@@ -11,11 +11,9 @@ from ramsey_lab import (
     LayeredGraph,
     ParameterError,
     ResourceLimitError,
-    UnknownVertexError,
     canonical_params,
     complete_layered,
     generate_random,
-    neighbors,
 )
 from conftest import random_graph
 
@@ -113,30 +111,6 @@ class TestCompleteLayered:
             complete_layered(2, 3)
         with pytest.raises(ParameterError):
             complete_layered(3, 0)
-
-
-class TestNeighbors:
-    def test_complete_forward(self, tiny_complete):
-        assert list(neighbors(tiny_complete, 0, "forward")) == [2, 3]
-        assert list(neighbors(tiny_complete, 0, "backward")) == [4, 5]
-
-    def test_empty_graph(self):
-        g = random_graph(3, 4, 0.0, seed=0)
-        assert neighbors(g, 5, "forward").size == 0
-
-    def test_single_edge_symmetry(self):
-        g = LayeredGraph.from_edges(3, 2, [(0, 2)])
-        assert list(neighbors(g, 0, "forward")) == [2]
-        assert list(neighbors(g, 2, "backward")) == [0]
-        assert neighbors(g, 1, "forward").size == 0
-
-    def test_unknown_vertex(self, tiny_complete):
-        with pytest.raises(UnknownVertexError):
-            neighbors(tiny_complete, 6)
-
-    def test_bad_direction(self, tiny_complete):
-        with pytest.raises(ParameterError):
-            neighbors(tiny_complete, 0, "sideways")
 
 
 class TestStructure:
