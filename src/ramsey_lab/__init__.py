@@ -4,14 +4,11 @@ counting, the greedy tight-path builder with audited certificates, and
 Monte Carlo property verification."""
 
 from .bounds import (
-    CanonicalExpectedStats,
     ExpectedStats,
-    canonical_expected_stats,
     chernoff_lower,
     chernoff_upper,
     expected_stats,
     poly_concentration_scale,
-    poly_concentration_threshold,
 )
 from .cycles import (
     DEFAULT_CYCLE_CAP,

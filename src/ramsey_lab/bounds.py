@@ -1,8 +1,10 @@
 """Analytic tail bounds and closed-form expectations.
 
-Binomial tail bounds (lower/upper Chernoff forms) and the polynomial
-concentration threshold used for per-vertex cycle counts, plus the
-closed-form expectations the Monte Carlo experiments compare against.
+Binomial tail bounds (lower/upper Chernoff forms) and the scale constant
+of the polynomial concentration threshold used for per-vertex cycle
+counts, plus the closed-form expectations the Monte Carlo experiments
+compare against.  At the canonical host the expectations are
+``expected_stats(k, cp.part_size, cp.p)`` with ``cp = canonical_params(k, r, n)``.
 All logarithms are natural.
 """
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .errors import ParameterError
 
@@ -18,12 +19,8 @@ __all__ = [
     "chernoff_lower",
     "chernoff_upper",
     "poly_concentration_scale",
-    "poly_concentration_threshold",
-    "PolyConcentrationBound",
     "ExpectedStats",
     "expected_stats",
-    "CanonicalExpectedStats",
-    "canonical_expected_stats",
 ]
 
 
@@ -60,36 +57,6 @@ def poly_concentration_scale(k: int) -> float:
     return _ipow(8.0, k) * math.sqrt(math.factorial(k))
 
 
-class PolyConcentrationBound(NamedTuple):
-    threshold: float
-    tail_exponent: Callable[[float], float]
-
-
-def poly_concentration_threshold(
-    e_center: float, e_max: float, e_prime: float, k: int, lam: float
-) -> PolyConcentrationBound:
-    """Deviation threshold 8^k sqrt(k!) * sqrt(e_max * e_prime) * lam^k.
-
-    The tail mass outside |Y - e_center| > threshold is O(exp(tail_exponent(n)))
-    with tail_exponent(n) = -lam + (k-1) * ln(n).  Derivative maxima e_max and
-    e_prime are supplied by the caller, not recomputed.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if lam <= 1:
-        raise ParameterError(f"lam must exceed 1, got {lam}")
-    if e_max < 0 or e_prime < 0 or e_center < 0:
-        raise ParameterError("expectations must be non-negative")
-    threshold = poly_concentration_scale(k) * math.sqrt(e_max * e_prime) * _ipow(lam, k)
-
-    def tail_exponent(n: float) -> float:
-        if n <= 1:
-            raise ParameterError(f"n must exceed 1, got {n}")
-        return -lam + (k - 1) * math.log(n)
-
-    return PolyConcentrationBound(threshold, tail_exponent)
-
-
 @dataclass(frozen=True)
 class ExpectedStats:
     """Closed-form expectations for the random layered graph (part size m, prob p).
@@ -107,10 +74,6 @@ class ExpectedStats:
     cycles_per_vertex: float
     cycles_per_vertex_prime: float
     extensions_per_path: float
-
-    def family_extensions(self, paths: int) -> float:
-        """Expected completions over a family of disjoint (k-1)-paths."""
-        return paths * self.extensions_per_path
 
 
 def expected_stats(k: int, m: float, p: float) -> ExpectedStats:
@@ -130,40 +93,3 @@ def expected_stats(k: int, m: float, p: float) -> ExpectedStats:
         extensions_per_path=m * p * p,
     )
 
-
-@dataclass(frozen=True)
-class CanonicalExpectedStats:
-    """Specialization to m = c*n with c = 16 k^2 r and p = sqrt(ln n / n)."""
-
-    k: int
-    r: int
-    n: int
-    c: int
-    p: float
-    family_extensions: float  # c * n * ln n over a family of n paths
-    restricted_pairs: float  # 2 n ln n, the Bin(2n^2, p^2) mean used as comparator
-    cycles_per_vertex: float
-    cycles_per_vertex_prime: float
-
-    def generalized(self) -> ExpectedStats:
-        return expected_stats(self.k, self.c * self.n, self.p)
-
-
-def canonical_expected_stats(k: int, r: int, n: int) -> CanonicalExpectedStats:
-    if k < 3 or r < 2 or n < k:
-        raise ParameterError(f"need k >= 3, r >= 2, n >= k; got k={k}, r={r}, n={n}")
-    c = 16 * k * k * r
-    ln_n = math.log(n)
-    p = math.sqrt(ln_n / n)
-    cn = float(c * n)
-    return CanonicalExpectedStats(
-        k=k,
-        r=r,
-        n=n,
-        c=c,
-        p=p,
-        family_extensions=c * n * ln_n,
-        restricted_pairs=2.0 * n * ln_n,
-        cycles_per_vertex=_ipow(cn, k - 1) * _ipow(p, k),
-        cycles_per_vertex_prime=_ipow(cn, k - 2) * _ipow(p, k - 1),
-    )

@@ -56,13 +56,13 @@ COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 # Python types and a noun for the error; a bool is never a number.
 # ``canonical`` (three integers) is checked by _expand_canonical.
 _INT, _NUMBER = ((int,), "an integer"), ((int, float), "a number")
-_STRING, _BOOL = ((str,), "a string"), ((bool,), "true or false")
+_STRING = ((str,), "a string")
 _CONFIG_KINDS = {
     "graph": _STRING, "k": _INT, "m": _INT, "p": _NUMBER, "seed": _INT, "canonical": None,
     "report": _STRING, "out": _STRING, "cycle_cap": _INT, "export_hypergraph": _STRING,
     "r": _INT, "n": _INT, "strategy": _STRING, "coloring": _STRING, "coloring_seed": _INT,
     "color": _INT, "property": _STRING, "trials": _INT, "trial_seed": _INT, "c_eff": _NUMBER,
-    "adversarial": _BOOL, "emit_trials": _STRING, "statistic": _STRING,
+    "emit_trials": _STRING, "statistic": _STRING,
     "fixed_vertex": _INT, "check": _STRING,
 }
 
@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     common["verify"].add_argument("--trials", type=int)
     common["verify"].add_argument("--trial-seed", dest="trial_seed", type=int)
     common["verify"].add_argument("--c-eff", dest="c_eff", type=float)
-    common["verify"].add_argument(
-        "--no-adversarial", dest="adversarial", action="store_false", default=None
-    )
     common["verify"].add_argument("--emit-trials", dest="emit_trials", help="CSV output path")
 
     common["concentration"].add_argument("--statistic", choices=CONCENTRATION_STATISTICS)
@@ -174,7 +171,7 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
         if kind is None or value is None:
             continue
         types, noun = kind
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(key, f"must be {noun}, got {value!r}")
     unknown = sorted(config.keys() - vars(args).keys())
     if unknown:
@@ -354,6 +351,17 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
     }
 
 
+def _trials_doc(report, config: dict) -> dict:
+    """The report's JSON with its trial rows moved to the ``emit_trials`` CSV, if any."""
+    doc = report.to_json()
+    emit = config.get("emit_trials")
+    if emit:
+        write_trials_csv(report.rows, emit)
+        doc["trials_csv"] = emit
+    doc["rows"] = None  # rows live in the CSV; keep the JSON report compact
+    return doc
+
+
 def _mode_verify(config: dict) -> tuple[int, dict]:
     g, echo = _resolve_graph(config)
     config.update(echo)
@@ -366,31 +374,15 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
         raise ConfigError("r", "required, must be >= 2")
     if n < 1:
         raise ConfigError("n", "required, must be >= 1")
-    emit = config.get("emit_trials")
     if prop == "iii":
         report = check_property_iii(g, r, n, c_eff=config.get("c_eff"))
         return 0, report.to_json()
     trials = int(config.get("trials") or 0)
     trial_seed = int(config.get("trial_seed", derive_seed(int(config.get("seed", 0)), 2)))
     config["trial_seed"] = trial_seed
-    if prop == "i":
-        report = check_property_i(g, r, n, trials, trial_seed, emit_trials=bool(emit))
-    else:
-        report = check_property_ii(
-            g,
-            r,
-            n,
-            trials,
-            trial_seed,
-            include_adversarial=config.get("adversarial", True),
-            emit_trials=bool(emit),
-        )
-    doc = report.to_json()
-    if emit:
-        write_trials_csv(report.rows or [], emit)
-        doc["trials_csv"] = emit
-    doc["rows"] = None  # rows live in the CSV; keep the JSON report compact
-    return (2 if report.violations else 0), doc
+    check = check_property_i if prop == "i" else check_property_ii
+    report = check(g, r, n, trials, trial_seed)
+    return (2 if report.violations else 0), _trials_doc(report, config)
 
 
 def _mode_concentration(config: dict) -> tuple[int, dict]:
@@ -409,15 +401,8 @@ def _mode_concentration(config: dict) -> tuple[int, dict]:
         int(config["trials"]),
         int(config.get("seed", 0)),
         fixed_vertex=int(config.get("fixed_vertex", 0)),
-        emit_trials=bool(config.get("emit_trials")),
     )
-    doc = report.to_json()
-    emit = config.get("emit_trials")
-    if emit:
-        write_trials_csv(report.rows or [], emit)
-        doc["trials_csv"] = emit
-    doc["rows"] = None
-    return 0, doc
+    return 0, _trials_doc(report, config)
 
 
 def _mode_oracle(config: dict) -> tuple[int, dict]:

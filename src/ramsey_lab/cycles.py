@@ -19,9 +19,10 @@ A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
 that the rows are pairwise vertex-disjoint.  A row runs along its arc of
 parts and starts in the lower-numbered of its two endpoint parts.  Both
-extension counts go through ``_count_extensions``, a plain sum over the
-rows: two (k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle
-extends two paths of a disjoint family.
+extension counts go through ``_count_extensions``, a plain sum of
+``_completion_mask`` sizes over the rows with no keys encoded: two
+(k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle extends
+two paths of a disjoint family.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError, UnknownVertexError
 from .layered_graph import LayeredGraph
 
 __all__ = [
@@ -87,14 +88,15 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
     rows: list[list[int]] = []
     seen: set[int] = set()
     for p in paths:
-        seq = [int(v) for v in p]
+        seq = list(p)
         if len(seq) != g.k - 1:
             raise InvariantViolationError(
                 f"trash paths must have exactly {g.k - 1} vertices, got {len(seq)}"
             )
+        parts = [g.part_of(v) for v in seq]  # refuses non-integer ids before the cast
+        seq = [int(v) for v in seq]
         if len(set(seq)) != len(seq):
             raise InvariantViolationError("proper path has repeated vertices")
-        parts = [g.part_of(v) for v in seq]
         if len(set(parts)) != len(parts):
             raise InvariantViolationError("proper path hits a part twice")
         for a, b in zip(seq, seq[1:]):
@@ -154,8 +156,8 @@ def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
 
 def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
     """Number of proper cycles containing vertex v."""
-    g._check_vertex(int(v))
-    part, local = g.part_of(int(v)), g.local(int(v))
+    g._check_vertex(v)
+    part, local = divmod(int(v), g.m)
     return int(_closed_walks(_float_blocks(g), part, [local])[0])
 
 
@@ -164,9 +166,10 @@ def count_cycles_meeting(g: LayeredGraph, cset, total: int | None = None) -> int
 
     ``total``, if given, must be ``count_proper_cycles(g)``; it saves a recount.
     """
-    verts = sorted({int(v) for v in cset})
-    for v in verts:
+    cset = list(cset)
+    for v in cset:
         g._check_vertex(v)
+    verts = sorted({int(v) for v in cset})
     if not verts:
         return 0
     if total is None:
@@ -271,16 +274,15 @@ def enumerate_proper_cycles(
 # ---------------------------------------------------------------------------
 
 
-def _extensions(
+def _completion_mask(
     g: LayeredGraph, vertices, allowed: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Completions of a (k-1)-vertex proper path into proper cycles.
+) -> tuple[int, dict[int, int], np.ndarray]:
+    """Where a (k-1)-vertex proper path closes into proper cycles.
 
-    Returns the completing vertices (ascending global ids) and the canonical
-    keys of the cycles they close.  A completing vertex lies in the one part
-    q the path misses and is adjacent to the path's vertices in parts q-1
-    and q+1; with ``allowed`` (a bool mask over all vertices) it must also
-    be allowed.
+    Returns the one part q the path misses, the path's part-local indices
+    keyed by part, and the mask over q's locals adjacent to the path's
+    vertices in parts q-1 and q+1; with ``allowed`` (a bool mask over all
+    vertices) a completing vertex must also be allowed.
     """
     k, m = g.k, g.m
     locs = {v // m: v % m for v in vertices}
@@ -288,8 +290,20 @@ def _extensions(
     mask = g.blocks[(q - 1) % k][locs[(q - 1) % k]] & g.blocks[q][:, locs[(q + 1) % k]]
     if allowed is not None:
         mask &= allowed[q * m : (q + 1) * m]
+    return q, locs, mask
+
+
+def _extensions(
+    g: LayeredGraph, vertices, allowed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Completions of a (k-1)-vertex proper path into proper cycles.
+
+    Returns the completing vertices (ascending global ids) and the canonical
+    keys of the cycles they close, as ``_completion_mask`` allows them.
+    """
+    q, locs, mask = _completion_mask(g, vertices, allowed)
     locs[q] = mask.nonzero()[0]
-    return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
+    return locs[q] + q * g.m, encode_keys([locs[i] for i in range(g.k)], g.m)
 
 
 def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
@@ -306,9 +320,12 @@ def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
 def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
     """Proper cycles extending some family path (by an allowed vertex).
 
-    A per-path sum: the family is disjoint, so no cycle extends two paths.
+    A per-path sum of completion masks, with no keys encoded: the family is
+    disjoint, so no cycle extends two paths.
     """
-    return sum(_extensions(g, row, allowed)[0].size for row in fam.rows.tolist())
+    return sum(
+        int(np.count_nonzero(_completion_mask(g, row, allowed)[2])) for row in fam.rows.tolist()
+    )
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
@@ -319,9 +336,9 @@ def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
 def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
     """Distinct cycles extending a family path by a vertex from aset or the family."""
     allowed = np.zeros(g.num_vertices, dtype=bool)
-    for v in {int(v) for v in aset}:
+    for v in aset:
         g._check_vertex(v)
-        allowed[v] = True
+        allowed[int(v)] = True
     allowed[fam.rows] = True
     return _count_extensions(g, fam, allowed)
 
@@ -372,7 +389,7 @@ class TightHypergraph:
         g = self.graph
         locs = [-1] * g.k
         for v in vertices:
-            p = g.part_of(int(v))
+            p = g.part_of(v)
             if locs[p] != -1:
                 raise InvariantViolationError("vertex set hits a part twice")
             locs[p] = g.local(int(v))
@@ -421,12 +438,15 @@ def validate_tight_path_verbose(
     hyperedge is set in the ``deleted`` mask over hyperedge ids).
     """
     g = h.graph
-    seq = [int(v) for v in seq]
+    seq = list(seq)
     if len(seq) < g.k:
         return False, "too-short"
     for v in seq:
-        if not 0 <= v < g.num_vertices:
+        try:
+            g._check_vertex(v)
+        except UnknownVertexError:
             return False, "unknown-vertex"
+    seq = [int(v) for v in seq]
     if len(set(seq)) != len(seq):
         return False, "repeated-vertex"
     for start in range(len(seq) - g.k + 1):

@@ -87,9 +87,6 @@ class CanonicalParams:
     def part_size(self) -> int:
         return self.c * self.n
 
-    def graph_params(self, seed: int) -> GraphParams:
-        return GraphParams(k=self.k, part_size=self.part_size, edge_prob=self.p, seed=seed)
-
 
 def canonical_params(k: int, r: int, n: int) -> CanonicalParams:
     """Validated canonical parameterization (k >= 3, r >= 2, n >= k)."""
@@ -157,6 +154,9 @@ class LayeredGraph:
         return self.blocks[p][v % self.m]
 
     def _check_vertex(self, v: int) -> None:
+        """Refuse an id that is not a Python or numpy integer in [0, k*m)."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise UnknownVertexError(f"vertex id {v!r} is not an integer")
         if not 0 <= v < self.k * self.m:
             raise UnknownVertexError(f"vertex {v} not in graph with {self.k * self.m} vertices")
 

@@ -12,6 +12,11 @@ the counting statistics.  Every trial derives its RNG stream from
 (master seed, trial index), so reports are reproducible.  Trials run one
 after another; the only parallelism is the BLAS library behind numpy's
 matrix products.
+
+A trial returns ``(value, bound)``, or ``None`` when it is skipped; a
+property trial passes iff ``value < bound``, the rule ``RoundAudit.ok``
+uses too.  A concentration trial pairs its value with the expectation.
+Every report carries one row per kept trial; rows are always built.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ class PropertyReport:
     margin_min: float | None
     margin_mean: float | None
     params: dict
-    rows: list[dict] | None = None
+    rows: list[dict]
 
     def __post_init__(self):
         if self.violations + self.passes + self.skips != self.trials:
@@ -162,66 +167,67 @@ def sample_trash_family(
     return trash_family(g, paths)
 
 
-def _finish(prop: str, trials: int, outcomes: list, params: dict, emit) -> PropertyReport:
-    violations = sum(1 for o in outcomes if o[0] == "violation")
-    passes = sum(1 for o in outcomes if o[0] == "pass")
-    skips = sum(1 for o in outcomes if o[0] == "skip")
-    margins = [o[1] for o in outcomes if o[0] != "skip"]
-    rows = None
-    if emit:
-        rows = [
+def _rows(statistic: str, outcomes: list) -> list[dict]:
+    """One CSV row per kept ``(value, expectation)`` trial outcome."""
+    rows = []
+    for i, outcome in enumerate(outcomes):
+        if outcome is None:
+            continue
+        value, expectation = outcome
+        rows.append(
             {
                 "trial": i,
-                "statistic": o[2],
-                "value": o[3],
-                "expectation": o[4],
-                "ratio": (o[3] / o[4]) if o[4] else None,
+                "statistic": statistic,
+                "value": value,
+                "expectation": expectation,
+                "ratio": (value / expectation) if expectation else None,
             }
-            for i, o in enumerate(outcomes)
-            if o[0] != "skip"
-        ]
+        )
+    return rows
+
+
+def _finish(prop: str, statistic: str, outcomes: list, params: dict) -> PropertyReport:
+    kept = [o for o in outcomes if o is not None]
+    margins = [bound - value for value, bound in kept]
+    passes = sum(1 for value, bound in kept if value < bound)
     return PropertyReport(
         property_id=prop,
-        trials=trials,
-        violations=violations,
+        trials=len(outcomes),
+        violations=len(kept) - passes,
         passes=passes,
-        skips=skips,
+        skips=len(outcomes) - len(kept),
         margin_min=min(margins) if margins else None,
         margin_mean=(sum(margins) / len(margins)) if margins else None,
         params=params,
-        rows=rows,
+        rows=_rows(statistic, outcomes),
     )
 
 
-def check_property_i(
-    g: LayeredGraph,
-    r: int,
-    n: int,
-    trials: int,
-    seed: int,
-    emit_trials: bool = False,
-) -> PropertyReport:
+def _check_trial_args(r: int, n: int, trials: int) -> None:
+    if r < 2 or n < 1 or trials < 0:
+        raise ConfigError("trials", f"need r >= 2, n >= 1, trials >= 0; got {r}, {n}, {trials}")
+
+
+def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
     """Sampled check that restricted extensions stay under family/(2kr).
 
     Per trial: a family of n disjoint (k-1)-paths (skip on starvation), a
     disjoint vertex set of size min(n, rest), then a violation iff the
     restricted extension count reaches family_extensions/(2kr).
     """
-    if r < 2 or n < 1 or trials < 0:
-        raise ConfigError("trials", f"need r >= 2, n >= 1, trials >= 0; got {r}, {n}, {trials}")
+    _check_trial_args(r, n, trials)
     k = g.k
 
     def one(trial: int):
         rng = spawn_rng(seed, trial)
         fam = sample_trash_family(g, n, rng)
         if fam is None:
-            return ("skip", None, "restricted_extensions", None, None)
+            return None
         rest = np.setdiff1d(np.arange(g.num_vertices), fam.rows)
         a_size = min(n, rest.size)
         aset = rng.choice(rest, size=a_size, replace=False) if a_size else np.empty(0, int)
         a = restricted_check(g, aset, fam, r)
-        kind = "pass" if a.ok else "violation"
-        return (kind, a.margin, "restricted_extensions", a.restricted_extensions, a.bound)
+        return a.restricted_extensions, a.bound
 
     outcomes = [one(t) for t in range(trials)]
     params = {
@@ -236,47 +242,36 @@ def check_property_i(
         # up to k*n^2 candidate pairs, so the two are reported side by side
         "restricted_pairs_reference_mean": 2.0 * n * math.log(n) if n > 1 else 0.0,
     }
-    return _finish("i", trials, outcomes, params, emit_trials)
+    return _finish("i", "restricted_extensions", outcomes, params)
 
 
-def check_property_ii(
-    g: LayeredGraph,
-    r: int,
-    n: int,
-    trials: int,
-    seed: int,
-    include_adversarial: bool = True,
-    emit_trials: bool = False,
-) -> PropertyReport:
+def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
     """Sampled check that cycles meeting a (k-1)n-set stay under total/(2r).
 
-    Trial 0 (when included) uses the adversarial set of the (k-1)n vertices
-    carrying the most cycles; remaining trials sample uniformly.  Trials on
-    a cycle-free graph are vacuous skips.
+    Trial 0 uses the adversarial set of the (k-1)n vertices carrying the
+    most cycles; remaining trials sample uniformly.  Trials on a cycle-free
+    graph are vacuous skips.
     """
-    if r < 2 or n < 1 or trials < 0:
-        raise ConfigError("trials", f"need r >= 2, n >= 1, trials >= 0; got {r}, {n}, {trials}")
+    _check_trial_args(r, n, trials)
     k = g.k
     c_size = (k - 1) * n
     if g.num_vertices < c_size:
         raise ConfigError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
     total = count_proper_cycles(g)
     heavy: np.ndarray | None = None
-    if include_adversarial and trials > 0 and total > 0:
+    if trials > 0 and total > 0:
         per_vertex = cycles_per_vertex(g)
         heavy = np.argsort(-per_vertex, kind="stable")[:c_size]
 
     def one(trial: int):
         if total == 0:
-            return ("skip", None, "meeting_count", None, None)
-        if trial == 0 and heavy is not None:
+            return None
+        if trial == 0:
             cset = heavy
         else:
             rng = spawn_rng(seed, trial)
             cset = rng.choice(g.num_vertices, size=c_size, replace=False)
-        z, bound = meeting_check(g, cset, r, total)
-        kind = "violation" if z >= bound else "pass"
-        return (kind, bound - z, "meeting_count", z, bound)
+        return meeting_check(g, cset, r, total)
 
     outcomes = [one(t) for t in range(trials)]
     params = {
@@ -287,9 +282,9 @@ def check_property_ii(
         "seed": seed,
         "trials": trials,
         "set_size": c_size,
-        "adversarial_first": bool(heavy is not None),
+        "adversarial_first": heavy is not None,
     }
-    return _finish("ii", trials, outcomes, params, emit_trials)
+    return _finish("ii", "meeting_count", outcomes, params)
 
 
 def check_property_iii(
@@ -334,19 +329,14 @@ class ConcentrationReport:
     outside_fraction: dict[str, float]
     analytic_bounds: dict[str, dict[str, float]]
     params: dict
-    rows: list[dict] | None = None
+    rows: list[dict]
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
 def concentration_experiment(
-    base: GraphParams,
-    statistic: str,
-    trials: int,
-    seed: int,
-    fixed_vertex: int = 0,
-    emit_trials: bool = False,
+    base: GraphParams, statistic: str, trials: int, seed: int, fixed_vertex: int = 0
 ) -> ConcentrationReport:
     """Regenerate the random graph per trial and track one counting statistic.
 
@@ -409,6 +399,9 @@ def concentration_experiment(
                 "binomial_upper": chernoff_upper(expectation, lam),
             }
             if statistic == "cycles_through_vertex" and stats.cycles_per_vertex_prime > 0:
+                # the degree-k threshold 8^k sqrt(k!) sqrt(E E') lam^k, solved for the
+                # lam that puts it at this deviation; the tail beyond it is
+                # O(exp(-lam + (k-1) ln N)) with N the vertex count
                 scale = poly_concentration_scale(base.k) * math.sqrt(
                     stats.cycles_per_vertex * stats.cycles_per_vertex_prime
                 )
@@ -419,19 +412,6 @@ def concentration_experiment(
                 ) * math.log(base.k * base.part_size)
         else:
             analytic[key] = {}
-    rows = None
-    if emit_trials:
-        rows = [
-            {
-                "trial": i,
-                "statistic": statistic,
-                "value": v,
-                "expectation": expectation,
-                "ratio": (v / expectation) if (v is not None and expectation) else None,
-            }
-            for i, v in enumerate(values)
-            if v is not None
-        ]
     return ConcentrationReport(
         statistic=statistic,
         trials=trials,
@@ -451,5 +431,5 @@ def concentration_experiment(
             "trials": trials,
             "fixed_vertex": fixed_vertex,
         },
-        rows=rows,
+        rows=_rows(statistic, [None if v is None else (v, expectation) for v in values]),
     )

@@ -5,12 +5,11 @@ import pytest
 
 from ramsey_lab import (
     ParameterError,
-    canonical_expected_stats,
+    canonical_params,
     chernoff_lower,
     chernoff_upper,
     expected_stats,
     poly_concentration_scale,
-    poly_concentration_threshold,
 )
 
 
@@ -64,36 +63,29 @@ class TestPolyConcentration:
     def test_scale_k3(self):
         assert poly_concentration_scale(3) == pytest.approx(512 * math.sqrt(6), abs=1e-9)
 
-    def test_threshold_doubles_lambda_exactly(self):
-        for k in (1, 2, 3, 5):
-            a = poly_concentration_threshold(10.0, 10.0, 3.0, k, 1.7).threshold
-            b = poly_concentration_threshold(10.0, 10.0, 3.0, k, 3.4).threshold
-            assert b == 2**k * a
-
-    def test_tail_exponent(self):
-        bound = poly_concentration_threshold(1.0, 1.0, 1.0, 3, 10.0)
-        assert bound.tail_exponent(math.e) == pytest.approx(-10.0 + 2.0, abs=1e-12)
-
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
-            poly_concentration_threshold(1.0, 1.0, 1.0, 3, 1.0)  # lam must exceed 1
-        with pytest.raises(ParameterError):
-            poly_concentration_threshold(1.0, 1.0, 1.0, 0, 2.0)
-        with pytest.raises(ParameterError):
             poly_concentration_scale(0)
+
+
+def canonical_stats(k, r, n):
+    cp = canonical_params(k, r, n)
+    return cp, expected_stats(k, cp.part_size, cp.p)
 
 
 class TestExpectedStats:
     def test_canonical_k3_r2(self):
         for n in (10, 30, 100):
-            stats = canonical_expected_stats(3, 2, n)
-            assert stats.c == 288
-            assert stats.family_extensions == pytest.approx(288 * n * math.log(n), rel=1e-12)
-            assert stats.restricted_pairs == pytest.approx(2 * n * math.log(n), rel=1e-12)
+            cp, stats = canonical_stats(3, 2, n)
+            assert cp.c == 288
+            # a family of n paths: c*n*ln n expected completions
+            assert n * stats.extensions_per_path == pytest.approx(
+                288 * n * math.log(n), rel=1e-12
+            )
 
     def test_canonical_vertex_forms(self):
-        stats = canonical_expected_stats(3, 2, 50)
-        cn, p = 288.0 * 50, stats.p
+        cp, stats = canonical_stats(3, 2, 50)
+        cn, p = 288.0 * 50, cp.p
         assert stats.cycles_per_vertex == pytest.approx(cn**2 * p**3, rel=1e-12)
         assert stats.cycles_per_vertex_prime == pytest.approx(cn * p**2, rel=1e-12)
 
@@ -109,14 +101,12 @@ class TestExpectedStats:
         assert stats.cycles_per_vertex == 0
         assert stats.extensions_per_path == 0
 
-    def test_family_scaling(self):
-        stats = expected_stats(3, 12, 0.3)
-        assert stats.family_extensions(7) == pytest.approx(7 * stats.extensions_per_path)
-
     def test_canonical_generalized_consistency(self):
-        canon = canonical_expected_stats(3, 2, 40)
-        gen = canon.generalized()
-        assert gen.cycles_per_vertex == pytest.approx(canon.cycles_per_vertex, rel=1e-12)
+        # every cycle has one vertex per part, so a part's per-vertex counts sum to the total
+        cp, stats = canonical_stats(3, 2, 40)
+        assert cp.part_size * stats.cycles_per_vertex == pytest.approx(
+            stats.total_cycles, rel=1e-12
+        )
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):

@@ -290,6 +290,20 @@ class TestConcentration:
         assert doc["results"]["trials"] == 8
         assert doc["results"]["expectation"] == pytest.approx(1000 * 0.125)
 
+    def test_emit_trials_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "c.csv"
+        code, stdout, _ = run_cli(
+            ["concentration", "--statistic", "cycles_through_vertex", "--k", "3", "--m", "30",
+             "--p", "0.3", "--trials", "4", "--seed", "3", "--emit-trials", str(csv_path)],
+            capsys,
+        )
+        assert code == 0
+        res = json.loads(stdout)["results"]
+        assert res["rows"] is None and res["trials_csv"] == str(csv_path)
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "trial,statistic,value,expectation,ratio"
+        assert len(lines) == 1 + res["trials"] - res["skips"]
+
     @pytest.mark.parametrize(
         "statistic, trials",
         [
@@ -392,11 +406,10 @@ class TestConfigHandling:
             ("greedy", {"coloring": 5}, "coloring"),
             ("color", {"strategy": 7}, "strategy"),
             ("enumerate", {"export_hypergraph": 3.5}, "export_hypergraph"),
-            ("verify", {"property": "ii", "adversarial": "no"}, "adversarial"),
             ("generate", {"report": True}, "report"),
         ],
         ids=["k-string", "trials-string", "p-string", "k-fraction", "canonical-string",
-             "coloring-int", "strategy-int", "export-float", "adversarial-string", "report-bool"],
+             "coloring-int", "strategy-int", "export-float", "report-bool"],
     )
     def test_non_numeric_config_value_exit_1(self, tmp_path, capsys, mode, doc, field):
         cfg = tmp_path / "run.json"
@@ -449,7 +462,7 @@ class TestConfigHandling:
         assert code == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["randomize_choices", "threads", "colour"])
+    @pytest.mark.parametrize("key", ["randomize_choices", "threads", "colour", "adversarial"])
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: 21}))
@@ -462,9 +475,10 @@ class TestConfigHandling:
         assert err == f"error: {key}: unknown config key\n"
 
     def test_removed_flag_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["greedy", "--randomize-choices", "21"])
-        assert exc.value.code == 2
+        for argv in (["greedy", "--randomize-choices", "21"], ["verify", "--no-adversarial"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_run_api_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):

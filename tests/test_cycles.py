@@ -7,6 +7,7 @@ from ramsey_lab import (
     InvariantViolationError,
     LayeredGraph,
     ResourceLimitError,
+    UnknownVertexError,
     build_hypergraph,
     complete_layered,
     count_cycles_meeting,
@@ -483,3 +484,52 @@ class TestValidateTightPath:
         h = build_hypergraph(tiny_complete)
         ok, reason = validate_tight_path_verbose(h, [0, 2, 99])
         assert not ok and reason == "unknown-vertex"
+
+
+# ids that a cast with int() would truncate or coerce into a vertex of a 6-vertex graph
+NON_INTEGER_IDS = pytest.mark.parametrize(
+    "bad",
+    [0.9, 2.0, True, np.bool_(True), np.float64(1.0), "1"],
+    ids=["fraction", "whole-float", "bool", "numpy-bool", "numpy-float", "string"],
+)
+
+
+class TestVertexIds:
+    """Vertex ids are Python or numpy integers; anything else is refused, not cast."""
+
+    @NON_INTEGER_IDS
+    def test_check_vertex_refuses(self, tiny_complete, bad):
+        with pytest.raises(UnknownVertexError):
+            tiny_complete._check_vertex(bad)
+
+    @NON_INTEGER_IDS
+    def test_trash_family_refuses(self, tiny_complete, bad):
+        with pytest.raises(UnknownVertexError):
+            trash_family(tiny_complete, [[bad, 4]])
+        with pytest.raises(UnknownVertexError):
+            extend_path(tiny_complete, [bad, 4])
+
+    @NON_INTEGER_IDS
+    def test_validate_reports_unknown_vertex(self, tiny_complete, bad):
+        h = build_hypergraph(tiny_complete)
+        assert validate_tight_path_verbose(h, [bad, 3, 4]) == (False, "unknown-vertex")
+        with pytest.raises(UnknownVertexError):
+            h.edge_id([bad, 3, 4])
+
+    @NON_INTEGER_IDS
+    def test_counts_refuse(self, tiny_complete, bad):
+        fam = trash_family(tiny_complete, [[2, 4]])
+        with pytest.raises(UnknownVertexError):
+            cycles_through_vertex(tiny_complete, bad)
+        with pytest.raises(UnknownVertexError):
+            count_cycles_meeting(tiny_complete, [bad])
+        with pytest.raises(UnknownVertexError):
+            count_restricted_extensions(tiny_complete, [bad], fam)
+
+    @pytest.mark.parametrize("v", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_integer_kinds_pass(self, tiny_complete, v):
+        h = build_hypergraph(tiny_complete)
+        assert cycles_through_vertex(tiny_complete, v) == 4
+        assert trash_family(tiny_complete, [[v, 4]]).rows.tolist() == [[1, 4]]
+        assert validate_tight_path_verbose(h, [v, 3, 4]) == (True, None)
+        assert count_cycles_meeting(tiny_complete, [v]) == 4

@@ -12,10 +12,14 @@ from ramsey_lab import (
     check_property_iii,
     complete_layered,
     concentration_experiment,
+    count_cycles_meeting,
+    cycles_per_vertex,
+    expected_stats,
+    poly_concentration_scale,
     sample_trash_family,
 )
 from ramsey_lab.seeds import make_rng
-from ramsey_lab.verifier import EPSILON_GRID
+from ramsey_lab.verifier import EPSILON_GRID, _finish
 from conftest import random_graph
 
 
@@ -62,15 +66,32 @@ class TestPropertyI:
 
     def test_rows_emitted(self):
         g = random_graph(3, 15, 0.4, seed=4)
-        rep = check_property_i(g, r=2, n=3, trials=5, seed=7, emit_trials=True)
-        assert rep.rows is not None
+        rep = check_property_i(g, r=2, n=3, trials=5, seed=7)
+        assert len(rep.rows) == rep.trials - rep.skips
         for row in rep.rows:
             assert set(row) == {"trial", "statistic", "value", "expectation", "ratio"}
+            assert row["ratio"] == row["value"] / row["expectation"]
+
+    def test_summary_follows_rows(self):
+        # a trial passes iff value < bound, and its margin is bound - value
+        g = random_graph(3, 12, 0.5, seed=3)
+        rep = check_property_i(g, r=2, n=2, trials=30, seed=1)
+        assert rep.violations > 0 and rep.passes > 0
+        assert rep.passes == sum(row["value"] < row["expectation"] for row in rep.rows)
+        margins = [row["expectation"] - row["value"] for row in rep.rows]
+        assert rep.margin_min == min(margins)
+        assert rep.margin_mean == pytest.approx(sum(margins) / len(margins), rel=1e-12)
 
     def test_bad_config(self):
         g = complete_layered(3, 4)
         with pytest.raises(ConfigError):
             check_property_i(g, r=1, n=2, trials=5, seed=0)
+
+    def test_value_at_the_bound_is_a_violation(self):
+        rep = _finish("i", "restricted_extensions", [(2, 2.0), None, (1, 2.0)], {})
+        assert (rep.trials, rep.passes, rep.violations, rep.skips) == (3, 1, 1, 1)
+        assert (rep.margin_min, rep.margin_mean) == (0.0, 0.5)
+        assert [row["trial"] for row in rep.rows] == [0, 2]
 
 
 class TestPropertyII:
@@ -91,11 +112,17 @@ class TestPropertyII:
 
     def test_adversarial_first_trial(self):
         g = complete_layered(3, 6)
-        rep = check_property_ii(g, r=2, n=2, trials=4, seed=5, emit_trials=True)
+        rep = check_property_ii(g, r=2, n=2, trials=4, seed=5)
         assert rep.params["adversarial_first"] is True
         # the adversarial set meets at least as many cycles as any sampled one
         values = [row["value"] for row in rep.rows]
         assert values[0] == max(values)
+
+    def test_first_trial_is_the_heaviest_set(self):
+        g = random_graph(3, 12, 0.5, seed=8)
+        rep = check_property_ii(g, r=2, n=2, trials=3, seed=2)
+        heavy = np.argsort(-cycles_per_vertex(g), kind="stable")[:4]
+        assert rep.rows[0]["value"] == count_cycles_meeting(g, heavy)
 
     def test_tiny_complete_violates(self):
         # on a tiny dense instance every (k-1)n-set meets most cycles, so the
@@ -173,6 +200,26 @@ class TestConcentration:
     def test_poly_bound_reported_for_vertex_statistic(self):
         rep = concentration_experiment(self.base(), "cycles_through_vertex", 3, seed=6)
         assert "poly_lambda" in rep.analytic_bounds["0.1"]
+
+    def test_poly_bound_inverts_the_threshold(self):
+        # k=3, m=20, p=0.3: E = 10.8 and E' = 1.8, so the threshold scale is
+        # 8^3 sqrt(3!) sqrt(E E') = 512 * 10.8 and eps * E / scale = eps / 512
+        rep = concentration_experiment(self.base(), "cycles_through_vertex", 3, seed=6)
+        stats = expected_stats(3, 20, 0.3)
+        pinned = {
+            "0.1": (5120.0 ** (-1 / 3), 8.130669264024041),
+            "0.25": (2048.0 ** (-1 / 3), 8.109944058825771),
+            "0.5": (1024.0 ** (-1 / 3), 8.08947655869619),
+        }
+        for eps in EPSILON_GRID:
+            bound = rep.analytic_bounds[f"{eps:g}"]
+            lam, exponent = bound["poly_lambda"], bound["poly_tail_exponent"]
+            assert (lam, exponent) == pytest.approx(pinned[f"{eps:g}"], rel=1e-12)
+            threshold = poly_concentration_scale(3) * math.sqrt(
+                stats.cycles_per_vertex * stats.cycles_per_vertex_prime
+            ) * lam**3
+            assert threshold == pytest.approx(eps * rep.expectation, rel=1e-12)
+            assert exponent == pytest.approx(-lam + 2 * math.log(3 * 20), rel=1e-12)
 
     def test_deterministic_rerun(self):
         a = concentration_experiment(self.base(), "total_cycles", 12, seed=7)
