@@ -30,7 +30,6 @@ from .greedy import (
     Coloring,
     adversarial_coloring,
     outcome_to_json,
-    pick_majority_color,
     random_coloring,
     run_outer,
 )
@@ -338,12 +337,13 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
     config.update(col_echo)
     if len(h) == 0:
         raise ParameterError("graph has no proper cycles; nothing to color or traverse")
-    majority = pick_majority_color(col)
+    counts = col.counts()
+    majority = int(np.argmax(counts))  # ties break to the smallest color, as in pick_majority_color
     color = majority if config.get("color") is None else int(config["color"])
     outcome = run_outer(h, g, col, n, color=color)
     return 0, {
         "total_cycles": len(h),
-        "color_counts": [int(c) for c in col.counts()],
+        "color_counts": counts.tolist(),
         "majority_color": majority,
         "working_color": color,
         "n": n,

@@ -11,9 +11,12 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it.  Enumeration emits
-keys in ascending order.  Every block-chain count (total, per vertex,
-meeting a vertex set) sums ``_closed_walks`` over the float64 blocks from
-``_float_blocks``, which first checks that the chain stays exact.
+keys in ascending order, into one array of exactly the counted total: paths
+grow through the middle parts, and the last level expands only to vertices
+that close the cycle, so no path that fails to close is built.  Every
+block-chain count (total, per vertex, meeting a vertex set) sums
+``_closed_walks`` over the float64 blocks from ``_float_blocks``, which
+first checks that the chain stays exact.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -212,43 +215,50 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
     """All proper cycles as ascending canonical keys (uint64).
 
     Counts first via matrix products and raises ``ResourceLimitError`` when
-    the total exceeds ``cap``, so runaway parameters fail fast.
+    the total exceeds ``cap``, so runaway parameters fail fast.  The keys are
+    written into one array of exactly ``total`` entries.  For each start
+    vertex ``a`` of part 0, paths grow through the middle parts 1..k-2 along
+    sorted neighbor lists, and the last level expands only to the part-(k-1)
+    vertices that close back to ``a``, so no path that fails to close is
+    ever built.
     """
     total = count_proper_cycles(g)
     if total > cap:
         raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     k, m = g.k, g.m
-    csrs = [g.csr(part) for part in range(k - 1)]
-    close = g.blocks[k - 1]
-    chunks: list[np.ndarray] = []
+    csrs = [g.csr(part) for part in range(k - 2)]
+    last, close = g.blocks[k - 2], g.blocks[k - 1]
+    out = np.empty(total, dtype=np.uint64)
+    at = 0
     for a in range(m):
-        cols: list[np.ndarray] = [np.array([a], dtype=np.int64)]
-        ends = cols[0]
-        for level in range(1, k):
-            ptr, idx = csrs[level - 1]
+        closers = np.flatnonzero(close[:, a])
+        if closers.size == 0:
+            continue
+        # part-local columns of the paths through the middle parts 1..k-2
+        cols: list[np.ndarray] = []
+        ends = np.array([a], dtype=np.int64)
+        for ptr, idx in csrs:
             starts = ptr[ends]
             cnt = ptr[ends + 1] - starts
             n_new = int(cnt.sum())
             if n_new == 0:
-                ends = np.empty(0, dtype=np.int64)
                 break
             rep = np.repeat(np.arange(ends.size), cnt)
             excl = np.concatenate(([0], np.cumsum(cnt)[:-1]))
             pos = np.arange(n_new, dtype=np.int64) + np.repeat(starts - excl, cnt)
-            new_ends = idx[pos].astype(np.int64)
+            ends = idx[pos].astype(np.int64)
             cols = [c[rep] for c in cols]
-            cols.append(new_ends)
-            ends = new_ends
-        if ends.size == 0:
-            continue
-        keep = close[ends, a]
-        if not keep.any():
-            continue
-        chunks.append(encode_keys([c[keep] for c in cols], m))
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    out = np.concatenate(chunks)
-    assert out.size == total
+            cols.append(ends)
+        else:  # every middle level had paths
+            # row-major order over (path, closer) is ascending key order
+            path, closer = np.divmod(np.flatnonzero(last[ends][:, closers]), closers.size)
+            stop = at + path.size
+            if stop > total:
+                raise InvariantViolationError("enumeration overruns the proper cycle count")
+            out[at:stop] = encode_keys([a] + [c[path] for c in cols] + [closers[closer]], m)
+            at = stop
+    if at != total:
+        raise InvariantViolationError(f"enumerated {at} proper cycles, counted {total}")
     return out
 
 

@@ -87,7 +87,11 @@ class Coloring:
             raise ParameterError(f"r must lie in 2..256, got {r}")
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.colors, minlength=self.r)
+        """Hyperedges per color, as int64; one pass per color, so the uint8
+        colors are never widened."""
+        return np.array(
+            [np.count_nonzero(self.colors == c) for c in range(self.r)], dtype=np.int64
+        )
 
     def to_json(self) -> dict:
         return {"r": self.r, "colors": [int(c) for c in self.colors]}

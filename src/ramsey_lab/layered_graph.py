@@ -155,7 +155,7 @@ class LayeredGraph:
 
     def _check_vertex(self, v: int) -> None:
         """Refuse an id that is not a Python or numpy integer in [0, k*m)."""
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_vertex_id(v):
             raise UnknownVertexError(f"vertex id {v!r} is not an integer")
         if not 0 <= v < self.k * self.m:
             raise UnknownVertexError(f"vertex {v} not in graph with {self.k * self.m} vertices")
@@ -204,6 +204,8 @@ class LayeredGraph:
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
         for u, v in edges:
+            if not (_is_vertex_id(u) and _is_vertex_id(v)):
+                raise ParameterError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of vertex range [0, {n})")
             pu, pv = u // m, v // m
@@ -246,6 +248,11 @@ class LayeredGraph:
 
     def __repr__(self) -> str:
         return f"LayeredGraph(k={self.k}, m={self.m}, edges={self.edge_count()})"
+
+
+def _is_vertex_id(v) -> bool:
+    """A vertex id is a Python or numpy integer; a bool is not one."""
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer))
 
 
 def _check_fits_in_memory(required: int) -> None:

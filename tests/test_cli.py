@@ -92,9 +92,13 @@ class TestEnumerate:
             '{"k": 3, "m": 2, "edges": [[0, 2.5]]}',
             '{"k": 3, "m": 2.5, "edges": []}',
             '{"k": 3.0, "m": 2, "edges": []}',
+            '{"k": 3, "m": 2, "edges": [[true, 2]]}',
+            '{"k": 3, "m": 2, "edges": [[2, false]]}',
+            '{"k": 3, "m": 2, "edges": [[1.0, 2]]}',
         ],
         ids=["negative-m", "no-edges", "string-vertex", "list", "not-json", "triple",
-             "float-vertex", "fractional-m", "float-k"],
+             "float-vertex", "fractional-m", "float-k", "true-vertex", "false-vertex",
+             "integral-float-vertex"],
     )
     def test_malformed_graph_file_exit_1(self, tmp_path, capsys, text):
         gfile = tmp_path / "g.json"

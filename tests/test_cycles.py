@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from ramsey_lab import (
     validate_tight_path,
     validate_tight_path_verbose,
 )
+from ramsey_lab import cycles
 from ramsey_lab.cycles import _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.reporting import validate_document
@@ -60,6 +63,44 @@ class TestEnumeration:
             for seed in range(20):
                 g = random_graph(k, 5, 0.6, seed)
                 assert enumerate_proper_cycles(g) == brute_force_cycles(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        m=st.integers(1, 7),
+        p=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        seed=st.integers(0, 2**32),
+        no_closers=st.booleans(),
+        empty_middle=st.booleans(),
+    )
+    def test_matches_brute_force_drawn(self, k, m, p, seed, no_closers, empty_middle):
+        blocks = [b.copy() for b in random_graph(k, m, p, seed).blocks]
+        if no_closers:  # start vertex seed % m closes no path
+            blocks[k - 1][:, seed % m] = False
+        if empty_middle:  # one block the middle levels expand through
+            blocks[seed % (k - 2)][:] = False
+        g = LayeredGraph(k, m, blocks)
+        assert np.array_equal(cycle_keys(g), brute_force_cycle_keys(g))
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_count_mismatch_is_refused(self, monkeypatch, off):
+        g = random_graph(4, 5, 0.6, 2)
+        total = count_proper_cycles(g)
+        assert total > 0
+        monkeypatch.setattr(cycles, "count_proper_cycles", lambda _: total + off)
+        with pytest.raises(InvariantViolationError):
+            cycle_keys(g)
+
+    def test_peak_memory_is_the_key_array(self):
+        g = random_graph(3, 200, 0.5, 1)
+        tracemalloc.start()
+        try:
+            keys = cycle_keys(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.size == 1_001_036
+        assert peak < 1.5 * keys.nbytes
 
     def test_cap_enforced(self, tiny_complete):
         with pytest.raises(ResourceLimitError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,17 @@ class TestMajority:
     def test_empty_errors(self):
         with pytest.raises(ParameterError):
             pick_majority_color(Coloring(2, np.empty(0, dtype=np.uint8)))
+
+    def test_counts_do_not_widen(self):
+        col = random_coloring(build_hypergraph(random_graph(3, 200, 0.5, 1)), 2, 0)
+        tracemalloc.start()
+        try:
+            counts = col.counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.dtype == np.int64 and counts.sum() == col.colors.size == 1_001_036
+        assert peak < 2 * col.colors.nbytes
 
 
 class TestGreedyRound:
