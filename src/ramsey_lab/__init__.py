@@ -21,7 +21,6 @@ from .cycles import (
     count_restricted_extensions,
     cycles_per_vertex,
     cycles_through_vertex,
-    enumerate_proper_cycles,
     extend_path,
     trash_family,
     validate_tight_path,

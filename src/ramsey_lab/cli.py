@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from . import cycles as _cycles
 from .cycles import (
     DEFAULT_CYCLE_CAP,
+    TightHypergraph,
     build_hypergraph,
     count_proper_cycles,
 )
@@ -30,12 +30,13 @@ from .greedy import (
     Coloring,
     adversarial_coloring,
     outcome_to_json,
+    pick_majority_color,
     random_coloring,
     run_outer,
 )
 from .layered_graph import GraphParams, LayeredGraph, canonical_params, generate_random
 from .oracle import arrow_check, brute_force_cycle_keys, tight_path_exists
-from .reporting import make_report, write_report, write_trials_csv
+from .reporting import canonical_json, make_report, write_report, write_trials_csv
 from .seeds import derive_seed
 from .verifier import (
     CONCENTRATION_STATISTICS,
@@ -51,13 +52,12 @@ MODES = ("generate", "enumerate", "color", "greedy", "verify", "concentration", 
 
 COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 
-# the JSON kind of every config key (every flag's destination), as accepted
-# Python types and a noun for the error; a bool is never a number.
-# ``canonical`` (three integers) is checked by _expand_canonical.
-_INT, _NUMBER = ((int,), "an integer"), ((int, float), "a number")
-_STRING = ((str,), "a string")
+# the JSON kind of every config key (every flag's destination), named as the
+# error names it; see _has_kind.
+_INT, _NUMBER, _STRING = "an integer", "a finite number", "a string"
+_TRIPLE = "three integers K R N"
 _CONFIG_KINDS = {
-    "graph": _STRING, "k": _INT, "m": _INT, "p": _NUMBER, "seed": _INT, "canonical": None,
+    "graph": _STRING, "k": _INT, "m": _INT, "p": _NUMBER, "seed": _INT, "canonical": _TRIPLE,
     "report": _STRING, "out": _STRING, "cycle_cap": _INT, "export_hypergraph": _STRING,
     "r": _INT, "n": _INT, "strategy": _STRING, "coloring": _STRING, "coloring_seed": _INT,
     "color": _INT, "property": _STRING, "trials": _INT, "trial_seed": _INT, "c_eff": _NUMBER,
@@ -149,49 +149,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _has_kind(value, kind: str) -> bool:
+    """Whether a JSON or flag value is of a config kind; a bool is never a number."""
+    if kind == _NUMBER:
+        # refuses NaN, +-inf and ints beyond float range in one comparison
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if kind == _TRIPLE:
+        return type(value) is list and len(value) == 3 and all(type(x) is int for x in value)
+    return type(value) is (int if kind == _INT else str)
+
+
 def resolve_config(mode: str, args: argparse.Namespace) -> dict:
-    """Merge config file and flags (flags win) into one resolved mapping."""
+    """Merge config file and flags (flags win) into one resolved mapping.
+
+    The one place config values are checked: every key must be a flag of
+    the mode and every value of its key's kind.  A null counts as unset, so
+    the resolved mapping holds JSON-native values only.
+    """
     config: dict = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError("config", str(exc))
         if not isinstance(loaded, dict):
             raise ConfigError("config", "config file must hold a JSON object")
         config.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("mode", "config") or value is None:
-            continue
-        config[key] = value
+    flags = {key: value for key, value in vars(args).items() if key not in ("mode", "config")}
+    config.update((key, value) for key, value in flags.items() if value is not None)
     for key, value in config.items():
         kind = _CONFIG_KINDS.get(key)
-        if kind is None or value is None:
-            continue
-        types, noun = kind
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ConfigError(key, f"must be {noun}, got {value!r}")
-    unknown = sorted(config.keys() - vars(args).keys())
+        if kind is not None and value is not None and not _has_kind(value, kind):
+            raise ConfigError(key, f"must be {kind}, got {value!r:.40}")
+    unknown = sorted(config.keys() - flags.keys())
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
-    if config.get("cycle_cap") is not None and config["cycle_cap"] <= 0:
+    config = {key: value for key, value in config.items() if value is not None}
+    if config.get("cycle_cap", 1) <= 0:
         raise ConfigError("cycle_cap", "must be positive")
     return config
+
+
+def _required(config: dict, field: str):
+    """The value of a config key the mode cannot run without."""
+    if field not in config:
+        raise ConfigError(field, "required")
+    return config[field]
 
 
 def _expand_canonical(config: dict) -> None:
     """Apply the canonical parameterization in place, keeping explicit overrides."""
     if "canonical" not in config:
         return
-    trio = config["canonical"]
-    if not (
-        isinstance(trio, (list, tuple))
-        and len(trio) == 3
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in trio)
-    ):
-        raise ConfigError("canonical", "expected three integers K R N")
-    k, r, n = trio
+    k, r, n = config["canonical"]
     params = canonical_params(k, r, n)
     config["k"] = k
     config.setdefault("r", r)
@@ -205,10 +216,10 @@ def _expand_canonical(config: dict) -> None:
     }
 
 
-def _resolve_graph(config: dict) -> tuple[LayeredGraph, dict]:
-    """Build or load the graph; returns (graph, resolved source echo)."""
+def _resolve_graph(config: dict) -> LayeredGraph:
+    """Build or load the graph, recording its resolved source in config."""
     if config.get("graph"):
-        clash = [f for f in ("k", "m", "p", "seed", "canonical") if config.get(f) is not None]
+        clash = [f for f in ("k", "m", "p", "seed", "canonical") if f in config]
         if clash:
             raise ConfigError(
                 "graph", f"give either a graph file or generation parameters, not both ({', '.join(clash)})"
@@ -217,27 +228,26 @@ def _resolve_graph(config: dict) -> tuple[LayeredGraph, dict]:
             g = LayeredGraph.load(config["graph"])
         except (OSError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError("graph", f"cannot read graph file {config['graph']}: {exc}")
-        return g, {"graph": config["graph"], "k": g.k, "m": g.m}
+        config.update(k=g.k, m=g.m)
+        return g
     _expand_canonical(config)
     for fieldname in ("k", "m", "p", "seed"):
-        if config.get(fieldname) is None:
+        if fieldname not in config:
             raise ConfigError(fieldname, "required (or provide --graph/--canonical)")
-    params = GraphParams(
-        k=int(config["k"]),
-        part_size=int(config["m"]),
-        edge_prob=float(config["p"]),
-        seed=int(config["seed"]),
+    config["p"] = float(config["p"])
+    return generate_random(
+        GraphParams(k=config["k"], part_size=config["m"], edge_prob=config["p"], seed=config["seed"])
     )
-    echo = {"k": params.k, "m": params.part_size, "p": params.edge_prob, "seed": int(config["seed"])}
-    return generate_random(params), echo
 
 
-def _resolve_coloring(config: dict, h, default_seed: int) -> tuple[Coloring, dict]:
+def _hypergraph(config: dict, g: LayeredGraph) -> TightHypergraph:
+    return build_hypergraph(g, config.get("cycle_cap", DEFAULT_CYCLE_CAP))
+
+
+def _resolve_coloring(config: dict, h: TightHypergraph, default_seed: int) -> Coloring:
+    """Read or draw the run's coloring of h, recording its resolved source in config."""
     choice = config.get("coloring", "random")
-    r = config.get("r")
-    if r is None:
-        raise ConfigError("r", "required")
-    r = int(r)
+    r = _required(config, "r")
     if choice.startswith("@"):
         path = choice[1:]
         try:
@@ -251,16 +261,14 @@ def _resolve_coloring(config: dict, h, default_seed: int) -> tuple[Coloring, dic
             raise ConfigError(
                 "coloring", f"file colors {col.colors.size} edges, hypergraph has {len(h)}"
             )
-        return col, {"coloring": choice}
-    seed = int(config.get("coloring_seed", default_seed))
+        return col
+    if choice not in COLORING_STRATEGIES:
+        raise ConfigError("coloring", f"unknown strategy {choice!r}")
+    config["coloring"] = choice
+    seed = config.setdefault("coloring_seed", default_seed)
     if choice == "random":
-        return random_coloring(h, r, seed), {"coloring": "random", "coloring_seed": seed}
-    if choice in COLORING_STRATEGIES:
-        return (
-            adversarial_coloring(h, r, choice, seed),
-            {"coloring": choice, "coloring_seed": seed},
-        )
-    raise ConfigError("coloring", f"unknown strategy {choice!r}")
+        return random_coloring(h, r, seed)
+    return adversarial_coloring(h, r, choice, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +277,7 @@ def _resolve_coloring(config: dict, h, default_seed: int) -> tuple[Coloring, dic
 
 
 def _mode_generate(config: dict) -> tuple[int, dict]:
-    g, echo = _resolve_graph(config)
-    config.update(echo)
+    g = _resolve_graph(config)
     out = config.get("out")
     if out:
         g.save(out)
@@ -282,9 +289,8 @@ def _mode_generate(config: dict) -> tuple[int, dict]:
 
 
 def _mode_enumerate(config: dict) -> tuple[int, dict]:
-    g, echo = _resolve_graph(config)
-    config.update(echo)
-    cap = int(config.get("cycle_cap", DEFAULT_CYCLE_CAP))
+    g = _resolve_graph(config)
+    cap = config.get("cycle_cap", DEFAULT_CYCLE_CAP)
     total = count_proper_cycles(g)
     results = {
         "total_cycles": total,
@@ -304,14 +310,10 @@ def _mode_enumerate(config: dict) -> tuple[int, dict]:
 
 
 def _mode_color(config: dict) -> tuple[int, dict]:
-    g, echo = _resolve_graph(config)
-    config.update(echo)
-    cap = int(config.get("cycle_cap", DEFAULT_CYCLE_CAP))
-    h = build_hypergraph(g, cap)
-    strategy = config.get("strategy", "random")
-    config["coloring"] = strategy
-    col, col_echo = _resolve_coloring(config, h, default_seed=derive_seed(int(config.get("seed", 0)), 1))
-    config.update(col_echo)
+    g = _resolve_graph(config)
+    h = _hypergraph(config, g)
+    config["coloring"] = config.get("strategy", "random")
+    col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     out = config.get("out")
     if out:
         with open(out, "w") as fh:
@@ -325,21 +327,15 @@ def _mode_color(config: dict) -> tuple[int, dict]:
 
 
 def _mode_greedy(config: dict) -> tuple[int, dict]:
-    g, echo = _resolve_graph(config)
-    config.update(echo)
-    n = config.get("n")
-    if n is None:
-        raise ConfigError("n", "required")
-    n = int(n)
-    cap = int(config.get("cycle_cap", DEFAULT_CYCLE_CAP))
-    h = build_hypergraph(g, cap)
-    col, col_echo = _resolve_coloring(config, h, default_seed=derive_seed(int(config.get("seed", 0)), 1))
-    config.update(col_echo)
+    g = _resolve_graph(config)
+    n = _required(config, "n")
+    h = _hypergraph(config, g)
+    col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     if len(h) == 0:
         raise ParameterError("graph has no proper cycles; nothing to color or traverse")
     counts = col.counts()
-    majority = int(np.argmax(counts))  # ties break to the smallest color, as in pick_majority_color
-    color = majority if config.get("color") is None else int(config["color"])
+    majority = pick_majority_color(counts)
+    color = config.get("color", majority)
     outcome = run_outer(h, g, col, n, color=color)
     return 0, {
         "total_cycles": len(h),
@@ -363,13 +359,11 @@ def _trials_doc(report, config: dict) -> dict:
 
 
 def _mode_verify(config: dict) -> tuple[int, dict]:
-    g, echo = _resolve_graph(config)
-    config.update(echo)
+    g = _resolve_graph(config)
     prop = config.get("property")
     if prop not in ("i", "ii", "iii"):
         raise ConfigError("property", "must be one of i, ii, iii")
-    r = int(config.get("r") or 0)
-    n = int(config.get("n") or 0)
+    r, n = config.get("r", 0), config.get("n", 0)
     if r < 2:
         raise ConfigError("r", "required, must be >= 2")
     if n < 1:
@@ -377,37 +371,28 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
     if prop == "iii":
         report = check_property_iii(g, r, n, c_eff=config.get("c_eff"))
         return 0, report.to_json()
-    trials = int(config.get("trials") or 0)
-    trial_seed = int(config.get("trial_seed", derive_seed(int(config.get("seed", 0)), 2)))
-    config["trial_seed"] = trial_seed
+    trial_seed = config.setdefault("trial_seed", derive_seed(config.get("seed", 0), 2))
     check = check_property_i if prop == "i" else check_property_ii
-    report = check(g, r, n, trials, trial_seed)
+    report = check(g, r, n, config.get("trials", 0), trial_seed)
     return (2 if report.violations else 0), _trials_doc(report, config)
 
 
 def _mode_concentration(config: dict) -> tuple[int, dict]:
-    for fieldname in ("k", "m", "p", "statistic", "trials"):
-        if config.get(fieldname) is None:
-            raise ConfigError(fieldname, "required")
-    base = GraphParams(
-        k=int(config["k"]),
-        part_size=int(config["m"]),
-        edge_prob=float(config["p"]),
-        seed=0,
+    k, m, p, statistic, trials = (
+        _required(config, f) for f in ("k", "m", "p", "statistic", "trials")
     )
     report = concentration_experiment(
-        base,
-        config["statistic"],
-        int(config["trials"]),
-        int(config.get("seed", 0)),
-        fixed_vertex=int(config.get("fixed_vertex", 0)),
+        GraphParams(k=k, part_size=m, edge_prob=float(p), seed=0),
+        statistic,
+        trials,
+        config.get("seed", 0),
+        fixed_vertex=config.get("fixed_vertex", 0),
     )
     return 0, _trials_doc(report, config)
 
 
 def _mode_oracle(config: dict) -> tuple[int, dict]:
-    g, echo = _resolve_graph(config)
-    config.update(echo)
+    g = _resolve_graph(config)
     check = config.get("check")
     if check == "cycles":
         keys = brute_force_cycle_keys(g)
@@ -417,16 +402,15 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
             "count": int(keys.size),
             "agrees_with_enumeration": bool(np.array_equal(keys, fast)),
         }
-    h = build_hypergraph(g, int(config.get("cycle_cap", DEFAULT_CYCLE_CAP)))
-    n = config.get("n")
-    if n is None:
-        raise ConfigError("n", "required")
-    n = int(n)
+    if check not in ("tight-path", "arrow"):
+        raise ConfigError("check", "must be one of cycles, tight-path, arrow")
+    h = _hypergraph(config, g)
+    n = _required(config, "n")
     if check == "tight-path":
         col = None
         color = config.get("color")
         if config.get("coloring"):
-            col, _ = _resolve_coloring(config, h, default_seed=0)
+            col = _resolve_coloring(config, h, default_seed=0)
             if color is None:
                 raise ConfigError("color", "required when a coloring is given")
         res = tight_path_exists(h, n, col, color)
@@ -436,18 +420,13 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
             "witness": res.witness,
             "expanded": res.expanded,
         }
-    if check == "arrow":
-        r = config.get("r")
-        if r is None:
-            raise ConfigError("r", "required")
-        res = arrow_check(h, n, int(r))
-        return 0, {
-            "check": "arrow",
-            "verdict": res.verdict,
-            "counterexample": res.counterexample,
-            "colorings_checked": res.colorings_checked,
-        }
-    raise ConfigError("check", "must be one of cycles, tight-path, arrow")
+    res = arrow_check(h, n, _required(config, "r"))
+    return 0, {
+        "check": "arrow",
+        "verdict": res.verdict,
+        "counterexample": res.counterexample,
+        "colorings_checked": res.colorings_checked,
+    }
 
 
 _MODE_IMPL = {
@@ -467,22 +446,7 @@ def run(mode: str, config: dict) -> tuple[int, dict]:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     config = dict(config)
     code, results = _MODE_IMPL[mode](config)
-    report_doc = make_report(mode, _jsonable(config), results)
-    return code, report_doc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    return obj
+    return code, make_report(mode, config, results)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -495,8 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         if report_path:
             write_report(report_doc, report_path)
         else:
-            from .reporting import canonical_json
-
             sys.stdout.write(canonical_json(report_doc))
         return code
     except (ConfigError, ParameterError, InvariantViolationError, ResourceLimitError) as exc:

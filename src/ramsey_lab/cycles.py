@@ -46,7 +46,6 @@ __all__ = [
     "cycles_per_vertex",
     "cycles_through_vertex",
     "cycle_keys",
-    "enumerate_proper_cycles",
     "encode_keys",
     "decode_keys",
     "extend_path",
@@ -272,13 +271,6 @@ def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     return out
 
 
-def enumerate_proper_cycles(
-    g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP
-) -> list[tuple[int, ...]]:
-    """Every proper cycle exactly once, in canonical (ascending key) order."""
-    return build_hypergraph(g, cap).hyperedges()
-
-
 # ---------------------------------------------------------------------------
 # path extensions
 # ---------------------------------------------------------------------------
@@ -362,7 +354,8 @@ class TightHypergraph:
     """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
 
     Hyperedges are held as the ascending canonical key array; ids are ranks
-    in that order.  Membership tests and extension lookups run directly on
+    in that order.  Built by ``build_hypergraph``, whose ``cycle_keys``
+    emits the keys strictly ascending.  Membership tests and extension lookups run directly on
     the key array, so the structure stays usable at tens of millions of
     hyperedges.
     """
@@ -370,8 +363,6 @@ class TightHypergraph:
     def __init__(self, graph: LayeredGraph, keys: np.ndarray):
         self.graph = graph
         self.keys = np.asarray(keys, dtype=np.uint64)
-        if self.keys.size > 1 and not (self.keys[1:] > self.keys[:-1]).all():
-            raise InvariantViolationError("hyperedge keys must be strictly ascending")
         self.keys.setflags(write=False)
 
     def __len__(self) -> int:

@@ -178,11 +178,12 @@ def adversarial_coloring(
     raise ParameterError(f"unknown adversarial strategy {strategy!r}")
 
 
-def pick_majority_color(col: Coloring) -> int:
-    """Color with the most edges; ties break to the smallest color index."""
-    if col.colors.size == 0:
+def pick_majority_color(counts: np.ndarray) -> int:
+    """Color with the most edges in a ``Coloring.counts`` tally; ties break to
+    the smallest color index."""
+    if not counts.any():
         raise ParameterError("cannot pick a majority color of an empty hypergraph")
-    return int(np.argmax(col.counts()))
+    return int(np.argmax(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +433,9 @@ def audit_certificate(
     h: TightHypergraph,
     g: LayeredGraph,
     col: Coloring,
-    color: int | None = None,
 ) -> CertificateAudit:
     """Recompute every certificate quantity from scratch on the graph."""
-    if color is None:
-        color = outcome.color
-    if color != outcome.color:
-        raise ParameterError("audit color does not match the certificate")
+    color = outcome.color
     total = count_proper_cycles(g)
     if total != len(h):
         raise ParameterError("hypergraph does not enumerate all proper cycles of g")
@@ -482,7 +479,7 @@ def run_outer(
     A certificate is returned with its audit attached.
     """
     if color is None:
-        color = pick_majority_color(col)
+        color = pick_majority_color(col.counts())
     deleted = np.zeros(len(h), dtype=bool)
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):

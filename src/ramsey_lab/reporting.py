@@ -1,4 +1,4 @@
-"""Report emission: canonical JSON, trial CSV, and schema validation.
+"""Report emission: canonical JSON and the trial CSV.
 
 Reports serialize with sorted keys and no NaN/Inf, so identical configs
 produce byte-identical files; the only run-varying value is the timestamp,
@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import importlib.resources
 import json
-
-import jsonschema
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -26,8 +23,6 @@ __all__ = [
     "write_report",
     "write_trials_csv",
     "strip_timestamp",
-    "load_schema",
-    "validate_document",
 ]
 
 
@@ -75,13 +70,3 @@ def strip_timestamp(report_text: str) -> str:
     doc = json.loads(report_text)
     doc.get("metadata", {}).pop("timestamp", None)
     return canonical_json(doc)
-
-
-def load_schema(name: str) -> dict:
-    ref = importlib.resources.files("ramsey_lab.schemas").joinpath(f"{name}.schema.json")
-    return json.loads(ref.read_text())
-
-
-def validate_document(doc: dict, schema_name: str) -> None:
-    """Raise jsonschema.ValidationError when doc does not match the schema."""
-    jsonschema.validate(doc, load_schema(schema_name))

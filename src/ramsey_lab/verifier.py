@@ -127,23 +127,21 @@ def meeting_check(g: LayeredGraph, cset, r: int, total: int) -> tuple[int, float
 
 
 def sample_trash_family(
-    g: LayeredGraph, n_paths: int, rng: np.random.Generator, budget: int | None = None
+    g: LayeredGraph, n_paths: int, rng: np.random.Generator
 ) -> TrashFamily | None:
     """Greedy random packing of disjoint (k-1)-vertex proper paths.
 
     Each attempt picks a uniform unused start vertex and walks forward
-    through unused vertices; ``None`` on starvation (budget exhausted,
-    default 100*n attempts) rather than an error.
+    through unused vertices; ``None`` on starvation (100*n attempts spent)
+    rather than an error.
     """
-    if budget is None:
-        budget = 100 * n_paths
     nv = g.num_vertices
     used = np.zeros(nv, dtype=bool)
     paths = []
     unused_ids = np.arange(nv)
     attempts = 0
     while len(paths) < n_paths:
-        if attempts >= budget:
+        if attempts >= 100 * n_paths:
             return None
         attempts += 1
         if unused_ids.size == 0:

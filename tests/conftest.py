@@ -1,3 +1,7 @@
+import importlib.resources
+import json
+
+import jsonschema
 import pytest
 
 from ramsey_lab import GraphParams, complete_layered, generate_random
@@ -5,6 +9,17 @@ from ramsey_lab import GraphParams, complete_layered, generate_random
 
 def random_graph(k, m, p, seed):
     return generate_random(GraphParams(k=k, part_size=m, edge_prob=p, seed=seed))
+
+
+def load_schema(name: str) -> dict:
+    """One of the package's ``<name>.schema.json`` documents."""
+    ref = importlib.resources.files("ramsey_lab.schemas").joinpath(f"{name}.schema.json")
+    return json.loads(ref.read_text())
+
+
+def validate_document(doc: dict, schema_name: str) -> None:
+    """Raise jsonschema.ValidationError when doc does not match the schema."""
+    jsonschema.validate(doc, load_schema(schema_name))
 
 
 @pytest.fixture

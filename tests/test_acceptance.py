@@ -29,7 +29,6 @@ from ramsey_lab import (
     concentration_experiment,
     count_proper_cycles,
     cycles_per_vertex,
-    enumerate_proper_cycles,
     generate_random,
     poly_concentration_scale,
     random_coloring,
@@ -224,7 +223,7 @@ def test_ac1_oracle_equivalence(ac1_sweep):
     # spot-check full object lists on one instance per uniformity
     for k in (3, 4, 5):
         g = generate_random(GraphParams(k=k, part_size=6, edge_prob=0.5, seed=derive_seed(802, k)))
-        assert enumerate_proper_cycles(g) == brute_force_cycles(g)
+        assert build_hypergraph(g).hyperedges() == brute_force_cycles(g)
     assert ac1_sweep["elapsed"] < 60.0, f"took {ac1_sweep['elapsed']:.1f}s"
     print(
         f"\nAC-1 PASS: 2700 graphs, 0 mismatches, {ac1_sweep['elapsed']:.1f}s"

@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_tight_path
 from ramsey_lab.cli import _CONFIG_KINDS, MODES, build_parser, main, run
 from ramsey_lab.errors import ConfigError
-from ramsey_lab.reporting import strip_timestamp, validate_document
+from ramsey_lab.reporting import strip_timestamp
+from conftest import validate_document
 
 ROOT = Path(__file__).resolve().parent.parent
+# a small graph and a property-ii run for the verify cases
+_SMALL = ["--k", "3", "--m", "20", "--p", "0.3", "--seed", "1", "--r", "2", "--n", "3",
+          "--trials", "2"]
 PINNED = json.loads((ROOT / "tests" / "data" / "pinned_greedy_reports.json").read_text())
 DIGESTS = json.loads((ROOT / "tests" / "data" / "pinned_greedy_digests.json").read_text())
 
@@ -353,6 +358,58 @@ class TestOracleMode:
         res = json.loads(stdout)["results"]
         assert res["agrees_with_enumeration"] is True
 
+    GRAPH = ["--k", "3", "--m", "3", "--p", "1", "--seed", "0"]
+
+    def _coloring_file(self, tmp_path, capsys):
+        col = tmp_path / "col.json"
+        code, _, _ = run_cli(
+            ["color", *self.GRAPH, "--r", "2", "--strategy", "round_robin", "--out", str(col)],
+            capsys,
+        )
+        assert code == 0
+        return col
+
+    def test_tight_path_witness_without_coloring(self, capsys):
+        code, stdout, err = run_cli(
+            ["oracle", "--check", "tight-path", *self.GRAPH, "--n", "6"], capsys
+        )
+        assert code == 0, err
+        res = json.loads(stdout)["results"]
+        assert res["verdict"] == "found" and len(res["witness"]) == 6
+        h = build_hypergraph(complete_layered(3, 3))
+        assert validate_tight_path(h, res["witness"])
+
+    @pytest.mark.parametrize("color", [0, 1])
+    def test_tight_path_witness_is_monochromatic(self, tmp_path, capsys, color):
+        col = self._coloring_file(tmp_path, capsys)
+        code, stdout, err = run_cli(
+            ["oracle", "--check", "tight-path", *self.GRAPH, "--n", "4",
+             "--coloring", f"@{col}", "--r", "2", "--color", str(color)],
+            capsys,
+        )
+        assert code == 0, err
+        res = json.loads(stdout)["results"]
+        assert res["verdict"] == "found" and len(res["witness"]) == 4
+        h = build_hypergraph(complete_layered(3, 3))
+        coloring = Coloring.from_json(json.loads(col.read_text()))
+        assert validate_tight_path(h, res["witness"], coloring, color)
+        assert not validate_tight_path(h, res["witness"], coloring, 1 - color)
+
+    def test_tight_path_coloring_needs_color(self, tmp_path, capsys):
+        col = self._coloring_file(tmp_path, capsys)
+        code, stdout, err = run_cli(
+            ["oracle", "--check", "tight-path", *self.GRAPH, "--n", "4",
+             "--coloring", f"@{col}", "--r", "2"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: color: ") and err.count("\n") == 1
+
+    def test_tight_path_needs_n(self, capsys):
+        code, stdout, err = run_cli(["oracle", "--check", "tight-path", *self.GRAPH], capsys)
+        assert code == 1 and stdout == ""
+        assert err == "error: n: required\n"
+
     def test_arrow_check(self, capsys):
         code, stdout, _ = run_cli(
             ["oracle", "--check", "arrow", "--k", "3", "--m", "2", "--p", "1",
@@ -422,6 +479,50 @@ class TestConfigHandling:
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize(
+        "argv, text, field",
+        [
+            (["verify", "--property", "i", "--k", "3", "--m", "20", "--p", "0.3", "--seed", "1",
+              "--r", "2", "--n", "3", "--trials", "2", "--c-eff", "inf"], None, "c_eff"),
+            (["verify", "--property", "ii", *_SMALL], '{"c_eff": NaN}', "c_eff"),
+            (["verify", "--property", "ii", *_SMALL], '{"c_eff": Infinity}', "c_eff"),
+            (["verify", "--property", "ii", *_SMALL], '{"c_eff": -Infinity}', "c_eff"),
+            (["generate", "--k", "3", "--m", "4", "--p", "nan", "--seed", "0"], None, "p"),
+            (["generate", "--k", "3", "--m", "4", "--p", "1e400", "--seed", "0"], None, "p"),
+            (["generate", "--k", "3", "--m", "4", "--seed", "0"], '{"p": 1' + "0" * 400 + "}", "p"),
+        ],
+        ids=["c-eff-inf-flag", "c-eff-nan-file", "c-eff-infinity-file", "c-eff-minus-infinity-file",
+             "p-nan-flag", "p-overflow-flag", "p-400-digits-file"],
+    )
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, argv, text, field):
+        # refused at the boundary, before a report could carry it (or a null for it)
+        if text is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(text)
+            argv = [*argv, "--config", str(cfg)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {field}: must be a finite number, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["coloring", "coloring_seed", "cycle_cap", "color"])
+    def test_null_config_value_counts_as_unset(self, tmp_path, capsys, key):
+        argv = ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2", "--n", "3"]
+        code, plain, err = run_cli(argv, capsys)
+        assert code == 0, err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: None}))
+        code, with_null, err = run_cli([*argv, "--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert strip_timestamp(with_null) == strip_timestamp(plain)
+
+    def test_int_beyond_json_digit_limit_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"seed": ' + "9" * 5000 + "}")
+        code, stdout, err = run_cli(["generate", "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+
     def test_every_config_key_has_a_kind(self):
         parser = build_parser()
         keys = set().union(*(vars(parser.parse_args([mode])) for mode in MODES))
@@ -466,7 +567,9 @@ class TestConfigHandling:
         assert code == 1 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["randomize_choices", "threads", "colour", "adversarial"])
+    @pytest.mark.parametrize(
+        "key", ["randomize_choices", "threads", "colour", "adversarial", "mode", "config"]
+    )
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: 21}))

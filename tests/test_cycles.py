@@ -18,7 +18,6 @@ from ramsey_lab import (
     count_restricted_extensions,
     cycles_per_vertex,
     cycles_through_vertex,
-    enumerate_proper_cycles,
     extend_path,
     trash_family,
     validate_tight_path,
@@ -27,10 +26,9 @@ from ramsey_lab import (
 from ramsey_lab import cycles
 from ramsey_lab.cycles import _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
-from ramsey_lab.reporting import validate_document
 from ramsey_lab.seeds import make_rng
 from ramsey_lab.verifier import sample_trash_family
-from conftest import random_graph
+from conftest import random_graph, validate_document
 
 
 def brute_sets(g):
@@ -45,13 +43,13 @@ def subpaths(c):
 
 class TestEnumeration:
     def test_complete_3_2_has_8_cycles(self, tiny_complete):
-        cycles = enumerate_proper_cycles(tiny_complete)
+        cycles = build_hypergraph(tiny_complete).hyperedges()
         assert len(cycles) == 8
         assert cycles[0] == (0, 2, 4)
         assert cycles == sorted(cycles)
 
     def test_empty_graph_has_none(self):
-        assert enumerate_proper_cycles(random_graph(3, 5, 0.0, 1)) == []
+        assert build_hypergraph(random_graph(3, 5, 0.0, 1)).hyperedges() == []
 
     def test_matches_brute_force_on_100_seeds(self):
         for seed in range(100):
@@ -62,7 +60,7 @@ class TestEnumeration:
         for k in (4, 5):
             for seed in range(20):
                 g = random_graph(k, 5, 0.6, seed)
-                assert enumerate_proper_cycles(g) == brute_force_cycles(g)
+                assert build_hypergraph(g).hyperedges() == brute_force_cycles(g)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -80,7 +78,9 @@ class TestEnumeration:
         if empty_middle:  # one block the middle levels expand through
             blocks[seed % (k - 2)][:] = False
         g = LayeredGraph(k, m, blocks)
-        assert np.array_equal(cycle_keys(g), brute_force_cycle_keys(g))
+        keys = cycle_keys(g)
+        assert (keys[1:] > keys[:-1]).all()  # TightHypergraph relies on strict order
+        assert np.array_equal(keys, brute_force_cycle_keys(g))
 
     @pytest.mark.parametrize("off", [-1, 1])
     def test_count_mismatch_is_refused(self, monkeypatch, off):
@@ -104,12 +104,12 @@ class TestEnumeration:
 
     def test_cap_enforced(self, tiny_complete):
         with pytest.raises(ResourceLimitError):
-            enumerate_proper_cycles(tiny_complete, cap=7)
+            build_hypergraph(tiny_complete, cap=7)
 
     def test_count_matches_enumeration(self):
         for seed in range(20):
             g = random_graph(4, 4, 0.5, seed)
-            assert count_proper_cycles(g) == len(enumerate_proper_cycles(g))
+            assert count_proper_cycles(g) == len(build_hypergraph(g).hyperedges())
 
 
 class TestVertexCounts:
@@ -154,7 +154,7 @@ class TestExtendPath:
     def test_matches_brute_subpath_count(self):
         g = random_graph(3, 6, 0.5, 23)
         sets = brute_sets(g)
-        for c in enumerate_proper_cycles(g):
+        for c in build_hypergraph(g).hyperedges():
             for b in subpaths(c):
                 expected = sum(1 for s in sets if set(b) <= s)
                 assert len(extend_path(g, b)) == expected
@@ -164,7 +164,7 @@ class TestExtendPath:
         # each sub-path recovers the dropped vertex
         for k, seed in ((3, 5), (4, 6)):
             g = random_graph(k, 4, 0.7, seed)
-            for c in enumerate_proper_cycles(g):
+            for c in build_hypergraph(g).hyperedges():
                 subs = subpaths(c)
                 assert len({frozenset(b) for b in subs}) == k
                 for b in subs:
@@ -403,7 +403,7 @@ class TestHypergraph:
 
     def test_edge_count_matches_enumeration(self):
         g = random_graph(3, 7, 0.5, 71)
-        assert len(build_hypergraph(g)) == len(enumerate_proper_cycles(g))
+        assert len(build_hypergraph(g)) == len(brute_force_cycles(g))
 
     def test_vertex_rows_are_part_indexed_hyperedges(self):
         g = random_graph(4, 4, 0.7, 73)
