@@ -48,22 +48,60 @@ from .verifier import (
 
 __all__ = ["main", "run", "resolve_config", "build_parser"]
 
-MODES = ("generate", "enumerate", "color", "greedy", "verify", "concentration", "oracle")
-
 COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
 
-# the JSON kind of every config key (every flag's destination), named as the
-# error names it; see _has_kind.
+# the JSON kind of a config value, named as the error names it; see _has_kind
 _INT, _NUMBER, _STRING = "an integer", "a finite number", "a string"
-_TRIPLE = "three integers K R N"
-_CONFIG_KINDS = {
-    "graph": _STRING, "k": _INT, "m": _INT, "p": _NUMBER, "seed": _INT, "canonical": _TRIPLE,
-    "report": _STRING, "out": _STRING, "cycle_cap": _INT, "export_hypergraph": _STRING,
-    "r": _INT, "n": _INT, "strategy": _STRING, "coloring": _STRING, "coloring_seed": _INT,
-    "color": _INT, "property": _STRING, "trials": _INT, "trial_seed": _INT, "c_eff": _NUMBER,
-    "emit_trials": _STRING, "statistic": _STRING,
-    "fixed_vertex": _INT, "check": _STRING,
+_SEED, _TRIPLE = "a 64-bit unsigned integer", "three integers K R N"
+_ARGPARSE_TYPE = {_INT: int, _SEED: int, _NUMBER: float, _STRING: str, _TRIPLE: int}
+
+# every config key, i.e. every flag's destination: (kind, choices, help).  The
+# flag is the key with '-' for '_'; argparse and resolve_config both read the row.
+_FLAGS = {
+    "report": (_STRING, (), "report output path (default: stdout)"),
+    "graph": (_STRING, (), "read the graph from a JSON file"),
+    "k": (_INT, (), "number of parts (>= 3)"),
+    "m": (_INT, (), "vertices per part"),
+    "p": (_NUMBER, (), "edge probability"),
+    "seed": (_SEED, (), "graph seed, or concentration's master seed (64-bit)"),
+    "canonical": (
+        _TRIPLE, (), "canonical parameterization: c=16k^2r, m=c*n, p=sqrt(ln n/n); "
+        "--m/--p still override",
+    ),
+    "out": (_STRING, (), "graph (generate) or coloring (color) output path"),
+    "cycle_cap": (_INT, (), "most proper cycles to enumerate"),
+    "export_hypergraph": (_STRING, (), "hypergraph JSON output path"),
+    "r": (_INT, (), "number of colors"),
+    "n": (_INT, (), "tight-path length in vertices"),
+    "strategy": (_STRING, COLORING_STRATEGIES, "coloring strategy"),
+    "coloring": (_STRING, (), f"one of {'/'.join(COLORING_STRATEGIES)} or @file.json"),
+    "coloring_seed": (_SEED, (), "coloring seed"),
+    "color": (_INT, (), "working color (greedy default: majority)"),
+    "property": (_STRING, ("i", "ii", "iii"), "property to sample"),
+    "trials": (_INT, (), "number of trials"),
+    "trial_seed": (_SEED, (), "master seed of the property trials"),
+    "c_eff": (_NUMBER, (), "effective c of property iii"),
+    "emit_trials": (_STRING, (), "trial CSV output path"),
+    "statistic": (_STRING, CONCENTRATION_STATISTICS, "counting statistic"),
+    "fixed_vertex": (_INT, (), "vertex of cycles_through_vertex"),
+    "check": (_STRING, ("cycles", "tight-path", "arrow"), "brute-force check"),
 }
+
+_GRAPH_SOURCE = ("graph", "k", "m", "p", "seed", "canonical")
+# the config keys of each mode, beside report (and --config, the file itself)
+_MODE_FLAGS = {
+    "generate": (*_GRAPH_SOURCE, "out"),
+    "enumerate": (*_GRAPH_SOURCE, "cycle_cap", "export_hypergraph"),
+    "color": (*_GRAPH_SOURCE, "cycle_cap", "r", "strategy", "coloring_seed", "out"),
+    "greedy": (*_GRAPH_SOURCE, "cycle_cap", "r", "n", "coloring", "coloring_seed", "color"),
+    "verify": (
+        *_GRAPH_SOURCE, "cycle_cap", "property", "r", "n", "trials", "trial_seed", "c_eff",
+        "emit_trials",
+    ),
+    "concentration": ("statistic", "k", "m", "p", "trials", "seed", "fixed_vertex", "emit_trials"),
+    "oracle": (*_GRAPH_SOURCE, "cycle_cap", "check", "n", "r", "coloring", "color"),
+}
+MODES = tuple(_MODE_FLAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -71,81 +109,19 @@ _CONFIG_KINDS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_graph_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--graph", help="read the graph from a JSON file")
-    sub.add_argument("--k", type=int, help="number of parts (>= 3)")
-    sub.add_argument("--m", type=int, help="vertices per part")
-    sub.add_argument("--p", type=float, help="edge probability")
-    sub.add_argument("--seed", type=int, help="graph seed (64-bit)")
-    sub.add_argument(
-        "--canonical",
-        nargs=3,
-        type=int,
-        metavar=("K", "R", "N"),
-        help="canonical parameterization: c=16k^2r, m=c*n, p=sqrt(ln n/n); "
-        "--m/--p still override",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ramsey-lab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ramsey-lab", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="mode", required=True)
-
-    common: dict[str, argparse.ArgumentParser] = {}
-    for mode in MODES:
-        sub = subs.add_parser(mode)
+    for mode, keys in _MODE_FLAGS.items():
+        sub = subs.add_parser(mode, allow_abbrev=False)
         sub.add_argument("--config", help="JSON config file; flags override")
-        sub.add_argument("--report", help="report output path (default: stdout)")
-        common[mode] = sub
-
-    _add_graph_source(common["generate"])
-    common["generate"].add_argument("--out", help="graph file output path")
-
-    for mode in ("enumerate", "color", "greedy", "verify", "oracle"):
-        _add_graph_source(common[mode])
-        common[mode].add_argument("--cycle-cap", dest="cycle_cap", type=int)
-
-    common["enumerate"].add_argument(
-        "--export-hypergraph", dest="export_hypergraph", help="hypergraph JSON output path"
-    )
-
-    common["color"].add_argument("--r", type=int)
-    common["color"].add_argument("--strategy", choices=COLORING_STRATEGIES)
-    common["color"].add_argument("--coloring-seed", dest="coloring_seed", type=int)
-    common["color"].add_argument("--out", help="coloring file output path")
-
-    common["greedy"].add_argument("--r", type=int)
-    common["greedy"].add_argument("--n", type=int)
-    common["greedy"].add_argument(
-        "--coloring",
-        help="one of random/round_robin/vertex_cut/balanced_greedy or @file.json",
-    )
-    common["greedy"].add_argument("--coloring-seed", dest="coloring_seed", type=int)
-    common["greedy"].add_argument("--color", type=int, help="working color (default: majority)")
-
-    common["verify"].add_argument("--property", choices=("i", "ii", "iii"))
-    common["verify"].add_argument("--r", type=int)
-    common["verify"].add_argument("--n", type=int)
-    common["verify"].add_argument("--trials", type=int)
-    common["verify"].add_argument("--trial-seed", dest="trial_seed", type=int)
-    common["verify"].add_argument("--c-eff", dest="c_eff", type=float)
-    common["verify"].add_argument("--emit-trials", dest="emit_trials", help="CSV output path")
-
-    common["concentration"].add_argument("--statistic", choices=CONCENTRATION_STATISTICS)
-    common["concentration"].add_argument("--k", type=int)
-    common["concentration"].add_argument("--m", type=int)
-    common["concentration"].add_argument("--p", type=float)
-    common["concentration"].add_argument("--trials", type=int)
-    common["concentration"].add_argument("--seed", type=int)
-    common["concentration"].add_argument("--fixed-vertex", dest="fixed_vertex", type=int)
-    common["concentration"].add_argument("--emit-trials", dest="emit_trials")
-
-    common["oracle"].add_argument("--check", choices=("cycles", "tight-path", "arrow"))
-    common["oracle"].add_argument("--n", type=int)
-    common["oracle"].add_argument("--r", type=int)
-    common["oracle"].add_argument("--coloring", help="@file.json coloring for tight-path")
-    common["oracle"].add_argument("--color", type=int)
-
+        for key in ("report", *keys):
+            kind, choices, help_text = _FLAGS[key]
+            shape = {"nargs": 3, "metavar": ("K", "R", "N")} if kind == _TRIPLE else {}
+            sub.add_argument(
+                "--" + key.replace("_", "-"), type=_ARGPARSE_TYPE[kind],
+                choices=choices or None, help=help_text, **shape,
+            )
     return parser
 
 
@@ -156,6 +132,8 @@ def _has_kind(value, kind: str) -> bool:
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if kind == _TRIPLE:
         return type(value) is list and len(value) == 3 and all(type(x) is int for x in value)
+    if kind == _SEED:
+        return type(value) is int and 0 <= value < 2**64
     return type(value) is (int if kind == _INT else str)
 
 
@@ -163,8 +141,9 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
     """Merge config file and flags (flags win) into one resolved mapping.
 
     The one place config values are checked: every key must be a flag of
-    the mode and every value of its key's kind.  A null counts as unset, so
-    the resolved mapping holds JSON-native values only.
+    the mode and every value of its key's kind and among its choices.  A
+    null counts as unset, so the resolved mapping holds JSON-native values
+    only.
     """
     config: dict = {}
     if getattr(args, "config", None):
@@ -179,9 +158,13 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
     flags = {key: value for key, value in vars(args).items() if key not in ("mode", "config")}
     config.update((key, value) for key, value in flags.items() if value is not None)
     for key, value in config.items():
-        kind = _CONFIG_KINDS.get(key)
-        if kind is not None and value is not None and not _has_kind(value, kind):
+        if key not in _FLAGS or value is None:
+            continue
+        kind, choices, _ = _FLAGS[key]
+        if not _has_kind(value, kind):
             raise ConfigError(key, f"must be {kind}, got {value!r:.40}")
+        if choices and value not in choices:
+            raise ConfigError(key, f"must be one of {', '.join(choices)}, got {value!r:.40}")
     unknown = sorted(config.keys() - flags.keys())
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
@@ -196,6 +179,19 @@ def _required(config: dict, field: str):
     if field not in config:
         raise ConfigError(field, "required")
     return config[field]
+
+
+def _working_color(config: dict, col: Coloring | None, default: int | None = None) -> int | None:
+    """The run's working color (config's, else default), one of col's r colors; none without col."""
+    color = config.get("color", default)
+    if col is None:
+        if color is not None:
+            raise ConfigError("color", "needs a coloring")
+    elif color is None:
+        raise ConfigError("color", "required when a coloring is given")
+    elif not 0 <= color < col.r:
+        raise ConfigError("color", f"must be in 0..{col.r - 1}, got {color}")
+    return color
 
 
 def _expand_canonical(config: dict) -> None:
@@ -335,7 +331,7 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
         raise ParameterError("graph has no proper cycles; nothing to color or traverse")
     counts = col.counts()
     majority = pick_majority_color(counts)
-    color = config.get("color", majority)
+    color = _working_color(config, col, default=majority)
     outcome = run_outer(h, g, col, n, color=color)
     return 0, {
         "total_cycles": len(h),
@@ -360,9 +356,7 @@ def _trials_doc(report, config: dict) -> dict:
 
 def _mode_verify(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
-    prop = config.get("property")
-    if prop not in ("i", "ii", "iii"):
-        raise ConfigError("property", "must be one of i, ii, iii")
+    prop = _required(config, "property")
     r, n = config.get("r", 0), config.get("n", 0)
     if r < 2:
         raise ConfigError("r", "required, must be >= 2")
@@ -393,7 +387,7 @@ def _mode_concentration(config: dict) -> tuple[int, dict]:
 
 def _mode_oracle(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
-    check = config.get("check")
+    check = _required(config, "check")
     if check == "cycles":
         keys = brute_force_cycle_keys(g)
         fast = _cycles.cycle_keys(g)
@@ -402,18 +396,11 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
             "count": int(keys.size),
             "agrees_with_enumeration": bool(np.array_equal(keys, fast)),
         }
-    if check not in ("tight-path", "arrow"):
-        raise ConfigError("check", "must be one of cycles, tight-path, arrow")
     h = _hypergraph(config, g)
     n = _required(config, "n")
     if check == "tight-path":
-        col = None
-        color = config.get("color")
-        if config.get("coloring"):
-            col = _resolve_coloring(config, h, default_seed=0)
-            if color is None:
-                raise ConfigError("color", "required when a coloring is given")
-        res = tight_path_exists(h, n, col, color)
+        col = _resolve_coloring(config, h, default_seed=0) if config.get("coloring") else None
+        res = tight_path_exists(h, n, col, _working_color(config, col))
         return 0, {
             "check": "tight-path",
             "verdict": res.verdict.value,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cycles import TightHypergraph
 from .errors import ParameterError, ResourceLimitError
+from .greedy import Coloring
 from .layered_graph import LayeredGraph
 
 __all__ = [
@@ -180,8 +181,6 @@ def arrow_check(
     lexicographically least under that normalization.  Verdict None means a
     path search hit its cap.
     """
-    from .greedy import Coloring  # local import to avoid a cycle
-
     if r < 2:
         raise ParameterError(f"r must be >= 2, got {r}")
     edge_count = len(h)

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_tight_path
-from ramsey_lab.cli import _CONFIG_KINDS, MODES, build_parser, main, run
+from ramsey_lab.cli import _MODE_FLAGS, MODES, build_parser, main, run
 from ramsey_lab.errors import ConfigError
 from ramsey_lab.reporting import strip_timestamp
+from ramsey_lab.verifier import CONCENTRATION_STATISTICS
 from conftest import validate_document
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -405,6 +406,26 @@ class TestOracleMode:
         assert code == 1 and stdout == ""
         assert err.startswith("error: color: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("color", ["7", "2", "-1"])
+    @pytest.mark.parametrize("mode", ["greedy", "oracle"])
+    def test_color_out_of_range_exit_1(self, capsys, mode, color):
+        # one check of the working color for both modes, in the field form
+        argv = [mode, *self.GRAPH, "--n", "4", "--r", "2", "--coloring", "random",
+                "--color", color]
+        if mode == "oracle":
+            argv += ["--check", "tight-path"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: color: must be in 0..1, got {color}\n"
+
+    def test_tight_path_color_needs_coloring(self, capsys):
+        # without a coloring the search runs over every hyperedge; a color would mislead
+        code, stdout, err = run_cli(
+            ["oracle", "--check", "tight-path", *self.GRAPH, "--n", "4", "--color", "0"], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: color: needs a coloring\n"
+
     def test_tight_path_needs_n(self, capsys):
         code, stdout, err = run_cli(["oracle", "--check", "tight-path", *self.GRAPH], capsys)
         assert code == 1 and stdout == ""
@@ -524,9 +545,80 @@ class TestConfigHandling:
         assert err.startswith("error: config: ") and err.count("\n") == 1
 
     def test_every_config_key_has_a_kind(self):
+        # each mode's flags are its table row's keys, beside the three every mode has
         parser = build_parser()
-        keys = set().union(*(vars(parser.parse_args([mode])) for mode in MODES))
-        assert set(_CONFIG_KINDS) == keys - {"mode", "config"}
+        for mode in MODES:
+            dests = set(vars(parser.parse_args([mode])))
+            assert dests == {*_MODE_FLAGS[mode], "mode", "config", "report"}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_help_exit_0(self, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--help"])
+        assert exc.value.code == 0
+        assert "--report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode, key, value, choices",
+        [
+            ("verify", "property", "iv", "i, ii, iii"),
+            ("oracle", "check", "x", "cycles, tight-path, arrow"),
+            ("concentration", "statistic", "x", ", ".join(CONCENTRATION_STATISTICS)),
+            ("color", "strategy", "bogus", "random, round_robin, vertex_cut, balanced_greedy"),
+        ],
+        ids=["property", "check", "statistic", "strategy"],
+    )
+    def test_out_of_choices_config_value_exit_1(self, tmp_path, capsys, mode, key, value,
+                                                choices):
+        # refused at the boundary, against the same choices the flag has
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, stdout, err = run_cli([mode, "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {key}: must be one of {choices}, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [("flag", -1), ("flag", 2**64), ("file", -1), ("file", 2**64), ("file", True)],
+        ids=["flag-negative", "flag-2^64", "file-negative", "file-2^64", "file-bool"],
+    )
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["generate", "--k", "3", "--m", "4", "--p", "0.5"], "seed"),
+            (["concentration", "--statistic", "total_cycles", "--k", "3", "--m", "4",
+              "--p", "0.5", "--trials", "2"], "seed"),
+            (["greedy", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--n", "4",
+              "--r", "2"], "coloring_seed"),
+            (["color", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--r", "2"],
+             "coloring_seed"),
+            (["verify", "--property", "i", *_SMALL], "trial_seed"),
+        ],
+        ids=["generate-seed", "concentration-seed", "greedy-coloring-seed", "color-coloring-seed",
+             "verify-trial-seed"],
+    )
+    def test_bad_seed_exit_1(self, tmp_path, capsys, argv, key, source, value):
+        # refused before numpy's SeedSequence could raise on it (or a graph param did)
+        if source == "flag":
+            argv = [*argv, "--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv = [*argv, "--config", str(cfg)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {key}: must be a 64-bit unsigned integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", ["seed", "coloring_seed"])
+    def test_largest_seed_accepted(self, capsys, key):
+        seeds = {"seed": 0, "coloring_seed": 1, key: 2**64 - 1}
+        code, stdout, err = run_cli(
+            ["greedy", "--k", "3", "--m", "3", "--p", "1", "--n", "4", "--r", "2",
+             "--seed", str(seeds["seed"]), "--coloring-seed", str(seeds["coloring_seed"])],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["config"][key] == 2**64 - 1
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -582,7 +674,15 @@ class TestConfigHandling:
         assert err == f"error: {key}: unknown config key\n"
 
     def test_removed_flag_exit_2(self, capsys):
-        for argv in (["greedy", "--randomize-choices", "21"], ["verify", "--no-adversarial"]):
+        # an abbreviation is no flag either: flag names mirror config keys 1:1
+        for argv in (
+            ["greedy", "--randomize-choices", "21"],
+            ["verify", "--no-adversarial"],
+            ["color", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--r", "2",
+             "--coloring", "5"],
+            ["concentration", "--statistic", "cycles_through_vertex", "--k", "3", "--m", "4",
+             "--p", "0.5", "--trials", "2", "--seed", "0", "--fixed", "3"],
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
