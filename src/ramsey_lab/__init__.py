@@ -27,7 +27,6 @@ from .cycles import (
     validate_tight_path_verbose,
 )
 from .errors import (
-    ConfigError,
     InvariantViolationError,
     ParameterError,
     ResourceLimitError,

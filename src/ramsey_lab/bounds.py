@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .layered_graph import _check_k, _check_m, _check_p
 
 __all__ = [
     "chernoff_lower",
@@ -24,21 +25,22 @@ __all__ = [
 ]
 
 
+def _check_tail(expectation: float, deviation: float) -> None:
+    if expectation <= 0:
+        raise ParameterError("expectation", f"must be positive, got {expectation}")
+    if deviation < 0:
+        raise ParameterError("deviation", f"must be non-negative, got {deviation}")
+
+
 def chernoff_lower(expectation: float, deviation: float) -> float:
     """Bound on Pr(X <= E - deviation) for X ~ Bin: exp(-dev^2 / (2E))."""
-    if expectation <= 0:
-        raise ParameterError(f"expectation must be positive, got {expectation}")
-    if deviation < 0:
-        raise ParameterError(f"deviation must be non-negative, got {deviation}")
+    _check_tail(expectation, deviation)
     return math.exp(-(deviation * deviation) / (2.0 * expectation))
 
 
 def chernoff_upper(expectation: float, deviation: float) -> float:
     """Bound on Pr(X >= E + deviation): exp(-dev^2 / (2(E + dev/3)))."""
-    if expectation <= 0:
-        raise ParameterError(f"expectation must be positive, got {expectation}")
-    if deviation < 0:
-        raise ParameterError(f"deviation must be non-negative, got {deviation}")
+    _check_tail(expectation, deviation)
     return math.exp(-(deviation * deviation) / (2.0 * (expectation + deviation / 3.0)))
 
 
@@ -53,7 +55,7 @@ def _ipow(base: float, exponent: int) -> float:
 def poly_concentration_scale(k: int) -> float:
     """The degree-k scale constant 8^k * sqrt(k!)."""
     if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+        raise ParameterError("k", f"must be >= 1, got {k}")
     return _ipow(8.0, k) * math.sqrt(math.factorial(k))
 
 
@@ -77,12 +79,9 @@ class ExpectedStats:
 
 
 def expected_stats(k: int, m: float, p: float) -> ExpectedStats:
-    if k < 3:
-        raise ParameterError(f"k must be >= 3, got {k}")
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
+    _check_k(k)
+    _check_m(m)
+    _check_p(p)
     return ExpectedStats(
         k=k,
         m=m,

@@ -25,7 +25,7 @@ from .cycles import (
     build_hypergraph,
     count_proper_cycles,
 )
-from .errors import ConfigError, InvariantViolationError, ParameterError, ResourceLimitError
+from .errors import InvariantViolationError, ParameterError, ResourceLimitError
 from .greedy import (
     Coloring,
     adversarial_coloring,
@@ -80,7 +80,6 @@ _FLAGS = {
     "property": (_STRING, ("i", "ii", "iii"), "property to sample"),
     "trials": (_INT, (), "number of trials"),
     "trial_seed": (_SEED, (), "master seed of the property trials"),
-    "c_eff": (_NUMBER, (), "effective c of property iii"),
     "emit_trials": (_STRING, (), "trial CSV output path"),
     "statistic": (_STRING, CONCENTRATION_STATISTICS, "counting statistic"),
     "fixed_vertex": (_INT, (), "vertex of cycles_through_vertex"),
@@ -95,8 +94,7 @@ _MODE_FLAGS = {
     "color": (*_GRAPH_SOURCE, "cycle_cap", "r", "strategy", "coloring_seed", "out"),
     "greedy": (*_GRAPH_SOURCE, "cycle_cap", "r", "n", "coloring", "coloring_seed", "color"),
     "verify": (
-        *_GRAPH_SOURCE, "cycle_cap", "property", "r", "n", "trials", "trial_seed", "c_eff",
-        "emit_trials",
+        *_GRAPH_SOURCE, "cycle_cap", "property", "r", "n", "trials", "trial_seed", "emit_trials",
     ),
     "concentration": ("statistic", "k", "m", "p", "trials", "seed", "fixed_vertex", "emit_trials"),
     "oracle": (*_GRAPH_SOURCE, "cycle_cap", "check", "n", "r", "coloring", "color"),
@@ -151,9 +149,9 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigError("config", str(exc))
+            raise ParameterError("config", str(exc))
         if not isinstance(loaded, dict):
-            raise ConfigError("config", "config file must hold a JSON object")
+            raise ParameterError("config", "config file must hold a JSON object")
         config.update(loaded)
     flags = {key: value for key, value in vars(args).items() if key not in ("mode", "config")}
     config.update((key, value) for key, value in flags.items() if value is not None)
@@ -162,35 +160,34 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
             continue
         kind, choices, _ = _FLAGS[key]
         if not _has_kind(value, kind):
-            raise ConfigError(key, f"must be {kind}, got {value!r:.40}")
+            raise ParameterError(key, f"must be {kind}, got {value!r:.40}")
         if choices and value not in choices:
-            raise ConfigError(key, f"must be one of {', '.join(choices)}, got {value!r:.40}")
+            raise ParameterError(key, f"must be one of {', '.join(choices)}, got {value!r:.40}")
     unknown = sorted(config.keys() - flags.keys())
     if unknown:
-        raise ConfigError(unknown[0], "unknown config key")
+        raise ParameterError(unknown[0], "unknown config key")
     config = {key: value for key, value in config.items() if value is not None}
     if config.get("cycle_cap", 1) <= 0:
-        raise ConfigError("cycle_cap", "must be positive")
+        raise ParameterError("cycle_cap", "must be positive")
     return config
 
 
 def _required(config: dict, field: str):
     """The value of a config key the mode cannot run without."""
     if field not in config:
-        raise ConfigError(field, "required")
+        raise ParameterError(field, "required")
     return config[field]
 
 
 def _working_color(config: dict, col: Coloring | None, default: int | None = None) -> int | None:
-    """The run's working color (config's, else default), one of col's r colors; none without col."""
+    """The run's working color (config's, else default), given iff col is; the
+    library call that takes it checks it is one of col's r colors."""
     color = config.get("color", default)
     if col is None:
         if color is not None:
-            raise ConfigError("color", "needs a coloring")
+            raise ParameterError("color", "needs a coloring")
     elif color is None:
-        raise ConfigError("color", "required when a coloring is given")
-    elif not 0 <= color < col.r:
-        raise ConfigError("color", f"must be in 0..{col.r - 1}, got {color}")
+        raise ParameterError("color", "required when a coloring is given")
     return color
 
 
@@ -217,19 +214,19 @@ def _resolve_graph(config: dict) -> LayeredGraph:
     if config.get("graph"):
         clash = [f for f in ("k", "m", "p", "seed", "canonical") if f in config]
         if clash:
-            raise ConfigError(
+            raise ParameterError(
                 "graph", f"give either a graph file or generation parameters, not both ({', '.join(clash)})"
             )
         try:
             g = LayeredGraph.load(config["graph"])
         except (OSError, LookupError, TypeError, ValueError) as exc:
-            raise ConfigError("graph", f"cannot read graph file {config['graph']}: {exc}")
+            raise ParameterError("graph", f"cannot read graph file {config['graph']}: {exc}")
         config.update(k=g.k, m=g.m)
         return g
     _expand_canonical(config)
     for fieldname in ("k", "m", "p", "seed"):
         if fieldname not in config:
-            raise ConfigError(fieldname, "required (or provide --graph/--canonical)")
+            raise ParameterError(fieldname, "required (or provide --graph/--canonical)")
     config["p"] = float(config["p"])
     return generate_random(
         GraphParams(k=config["k"], part_size=config["m"], edge_prob=config["p"], seed=config["seed"])
@@ -250,16 +247,16 @@ def _resolve_coloring(config: dict, h: TightHypergraph, default_seed: int) -> Co
             with open(path) as fh:
                 col = Coloring.from_json(json.load(fh))
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("coloring", f"cannot read coloring file {path}: {exc}")
+            raise ParameterError("coloring", f"cannot read coloring file {path}: {exc}")
         if col.r != r:
-            raise ConfigError("coloring", f"file has r={col.r}, run has r={r}")
+            raise ParameterError("coloring", f"file has r={col.r}, run has r={r}")
         if col.colors.size != len(h):
-            raise ConfigError(
+            raise ParameterError(
                 "coloring", f"file colors {col.colors.size} edges, hypergraph has {len(h)}"
             )
         return col
     if choice not in COLORING_STRATEGIES:
-        raise ConfigError("coloring", f"unknown strategy {choice!r}")
+        raise ParameterError("coloring", f"unknown strategy {choice!r}")
     config["coloring"] = choice
     seed = config.setdefault("coloring_seed", default_seed)
     if choice == "random":
@@ -328,7 +325,7 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
     h = _hypergraph(config, g)
     col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     if len(h) == 0:
-        raise ParameterError("graph has no proper cycles; nothing to color or traverse")
+        raise ParameterError("graph", "has no proper cycles; nothing to color or traverse")
     counts = col.counts()
     majority = pick_majority_color(counts)
     color = _working_color(config, col, default=majority)
@@ -357,14 +354,9 @@ def _trials_doc(report, config: dict) -> dict:
 def _mode_verify(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
     prop = _required(config, "property")
-    r, n = config.get("r", 0), config.get("n", 0)
-    if r < 2:
-        raise ConfigError("r", "required, must be >= 2")
-    if n < 1:
-        raise ConfigError("n", "required, must be >= 1")
+    r, n = _required(config, "r"), _required(config, "n")
     if prop == "iii":
-        report = check_property_iii(g, r, n, c_eff=config.get("c_eff"))
-        return 0, report.to_json()
+        return 0, check_property_iii(g, r, n).to_json()
     trial_seed = config.setdefault("trial_seed", derive_seed(config.get("seed", 0), 2))
     check = check_property_i if prop == "i" else check_property_ii
     report = check(g, r, n, config.get("trials", 0), trial_seed)
@@ -430,7 +422,7 @@ _MODE_IMPL = {
 def run(mode: str, config: dict) -> tuple[int, dict]:
     """Execute one mode; returns (exit_code, report document)."""
     if mode not in _MODE_IMPL:
-        raise ConfigError("mode", f"unknown mode {mode!r}")
+        raise ParameterError("mode", f"unknown mode {mode!r}")
     config = dict(config)
     code, results = _MODE_IMPL[mode](config)
     return code, make_report(mode, config, results)
@@ -448,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(canonical_json(report_doc))
         return code
-    except (ConfigError, ParameterError, InvariantViolationError, ResourceLimitError) as exc:
+    except (ParameterError, InvariantViolationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -2,7 +2,11 @@
 
 
 class ParameterError(ValueError):
-    """A parameter is outside its documented domain."""
+    """A parameter or config value is outside its domain; reads ``"<field>: <message>"``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
 
 
 class UnknownVertexError(ParameterError):
@@ -20,11 +24,3 @@ class ResourceLimitError(RuntimeError):
 
 class InvariantViolationError(ValueError):
     """An input violates a structural invariant (e.g. overlapping trash paths)."""
-
-
-class ConfigError(ValueError):
-    """A run configuration is invalid; message carries the field path."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field

@@ -31,7 +31,7 @@ from .cycles import (
     _extensions,
 )
 from .errors import ParameterError, ResourceLimitError
-from .layered_graph import LayeredGraph
+from .layered_graph import LayeredGraph, _check_n, _check_r
 from .seeds import make_rng
 from .verifier import RoundAudit, meeting_check, restricted_check
 
@@ -71,20 +71,19 @@ class Coloring:
     colors: np.ndarray
 
     def __post_init__(self):
-        self.check_r(self.r)
+        _check_r(self.r)
         colors = np.asarray(self.colors)
         if colors.size and (
             colors.dtype.kind not in "iu" or colors.min() < 0 or colors.max() >= self.r
         ):
-            raise ParameterError(f"colors must be integers in 0..{self.r - 1}")
+            raise ParameterError("colors", f"must be integers in 0..{self.r - 1}")
         object.__setattr__(self, "colors", np.ascontiguousarray(colors, dtype=np.uint8))
         self.colors.setflags(write=False)
 
-    @staticmethod
-    def check_r(r: int) -> None:
-        """Colors are stored as uint8, so a coloring has 2..256 colors."""
-        if not 2 <= r <= 256:
-            raise ParameterError(f"r must lie in 2..256, got {r}")
+    def check_color(self, color: int) -> None:
+        """Refuse a working color that is not one of this coloring's r colors."""
+        if not 0 <= color < self.r:
+            raise ParameterError("color", f"must be in 0..{self.r - 1}, got {color}")
 
     def counts(self) -> np.ndarray:
         """Hyperedges per color, as int64; one pass per color, so the uint8
@@ -99,13 +98,13 @@ class Coloring:
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
         if type(doc["r"]) is not int:
-            raise ParameterError(f"r must be an integer, got {doc['r']!r}")
+            raise ParameterError("r", f"must be an integer, got {doc['r']!r}")
         return cls(doc["r"], np.asarray(doc["colors"]))
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     """I.i.d. uniform colors from the Philox stream for ``seed``."""
-    Coloring.check_r(r)
+    _check_r(r)
     colors = make_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
     return Coloring(r, colors)
 
@@ -168,21 +167,21 @@ def adversarial_coloring(
     random quarter of the vertices get color 0, the rest color 1;
     round_robin: colors cycle 0..r-1 in canonical edge order.
     """
-    Coloring.check_r(r)
+    _check_r(r)
     if strategy == "round_robin":
         return Coloring(r, (np.arange(len(h)) % r).astype(np.uint8))
     if strategy == "vertex_cut":
         return _vertex_cut_coloring(h, r, seed)
     if strategy == "balanced_greedy":
         return _balanced_greedy_coloring(h, r)
-    raise ParameterError(f"unknown adversarial strategy {strategy!r}")
+    raise ParameterError("strategy", f"unknown adversarial strategy {strategy!r}")
 
 
 def pick_majority_color(counts: np.ndarray) -> int:
     """Color with the most edges in a ``Coloring.counts`` tally; ties break to
     the smallest color index."""
     if not counts.any():
-        raise ParameterError("cannot pick a majority color of an empty hypergraph")
+        raise ParameterError("counts", "cannot pick a majority color of an empty hypergraph")
     return int(np.argmax(counts))
 
 
@@ -310,13 +309,11 @@ def greedy_round(
     decreases.
     """
     if g is not h.graph:
-        raise ParameterError("hypergraph was built over a different graph")
-    if not 0 <= color < col.r:
-        raise ParameterError(f"color {color} out of range for r={col.r}")
-    if n < g.k:
-        raise ParameterError(f"n must be >= k, got n={n}, k={g.k}")
+        raise ParameterError("g", "hypergraph was built over a different graph")
+    col.check_color(color)
+    _check_n(n, g.k)
     if col.colors.size != len(h):
-        raise ParameterError("coloring is not total over the hypergraph")
+        raise ParameterError("col", "coloring is not total over the hypergraph")
     if deleted is None:
         deleted = np.zeros(len(h), dtype=bool)
     colors = col.colors
@@ -438,7 +435,7 @@ def audit_certificate(
     color = outcome.color
     total = count_proper_cycles(g)
     if total != len(h):
-        raise ParameterError("hypergraph does not enumerate all proper cycles of g")
+        raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
     working = int((col.colors == color).sum())
     k, r = g.k, col.r
     rounds = [restricted_check(g, rec.path_snapshot, rec.trash, r) for rec in outcome.rounds]

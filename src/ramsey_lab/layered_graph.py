@@ -41,6 +41,35 @@ __all__ = [
 ]
 
 
+# -- parameter domains: each rule is stated once, and raised under the config key
+
+
+def _check_k(k: int) -> None:
+    if k < 3:
+        raise ParameterError("k", f"must be >= 3, got {k}")
+
+
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ParameterError("m", f"must be >= 1, got {m}")
+
+
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError("p", f"must lie in [0, 1], got {p}")
+
+
+def _check_r(r: int) -> None:
+    """Colors are stored as uint8, so a coloring has 2..256 colors."""
+    if not 2 <= r <= 256:
+        raise ParameterError("r", f"must lie in 2..256, got {r}")
+
+
+def _check_n(n: int, k: int) -> None:
+    if n < k:
+        raise ParameterError("n", f"must be >= k = {k}, got {n}")
+
+
 @dataclass(frozen=True)
 class GraphParams:
     """Parameters of the random layered-graph model."""
@@ -51,14 +80,11 @@ class GraphParams:
     seed: int
 
     def __post_init__(self):
-        if self.k < 3:
-            raise ParameterError(f"k must be >= 3, got {self.k}")
-        if self.part_size < 1:
-            raise ParameterError(f"part_size must be >= 1, got {self.part_size}")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ParameterError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
+        _check_k(self.k)
+        _check_m(self.part_size)
+        _check_p(self.edge_prob)
         if not 0 <= int(self.seed) < 2**64:
-            raise ParameterError("seed must be a 64-bit unsigned integer")
+            raise ParameterError("seed", "must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -89,13 +115,10 @@ class CanonicalParams:
 
 
 def canonical_params(k: int, r: int, n: int) -> CanonicalParams:
-    """Validated canonical parameterization (k >= 3, r >= 2, n >= k)."""
-    if k < 3:
-        raise ParameterError(f"k must be >= 3, got {k}")
-    if r < 2:
-        raise ParameterError(f"r must be >= 2, got {r}")
-    if n < k:
-        raise ParameterError(f"n must be >= k, got n={n}, k={k}")
+    """Validated canonical parameterization (k >= 3, 2 <= r <= 256, n >= k)."""
+    _check_k(k)
+    _check_r(r)
+    _check_n(n, k)
     return CanonicalParams(k=k, r=r, n=n)
 
 
@@ -103,16 +126,14 @@ class LayeredGraph:
     """Immutable k-partite graph with edges between consecutive parts only."""
 
     def __init__(self, k: int, part_size: int, blocks: list[np.ndarray]):
-        if k < 3:
-            raise ParameterError(f"k must be >= 3, got {k}")
-        if part_size < 1:
-            raise ParameterError(f"part_size must be >= 1, got {part_size}")
+        _check_k(k)
+        _check_m(part_size)
         if len(blocks) != k:
-            raise ParameterError(f"expected {k} adjacency blocks, got {len(blocks)}")
+            raise ParameterError("blocks", f"expected {k} adjacency blocks, got {len(blocks)}")
         m = part_size
         for i, b in enumerate(blocks):
             if b.shape != (m, m) or b.dtype != np.bool_:
-                raise ParameterError(f"block {i} must be a ({m}, {m}) boolean array")
+                raise ParameterError("blocks", f"block {i} must be a ({m}, {m}) boolean array")
         self.k = k
         self.m = m
         self.blocks = [np.ascontiguousarray(b) for b in blocks]
@@ -156,9 +177,9 @@ class LayeredGraph:
     def _check_vertex(self, v: int) -> None:
         """Refuse an id that is not a Python or numpy integer in [0, k*m)."""
         if not _is_vertex_id(v):
-            raise UnknownVertexError(f"vertex id {v!r} is not an integer")
+            raise UnknownVertexError("v", f"vertex id {v!r} is not an integer")
         if not 0 <= v < self.k * self.m:
-            raise UnknownVertexError(f"vertex {v} not in graph with {self.k * self.m} vertices")
+            raise UnknownVertexError("v", f"vertex {v} not in graph with {self.k * self.m} vertices")
 
     # -- derived neighbor lists ---------------------------------------------
 
@@ -198,16 +219,16 @@ class LayeredGraph:
 
     @classmethod
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":
-        if k < 3 or m < 1:
-            raise ParameterError(f"need k >= 3 and m >= 1, got k={k}, m={m}")
+        _check_k(k)
+        _check_m(m)
         _check_fits_in_memory(k * m * m)
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
         for u, v in edges:
             if not (_is_vertex_id(u) and _is_vertex_id(v)):
-                raise ParameterError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+                raise ParameterError("edges", f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u}, {v}) out of vertex range [0, {n})")
+                raise ParameterError("edges", f"edge ({u}, {v}) out of vertex range [0, {n})")
             pu, pv = u // m, v // m
             if (pv - pu) % k == 1:
                 blocks[pu][u % m, v % m] = True
@@ -215,14 +236,15 @@ class LayeredGraph:
                 blocks[pv][v % m, u % m] = True
             else:
                 raise ParameterError(
-                    f"edge ({u}, {v}) joins non-consecutive parts {pu} and {pv}"
+                    "edges", f"edge ({u}, {v}) joins non-consecutive parts {pu} and {pv}"
                 )
         return cls(k, m, blocks)
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredGraph":
-        if not all(type(doc[key]) is int for key in ("k", "m")):
-            raise ParameterError(f"k and m must be integers, got {doc['k']!r}, {doc['m']!r}")
+        for key in ("k", "m"):
+            if type(doc[key]) is not int:
+                raise ParameterError(key, f"must be an integer, got {doc[key]!r}")
         return cls.from_edges(doc["k"], doc["m"], doc["edges"])
 
     def save(self, path) -> None:
@@ -280,8 +302,6 @@ def generate_random(params: GraphParams) -> LayeredGraph:
 
 def complete_layered(k: int, m: int) -> LayeredGraph:
     """Deterministic reference graph with all k*m^2 consecutive-part edges."""
-    if k < 3:
-        raise ParameterError(f"k must be >= 3, got {k}")
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    _check_k(k)
+    _check_m(m)
     return LayeredGraph(k, m, [np.ones((m, m), dtype=bool) for _ in range(k)])

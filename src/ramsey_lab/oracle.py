@@ -16,9 +16,9 @@ from itertools import permutations, product
 import numpy as np
 
 from .cycles import TightHypergraph
-from .errors import ParameterError, ResourceLimitError
+from .errors import ResourceLimitError
 from .greedy import Coloring
-from .layered_graph import LayeredGraph
+from .layered_graph import LayeredGraph, _check_n, _check_r
 
 __all__ = [
     "BRUTE_TUPLE_CAP",
@@ -117,8 +117,9 @@ def tight_path_exists(
     have been expanded.
     """
     g = h.graph
-    if n < g.k:
-        raise ParameterError(f"n must be >= k, got n={n}, k={g.k}")
+    _check_n(n, g.k)
+    if coloring is not None:
+        coloring.check_color(color)
     edges = _colored_edges(h, coloring, color)
     completions: dict[frozenset[int], list[int]] = {}
     for es in edges:
@@ -181,8 +182,7 @@ def arrow_check(
     lexicographically least under that normalization.  Verdict None means a
     path search hit its cap.
     """
-    if r < 2:
-        raise ParameterError(f"r must be >= 2, got {r}")
+    _check_r(r)
     edge_count = len(h)
     if r**edge_count > coloring_cap:
         raise ResourceLimitError(

@@ -37,8 +37,8 @@ from .cycles import (
     cycles_through_vertex,
     trash_family,
 )
-from .errors import ConfigError, ParameterError
-from .layered_graph import GraphParams, LayeredGraph, generate_random
+from .errors import ParameterError
+from .layered_graph import GraphParams, LayeredGraph, _check_r, generate_random
 from .seeds import derive_seed, spawn_rng
 
 __all__ = [
@@ -82,7 +82,7 @@ class PropertyReport:
 
     def __post_init__(self):
         if self.violations + self.passes + self.skips != self.trials:
-            raise ParameterError("trial counts do not add up")
+            raise ParameterError("trials", "trial counts do not add up")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -201,9 +201,16 @@ def _finish(prop: str, statistic: str, outcomes: list, params: dict) -> Property
     )
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ParameterError("trials", f"must be >= 0, got {trials}")
+
+
 def _check_trial_args(r: int, n: int, trials: int) -> None:
-    if r < 2 or n < 1 or trials < 0:
-        raise ConfigError("trials", f"need r >= 2, n >= 1, trials >= 0; got {r}, {n}, {trials}")
+    _check_r(r)
+    if n < 1:
+        raise ParameterError("n", f"must be >= 1, got {n}")
+    _check_trials(trials)
 
 
 def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
@@ -254,7 +261,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
     k = g.k
     c_size = (k - 1) * n
     if g.num_vertices < c_size:
-        raise ConfigError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
+        raise ParameterError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
     total = count_proper_cycles(g)
     heavy: np.ndarray | None = None
     if trials > 0 and total > 0:
@@ -285,27 +292,17 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
     return _finish("ii", "meeting_count", outcomes, params)
 
 
-def check_property_iii(
-    g: LayeredGraph, r: int, n: int, c_eff: float | None = None
-) -> RatioReport:
-    """Total cycle count relative to c^k (n ln n)^(k/2) and r^k (n ln n)^(k/2)."""
+def check_property_iii(g: LayeredGraph, r: int, n: int) -> RatioReport:
+    """Total cycle count relative to c^k (n ln n)^(k/2), at c = m/n, and r^k (n ln n)^(k/2)."""
+    _check_r(r)
     if n < 2:
-        raise ConfigError("n", f"need n >= 2 for the ln n scaling, got {n}")
-    k = g.k
-    if c_eff is None:
-        c_eff = g.m / n
-    if not (math.isfinite(c_eff) and c_eff > 0):
-        raise ConfigError("c_eff", f"must be positive and finite, got {c_eff!r}")
+        raise ParameterError("n", f"must be >= 2 for the ln n scaling, got {n}")
+    k, c_eff = g.k, g.m / n
     total = count_proper_cycles(g)
     scale = (n * math.log(n)) ** (k / 2.0)
-    ratio_c = total / ((c_eff**k) * scale)
-    ratio_r = total / ((r**k) * scale)
     return RatioReport(
-        total_cycles=total,
-        c_eff=c_eff,
-        ratio_c=ratio_c,
-        ratio_r=ratio_r,
-        params={"k": k, "m": g.m, "r": r, "n": n},
+        total_cycles=total, c_eff=c_eff, ratio_c=total / ((c_eff**k) * scale),
+        ratio_r=total / ((r**k) * scale), params={"k": k, "m": g.m, "r": r, "n": n},
     )
 
 
@@ -345,12 +342,11 @@ def concentration_experiment(
     vertex count standing in for the union-bound range).
     """
     if statistic not in CONCENTRATION_STATISTICS:
-        raise ConfigError("statistic", f"unknown statistic {statistic!r}")
-    if trials < 0:
-        raise ConfigError("trials", "trials must be >= 0")
+        raise ParameterError("statistic", f"unknown statistic {statistic!r}")
+    _check_trials(trials)
     num_vertices = base.k * base.part_size
     if not 0 <= fixed_vertex < num_vertices:
-        raise ConfigError(
+        raise ParameterError(
             "fixed_vertex", f"vertex {fixed_vertex} not in graph with {num_vertices} vertices"
         )
     stats = expected_stats(base.k, base.part_size, base.edge_prob)

@@ -134,7 +134,6 @@ def _ac4_run():
             "property": "iii",
             "r": DESK_R,
             "n": DESK_N,
-            "c_eff": 40,
         },
     )
     return out

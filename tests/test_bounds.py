@@ -48,12 +48,15 @@ class TestChernoff:
         assert chernoff_lower(3.0, 1e6) >= 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as excinfo:
             chernoff_lower(0.0, 1.0)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "expectation"
+        with pytest.raises(ParameterError) as excinfo:
             chernoff_lower(1.0, -1.0)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "deviation"
+        with pytest.raises(ParameterError) as excinfo:
             chernoff_upper(-2.0, 1.0)
+        assert excinfo.value.field == "expectation"
 
 
 class TestPolyConcentration:
@@ -64,8 +67,9 @@ class TestPolyConcentration:
         assert poly_concentration_scale(3) == pytest.approx(512 * math.sqrt(6), abs=1e-9)
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as excinfo:
             poly_concentration_scale(0)
+        assert excinfo.value.field == "k"
 
 
 def canonical_stats(k, r, n):
@@ -109,9 +113,12 @@ class TestExpectedStats:
         )
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as excinfo:
             expected_stats(2, 10, 0.5)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "k"
+        with pytest.raises(ParameterError) as excinfo:
             expected_stats(3, 0, 0.5)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "m"
+        with pytest.raises(ParameterError) as excinfo:
             expected_stats(3, 10, 1.5)
+        assert excinfo.value.field == "p"

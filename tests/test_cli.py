@@ -9,15 +9,17 @@ import pytest
 
 from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_tight_path
 from ramsey_lab.cli import _MODE_FLAGS, MODES, build_parser, main, run
-from ramsey_lab.errors import ConfigError
+from ramsey_lab.errors import ParameterError
 from ramsey_lab.reporting import strip_timestamp
 from ramsey_lab.verifier import CONCENTRATION_STATISTICS
 from conftest import validate_document
 
 ROOT = Path(__file__).resolve().parent.parent
-# a small graph and a property-ii run for the verify cases
-_SMALL = ["--k", "3", "--m", "20", "--p", "0.3", "--seed", "1", "--r", "2", "--n", "3",
-          "--trials", "2"]
+# a small graph and a property-ii run for the verify cases; _SMALL_NO_P leaves p to a file
+_SMALL_NO_P = ["--k", "3", "--m", "20", "--seed", "1", "--r", "2", "--n", "3", "--trials", "2"]
+_SMALL = [*_SMALL_NO_P, "--p", "0.3"]
+# a complete host with 27 hyperedges
+_TINY = ["--k", "3", "--m", "3", "--p", "1", "--seed", "0"]
 PINNED = json.loads((ROOT / "tests" / "data" / "pinned_greedy_reports.json").read_text())
 DIGESTS = json.loads((ROOT / "tests" / "data" / "pinned_greedy_digests.json").read_text())
 
@@ -192,7 +194,7 @@ class TestGreedy:
         )
         assert code == 1 and stdout == ""
         assert err.startswith("error: coloring: ") and err.count("\n") == 1
-        assert f"r must be an integer, got {r_value!r}" in err
+        assert f"r: must be an integer, got {r_value!r}" in err
 
     def test_explicit_color_flag(self, capsys):
         code, stdout, _ = run_cli(
@@ -260,22 +262,12 @@ class TestVerify:
     def test_property_iii(self, capsys):
         code, stdout, _ = run_cli(
             ["verify", "--property", "iii", "--k", "3", "--m", "8", "--p", "1",
-             "--seed", "0", "--r", "2", "--n", "4", "--c-eff", "2"],
+             "--seed", "0", "--r", "2", "--n", "4"],
             capsys,
         )
         assert code == 0
         res = json.loads(stdout)["results"]
         assert res["ratio_c"] == pytest.approx((4 / math.log(4)) ** 1.5, rel=1e-12)
-
-    @pytest.mark.parametrize("c_eff", ["nan", "inf", "0", "-1"])
-    def test_bad_c_eff_exit_1(self, capsys, c_eff):
-        code, stdout, err = run_cli(
-            ["verify", "--property", "iii", "--k", "3", "--m", "8", "--p", "1",
-             "--seed", "0", "--r", "2", "--n", "4", f"--c-eff={c_eff}"],
-            capsys,
-        )
-        assert code == 1 and stdout == ""
-        assert err.startswith("error: c_eff: ") and err.count("\n") == 1
 
     def test_missing_property_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -503,16 +495,15 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv, text, field",
         [
-            (["verify", "--property", "i", "--k", "3", "--m", "20", "--p", "0.3", "--seed", "1",
-              "--r", "2", "--n", "3", "--trials", "2", "--c-eff", "inf"], None, "c_eff"),
-            (["verify", "--property", "ii", *_SMALL], '{"c_eff": NaN}', "c_eff"),
-            (["verify", "--property", "ii", *_SMALL], '{"c_eff": Infinity}', "c_eff"),
-            (["verify", "--property", "ii", *_SMALL], '{"c_eff": -Infinity}', "c_eff"),
+            (["verify", "--property", "i", *_SMALL_NO_P, "--p", "inf"], None, "p"),
+            (["verify", "--property", "ii", *_SMALL_NO_P], '{"p": NaN}', "p"),
+            (["verify", "--property", "ii", *_SMALL_NO_P], '{"p": Infinity}', "p"),
+            (["verify", "--property", "ii", *_SMALL_NO_P], '{"p": -Infinity}', "p"),
             (["generate", "--k", "3", "--m", "4", "--p", "nan", "--seed", "0"], None, "p"),
             (["generate", "--k", "3", "--m", "4", "--p", "1e400", "--seed", "0"], None, "p"),
             (["generate", "--k", "3", "--m", "4", "--seed", "0"], '{"p": 1' + "0" * 400 + "}", "p"),
         ],
-        ids=["c-eff-inf-flag", "c-eff-nan-file", "c-eff-infinity-file", "c-eff-minus-infinity-file",
+        ids=["p-inf-flag", "p-nan-file", "p-infinity-file", "p-minus-infinity-file",
              "p-nan-flag", "p-overflow-flag", "p-400-digits-file"],
     )
     def test_non_finite_number_exit_1(self, tmp_path, capsys, argv, text, field):
@@ -673,11 +664,51 @@ class TestConfigHandling:
         assert code == 1 and stdout == ""
         assert err == f"error: {key}: unknown config key\n"
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["greedy", *_TINY, "--r", "1", "--n", "4"], "r"),
+            (["greedy", *_TINY, "--r", "2", "--n", "0"], "n"),
+            (["generate", "--k", "3", "--m", "3", "--p", "1.5", "--seed", "0"], "p"),
+            (["generate", "--k", "2", "--m", "3", "--p", "1", "--seed", "0"], "k"),
+            (["generate", "--k", "3", "--m", "0", "--p", "1", "--seed", "0"], "m"),
+            (["greedy", "--canonical", "2", "2", "30", "--seed", "0"], "k"),
+            (["greedy", "--canonical", "3", "1", "30", "--seed", "0"], "r"),
+            (["greedy", "--canonical", "3", "2", "2", "--seed", "0"], "n"),
+            (["verify", "--property", "i", *_TINY, "--r", "1", "--n", "3", "--trials", "2"], "r"),
+            (["verify", "--property", "i", *_TINY, "--r", "2", "--n", "3", "--trials", "-1"],
+             "trials"),
+            (["verify", "--property", "iii", *_TINY, "--r", "2", "--n", "1"], "n"),
+            (["verify", "--property", "iii", *_TINY, "--r", "0", "--n", "3"], "r"),
+            (["verify", "--property", "ii", *_TINY, "--r", "300", "--n", "3"], "r"),
+            (["color", *_TINY, "--r", "300"], "r"),
+            (["oracle", "--check", "arrow", *_TINY, "--r", "1", "--n", "4"], "r"),
+            (["oracle", "--check", "tight-path", *_TINY, "--n", "2"], "n"),
+            (["concentration", "--statistic", "total_cycles", "--k", "2", "--m", "3",
+              "--p", "0.5", "--trials", "2", "--seed", "0"], "k"),
+            (["concentration", "--statistic", "total_cycles", "--k", "3", "--m", "3",
+              "--p", "2", "--trials", "2", "--seed", "0"], "p"),
+            (["concentration", "--statistic", "total_cycles", "--k", "3", "--m", "0",
+              "--p", "0.5", "--trials", "2", "--seed", "0"], "m"),
+        ],
+        ids=["greedy-r1", "greedy-n0", "generate-p1.5", "generate-k2", "generate-m0",
+             "canonical-k2", "canonical-r1", "canonical-n2", "verify-i-r1",
+             "verify-i-trials-1", "verify-iii-n1", "verify-iii-r0", "verify-ii-r300",
+             "color-r300", "arrow-r1", "tight-path-n2", "concentration-k2",
+             "concentration-p2", "concentration-m0"],
+    )
+    def test_bad_parameter_names_its_key(self, capsys, argv, key):
+        # a library refusal reaches stderr in the field form, under the flag's config key
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
     def test_removed_flag_exit_2(self, capsys):
         # an abbreviation is no flag either: flag names mirror config keys 1:1
         for argv in (
             ["greedy", "--randomize-choices", "21"],
             ["verify", "--no-adversarial"],
+            ["verify", "--property", "iii", *_SMALL, "--c-eff", "2"],
             ["color", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--r", "2",
              "--coloring", "5"],
             ["concentration", "--statistic", "cycles_through_vertex", "--k", "3", "--m", "4",
@@ -688,7 +719,7 @@ class TestConfigHandling:
             assert exc.value.code == 2
 
     def test_run_api_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             run("fly", {})
 
 

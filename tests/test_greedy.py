@@ -89,20 +89,21 @@ class TestColorings:
             Coloring(2, np.array([0, 2], dtype=np.uint8))
 
     @pytest.mark.parametrize(
-        "make",
+        "make, field",
         [
-            lambda h: adversarial_coloring(h, 300, "round_robin"),  # used to wrap to 256
-            lambda h: random_coloring(h, 300, 1),
-            lambda h: Coloring(1, np.zeros(len(h), dtype=np.uint8)),
-            lambda h: Coloring.from_json({"r": 3, "colors": [0, 1, 300]}),
-            lambda h: Coloring.from_json({"r": 3, "colors": [0, -1]}),
-            lambda h: Coloring.from_json({"r": 3, "colors": [0.5]}),
+            (lambda h: adversarial_coloring(h, 300, "round_robin"), "r"),  # used to wrap to 256
+            (lambda h: random_coloring(h, 300, 1), "r"),
+            (lambda h: Coloring(1, np.zeros(len(h), dtype=np.uint8)), "r"),
+            (lambda h: Coloring.from_json({"r": 3, "colors": [0, 1, 300]}), "colors"),
+            (lambda h: Coloring.from_json({"r": 3, "colors": [0, -1]}), "colors"),
+            (lambda h: Coloring.from_json({"r": 3, "colors": [0.5]}), "colors"),
         ],
         ids=["round-robin-r300", "random-r300", "r1", "color300", "negative", "fractional"],
     )
-    def test_one_color_rule(self, complete_h, make):
-        with pytest.raises(ParameterError):
+    def test_one_color_rule(self, complete_h, make, field):
+        with pytest.raises(ParameterError) as excinfo:
             make(complete_h)
+        assert excinfo.value.field == field
 
     def test_uint8_holds_256_colors(self, complete_h):
         assert random_coloring(complete_h, 256, 3).r == 256

@@ -20,14 +20,18 @@ from conftest import random_graph
 
 class TestParams:
     def test_rejects_bad_domains(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as excinfo:
             GraphParams(k=2, part_size=5, edge_prob=0.5, seed=0)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "k"
+        with pytest.raises(ParameterError) as excinfo:
             GraphParams(k=3, part_size=0, edge_prob=0.5, seed=0)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "m"
+        with pytest.raises(ParameterError) as excinfo:
             GraphParams(k=3, part_size=5, edge_prob=1.5, seed=0)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "p"
+        with pytest.raises(ParameterError) as excinfo:
             GraphParams(k=3, part_size=5, edge_prob=0.5, seed=2**64)
+        assert excinfo.value.field == "seed"
 
     def test_canonical_example_k3_r2_n100(self):
         params = canonical_params(3, 2, 100)
@@ -46,12 +50,15 @@ class TestParams:
             assert params.p**2 * n == pytest.approx(math.log(n), rel=1e-12)
 
     def test_canonical_rejects_bad_domains(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as excinfo:
             canonical_params(2, 2, 100)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "k"
+        with pytest.raises(ParameterError) as excinfo:
             canonical_params(3, 1, 100)
-        with pytest.raises(ParameterError):
+        assert excinfo.value.field == "r"
+        with pytest.raises(ParameterError) as excinfo:
             canonical_params(3, 2, 2)
+        assert excinfo.value.field == "n"
 
 
 class TestGeneration:

@@ -8,6 +8,7 @@ from ramsey_lab import (
     Coloring,
     FoundPath,
     LayeredGraph,
+    ParameterError,
     ResourceLimitError,
     Verdict,
     arrow_check,
@@ -65,6 +66,10 @@ class TestTightPathSearch:
         assert tight_path_exists(h, 3, col, 0).verdict is Verdict.FOUND
         # a 4-vertex path needs two chained edges of the same color
         assert tight_path_exists(h, 4, col, 0).verdict is Verdict.ABSENT
+        # a color outside 0..r-1 is refused, not searched as an empty class
+        with pytest.raises(ParameterError) as excinfo:
+            tight_path_exists(h, 3, col, 2)
+        assert excinfo.value.field == "color"
 
     def test_confirms_greedy_paths(self):
         # one-sided soundness: greedy path implies oracle FOUND for that color

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ramsey_lab import (
-    ConfigError,
     GraphParams,
+    ParameterError,
     check_property_i,
     check_property_ii,
     check_property_iii,
@@ -84,7 +84,7 @@ class TestPropertyI:
 
     def test_bad_config(self):
         g = complete_layered(3, 4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             check_property_i(g, r=1, n=2, trials=5, seed=0)
 
     def test_value_at_the_bound_is_a_violation(self):
@@ -97,12 +97,12 @@ class TestPropertyI:
 class TestPropertyII:
     def test_requires_enough_vertices(self):
         g = complete_layered(3, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             check_property_ii(g, r=2, n=4, trials=5, seed=0)  # needs (k-1)*4=8 > 6
 
     def test_rejects_n_zero(self):
         g = complete_layered(3, 4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             check_property_ii(g, r=2, n=0, trials=5, seed=0)
 
     def test_vacuous_skip_when_no_cycles(self):
@@ -149,7 +149,7 @@ class TestPropertyIII:
         # with m = c*n and p = 1: total = (cn)^k, so ratio_c = (n/ln n)^(k/2)
         c_eff, n = 2, 4
         g = complete_layered(3, c_eff * n)
-        rep = check_property_iii(g, r=2, n=n, c_eff=c_eff)
+        rep = check_property_iii(g, r=2, n=n)
         expected = (n / math.log(n)) ** 1.5
         assert rep.ratio_c == pytest.approx(expected, rel=1e-12)
 
@@ -227,5 +227,5 @@ class TestConcentration:
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_unknown_statistic(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             concentration_experiment(self.base(), "nope", 3, seed=0)
