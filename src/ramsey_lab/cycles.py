@@ -16,7 +16,9 @@ grow through the middle parts, and the last level expands only to vertices
 that close the cycle, so no path that fails to close is built.  Every
 block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float64 blocks from ``_float_blocks``, which
-first checks that the chain stays exact.
+first checks that the chain stays exact; the meeting count sums it over the
+set's own rows only, counting each cycle at the first part where it meets
+the set.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -163,26 +165,30 @@ def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
     return int(_closed_walks(_float_blocks(g), part, [local])[0])
 
 
-def count_cycles_meeting(g: LayeredGraph, cset, total: int | None = None) -> int:
+def count_cycles_meeting(g: LayeredGraph, cset) -> int:
     """Number of proper cycles intersecting the vertex set ``cset``.
 
-    ``total``, if given, must be ``count_proper_cycles(g)``; it saves a recount.
+    First-hit rule: a cycle is counted once, at the first part q (in order
+    0..k-1) that holds one of its vertices in ``cset``.  For each q in turn
+    the count adds the closed walks through cset's locals in part q, then
+    zeroes those rows of block q so that no later part counts the cycle
+    again.  Each chain runs on cset's rows only, so the cost grows with
+    |cset|*m**2 per chain step, not with m**3.
     """
     cset = list(cset)
     for v in cset:
         g._check_vertex(v)
-    verts = sorted({int(v) for v in cset})
-    if not verts:
+    if not cset:
         return 0
-    if total is None:
-        total = count_proper_cycles(g)
-    # cycles avoiding cset: the chain with cset's rows and columns zeroed
-    gone = np.isin(np.arange(g.num_vertices), verts).reshape(g.k, g.m)
+    part, local = np.divmod(np.unique(np.array(cset, dtype=np.int64)), g.m)
     fb = _float_blocks(g)
-    for i, b in enumerate(fb):
-        b[gone[i]] = 0.0
-        b[:, gone[(i + 1) % g.k]] = 0.0
-    return total - int(_closed_walks(fb, 0).sum())
+    count = 0
+    for q in range(g.k):
+        rows = local[part == q]
+        if rows.size:
+            count += int(_closed_walks(fb, q, rows).sum())
+            fb[q][rows] = 0.0
+    return count
 
 
 # ---------------------------------------------------------------------------

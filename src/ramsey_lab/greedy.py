@@ -31,7 +31,7 @@ from .cycles import (
     _extensions,
 )
 from .errors import ParameterError, ResourceLimitError
-from .layered_graph import LayeredGraph, _check_n, _check_r
+from .layered_graph import LayeredGraph, _check_n, _check_r, _check_seed
 from .seeds import make_rng
 from .verifier import RoundAudit, meeting_check, restricted_check
 
@@ -105,6 +105,7 @@ class Coloring:
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     """I.i.d. uniform colors from the Philox stream for ``seed``."""
     _check_r(r)
+    _check_seed(seed)
     colors = make_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
     return Coloring(r, colors)
 
@@ -168,6 +169,7 @@ def adversarial_coloring(
     round_robin: colors cycle 0..r-1 in canonical edge order.
     """
     _check_r(r)
+    _check_seed(seed)
     if strategy == "round_robin":
         return Coloring(r, (np.arange(len(h)) % r).astype(np.uint8))
     if strategy == "vertex_cut":

@@ -45,6 +45,8 @@ __all__ = [
 
 
 def _check_k(k: int) -> None:
+    if not _is_integer(k):
+        raise ParameterError("k", f"must be an integer, got {k!r}")
     if k < 3:
         raise ParameterError("k", f"must be >= 3, got {k}")
 
@@ -70,6 +72,12 @@ def _check_n(n: int, k: int) -> None:
         raise ParameterError("n", f"must be >= k = {k}, got {n}")
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds key a ``SeedSequence``, so a seed is an integer in [0, 2**64)."""
+    if not (_is_integer(seed) and 0 <= int(seed) < 2**64):
+        raise ParameterError("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class GraphParams:
     """Parameters of the random layered-graph model."""
@@ -83,8 +91,7 @@ class GraphParams:
         _check_k(self.k)
         _check_m(self.part_size)
         _check_p(self.edge_prob)
-        if not 0 <= int(self.seed) < 2**64:
-            raise ParameterError("seed", "must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ class LayeredGraph:
 
     def _check_vertex(self, v: int) -> None:
         """Refuse an id that is not a Python or numpy integer in [0, k*m)."""
-        if not _is_vertex_id(v):
+        if not _is_integer(v):
             raise UnknownVertexError("v", f"vertex id {v!r} is not an integer")
         if not 0 <= v < self.k * self.m:
             raise UnknownVertexError("v", f"vertex {v} not in graph with {self.k * self.m} vertices")
@@ -225,7 +232,7 @@ class LayeredGraph:
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
         for u, v in edges:
-            if not (_is_vertex_id(u) and _is_vertex_id(v)):
+            if not (_is_integer(u) and _is_integer(v)):
                 raise ParameterError("edges", f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError("edges", f"edge ({u}, {v}) out of vertex range [0, {n})")
@@ -272,8 +279,8 @@ class LayeredGraph:
         return f"LayeredGraph(k={self.k}, m={self.m}, edges={self.edge_count()})"
 
 
-def _is_vertex_id(v) -> bool:
-    """A vertex id is a Python or numpy integer; a bool is not one."""
+def _is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool is not one."""
     return not isinstance(v, bool) and isinstance(v, (int, np.integer))
 
 

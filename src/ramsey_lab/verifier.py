@@ -38,7 +38,7 @@ from .cycles import (
     trash_family,
 )
 from .errors import ParameterError
-from .layered_graph import GraphParams, LayeredGraph, _check_r, generate_random
+from .layered_graph import GraphParams, LayeredGraph, _check_r, _check_seed, generate_random
 from .seeds import derive_seed, spawn_rng
 
 __all__ = [
@@ -123,7 +123,7 @@ def restricted_check(g: LayeredGraph, aset, fam: TrashFamily, r: int) -> RoundAu
 
 def meeting_check(g: LayeredGraph, cset, r: int, total: int) -> tuple[int, float]:
     """Property (ii): cycles meeting ``cset`` against total/(2r); returns (count, bound)."""
-    return count_cycles_meeting(g, cset, total), total / (2 * r)
+    return count_cycles_meeting(g, cset), total / (2 * r)
 
 
 def sample_trash_family(
@@ -206,11 +206,12 @@ def _check_trials(trials: int) -> None:
         raise ParameterError("trials", f"must be >= 0, got {trials}")
 
 
-def _check_trial_args(r: int, n: int, trials: int) -> None:
+def _check_trial_args(r: int, n: int, trials: int, seed: int) -> None:
     _check_r(r)
     if n < 1:
         raise ParameterError("n", f"must be >= 1, got {n}")
     _check_trials(trials)
+    _check_seed(seed)
 
 
 def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
@@ -220,7 +221,7 @@ def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) ->
     disjoint vertex set of size min(n, rest), then a violation iff the
     restricted extension count reaches family_extensions/(2kr).
     """
-    _check_trial_args(r, n, trials)
+    _check_trial_args(r, n, trials, seed)
     k = g.k
 
     def one(trial: int):
@@ -257,7 +258,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
     most cycles; remaining trials sample uniformly.  Trials on a cycle-free
     graph are vacuous skips.
     """
-    _check_trial_args(r, n, trials)
+    _check_trial_args(r, n, trials, seed)
     k = g.k
     c_size = (k - 1) * n
     if g.num_vertices < c_size:
@@ -344,6 +345,7 @@ def concentration_experiment(
     if statistic not in CONCENTRATION_STATISTICS:
         raise ParameterError("statistic", f"unknown statistic {statistic!r}")
     _check_trials(trials)
+    _check_seed(seed)
     num_vertices = base.k * base.part_size
     if not 0 <= fixed_vertex < num_vertices:
         raise ParameterError(

@@ -358,16 +358,57 @@ class TestMeetingCounts:
         g = random_graph(k, m, p, 61)
         sets = brute_sets(g)
         assert sets
-        total = count_proper_cycles(g)
         for cset in ([0], [0, 7, 13], list(range(6)), [2, 3]):
             expected = sum(1 for s in sets if s & set(cset))
             assert count_cycles_meeting(g, cset) == expected
-            assert count_cycles_meeting(g, cset, total) == expected
 
     def test_bounded_by_total(self):
         g = random_graph(4, 5, 0.5, 67)
         total = count_proper_cycles(g)
         assert count_cycles_meeting(g, [0, 6, 11]) <= total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        m=st.integers(1, 6),
+        p=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_matches_brute_force_sets(self, k, m, p, seed, data):
+        g = random_graph(k, m, p, seed)
+        sets = brute_sets(g)
+        nv, mid = k * m, k // 2
+        csets = {
+            "repeats": data.draw(st.lists(st.integers(0, nv - 1), max_size=2 * nv)),
+            "last-part": data.draw(st.lists(st.integers((k - 1) * m, nv - 1), max_size=m)),
+            "middle-part": data.draw(st.lists(st.integers(mid * m, (mid + 1) * m - 1), max_size=m)),
+            "all": list(range(nv)),
+            "empty": [],
+        }
+        for name, cset in csets.items():
+            expected = sum(1 for s in sets if s & set(cset))
+            assert count_cycles_meeting(g, cset) == expected, name
+
+    def test_chains_run_on_the_sets_rows_only(self, monkeypatch):
+        # first-hit count: every chain starts from explicit rows of the set, and
+        # the rows add up to at most |cset|, so no full m-row chain product runs
+        g = random_graph(3, 60, 0.5, 71)
+        cset = [5, 70, 71, 170]
+        expected = count_cycles_meeting(g, cset)
+        calls = []
+        kernel = cycles._closed_walks
+
+        def spy(fb, part, *args, **kwargs):
+            rows = args[0] if args else kwargs.get("rows")
+            calls.append(rows)
+            return kernel(fb, part, *args, **kwargs)
+
+        monkeypatch.setattr(cycles, "_closed_walks", spy)
+        assert count_cycles_meeting(g, cset) == expected
+        assert calls
+        assert all(rows is not None and not isinstance(rows, slice) for rows in calls)
+        assert sum(len(rows) for rows in calls) <= len(cset)
 
 
 class TestMonotonicity:

@@ -11,9 +11,16 @@ from ramsey_lab import (
     LayeredGraph,
     ParameterError,
     ResourceLimitError,
+    adversarial_coloring,
+    build_hypergraph,
     canonical_params,
+    check_property_i,
+    check_property_ii,
     complete_layered,
+    concentration_experiment,
+    expected_stats,
     generate_random,
+    random_coloring,
 )
 from conftest import random_graph
 
@@ -32,6 +39,25 @@ class TestParams:
         with pytest.raises(ParameterError) as excinfo:
             GraphParams(k=3, part_size=5, edge_prob=0.5, seed=2**64)
         assert excinfo.value.field == "seed"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_random(GraphParams(3.5, 2, 0.5, 0)),
+            lambda: expected_stats(3.5, 10, 0.5),
+            lambda: GraphParams(3.0, 2, 0.5, 0),
+            lambda: complete_layered(True, 2),
+        ],
+        ids=["generate-3.5", "expected-stats-3.5", "float-3.0", "bool"],
+    )
+    def test_refuses_non_integral_k(self, make):
+        with pytest.raises(ParameterError) as excinfo:
+            make()
+        assert excinfo.value.field == "k"
+
+    def test_integer_k_of_any_integer_type_passes(self):
+        assert GraphParams(np.int64(3), 2, 0.5, 0).k == 3
+        assert expected_stats(np.int32(4), 10, 0.5).total_cycles == pytest.approx(625.0)
 
     def test_canonical_example_k3_r2_n100(self):
         params = canonical_params(3, 2, 100)
@@ -59,6 +85,47 @@ class TestParams:
         with pytest.raises(ParameterError) as excinfo:
             canonical_params(3, 2, 2)
         assert excinfo.value.field == "n"
+
+
+class TestSeedRule:
+    """Every seeded entry point refuses a seed outside [0, 2**64) as ``seed``,
+    before any trial or allocation, also when no trial would run."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda h, seed: check_property_i(complete_layered(3, 2), 2, 3, 2, seed),
+            lambda h, seed: check_property_i(complete_layered(3, 2), 2, 3, 0, seed),
+            lambda h, seed: check_property_ii(complete_layered(3, 2), 2, 3, 2, seed),
+            lambda h, seed: check_property_ii(complete_layered(3, 2), 2, 3, 0, seed),
+            lambda h, seed: concentration_experiment(
+                GraphParams(3, 2, 0.5, 0), "total_cycles", 2, seed
+            ),
+            lambda h, seed: concentration_experiment(
+                GraphParams(3, 2, 0.5, 0), "total_cycles", 0, seed
+            ),
+            lambda h, seed: random_coloring(h, 2, seed),
+            lambda h, seed: adversarial_coloring(h, 2, "vertex_cut", seed),
+            lambda h, seed: adversarial_coloring(h, 2, "round_robin", seed),
+            lambda h, seed: GraphParams(3, 2, 0.5, seed),
+        ],
+        ids=[
+            "property-i", "property-i-no-trials", "property-ii", "property-ii-no-trials",
+            "concentration", "concentration-no-trials", "random-coloring", "vertex-cut",
+            "round-robin", "graph-params",
+        ],
+    )
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_one_seed_rule(self, make, seed):
+        h = build_hypergraph(complete_layered(3, 2))
+        with pytest.raises(ParameterError) as excinfo:
+            make(h, seed)
+        assert excinfo.value.field == "seed"
+
+    def test_largest_seed_passes(self):
+        h = build_hypergraph(complete_layered(3, 2))
+        assert len(random_coloring(h, 2, 2**64 - 1).colors) == 8
+        assert GraphParams(3, 2, 0.5, np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestGeneration:
