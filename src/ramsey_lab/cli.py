@@ -283,22 +283,25 @@ def _mode_generate(config: dict) -> tuple[int, dict]:
 
 def _mode_enumerate(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
-    cap = config.get("cycle_cap", DEFAULT_CYCLE_CAP)
-    total = count_proper_cycles(g)
+    export = config.get("export_hypergraph")
+    if export:
+        h = _hypergraph(config, g)
+        total = len(h)
+        with open(export, "w") as fh:
+            json.dump(h.to_json(), fh, separators=(",", ":"))
+            fh.write("\n")
+    else:
+        cap = config.get("cycle_cap", DEFAULT_CYCLE_CAP)
+        total = count_proper_cycles(g)
+        if total > cap:
+            raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     results = {
         "total_cycles": total,
         "vertex_count": g.num_vertices,
         "edge_count": g.edge_count(),
     }
-    export = config.get("export_hypergraph")
     if export:
-        h = build_hypergraph(g, cap)
-        with open(export, "w") as fh:
-            json.dump(h.to_json(), fh, separators=(",", ":"))
-            fh.write("\n")
         results["exported"] = export
-    elif total > cap:
-        raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     return 0, results
 
 

@@ -223,15 +223,14 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
     the total exceeds ``cap``, so runaway parameters fail fast.  The keys are
     written into one array of exactly ``total`` entries.  For each start
     vertex ``a`` of part 0, paths grow through the middle parts 1..k-2 along
-    sorted neighbor lists, and the last level expands only to the part-(k-1)
-    vertices that close back to ``a``, so no path that fails to close is
-    ever built.
+    the rows of the dense blocks, and the last level expands only to the
+    part-(k-1) vertices that close back to ``a``, so no path that fails to
+    close is ever built.
     """
     total = count_proper_cycles(g)
     if total > cap:
         raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     k, m = g.k, g.m
-    csrs = [g.csr(part) for part in range(k - 2)]
     last, close = g.blocks[k - 2], g.blocks[k - 1]
     out = np.empty(total, dtype=np.uint64)
     at = 0
@@ -242,16 +241,11 @@ def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
         # part-local columns of the paths through the middle parts 1..k-2
         cols: list[np.ndarray] = []
         ends = np.array([a], dtype=np.int64)
-        for ptr, idx in csrs:
-            starts = ptr[ends]
-            cnt = ptr[ends + 1] - starts
-            n_new = int(cnt.sum())
-            if n_new == 0:
+        for part in range(k - 2):
+            # row-major order over (path, next vertex) is ascending key order
+            rep, ends = np.nonzero(g.blocks[part][ends])
+            if ends.size == 0:
                 break
-            rep = np.repeat(np.arange(ends.size), cnt)
-            excl = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-            pos = np.arange(n_new, dtype=np.int64) + np.repeat(starts - excl, cnt)
-            ends = idx[pos].astype(np.int64)
             cols = [c[rep] for c in cols]
             cols.append(ends)
         else:  # every middle level had paths

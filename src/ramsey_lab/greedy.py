@@ -31,7 +31,7 @@ from .cycles import (
     _extensions,
 )
 from .errors import ParameterError, ResourceLimitError
-from .layered_graph import LayeredGraph, _check_n, _check_r, _check_seed
+from .layered_graph import LayeredGraph, _check_integer, _check_n, _check_r, _check_seed
 from .seeds import make_rng
 from .verifier import RoundAudit, meeting_check, restricted_check
 
@@ -82,6 +82,7 @@ class Coloring:
 
     def check_color(self, color: int) -> None:
         """Refuse a working color that is not one of this coloring's r colors."""
+        _check_integer("color", color)
         if not 0 <= color < self.r:
             raise ParameterError("color", f"must be in 0..{self.r - 1}, got {color}")
 

@@ -7,9 +7,9 @@ local offsets are O(1) arithmetic.
 
 Adjacency is stored as one dense boolean block per consecutive part pair:
 ``blocks[i][a, b]`` is True iff local vertex ``a`` of part ``i`` is joined
-to local vertex ``b`` of part ``(i+1) % k``.  Rows/columns double as the
-bit masks the cycle enumeration intersects; sorted neighbor lists (CSR)
-are derived lazily.
+to local vertex ``b`` of part ``(i+1) % k``.  The blocks are the only
+adjacency form: counting, enumeration and path extension all read their
+rows and columns directly.
 
 Random generation draws one uniform per candidate pair from a Philox
 stream keyed by the seed, consuming draws in (part, row, column) ascending
@@ -44,14 +44,20 @@ __all__ = [
 # -- parameter domains: each rule is stated once, and raised under the config key
 
 
+def _check_integer(key: str, v) -> None:
+    """Refuse, under ``key``, a value that is not a Python or numpy integer."""
+    if not _is_integer(v):
+        raise ParameterError(key, f"must be an integer, got {v!r}")
+
+
 def _check_k(k: int) -> None:
-    if not _is_integer(k):
-        raise ParameterError("k", f"must be an integer, got {k!r}")
+    _check_integer("k", k)
     if k < 3:
         raise ParameterError("k", f"must be >= 3, got {k}")
 
 
 def _check_m(m: int) -> None:
+    _check_integer("m", m)
     if m < 1:
         raise ParameterError("m", f"must be >= 1, got {m}")
 
@@ -63,11 +69,13 @@ def _check_p(p: float) -> None:
 
 def _check_r(r: int) -> None:
     """Colors are stored as uint8, so a coloring has 2..256 colors."""
+    _check_integer("r", r)
     if not 2 <= r <= 256:
         raise ParameterError("r", f"must lie in 2..256, got {r}")
 
 
 def _check_n(n: int, k: int) -> None:
+    _check_integer("n", n)
     if n < k:
         raise ParameterError("n", f"must be >= k = {k}, got {n}")
 
@@ -146,7 +154,6 @@ class LayeredGraph:
         self.blocks = [np.ascontiguousarray(b) for b in blocks]
         for b in self.blocks:
             b.setflags(write=False)
-        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -176,32 +183,12 @@ class LayeredGraph:
             return bool(self.blocks[pv][v % self.m, u % self.m])
         return False
 
-    def forward_mask(self, v: int) -> np.ndarray:
-        """Boolean mask over the next part's locals adjacent to v."""
-        p = self.part_of(v)
-        return self.blocks[p][v % self.m]
-
     def _check_vertex(self, v: int) -> None:
         """Refuse an id that is not a Python or numpy integer in [0, k*m)."""
         if not _is_integer(v):
             raise UnknownVertexError("v", f"vertex id {v!r} is not an integer")
         if not 0 <= v < self.k * self.m:
             raise UnknownVertexError("v", f"vertex {v} not in graph with {self.k * self.m} vertices")
-
-    # -- derived neighbor lists ---------------------------------------------
-
-    def csr(self, part: int) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the sorted forward neighbor lists of one part:
-        the rows of ``blocks[part]`` (part -> part+1)."""
-        cached = self._csr.get(part)
-        if cached is not None:
-            return cached
-        mat = self.blocks[part]
-        counts = mat.sum(axis=1)
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        indices = np.nonzero(mat)[1].astype(np.int32)
-        self._csr[part] = (indptr, indices)
-        return indptr, indices
 
     # -- serialization -------------------------------------------------------
 

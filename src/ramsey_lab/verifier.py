@@ -38,7 +38,14 @@ from .cycles import (
     trash_family,
 )
 from .errors import ParameterError
-from .layered_graph import GraphParams, LayeredGraph, _check_r, _check_seed, generate_random
+from .layered_graph import (
+    GraphParams,
+    LayeredGraph,
+    _check_integer,
+    _check_r,
+    _check_seed,
+    generate_random,
+)
 from .seeds import derive_seed, spawn_rng
 
 __all__ = [
@@ -150,8 +157,9 @@ def sample_trash_family(
         seq = [start]
         ok = True
         for _ in range(g.k - 2):
-            part = (g.part_of(seq[-1]) + 1) % g.k
-            mask = g.forward_mask(seq[-1]) & ~used[part * g.m : (part + 1) * g.m]
+            prev = g.part_of(seq[-1])
+            part = (prev + 1) % g.k
+            mask = g.blocks[prev][seq[-1] % g.m] & ~used[part * g.m : (part + 1) * g.m]
             cand = np.nonzero(mask)[0]
             if cand.size == 0:
                 ok = False
@@ -202,12 +210,14 @@ def _finish(prop: str, statistic: str, outcomes: list, params: dict) -> Property
 
 
 def _check_trials(trials: int) -> None:
+    _check_integer("trials", trials)
     if trials < 0:
         raise ParameterError("trials", f"must be >= 0, got {trials}")
 
 
 def _check_trial_args(r: int, n: int, trials: int, seed: int) -> None:
     _check_r(r)
+    _check_integer("n", n)
     if n < 1:
         raise ParameterError("n", f"must be >= 1, got {n}")
     _check_trials(trials)
@@ -263,17 +273,14 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
     c_size = (k - 1) * n
     if g.num_vertices < c_size:
         raise ParameterError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
-    total = count_proper_cycles(g)
-    heavy: np.ndarray | None = None
-    if trials > 0 and total > 0:
-        per_vertex = cycles_per_vertex(g)
-        heavy = np.argsort(-per_vertex, kind="stable")[:c_size]
+    per_vertex = cycles_per_vertex(g)
+    total = int(per_vertex[: g.m].sum())  # every cycle has one vertex in part 0
 
     def one(trial: int):
         if total == 0:
             return None
         if trial == 0:
-            cset = heavy
+            cset = np.argsort(-per_vertex, kind="stable")[:c_size]
         else:
             rng = spawn_rng(seed, trial)
             cset = rng.choice(g.num_vertices, size=c_size, replace=False)
@@ -288,7 +295,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
         "seed": seed,
         "trials": trials,
         "set_size": c_size,
-        "adversarial_first": heavy is not None,
+        "adversarial_first": trials > 0 and total > 0,
     }
     return _finish("ii", "meeting_count", outcomes, params)
 
@@ -296,6 +303,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
 def check_property_iii(g: LayeredGraph, r: int, n: int) -> RatioReport:
     """Total cycle count relative to c^k (n ln n)^(k/2), at c = m/n, and r^k (n ln n)^(k/2)."""
     _check_r(r)
+    _check_integer("n", n)
     if n < 2:
         raise ParameterError("n", f"must be >= 2 for the ln n scaling, got {n}")
     k, c_eff = g.k, g.m / n
@@ -346,6 +354,7 @@ def concentration_experiment(
         raise ParameterError("statistic", f"unknown statistic {statistic!r}")
     _check_trials(trials)
     _check_seed(seed)
+    _check_integer("fixed_vertex", fixed_vertex)
     num_vertices = base.k * base.part_size
     if not 0 <= fixed_vertex < num_vertices:
         raise ParameterError(

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestEnumeration:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        k=st.integers(3, 5),
+        k=st.integers(3, 6),
         m=st.integers(1, 7),
         p=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
         seed=st.integers(0, 2**32),
@@ -92,15 +93,32 @@ class TestEnumeration:
             cycle_keys(g)
 
     def test_peak_memory_is_the_key_array(self):
-        g = random_graph(3, 200, 0.5, 1)
-        tracemalloc.start()
-        try:
-            keys = cycle_keys(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert keys.size == 1_001_036
-        assert peak < 1.5 * keys.nbytes
+        for k, m, size in [(3, 200, 1_001_036), (4, 60, 836_893)]:
+            g = random_graph(k, m, 0.5, 1)
+            tracemalloc.start()
+            try:
+                keys = cycle_keys(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert keys.size == size
+            assert peak < 1.5 * keys.nbytes, (k, m)
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            cycle_keys,
+            count_proper_cycles,
+            cycles_per_vertex,
+            lambda g: count_cycles_meeting(g, [0, g.m + 1, 2 * g.m + 2]),
+        ],
+        ids=["cycle_keys", "count_proper_cycles", "cycles_per_vertex", "count_cycles_meeting"],
+    )
+    def test_counting_leaves_the_graph_unchanged(self, count):
+        g = random_graph(4, 6, 0.6, 3)
+        before = pickle.dumps(g)
+        count(g)
+        assert pickle.dumps(g) == before
 
     def test_cap_enforced(self, tiny_complete):
         with pytest.raises(ResourceLimitError):

@@ -7,20 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_lab import (
+    Coloring,
     GraphParams,
     LayeredGraph,
     ParameterError,
     ResourceLimitError,
     adversarial_coloring,
+    arrow_check,
     build_hypergraph,
     canonical_params,
     check_property_i,
     check_property_ii,
+    check_property_iii,
     complete_layered,
     concentration_experiment,
     expected_stats,
     generate_random,
     random_coloring,
+    run_outer,
+    tight_path_exists,
 )
 from conftest import random_graph
 
@@ -85,6 +90,71 @@ class TestParams:
         with pytest.raises(ParameterError) as excinfo:
             canonical_params(3, 2, 2)
         assert excinfo.value.field == "n"
+
+
+class TestIntegerRule:
+    """Every integer parameter refuses a non-integer value under its config key,
+    as ``k`` does, before comparing it with its bounds."""
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda h: GraphParams(3, 2.5, 0.5, 0), "m"),
+            (lambda h: complete_layered(3, 2.5), "m"),
+            (lambda h: random_coloring(h, 2.5, 0), "r"),
+            (lambda h: Coloring(2.5, np.zeros(len(h), dtype=np.uint8)), "r"),
+            (lambda h: canonical_params(3, 2.5, 30), "r"),
+            (lambda h: canonical_params(3, 2, 30.5), "n"),
+            (lambda h: run_outer(h, h.graph, random_coloring(h, 2, 0), 4.5), "n"),
+            (lambda h: tight_path_exists(h, 4.5), "n"),
+            (lambda h: tight_path_exists(h, 4, random_coloring(h, 2, 0), 0.5), "color"),
+            (lambda h: run_outer(h, h.graph, random_coloring(h, 2, 0), 4, color=0.5), "color"),
+            (lambda h: arrow_check(h, 3, 2.5), "r"),
+            (lambda h: check_property_i(h.graph, 2, 2.5, 2, 0), "n"),
+            (lambda h: check_property_ii(h.graph, 2, 2.5, 2, 0), "n"),
+            (lambda h: check_property_i(h.graph, 2, 2, 2.5, 0), "trials"),
+            (lambda h: check_property_iii(h.graph, 2, 2.5), "n"),
+            (
+                lambda h: concentration_experiment(
+                    GraphParams(3, 2, 0.5, 0), "total_cycles", 1.5, 0
+                ),
+                "trials",
+            ),
+            (
+                lambda h: concentration_experiment(
+                    GraphParams(3, 2, 0.5, 0), "total_cycles", 1, 0, fixed_vertex=1.5
+                ),
+                "fixed_vertex",
+            ),
+        ],
+        ids=[
+            "graph-params-m", "complete-m", "random-coloring-r", "coloring-r", "canonical-r",
+            "canonical-n", "run-outer-n", "tight-path-n", "tight-path-color", "run-outer-color",
+            "arrow-r", "property-i-n",
+            "property-ii-n", "property-i-trials", "property-iii-n", "concentration-trials",
+            "concentration-fixed-vertex",
+        ],
+    )
+    def test_one_integer_rule(self, make, field):
+        h = build_hypergraph(complete_layered(3, 2))
+        with pytest.raises(ParameterError) as excinfo:
+            make(h)
+        assert excinfo.value.field == field
+        assert "must be an integer" in str(excinfo.value)
+
+    def test_numpy_integers_pass(self):
+        h = build_hypergraph(complete_layered(3, 2))
+        assert GraphParams(3, np.int64(2), 0.5, 0).part_size == 2
+        assert random_coloring(h, np.uint16(3), 0).r == 3
+        assert canonical_params(3, np.int32(2), np.int64(30)).part_size == 8640
+        assert tight_path_exists(h, np.int64(4)).verdict.value == "found"
+        report = check_property_i(h.graph, 2, np.int64(2), np.int32(1), 0)
+        assert report.trials == 1
+        assert check_property_iii(h.graph, 2, np.int64(3)).total_cycles == 8
+        conc = concentration_experiment(
+            GraphParams(3, 2, 0.5, 0), "total_cycles", np.int64(1), 0, fixed_vertex=np.int64(1)
+        )
+        assert conc.trials == 1
 
 
 class TestSeedRule:
