@@ -11,7 +11,6 @@ from .bounds import (
     poly_concentration_scale,
 )
 from .cycles import (
-    DEFAULT_CYCLE_CAP,
     TightHypergraph,
     TrashFamily,
     build_hypergraph,

@@ -19,12 +19,7 @@ import sys
 import numpy as np
 
 from . import cycles as _cycles
-from .cycles import (
-    DEFAULT_CYCLE_CAP,
-    TightHypergraph,
-    build_hypergraph,
-    count_proper_cycles,
-)
+from .cycles import TightHypergraph, build_hypergraph, count_proper_cycles
 from .errors import InvariantViolationError, ParameterError, ResourceLimitError
 from .greedy import (
     Coloring,
@@ -69,7 +64,6 @@ _FLAGS = {
         "--m/--p still override",
     ),
     "out": (_STRING, (), "graph (generate) or coloring (color) output path"),
-    "cycle_cap": (_INT, (), "most proper cycles to enumerate"),
     "export_hypergraph": (_STRING, (), "hypergraph JSON output path"),
     "r": (_INT, (), "number of colors"),
     "n": (_INT, (), "tight-path length in vertices"),
@@ -90,14 +84,12 @@ _GRAPH_SOURCE = ("graph", "k", "m", "p", "seed", "canonical")
 # the config keys of each mode, beside report (and --config, the file itself)
 _MODE_FLAGS = {
     "generate": (*_GRAPH_SOURCE, "out"),
-    "enumerate": (*_GRAPH_SOURCE, "cycle_cap", "export_hypergraph"),
-    "color": (*_GRAPH_SOURCE, "cycle_cap", "r", "strategy", "coloring_seed", "out"),
-    "greedy": (*_GRAPH_SOURCE, "cycle_cap", "r", "n", "coloring", "coloring_seed", "color"),
-    "verify": (
-        *_GRAPH_SOURCE, "cycle_cap", "property", "r", "n", "trials", "trial_seed", "emit_trials",
-    ),
+    "enumerate": (*_GRAPH_SOURCE, "export_hypergraph"),
+    "color": (*_GRAPH_SOURCE, "r", "strategy", "coloring_seed", "out"),
+    "greedy": (*_GRAPH_SOURCE, "r", "n", "coloring", "coloring_seed", "color"),
+    "verify": (*_GRAPH_SOURCE, "property", "r", "n", "trials", "trial_seed", "emit_trials"),
     "concentration": ("statistic", "k", "m", "p", "trials", "seed", "fixed_vertex", "emit_trials"),
-    "oracle": (*_GRAPH_SOURCE, "cycle_cap", "check", "n", "r", "coloring", "color"),
+    "oracle": (*_GRAPH_SOURCE, "check", "n", "r", "coloring", "color"),
 }
 MODES = tuple(_MODE_FLAGS)
 
@@ -166,10 +158,7 @@ def resolve_config(mode: str, args: argparse.Namespace) -> dict:
     unknown = sorted(config.keys() - flags.keys())
     if unknown:
         raise ParameterError(unknown[0], "unknown config key")
-    config = {key: value for key, value in config.items() if value is not None}
-    if config.get("cycle_cap", 1) <= 0:
-        raise ParameterError("cycle_cap", "must be positive")
-    return config
+    return {key: value for key, value in config.items() if value is not None}
 
 
 def _required(config: dict, field: str):
@@ -233,10 +222,6 @@ def _resolve_graph(config: dict) -> LayeredGraph:
     )
 
 
-def _hypergraph(config: dict, g: LayeredGraph) -> TightHypergraph:
-    return build_hypergraph(g, config.get("cycle_cap", DEFAULT_CYCLE_CAP))
-
-
 def _resolve_coloring(config: dict, h: TightHypergraph, default_seed: int) -> Coloring:
     """Read or draw the run's coloring of h, recording its resolved source in config."""
     choice = config.get("coloring", "random")
@@ -285,16 +270,13 @@ def _mode_enumerate(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
     export = config.get("export_hypergraph")
     if export:
-        h = _hypergraph(config, g)
+        h = build_hypergraph(g)
         total = len(h)
         with open(export, "w") as fh:
             json.dump(h.to_json(), fh, separators=(",", ":"))
             fh.write("\n")
     else:
-        cap = config.get("cycle_cap", DEFAULT_CYCLE_CAP)
         total = count_proper_cycles(g)
-        if total > cap:
-            raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
     results = {
         "total_cycles": total,
         "vertex_count": g.num_vertices,
@@ -307,7 +289,7 @@ def _mode_enumerate(config: dict) -> tuple[int, dict]:
 
 def _mode_color(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
-    h = _hypergraph(config, g)
+    h = build_hypergraph(g)
     config["coloring"] = config.get("strategy", "random")
     col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     out = config.get("out")
@@ -325,7 +307,7 @@ def _mode_color(config: dict) -> tuple[int, dict]:
 def _mode_greedy(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
     n = _required(config, "n")
-    h = _hypergraph(config, g)
+    h = build_hypergraph(g)
     col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     if len(h) == 0:
         raise ParameterError("graph", "has no proper cycles; nothing to color or traverse")
@@ -391,7 +373,7 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
             "count": int(keys.size),
             "agrees_with_enumeration": bool(np.array_equal(keys, fast)),
         }
-    h = _hypergraph(config, g)
+    h = build_hypergraph(g)
     n = _required(config, "n")
     if check == "tight-path":
         col = _resolve_coloring(config, h, default_seed=0) if config.get("coloring") else None

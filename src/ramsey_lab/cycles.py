@@ -11,10 +11,11 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it.  Enumeration emits
-keys in ascending order, into one array of exactly the counted total: paths
-grow through the middle parts, and the last level expands only to vertices
-that close the cycle, so no path that fails to close is built.  Every
-block-chain count (total, per vertex, meeting a vertex set) sums
+keys in ascending order, into one array of exactly the counted total, which
+is refused before allocation when it would not fit in physical memory:
+paths grow through the middle parts, and the last level expands only to
+vertices that close the cycle, so no path that fails to close is built.
+Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float64 blocks from ``_float_blocks``, which
 first checks that the chain stays exact; the meeting count sums it over the
 set's own rows only, counting each cycle at the first part where it meets
@@ -38,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, ResourceLimitError, UnknownVertexError
-from .layered_graph import LayeredGraph
+from .layered_graph import LayeredGraph, _check_fits_in_memory
 
 __all__ = [
-    "DEFAULT_CYCLE_CAP",
     "TrashFamily",
     "trash_family",
     "count_proper_cycles",
@@ -59,8 +59,6 @@ __all__ = [
     "validate_tight_path",
     "validate_tight_path_verbose",
 ]
-
-DEFAULT_CYCLE_CAP = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +214,20 @@ def encode_keys(cols, m: int):
     return sum(np.asarray(c, dtype=np.uint64) * r for c, r in zip(cols, radix))
 
 
-def cycle_keys(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> np.ndarray:
+def cycle_keys(g: LayeredGraph) -> np.ndarray:
     """All proper cycles as ascending canonical keys (uint64).
 
     Counts first via matrix products and raises ``ResourceLimitError`` when
-    the total exceeds ``cap``, so runaway parameters fail fast.  The keys are
-    written into one array of exactly ``total`` entries.  For each start
-    vertex ``a`` of part 0, paths grow through the middle parts 1..k-2 along
-    the rows of the dense blocks, and the last level expands only to the
+    the key array of ``8 * total`` bytes would exceed physical memory, so
+    runaway parameters fail before it is allocated.  The keys are written
+    into one array of exactly ``total`` entries.  For each start vertex
+    ``a`` of part 0, paths grow through the middle parts 1..k-2 along the
+    rows of the dense blocks, and the last level expands only to the
     part-(k-1) vertices that close back to ``a``, so no path that fails to
     close is ever built.
     """
     total = count_proper_cycles(g)
-    if total > cap:
-        raise ResourceLimitError("proper cycle count exceeds cap", total, cap)
+    _check_fits_in_memory("cycle keys", 8 * total)
     k, m = g.k, g.m
     last, close = g.blocks[k - 2], g.blocks[k - 1]
     out = np.empty(total, dtype=np.uint64)
@@ -419,9 +417,9 @@ class TightHypergraph:
         return {"vertices": self.num_vertices, "edges": self.vertex_rows().tolist()}
 
 
-def build_hypergraph(g: LayeredGraph, cap: int = DEFAULT_CYCLE_CAP) -> TightHypergraph:
+def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     """Enumerate all proper cycles of g into a TightHypergraph."""
-    return TightHypergraph(g, cycle_keys(g, cap))
+    return TightHypergraph(g, cycle_keys(g))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +434,11 @@ def validate_tight_path_verbose(
 
     Reasons: too-short, unknown-vertex, repeated-vertex, window-not-one-per-part,
     window-not-hyperedge, window-wrong-color, deleted-window (a window whose
-    hyperedge is set in the ``deleted`` mask over hyperedge ids).
+    hyperedge is set in the ``deleted`` mask over hyperedge ids).  A given
+    coloring's working ``color`` must be one of its colors.
     """
+    if coloring is not None:
+        coloring.check_color(color)
     g = h.graph
     seq = list(seq)
     if len(seq) < g.k:
@@ -458,7 +459,7 @@ def validate_tight_path_verbose(
         eid = h.edge_id(window)
         if eid < 0:
             return False, "window-not-hyperedge"
-        if coloring is not None and int(coloring.colors[eid]) != int(color):
+        if coloring is not None and int(coloring.colors[eid]) != color:
             return False, "window-wrong-color"
         if deleted is not None and deleted[eid]:
             return False, "deleted-window"

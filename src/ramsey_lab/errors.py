@@ -14,7 +14,7 @@ class UnknownVertexError(ParameterError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured enumeration/search cap, or physical memory, would be exceeded."""
+    """Physical memory, an exact numeric range, or a search cap would be exceeded."""
 
     def __init__(self, message: str, required: int | float, cap: int | float):
         super().__init__(f"{message} (required {required}, cap {cap})")

@@ -435,6 +435,8 @@ def audit_certificate(
     col: Coloring,
 ) -> CertificateAudit:
     """Recompute every certificate quantity from scratch on the graph."""
+    if g is not h.graph:
+        raise ParameterError("g", "hypergraph was built over a different graph")
     color = outcome.color
     total = count_proper_cycles(g)
     if total != len(h):

@@ -63,6 +63,8 @@ def _check_m(m: int) -> None:
 
 
 def _check_p(p: float) -> None:
+    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+        raise ParameterError("p", f"must be a number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p", f"must lie in [0, 1], got {p}")
 
@@ -215,7 +217,7 @@ class LayeredGraph:
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":
         _check_k(k)
         _check_m(m)
-        _check_fits_in_memory(k * m * m)
+        _check_fits_in_memory("graph arrays", k * m * m)
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
         for u, v in edges:
@@ -271,11 +273,11 @@ def _is_integer(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, np.integer))
 
 
-def _check_fits_in_memory(required: int) -> None:
-    """Raise ResourceLimitError when ``required`` bytes exceed physical memory."""
+def _check_fits_in_memory(what: str, required: int) -> None:
+    """Raise ResourceLimitError when ``required`` bytes of ``what`` exceed physical memory."""
     cap = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if required > cap:
-        raise ResourceLimitError("graph arrays need more bytes than physical memory", required, cap)
+        raise ResourceLimitError(f"{what} need more bytes than physical memory", required, cap)
 
 
 def generate_random(params: GraphParams) -> LayeredGraph:
@@ -287,7 +289,7 @@ def generate_random(params: GraphParams) -> LayeredGraph:
     """
     k, m, p = params.k, params.part_size, params.edge_prob
     # the float64 draws and the boolean blocks are alive together
-    _check_fits_in_memory(9 * k * m * m)
+    _check_fits_in_memory("graph arrays", 9 * k * m * m)
     rng = make_rng(int(params.seed))
     draws = rng.random((k, m, m))
     blocks = [draws[i] < p for i in range(k)]

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import os
 
 import jsonschema
 import pytest
@@ -25,3 +26,14 @@ def validate_document(doc: dict, schema_name: str) -> None:
 @pytest.fixture
 def tiny_complete():
     return complete_layered(3, 2)
+
+
+@pytest.fixture
+def beyond_memory():
+    """(k, m) of a p = 1 host whose m**k cycle keys (8 bytes each, 205 GB)
+    exceed physical memory; fails up front on a host that could hold them,
+    rather than letting the test enumerate them."""
+    k, m = 4, 400
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert 8 * m**k > physical, f"{physical} bytes of memory could hold the keys"
+    return k, m

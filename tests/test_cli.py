@@ -79,14 +79,25 @@ class TestEnumerate:
         validate_document(doc, "hypergraph-v1")
         assert len(doc["edges"]) == 8
 
-    def test_cap_error(self, capsys):
-        code, _, err = run_cli(
-            ["enumerate", "--k", "3", "--m", "4", "--p", "1", "--seed", "0",
-             "--cycle-cap", "10"],
+    def test_counts_beyond_physical_memory(self, capsys, beyond_memory):
+        # without an export nothing is enumerated, so any count is reported
+        k, m = beyond_memory
+        argv = ["enumerate", "--k", str(k), "--m", str(m), "--p", "1", "--seed", "0"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["results"]["total_cycles"] == m**k == 25_600_000_000
+
+    def test_export_beyond_physical_memory_exit_1(self, tmp_path, capsys, beyond_memory):
+        k, m = beyond_memory
+        hg = tmp_path / "h.json"
+        code, stdout, err = run_cli(
+            ["enumerate", "--k", str(k), "--m", str(m), "--p", "1", "--seed", "0",
+             "--export-hypergraph", str(hg)],
             capsys,
         )
-        assert code == 1
-        assert "cap" in err
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: cycle keys ") and err.count("\n") == 1
+        assert not hg.exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -517,7 +528,7 @@ class TestConfigHandling:
         assert err.startswith(f"error: {field}: must be a finite number, got ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["coloring", "coloring_seed", "cycle_cap", "color"])
+    @pytest.mark.parametrize("key", ["coloring", "coloring_seed", "color"])
     def test_null_config_value_counts_as_unset(self, tmp_path, capsys, key):
         argv = ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2", "--n", "3"]
         code, plain, err = run_cli(argv, capsys)
@@ -651,7 +662,8 @@ class TestConfigHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "key", ["randomize_choices", "threads", "colour", "adversarial", "mode", "config"]
+        "key",
+        ["randomize_choices", "threads", "colour", "adversarial", "cycle_cap", "mode", "config"],
     )
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.json"
@@ -709,6 +721,7 @@ class TestConfigHandling:
             ["greedy", "--randomize-choices", "21"],
             ["verify", "--no-adversarial"],
             ["verify", "--property", "iii", *_SMALL, "--c-eff", "2"],
+            ["enumerate", *_TINY, "--cycle-cap", "10"],
             ["color", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--r", "2",
              "--coloring", "5"],
             ["concentration", "--statistic", "cycles_through_vertex", "--k", "3", "--m", "4",

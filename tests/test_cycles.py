@@ -120,9 +120,19 @@ class TestEnumeration:
         count(g)
         assert pickle.dumps(g) == before
 
-    def test_cap_enforced(self, tiny_complete):
-        with pytest.raises(ResourceLimitError):
-            build_hypergraph(tiny_complete, cap=7)
+    def test_key_array_beyond_physical_memory_refused(self, beyond_memory):
+        k, m = beyond_memory
+        g = random_graph(k, m, 1.0, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^cycle keys ") as excinfo:
+                build_hypergraph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused after counting, before the key array is allocated
+        assert excinfo.value.required == 8 * m**k
+        assert peak < 50 * 2**20
 
     def test_count_matches_enumeration(self):
         for seed in range(20):
@@ -571,6 +581,16 @@ class TestValidateTightPath:
         assert validate_tight_path(h, [0, 2, 4], col, 1)
         ok, reason = validate_tight_path_verbose(h, [0, 2, 4], col, 0)
         assert not ok and reason == "window-wrong-color"
+
+    @pytest.mark.parametrize("color", [0.5, 7, None], ids=["fraction", "out-of-range", "none"])
+    def test_refuses_a_color_the_coloring_lacks(self, tiny_complete, color):
+        from ramsey_lab import Coloring, ParameterError
+
+        h = build_hypergraph(tiny_complete)
+        col = Coloring(2, np.zeros(len(h), dtype=np.uint8))
+        with pytest.raises(ParameterError) as excinfo:
+            validate_tight_path_verbose(h, [0, 2, 4], col, color)
+        assert excinfo.value.field == "color"
 
     def test_deleted_window(self, tiny_complete):
         h = build_hypergraph(tiny_complete)

@@ -7,11 +7,13 @@ from ramsey_lab import (
     Certificate,
     Coloring,
     FoundPath,
+    LayeredGraph,
     ParameterError,
     adversarial_coloring,
     audit_certificate,
     build_hypergraph,
     complete_layered,
+    count_proper_cycles,
     greedy_round,
     pick_majority_color,
     random_coloring,
@@ -372,6 +374,21 @@ class TestParityInstance:
         out = run_outer(complete_h, tiny_complete, col, n=4)
         fresh = audit_certificate(out, complete_h, tiny_complete, col)
         assert fresh == out.audit
+
+    def test_audit_refuses_a_graph_the_hypergraph_was_not_built_over(self):
+        g = random_graph(3, 60, 0.1, 1)
+        h = build_hypergraph(g)
+        col = random_coloring(h, 2, 11)
+        out = run_outer(h, g, col, n=8)
+        assert isinstance(out, Certificate)
+        # relabelling part 0 keeps the cycle count, so the recount alone passes it
+        blocks = [b.copy() for b in g.blocks]
+        blocks[0], blocks[2] = blocks[0][::-1], blocks[2][:, ::-1]
+        relabelled = LayeredGraph(3, 60, blocks)
+        assert count_proper_cycles(relabelled) == len(h)
+        with pytest.raises(ParameterError) as excinfo:
+            audit_certificate(out, h, relabelled, col)
+        assert excinfo.value.field == "g"
 
 
 class TestOutcomeJson:

@@ -64,6 +64,26 @@ class TestParams:
         assert GraphParams(np.int64(3), 2, 0.5, 0).k == 3
         assert expected_stats(np.int32(4), 10, 0.5).total_cycles == pytest.approx(625.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GraphParams(3, 4, "0.5", 0),
+            lambda: GraphParams(3, 4, None, 0),
+            lambda: GraphParams(3, 4, True, 0),
+            lambda: GraphParams(3, 4, np.bool_(False), 0),
+            lambda: expected_stats(3, 10, "x"),
+        ],
+        ids=["string", "none", "bool", "numpy-bool", "expected-stats-string"],
+    )
+    def test_refuses_a_p_that_is_not_a_number(self, make):
+        with pytest.raises(ParameterError, match="^p: must be a number, got ") as excinfo:
+            make()
+        assert excinfo.value.field == "p"
+
+    @pytest.mark.parametrize("p", [1, 0.5, np.int64(0), np.float32(0.5), np.float64(1.0)])
+    def test_p_of_any_number_type_passes(self, p):
+        assert GraphParams(3, 4, p, 0).edge_prob == p
+
     def test_canonical_example_k3_r2_n100(self):
         params = canonical_params(3, 2, 100)
         assert params.c == 288
