@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .layered_graph import _check_k, _check_m, _check_p
+from .layered_graph import _check_integer, _check_k, _check_m, _check_number, _check_p
 
 __all__ = [
     "chernoff_lower",
@@ -26,6 +26,8 @@ __all__ = [
 
 
 def _check_tail(expectation: float, deviation: float) -> None:
+    _check_number("expectation", expectation)
+    _check_number("deviation", deviation)
     if expectation <= 0:
         raise ParameterError("expectation", f"must be positive, got {expectation}")
     if deviation < 0:
@@ -54,6 +56,7 @@ def _ipow(base: float, exponent: int) -> float:
 
 def poly_concentration_scale(k: int) -> float:
     """The degree-k scale constant 8^k * sqrt(k!)."""
+    _check_integer("k", k)
     if k < 1:
         raise ParameterError("k", f"must be >= 1, got {k}")
     return _ipow(8.0, k) * math.sqrt(math.factorial(k))

@@ -272,9 +272,7 @@ def _mode_enumerate(config: dict) -> tuple[int, dict]:
     if export:
         h = build_hypergraph(g)
         total = len(h)
-        with open(export, "w") as fh:
-            json.dump(h.to_json(), fh, separators=(",", ":"))
-            fh.write("\n")
+        h.save(export)
     else:
         total = count_proper_cycles(g)
     results = {
@@ -295,8 +293,7 @@ def _mode_color(config: dict) -> tuple[int, dict]:
     out = config.get("out")
     if out:
         with open(out, "w") as fh:
-            json.dump(col.to_json(), fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(col.to_json(), separators=(",", ":")) + "\n")
     return 0, {
         "hyperedges": len(h),
         "color_counts": [int(c) for c in col.counts()],

@@ -16,10 +16,11 @@ is refused before allocation when it would not fit in physical memory:
 paths grow through the middle parts, and the last level expands only to
 vertices that close the cycle, so no path that fails to close is built.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
-``_closed_walks`` over the float64 blocks from ``_float_blocks``, which
-first checks that the chain stays exact; the meeting count sums it over the
-set's own rows only, counting each cycle at the first part where it meets
-the set.
+``_closed_walks`` over the float64 blocks from ``_float_blocks``, as Python
+ints; the kernel refuses a chain only when one of its own computed entries
+reaches 2**53, where float64 stops being exact.  The meeting count sums it
+over the set's own rows only, counting each cycle at the first part where
+it meets the set.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -34,6 +35,7 @@ two paths of a disjoint family.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,30 +126,43 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
 
 
 def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
-    """Fresh float64 copies of the adjacency blocks, once counting is exact."""
-    # intermediate chain entries are bounded by m**(k-1); keep them exactly
-    # representable in float64, and totals within int64
-    if g.m ** (g.k - 1) > 2**52:
-        raise ResourceLimitError("exact float64 counting range exceeded", g.m ** (g.k - 1), 2**52)
-    if g.m**g.k >= 2**63:
-        raise ResourceLimitError("cycle totals exceed int64 range", g.m**g.k, 2**63)
+    """Fresh float64 copies of the adjacency blocks, refused before copying
+    when their ``8 * k * m**2`` bytes would exceed physical memory."""
+    _check_fits_in_memory("float blocks", 8 * g.k * g.m * g.m)
     return [b.astype(np.float64) for b in g.blocks]
 
 
 def _closed_walks(fb: list[np.ndarray], part: int, rows=slice(None)) -> np.ndarray:
     """Proper cycles through the local vertices ``rows`` of ``part``: the closing
     diagonal of the block chain rotated to start at ``part`` (closed walks
-    part -> part+1 -> ... -> part), as int64."""
+    part -> part+1 -> ... -> part), as int64.
+
+    Every entry of the chain is a sum of non-negative integers, so float64
+    holds it exactly while it stays below 2**53; and since rounding is
+    monotone, a sum that ever reached 2**53 still reads at least 2**53 in
+    any summation order.  So each prefix product and the closing diagonal
+    are checked as they are computed, and ``ResourceLimitError`` is raised
+    at the first entry that reaches 2**53.  (That holds for the GEMM behind
+    ``@``; a Strassen-type product, which subtracts, would not keep it.)
+    """
     k = len(fb)
     prefix = fb[part][rows]
     for j in range(1, k - 1):
-        prefix = prefix @ fb[(part + j) % k]
-    return np.einsum("ab,ba->a", prefix, fb[(part - 1) % k][:, rows]).astype(np.int64)
+        prefix = _exact(prefix @ fb[(part + j) % k])
+    return _exact(np.einsum("ab,ba->a", prefix, fb[(part - 1) % k][:, rows])).astype(np.int64)
+
+
+def _exact(counts: np.ndarray) -> np.ndarray:
+    """``counts`` itself, or ``ResourceLimitError`` when an entry reaches 2**53."""
+    top = counts.max(initial=0.0)
+    if top >= 2**53:
+        raise ResourceLimitError("exact float64 counting range exceeded", int(top), 2**53)
+    return counts
 
 
 def count_proper_cycles(g: LayeredGraph) -> int:
     """Total number of proper cycles (no materialization)."""
-    return int(_closed_walks(_float_blocks(g), 0).sum())
+    return sum(_closed_walks(_float_blocks(g), 0).tolist())
 
 
 def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
@@ -184,7 +199,7 @@ def count_cycles_meeting(g: LayeredGraph, cset) -> int:
     for q in range(g.k):
         rows = local[part == q]
         if rows.size:
-            count += int(_closed_walks(fb, q, rows).sum())
+            count += sum(_closed_walks(fb, q, rows).tolist())
             fb[q][rows] = 0.0
     return count
 
@@ -348,6 +363,10 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
+# hyperedges decoded and serialized at a time by ``TightHypergraph.save``
+_SAVE_CHUNK = 65_536
+
+
 class TightHypergraph:
     """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
 
@@ -413,8 +432,18 @@ class TightHypergraph:
         ids = self.ids_for_keys(keys)
         return ids[ids >= 0]
 
-    def to_json(self) -> dict:
-        return {"vertices": self.num_vertices, "edges": self.vertex_rows().tolist()}
+    def save(self, path) -> None:
+        """Write ``{"vertices": N, "edges": [...]}`` as compact JSON, decoding and
+        serializing ``_SAVE_CHUNK`` hyperedges at a time, so memory stays near
+        the key array's."""
+        with open(path, "w") as fh:
+            fh.write(f'{{"vertices":{self.num_vertices},"edges":[')
+            for lo in range(0, len(self), _SAVE_CHUNK):
+                if lo:
+                    fh.write(",")
+                rows = self.vertex_rows(lo, lo + _SAVE_CHUNK).tolist()
+                fh.write(json.dumps(rows, separators=(",", ":"))[1:-1])
+            fh.write("]}\n")
 
 
 def build_hypergraph(g: LayeredGraph) -> TightHypergraph:

@@ -14,7 +14,8 @@ class UnknownVertexError(ParameterError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Physical memory, an exact numeric range, or a search cap would be exceeded."""
+    """Physical memory, a 64-bit key space or a search cap would be exceeded, or a
+    counting chain computed an entry of 2**53 or more, beyond float64's exact range."""
 
     def __init__(self, message: str, required: int | float, cap: int | float):
         super().__init__(f"{message} (required {required}, cap {cap})")

@@ -94,7 +94,7 @@ class Coloring:
         )
 
     def to_json(self) -> dict:
-        return {"r": self.r, "colors": [int(c) for c in self.colors]}
+        return {"r": self.r, "colors": self.colors.tolist()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":

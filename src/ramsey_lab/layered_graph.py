@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,18 @@ def _check_m(m: int) -> None:
         raise ParameterError("m", f"must be >= 1, got {m}")
 
 
+def _check_number(key: str, v) -> None:
+    """Refuse, under ``key``, a value that is not a finite Python or numpy real;
+    a bool is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ParameterError(key, f"must be a number, got {v!r}")
+    # NaN and +-inf are not finite; nor is a Python int beyond float range
+    if not (abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v)):
+        raise ParameterError(key, f"must be finite, got {v!r}")
+
+
 def _check_p(p: float) -> None:
-    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
-        raise ParameterError("p", f"must be a number, got {p!r}")
+    _check_number("p", p)
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p", f"must lie in [0, 1], got {p}")
 
@@ -245,8 +255,7 @@ class LayeredGraph:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json(), separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "LayeredGraph":

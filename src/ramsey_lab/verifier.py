@@ -274,7 +274,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
     if g.num_vertices < c_size:
         raise ParameterError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
     per_vertex = cycles_per_vertex(g)
-    total = int(per_vertex[: g.m].sum())  # every cycle has one vertex in part 0
+    total = sum(per_vertex[: g.m].tolist())  # every cycle has one vertex in part 0
 
     def one(trial: int):
         if total == 0:

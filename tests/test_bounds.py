@@ -58,6 +58,22 @@ class TestChernoff:
             chernoff_upper(-2.0, 1.0)
         assert excinfo.value.field == "expectation"
 
+    @pytest.mark.parametrize("bound", [chernoff_lower, chernoff_upper])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, 10**400, "1", None, True, np.bool_(True)],
+        ids=["nan", "inf", "int-beyond-float", "string", "none", "bool", "numpy-bool"],
+    )
+    @pytest.mark.parametrize("field", ["expectation", "deviation"])
+    def test_refuses_what_is_not_a_finite_number(self, bound, bad, field):
+        args = {"expectation": 4.0, "deviation": 1.0, field: bad}
+        with pytest.raises(ParameterError, match=f"^{field}: must be ") as excinfo:
+            bound(**args)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("value", [np.int64(4), np.float32(4.0), 4])
+    def test_numbers_of_any_type_pass(self, value):
+        assert chernoff_lower(value, value) == pytest.approx(math.exp(-2.0))
+
 
 class TestPolyConcentration:
     def test_scale_k1(self):
@@ -70,6 +86,15 @@ class TestPolyConcentration:
         with pytest.raises(ParameterError) as excinfo:
             poly_concentration_scale(0)
         assert excinfo.value.field == "k"
+
+    @pytest.mark.parametrize("k", [3.5, 3.0, True, "3", None], ids=str)
+    def test_refuses_a_k_that_is_not_an_integer(self, k):
+        with pytest.raises(ParameterError, match="^k: must be an integer, got ") as excinfo:
+            poly_concentration_scale(k)
+        assert excinfo.value.field == "k"
+
+    def test_numpy_integer_k_passes(self):
+        assert poly_concentration_scale(np.int64(1)) == 8.0
 
 
 def canonical_stats(k, r, n):

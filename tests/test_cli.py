@@ -99,6 +99,21 @@ class TestEnumerate:
         assert err.startswith("error: cycle keys ") and err.count("\n") == 1
         assert not hg.exists()
 
+    def test_counts_beyond_int64(self, capsys):
+        # each vertex lies on 1449**5 < 2**53 cycles, the total exceeds 2**63
+        argv = ["enumerate", "--k", "6", "--m", "1449", "--p", "1", "--seed", "0"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["results"]["total_cycles"] == 1449**6
+
+    def test_count_beyond_exact_float64_exit_1(self, capsys):
+        # each vertex lies on 64**9 = 2**54 cycles
+        argv = ["enumerate", "--k", "10", "--m", "64", "--p", "1", "--seed", "0"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: exact float64 ") and err.count("\n") == 1
+        assert "cap 9007199254740992)" in err
+
     @pytest.mark.parametrize(
         "text",
         [

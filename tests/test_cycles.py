@@ -1,3 +1,5 @@
+import json
+import os
 import pickle
 import tracemalloc
 
@@ -25,7 +27,7 @@ from ramsey_lab import (
     validate_tight_path_verbose,
 )
 from ramsey_lab import cycles
-from ramsey_lab.cycles import _extensions, cycle_keys, decode_keys, encode_keys
+from ramsey_lab.cycles import _closed_walks, _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.seeds import make_rng
 from ramsey_lab.verifier import sample_trash_family
@@ -138,6 +140,84 @@ class TestEnumeration:
         for seed in range(20):
             g = random_graph(4, 4, 0.5, seed)
             assert count_proper_cycles(g) == len(build_hypergraph(g).hyperedges())
+
+
+class TestExactness:
+    """A count is refused only when an entry of its own chain reaches 2**53."""
+
+    def test_total_beyond_int64(self):
+        # per-vertex counts 1449**5 < 2**53, total 1449**6 > 2**63
+        total = count_proper_cycles(complete_layered(6, 1449))
+        assert total == 1449**6 == 9_255_722_232_902_778_801
+        assert total >= 2**63
+
+    def test_total_beyond_2_to_53(self):
+        # per-vertex counts 2**48, total 2**54
+        assert count_proper_cycles(complete_layered(9, 64)) == 64**9
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            count_proper_cycles,
+            cycles_per_vertex,
+            lambda g: cycles_through_vertex(g, 5),
+            lambda g: count_cycles_meeting(g, [0, g.m + 1]),
+        ],
+        ids=["count_proper_cycles", "cycles_per_vertex", "cycles_through_vertex",
+             "count_cycles_meeting"],
+    )
+    def test_vertex_counts_of_2_to_54_refused(self, count):
+        # 64**9 = 2**54 cycles through each vertex; the blocks take 40 KB
+        with pytest.raises(ResourceLimitError, match="^exact float64 counting range") as excinfo:
+            count(complete_layered(10, 64))
+        assert excinfo.value.cap == 2**53
+        assert excinfo.value.required == 2**54
+
+    @staticmethod
+    def chain(first, closing):
+        """A k = 3 chain whose prefix row 0 is ``first`` and whose closing block
+        is ``closing``: the middle block is the identity."""
+        return [np.array([first, [0.0, 0.0]]), np.eye(2), np.array(closing, dtype=np.float64)]
+
+    def test_prefix_entry_of_2_to_53_refused_before_the_close(self):
+        # the closing block is zero, so only the prefix check can refuse
+        fb = self.chain([2.0**53, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ResourceLimitError) as excinfo:
+            _closed_walks(fb, 0)
+        assert excinfo.value.required == excinfo.value.cap == 2**53
+
+    def test_closing_entry_of_2_to_53_refused(self):
+        # prefix entries 2**52 each; their closing sum reaches 2**53
+        fb = self.chain([2.0**52, 2.0**52], [[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ResourceLimitError) as excinfo:
+            _closed_walks(fb, 0)
+        assert excinfo.value.required == excinfo.value.cap == 2**53
+
+    @pytest.mark.parametrize("first", [[2.0**53 - 1, 0.0], [2.0**52, 2.0**52 - 1]])
+    def test_entries_below_2_to_53_accepted(self, first):
+        fb = self.chain(first, [[1.0, 0.0], [1.0, 0.0]])
+        walks = _closed_walks(fb, 0)
+        assert walks.dtype == np.int64
+        assert walks.tolist() == [2**53 - 1, 0]
+
+    @pytest.mark.parametrize(
+        "count",
+        [count_proper_cycles, cycles_per_vertex, lambda g: cycles_through_vertex(g, 0),
+         lambda g: count_cycles_meeting(g, [0])],
+        ids=["count_proper_cycles", "cycles_per_vertex", "cycles_through_vertex",
+             "count_cycles_meeting"],
+    )
+    def test_float_blocks_beyond_physical_memory_refused(self, monkeypatch, count):
+        g = random_graph(3, 4, 0.5, 0)
+        need = 8 * 3 * 4 * 4  # one float64 copy of each block
+        # physical memory one byte short of the copies; nothing is allocated for real
+        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ResourceLimitError, match="^float blocks need more bytes") as excinfo:
+            count(g)
+        assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
+        pages["SC_PAGE_SIZE"] = need
+        count(g)
 
 
 class TestVertexCounts:
@@ -502,11 +582,38 @@ class TestHypergraph:
         for eid in ids:
             assert {0, 2} <= set(h.hyperedge(int(eid)))
 
-    def test_export_schema(self, tiny_complete):
-        doc = build_hypergraph(tiny_complete).to_json()
+    def test_export_schema(self, tiny_complete, tmp_path):
+        path = tmp_path / "h.json"
+        build_hypergraph(tiny_complete).save(path)
+        doc = json.loads(path.read_text())
         validate_document(doc, "hypergraph-v1")
         assert doc["vertices"] == 6
         assert len(doc["edges"]) == 8
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 8, 65_536])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_save_writes_one_compact_document_across_chunks(self, tmp_path, monkeypatch, chunk, p):
+        # 0 or 8 hyperedges, split in chunks that do and do not divide 8
+        monkeypatch.setattr(cycles, "_SAVE_CHUNK", chunk)
+        h = build_hypergraph(random_graph(3, 2, p, 0))
+        path = tmp_path / "h.json"
+        h.save(path)
+        whole = {"vertices": h.num_vertices, "edges": h.vertex_rows().tolist()}
+        assert path.read_text() == json.dumps(whole, separators=(",", ":")) + "\n"
+
+    def test_save_peak_memory_is_near_the_key_array(self, tmp_path, monkeypatch):
+        # a smaller chunk keeps the traced run short; the peak is one chunk's
+        # rows and text, so it stays flat as the hypergraph grows
+        monkeypatch.setattr(cycles, "_SAVE_CHUNK", 4096)
+        h = build_hypergraph(random_graph(3, 100, 0.5, 1))
+        assert len(h) > 25 * 4096
+        tracemalloc.start()
+        try:
+            h.save(tmp_path / "h.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * h.keys.nbytes
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_codec_roundtrip_up_to_64_bits(self, k):
