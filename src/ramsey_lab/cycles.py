@@ -12,9 +12,14 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it.  Enumeration emits
 keys in ascending order, into one array of exactly the counted total, which
-is refused before allocation when it would not fit in physical memory:
-paths grow through the middle parts, and the last level expands only to
-vertices that close the cycle, so no path that fails to close is built.
+is refused before allocation when it would not fit in physical memory.
+Part 0's closed-walk counts give each start vertex its own slice of that
+array, so the start vertices are enumerated in parallel on every CPU the
+process may run on (there is no setting for it) - on fewer threads when
+more would hold over a quarter of the key array in temporaries - and each
+start's keys are checked against its own count: paths grow through the
+middle parts, and the last level expands only to vertices that close the
+cycle, so no path that fails to close is built.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float64 blocks from ``_float_blocks``, as Python
 ints; the kernel refuses a chain only when one of its own computed entries
@@ -35,7 +40,9 @@ two paths of a disjoint family.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,46 +239,90 @@ def encode_keys(cols, m: int):
 def cycle_keys(g: LayeredGraph) -> np.ndarray:
     """All proper cycles as ascending canonical keys (uint64).
 
-    Counts first via matrix products and raises ``ResourceLimitError`` when
-    the key array of ``8 * total`` bytes would exceed physical memory, so
-    runaway parameters fail before it is allocated.  The keys are written
-    into one array of exactly ``total`` entries.  For each start vertex
-    ``a`` of part 0, paths grow through the middle parts 1..k-2 along the
-    rows of the dense blocks, and the last level expands only to the
-    part-(k-1) vertices that close back to ``a``, so no path that fails to
-    close is ever built.
+    Counts first via matrix products: the closed walks through each vertex
+    ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
+    own slice ``out[bounds[a]:bounds[a+1]]`` of one array of exactly
+    ``total`` keys.  ``ResourceLimitError`` is raised when that array's
+    ``8 * total`` bytes would exceed physical memory, so runaway parameters
+    fail before it is allocated.  The start vertices are dealt round-robin
+    to ``_worker_count`` threads (numpy releases the GIL in the gathers and
+    passes that do the work); each fills only its own slices, so the keys
+    do not depend on the scheduling or the number of threads.  A worker's
+    exception is raised here, and a start whose enumerated cycles differ
+    from its own count raises ``InvariantViolationError``.
     """
-    total = count_proper_cycles(g)
+    from concurrent.futures import ThreadPoolExecutor
+
+    per_start = _closed_walks(_float_blocks(g), 0).tolist()
+    bounds = [0, *itertools.accumulate(per_start)]
+    total = bounds[-1]
     _check_fits_in_memory("cycle keys", 8 * total)
+    out = np.empty(total, dtype=np.uint64)
+    workers = _worker_count(g.k, per_start, total)
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(lambda w: _fill_keys(g, out, bounds, range(w, g.m, workers)), range(workers)))
+    return out
+
+
+def _worker_count(k: int, per_start: list[int], total: int) -> int:
+    """Threads for ``cycle_keys``: one per CPU the process may run on, but no
+    more than keep the workers' temporaries under a quarter of the key
+    array's ``8 * total`` bytes (so never more than one per start vertex).
+
+    A start holds up to about ``8 * (k + 5)`` bytes per cycle of its own
+    while it is enumerated (its gathered columns, their uint64 copies and
+    the running key sum), so ``w`` workers hold at most
+    ``w * 8 * (k + 5) * max(per_start)``.  One worker is always used, so a
+    start with most of the cycles still takes its own temporaries.
+    """
+    per_worker = max(4 * (k + 5) * max(per_start), 1)
+    return max(1, min(_available_cpus(), total // per_worker))
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_keys(g: LayeredGraph, out: np.ndarray, bounds: list[int], starts) -> None:
+    """Write the keys of the proper cycles through each part-0 vertex ``a`` in
+    ``starts`` into ``out[bounds[a]:bounds[a+1]]``, ascending.
+
+    Paths from ``a`` grow through the middle parts 1..k-2 along the rows of
+    the dense blocks, and the last level expands only to the part-(k-1)
+    vertices that close back to ``a``, so no path that fails to close is
+    ever built.  Raises ``InvariantViolationError`` before writing when a
+    start's cycles do not number exactly its slice.
+    """
     k, m = g.k, g.m
     last, close = g.blocks[k - 2], g.blocks[k - 1]
-    out = np.empty(total, dtype=np.uint64)
-    at = 0
-    for a in range(m):
+    for a in starts:
+        lo, hi = bounds[a], bounds[a + 1]
+        found = 0
         closers = np.flatnonzero(close[:, a])
-        if closers.size == 0:
-            continue
-        # part-local columns of the paths through the middle parts 1..k-2
-        cols: list[np.ndarray] = []
-        ends = np.array([a], dtype=np.int64)
-        for part in range(k - 2):
-            # row-major order over (path, next vertex) is ascending key order
-            rep, ends = np.nonzero(g.blocks[part][ends])
-            if ends.size == 0:
-                break
-            cols = [c[rep] for c in cols]
-            cols.append(ends)
-        else:  # every middle level had paths
-            # row-major order over (path, closer) is ascending key order
-            path, closer = np.divmod(np.flatnonzero(last[ends][:, closers]), closers.size)
-            stop = at + path.size
-            if stop > total:
-                raise InvariantViolationError("enumeration overruns the proper cycle count")
-            out[at:stop] = encode_keys([a] + [c[path] for c in cols] + [closers[closer]], m)
-            at = stop
-    if at != total:
-        raise InvariantViolationError(f"enumerated {at} proper cycles, counted {total}")
-    return out
+        if closers.size:
+            # part-local columns of the paths through the middle parts 1..k-2
+            cols: list[np.ndarray] = []
+            ends = np.array([a], dtype=np.int64)
+            for part in range(k - 2):
+                # row-major order over (path, next vertex) is ascending key order
+                rep, ends = np.nonzero(g.blocks[part][ends])
+                if ends.size == 0:
+                    break
+                cols = [c[rep] for c in cols]
+                cols.append(ends)
+            else:  # every middle level had paths
+                # row-major order over (path, closer) is ascending key order
+                path, closer = np.divmod(np.flatnonzero(last[ends][:, closers]), closers.size)
+                found = path.size
+                if found == hi - lo:
+                    out[lo:hi] = encode_keys([a] + [c[path] for c in cols] + [closers[closer]], m)
+        if found != hi - lo:
+            raise InvariantViolationError(
+                f"start vertex {a}: enumerated {found} proper cycles, counted {hi - lo}"
+            )
 
 
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -372,9 +423,9 @@ class TightHypergraph:
 
     Hyperedges are held as the ascending canonical key array; ids are ranks
     in that order.  Built by ``build_hypergraph``, whose ``cycle_keys``
-    emits the keys strictly ascending.  Membership tests and extension lookups run directly on
-    the key array, so the structure stays usable at tens of millions of
-    hyperedges.
+    emits the keys strictly ascending.  Membership tests and extension
+    lookups run directly on the key array, so the structure stays usable at
+    tens of millions of hyperedges.
     """
 
     def __init__(self, graph: LayeredGraph, keys: np.ndarray):

@@ -204,8 +204,8 @@ class LayeredGraph:
 
     # -- serialization -------------------------------------------------------
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) global pairs with u < v, sorted lexicographically."""
+    def _edge_lists(self) -> list[list[int]]:
+        """All edges as [u, v] global pairs with u < v, sorted lexicographically."""
         pairs = []
         for i, b in enumerate(self.blocks):
             rows, cols = np.nonzero(b)
@@ -218,10 +218,14 @@ class LayeredGraph:
             return []
         allp = np.concatenate(pairs)
         order = np.lexsort((allp[:, 1], allp[:, 0]))
-        return [(int(a), int(b)) for a, b in allp[order]]
+        return allp[order].tolist()
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges as (u, v) global pairs with u < v, sorted lexicographically."""
+        return [tuple(e) for e in self._edge_lists()]
 
     def to_json(self) -> dict:
-        return {"k": self.k, "m": self.m, "edges": [list(e) for e in self.edges()]}
+        return {"k": self.k, "m": self.m, "edges": self._edge_lists()}
 
     @classmethod
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":

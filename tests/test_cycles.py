@@ -1,7 +1,10 @@
 import json
 import os
 import pickle
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,8 +68,10 @@ class TestEnumeration:
                 g = random_graph(k, 5, 0.6, seed)
                 assert build_hypergraph(g).hyperedges() == brute_force_cycles(g)
 
-    @settings(max_examples=60, deadline=None)
+    # the memory cap keeps hosts this small on one worker, so the count is set
+    @settings(max_examples=120, deadline=None)
     @given(
+        workers=st.sampled_from([1, 2, 3, 8]),  # 8 > m: more workers than starts
         k=st.integers(3, 6),
         m=st.integers(1, 7),
         p=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
@@ -74,37 +79,98 @@ class TestEnumeration:
         no_closers=st.booleans(),
         empty_middle=st.booleans(),
     )
-    def test_matches_brute_force_drawn(self, k, m, p, seed, no_closers, empty_middle):
+    def test_matches_brute_force_drawn(self, workers, k, m, p, seed, no_closers, empty_middle):
         blocks = [b.copy() for b in random_graph(k, m, p, seed).blocks]
         if no_closers:  # start vertex seed % m closes no path
             blocks[k - 1][:, seed % m] = False
         if empty_middle:  # one block the middle levels expand through
             blocks[seed % (k - 2)][:] = False
         g = LayeredGraph(k, m, blocks)
-        keys = cycle_keys(g)
+        with mock.patch.object(cycles, "_worker_count", return_value=workers):
+            keys = cycle_keys(g)
         assert (keys[1:] > keys[:-1]).all()  # TightHypergraph relies on strict order
         assert np.array_equal(keys, brute_force_cycle_keys(g))
 
-    @pytest.mark.parametrize("off", [-1, 1])
-    def test_count_mismatch_is_refused(self, monkeypatch, off):
+    def test_many_workers_with_frequent_switches_match_one(self, monkeypatch):
+        g = random_graph(4, 40, 0.5, 5)
+        monkeypatch.setattr(cycles, "_worker_count", lambda k, per_start, total: 1)
+        serial = cycle_keys(g)
+        monkeypatch.setattr(cycles, "_worker_count", lambda k, per_start, total: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            keys = cycle_keys(g)
+        finally:
+            sys.setswitchinterval(interval)
+        assert keys.tobytes() == serial.tobytes()
+
+    def test_worker_count_holds_temporaries_to_a_quarter_of_the_keys(self, monkeypatch):
+        monkeypatch.setattr(cycles, "_available_cpus", lambda: 16)
+        # a worker holds up to 4 * (k + 5) * 10 = 320 key-sized words of 1000
+        assert cycles._worker_count(3, [10] * 100, 1000) == 3
+        assert cycles._worker_count(3, [100] * 1000, 100_000) == 16  # the CPUs bind
+        assert cycles._worker_count(3, [1000] + [1] * 99, 1099) == 1  # one start dominates
+        assert cycles._worker_count(3, [0] * 5, 0) == 1  # no cycles: still one worker
+
+    def test_available_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert cycles._available_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert cycles._available_cpus() == 6
+
+    # {i: d} adds d to the count of the i-th start vertex that has cycles;
+    # the last case leaves the total right, so only the per-start check sees it
+    @pytest.mark.parametrize(
+        "offsets", [{0: -1}, {0: 1}, {0: 1, 1: -1}], ids=["-1", "1", "+1-1"]
+    )
+    def test_count_mismatch_is_refused(self, monkeypatch, offsets):
         g = random_graph(4, 5, 0.6, 2)
-        total = count_proper_cycles(g)
-        assert total > 0
-        monkeypatch.setattr(cycles, "count_proper_cycles", lambda _: total + off)
-        with pytest.raises(InvariantViolationError):
+        per_start = _closed_walks(cycles._float_blocks(g), 0)
+        starts = np.flatnonzero(per_start)  # starts with cycles, so no count goes negative
+        assert starts.size >= 2
+        off = np.zeros_like(per_start)
+        for i, d in offsets.items():
+            off[starts[i]] = d
+
+        def skewed(fb, part, rows=slice(None)):
+            return _closed_walks(fb, part, rows) + off
+
+        monkeypatch.setattr(cycles, "_closed_walks", skewed)
+        # a skewed start refuses the keys whichever worker reaches it
+        skewed_starts = f"^start vertex ({starts[0]}|{starts[1]}): "
+        with pytest.raises(InvariantViolationError, match=skewed_starts):
             cycle_keys(g)
 
-    def test_peak_memory_is_the_key_array(self):
-        for k, m, size in [(3, 200, 1_001_036), (4, 60, 836_893)]:
-            g = random_graph(k, m, 0.5, 1)
-            tracemalloc.start()
-            try:
-                keys = cycle_keys(g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert keys.size == size
-            assert peak < 1.5 * keys.nbytes, (k, m)
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        g = random_graph(4, 6, 0.6, 3)
+        assert cycles_per_vertex(g)[1] > 0  # start 1 has cycles, so it encodes keys
+        encode = cycles.encode_keys
+
+        def failing(cols, m):
+            if cols[0] == 1:
+                raise RuntimeError(f"boom in {threading.current_thread().name}")
+            return encode(cols, m)
+
+        monkeypatch.setattr(cycles, "encode_keys", failing)
+        monkeypatch.setattr(cycles, "_worker_count", lambda k, per_start, total: 2)
+        # start 1 is dealt to the second worker, a thread of its own
+        with pytest.raises(RuntimeError, match="^boom in (?!MainThread)"):
+            cycle_keys(g)
+
+    def test_peak_memory_is_the_key_array(self, monkeypatch):
+        for cpus in (1, 4, 16):
+            monkeypatch.setattr(cycles, "_available_cpus", lambda: cpus)
+            for k, m, size in [(3, 200, 1_001_036), (4, 60, 836_893)]:
+                g = random_graph(k, m, 0.5, 1)
+                tracemalloc.start()
+                try:
+                    keys = cycle_keys(g)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert keys.size == size
+                assert peak < 1.5 * keys.nbytes, (cpus, k, m)
 
     @pytest.mark.parametrize(
         "count",
