@@ -29,7 +29,15 @@ from .greedy import (
     random_coloring,
     run_outer,
 )
-from .layered_graph import GraphParams, LayeredGraph, canonical_params, generate_random
+from .layered_graph import (
+    GraphParams,
+    LayeredGraph,
+    _check_color,
+    _check_n,
+    _check_r,
+    canonical_params,
+    generate_random,
+)
 from .oracle import arrow_check, brute_force_cycle_keys, tight_path_exists
 from .reporting import canonical_json, make_report, write_report, write_trials_csv
 from .seeds import derive_seed
@@ -287,13 +295,13 @@ def _mode_enumerate(config: dict) -> tuple[int, dict]:
 
 def _mode_color(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
+    _check_r(_required(config, "r"))
     h = build_hypergraph(g)
     config["coloring"] = config.get("strategy", "random")
     col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     out = config.get("out")
     if out:
-        with open(out, "w") as fh:
-            fh.write(json.dumps(col.to_json(), separators=(",", ":")) + "\n")
+        col.save(out)
     return 0, {
         "hyperedges": len(h),
         "color_counts": [int(c) for c in col.counts()],
@@ -304,6 +312,12 @@ def _mode_color(config: dict) -> tuple[int, dict]:
 def _mode_greedy(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
     n = _required(config, "n")
+    # refuse the run's own numbers before enumerating, which dominates its memory
+    _check_n(n, g.k)
+    r = _required(config, "r")
+    _check_r(r)
+    if "color" in config:
+        _check_color(config["color"], r)
     h = build_hypergraph(g)
     col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
     if len(h) == 0:

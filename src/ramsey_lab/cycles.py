@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import os
 from dataclasses import dataclass
 
@@ -49,6 +48,7 @@ import numpy as np
 
 from .errors import InvariantViolationError, ResourceLimitError, UnknownVertexError
 from .layered_graph import LayeredGraph, _check_fits_in_memory
+from .reporting import _write_rows
 
 __all__ = [
     "TrashFamily",
@@ -414,10 +414,6 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-# hyperedges decoded and serialized at a time by ``TightHypergraph.save``
-_SAVE_CHUNK = 65_536
-
-
 class TightHypergraph:
     """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
 
@@ -484,17 +480,10 @@ class TightHypergraph:
         return ids[ids >= 0]
 
     def save(self, path) -> None:
-        """Write ``{"vertices": N, "edges": [...]}`` as compact JSON, decoding and
-        serializing ``_SAVE_CHUNK`` hyperedges at a time, so memory stays near
-        the key array's."""
-        with open(path, "w") as fh:
-            fh.write(f'{{"vertices":{self.num_vertices},"edges":[')
-            for lo in range(0, len(self), _SAVE_CHUNK):
-                if lo:
-                    fh.write(",")
-                rows = self.vertex_rows(lo, lo + _SAVE_CHUNK).tolist()
-                fh.write(json.dumps(rows, separators=(",", ":"))[1:-1])
-            fh.write("]}\n")
+        """Write ``{"vertices": N, "edges": [...]}`` through ``_write_rows``, which
+        decodes a chunk of hyperedges at a time, so memory stays near the key
+        array's."""
+        _write_rows(path, {"vertices": self.num_vertices}, "edges", self.vertex_rows, len(self))
 
 
 def build_hypergraph(g: LayeredGraph) -> TightHypergraph:

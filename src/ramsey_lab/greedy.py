@@ -31,7 +31,8 @@ from .cycles import (
     _extensions,
 )
 from .errors import ParameterError, ResourceLimitError
-from .layered_graph import LayeredGraph, _check_integer, _check_n, _check_r, _check_seed
+from .layered_graph import LayeredGraph, _check_color, _check_n, _check_r, _check_seed
+from .reporting import _write_rows
 from .seeds import make_rng
 from .verifier import RoundAudit, meeting_check, restricted_check
 
@@ -73,6 +74,8 @@ class Coloring:
     def __post_init__(self):
         _check_r(self.r)
         colors = np.asarray(self.colors)
+        if colors.ndim != 1:
+            raise ParameterError("colors", f"must be a flat array, got shape {colors.shape}")
         if colors.size and (
             colors.dtype.kind not in "iu" or colors.min() < 0 or colors.max() >= self.r
         ):
@@ -82,9 +85,7 @@ class Coloring:
 
     def check_color(self, color: int) -> None:
         """Refuse a working color that is not one of this coloring's r colors."""
-        _check_integer("color", color)
-        if not 0 <= color < self.r:
-            raise ParameterError("color", f"must be in 0..{self.r - 1}, got {color}")
+        _check_color(color, self.r)
 
     def counts(self) -> np.ndarray:
         """Hyperedges per color, as int64; one pass per color, so the uint8
@@ -93,14 +94,16 @@ class Coloring:
             [np.count_nonzero(self.colors == c) for c in range(self.r)], dtype=np.int64
         )
 
-    def to_json(self) -> dict:
-        return {"r": self.r, "colors": self.colors.tolist()}
-
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
         if type(doc["r"]) is not int:
             raise ParameterError("r", f"must be an integer, got {doc['r']!r}")
         return cls(doc["r"], np.asarray(doc["colors"]))
+
+    def save(self, path) -> None:
+        """Write ``{"r": r, "colors": [...]}`` through ``_write_rows``."""
+        colors = self.colors
+        _write_rows(path, {"r": self.r}, "colors", lambda lo, hi: colors[lo:hi], colors.size)
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, UnknownVertexError
+from .reporting import _write_rows
 from .seeds import make_rng
 
 __all__ = [
@@ -84,6 +85,13 @@ def _check_r(r: int) -> None:
     _check_integer("r", r)
     if not 2 <= r <= 256:
         raise ParameterError("r", f"must lie in 2..256, got {r}")
+
+
+def _check_color(color: int, r: int) -> None:
+    """Refuse a working color that is not one of r colors."""
+    _check_integer("color", color)
+    if not 0 <= color < r:
+        raise ParameterError("color", f"must be in 0..{r - 1}, got {color}")
 
 
 def _check_n(n: int, k: int) -> None:
@@ -204,28 +212,21 @@ class LayeredGraph:
 
     # -- serialization -------------------------------------------------------
 
-    def _edge_lists(self) -> list[list[int]]:
-        """All edges as [u, v] global pairs with u < v, sorted lexicographically."""
+    def _edge_array(self) -> np.ndarray:
+        """All edges as an (E, 2) int64 array of global pairs [u, v] with u < v,
+        sorted lexicographically."""
         pairs = []
         for i, b in enumerate(self.blocks):
             rows, cols = np.nonzero(b)
             u = rows.astype(np.int64) + i * self.m
             v = cols.astype(np.int64) + ((i + 1) % self.k) * self.m
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            pairs.append(np.stack([lo, hi], axis=1))
-        if not pairs:
-            return []
+            pairs.append(np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1))
         allp = np.concatenate(pairs)
-        order = np.lexsort((allp[:, 1], allp[:, 0]))
-        return allp[order].tolist()
+        return allp[np.lexsort((allp[:, 1], allp[:, 0]))]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) global pairs with u < v, sorted lexicographically."""
-        return [tuple(e) for e in self._edge_lists()]
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "m": self.m, "edges": self._edge_lists()}
+        return [tuple(e) for e in self._edge_array().tolist()]
 
     @classmethod
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":
@@ -258,8 +259,10 @@ class LayeredGraph:
         return cls.from_edges(doc["k"], doc["m"], doc["edges"])
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json(), separators=(",", ":")) + "\n")
+        """Write ``{"k": k, "m": m, "edges": [[u, v], ...]}`` through ``_write_rows``."""
+        edges = self._edge_array()
+        head = {"k": self.k, "m": self.m}
+        _write_rows(path, head, "edges", lambda lo, hi: edges[lo:hi], len(edges))
 
     @classmethod
     def load(cls, path) -> "LayeredGraph":

@@ -1,8 +1,11 @@
-"""Report emission: canonical JSON and the trial CSV.
+"""Every file the lab writes: reports, the trial CSV and the data files.
 
 Reports serialize with sorted keys and no NaN/Inf, so identical configs
 produce byte-identical files; the only run-varying value is the timestamp,
-confined to the single ``metadata.timestamp`` key.
+confined to the single ``metadata.timestamp`` key.  The data files (graph,
+hypergraph and coloring) are one line of compact JSON each, written by
+``_write_rows`` a chunk of rows at a time, so writing one holds no more than
+a chunk beyond the arrays its rows are sliced from.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import json
 REPORT_SCHEMA_VERSION = 1
 
 TRIAL_CSV_HEADER = ["trial", "statistic", "value", "expectation", "ratio"]
+
+# rows serialized at a time by ``_write_rows``
+_WRITE_CHUNK = 65_536
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -55,6 +61,20 @@ def make_report(mode: str, config: dict, results: dict) -> dict:
 def write_report(report: dict, path) -> None:
     with open(path, "w") as fh:
         fh.write(canonical_json(report))
+
+
+def _write_rows(path, head: dict, key: str, rows, count: int) -> None:
+    """Write ``{**head, key: [row, ...]}`` as one line of compact JSON, where
+    ``rows(lo, hi)`` returns rows lo..hi-1 of ``count`` as an array, serializing
+    ``_WRITE_CHUNK`` rows at a time."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps({**head, key: []}, separators=(",", ":"))[:-2])  # up to "["
+        for lo in range(0, count, _WRITE_CHUNK):
+            if lo:
+                fh.write(",")
+            chunk = rows(lo, min(lo + _WRITE_CHUNK, count)).tolist()
+            fh.write(json.dumps(chunk, separators=(",", ":"))[1:-1])
+        fh.write("]}\n")
 
 
 def write_trials_csv(rows: list[dict], path) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_tight_path
+from ramsey_lab import cli
 from ramsey_lab.cli import _MODE_FLAGS, MODES, build_parser, main, run
 from ramsey_lab.errors import ParameterError
 from ramsey_lab.reporting import strip_timestamp
@@ -230,6 +231,44 @@ class TestGreedy:
         )
         assert code == 0
         assert json.loads(stdout)["results"]["working_color"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["greedy", "--n", "2"], "error: n: must be >= k = 3, got 2\n"),
+            (["greedy", "--n", "8", "--r", "300"], "error: r: must lie in 2..256, got 300\n"),
+            (["greedy", "--n", "8", "--color", "7"], "error: color: must be in 0..1, got 7\n"),
+            (["color", "--r", "300"], "error: r: must lie in 2..256, got 300\n"),
+        ],
+        ids=["greedy-n2", "greedy-r300", "greedy-color7", "color-r300"],
+    )
+    def test_bad_numbers_are_refused_before_enumerating(self, monkeypatch, capsys, argv, line):
+        # enumeration dominates a run's memory, so the run's own numbers go first
+        def enumerate_too_soon(g):
+            raise AssertionError("build_hypergraph ran before the run's numbers were checked")
+
+        monkeypatch.setattr(cli, "build_hypergraph", enumerate_too_soon)
+        mode, *extra = argv
+        code, stdout, err = run_cli([mode, *_TINY, "--r", "2", *extra], capsys)
+        assert code == 1 and stdout == ""
+        assert err == line
+
+    @pytest.mark.parametrize(
+        "colors, m", [([[0, 1, 0, 1], [1, 0, 1, 0]], "2"), (0, "1")], ids=["nested", "scalar"]
+    )
+    @pytest.mark.parametrize("mode", ["greedy", "oracle"])
+    def test_coloring_file_must_be_flat(self, tmp_path, capsys, mode, colors, m):
+        # m = 2 has 8 hyperedges and m = 1 has one: the sizes agree, the shapes do not
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"r": 2, "colors": colors}))
+        argv = [mode, "--k", "3", "--m", m, "--p", "1", "--seed", "0", "--r", "2", "--n", "3",
+                "--coloring", f"@{col}"]
+        if mode == "oracle":
+            argv += ["--check", "tight-path", "--color", "0"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: coloring: cannot read coloring file {col}: colors: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("pin", PINNED, ids=[p["name"] for p in PINNED])
     def test_pinned_report(self, capsys, pin):

@@ -25,11 +25,12 @@ from ramsey_lab import (
     cycles_per_vertex,
     cycles_through_vertex,
     extend_path,
+    random_coloring,
     trash_family,
     validate_tight_path,
     validate_tight_path_verbose,
 )
-from ramsey_lab import cycles
+from ramsey_lab import cycles, reporting
 from ramsey_lab.cycles import _closed_walks, _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.seeds import make_rng
@@ -659,18 +660,26 @@ class TestHypergraph:
     @pytest.mark.parametrize("chunk", [1, 3, 4, 8, 65_536])
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_save_writes_one_compact_document_across_chunks(self, tmp_path, monkeypatch, chunk, p):
-        # 0 or 8 hyperedges, split in chunks that do and do not divide 8
-        monkeypatch.setattr(cycles, "_SAVE_CHUNK", chunk)
-        h = build_hypergraph(random_graph(3, 2, p, 0))
-        path = tmp_path / "h.json"
-        h.save(path)
-        whole = {"vertices": h.num_vertices, "edges": h.vertex_rows().tolist()}
-        assert path.read_text() == json.dumps(whole, separators=(",", ":")) + "\n"
+        # the graph (0 or 12 edges), hypergraph and coloring (0 or 8 hyperedges)
+        # files, split in chunks that do and do not divide their row counts
+        monkeypatch.setattr(reporting, "_WRITE_CHUNK", chunk)
+        g = random_graph(3, 2, p, 0)
+        h = build_hypergraph(g)
+        col = random_coloring(h, 3, 0)
+        writers = [
+            (g, {"k": 3, "m": 2, "edges": g.edges()}),
+            (h, {"vertices": h.num_vertices, "edges": h.vertex_rows().tolist()}),
+            (col, {"r": 3, "colors": col.colors.tolist()}),
+        ]
+        for obj, whole in writers:
+            path = tmp_path / "out.json"
+            obj.save(path)
+            assert path.read_text() == json.dumps(whole, separators=(",", ":")) + "\n"
 
     def test_save_peak_memory_is_near_the_key_array(self, tmp_path, monkeypatch):
         # a smaller chunk keeps the traced run short; the peak is one chunk's
         # rows and text, so it stays flat as the hypergraph grows
-        monkeypatch.setattr(cycles, "_SAVE_CHUNK", 4096)
+        monkeypatch.setattr(reporting, "_WRITE_CHUNK", 4096)
         h = build_hypergraph(random_graph(3, 100, 0.5, 1))
         assert len(h) > 25 * 4096
         tracemalloc.start()

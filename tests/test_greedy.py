@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from ramsey_lab import (
     run_outer,
     validate_tight_path,
 )
-from ramsey_lab import greedy
+from ramsey_lab import greedy, reporting
 from ramsey_lab.cycles import decode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
 from conftest import random_graph
@@ -82,9 +83,26 @@ class TestColorings:
         with pytest.raises(ParameterError):
             adversarial_coloring(complete_h, 2, "nope")
 
-    def test_file_roundtrip(self, complete_h):
+    def test_file_roundtrip(self, complete_h, tmp_path):
         col = random_coloring(complete_h, 3, 11)
-        assert np.array_equal(Coloring.from_json(col.to_json()).colors, col.colors)
+        path = tmp_path / "col.json"
+        col.save(path)
+        back = Coloring.from_json(json.loads(path.read_text()))
+        assert back.r == 3 and np.array_equal(back.colors, col.colors)
+
+    def test_save_peak_memory_is_near_the_colors_array(self, tmp_path, monkeypatch):
+        # as for the hypergraph, the peak is one chunk's colors and text; a color
+        # is one byte against some 60 of text and objects, so the chunk is smaller
+        monkeypatch.setattr(reporting, "_WRITE_CHUNK", 1024)
+        col = random_coloring(build_hypergraph(random_graph(3, 100, 0.5, 1)), 2, 1)
+        assert col.colors.size > 100 * 1024
+        tracemalloc.start()
+        try:
+            col.save(tmp_path / "col.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * col.colors.nbytes
 
     def test_total_required(self):
         with pytest.raises(ParameterError):
@@ -99,8 +117,14 @@ class TestColorings:
             (lambda h: Coloring.from_json({"r": 3, "colors": [0, 1, 300]}), "colors"),
             (lambda h: Coloring.from_json({"r": 3, "colors": [0, -1]}), "colors"),
             (lambda h: Coloring.from_json({"r": 3, "colors": [0.5]}), "colors"),
+            (lambda h: Coloring.from_json({"r": 2, "colors": [[0, 1, 0, 1], [1, 0, 1, 0]]}), "colors"),
+            (lambda h: Coloring.from_json({"r": 2, "colors": 0}), "colors"),
+            (lambda h: Coloring(2, np.zeros((2, len(h) // 2), dtype=np.uint8)), "colors"),
         ],
-        ids=["round-robin-r300", "random-r300", "r1", "color300", "negative", "fractional"],
+        ids=[
+            "round-robin-r300", "random-r300", "r1", "color300", "negative", "fractional",
+            "nested", "scalar", "not-flat",
+        ],
     )
     def test_one_color_rule(self, complete_h, make, field):
         with pytest.raises(ParameterError) as excinfo:

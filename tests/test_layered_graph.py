@@ -1,5 +1,6 @@
-import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -310,8 +311,10 @@ class TestStructure:
     )
     def test_serialization_roundtrip(self, k, m, p, seed):
         g = random_graph(k, m, p, seed)
-        doc = json.loads(json.dumps(g.to_json()))
-        assert LayeredGraph.from_json(doc) == g
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.json")
+            g.save(path)
+            assert LayeredGraph.load(path) == g
 
     def test_edges_sorted_and_normalized(self):
         g = random_graph(3, 6, 0.5, seed=11)
