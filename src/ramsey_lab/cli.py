@@ -43,6 +43,8 @@ from .reporting import canonical_json, make_report, write_report, write_trials_c
 from .seeds import derive_seed
 from .verifier import (
     CONCENTRATION_STATISTICS,
+    _check_ratio_args,
+    _check_trial_args,
     check_property_i,
     check_property_ii,
     check_property_iii,
@@ -75,7 +77,6 @@ _FLAGS = {
     "export_hypergraph": (_STRING, (), "hypergraph JSON output path"),
     "r": (_INT, (), "number of colors"),
     "n": (_INT, (), "tight-path length in vertices"),
-    "strategy": (_STRING, COLORING_STRATEGIES, "coloring strategy"),
     "coloring": (_STRING, (), f"one of {'/'.join(COLORING_STRATEGIES)} or @file.json"),
     "coloring_seed": (_SEED, (), "coloring seed"),
     "color": (_INT, (), "working color (greedy default: majority)"),
@@ -93,7 +94,7 @@ _GRAPH_SOURCE = ("graph", "k", "m", "p", "seed", "canonical")
 _MODE_FLAGS = {
     "generate": (*_GRAPH_SOURCE, "out"),
     "enumerate": (*_GRAPH_SOURCE, "export_hypergraph"),
-    "color": (*_GRAPH_SOURCE, "r", "strategy", "coloring_seed", "out"),
+    "color": (*_GRAPH_SOURCE, "r", "coloring", "coloring_seed", "out"),
     "greedy": (*_GRAPH_SOURCE, "r", "n", "coloring", "coloring_seed", "color"),
     "verify": (*_GRAPH_SOURCE, "property", "r", "n", "trials", "trial_seed", "emit_trials"),
     "concentration": ("statistic", "k", "m", "p", "trials", "seed", "fixed_vertex", "emit_trials"),
@@ -176,21 +177,10 @@ def _required(config: dict, field: str):
     return config[field]
 
 
-def _working_color(config: dict, col: Coloring | None, default: int | None = None) -> int | None:
-    """The run's working color (config's, else default), given iff col is; the
-    library call that takes it checks it is one of col's r colors."""
-    color = config.get("color", default)
-    if col is None:
-        if color is not None:
-            raise ParameterError("color", "needs a coloring")
-    elif color is None:
-        raise ParameterError("color", "required when a coloring is given")
-    return color
-
-
 def _expand_canonical(config: dict) -> None:
-    """Apply the canonical parameterization in place, keeping explicit overrides."""
-    if "canonical" not in config:
+    """Apply the canonical parameterization in place, keeping explicit overrides;
+    beside a graph file it applies nothing, and ``_resolve_graph`` refuses the pair."""
+    if "canonical" not in config or config.get("graph"):
         return
     k, r, n = config["canonical"]
     params = canonical_params(k, r, n)
@@ -220,7 +210,6 @@ def _resolve_graph(config: dict) -> LayeredGraph:
             raise ParameterError("graph", f"cannot read graph file {config['graph']}: {exc}")
         config.update(k=g.k, m=g.m)
         return g
-    _expand_canonical(config)
     for fieldname in ("k", "m", "p", "seed"):
         if fieldname not in config:
             raise ParameterError(fieldname, "required (or provide --graph/--canonical)")
@@ -230,10 +219,17 @@ def _resolve_graph(config: dict) -> LayeredGraph:
     )
 
 
-def _resolve_coloring(config: dict, h: TightHypergraph, default_seed: int) -> Coloring:
-    """Read or draw the run's coloring of h, recording its resolved source in config."""
-    choice = config.get("coloring", "random")
+def _resolve_coloring(config: dict, g: LayeredGraph) -> tuple[TightHypergraph, Coloring]:
+    """Enumerate g's hyperedges and read or draw the run's coloring of them,
+    recording its resolved source in config.  Every coloring input is checked
+    before enumerating, which dominates a run's memory; only a file's edge
+    count waits for the hypergraph."""
     r = _required(config, "r")
+    _check_r(r)
+    if "color" in config:
+        _check_color(config["color"], r)
+    choice = config.setdefault("coloring", "random")
+    col = None
     if choice.startswith("@"):
         path = choice[1:]
         try:
@@ -243,18 +239,19 @@ def _resolve_coloring(config: dict, h: TightHypergraph, default_seed: int) -> Co
             raise ParameterError("coloring", f"cannot read coloring file {path}: {exc}")
         if col.r != r:
             raise ParameterError("coloring", f"file has r={col.r}, run has r={r}")
-        if col.colors.size != len(h):
-            raise ParameterError(
-                "coloring", f"file colors {col.colors.size} edges, hypergraph has {len(h)}"
-            )
-        return col
-    if choice not in COLORING_STRATEGIES:
+    elif choice not in COLORING_STRATEGIES:
         raise ParameterError("coloring", f"unknown strategy {choice!r}")
-    config["coloring"] = choice
-    seed = config.setdefault("coloring_seed", default_seed)
-    if choice == "random":
-        return random_coloring(h, r, seed)
-    return adversarial_coloring(h, r, choice, seed)
+    h = build_hypergraph(g)
+    if col is None:
+        seed = config.setdefault("coloring_seed", derive_seed(config.get("seed", 0), 1))
+        if choice == "random":
+            return h, random_coloring(h, r, seed)
+        return h, adversarial_coloring(h, r, choice, seed)
+    if col.colors.size != len(h):
+        raise ParameterError(
+            "coloring", f"file colors {col.colors.size} edges, hypergraph has {len(h)}"
+        )
+    return h, col
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +291,7 @@ def _mode_enumerate(config: dict) -> tuple[int, dict]:
 
 
 def _mode_color(config: dict) -> tuple[int, dict]:
-    g = _resolve_graph(config)
-    _check_r(_required(config, "r"))
-    h = build_hypergraph(g)
-    config["coloring"] = config.get("strategy", "random")
-    col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
+    h, col = _resolve_coloring(config, _resolve_graph(config))
     out = config.get("out")
     if out:
         col.save(out)
@@ -312,19 +305,13 @@ def _mode_color(config: dict) -> tuple[int, dict]:
 def _mode_greedy(config: dict) -> tuple[int, dict]:
     g = _resolve_graph(config)
     n = _required(config, "n")
-    # refuse the run's own numbers before enumerating, which dominates its memory
     _check_n(n, g.k)
-    r = _required(config, "r")
-    _check_r(r)
-    if "color" in config:
-        _check_color(config["color"], r)
-    h = build_hypergraph(g)
-    col = _resolve_coloring(config, h, default_seed=derive_seed(config.get("seed", 0), 1))
+    h, col = _resolve_coloring(config, g)
     if len(h) == 0:
         raise ParameterError("graph", "has no proper cycles; nothing to color or traverse")
     counts = col.counts()
     majority = pick_majority_color(counts)
-    color = _working_color(config, col, default=majority)
+    color = config.get("color", majority)
     outcome = run_outer(h, g, col, n, color=color)
     return 0, {
         "total_cycles": len(h),
@@ -348,14 +335,17 @@ def _trials_doc(report, config: dict) -> dict:
 
 
 def _mode_verify(config: dict) -> tuple[int, dict]:
-    g = _resolve_graph(config)
     prop = _required(config, "property")
     r, n = _required(config, "r"), _required(config, "n")
+    # refuse the run's own numbers before the graph, which dominates its memory
     if prop == "iii":
-        return 0, check_property_iii(g, r, n).to_json()
+        _check_ratio_args(r, n)
+        return 0, check_property_iii(_resolve_graph(config), r, n).to_json()
+    trials = config.get("trials", 0)
     trial_seed = config.setdefault("trial_seed", derive_seed(config.get("seed", 0), 2))
+    _check_trial_args(r, n, trials, trial_seed)
     check = check_property_i if prop == "i" else check_property_ii
-    report = check(g, r, n, config.get("trials", 0), trial_seed)
+    report = check(_resolve_graph(config), r, n, trials, trial_seed)
     return (2 if report.violations else 0), _trials_doc(report, config)
 
 
@@ -384,18 +374,27 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
             "count": int(keys.size),
             "agrees_with_enumeration": bool(np.array_equal(keys, fast)),
         }
-    h = build_hypergraph(g)
     n = _required(config, "n")
+    _check_n(n, g.k)
     if check == "tight-path":
-        col = _resolve_coloring(config, h, default_seed=0) if config.get("coloring") else None
-        res = tight_path_exists(h, n, col, _working_color(config, col))
+        # a working color is given iff a coloring is: without one the search runs
+        # over every hyperedge, and a color would mislead
+        colored = bool(config.get("coloring"))
+        if colored != ("color" in config):
+            raise ParameterError(
+                "color", "required when a coloring is given" if colored else "needs a coloring"
+            )
+        h, col = _resolve_coloring(config, g) if colored else (build_hypergraph(g), None)
+        res = tight_path_exists(h, n, col, config.get("color"))
         return 0, {
             "check": "tight-path",
             "verdict": res.verdict.value,
             "witness": res.witness,
             "expanded": res.expanded,
         }
-    res = arrow_check(h, n, _required(config, "r"))
+    r = _required(config, "r")
+    _check_r(r)
+    res = arrow_check(build_hypergraph(g), n, r)
     return 0, {
         "check": "arrow",
         "verdict": res.verdict,
@@ -420,6 +419,7 @@ def run(mode: str, config: dict) -> tuple[int, dict]:
     if mode not in _MODE_IMPL:
         raise ParameterError("mode", f"unknown mode {mode!r}")
     config = dict(config)
+    _expand_canonical(config)
     code, results = _MODE_IMPL[mode](config)
     return code, make_report(mode, config, results)
 

@@ -31,7 +31,14 @@ from .cycles import (
     _extensions,
 )
 from .errors import ParameterError, ResourceLimitError
-from .layered_graph import LayeredGraph, _check_color, _check_n, _check_r, _check_seed
+from .layered_graph import (
+    LayeredGraph,
+    _all_integers,
+    _check_color,
+    _check_n,
+    _check_r,
+    _check_seed,
+)
 from .reporting import _write_rows
 from .seeds import make_rng
 from .verifier import RoundAudit, meeting_check, restricted_check
@@ -96,9 +103,16 @@ class Coloring:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
-        if type(doc["r"]) is not int:
-            raise ParameterError("r", f"must be an integer, got {doc['r']!r}")
-        return cls(doc["r"], np.asarray(doc["colors"]))
+        r, colors = doc["r"], doc["colors"]
+        if type(r) is not int:
+            raise ParameterError("r", f"must be an integer, got {r!r}")
+        if not (isinstance(colors, list) and _all_integers(colors)):
+            raise ParameterError("colors", "must be a flat array of integers")
+        try:
+            values = np.fromiter(colors, np.int64, len(colors))
+        except OverflowError:  # an integer beyond int64
+            raise ParameterError("colors", f"must be integers in 0..{r - 1}") from None
+        return cls(r, values)
 
     def save(self, path) -> None:
         """Write ``{"r": r, "colors": [...]}`` through ``_write_rows``."""

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +42,10 @@ __all__ = [
     "generate_random",
     "complete_layered",
 ]
+
+
+# edges read from a list per numpy pass in ``LayeredGraph.from_edges``
+_EDGE_CHUNK = 65_536
 
 
 # -- parameter domains: each rule is stated once, and raised under the config key
@@ -230,26 +235,43 @@ class LayeredGraph:
 
     @classmethod
     def from_edges(cls, k: int, m: int, edges) -> "LayeredGraph":
+        """The graph on a sequence of ``(u, v)`` global pairs; a refusal names the
+        first edge that breaks its rule.  Each rule runs over all edges before the
+        next, so an edge with a non-integer endpoint is named before any other."""
         _check_k(k)
         _check_m(m)
         _check_fits_in_memory("graph arrays", k * m * m)
-        blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         n = k * m
-        for u, v in edges:
-            if not (_is_integer(u) and _is_integer(v)):
-                raise ParameterError("edges", f"edge ({u!r}, {v!r}) has a non-integer endpoint")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError("edges", f"edge ({u}, {v}) out of vertex range [0, {n})")
-            pu, pv = u // m, v // m
-            if (pv - pu) % k == 1:
-                blocks[pu][u % m, v % m] = True
-            elif (pu - pv) % k == 1:
-                blocks[pv][v % m, u % m] = True
-            else:
+        if not set(map(len, edges)) <= {2}:
+            edge = next(e for e in edges if len(e) != 2)
+            raise ParameterError("edges", f"edge {edge!r:.40} is not a pair")
+        if not _all_integers(chain.from_iterable(edges)):
+            u, v = next(e for e in edges if not _all_integers(e))
+            raise ParameterError("edges", f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+        if edges and not (
+            0 <= min(chain.from_iterable(edges)) and max(chain.from_iterable(edges)) < n
+        ):
+            u, v = next(e for e in edges if not (0 <= e[0] < n and 0 <= e[1] < n))
+            raise ParameterError("edges", f"edge ({u}, {v}) out of vertex range [0, {n})")
+        blocks = np.zeros((k, m, m), dtype=bool)
+        # a chunk of edges at a time, so the arrays stay small beside the edge list
+        for lo in range(0, len(edges), _EDGE_CHUNK):
+            chunk = edges[lo : lo + _EDGE_CHUNK]
+            ends = np.fromiter(chain.from_iterable(chunk), np.int64, 2 * len(chunk))
+            ends = ends.reshape(-1, 2)
+            step = (ends[:, 1] // m - ends[:, 0] // m) % k
+            bad = np.flatnonzero((step != 1) & (step != k - 1))
+            if bad.size:
+                u, v = ends[bad[0]]
                 raise ParameterError(
-                    "edges", f"edge ({u}, {v}) joins non-consecutive parts {pu} and {pv}"
+                    "edges", f"edge ({u}, {v}) joins non-consecutive parts {u // m} and {v // m}"
                 )
-        return cls(k, m, blocks)
+            # orient each edge from part i to part i+1: block i's entry [u % m, v % m]
+            # is then entry u*m + v % m of the flattened blocks
+            backward = step == k - 1
+            ends[backward] = ends[backward, ::-1]
+            blocks.reshape(-1)[ends[:, 0] * m + ends[:, 1] % m] = True
+        return cls(k, m, list(blocks))
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredGraph":
@@ -284,9 +306,19 @@ class LayeredGraph:
         return f"LayeredGraph(k={self.k}, m={self.m}, edges={self.edge_count()})"
 
 
+def _is_integer_type(t: type) -> bool:
+    """Whether ``t`` is a Python or numpy integer type; bool is not one."""
+    return t is not bool and issubclass(t, (int, np.integer))
+
+
 def _is_integer(v) -> bool:
-    """Whether ``v`` is a Python or numpy integer; a bool is not one."""
-    return not isinstance(v, bool) and isinstance(v, (int, np.integer))
+    return _is_integer_type(type(v))
+
+
+def _all_integers(values) -> bool:
+    """Whether every value is an integer; only the set of their types is tested,
+    so a long JSON array costs one pass at C speed."""
+    return all(map(_is_integer_type, set(map(type, values))))
 
 
 def _check_fits_in_memory(what: str, required: int) -> None:

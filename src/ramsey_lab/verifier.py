@@ -224,6 +224,13 @@ def _check_trial_args(r: int, n: int, trials: int, seed: int) -> None:
     _check_seed(seed)
 
 
+def _check_ratio_args(r: int, n: int) -> None:
+    _check_r(r)
+    _check_integer("n", n)
+    if n < 2:
+        raise ParameterError("n", f"must be >= 2 for the ln n scaling, got {n}")
+
+
 def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
     """Sampled check that restricted extensions stay under family/(2kr).
 
@@ -302,10 +309,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
 
 def check_property_iii(g: LayeredGraph, r: int, n: int) -> RatioReport:
     """Total cycle count relative to c^k (n ln n)^(k/2), at c = m/n, and r^k (n ln n)^(k/2)."""
-    _check_r(r)
-    _check_integer("n", n)
-    if n < 2:
-        raise ParameterError("n", f"must be >= 2 for the ln n scaling, got {n}")
+    _check_ratio_args(r, n)
     k, c_eff = g.k, g.m / n
     total = count_proper_cycles(g)
     scale = (n * math.log(n)) ** (k / 2.0)

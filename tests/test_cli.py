@@ -148,7 +148,7 @@ class TestColor:
         out = tmp_path / "col.json"
         code, stdout, _ = run_cli(
             ["color", "--k", "3", "--m", "2", "--p", "1", "--seed", "0",
-             "--r", "2", "--strategy", "round_robin", "--out", str(out)],
+             "--r", "2", "--coloring", "round_robin", "--out", str(out)],
             capsys,
         )
         assert code == 0
@@ -156,6 +156,20 @@ class TestColor:
         validate_document(doc, "coloring-v1")
         assert doc["colors"] == [0, 1, 0, 1, 0, 1, 0, 1]
         assert json.loads(stdout)["results"]["color_counts"] == [4, 4]
+
+    def test_coloring_file_round_trip(self, tmp_path, capsys):
+        # color takes the greedy's --coloring, so a file is read, tallied and written back
+        graph, first, second = (tmp_path / name for name in ("g.json", "c1.json", "c2.json"))
+        run_cli(["generate", "--k", "3", "--m", "8", "--p", "0.5", "--seed", "3",
+                 "--out", str(graph)], capsys)
+        base = ["color", "--graph", str(graph), "--r", "3"]
+        code, drawn, err = run_cli([*base, "--coloring-seed", "5", "--out", str(first)], capsys)
+        assert code == 0, err
+        code, read, err = run_cli([*base, "--coloring", f"@{first}", "--out", str(second)], capsys)
+        assert code == 0, err
+        assert second.read_bytes() == first.read_bytes()
+        counts = json.loads(read)["results"]["color_counts"]
+        assert counts == json.loads(drawn)["results"]["color_counts"] and sum(counts) > 0
 
 
 class TestGreedy:
@@ -186,7 +200,7 @@ class TestGreedy:
         col = tmp_path / "col.json"
         run_cli(
             ["color", "--k", "3", "--m", "2", "--p", "1", "--seed", "0", "--r", "2",
-             "--strategy", "round_robin", "--out", str(col)],
+             "--coloring", "round_robin", "--out", str(col)],
             capsys,
         )
         code, stdout, _ = run_cli(
@@ -239,15 +253,29 @@ class TestGreedy:
             (["greedy", "--n", "8", "--r", "300"], "error: r: must lie in 2..256, got 300\n"),
             (["greedy", "--n", "8", "--color", "7"], "error: color: must be in 0..1, got 7\n"),
             (["color", "--r", "300"], "error: r: must lie in 2..256, got 300\n"),
+            (["oracle", "--check", "tight-path", "--n", "2"],
+             "error: n: must be >= k = 3, got 2\n"),
+            (["oracle", "--check", "arrow", "--n", "4", "--r", "1"],
+             "error: r: must lie in 2..256, got 1\n"),
+            (["oracle", "--check", "tight-path", "--n", "4", "--coloring", "random",
+              "--color", "7"], "error: color: must be in 0..1, got 7\n"),
+            (["greedy", "--n", "8", "--coloring", "bogus"],
+             "error: coloring: unknown strategy 'bogus'\n"),
+            (["greedy", "--n", "8", "--coloring", "@missing.json"],
+             "error: coloring: cannot read coloring file missing.json: "
+             "[Errno 2] No such file or directory: 'missing.json'\n"),
         ],
-        ids=["greedy-n2", "greedy-r300", "greedy-color7", "color-r300"],
+        ids=["greedy-n2", "greedy-r300", "greedy-color7", "color-r300", "oracle-n2",
+             "arrow-r1", "oracle-color7", "greedy-bogus", "greedy-missing-file"],
     )
-    def test_bad_numbers_are_refused_before_enumerating(self, monkeypatch, capsys, argv, line):
+    def test_bad_numbers_are_refused_before_enumerating(self, monkeypatch, tmp_path, capsys,
+                                                        argv, line):
         # enumeration dominates a run's memory, so the run's own numbers go first
         def enumerate_too_soon(g):
             raise AssertionError("build_hypergraph ran before the run's numbers were checked")
 
         monkeypatch.setattr(cli, "build_hypergraph", enumerate_too_soon)
+        monkeypatch.chdir(tmp_path)  # where missing.json is missing
         mode, *extra = argv
         code, stdout, err = run_cli([mode, *_TINY, "--r", "2", *extra], capsys)
         assert code == 1 and stdout == ""
@@ -333,6 +361,29 @@ class TestVerify:
         assert code == 0
         res = json.loads(stdout)["results"]
         assert res["ratio_c"] == pytest.approx((4 / math.log(4)) ** 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--property", "i", "--n", "3", "--trials", "-1"],
+             "error: trials: must be >= 0, got -1\n"),
+            (["--property", "ii", "--n", "3", "--trials", "2", "--r", "300"],
+             "error: r: must lie in 2..256, got 300\n"),
+            (["--property", "iii", "--n", "1"],
+             "error: n: must be >= 2 for the ln n scaling, got 1\n"),
+        ],
+        ids=["trials-1", "r300", "iii-n1"],
+    )
+    def test_bad_verify_numbers_are_refused_before_generating(self, monkeypatch, capsys,
+                                                              argv, line):
+        # the graph dominates a verify run's memory, so the run's own numbers go first
+        def generate_too_soon(params):
+            raise AssertionError("generate_random ran before the run's numbers were checked")
+
+        monkeypatch.setattr(cli, "generate_random", generate_too_soon)
+        code, stdout, err = run_cli(["verify", *_TINY, "--r", "2", *argv], capsys)
+        assert code == 1 and stdout == ""
+        assert err == line
 
     def test_missing_property_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -421,7 +472,7 @@ class TestOracleMode:
     def _coloring_file(self, tmp_path, capsys):
         col = tmp_path / "col.json"
         code, _, _ = run_cli(
-            ["color", *self.GRAPH, "--r", "2", "--strategy", "round_robin", "--out", str(col)],
+            ["color", *self.GRAPH, "--r", "2", "--coloring", "round_robin", "--out", str(col)],
             capsys,
         )
         assert code == 0
@@ -620,9 +671,8 @@ class TestConfigHandling:
             ("verify", "property", "iv", "i, ii, iii"),
             ("oracle", "check", "x", "cycles, tight-path, arrow"),
             ("concentration", "statistic", "x", ", ".join(CONCENTRATION_STATISTICS)),
-            ("color", "strategy", "bogus", "random, round_robin, vertex_cut, balanced_greedy"),
         ],
-        ids=["property", "check", "statistic", "strategy"],
+        ids=["property", "check", "statistic"],
     )
     def test_out_of_choices_config_value_exit_1(self, tmp_path, capsys, mode, key, value,
                                                 choices):
@@ -777,7 +827,9 @@ class TestConfigHandling:
             ["verify", "--property", "iii", *_SMALL, "--c-eff", "2"],
             ["enumerate", *_TINY, "--cycle-cap", "10"],
             ["color", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--r", "2",
-             "--coloring", "5"],
+             "--coloring-s", "5"],
+            ["color", "--k", "3", "--m", "3", "--p", "1", "--seed", "0", "--r", "2",
+             "--strategy", "random"],
             ["concentration", "--statistic", "cycles_through_vertex", "--k", "3", "--m", "4",
              "--p", "0.5", "--trials", "2", "--seed", "0", "--fixed", "3"],
         ):

@@ -120,10 +120,13 @@ class TestColorings:
             (lambda h: Coloring.from_json({"r": 2, "colors": [[0, 1, 0, 1], [1, 0, 1, 0]]}), "colors"),
             (lambda h: Coloring.from_json({"r": 2, "colors": 0}), "colors"),
             (lambda h: Coloring(2, np.zeros((2, len(h) // 2), dtype=np.uint8)), "colors"),
+            # a JSON true is no integer, as in a graph file; 2**70 overflows int64
+            (lambda h: Coloring.from_json({"r": 2, "colors": [0, True]}), "colors"),
+            (lambda h: Coloring.from_json({"r": 2, "colors": [0, 2**70]}), "colors"),
         ],
         ids=[
             "round-robin-r300", "random-r300", "r1", "color300", "negative", "fractional",
-            "nested", "scalar", "not-flat",
+            "nested", "scalar", "not-flat", "bool", "beyond-int64",
         ],
     )
     def test_one_color_rule(self, complete_h, make, field):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramsey_lab import layered_graph
 from ramsey_lab import (
     Coloring,
     GraphParams,
@@ -330,6 +331,38 @@ class TestStructure:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             LayeredGraph.from_edges(3, 2, [(0, 9)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 2), (1, 3), (0, 9), (0, 1.0)], "edge (0, 1.0) has a non-integer endpoint"),
+            ([(0, 2), (False, 2)], "edge (False, 2) has a non-integer endpoint"),
+            ([(0, 2), (1, 2**70), (-1, 3)], f"edge (1, {2**70}) out of vertex range [0, 6)"),
+            ([(0, 2), (5, 1), (0, 1), (2, 3)], "edge (0, 1) joins non-consecutive parts 0 and 0"),
+            ([(0, 2), (0, 2, 4)], "edge (0, 2, 4) is not a pair"),
+        ],
+        ids=["float", "bool", "beyond-int64", "same-part", "triple"],
+    )
+    def test_from_edges_names_the_first_offending_edge(self, monkeypatch, edges, message):
+        # each rule runs over all edges before the next: pairs, type, range, then parts,
+        # read two edges per numpy pass
+        monkeypatch.setattr(layered_graph, "_EDGE_CHUNK", 2)
+        with pytest.raises(ParameterError) as excinfo:
+            LayeredGraph.from_edges(3, 2, edges)
+        assert str(excinfo.value) == f"edges: {message}"
+
+    @pytest.mark.parametrize("k, m, p, seed", [(3, 7, 0.5, 1), (4, 5, 0.3, 2), (5, 1, 1.0, 3)])
+    def test_from_edges_matches_one_edge_at_a_time(self, monkeypatch, k, m, p, seed):
+        # either orientation and repeats of an edge set one block entry, across chunks
+        monkeypatch.setattr(layered_graph, "_EDGE_CHUNK", 3)
+        edges = random_graph(k, m, p, seed).edges()
+        edges = edges + [(v, u) for u, v in edges[::2]] + edges[:3]
+        blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
+        for u, v in edges:
+            if (v // m - u // m) % k != 1:
+                u, v = v, u
+            blocks[u // m][u % m, v % m] = True
+        assert LayeredGraph.from_edges(k, m, edges) == LayeredGraph(k, m, blocks)
 
     def test_from_edges_rejects_negative_m(self):
         # checked before the blocks are sized, so a negative m never reaches numpy
