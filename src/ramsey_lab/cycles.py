@@ -46,8 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError, ResourceLimitError, UnknownVertexError
-from .layered_graph import LayeredGraph, _check_fits_in_memory
+from .errors import (
+    InvariantViolationError,
+    ParameterError,
+    ResourceLimitError,
+    UnknownVertexError,
+)
+from .layered_graph import LayeredGraph, _check_color, _check_fits_in_memory
 from .reporting import _write_rows
 
 __all__ = [
@@ -496,6 +501,14 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
 # ---------------------------------------------------------------------------
 
 
+def _check_coloring(h: TightHypergraph, col, color: int) -> None:
+    """Refuse a coloring that does not give every hyperedge of h a color, then
+    a working ``color`` that is not one of its colors."""
+    if col.colors.size != len(h):
+        raise ParameterError("col", "coloring is not total over the hypergraph")
+    _check_color(color, col.r)
+
+
 def validate_tight_path_verbose(
     h: TightHypergraph, seq, coloring=None, color: int | None = None, deleted=None
 ) -> tuple[bool, str | None]:
@@ -504,10 +517,10 @@ def validate_tight_path_verbose(
     Reasons: too-short, unknown-vertex, repeated-vertex, window-not-one-per-part,
     window-not-hyperedge, window-wrong-color, deleted-window (a window whose
     hyperedge is set in the ``deleted`` mask over hyperedge ids).  A given
-    coloring's working ``color`` must be one of its colors.
+    coloring must pass ``_check_coloring`` with the working ``color``.
     """
     if coloring is not None:
-        coloring.check_color(color)
+        _check_coloring(h, coloring, color)
     g = h.graph
     seq = list(seq)
     if len(seq) < g.k:

@@ -7,10 +7,12 @@ eligible starting edges.  The outer loop restarts after each full trash,
 deleting every working-color hyperedge that extends a trashed path, and
 finishes with either a found path or an audited certificate.
 
-Every choice (starting edge, extension vertex) is the lexicographically
-least eligible option, so runs are replayable.  Within a round the
-start-edge scan resumes at the last start edge, because the eligible set
-only shrinks there (see ``greedy_round``).
+The search reads one live mask over hyperedge ids: ``run_outer`` sets it
+to the working-color hyperedges once, and each restart clears the ones it
+deletes.  Every choice (starting edge, extension vertex) is the
+lexicographically least eligible option, so runs are replayable.  Within a
+round the start-edge scan resumes at the last start edge, because the
+eligible set only shrinks there (see ``greedy_round``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .cycles import (
     TightHypergraph,
     TrashFamily,
+    _check_coloring,
     count_proper_cycles,
     decode_keys,
     encode_keys,
@@ -34,7 +37,6 @@ from .errors import ParameterError, ResourceLimitError
 from .layered_graph import (
     LayeredGraph,
     _all_integers,
-    _check_color,
     _check_n,
     _check_r,
     _check_seed,
@@ -89,10 +91,6 @@ class Coloring:
             raise ParameterError("colors", f"must be integers in 0..{self.r - 1}")
         object.__setattr__(self, "colors", np.ascontiguousarray(colors, dtype=np.uint8))
         self.colors.setflags(write=False)
-
-    def check_color(self, color: int) -> None:
-        """Refuse a working color that is not one of this coloring's r colors."""
-        _check_color(color, self.r)
 
     def counts(self) -> np.ndarray:
         """Hyperedges per color, as int64; one pass per color, so the uint8
@@ -252,7 +250,7 @@ class GreedyState:
             self.unused[v] = True
         self.path = []
 
-    def check_invariants(self, h: TightHypergraph, col, color, deleted) -> None:
+    def check_invariants(self, h: TightHypergraph, live: np.ndarray) -> None:
         g = h.graph
         in_path = set(self.path)
         in_trash = {v for p in self.trash for v in p}
@@ -262,19 +260,14 @@ class GreedyState:
         expected[sorted(in_path | in_trash)] = False
         assert np.array_equal(expected, self.unused), "unused mask out of sync"
         if len(self.path) >= g.k:
-            ok, reason = validate_tight_path_verbose(h, self.path, col, color, deleted)
-            assert ok, f"path is not a live working-color tight path: {reason}"
+            ok, reason = validate_tight_path_verbose(h, self.path, deleted=~live)
+            assert ok, f"path is not a tight path of live hyperedges: {reason}"
 
 
 def _find_start_edge(
-    h: TightHypergraph,
-    colors: np.ndarray,
-    color: int,
-    deleted: np.ndarray,
-    unused: np.ndarray,
-    lo: int = 0,
+    h: TightHypergraph, live: np.ndarray, unused: np.ndarray, lo: int = 0
 ) -> int | None:
-    """Least working-color, non-deleted hyperedge inside U with id >= ``lo``.
+    """Least live hyperedge inside U with id >= ``lo``.
 
     The scan starts with a chunk of ``_FIRST_SCAN_CHUNK`` ids and doubles it
     up to ``_SCAN_CHUNK``, so a hit near ``lo`` decodes few keys.
@@ -282,73 +275,56 @@ def _find_start_edge(
     step = _FIRST_SCAN_CHUNK
     while lo < len(h):
         hi = min(lo + step, len(h))
-        elig = (colors[lo:hi] == color) & ~deleted[lo:hi]
-        if elig.any():
-            idxs = np.nonzero(elig)[0].astype(np.int64) + lo
-            ok = unused[h.vertex_rows(lo, hi)[idxs - lo]].all(axis=1)
+        idxs = np.flatnonzero(live[lo:hi])
+        if idxs.size:
+            ok = unused[h.vertex_rows(lo, hi)[idxs]].all(axis=1)
             if ok.any():
-                return int(idxs[ok][0])
+                return lo + int(idxs[ok][0])
         lo = hi
         step = min(2 * step, _SCAN_CHUNK)
     return None
 
 
 def _eligible_extensions(
-    h: TightHypergraph,
-    colors: np.ndarray,
-    color: int,
-    deleted: np.ndarray,
-    unused: np.ndarray,
-    path: list[int],
+    h: TightHypergraph, live: np.ndarray, unused: np.ndarray, path: list[int]
 ) -> np.ndarray:
-    """Unused vertices extending the last k-1 of the path by a working edge."""
+    """Unused vertices extending the last k-1 of the path by a live hyperedge."""
     ext, keys = _extensions(h.graph, path[-(h.graph.k - 1) :], unused)
     if ext.size == 0:
         return ext
     ids = h.ids_for_keys(keys)
     ok = ids >= 0
-    ok[ok] &= (colors[ids[ok]] == color) & ~deleted[ids[ok]]
+    ok[ok] = live[ids[ok]]
     return ext[ok]
 
 
 def greedy_round(
-    h: TightHypergraph,
-    g: LayeredGraph,
-    col: Coloring,
-    color: int,
-    n: int,
-    deleted: np.ndarray | None = None,
-    debug: bool = False,
+    h: TightHypergraph, live: np.ndarray, n: int, debug: bool = False
 ) -> RoundResult:
-    """Run one greedy round against the non-deleted working-color hyperedges.
+    """Run one greedy round against the live hyperedges, the ids set in the
+    bool mask ``live`` (working color, not deleted).
 
     Each start-edge scan resumes at the last start edge (the cursor ``lo``).
     This is exact: every scan runs with an empty path, so U = V \\ trash;
-    within a round the trash only grows, and ``deleted`` and the colors do
-    not change; so the eligible set only shrinks, and its least id never
-    decreases.
+    the trash only grows, and ``live`` does not change within a round; so
+    the eligible set only shrinks, and its least id never decreases.
     """
-    if g is not h.graph:
-        raise ParameterError("g", "hypergraph was built over a different graph")
-    col.check_color(color)
+    g = h.graph
     _check_n(n, g.k)
-    if col.colors.size != len(h):
-        raise ParameterError("col", "coloring is not total over the hypergraph")
-    if deleted is None:
-        deleted = np.zeros(len(h), dtype=bool)
-    colors = col.colors
+    if not (isinstance(live, np.ndarray) and live.dtype == bool and live.shape == (len(h),)):
+        raise ParameterError("live", f"must be a bool array of shape ({len(h)},)")
     state = GreedyState.fresh(g.num_vertices)
 
     def checked(kind: RoundOutcome, path: list[int]) -> RoundResult:
         if debug:
-            state.check_invariants(h, col, color, deleted)
+            state.check_invariants(h, live)
         return RoundResult(kind, list(path), trash_family(g, state.trash))
 
     lo = 0
     while True:
-        eid = _find_start_edge(h, colors, color, deleted, state.unused, lo)
+        eid = _find_start_edge(h, live, state.unused, lo)
         if debug:
-            assert eid == _find_start_edge(h, colors, color, deleted, state.unused), (
+            assert eid == _find_start_edge(h, live, state.unused), (
                 "start-edge cursor skipped an eligible edge"
             )
         if eid is None:
@@ -356,15 +332,15 @@ def greedy_round(
         lo = eid
         state.claim(h.hyperedge(eid))
         if debug:
-            state.check_invariants(h, col, color, deleted)
+            state.check_invariants(h, live)
         if len(state.path) >= n:
             return checked(RoundOutcome.PATH_FOUND, state.path)
         while state.path:
-            ext = _eligible_extensions(h, colors, color, deleted, state.unused, state.path)
+            ext = _eligible_extensions(h, live, state.unused, state.path)
             if ext.size:
                 state.claim([int(ext[0])])
                 if debug:
-                    state.check_invariants(h, col, color, deleted)
+                    state.check_invariants(h, live)
                 if len(state.path) >= n:
                     return checked(RoundOutcome.PATH_FOUND, state.path)
                 continue
@@ -375,7 +351,7 @@ def greedy_round(
             if len(state.path) < g.k:
                 state.release_stump()
             if debug:
-                state.check_invariants(h, col, color, deleted)
+                state.check_invariants(h, live)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +431,7 @@ def audit_certificate(
     if g is not h.graph:
         raise ParameterError("g", "hypergraph was built over a different graph")
     color = outcome.color
+    _check_coloring(h, col, color)
     total = count_proper_cycles(g)
     if total != len(h):
         raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
@@ -497,20 +474,22 @@ def run_outer(
     least one fresh deletion (the window that carried it into the path).
     A certificate is returned with its audit attached.
     """
+    if g is not h.graph:
+        raise ParameterError("g", "hypergraph was built over a different graph")
+    _check_n(n, g.k)
     if color is None:
         color = pick_majority_color(col.counts())
-    deleted = np.zeros(len(h), dtype=bool)
+    _check_coloring(h, col, color)
+    live = col.colors == color
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
-        res = greedy_round(h, g, col, color, n, deleted)
+        res = greedy_round(h, live, n)
         if res.kind is RoundOutcome.PATH_FOUND:
             return FoundPath(color=color, vertices=res.path)
         if res.kind is RoundOutcome.TRASH_FULL:
             rounds.append(RoundRecord(path_snapshot=res.path, trash=res.trash))
             for row in res.trash.rows.tolist():
-                ids = h.extension_ids(row)
-                if ids.size:
-                    deleted[ids[col.colors[ids] == color]] = True
+                live[h.extension_ids(row)] = False
             continue
         cset = sorted(res.trash.rows.ravel().tolist())
         cert = Certificate(

@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .cycles import TightHypergraph
+from .cycles import TightHypergraph, _check_coloring
 from .errors import ResourceLimitError
 from .greedy import Coloring
 from .layered_graph import LayeredGraph, _check_n, _check_r
@@ -119,7 +119,7 @@ def tight_path_exists(
     g = h.graph
     _check_n(n, g.k)
     if coloring is not None:
-        coloring.check_color(color)
+        _check_coloring(h, coloring, color)
     edges = _colored_edges(h, coloring, color)
     completions: dict[frozenset[int], list[int]] = {}
     for es in edges:
@@ -182,6 +182,7 @@ def arrow_check(
     lexicographically least under that normalization.  Verdict None means a
     path search hit its cap.
     """
+    _check_n(n, h.graph.k)
     _check_r(r)
     edge_count = len(h)
     if r**edge_count > coloring_cap:

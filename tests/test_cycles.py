@@ -774,6 +774,15 @@ class TestValidateTightPath:
             validate_tight_path_verbose(h, [0, 2, 4], col, color)
         assert excinfo.value.field == "color"
 
+    def test_refuses_a_partial_coloring(self, tiny_complete):
+        from ramsey_lab import Coloring, ParameterError
+
+        h = build_hypergraph(tiny_complete)
+        col = Coloring(2, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ParameterError) as excinfo:
+            validate_tight_path_verbose(h, [0, 2, 4], col, 0)
+        assert excinfo.value.field == "col"
+
     def test_deleted_window(self, tiny_complete):
         h = build_hypergraph(tiny_complete)
         deleted = np.zeros(len(h), dtype=bool)

@@ -174,7 +174,7 @@ class TestMajority:
 class TestGreedyRound:
     def test_no_working_edges(self, tiny_complete, complete_h):
         col = mono_coloring(complete_h, 1)
-        res = greedy_round(complete_h, tiny_complete, col, color=0, n=4)
+        res = greedy_round(complete_h, col.colors == 0, n=4)
         assert res.kind is RoundOutcome.NO_WORKING_EDGE
         assert res.path == [] and len(res.trash) == 0
 
@@ -182,7 +182,7 @@ class TestGreedyRound:
         g = complete_layered(3, 6)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        res = greedy_round(h, g, col, color=0, n=6, debug=True)
+        res = greedy_round(h, col.colors == 0, n=6, debug=True)
         assert res.kind is RoundOutcome.PATH_FOUND
         assert len(res.trash) == 0  # extension never fails in a complete graph
         assert validate_tight_path(h, res.path, col, 0)
@@ -191,13 +191,13 @@ class TestGreedyRound:
         colors = np.ones(8, dtype=np.uint8)
         colors[0] = 0
         col = Coloring(2, colors)
-        res = greedy_round(complete_h, tiny_complete, col, color=0, n=3)
+        res = greedy_round(complete_h, col.colors == 0, n=3)
         assert res.kind is RoundOutcome.PATH_FOUND
         assert res.path == [0, 2, 4]  # canonical layout from the part-0 vertex
 
     def test_case2_produces_trash(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        res = greedy_round(complete_h, tiny_complete, col, color=0, n=4, debug=True)
+        res = greedy_round(complete_h, col.colors == 0, n=4, debug=True)
         assert res.kind is RoundOutcome.NO_WORKING_EDGE
         assert len(res.trash) == 2  # both parity-0 components get trashed
 
@@ -210,27 +210,30 @@ class TestGreedyRound:
             if len(h) == 0:
                 continue
             col = random_coloring(h, 2, seed)
-            greedy_round(h, g, col, color=0, n=5, debug=True)
-            greedy_round(h, g, col, color=1, n=5, debug=True)
+            greedy_round(h, col.colors == 0, n=5, debug=True)
+            greedy_round(h, col.colors == 1, n=5, debug=True)
 
     def test_trash_full_terminates(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        res = greedy_round(complete_h, tiny_complete, col, color=0, n=2 * 3, deleted=None)
+        greedy_round(complete_h, col.colors == 0, n=2 * 3)
         # n=6 > reachable trash here; rerun with n=2 rejected (n < k)
         with pytest.raises(ParameterError):
-            greedy_round(complete_h, tiny_complete, col, color=0, n=2)
+            greedy_round(complete_h, col.colors == 0, n=2)
 
-    def test_rejects_partial_coloring(self, tiny_complete, complete_h):
-        with pytest.raises(ParameterError):
-            greedy_round(
-                complete_h, tiny_complete, Coloring(2, np.zeros(3, dtype=np.uint8)), 0, 4
-            )
-
-    def test_rejects_wrong_graph(self, complete_h):
-        other = complete_layered(3, 2)
-        col = mono_coloring(complete_h, 0)
-        with pytest.raises(ParameterError):
-            greedy_round(complete_h, other, col, 0, 3)
+    @pytest.mark.parametrize(
+        "live",
+        [
+            np.ones(3, dtype=bool),
+            np.ones(8, dtype=np.uint8),
+            [True] * 8,
+            np.ones((8, 1), dtype=bool),
+        ],
+        ids=["short", "uint8", "list", "2d"],
+    )
+    def test_rejects_a_mask_that_is_not_one_bool_per_hyperedge(self, complete_h, live):
+        with pytest.raises(ParameterError) as excinfo:
+            greedy_round(complete_h, live, 4)
+        assert excinfo.value.field == "live"
 
 
 class TestStartEdgeCursor:
@@ -247,7 +250,7 @@ class TestStartEdgeCursor:
         colors[list(eligible)] = 0
         if unused is None:
             unused = np.ones(h.graph.num_vertices, dtype=bool)
-        return greedy._find_start_edge(h, colors, 0, np.zeros(len(h), dtype=bool), unused, lo)
+        return greedy._find_start_edge(h, colors == 0, unused, lo)
 
     @pytest.mark.parametrize("target", [0, 1023, 1024, 3071, 3072, 7168, 7999])
     def test_first_eligible_id(self, big, target):
@@ -274,28 +277,38 @@ class TestStartEdgeCursor:
         assert self.scan(big, [0, len(big) - 1], lo=len(big) + past) is None
 
     @pytest.mark.parametrize(
-        "k, m, p, seed", [(3, 600, 0.03, 1), (4, 80, 0.08, 3), (5, 20, 0.2, 1)],
-        ids=["k3", "k4", "k5"],
+        "k, m, p, seed, minority",
+        [
+            (3, 600, 0.03, 1, False),
+            (4, 80, 0.08, 3, False),
+            (5, 20, 0.2, 1, False),
+            (3, 600, 0.03, 1, True),
+            (4, 80, 0.08, 3, True),
+            (5, 20, 0.2, 1, True),
+        ],
+        ids=["k3", "k4", "k5", "k3-minority", "k4-minority", "k5-minority"],
     )
-    def test_cursor_matches_full_scan_in_run_outer(self, monkeypatch, k, m, p, seed):
+    def test_cursor_matches_full_scan_in_run_outer(self, monkeypatch, k, m, p, seed, minority):
         # sparse restart-heavy instances: every resumed scan must give the
-        # answer of a scan from id 0
+        # answer of a scan from id 0, on the majority's live mask and on the
+        # minority's
         g = random_graph(k, m, p, seed)
         h = build_hypergraph(g)
         if k == 3:
             assert len(h) > 4 * 1024  # resumed scans cross doubling boundaries
         col = random_coloring(h, 2, seed)
+        majority = pick_majority_color(col.counts())
         full_scan = greedy._find_start_edge
         resumed = []
 
-        def checked_scan(h, colors, color, deleted, unused, lo=0):
-            eid = full_scan(h, colors, color, deleted, unused, lo)
-            assert eid == full_scan(h, colors, color, deleted, unused)
+        def checked_scan(h, live, unused, lo=0):
+            eid = full_scan(h, live, unused, lo)
+            assert eid == full_scan(h, live, unused)
             resumed.append(lo > 0)
             return eid
 
         monkeypatch.setattr(greedy, "_find_start_edge", checked_scan)
-        out = run_outer(h, g, col, n=10)
+        out = run_outer(h, g, col, n=10, color=1 - majority if minority else majority)
         assert isinstance(out, Certificate) and len(out.rounds) > 0
         assert any(resumed)
 
@@ -306,12 +319,12 @@ class TestStartEdgeCursor:
         full_scan = greedy._find_start_edge
         los = []
 
-        def spy(h, colors, color, deleted, unused, lo=0):
+        def spy(h, live, unused, lo=0):
             los.append(lo)
-            return full_scan(h, colors, color, deleted, unused, lo)
+            return full_scan(h, live, unused, lo)
 
         monkeypatch.setattr(greedy, "_find_start_edge", spy)
-        greedy_round(h, g, col, pick_majority_color(col.counts()), n=10, debug=True)
+        greedy_round(h, col.colors == pick_majority_color(col.counts()), n=10, debug=True)
         # debug mode follows every cursor scan with a scan from id 0
         assert any(lo > 0 for lo in los[0::2]) and not any(los[1::2])
 
@@ -361,6 +374,19 @@ class TestRunOuter:
             if isinstance(out, FoundPath):
                 assert validate_tight_path(h, out.vertices, col, out.color)
                 assert len(out.vertices) >= 4
+
+    def test_rejects_partial_coloring(self, tiny_complete, complete_h):
+        col = Coloring(2, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ParameterError) as excinfo:
+            run_outer(complete_h, tiny_complete, col, 4, color=0)
+        assert excinfo.value.field == "col"
+
+    def test_rejects_wrong_graph(self, complete_h):
+        other = complete_layered(3, 2)
+        col = mono_coloring(complete_h, 0)
+        with pytest.raises(ParameterError) as excinfo:
+            run_outer(complete_h, other, col, 3)
+        assert excinfo.value.field == "g"
 
     def test_certificate_rounds_have_disjoint_families(self):
         g = random_graph(3, 6, 0.7, 13)
@@ -416,6 +442,14 @@ class TestParityInstance:
         with pytest.raises(ParameterError) as excinfo:
             audit_certificate(out, h, relabelled, col)
         assert excinfo.value.field == "g"
+
+
+    def test_audit_refuses_a_partial_coloring(self, tiny_complete, complete_h):
+        out = run_outer(complete_h, tiny_complete, parity_coloring(complete_h), n=4)
+        partial = Coloring(2, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ParameterError) as excinfo:
+            audit_certificate(out, complete_h, tiny_complete, partial)
+        assert excinfo.value.field == "col"
 
 
 class TestOutcomeJson:

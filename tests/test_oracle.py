@@ -71,6 +71,13 @@ class TestTightPathSearch:
             tight_path_exists(h, 3, col, 2)
         assert excinfo.value.field == "color"
 
+    def test_refuses_a_partial_coloring(self, tiny_complete):
+        h = build_hypergraph(tiny_complete)
+        col = Coloring(2, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ParameterError) as excinfo:
+            tight_path_exists(h, 3, col, 0)
+        assert excinfo.value.field == "col"
+
     def test_confirms_greedy_paths(self):
         # one-sided soundness: greedy path implies oracle FOUND for that color
         for seed in range(12):
@@ -108,6 +115,12 @@ class TestArrow:
         assert arrow_check(empty, 3, 2).verdict is False
         nonempty = build_hypergraph(complete_layered(3, 1))
         assert arrow_check(nonempty, 3, 2).verdict is True
+
+    def test_refuses_n_below_k_on_an_edgeless_host(self):
+        empty = build_hypergraph(random_graph(3, 3, 0.0, 0))
+        with pytest.raises(ParameterError) as excinfo:
+            arrow_check(empty, 1, 2)
+        assert excinfo.value.field == "n"
 
     def test_coloring_cap(self):
         h = build_hypergraph(complete_layered(3, 3))  # 27 edges
