@@ -32,9 +32,11 @@ from .greedy import (
 from .layered_graph import (
     GraphParams,
     LayeredGraph,
+    _all_integers,
     _check_color,
     _check_n,
     _check_r,
+    _is_integer,
     canonical_params,
     generate_random,
 )
@@ -130,10 +132,10 @@ def _has_kind(value, kind: str) -> bool:
         # refuses NaN, +-inf and ints beyond float range in one comparison
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if kind == _TRIPLE:
-        return type(value) is list and len(value) == 3 and all(type(x) is int for x in value)
-    if kind == _SEED:
-        return type(value) is int and 0 <= value < 2**64
-    return type(value) is (int if kind == _INT else str)
+        return type(value) is list and len(value) == 3 and _all_integers(value)
+    if kind == _STRING:
+        return type(value) is str
+    return _is_integer(value) and (kind == _INT or 0 <= value < 2**64)
 
 
 def resolve_config(mode: str, args: argparse.Namespace) -> dict:
@@ -312,7 +314,7 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
     counts = col.counts()
     majority = pick_majority_color(counts)
     color = config.get("color", majority)
-    outcome = run_outer(h, g, col, n, color=color)
+    outcome = run_outer(h, col, n, color=color)
     return 0, {
         "total_cycles": len(h),
         "color_counts": counts.tolist(),

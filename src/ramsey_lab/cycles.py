@@ -184,10 +184,8 @@ def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
 
 
 def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
-    """Number of proper cycles containing vertex v."""
-    g._check_vertex(v)
-    part, local = divmod(int(v), g.m)
-    return int(_closed_walks(_float_blocks(g), part, [local])[0])
+    """Number of proper cycles containing vertex v: those meeting the set {v}."""
+    return count_cycles_meeting(g, [v])
 
 
 def count_cycles_meeting(g: LayeredGraph, cset) -> int:
@@ -441,15 +439,17 @@ class TightHypergraph:
     def num_vertices(self) -> int:
         return self.graph.num_vertices
 
-    def vertex_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Hyperedges lo..hi-1 as an (N, k) int64 block of part-indexed global ids."""
+    def vertex_rows(self, ids=slice(None)) -> np.ndarray:
+        """The hyperedges ``ids`` selects (a slice or an int array of ids; all by
+        default) as an (N, k) int64 block of part-indexed global ids.  Only the
+        selected keys are decoded."""
         g = self.graph
-        return decode_keys(self.keys[lo:hi], g.k, g.m) + np.arange(g.k, dtype=np.int64) * g.m
+        return decode_keys(self.keys[ids], g.k, g.m) + np.arange(g.k, dtype=np.int64) * g.m
 
     def hyperedge(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < len(self):
             raise IndexError(f"hyperedge id {idx} out of range [0, {len(self)})")
-        return tuple(self.vertex_rows(idx, idx + 1)[0].tolist())
+        return tuple(self.vertex_rows(slice(idx, idx + 1))[0].tolist())
 
     def hyperedges(self) -> list[tuple[int, ...]]:
         return [tuple(row) for row in self.vertex_rows().tolist()]

@@ -42,7 +42,7 @@ from .layered_graph import (
     _check_seed,
 )
 from .reporting import _write_rows
-from .seeds import make_rng
+from .seeds import spawn_rng
 from .verifier import RoundAudit, meeting_check, restricted_check
 
 __all__ = [
@@ -102,8 +102,7 @@ class Coloring:
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
         r, colors = doc["r"], doc["colors"]
-        if type(r) is not int:
-            raise ParameterError("r", f"must be an integer, got {r!r}")
+        _check_r(r)
         if not (isinstance(colors, list) and _all_integers(colors)):
             raise ParameterError("colors", "must be a flat array of integers")
         try:
@@ -114,29 +113,26 @@ class Coloring:
 
     def save(self, path) -> None:
         """Write ``{"r": r, "colors": [...]}`` through ``_write_rows``."""
-        colors = self.colors
-        _write_rows(path, {"r": self.r}, "colors", lambda lo, hi: colors[lo:hi], colors.size)
+        _write_rows(path, {"r": self.r}, "colors", self.colors.__getitem__, self.colors.size)
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     """I.i.d. uniform colors from the Philox stream for ``seed``."""
     _check_r(r)
     _check_seed(seed)
-    colors = make_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
+    colors = spawn_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
     return Coloring(r, colors)
 
 
 def _vertex_cut_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     g = h.graph
-    rng = make_rng(seed)
     size = max(1, g.num_vertices // 4)
     cut = np.zeros(g.num_vertices, dtype=bool)
-    cut[rng.choice(g.num_vertices, size=size, replace=False)] = True
+    cut[spawn_rng(seed).choice(g.num_vertices, size=size, replace=False)] = True
     colors = np.empty(len(h), dtype=np.uint8)
     for lo in range(0, len(h), _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, len(h))
-        verts = h.vertex_rows(lo, hi)
-        colors[lo:hi] = np.where(cut[verts].any(axis=1), 0, 1)
+        ids = slice(lo, lo + _SCAN_CHUNK)
+        colors[ids] = np.where(cut[h.vertex_rows(ids)].any(axis=1), 0, 1)
     return Coloring(r, colors)
 
 
@@ -269,17 +265,18 @@ def _find_start_edge(
 ) -> int | None:
     """Least live hyperedge inside U with id >= ``lo``.
 
-    The scan starts with a chunk of ``_FIRST_SCAN_CHUNK`` ids and doubles it
-    up to ``_SCAN_CHUNK``, so a hit near ``lo`` decodes few keys.
+    The scan reads the live mask a chunk of ``_FIRST_SCAN_CHUNK`` ids at a
+    time, doubling up to ``_SCAN_CHUNK``, and decodes only the chunk's live
+    ids, so a hit near ``lo`` decodes few keys.
     """
     step = _FIRST_SCAN_CHUNK
     while lo < len(h):
         hi = min(lo + step, len(h))
-        idxs = np.flatnonzero(live[lo:hi])
-        if idxs.size:
-            ok = unused[h.vertex_rows(lo, hi)[idxs]].all(axis=1)
+        ids = lo + np.flatnonzero(live[lo:hi])
+        if ids.size:
+            ok = unused[h.vertex_rows(ids)].all(axis=1)
             if ok.any():
-                return lo + int(idxs[ok][0])
+                return int(ids[ok][0])
         lo = hi
         step = min(2 * step, _SCAN_CHUNK)
     return None
@@ -385,6 +382,11 @@ class CertificateAudit:
     stays under total/(2r); (d) the rounds' family extension counts sum to
     at most k * total; (e) the working color holds strictly less than 1/r
     of all hyperedges.
+
+    (d) always holds for ``run_outer``'s certificates: a trashed path P is
+    the tail of a path of at least k vertices, whose last window is a live
+    working edge extending P; the round deletes every working edge extending
+    P, so no path is trashed twice; and a cycle has exactly k (k-1)-subpaths.
     """
 
     k: int
@@ -403,8 +405,10 @@ class CertificateAudit:
     minority_margin: float
 
     def contradiction_consistent(self) -> bool:
-        """(b) and (c) passing must force (e); False flags an accounting leak."""
-        return self.minority_ok or not (self.per_round_ok and self.meeting_ok)
+        """(d) holds, and (b) and (c) force (e); False flags an accounting leak."""
+        return self.extension_budget_ok and (
+            self.minority_ok or not (self.per_round_ok and self.meeting_ok)
+        )
 
 
 @dataclass
@@ -460,13 +464,10 @@ def audit_certificate(
 
 
 def run_outer(
-    h: TightHypergraph,
-    g: LayeredGraph,
-    col: Coloring,
-    n: int,
-    color: int | None = None,
+    h: TightHypergraph, col: Coloring, n: int, color: int | None = None
 ) -> GreedyOutcome:
-    """Greedy rounds with restarts until a path is found or edges run out.
+    """Greedy rounds on the host ``h.graph`` with restarts until a path is
+    found or edges run out; the working color defaults to col's majority.
 
     After each trash-full round, every working-color hyperedge extending a
     trashed path is deleted and the round restarts with a fresh trash set;
@@ -474,12 +475,11 @@ def run_outer(
     least one fresh deletion (the window that carried it into the path).
     A certificate is returned with its audit attached.
     """
-    if g is not h.graph:
-        raise ParameterError("g", "hypergraph was built over a different graph")
-    _check_n(n, g.k)
+    _check_n(n, h.graph.k)
+    # totality before the tally; the majority is one of col's colors, as 0 is
+    _check_coloring(h, col, 0 if color is None else color)
     if color is None:
         color = pick_majority_color(col.counts())
-    _check_coloring(h, col, color)
     live = col.colors == color
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
@@ -495,7 +495,7 @@ def run_outer(
         cert = Certificate(
             color=color, rounds=rounds, final_trash=res.trash, intersecting_set=cset
         )
-        cert.audit = audit_certificate(cert, h, g, col)
+        cert.audit = audit_certificate(cert, h, h.graph, col)
         return cert
     raise AssertionError("outer loop failed to terminate")  # pragma: no cover
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, UnknownVertexError
 from .reporting import _write_rows
-from .seeds import make_rng
+from .seeds import spawn_rng
 
 __all__ = [
     "GraphParams",
@@ -275,16 +275,12 @@ class LayeredGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredGraph":
-        for key in ("k", "m"):
-            if type(doc[key]) is not int:
-                raise ParameterError(key, f"must be an integer, got {doc[key]!r}")
         return cls.from_edges(doc["k"], doc["m"], doc["edges"])
 
     def save(self, path) -> None:
         """Write ``{"k": k, "m": m, "edges": [[u, v], ...]}`` through ``_write_rows``."""
         edges = self._edge_array()
-        head = {"k": self.k, "m": self.m}
-        _write_rows(path, head, "edges", lambda lo, hi: edges[lo:hi], len(edges))
+        _write_rows(path, {"k": self.k, "m": self.m}, "edges", edges.__getitem__, len(edges))
 
     @classmethod
     def load(cls, path) -> "LayeredGraph":
@@ -338,8 +334,7 @@ def generate_random(params: GraphParams) -> LayeredGraph:
     k, m, p = params.k, params.part_size, params.edge_prob
     # the float64 draws and the boolean blocks are alive together
     _check_fits_in_memory("graph arrays", 9 * k * m * m)
-    rng = make_rng(int(params.seed))
-    draws = rng.random((k, m, m))
+    draws = spawn_rng(int(params.seed)).random((k, m, m))
     blocks = [draws[i] < p for i in range(k)]
     return LayeredGraph(k, m, blocks)
 

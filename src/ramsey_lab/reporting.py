@@ -65,14 +65,14 @@ def write_report(report: dict, path) -> None:
 
 def _write_rows(path, head: dict, key: str, rows, count: int) -> None:
     """Write ``{**head, key: [row, ...]}`` as one line of compact JSON, where
-    ``rows(lo, hi)`` returns rows lo..hi-1 of ``count`` as an array, serializing
-    ``_WRITE_CHUNK`` rows at a time."""
+    ``rows(ids)`` returns the rows a slice of 0..count-1 selects as an array,
+    serializing ``_WRITE_CHUNK`` rows at a time."""
     with open(path, "w") as fh:
         fh.write(json.dumps({**head, key: []}, separators=(",", ":"))[:-2])  # up to "["
         for lo in range(0, count, _WRITE_CHUNK):
             if lo:
                 fh.write(",")
-            chunk = rows(lo, min(lo + _WRITE_CHUNK, count)).tolist()
+            chunk = rows(slice(lo, lo + _WRITE_CHUNK)).tolist()
             fh.write(json.dumps(chunk, separators=(",", ":"))[1:-1])
         fh.write("]}\n")
 

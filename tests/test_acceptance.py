@@ -168,7 +168,7 @@ def _independent_window_check(h, g, col, color, seq, n):
 def _ac5_run(h, g, workers: int):
     def one(i: int):
         col = random_coloring(h, DESK_R, derive_seed(515, i))
-        out = run_outer(h, g, col, n=DESK_N)
+        out = run_outer(h, col, n=DESK_N)
         if isinstance(out, FoundPath):
             ok = _independent_window_check(h, g, col, out.color, out.vertices, DESK_N)
             return {
@@ -333,7 +333,7 @@ def test_ac6_certificate_implication(desk_hypergraph, desk_graph, ac5_bundle):
         for cname, col in colorings(h):
             for n in (g.k, g.k + 1, 2 * g.k):
                 for color in range(2):
-                    out = run_outer(h, g, col, n=n, color=color)
+                    out = run_outer(h, col, n=n, color=color)
                     if isinstance(out, Certificate):
                         pool.append((f"{name}/{cname}/n={n}/c={color}", out))
 

@@ -171,6 +171,21 @@ class TestColor:
         counts = json.loads(read)["results"]["color_counts"]
         assert counts == json.loads(drawn)["results"]["color_counts"] and sum(counts) > 0
 
+    def test_seeded_files_are_pinned(self, tmp_path, capsys):
+        # the graph and random-coloring streams, pinned byte for byte: a change of
+        # stream constructor or of numpy's Philox output fails here
+        graph, colors = tmp_path / "g.json", tmp_path / "c.json"
+        code, _, err = run_cli(["generate", "--k", "3", "--m", "60", "--p", "0.5", "--seed", "1",
+                                "--out", str(graph)], capsys)
+        assert code == 0, err
+        code, _, err = run_cli(["color", "--graph", str(graph), "--r", "2", "--coloring", "random",
+                                "--coloring-seed", "5", "--out", str(colors)], capsys)
+        assert code == 0, err
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (graph, colors)] == [
+            "3236f37503d7513b818ad2b3f4acf856cf90ead3db69b263f6776e7f78b4ad57",
+            "1935ec54d1ce4de2e8260a5b8734998701e313e94060b4c82c98ce85fcabd3e0",
+        ]
+
 
 class TestGreedy:
     ARGS = ["greedy", "--k", "3", "--r", "2", "--n", "12", "--m", "60",

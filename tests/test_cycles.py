@@ -33,7 +33,7 @@ from ramsey_lab import (
 from ramsey_lab import cycles, reporting
 from ramsey_lab.cycles import _closed_walks, _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
-from ramsey_lab.seeds import make_rng
+from ramsey_lab.seeds import spawn_rng
 from ramsey_lab.verifier import sample_trash_family
 from conftest import random_graph, validate_document
 
@@ -458,7 +458,7 @@ class TestFamilyCounts:
     @staticmethod
     def sampled_family(k, m, p, seed):
         g = random_graph(k, m, p, seed)
-        fam = sample_trash_family(g, 2, make_rng(seed))
+        fam = sample_trash_family(g, 2, spawn_rng(seed))
         assert fam is not None and len(fam) == 2
         assert all(extend_path(g, row).size for row in fam.rows.tolist())
         return g, fam
@@ -627,7 +627,8 @@ class TestHypergraph:
         rows = h.vertex_rows()
         assert rows.shape == (len(h), 4) and rows.dtype == np.int64
         assert [tuple(r) for r in rows.tolist()] == h.hyperedges() == brute_force_cycles(g)
-        assert np.array_equal(h.vertex_rows(2, 5), rows[2:5])
+        assert np.array_equal(h.vertex_rows(slice(2, 5)), rows[2:5])
+        assert np.array_equal(h.vertex_rows(np.array([4, 1, 4])), rows[[4, 1, 4]])
         assert (rows // g.m == np.arange(4)).all()  # entry i lies in part i
         assert h.hyperedge(len(h) - 1) == tuple(rows[-1].tolist())
         with pytest.raises(IndexError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -21,7 +22,7 @@ from ramsey_lab import (
     run_outer,
     validate_tight_path,
 )
-from ramsey_lab import greedy, reporting
+from ramsey_lab import cycles, greedy, reporting
 from ramsey_lab.cycles import decode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
 from conftest import random_graph
@@ -272,6 +273,20 @@ class TestStartEdgeCursor:
     def test_nothing_eligible(self, big):
         assert self.scan(big, []) is None
 
+    def test_decodes_only_live_ids(self, big, monkeypatch):
+        decoded = []
+        real_decode = cycles.decode_keys
+
+        def spy(keys, k, m):
+            decoded.append(keys.size)
+            return real_decode(keys, k, m)
+
+        monkeypatch.setattr(cycles, "decode_keys", spy)
+        # from lo = 6 the chunks end at 1030 and 3078; only live ids are decoded
+        assert self.scan(big, [5, 700, 2000, 5000], lo=6) == 700
+        assert self.scan(big, [5, 1100, 2000, 5000], lo=6) == 1100
+        assert decoded == [1, 2]
+
     @pytest.mark.parametrize("past", [0, 1, 5000])
     def test_lo_past_the_end(self, big, past):
         assert self.scan(big, [0, len(big) - 1], lo=len(big) + past) is None
@@ -308,7 +323,7 @@ class TestStartEdgeCursor:
             return eid
 
         monkeypatch.setattr(greedy, "_find_start_edge", checked_scan)
-        out = run_outer(h, g, col, n=10, color=1 - majority if minority else majority)
+        out = run_outer(h, col, n=10, color=1 - majority if minority else majority)
         assert isinstance(out, Certificate) and len(out.rounds) > 0
         assert any(resumed)
 
@@ -332,7 +347,7 @@ class TestStartEdgeCursor:
 class TestRunOuter:
     def test_zero_working_edges_certificate(self, tiny_complete, complete_h):
         col = mono_coloring(complete_h, 1)
-        out = run_outer(complete_h, tiny_complete, col, n=4, color=0)
+        out = run_outer(complete_h, col, n=4, color=0)
         assert isinstance(out, Certificate)
         assert out.rounds == []
         assert out.intersecting_set == []
@@ -348,7 +363,7 @@ class TestRunOuter:
         g = complete_layered(3, 8)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        out = run_outer(h, g, col, n=8, color=0)
+        out = run_outer(h, col, n=8, color=0)
         assert isinstance(out, FoundPath)
         assert len(out.vertices) == 8
         assert validate_tight_path(h, out.vertices, col, 0)
@@ -356,13 +371,13 @@ class TestRunOuter:
     def test_majority_color_default(self, tiny_complete, complete_h):
         colors = np.array([1] * 5 + [0] * 3, dtype=np.uint8)
         col = Coloring(2, colors)
-        out = run_outer(complete_h, tiny_complete, col, n=3)
+        out = run_outer(complete_h, col, n=3)
         assert out.color == 1
 
     def test_deterministic(self, tiny_complete, complete_h):
         col = random_coloring(complete_h, 2, 3)
-        a = run_outer(complete_h, tiny_complete, col, n=4)
-        b = run_outer(complete_h, tiny_complete, col, n=4)
+        a = run_outer(complete_h, col, n=4)
+        b = run_outer(complete_h, col, n=4)
         assert outcome_to_json(a) == outcome_to_json(b)
 
     def test_path_soundness_across_seeds(self):
@@ -370,7 +385,7 @@ class TestRunOuter:
         h = build_hypergraph(g)
         for seed in range(15):
             col = random_coloring(h, 2, seed)
-            out = run_outer(h, g, col, n=4)
+            out = run_outer(h, col, n=4)
             if isinstance(out, FoundPath):
                 assert validate_tight_path(h, out.vertices, col, out.color)
                 assert len(out.vertices) >= 4
@@ -378,15 +393,14 @@ class TestRunOuter:
     def test_rejects_partial_coloring(self, tiny_complete, complete_h):
         col = Coloring(2, np.zeros(3, dtype=np.uint8))
         with pytest.raises(ParameterError) as excinfo:
-            run_outer(complete_h, tiny_complete, col, 4, color=0)
+            run_outer(complete_h, col, 4, color=0)
         assert excinfo.value.field == "col"
 
-    def test_rejects_wrong_graph(self, complete_h):
-        other = complete_layered(3, 2)
-        col = mono_coloring(complete_h, 0)
+    def test_refuses_a_partial_coloring_before_picking_the_majority(self, complete_h):
+        # an empty coloring has no majority; its totality is refused first
         with pytest.raises(ParameterError) as excinfo:
-            run_outer(complete_h, other, col, 3)
-        assert excinfo.value.field == "g"
+            run_outer(complete_h, Coloring(2, np.zeros(0, np.uint8)), 4)
+        assert excinfo.value.field == "col"
 
     def test_certificate_rounds_have_disjoint_families(self):
         g = random_graph(3, 6, 0.7, 13)
@@ -394,7 +408,7 @@ class TestRunOuter:
         if len(h) == 0:
             pytest.skip("no cycles at this seed")
         col = adversarial_coloring(h, 2, "vertex_cut", seed=3)
-        out = run_outer(h, g, col, n=5, color=pick_majority_color(col.counts()))
+        out = run_outer(h, col, n=5, color=pick_majority_color(col.counts()))
         if isinstance(out, Certificate):
             seen = set()
             for rec in out.rounds:
@@ -411,7 +425,7 @@ class TestParityInstance:
     def test_certificate_with_contradiction_structure(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
         assert pick_majority_color(col.counts()) == 0  # 4-4 tie breaks to 0
-        out = run_outer(complete_h, tiny_complete, col, n=4)
+        out = run_outer(complete_h, col, n=4)
         assert isinstance(out, Certificate)
         audit = out.audit
         # majority color can never satisfy (e); so (b) or (c) must fail
@@ -421,10 +435,12 @@ class TestParityInstance:
         # deterministic counting identities hold
         assert audit.accounting_ok
         assert audit.extension_budget_ok
+        # a failed (d) is a leak whatever (b), (c) and (e) say
+        assert not dataclasses.replace(audit, extension_budget_ok=False).contradiction_consistent()
 
     def test_audit_recomputation_matches(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        out = run_outer(complete_h, tiny_complete, col, n=4)
+        out = run_outer(complete_h, col, n=4)
         fresh = audit_certificate(out, complete_h, tiny_complete, col)
         assert fresh == out.audit
 
@@ -432,7 +448,7 @@ class TestParityInstance:
         g = random_graph(3, 60, 0.1, 1)
         h = build_hypergraph(g)
         col = random_coloring(h, 2, 11)
-        out = run_outer(h, g, col, n=8)
+        out = run_outer(h, col, n=8)
         assert isinstance(out, Certificate)
         # relabelling part 0 keeps the cycle count, so the recount alone passes it
         blocks = [b.copy() for b in g.blocks]
@@ -445,7 +461,7 @@ class TestParityInstance:
 
 
     def test_audit_refuses_a_partial_coloring(self, tiny_complete, complete_h):
-        out = run_outer(complete_h, tiny_complete, parity_coloring(complete_h), n=4)
+        out = run_outer(complete_h, parity_coloring(complete_h), n=4)
         partial = Coloring(2, np.zeros(3, dtype=np.uint8))
         with pytest.raises(ParameterError) as excinfo:
             audit_certificate(out, complete_h, tiny_complete, partial)
@@ -457,12 +473,12 @@ class TestOutcomeJson:
         g = complete_layered(3, 4)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        doc = outcome_to_json(run_outer(h, g, col, n=4, color=0))
+        doc = outcome_to_json(run_outer(h, col, n=4, color=0))
         assert doc["kind"] == "path" and len(doc["vertices"]) == 4
 
     def test_certificate_shape(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        doc = outcome_to_json(run_outer(complete_h, tiny_complete, col, n=4))
+        doc = outcome_to_json(run_outer(complete_h, col, n=4))
         assert doc["kind"] == "certificate"
         assert set(doc) == {
             "kind", "color", "rounds", "final_trash", "intersecting_set", "audit",

@@ -127,10 +127,10 @@ class TestIntegerRule:
             (lambda h: Coloring(2.5, np.zeros(len(h), dtype=np.uint8)), "r"),
             (lambda h: canonical_params(3, 2.5, 30), "r"),
             (lambda h: canonical_params(3, 2, 30.5), "n"),
-            (lambda h: run_outer(h, h.graph, random_coloring(h, 2, 0), 4.5), "n"),
+            (lambda h: run_outer(h, random_coloring(h, 2, 0), 4.5), "n"),
             (lambda h: tight_path_exists(h, 4.5), "n"),
             (lambda h: tight_path_exists(h, 4, random_coloring(h, 2, 0), 0.5), "color"),
-            (lambda h: run_outer(h, h.graph, random_coloring(h, 2, 0), 4, color=0.5), "color"),
+            (lambda h: run_outer(h, random_coloring(h, 2, 0), 4, color=0.5), "color"),
             (lambda h: arrow_check(h, 3, 2.5), "r"),
             (lambda h: check_property_i(h.graph, 2, 2.5, 2, 0), "n"),
             (lambda h: check_property_ii(h.graph, 2, 2.5, 2, 0), "n"),

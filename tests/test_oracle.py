@@ -86,7 +86,7 @@ class TestTightPathSearch:
             if len(h) == 0:
                 continue
             col = random_coloring(h, 2, seed)
-            out = run_outer(h, g, col, n=4)
+            out = run_outer(h, col, n=4)
             if isinstance(out, FoundPath):
                 res = tight_path_exists(h, 4, col, out.color)
                 assert res.verdict is Verdict.FOUND

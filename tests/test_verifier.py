@@ -18,7 +18,7 @@ from ramsey_lab import (
     poly_concentration_scale,
     sample_trash_family,
 )
-from ramsey_lab.seeds import make_rng
+from ramsey_lab.seeds import spawn_rng
 from ramsey_lab.verifier import EPSILON_GRID, _finish
 from conftest import random_graph
 
@@ -26,7 +26,7 @@ from conftest import random_graph
 class TestSampler:
     def test_family_is_valid(self):
         g = random_graph(3, 20, 0.4, seed=2)
-        fam = sample_trash_family(g, 5, make_rng(1))
+        fam = sample_trash_family(g, 5, spawn_rng(1))
         assert fam is not None
         assert len(fam) == 5
         assert fam.rows.shape == (5, g.k - 1)
@@ -35,12 +35,12 @@ class TestSampler:
 
     def test_starves_on_empty_graph(self):
         g = random_graph(3, 5, 0.0, seed=0)
-        assert sample_trash_family(g, 2, make_rng(0)) is None
+        assert sample_trash_family(g, 2, spawn_rng(0)) is None
 
     def test_deterministic(self):
         g = random_graph(3, 15, 0.5, seed=9)
-        a = sample_trash_family(g, 4, make_rng(3))
-        b = sample_trash_family(g, 4, make_rng(3))
+        a = sample_trash_family(g, 4, spawn_rng(3))
+        b = sample_trash_family(g, 4, spawn_rng(3))
         assert np.array_equal(a.rows, b.rows)
 
 
