@@ -23,9 +23,12 @@ cycle, so no path that fails to close is built.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float64 blocks from ``_float_blocks``, as Python
 ints; the kernel refuses a chain only when one of its own computed entries
-reaches 2**53, where float64 stops being exact.  The meeting count sums it
-over the set's own rows only, counting each cycle at the first part where
-it meets the set.
+reaches 2**53, where float64 stops being exact.  The copy is read-only and
+the kernel never writes into it, so a caller that holds one can pass it to
+any number of counts.  The chain runs ``_ROW_BLOCK`` rows at a time, so no
+m x m float64 prefix is built.  The meeting count sums it over the set's
+own rows only, counting each cycle at the first part where it meets the
+set: the chains of later parts skip the set's vertices in earlier parts.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -136,18 +139,35 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
 # exact counting via adjacency-block products
 # ---------------------------------------------------------------------------
 
+# rows per block-chain pass: bounds each prefix at _ROW_BLOCK x m float64
+_ROW_BLOCK = 512
+
 
 def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
-    """Fresh float64 copies of the adjacency blocks, refused before copying
-    when their ``8 * k * m**2`` bytes would exceed physical memory."""
+    """Read-only float64 copies of the adjacency blocks, refused before copying
+    when their ``8 * k * m**2`` bytes would exceed physical memory.
+
+    No count writes into them, so one copy can serve many counts on ``g``.
+    """
     _check_fits_in_memory("float blocks", 8 * g.k * g.m * g.m)
-    return [b.astype(np.float64) for b in g.blocks]
+    fb = [b.astype(np.float64) for b in g.blocks]
+    for b in fb:
+        b.setflags(write=False)
+    return fb
 
 
-def _closed_walks(fb: list[np.ndarray], part: int, rows=slice(None)) -> np.ndarray:
-    """Proper cycles through the local vertices ``rows`` of ``part``: the closing
-    diagonal of the block chain rotated to start at ``part`` (closed walks
+def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.ndarray:
+    """Proper cycles through the local vertices ``rows`` of ``part`` (all of
+    them by default) that avoid the ``skip`` vertices: the closing diagonal
+    of the block chain rotated to start at ``part`` (closed walks
     part -> part+1 -> ... -> part), as int64.
+
+    ``skip``, if given, holds one array of part-local indices per part; its
+    entry for ``part`` itself is not read.  Before the chain multiplies
+    through a part, and before it closes, it zeroes the prefix columns of
+    that part's skipped vertices, so the walks through them are dropped and
+    ``fb`` is only read.  The chain runs ``_ROW_BLOCK`` rows at a time, so no
+    prefix larger than ``_ROW_BLOCK`` x m is ever built.
 
     Every entry of the chain is a sum of non-negative integers, so float64
     holds it exactly while it stays below 2**53; and since rounding is
@@ -157,11 +177,22 @@ def _closed_walks(fb: list[np.ndarray], part: int, rows=slice(None)) -> np.ndarr
     at the first entry that reaches 2**53.  (That holds for the GEMM behind
     ``@``; a Strassen-type product, which subtracts, would not keep it.)
     """
-    k = len(fb)
-    prefix = fb[part][rows]
-    for j in range(1, k - 1):
-        prefix = _exact(prefix @ fb[(part + j) % k])
-    return _exact(np.einsum("ab,ba->a", prefix, fb[(part - 1) % k][:, rows])).astype(np.int64)
+    k, m = len(fb), fb[part].shape[0]
+    size = m if rows is None else len(rows)
+    out = np.empty(size, dtype=np.int64)
+    for lo in range(0, size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, size)
+        block = slice(lo, hi) if rows is None else rows[lo:hi]
+        prefix = fb[part][block]
+        for j in range(1, k):
+            q = (part + j) % k
+            if skip is not None and len(skip[q]):
+                prefix = prefix.copy()  # the first prefix may be a view of fb
+                prefix[:, skip[q]] = 0.0
+            if j < k - 1:
+                prefix = _exact(prefix @ fb[q])
+        out[lo:hi] = _exact(np.einsum("ab,ba->a", prefix, fb[(part - 1) % k][:, block]))
+    return out
 
 
 def _exact(counts: np.ndarray) -> np.ndarray:
@@ -177,9 +208,12 @@ def count_proper_cycles(g: LayeredGraph) -> int:
     return sum(_closed_walks(_float_blocks(g), 0).tolist())
 
 
-def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
-    """Proper-cycle count through every vertex, as an int64 array of length k*m."""
-    fb = _float_blocks(g)
+def cycles_per_vertex(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> np.ndarray:
+    """Proper-cycle count through every vertex, as an int64 array of length k*m.
+
+    ``fb`` is ``_float_blocks(g)`` when the caller already holds it.
+    """
+    fb = _float_blocks(g) if fb is None else fb
     return np.concatenate([_closed_walks(fb, part) for part in range(g.k)])
 
 
@@ -188,15 +222,16 @@ def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
     return count_cycles_meeting(g, [v])
 
 
-def count_cycles_meeting(g: LayeredGraph, cset) -> int:
+def count_cycles_meeting(g: LayeredGraph, cset, fb: list[np.ndarray] | None = None) -> int:
     """Number of proper cycles intersecting the vertex set ``cset``.
 
     First-hit rule: a cycle is counted once, at the first part q (in order
     0..k-1) that holds one of its vertices in ``cset``.  For each q in turn
-    the count adds the closed walks through cset's locals in part q, then
-    zeroes those rows of block q so that no later part counts the cycle
-    again.  Each chain runs on cset's rows only, so the cost grows with
-    |cset|*m**2 per chain step, not with m**3.
+    the count adds the closed walks through cset's locals in part q that
+    skip cset's vertices in parts 0..q-1.  Each chain runs on cset's rows
+    only, so the cost grows with |cset|*m**2 per chain step, not with m**3.
+    ``fb`` is ``_float_blocks(g)`` when the caller already holds it; the
+    count only reads it, so one copy serves any number of sets.
     """
     cset = list(cset)
     for v in cset:
@@ -204,13 +239,14 @@ def count_cycles_meeting(g: LayeredGraph, cset) -> int:
     if not cset:
         return 0
     part, local = np.divmod(np.unique(np.array(cset, dtype=np.int64)), g.m)
-    fb = _float_blocks(g)
+    fb = _float_blocks(g) if fb is None else fb
+    skip = [local[:0]] * g.k
     count = 0
     for q in range(g.k):
         rows = local[part == q]
         if rows.size:
-            count += sum(_closed_walks(fb, q, rows).tolist())
-            fb[q][rows] = 0.0
+            count += sum(_closed_walks(fb, q, rows, skip).tolist())
+        skip[q] = rows
     return count
 
 

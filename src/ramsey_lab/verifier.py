@@ -29,6 +29,7 @@ import numpy as np
 from .bounds import chernoff_lower, chernoff_upper, expected_stats, poly_concentration_scale
 from .cycles import (
     TrashFamily,
+    _float_blocks,
     count_cycles_meeting,
     count_family_extensions,
     count_proper_cycles,
@@ -128,9 +129,14 @@ def restricted_check(g: LayeredGraph, aset, fam: TrashFamily, r: int) -> RoundAu
     return RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound)
 
 
-def meeting_check(g: LayeredGraph, cset, r: int, total: int) -> tuple[int, float]:
-    """Property (ii): cycles meeting ``cset`` against total/(2r); returns (count, bound)."""
-    return count_cycles_meeting(g, cset), total / (2 * r)
+def meeting_check(
+    g: LayeredGraph, cset, r: int, total: int, fb: list[np.ndarray] | None = None
+) -> tuple[int, float]:
+    """Property (ii): cycles meeting ``cset`` against total/(2r); returns (count, bound).
+
+    ``fb`` is ``cycles._float_blocks(g)`` when the caller already holds it.
+    """
+    return count_cycles_meeting(g, cset, fb), total / (2 * r)
 
 
 def sample_trash_family(
@@ -246,7 +252,9 @@ def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) ->
         fam = sample_trash_family(g, n, rng)
         if fam is None:
             return None
-        rest = np.setdiff1d(np.arange(g.num_vertices), fam.rows)
+        free = np.ones(g.num_vertices, dtype=bool)
+        free[fam.rows] = False
+        rest = np.flatnonzero(free)
         a_size = min(n, rest.size)
         aset = rng.choice(rest, size=a_size, replace=False) if a_size else np.empty(0, int)
         a = restricted_check(g, aset, fam, r)
@@ -273,14 +281,16 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
 
     Trial 0 uses the adversarial set of the (k-1)n vertices carrying the
     most cycles; remaining trials sample uniformly.  Trials on a cycle-free
-    graph are vacuous skips.
+    graph are vacuous skips.  One read-only float64 copy of the blocks
+    serves the per-vertex count and every trial's meeting count.
     """
     _check_trial_args(r, n, trials, seed)
     k = g.k
     c_size = (k - 1) * n
     if g.num_vertices < c_size:
         raise ParameterError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
-    per_vertex = cycles_per_vertex(g)
+    fb = _float_blocks(g)
+    per_vertex = cycles_per_vertex(g, fb)
     total = sum(per_vertex[: g.m].tolist())  # every cycle has one vertex in part 0
 
     def one(trial: int):
@@ -291,7 +301,7 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
         else:
             rng = spawn_rng(seed, trial)
             cset = rng.choice(g.num_vertices, size=c_size, replace=False)
-        return meeting_check(g, cset, r, total)
+        return meeting_check(g, cset, r, total, fb)
 
     outcomes = [one(t) for t in range(trials)]
     params = {

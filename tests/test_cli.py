@@ -11,7 +11,7 @@ from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_ti
 from ramsey_lab import cli
 from ramsey_lab.cli import _MODE_FLAGS, MODES, build_parser, main, run
 from ramsey_lab.errors import ParameterError
-from ramsey_lab.reporting import strip_timestamp
+from ramsey_lab.reporting import canonical_json, strip_timestamp
 from ramsey_lab.verifier import CONCENTRATION_STATISTICS
 from conftest import validate_document
 
@@ -23,6 +23,9 @@ _SMALL = [*_SMALL_NO_P, "--p", "0.3"]
 _TINY = ["--k", "3", "--m", "3", "--p", "1", "--seed", "0"]
 PINNED = json.loads((ROOT / "tests" / "data" / "pinned_greedy_reports.json").read_text())
 DIGESTS = json.loads((ROOT / "tests" / "data" / "pinned_greedy_digests.json").read_text())
+VERIFY_DIGESTS = json.loads(
+    (ROOT / "tests" / "data" / "pinned_verify_digests.json").read_text()
+)
 
 
 def run_cli(argv, capsys):
@@ -337,6 +340,21 @@ class TestGreedy:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("pin", VERIFY_DIGESTS, ids=[p["name"] for p in VERIFY_DIGESTS])
+    def test_pinned_digest(self, tmp_path, monkeypatch, capsys, pin):
+        # fixed-seed property (i) and (ii) runs at k = 3 (m = 300) and k = 4:
+        # the sha256 of the report, metadata (timestamp and library version)
+        # set aside, and of the trials CSV, written under a relative path so
+        # that the config echo does not depend on the directory
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(pin["argv"], capsys)
+        assert code == pin["exit_code"], err
+        doc = json.loads(stdout)
+        doc.pop("metadata")
+        assert hashlib.sha256(canonical_json(doc).encode()).hexdigest() == pin["report_sha256"]
+        csv_bytes = (tmp_path / "trials.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == pin["trials_csv_sha256"]
+
     def test_property_i_report(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"
         csv_path = tmp_path / "trials.csv"

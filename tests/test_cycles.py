@@ -134,8 +134,8 @@ class TestEnumeration:
         for i, d in offsets.items():
             off[starts[i]] = d
 
-        def skewed(fb, part, rows=slice(None)):
-            return _closed_walks(fb, part, rows) + off
+        def skewed(fb, part, rows=None, skip=None):
+            return _closed_walks(fb, part, rows, skip) + off
 
         monkeypatch.setattr(cycles, "_closed_walks", skewed)
         # a skewed start refuses the keys whichever worker reaches it
@@ -267,6 +267,34 @@ class TestExactness:
         assert walks.dtype == np.int64
         assert walks.tolist() == [2**53 - 1, 0]
 
+    @staticmethod
+    def last_row_chain(first, closing):
+        """A k = 3 chain over m = _ROW_BLOCK + 1 rows whose only non-zero prefix
+        row is the last, alone in the second row block: ``first`` starts that
+        row, the middle block is the identity, and ``closing`` is the last
+        column of the closing block."""
+        m = cycles._ROW_BLOCK + 1
+        fb = [np.zeros((m, m)), np.eye(m), np.zeros((m, m))]
+        fb[0][m - 1, : len(first)] = first
+        fb[2][: len(closing), m - 1] = closing
+        return fb
+
+    def test_prefix_entry_in_a_later_row_block_refused(self):
+        fb = self.last_row_chain([2.0**53], [])
+        with pytest.raises(ResourceLimitError) as excinfo:
+            _closed_walks(fb, 0)
+        assert excinfo.value.required == excinfo.value.cap == 2**53
+
+    def test_closing_entry_in_a_later_row_block_refused(self):
+        fb = self.last_row_chain([2.0**52, 2.0**52], [1.0, 1.0])
+        with pytest.raises(ResourceLimitError) as excinfo:
+            _closed_walks(fb, 0)
+        assert excinfo.value.required == excinfo.value.cap == 2**53
+        # one less stays exact, and the count lands on the last row
+        fb = self.last_row_chain([2.0**52, 2.0**52 - 1], [1.0, 1.0])
+        walks = _closed_walks(fb, 0)
+        assert walks[-1] == 2**53 - 1 and not walks[:-1].any()
+
     @pytest.mark.parametrize(
         "count",
         [count_proper_cycles, cycles_per_vertex, lambda g: cycles_through_vertex(g, 0),
@@ -285,6 +313,51 @@ class TestExactness:
         assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
         pages["SC_PAGE_SIZE"] = need
         count(g)
+
+
+class TestKernel:
+    """The float64 copy is only read, and the chain's row blocks do not change a count."""
+
+    def test_float_blocks_are_read_only(self):
+        fb = cycles._float_blocks(random_graph(3, 4, 0.5, 0))
+        for b in fb:
+            with pytest.raises(ValueError, match="read-only"):
+                b[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                b[[0]] = 0.0
+
+    @pytest.mark.parametrize("rows", [None, np.arange(5)], ids=["all-rows", "explicit-rows"])
+    def test_skips_drop_walks_and_never_write_into_the_blocks(self, rows):
+        # writable blocks, so a kernel that zeroed fb itself would go unnoticed
+        # but for the byte comparison
+        g = random_graph(4, 5, 0.8, 3)
+        fb = [b.astype(np.float64) for b in g.blocks]
+        before = [b.tobytes() for b in fb]
+        skip = [np.array([0, 1]), np.array([1, 3]), np.array([0]), np.array([2, 4])]
+        expected = [0] * 5
+        for c in brute_force_cycles(g):
+            local = [v % 5 for v in c]
+            if all(local[q] not in skip[q] for q in (1, 2, 3)):  # part 0's entry is not read
+                expected[local[0]] += 1
+        assert sum(expected) > 0
+        assert _closed_walks(fb, 0, rows, skip).tolist() == expected
+        assert [b.tobytes() for b in fb] == before
+
+    # block sizes below m, equal to m, dividing m, and not dividing m; m = 1 too
+    @pytest.mark.parametrize(
+        "k, m, block",
+        [(3, 6, 4), (3, 4, 4), (3, 8, 4), (4, 5, 2), (5, 3, 2), (3, 1, 4), (4, 1, 1)],
+    )
+    def test_row_blocks_give_the_same_counts(self, monkeypatch, k, m, block):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", block)
+        g = random_graph(k, m, 0.8, 5)
+        sets = brute_sets(g)
+        assert count_proper_cycles(g) == len(sets)
+        per_vertex = cycles_per_vertex(g)
+        assert per_vertex.tolist() == [sum(1 for s in sets if v in s) for v in range(k * m)]
+        # whole parts, so a meeting chain starts from more rows than one block
+        for cset in (range(m), range(m, 3 * m), range(k * m)):
+            assert count_cycles_meeting(g, cset) == sum(1 for s in sets if s & set(cset))
 
 
 class TestVertexCounts:
@@ -565,6 +638,34 @@ class TestMeetingCounts:
             expected = sum(1 for s in sets if s & set(cset))
             assert count_cycles_meeting(g, cset) == expected, name
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        m=st.integers(1, 6),
+        p=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_one_copy_serves_every_set(self, k, m, p, seed, data):
+        # the sets run in turn on one float copy: a set's skipped vertices
+        # must not leak into the next count, nor into the copy
+        g = random_graph(k, m, p, seed)
+        sets = brute_sets(g)
+        nv, mid = k * m, k // 2
+        fb = cycles._float_blocks(g)
+        before = [b.tobytes() for b in fb]
+        csets = [
+            data.draw(st.lists(st.integers(0, nv - 1), max_size=2 * nv)),
+            data.draw(st.lists(st.integers((k - 1) * m, nv - 1), max_size=m)),
+            data.draw(st.lists(st.integers(mid * m, (mid + 1) * m - 1), max_size=m)),
+            list(range(nv)),
+            [],
+        ]
+        for cset in data.draw(st.permutations(csets)):
+            expected = sum(1 for s in sets if s & set(cset))
+            assert count_cycles_meeting(g, cset, fb) == expected, cset
+        assert [b.tobytes() for b in fb] == before
+
     def test_chains_run_on_the_sets_rows_only(self, monkeypatch):
         # first-hit count: every chain starts from explicit rows of the set, and
         # the rows add up to at most |cset|, so no full m-row chain product runs
@@ -574,10 +675,9 @@ class TestMeetingCounts:
         calls = []
         kernel = cycles._closed_walks
 
-        def spy(fb, part, *args, **kwargs):
-            rows = args[0] if args else kwargs.get("rows")
+        def spy(fb, part, rows=None, skip=None):
             calls.append(rows)
-            return kernel(fb, part, *args, **kwargs)
+            return kernel(fb, part, rows, skip)
 
         monkeypatch.setattr(cycles, "_closed_walks", spy)
         assert count_cycles_meeting(g, cset) == expected
