@@ -10,16 +10,19 @@ representation - a tuple (or an ``(N, k)`` row block) of global vertex ids
 whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
-format; everything else encodes and decodes through it.  Enumeration emits
-keys in ascending order, into one array of exactly the counted total, which
-is refused before allocation when it would not fit in physical memory.
+format; everything else encodes and decodes through it.  It also sets the
+key width from (k, m) alone: uint32 when m**k <= 2**32, so that every key
+fits in 32 bits, and uint64 otherwise.  Enumeration emits keys in ascending
+order, into one array of exactly the counted total, which is refused before
+allocation when its 4 or 8 bytes per key would not fit in physical memory.
 Part 0's closed-walk counts give each start vertex its own slice of that
 array, so the start vertices are enumerated in parallel on every CPU the
 process may run on (there is no setting for it) - on fewer threads when
 more would hold over a quarter of the key array in temporaries - and each
 start's keys are checked against its own count: paths grow through the
 middle parts, and the last level expands only to vertices that close the
-cycle, so no path that fails to close is built.
+cycle, so no path that fails to close is built; the start's keys are taken
+from one table that encodes every (path, closer) pair.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float64 blocks from ``_float_blocks``, as Python
 ints; the kernel refuses a chain only when one of its own computed entries
@@ -257,34 +260,44 @@ def count_cycles_meeting(g: LayeredGraph, cset, fb: list[np.ndarray] | None = No
 
 @functools.lru_cache(maxsize=64)
 def _radices(k: int, m: int) -> np.ndarray:
-    """Per-part key radices ``m**(k-1-i)``; read-only, computed once per (k, m)."""
+    """Per-part key radices ``m**(k-1-i)``; read-only, computed once per (k, m).
+
+    Their dtype is the key width: uint32 when every key, at most m**k - 1,
+    fits in 32 bits, uint64 otherwise.
+    """
     if m**k >= 2**64:
         raise ResourceLimitError("canonical key space exceeds 64 bits", m**k, 2**64)
-    radix = np.array([m ** (k - 1 - i) for i in range(k)], dtype=np.uint64)
+    dtype = np.uint32 if m**k <= 2**32 else np.uint64
+    radix = np.array([m ** (k - 1 - i) for i in range(k)], dtype=dtype)
     radix.setflags(write=False)
     return radix
 
 
 def encode_keys(cols, m: int):
-    """Canonical keys from k columns of part-local indices (column i: part i).
+    """Canonical keys, in the radix dtype, from k columns of part-local
+    indices (column i: part i).
 
     Columns broadcast against each other, so a scalar column fixes that
-    part's index for every key; all-scalar columns give one key.
+    part's index for every key; all-scalar columns give one key.  The terms
+    are summed in the radix dtype and the result is cast to it, so no mix of
+    scalars and 0-d arrays widens the keys.
     """
     radix = _radices(len(cols), m)
-    return sum(np.asarray(c, dtype=np.uint64) * r for c, r in zip(cols, radix))
+    terms = (np.asarray(c, dtype=radix.dtype) * r for c, r in zip(cols, radix))
+    return functools.reduce(np.add, terms).astype(radix.dtype, copy=False)
 
 
 def cycle_keys(g: LayeredGraph) -> np.ndarray:
-    """All proper cycles as ascending canonical keys (uint64).
+    """All proper cycles as ascending canonical keys, in the codec's width.
 
     Counts first via matrix products: the closed walks through each vertex
     ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
     own slice ``out[bounds[a]:bounds[a+1]]`` of one array of exactly
     ``total`` keys.  ``ResourceLimitError`` is raised when that array's
-    ``8 * total`` bytes would exceed physical memory, so runaway parameters
-    fail before it is allocated.  The start vertices are dealt round-robin
-    to ``_worker_count`` threads (numpy releases the GIL in the gathers and
+    ``itemsize * total`` bytes (4 or 8 per key, as ``_radices`` sets) would
+    exceed physical memory, so runaway parameters fail before it is
+    allocated.  The start vertices are dealt round-robin to
+    ``_worker_count`` threads (numpy releases the GIL in the gathers and
     passes that do the work); each fills only its own slices, so the keys
     do not depend on the scheduling or the number of threads.  A worker's
     exception is raised here, and a start whose enumerated cycles differ
@@ -292,30 +305,52 @@ def cycle_keys(g: LayeredGraph) -> np.ndarray:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    per_start = _closed_walks(_float_blocks(g), 0).tolist()
-    bounds = [0, *itertools.accumulate(per_start)]
+    fb = _float_blocks(g)
+    per_start = _closed_walks(fb, 0)
+    held = _held_bytes(g, fb, per_start)
+    del fb
+    bounds = [0, *itertools.accumulate(per_start.tolist())]
     total = bounds[-1]
-    _check_fits_in_memory("cycle keys", 8 * total)
-    out = np.empty(total, dtype=np.uint64)
-    workers = _worker_count(g.k, per_start, total)
+    dtype = _radices(g.k, g.m).dtype
+    _check_fits_in_memory("cycle keys", dtype.itemsize * total)
+    out = np.empty(total, dtype=dtype)
+    workers = _worker_count(held, out.nbytes)
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(lambda w: _fill_keys(g, out, bounds, range(w, g.m, workers)), range(workers)))
     return out
 
 
-def _worker_count(k: int, per_start: list[int], total: int) -> int:
+def _held_bytes(g: LayeredGraph, fb: list[np.ndarray], per_start: np.ndarray) -> np.ndarray:
+    """Bytes each part-0 vertex holds while ``_fill_keys`` enumerates it, as
+    float64.
+
+    With P paths through the middle parts and C closers, that is the P x m
+    row gather of the last middle block, the P x C bool submatrix and key
+    table, and the int64 flat index of the start's ``per_start`` cycles.
+    Both come from ``fb``, the float blocks: P is a matrix-vector chain over
+    the blocks into the last middle part, and C a column sum of the closing
+    block.
+    """
+    k, m = g.k, g.m
+    itemsize = _radices(k, m).itemsize
+    paths = functools.reduce(lambda v, b: b @ v, reversed(fb[: k - 2]), np.ones(m))
+    closers = fb[k - 1].sum(axis=0)
+    return paths * (m + (1 + itemsize) * closers) + 8 * per_start
+
+
+def _worker_count(held: np.ndarray, key_bytes: int) -> int:
     """Threads for ``cycle_keys``: one per CPU the process may run on, but no
     more than keep the workers' temporaries under a quarter of the key
-    array's ``8 * total`` bytes (so never more than one per start vertex).
+    array's ``key_bytes`` (so never more than one per start vertex).
 
-    A start holds up to about ``8 * (k + 5)`` bytes per cycle of its own
-    while it is enumerated (its gathered columns, their uint64 copies and
-    the running key sum), so ``w`` workers hold at most
-    ``w * 8 * (k + 5) * max(per_start)``.  One worker is always used, so a
-    start with most of the cycles still takes its own temporaries.
+    ``held`` is ``_held_bytes``, so ``w`` workers hold at most
+    ``w * max(held)``; since a start's flat index alone takes at least the
+    bytes of its own keys, the rule never admits more workers than a
+    quarter of the starts.  One worker is always used, so a start with most
+    of the cycles still takes its own temporaries.
     """
-    per_worker = max(4 * (k + 5) * max(per_start), 1)
-    return max(1, min(_available_cpus(), total // per_worker))
+    per_worker = max(4 * int(held.max(initial=0)), 1)
+    return max(1, min(_available_cpus(), key_bytes // per_worker))
 
 
 def _available_cpus() -> int:
@@ -332,8 +367,10 @@ def _fill_keys(g: LayeredGraph, out: np.ndarray, bounds: list[int], starts) -> N
     Paths from ``a`` grow through the middle parts 1..k-2 along the rows of
     the dense blocks, and the last level expands only to the part-(k-1)
     vertices that close back to ``a``, so no path that fails to close is
-    ever built.  Raises ``InvariantViolationError`` before writing when a
-    start's cycles do not number exactly its slice.
+    ever built.  The keys of every (path, closer) pair are encoded as one
+    table, and the pairs whose last edge exists are taken from it.  Raises
+    ``InvariantViolationError`` before writing when a start's cycles do not
+    number exactly its slice.
     """
     k, m = g.k, g.m
     last, close = g.blocks[k - 2], g.blocks[k - 1]
@@ -354,21 +391,35 @@ def _fill_keys(g: LayeredGraph, out: np.ndarray, bounds: list[int], starts) -> N
                 cols.append(ends)
             else:  # every middle level had paths
                 # row-major order over (path, closer) is ascending key order
-                path, closer = np.divmod(np.flatnonzero(last[ends][:, closers]), closers.size)
-                found = path.size
+                flat = np.flatnonzero(last[ends][:, closers])
+                found = flat.size
                 if found == hi - lo:
-                    out[lo:hi] = encode_keys([a] + [c[path] for c in cols] + [closers[closer]], m)
+                    table = encode_keys([a, *(c[:, None] for c in cols), closers], m)
+                    # flat indexes the table's own shape, so "clip" clips nothing;
+                    # unlike the default mode, it writes into out without a buffer
+                    np.take(table.ravel(), flat, out=out[lo:hi], mode="clip")
         if found != hi - lo:
             raise InvariantViolationError(
                 f"start vertex {a}: enumerated {found} proper cycles, counted {hi - lo}"
             )
 
 
+def _in_key_width(keys, k: int, m: int) -> np.ndarray:
+    """``keys`` in the codec's width for (k, m), cast only when their dtype
+    differs; ``ParameterError`` when the cast would change a key (one beyond
+    the width, or negative)."""
+    keys = np.asarray(keys)
+    cast = keys.astype(_radices(k, m).dtype, copy=False)
+    if cast is not keys and not np.array_equal(cast, keys):
+        raise ParameterError("keys", f"a key does not fit the {cast.dtype} key width")
+    return cast
+
+
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     """Decode canonical keys into (len, k) int64 part-local indices."""
     radix = _radices(k, m)
     out = np.empty((keys.size, k), dtype=np.int64)
-    rem = keys.astype(np.uint64)
+    rem = _in_key_width(keys, k, m)
     for i in range(k):
         out[:, i], rem = np.divmod(rem, radix[i])
     return out
@@ -456,8 +507,8 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
 class TightHypergraph:
     """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
 
-    Hyperedges are held as the ascending canonical key array; ids are ranks
-    in that order.  Built by ``build_hypergraph``, whose ``cycle_keys``
+    Hyperedges are held as the ascending canonical key array, in the codec's
+    width; ids are ranks in that order.  Built by ``build_hypergraph``, whose ``cycle_keys``
     emits the keys strictly ascending.  Membership tests and extension
     lookups run directly on the key array, so the structure stays usable at
     tens of millions of hyperedges.
@@ -465,7 +516,7 @@ class TightHypergraph:
 
     def __init__(self, graph: LayeredGraph, keys: np.ndarray):
         self.graph = graph
-        self.keys = np.asarray(keys, dtype=np.uint64)
+        self.keys = _in_key_width(keys, graph.k, graph.m)
         self.keys.setflags(write=False)
 
     def __len__(self) -> int:
@@ -504,12 +555,18 @@ class TightHypergraph:
         return int(self.ids_for_keys(encode_keys(locs, g.m)))
 
     def ids_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Ids for canonical keys; -1 where the key is not a hyperedge."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        """Ids for canonical keys; -1 where the key is not a hyperedge.
+
+        The queries are cast to the key array's dtype, since a search with
+        wider queries would copy the whole array; a key that the cast
+        changes (one beyond the key width, or negative) is no hyperedge.
+        """
+        keys = np.asarray(keys)
+        query = keys.astype(self.keys.dtype, copy=False)
         if len(self) == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.searchsorted(self.keys, keys)
-        ok = self.keys[np.minimum(pos, len(self) - 1)] == keys
+        pos = np.searchsorted(self.keys, query)
+        ok = (self.keys[np.minimum(pos, len(self) - 1)] == query) & (query == keys)
         return np.where(ok, pos, -1).astype(np.int64)
 
     def extension_ids(self, path) -> np.ndarray:

@@ -159,7 +159,7 @@ def sample_trash_family(
         attempts += 1
         if unused_ids.size == 0:
             return None
-        start = int(rng.choice(unused_ids))
+        start = int(unused_ids[rng.integers(unused_ids.size)])
         seq = [start]
         ok = True
         for _ in range(g.k - 2):
@@ -170,12 +170,12 @@ def sample_trash_family(
             if cand.size == 0:
                 ok = False
                 break
-            seq.append(int(rng.choice(cand)) + part * g.m)
+            seq.append(int(cand[rng.integers(cand.size)]) + part * g.m)
         if not ok:
             continue
         paths.append(seq)
         used[seq] = True
-        unused_ids = np.nonzero(~used)[0]
+        unused_ids = np.flatnonzero(~used)
     return trash_family(g, paths)
 
 

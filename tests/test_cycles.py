@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pickle
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ramsey_lab import (
     InvariantViolationError,
     LayeredGraph,
+    ParameterError,
     ResourceLimitError,
     UnknownVertexError,
     build_hypergraph,
@@ -94,9 +96,9 @@ class TestEnumeration:
 
     def test_many_workers_with_frequent_switches_match_one(self, monkeypatch):
         g = random_graph(4, 40, 0.5, 5)
-        monkeypatch.setattr(cycles, "_worker_count", lambda k, per_start, total: 1)
+        monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 1)
         serial = cycle_keys(g)
-        monkeypatch.setattr(cycles, "_worker_count", lambda k, per_start, total: 16)
+        monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -107,11 +109,15 @@ class TestEnumeration:
 
     def test_worker_count_holds_temporaries_to_a_quarter_of_the_keys(self, monkeypatch):
         monkeypatch.setattr(cycles, "_available_cpus", lambda: 16)
-        # a worker holds up to 4 * (k + 5) * 10 = 320 key-sized words of 1000
-        assert cycles._worker_count(3, [10] * 100, 1000) == 3
-        assert cycles._worker_count(3, [100] * 1000, 100_000) == 16  # the CPUs bind
-        assert cycles._worker_count(3, [1000] + [1] * 99, 1099) == 1  # one start dominates
-        assert cycles._worker_count(3, [0] * 5, 0) == 1  # no cycles: still one worker
+        def workers(held, key_bytes):
+            return cycles._worker_count(np.array(held, dtype=np.float64), key_bytes)
+
+        # a worker holds up to 1000 bytes, a quarter of 4000 of the key bytes
+        assert workers([1000] * 100, 12_000) == 3
+        assert workers([1000] * 100, 15_999) == 3
+        assert workers([100] * 1000, 100_000) == 16  # the CPUs bind
+        assert workers([10_000] + [10] * 99, 10_990) == 1  # one start dominates
+        assert workers([0] * 5, 0) == 1  # no cycles: still one worker
 
     def test_available_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -154,7 +160,7 @@ class TestEnumeration:
             return encode(cols, m)
 
         monkeypatch.setattr(cycles, "encode_keys", failing)
-        monkeypatch.setattr(cycles, "_worker_count", lambda k, per_start, total: 2)
+        monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 2)
         # start 1 is dealt to the second worker, a thread of its own
         with pytest.raises(RuntimeError, match="^boom in (?!MainThread)"):
             cycle_keys(g)
@@ -162,8 +168,12 @@ class TestEnumeration:
     def test_peak_memory_is_the_key_array(self, monkeypatch):
         for cpus in (1, 4, 16):
             monkeypatch.setattr(cycles, "_available_cpus", lambda: cpus)
-            for k, m, size in [(3, 200, 1_001_036), (4, 60, 836_893)]:
-                g = random_graph(k, m, 0.5, 1)
+            for k, m, p, size in [
+                (3, 200, 0.5, 1_001_036),
+                (4, 60, 0.5, 836_893),
+                (3, 400, 0.05, 8093),
+            ]:
+                g = random_graph(k, m, p, 1)
                 tracemalloc.start()
                 try:
                     keys = cycle_keys(g)
@@ -171,7 +181,34 @@ class TestEnumeration:
                 finally:
                     tracemalloc.stop()
                 assert keys.size == size
-                assert peak < 1.5 * keys.nbytes, (cpus, k, m)
+                if p == 0.5:
+                    assert peak < 1.5 * keys.nbytes, (cpus, k, m)
+                else:
+                    # so few keys that the float64 copy of the blocks, which the
+                    # count makes before the keys exist, is the peak
+                    assert peak < 1.5 * 8 * k * m * m, (cpus, k, m)
+
+    def test_held_bytes_bound_what_a_start_holds(self):
+        for k, m, p in [(3, 200, 0.5), (4, 60, 0.5), (3, 400, 0.05), (5, 20, 0.6)]:
+            g = random_graph(k, m, p, 1)
+            fb = cycles._float_blocks(g)
+            per_start = _closed_walks(fb, 0)
+            held = cycles._held_bytes(g, fb, per_start)
+            bounds = [0, *itertools.accumulate(per_start.tolist())]
+            out = np.empty(bounds[-1], dtype=cycles._radices(k, m).dtype)
+            for a in range(0, m, 3):
+                tracemalloc.start()
+                try:
+                    cycles._fill_keys(g, out, bounds, [a])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # beyond the figure: numpy's fixed ufunc buffers and small arrays
+                assert peak <= held[a] + 2**17, (k, m, a)
+            keys = cycle_keys(g)
+            for a in range(0, m, 3):
+                own = slice(bounds[a], bounds[a + 1])
+                assert np.array_equal(out[own], keys[own])
 
     @pytest.mark.parametrize(
         "count",
@@ -201,6 +238,22 @@ class TestEnumeration:
             tracemalloc.stop()
         # refused after counting, before the key array is allocated
         assert excinfo.value.required == 8 * m**k
+        assert peak < 50 * 2**20
+
+    def test_32_bit_key_array_beyond_physical_memory_refused(self):
+        k, m = 4, 256  # m**k == 2**32: the most keys that fit 32 bits, 17.2 GB of them
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert 4 * m**k > physical, f"{physical} bytes of memory could hold the keys"
+        g = random_graph(k, m, 1.0, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^cycle keys ") as excinfo:
+                build_hypergraph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4 bytes a key, refused after counting, before the key array is allocated
+        assert excinfo.value.required == 4 * m**k
         assert peak < 50 * 2**20
 
     def test_count_matches_enumeration(self):
@@ -809,6 +862,78 @@ class TestHypergraph:
             encode_keys([0] * k, m + 1)
         with pytest.raises(ResourceLimitError):
             decode_keys(keys, k, m + 1)
+
+    @pytest.mark.parametrize(
+        "k, m, dtype",
+        [(4, 256, np.uint32), (3, 1625, np.uint32), (4, 257, np.uint64), (3, 1626, np.uint64)],
+    )
+    def test_keys_are_32_bits_while_m_to_the_k_fits(self, k, m, dtype):
+        assert cycles._radices(k, m).dtype == dtype
+        rng = np.random.default_rng(m)
+        locs = np.vstack([np.zeros(k, dtype=np.int64), np.full(k, m - 1), rng.integers(0, m, (50, k))])
+        keys = encode_keys(list(locs.T), m)
+        assert keys.dtype == dtype and int(keys[1]) == m**k - 1
+        assert np.array_equal(decode_keys(keys, k, m), locs)
+        # one key from scalar columns keeps the width too
+        top = encode_keys([m - 1] * k, m)
+        assert top.dtype == dtype and int(top) == m**k - 1
+
+    # just below and just above m**k == 2**32
+    @pytest.mark.parametrize("m, dtype, seed", [(1625, np.uint32, 2), (1626, np.uint64, 2)])
+    def test_sparse_hosts_either_side_of_32_bits(self, m, dtype, seed):
+        g = random_graph(3, m, 0.002, seed)
+        h = build_hypergraph(g)
+        assert h.keys.dtype == dtype
+        assert len(h) == count_proper_cycles(g) > 0
+        assert (h.keys[1:] > h.keys[:-1]).all()
+        for row in h.vertex_rows().tolist():
+            assert [g.part_of(v) for v in row] == [0, 1, 2]
+            assert all(g.adjacent(row[i], row[(i + 1) % 3]) for i in range(3))
+        assert h.ids_for_keys(h.keys).tolist() == list(range(len(h)))
+        beyond = np.array([m**3, 2**64 - 1], dtype=np.uint64)
+        assert h.ids_for_keys(beyond).tolist() == [-1, -1]
+
+    def test_lookups_do_not_copy_the_key_array(self):
+        # a search with queries wider than the keys would copy the whole array
+        h = build_hypergraph(random_graph(3, 200, 0.5, 1))
+        assert len(h) >= 1_000_000 and h.keys.dtype == np.uint32
+        ids = [0, 5, 500_000, len(h) - 1]
+        path = list(h.hyperedge(7)[:2])
+        tracemalloc.start()
+        try:
+            found = [
+                h.ids_for_keys(h.keys[ids]),
+                h.ids_for_keys(h.keys[ids].astype(np.uint64)),
+                h.ids_for_keys(h.keys[ids].astype(np.int64)),
+            ]
+            ext = h.extension_ids(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.keys.nbytes / 10
+        assert all(f.tolist() == ids for f in found)
+        assert 7 in ext.tolist() and all(set(path) <= set(h.hyperedge(int(e))) for e in ext)
+
+    def test_keys_beyond_the_key_width_never_wrap_into_a_hit(self):
+        g = complete_layered(3, 4)  # every one of the m**k = 64 keys is a hyperedge
+        h = build_hypergraph(g)
+        assert h.keys.dtype == np.uint32 and h.keys.tolist() == list(range(64))
+        wide = np.array([5, 63, 64, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 5], dtype=np.uint64)
+        assert h.ids_for_keys(wide).tolist() == [5, 63, -1, -1, -1, -1, -1]
+        assert h.ids_for_keys(np.array([-1, 5 - 2**32, 7])).tolist() == [-1, -1, 7]
+        assert h.ids_for_keys([2**32 + 7, 7]).tolist() == [-1, 7]
+        # the constructor takes keys of any integer dtype whose values keep the width
+        assert cycles.TightHypergraph(g, np.arange(64, dtype=np.uint64)).keys.dtype == np.uint32
+        for keys in ([5, 2**32 + 6], [-1, 5]):
+            with pytest.raises(ParameterError, match="^keys: "):
+                cycles.TightHypergraph(g, np.array(keys, dtype=np.int64))
+        with pytest.raises(ParameterError, match="^keys: "):
+            cycles.TightHypergraph(g, np.array([5, 2**32 + 6], dtype=np.uint64))
+        # and so does decoding, where a wrapped key would decode to a valid row
+        assert decode_keys(np.array([63], dtype=np.uint64), 3, 4).tolist() == [[3, 3, 3]]
+        for keys in (np.array([2**32 + 63], dtype=np.uint64), np.array([-1])):
+            with pytest.raises(ParameterError, match="^keys: "):
+                decode_keys(keys, 3, 4)
 
     def test_decode_keys_roundtrip(self):
         g = random_graph(4, 5, 0.5, 83)
