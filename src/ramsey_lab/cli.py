@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -327,7 +328,7 @@ def _mode_greedy(config: dict) -> tuple[int, dict]:
 
 def _trials_doc(report, config: dict) -> dict:
     """The report's JSON with its trial rows moved to the ``emit_trials`` CSV, if any."""
-    doc = report.to_json()
+    doc = asdict(report)
     emit = config.get("emit_trials")
     if emit:
         write_trials_csv(report.rows, emit)
@@ -342,7 +343,7 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
     # refuse the run's own numbers before the graph, which dominates its memory
     if prop == "iii":
         _check_ratio_args(r, n)
-        return 0, check_property_iii(_resolve_graph(config), r, n).to_json()
+        return 0, asdict(check_property_iii(_resolve_graph(config), r, n))
     trials = config.get("trials", 0)
     trial_seed = config.setdefault("trial_seed", derive_seed(config.get("seed", 0), 2))
     _check_trial_args(r, n, trials, trial_seed)

@@ -1,9 +1,13 @@
 """Colorings of the tight-path hypergraph and the greedy path builder.
 
-The builder maintains a working-color tight path A, a trash family of
-(k-1)-vertex proper paths, and the unused vertex set U.  A round either
+A round holds three locals: ``path``, a working-color tight path A;
+``trash``, this round's (k-1)-vertex proper paths; and ``unused``, the mask
+of U, the vertices on neither.  A start edge or an extension vertex moves
+from U onto the path; a dead end moves the path's last k-1 vertices to the
+trash, and a leftover shorter than k goes back to U.  A round either
 reaches a path of n vertices, fills the trash to n paths, or runs out of
-eligible starting edges.  The outer loop restarts after each full trash,
+eligible starting edges, and returns one ``RoundRecord`` of its path and
+trash.  The outer loop keeps the record of each full trash, restarts after
 deleting every working-color hyperedge that extends a trashed path, and
 finishes with either a found path or an audited certificate.
 
@@ -51,8 +55,6 @@ __all__ = [
     "adversarial_coloring",
     "pick_majority_color",
     "RoundOutcome",
-    "RoundResult",
-    "GreedyState",
     "greedy_round",
     "FoundPath",
     "Certificate",
@@ -211,53 +213,30 @@ class RoundOutcome(Enum):
 
 
 @dataclass
-class RoundResult:
-    kind: RoundOutcome
-    path: list[int]
+class RoundRecord:
+    """One round's end: its path (for a certificate, the snapshot at
+    trash-full time) and its trash family."""
+
+    path_snapshot: list[int]
     trash: TrashFamily
 
 
-@dataclass
-class GreedyState:
-    """Mutable state of one greedy round: the working path, this round's
-    trash (vertex tuples, validated by ``trash_family`` when the round ends),
-    and the unused-vertex mask (complement of path and trash)."""
-
-    path: list[int]
-    trash: list[tuple[int, ...]]
-    unused: np.ndarray
-
-    @classmethod
-    def fresh(cls, num_vertices: int) -> "GreedyState":
-        return cls(path=[], trash=[], unused=np.ones(num_vertices, dtype=bool))
-
-    def claim(self, vertices) -> None:
-        self.path.extend(vertices)
-        self.unused[list(vertices)] = False
-
-    def trash_tail(self, g: LayeredGraph) -> None:
-        """Move the last k-1 path vertices into the trash (they stay used)."""
-        self.trash.append(tuple(self.path[-(g.k - 1) :]))
-        del self.path[-(g.k - 1) :]
-
-    def release_stump(self) -> None:
-        """A leftover shorter than k is no tight path; return it to U."""
-        for v in self.path:
-            self.unused[v] = True
-        self.path = []
-
-    def check_invariants(self, h: TightHypergraph, live: np.ndarray) -> None:
-        g = h.graph
-        in_path = set(self.path)
-        in_trash = {v for p in self.trash for v in p}
-        assert len(in_path) == len(self.path), "path repeats a vertex"
-        assert not (in_path & in_trash), "path and trash overlap"
-        expected = np.ones(g.num_vertices, dtype=bool)
-        expected[sorted(in_path | in_trash)] = False
-        assert np.array_equal(expected, self.unused), "unused mask out of sync"
-        if len(self.path) >= g.k:
-            ok, reason = validate_tight_path_verbose(h, self.path, deleted=~live)
-            assert ok, f"path is not a tight path of live hyperedges: {reason}"
+def _check_round(
+    h: TightHypergraph, live: np.ndarray, path: list[int], trash: list, unused: np.ndarray
+) -> None:
+    """Assert a round's invariants: path and trash are disjoint, U is the
+    rest, and a path of k or more vertices is tight on live hyperedges."""
+    g = h.graph
+    in_path = set(path)
+    in_trash = {v for p in trash for v in p}
+    assert len(in_path) == len(path), "path repeats a vertex"
+    assert not (in_path & in_trash), "path and trash overlap"
+    expected = np.ones(g.num_vertices, dtype=bool)
+    expected[sorted(in_path | in_trash)] = False
+    assert np.array_equal(expected, unused), "unused mask out of sync"
+    if len(path) >= g.k:
+        ok, reason = validate_tight_path_verbose(h, path, deleted=~live)
+        assert ok, f"path is not a tight path of live hyperedges: {reason}"
 
 
 def _find_start_edge(
@@ -297,9 +276,17 @@ def _eligible_extensions(
 
 def greedy_round(
     h: TightHypergraph, live: np.ndarray, n: int, debug: bool = False
-) -> RoundResult:
+) -> tuple[RoundOutcome, RoundRecord]:
     """Run one greedy round against the live hyperedges, the ids set in the
     bool mask ``live`` (working color, not deleted).
+
+    Its state is three locals: ``path``; ``trash``, a list of (k-1)-vertex
+    tuples; and ``unused``, the mask of U.  A start edge (the least live
+    hyperedge inside U) or an extension vertex leaves U for the path; a dead
+    end moves the path's last k-1 vertices to the trash, still out of U, and
+    a leftover shorter than k, no tight path, goes back to U.  It returns
+    the outcome and the record of the final path (empty when no start edge
+    is left) and trash.  ``debug`` asserts the invariants after every move.
 
     Each start-edge scan resumes at the last start edge (the cursor ``lo``).
     This is exact: every scan runs with an empty path, so U = V \\ trash;
@@ -310,45 +297,44 @@ def greedy_round(
     _check_n(n, g.k)
     if not (isinstance(live, np.ndarray) and live.dtype == bool and live.shape == (len(h),)):
         raise ParameterError("live", f"must be a bool array of shape ({len(h)},)")
-    state = GreedyState.fresh(g.num_vertices)
-
-    def checked(kind: RoundOutcome, path: list[int]) -> RoundResult:
-        if debug:
-            state.check_invariants(h, live)
-        return RoundResult(kind, list(path), trash_family(g, state.trash))
-
+    path: list[int] = []
+    trash: list[tuple[int, ...]] = []
+    unused = np.ones(g.num_vertices, dtype=bool)
     lo = 0
     while True:
-        eid = _find_start_edge(h, live, state.unused, lo)
         if debug:
-            assert eid == _find_start_edge(h, live, state.unused), (
-                "start-edge cursor skipped an eligible edge"
-            )
-        if eid is None:
-            return checked(RoundOutcome.NO_WORKING_EDGE, [])
-        lo = eid
-        state.claim(h.hyperedge(eid))
-        if debug:
-            state.check_invariants(h, live)
-        if len(state.path) >= n:
-            return checked(RoundOutcome.PATH_FOUND, state.path)
-        while state.path:
-            ext = _eligible_extensions(h, live, state.unused, state.path)
-            if ext.size:
-                state.claim([int(ext[0])])
-                if debug:
-                    state.check_invariants(h, live)
-                if len(state.path) >= n:
-                    return checked(RoundOutcome.PATH_FOUND, state.path)
-                continue
-            # no extension: trash the last k-1 vertices and retreat
-            state.trash_tail(g)
-            if len(state.trash) >= n:
-                return checked(RoundOutcome.TRASH_FULL, list(state.path))
-            if len(state.path) < g.k:
-                state.release_stump()
+            _check_round(h, live, path, trash, unused)
+        if len(path) >= n:
+            kind = RoundOutcome.PATH_FOUND
+            break
+        if not path:
+            eid = _find_start_edge(h, live, unused, lo)
             if debug:
-                state.check_invariants(h, live)
+                assert eid == _find_start_edge(h, live, unused), "cursor skipped a start edge"
+            if eid is None:
+                kind = RoundOutcome.NO_WORKING_EDGE
+                break
+            lo = eid
+            path = list(h.hyperedge(eid))
+            unused[path] = False
+            continue
+        ext = _eligible_extensions(h, live, unused, path)
+        if ext.size:
+            path.append(int(ext[0]))
+            unused[path[-1]] = False
+            continue
+        # dead end: trash the last k-1 vertices and retreat
+        trash.append(tuple(path[-(g.k - 1) :]))
+        del path[-(g.k - 1) :]
+        if len(trash) >= n:
+            kind = RoundOutcome.TRASH_FULL
+            break
+        if len(path) < g.k:
+            unused[path] = True
+            path = []
+    if debug:
+        _check_round(h, live, path, trash, unused)
+    return kind, RoundRecord(path_snapshot=path, trash=trash_family(g, trash))
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +343,9 @@ def greedy_round(
 
 
 @dataclass
-class RoundRecord:
-    """Snapshot of one exhausted round: the path at trash-full time and its family."""
-
-    path_snapshot: list[int]
-    trash: TrashFamily
-
-
-@dataclass
 class FoundPath:
     color: int
     vertices: list[int]
-
-    kind = "path"
 
 
 @dataclass
@@ -418,8 +394,6 @@ class Certificate:
     final_trash: TrashFamily
     intersecting_set: list[int]
     audit: CertificateAudit | None = None
-
-    kind = "certificate"
 
 
 GreedyOutcome = FoundPath | Certificate
@@ -483,17 +457,17 @@ def run_outer(
     live = col.colors == color
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
-        res = greedy_round(h, live, n)
-        if res.kind is RoundOutcome.PATH_FOUND:
-            return FoundPath(color=color, vertices=res.path)
-        if res.kind is RoundOutcome.TRASH_FULL:
-            rounds.append(RoundRecord(path_snapshot=res.path, trash=res.trash))
-            for row in res.trash.rows.tolist():
+        kind, rec = greedy_round(h, live, n)
+        if kind is RoundOutcome.PATH_FOUND:
+            return FoundPath(color=color, vertices=rec.path_snapshot)
+        if kind is RoundOutcome.TRASH_FULL:
+            rounds.append(rec)
+            for row in rec.trash.rows.tolist():
                 live[h.extension_ids(row)] = False
             continue
-        cset = sorted(res.trash.rows.ravel().tolist())
+        cset = sorted(rec.trash.rows.ravel().tolist())
         cert = Certificate(
-            color=color, rounds=rounds, final_trash=res.trash, intersecting_set=cset
+            color=color, rounds=rounds, final_trash=rec.trash, intersecting_set=cset
         )
         cert.audit = audit_certificate(cert, h, h.graph, col)
         return cert

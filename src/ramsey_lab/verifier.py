@@ -22,7 +22,7 @@ Every report carries one row per kept trial; rows are always built.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class PropertyReport:
         if self.violations + self.passes + self.skips != self.trials:
             raise ParameterError("trials", "trial counts do not add up")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RatioReport:
@@ -105,9 +102,6 @@ class RatioReport:
     ratio_c: float
     ratio_r: float
     params: dict
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -348,9 +342,6 @@ class ConcentrationReport:
     analytic_bounds: dict[str, dict[str, float]]
     params: dict
     rows: list[dict]
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def concentration_experiment(

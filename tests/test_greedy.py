@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_lab import (
     Certificate,
@@ -175,32 +177,32 @@ class TestMajority:
 class TestGreedyRound:
     def test_no_working_edges(self, tiny_complete, complete_h):
         col = mono_coloring(complete_h, 1)
-        res = greedy_round(complete_h, col.colors == 0, n=4)
-        assert res.kind is RoundOutcome.NO_WORKING_EDGE
-        assert res.path == [] and len(res.trash) == 0
+        kind, rec = greedy_round(complete_h, col.colors == 0, n=4)
+        assert kind is RoundOutcome.NO_WORKING_EDGE
+        assert rec.path_snapshot == [] and len(rec.trash) == 0
 
     def test_all_working_complete_path(self):
         g = complete_layered(3, 6)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        res = greedy_round(h, col.colors == 0, n=6, debug=True)
-        assert res.kind is RoundOutcome.PATH_FOUND
-        assert len(res.trash) == 0  # extension never fails in a complete graph
-        assert validate_tight_path(h, res.path, col, 0)
+        kind, rec = greedy_round(h, col.colors == 0, n=6, debug=True)
+        assert kind is RoundOutcome.PATH_FOUND
+        assert len(rec.trash) == 0  # extension never fails in a complete graph
+        assert validate_tight_path(h, rec.path_snapshot, col, 0)
 
     def test_single_edge_n_equals_k(self, tiny_complete, complete_h):
         colors = np.ones(8, dtype=np.uint8)
         colors[0] = 0
         col = Coloring(2, colors)
-        res = greedy_round(complete_h, col.colors == 0, n=3)
-        assert res.kind is RoundOutcome.PATH_FOUND
-        assert res.path == [0, 2, 4]  # canonical layout from the part-0 vertex
+        kind, rec = greedy_round(complete_h, col.colors == 0, n=3)
+        assert kind is RoundOutcome.PATH_FOUND
+        assert rec.path_snapshot == [0, 2, 4]  # canonical layout from the part-0 vertex
 
     def test_case2_produces_trash(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        res = greedy_round(complete_h, col.colors == 0, n=4, debug=True)
-        assert res.kind is RoundOutcome.NO_WORKING_EDGE
-        assert len(res.trash) == 2  # both parity-0 components get trashed
+        kind, rec = greedy_round(complete_h, col.colors == 0, n=4, debug=True)
+        assert kind is RoundOutcome.NO_WORKING_EDGE
+        assert len(rec.trash) == 2  # both parity-0 components get trashed
 
     def test_debug_mode_invariants_on_random_instances(self):
         # debug mode re-checks path/trash/unused disjointness and the window
@@ -415,6 +417,39 @@ class TestRunOuter:
                 for row in rec.trash.rows.tolist():
                     assert tuple(row) not in seen
                     seen.add(tuple(row))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        m=st.integers(6, 12),
+        p=st.floats(0.15, 0.6),
+        r=st.integers(2, 3),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_round_records_on_drawn_hosts(self, k, m, p, r, seed, data):
+        # check (a) is left out: it fails on some of these hosts, because the
+        # vertices a round returns to U are charged to no round
+        n = data.draw(st.integers(k, 3 * k - 1), label="n")
+        h = build_hypergraph(random_graph(k, m, p, seed))
+        col = random_coloring(h, r, seed)
+        for color in range(r):
+            greedy_round(h, col.colors == color, n, debug=True)
+            out = run_outer(h, col, n, color=color)
+            if isinstance(out, FoundPath):
+                assert len(out.vertices) >= n
+                assert validate_tight_path(h, out.vertices, col, color)
+                continue
+            assert out.audit.extension_budget_ok  # (d)
+            assert len(out.final_trash) < n
+            for rec in out.rounds:
+                assert len(rec.trash) == n and len(rec.path_snapshot) < n
+            trashed = [
+                tuple(sorted(row))
+                for fam in [*(rec.trash for rec in out.rounds), out.final_trash]
+                for row in fam.rows.tolist()
+            ]
+            assert len(set(trashed)) == len(trashed), "a path was trashed twice"
 
 
 class TestParityInstance:
