@@ -24,14 +24,17 @@ middle parts, and the last level expands only to vertices that close the
 cycle, so no path that fails to close is built; the start's keys are taken
 from one table that encodes every (path, closer) pair.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
-``_closed_walks`` over the float64 blocks from ``_float_blocks``, as Python
-ints; the kernel refuses a chain only when one of its own computed entries
-reaches 2**53, where float64 stops being exact.  The copy is read-only and
-the kernel never writes into it, so a caller that holds one can pass it to
-any number of counts.  The chain runs ``_ROW_BLOCK`` rows at a time, so no
-m x m float64 prefix is built.  The meeting count sums it over the set's
-own rows only, counting each cycle at the first part where it meets the
-set: the chains of later parts skip the set's vertices in earlier parts.
+``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
+ints.  Float32 holds the chain's integers exactly below 2**24; when one of
+its computed entries reaches 2**24, the kernel redoes that step, and runs
+the rest of the call, in float64 on one float64 copy of the blocks, and it
+refuses the chain only when an entry reaches 2**53, where float64 stops
+being exact.  The float32 copy is read-only and the kernel
+never writes into it, so a caller that holds one can pass it to any number
+of counts.  The chain runs ``_ROW_BLOCK`` rows at a time, so no m x m
+prefix is built.  The meeting count sums it over the set's own rows only,
+counting each cycle at the first part where it meets the set: the chains
+of later parts skip the set's vertices in earlier parts.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -142,21 +145,33 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
 # exact counting via adjacency-block products
 # ---------------------------------------------------------------------------
 
-# rows per block-chain pass: bounds each prefix at _ROW_BLOCK x m float64
+# rows per block-chain pass: bounds each prefix at _ROW_BLOCK x m floats
+# (4 bytes each in float32, 8 after a float64 fallback)
 _ROW_BLOCK = 512
+
+# the integers a float dtype holds exactly: those below 2**(mantissa bits + 1)
+_EXACT_BELOW = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
 
 def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
-    """Read-only float64 copies of the adjacency blocks, refused before copying
-    when their ``8 * k * m**2`` bytes would exceed physical memory.
+    """Read-only float32 copies of the adjacency blocks, refused before copying
+    when their ``4 * k * m**2`` bytes would exceed physical memory.
 
     No count writes into them, so one copy can serve many counts on ``g``.
     """
-    _check_fits_in_memory("float blocks", 8 * g.k * g.m * g.m)
-    fb = [b.astype(np.float64) for b in g.blocks]
+    _check_fits_in_memory("float blocks", 4 * g.k * g.m * g.m)
+    fb = [b.astype(np.float32) for b in g.blocks]
     for b in fb:
         b.setflags(write=False)
     return fb
+
+
+def _float64_blocks(fb: list[np.ndarray]) -> list[np.ndarray]:
+    """Float64 copies of ``fb`` for a chain that left float32's exact range,
+    refused before copying when their ``8 * k * m**2`` bytes would exceed
+    physical memory."""
+    _check_fits_in_memory("float64 blocks", 8 * len(fb) * fb[0].size)
+    return [b.astype(np.float64) for b in fb]
 
 
 def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.ndarray:
@@ -172,38 +187,61 @@ def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.n
     ``fb`` is only read.  The chain runs ``_ROW_BLOCK`` rows at a time, so no
     prefix larger than ``_ROW_BLOCK`` x m is ever built.
 
-    Every entry of the chain is a sum of non-negative integers, so float64
-    holds it exactly while it stays below 2**53; and since rounding is
-    monotone, a sum that ever reached 2**53 still reads at least 2**53 in
-    any summation order.  So each prefix product and the closing diagonal
-    are checked as they are computed, and ``ResourceLimitError`` is raised
-    at the first entry that reaches 2**53.  (That holds for the GEMM behind
-    ``@``; a Strassen-type product, which subtracts, would not keep it.)
+    ``fb`` is float32 (from ``_float_blocks``) or float64.  Every entry of
+    the chain is a sum of non-negative integers, so its dtype holds it
+    exactly while it stays below 2**24 (float32) or 2**53 (float64); and
+    since rounding is monotone, a sum that ever reached that limit still
+    reads at least the limit in any summation order.  So each prefix
+    product and the closing diagonal are checked as they are computed (see
+    ``_exact``).  A float32 step that reaches 2**24 is redone in float64
+    from its exact float32 prefix, and the rest of the call runs in float64
+    on one float64 copy of the blocks, made at the first such step.
+    ``ResourceLimitError`` is raised at the first float64 entry that reaches
+    2**53.  (That holds for the GEMM behind ``@``; a Strassen-type product,
+    which subtracts, would not keep it.)
     """
     k, m = len(fb), fb[part].shape[0]
     size = m if rows is None else len(rows)
     out = np.empty(size, dtype=np.int64)
+    wide = None  # the float64 blocks, once a float32 entry has reached 2**24
     for lo in range(0, size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, size)
         block = slice(lo, hi) if rows is None else rows[lo:hi]
-        prefix = fb[part][block]
+        blocks = fb if wide is None else wide
+        prefix = blocks[part][block]
         for j in range(1, k):
             q = (part + j) % k
             if skip is not None and len(skip[q]):
                 prefix = prefix.copy()  # the first prefix may be a view of fb
                 prefix[:, skip[q]] = 0.0
-            if j < k - 1:
-                prefix = _exact(prefix @ fb[q])
-        out[lo:hi] = _exact(np.einsum("ab,ba->a", prefix, fb[(part - 1) % k][:, block]))
+            walks = _exact(_chain_step(prefix, blocks[q], block, j == k - 1))
+            if walks is None:  # so blocks is fb, and wide not yet made
+                blocks = wide = _float64_blocks(fb)
+                prefix = prefix.astype(np.float64)
+                walks = _exact(_chain_step(prefix, blocks[q], block, j == k - 1))
+            prefix = walks
+        out[lo:hi] = prefix
     return out
 
 
-def _exact(counts: np.ndarray) -> np.ndarray:
-    """``counts`` itself, or ``ResourceLimitError`` when an entry reaches 2**53."""
-    top = counts.max(initial=0.0)
-    if top >= 2**53:
-        raise ResourceLimitError("exact float64 counting range exceeded", int(top), 2**53)
-    return counts
+def _chain_step(prefix: np.ndarray, b: np.ndarray, block, close: bool) -> np.ndarray:
+    """The chain's next prefix ``prefix @ b``, or, when ``close``, the closing
+    diagonal through the ``block`` columns of ``b``."""
+    if close:
+        return np.einsum("ab,ba->a", prefix, b[:, block])
+    return prefix @ b
+
+
+def _exact(counts: np.ndarray) -> np.ndarray | None:
+    """``counts`` itself while every entry lies in its dtype's exact range;
+    ``None`` when a float32 entry reaches 2**24, and ``ResourceLimitError``
+    when a float64 entry reaches 2**53."""
+    top = counts.max(initial=0)
+    if top < _EXACT_BELOW[counts.dtype]:
+        return counts
+    if counts.dtype == np.float32:
+        return None
+    raise ResourceLimitError("exact float64 counting range exceeded", int(top), 2**53)
 
 
 def count_proper_cycles(g: LayeredGraph) -> int:
@@ -327,14 +365,15 @@ def _held_bytes(g: LayeredGraph, fb: list[np.ndarray], per_start: np.ndarray) ->
     With P paths through the middle parts and C closers, that is the P x m
     row gather of the last middle block, the P x C bool submatrix and key
     table, and the int64 flat index of the start's ``per_start`` cycles.
-    Both come from ``fb``, the float blocks: P is a matrix-vector chain over
-    the blocks into the last middle part, and C a column sum of the closing
-    block.
+    Both come from ``fb``, the float blocks, in their own dtype, so no block
+    is cast: P is a matrix-vector chain over the blocks into the last middle
+    part, and C a column sum of the closing block.  Only these length-m
+    vectors are cast to float64.
     """
     k, m = g.k, g.m
     itemsize = _radices(k, m).itemsize
-    paths = functools.reduce(lambda v, b: b @ v, reversed(fb[: k - 2]), np.ones(m))
-    closers = fb[k - 1].sum(axis=0)
+    paths = functools.reduce(lambda v, b: b @ v, reversed(fb[: k - 2]), np.ones(m, fb[0].dtype))
+    paths, closers = paths.astype(np.float64), fb[k - 1].sum(axis=0, dtype=np.float64)
     return paths * (m + (1 + itemsize) * closers) + 8 * per_start
 
 

@@ -15,7 +15,9 @@ class UnknownVertexError(ParameterError):
 
 class ResourceLimitError(RuntimeError):
     """Physical memory, a 64-bit key space or a search cap would be exceeded, or a
-    counting chain computed an entry of 2**53 or more, beyond float64's exact range."""
+    counting chain computed an entry of 2**53 or more, beyond float64's exact range
+    (a float32 entry of 2**24 or more is not refused: the chain falls back to
+    float64)."""
 
     def __init__(self, message: str, required: int | float, cap: int | float):
         super().__init__(f"{message} (required {required}, cap {cap})")

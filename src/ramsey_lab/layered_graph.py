@@ -14,6 +14,8 @@ rows and columns directly.
 Random generation draws one uniform per candidate pair from a Philox
 stream keyed by the seed, consuming draws in (part, row, column) ascending
 order, so equal seeds give bit-identical graphs independent of platform.
+It draws a few whole rows at a time, so only one chunk of float64 draws is
+alive beside the boolean blocks.
 Both constructors from outside input (random generation and edge lists)
 refuse, before allocating, a graph whose arrays would not fit in the
 machine's physical memory.
@@ -46,6 +48,10 @@ __all__ = [
 
 # edges read from a list per numpy pass in ``LayeredGraph.from_edges``
 _EDGE_CHUNK = 65_536
+
+# float64 draws per chunk of whole rows in ``generate_random`` (128 KiB; one
+# row when a row is longer): small enough to be served from the reused heap
+_DRAW_CHUNK = 16_384
 
 
 # -- parameter domains: each rule is stated once, and raised under the config key
@@ -330,13 +336,20 @@ def generate_random(params: GraphParams) -> LayeredGraph:
     Each of the k*m^2 consecutive-part pairs is an edge independently with
     probability ``edge_prob``.  Candidate pair (i, u, w) consumes the
     ((i*m + u)*m + w)-th uniform draw of the Philox stream for the seed.
+    The draws are taken ``_DRAW_CHUNK // m`` whole rows at a time (at least
+    one), in that order, so the boolean blocks and one chunk of draws are
+    all the memory it needs.
     """
     k, m, p = params.k, params.part_size, params.edge_prob
-    # the float64 draws and the boolean blocks are alive together
-    _check_fits_in_memory("graph arrays", 9 * k * m * m)
-    draws = spawn_rng(int(params.seed)).random((k, m, m))
-    blocks = [draws[i] < p for i in range(k)]
-    return LayeredGraph(k, m, blocks)
+    chunk = max(1, _DRAW_CHUNK // m)
+    _check_fits_in_memory("graph arrays", k * m * m + 8 * chunk * m)
+    rng = spawn_rng(int(params.seed))
+    blocks = np.empty((k, m, m), dtype=bool)
+    rows = blocks.reshape(k * m, m)
+    for lo in range(0, k * m, chunk):
+        hi = min(lo + chunk, k * m)
+        np.less(rng.random((hi - lo, m)), p, out=rows[lo:hi])
+    return LayeredGraph(k, m, list(blocks))
 
 
 def complete_layered(k: int, m: int) -> LayeredGraph:

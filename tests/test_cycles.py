@@ -184,9 +184,9 @@ class TestEnumeration:
                 if p == 0.5:
                     assert peak < 1.5 * keys.nbytes, (cpus, k, m)
                 else:
-                    # so few keys that the float64 copy of the blocks, which the
+                    # so few keys that the float32 copy of the blocks, which the
                     # count makes before the keys exist, is the peak
-                    assert peak < 1.5 * 8 * k * m * m, (cpus, k, m)
+                    assert peak < 1.5 * 4 * k * m * m, (cpus, k, m)
 
     def test_held_bytes_bound_what_a_start_holds(self):
         for k, m, p in [(3, 200, 0.5), (4, 60, 0.5), (3, 400, 0.05), (5, 20, 0.6)]:
@@ -357,7 +357,7 @@ class TestExactness:
     )
     def test_float_blocks_beyond_physical_memory_refused(self, monkeypatch, count):
         g = random_graph(3, 4, 0.5, 0)
-        need = 8 * 3 * 4 * 4  # one float64 copy of each block
+        need = 4 * 3 * 4 * 4  # one float32 copy of each block
         # physical memory one byte short of the copies; nothing is allocated for real
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -367,13 +367,104 @@ class TestExactness:
         pages["SC_PAGE_SIZE"] = need
         count(g)
 
+    def test_float64_fallback_beyond_physical_memory_refused(self, monkeypatch):
+        # K(4, 257) closes at 257**3 >= 2**24, so the count needs the float64 copy
+        g = complete_layered(4, 257)
+        fb = cycles._float_blocks(g)
+        need = 8 * 4 * 257 * 257
+        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ResourceLimitError, match="^float64 blocks need more bytes") as excinfo:
+            cycles_per_vertex(g, fb)
+        assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
+        pages["SC_PAGE_SIZE"] = need
+        assert (cycles_per_vertex(g, fb) == 257**3).all()
+
+
+class TestFloat32:
+    """Counts run in float32 while exact, and fall back to float64 past 2**24."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The number of float64 copies made, and the closed-walk calls made."""
+        made = {"float64": 0, "calls": 0}
+        copy, walks = cycles._float64_blocks, cycles._closed_walks
+
+        def counted_copy(fb):
+            made["float64"] += 1
+            return copy(fb)
+
+        def counted_walks(*args):
+            made["calls"] += 1
+            return walks(*args)
+
+        monkeypatch.setattr(cycles, "_float64_blocks", counted_copy)
+        monkeypatch.setattr(cycles, "_closed_walks", counted_walks)
+        return made
+
+    # K(3, 300) stays below 2**24; K(4, 257) closes at 257**3 >= 2**24; in
+    # K(5, 257) the second product reaches 257**3, mid-chain.  Row blocks of
+    # 100, so a chain that fell back runs its later row blocks in float64 too.
+    @pytest.mark.parametrize("k, m, float64", [(3, 300, False), (4, 257, True), (5, 257, True)])
+    def test_closed_forms_on_complete_hosts(self, monkeypatch, fallbacks, k, m, float64):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 100)
+        g = complete_layered(k, m)
+        assert count_proper_cycles(g) == m**k
+        per_vertex = cycles_per_vertex(g)
+        assert per_vertex.dtype == np.int64 and (per_vertex == m ** (k - 1)).all()
+        # a part-0 and a part-1 vertex: the cycles avoiding both are (m-1)**2 m**(k-2)
+        assert count_cycles_meeting(g, [0, m]) == m**k - (m - 1) ** 2 * m ** (k - 2)
+        # one float64 copy per closed-walk call that left float32, none otherwise
+        assert fallbacks["float64"] == (fallbacks["calls"] if float64 else 0)
+
+    @pytest.mark.parametrize("k, m, p", [(3, 40, 0.5), (4, 12, 0.6), (5, 8, 0.7)])
+    def test_counts_equal_float64_counts(self, k, m, p):
+        for seed in range(3):
+            g = random_graph(k, m, p, seed)
+            fb64 = [b.astype(np.float64) for b in g.blocks]
+            assert np.array_equal(cycles_per_vertex(g), cycles_per_vertex(g, fb64))
+            rng = spawn_rng(seed)
+            for size in (1, k, k * m // 2):
+                cset = rng.choice(k * m, size=size, replace=False)
+                assert count_cycles_meeting(g, cset) == count_cycles_meeting(g, cset, fb64)
+
+    # (first prefix row, closing block, walks, float64 copies): the prefix
+    # product or the closing sum reaching 2**24 is redone in float64
+    @pytest.mark.parametrize(
+        "first, closing, walks, copies",
+        [
+            ([2.0**23, 2.0**23 - 1], [[1.0, 0.0], [1.0, 0.0]], [2**24 - 1, 0], 0),
+            ([2.0**23, 2.0**23], [[1.0, 0.0], [1.0, 0.0]], [2**24, 0], 1),
+            ([2.0**24, 0.0], [[1.0, 0.0], [0.0, 0.0]], [2**24, 0], 1),
+        ],
+        ids=["below", "closing", "prefix"],
+    )
+    def test_entries_of_2_to_24_fall_back(self, fallbacks, first, closing, walks, copies):
+        fb = [b.astype(np.float32) for b in TestExactness.chain(first, closing)]
+        assert _closed_walks(fb, 0).tolist() == walks
+        assert fallbacks["float64"] == copies
+
+    def test_held_bytes_cast_no_block(self):
+        g = random_graph(4, 300, 0.5, 0)
+        fb = cycles._float_blocks(g)
+        per_start = _closed_walks(fb, 0)
+        tracemalloc.start()
+        try:
+            held = cycles._held_bytes(g, fb, per_start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held.dtype == np.float64
+        assert peak < fb[0].nbytes  # a float64 copy of a block would take twice that
+
 
 class TestKernel:
-    """The float64 copy is only read, and the chain's row blocks do not change a count."""
+    """The float copy is only read, and the chain's row blocks do not change a count."""
 
     def test_float_blocks_are_read_only(self):
         fb = cycles._float_blocks(random_graph(3, 4, 0.5, 0))
         for b in fb:
+            assert b.dtype == np.float32
             with pytest.raises(ValueError, match="read-only"):
                 b[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):

@@ -29,6 +29,7 @@ from ramsey_lab import (
     run_outer,
     tight_path_exists,
 )
+from ramsey_lab.seeds import spawn_rng
 from conftest import random_graph
 
 
@@ -265,6 +266,36 @@ class TestGeneration:
         assert 0.6 * expected_var < counts.var(ddof=1) < 1.4 * expected_var
 
 
+class TestRowChunks:
+    """Generation draws a few whole rows at a time, in the one-draw order."""
+
+    # m = 5: a chunk of 3 draws is shorter than a row, so each chunk is one
+    # row; 12 gives 2-row chunks, so the last of the k*m = 15 rows is a
+    # ragged chunk; 1000 holds every row
+    @pytest.mark.parametrize("chunk", [3, 12, 1000])
+    def test_chunks_equal_one_draw(self, monkeypatch, chunk):
+        k, m, p, seed = 3, 5, 0.5, 11
+        drawn = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, shape):
+                drawn.append(self.rng.random(shape))
+                return drawn[-1]
+
+        monkeypatch.setattr(layered_graph, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(layered_graph, "spawn_rng", lambda s: Recording(spawn_rng(s)))
+        g = generate_random(GraphParams(k, m, p, seed))
+        rows = max(1, chunk // m)
+        assert [d.shape for d in drawn[:-1]] == [(rows, m)] * (len(drawn) - 1)
+        assert 1 <= len(drawn[-1]) <= rows
+        one = spawn_rng(seed).random((k, m, m))
+        assert np.concatenate(drawn).tobytes() == one.tobytes()
+        assert all(np.array_equal(g.blocks[i], one[i] < p) for i in range(k))
+
+
 class TestCompleteLayered:
     @pytest.mark.parametrize(
         "k,m,edges", [(3, 1, 3), (3, 2, 12), (5, 2, 20)]
@@ -386,6 +417,20 @@ class TestOversized:
     def test_generate_raises(self):
         with pytest.raises(ResourceLimitError):
             generate_random(GraphParams(k=3, part_size=100_000, edge_prob=0.5, seed=0))
+
+    def test_generate_charges_the_blocks_and_one_chunk(self, monkeypatch):
+        k, m = 3, 4
+        # k*m**2 bool bytes, and one chunk of _DRAW_CHUNK // m rows of float64 draws
+        need = k * m * m + 8 * (layered_graph._DRAW_CHUNK // m) * m
+        # physical memory one byte short; nothing is allocated for real
+        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        params = GraphParams(k=k, part_size=m, edge_prob=0.5, seed=0)
+        with pytest.raises(ResourceLimitError, match="^graph arrays need more bytes") as excinfo:
+            generate_random(params)
+        assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
+        pages["SC_PAGE_SIZE"] = need
+        assert generate_random(params) == random_graph(k, m, 0.5, 0)
 
     def test_from_json_raises(self):
         with pytest.raises(ResourceLimitError):
