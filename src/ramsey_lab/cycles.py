@@ -41,9 +41,9 @@ int64 array that only ``trash_family`` builds, after checking every row and
 that the rows are pairwise vertex-disjoint.  A row runs along its arc of
 parts and starts in the lower-numbered of its two endpoint parts.  Both
 extension counts go through ``_count_extensions``, a plain sum of
-``_completion_mask`` sizes over the rows with no keys encoded: two
-(k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle extends
-two paths of a disjoint family.
+``_completion_mask`` sizes with no keys encoded, one mask call for the
+rows that miss the same part: two (k-1)-subsets of one k-set share
+k-2 >= 1 vertices, so no cycle extends two paths of a disjoint family.
 """
 
 from __future__ import annotations
@@ -470,19 +470,28 @@ def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
 
 
 def _completion_mask(
-    g: LayeredGraph, vertices, allowed: np.ndarray | None = None
-) -> tuple[int, dict[int, int], np.ndarray]:
-    """Where a (k-1)-vertex proper path closes into proper cycles.
+    g: LayeredGraph, rows, allowed: np.ndarray | None = None
+) -> tuple[int, list[dict[int, int]], np.ndarray]:
+    """Where (k-1)-vertex proper paths that miss one part close into proper cycles.
 
-    Returns the one part q the path misses, the path's part-local indices
-    keyed by part, and the mask over q's locals adjacent to the path's
-    vertices in parts q-1 and q+1; with ``allowed`` (a bool mask over all
-    vertices) a completing vertex must also be allowed.
+    ``rows`` is one path (k-1 global ids, in any order) or an (N, k-1)
+    block of them, each row missing the part q its first row misses.
+    Returns q, each path's part-local indices keyed by part, and the mask
+    over q's locals adjacent to the path's vertices in parts q-1 and q+1:
+    of shape (m,) for one path, read through views of the blocks, and
+    (N, m) for a block.  With ``allowed`` (a bool mask over all vertices) a
+    completing vertex must also be allowed.
     """
     k, m = g.k, g.m
-    locs = {v // m: v % m for v in vertices}
-    (q,) = set(range(k)) - locs.keys()
-    mask = g.blocks[(q - 1) % k][locs[(q - 1) % k]] & g.blocks[q][:, locs[(q + 1) % k]]
+    one = np.isscalar(rows[0])
+    paths = [rows] if one else np.asarray(rows).tolist()
+    locs = [{v // m: v % m for v in path} for path in paths]
+    (q,) = set(range(k)) - locs[0].keys()
+    a, b = (q - 1) % k, (q + 1) % k
+    # one path, the greedy's per-step case, indexes the blocks by scalars: views, no copies
+    before = locs[0][a] if one else [loc[a] for loc in locs]
+    after = locs[0][b] if one else [loc[b] for loc in locs]
+    mask = g.blocks[a][before] & g.blocks[q].T[after]
     if allowed is not None:
         mask &= allowed[q * m : (q + 1) * m]
     return q, locs, mask
@@ -496,7 +505,7 @@ def _extensions(
     Returns the completing vertices (ascending global ids) and the canonical
     keys of the cycles they close, as ``_completion_mask`` allows them.
     """
-    q, locs, mask = _completion_mask(g, vertices, allowed)
+    q, (locs,), mask = _completion_mask(g, vertices, allowed)
     locs[q] = mask.nonzero()[0]
     return locs[q] + q * g.m, encode_keys([locs[i] for i in range(g.k)], g.m)
 
@@ -515,12 +524,20 @@ def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
 def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
     """Proper cycles extending some family path (by an allowed vertex).
 
-    A per-path sum of completion masks, with no keys encoded: the family is
-    disjoint, so no cycle extends two paths.
+    A sum of completion masks, with no keys encoded: the family is
+    disjoint, so no cycle extends two paths.  The rows that miss the same
+    part share one ``_completion_mask`` call, ``_ROW_BLOCK`` rows at a time.
     """
-    return sum(
-        int(np.count_nonzero(_completion_mask(g, row, allowed)[2])) for row in fam.rows.tolist()
-    )
+    k, m = g.k, g.m
+    # a row holds one vertex in each part but the one it misses
+    missing = k * (k - 1) // 2 - (fam.rows // m).sum(axis=1)
+    total = 0
+    for q in range(k):
+        group = fam.rows[missing == q]
+        for lo in range(0, len(group), _ROW_BLOCK):
+            mask = _completion_mask(g, group[lo : lo + _ROW_BLOCK], allowed)[2]
+            total += int(np.count_nonzero(mask))
+    return total
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:

@@ -11,12 +11,16 @@ trash.  The outer loop keeps the record of each full trash, restarts after
 deleting every working-color hyperedge that extends a trashed path, and
 finishes with either a found path or an audited certificate.
 
-The search reads one live mask over hyperedge ids: ``run_outer`` sets it
-to the working-color hyperedges once, and each restart clears the ones it
-deletes.  Every choice (starting edge, extension vertex) is the
-lexicographically least eligible option, so runs are replayable.  Within a
-round the start-edge scan resumes at the last start edge, because the
-eligible set only shrinks there (see ``greedy_round``).
+The search reads one live mask over hyperedge ids, packed one bit per id in
+``np.packbits`` order (``ceil(len(h) / 8)`` bytes): ``run_outer`` packs the
+working-color hyperedges into it a chunk at a time, and each restart
+clears the bits of the ones it deletes.  No bool or int array as long as
+the hyperedges is built: the scans unpack only the bytes they read, and
+the color tallies count a chunk at a time.  Every choice (starting edge,
+extension vertex) is the lexicographically least eligible option, so runs
+are replayable.  Within a round the start-edge scan resumes at the last
+start edge, because the eligible set only shrinks there (see
+``greedy_round``).
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ __all__ = [
     "outcome_to_json",
 ]
 
-_SCAN_CHUNK = 1 << 20
+_SCAN_CHUNK = 1 << 20  # a multiple of 8, so a chunk packs into whole bytes
 _FIRST_SCAN_CHUNK = 1 << 10
 _BALANCED_GREEDY_CAP = 200_000
+# the bit of id i in its byte of a packed mask is _BIT[i % 8] (np.packbits order)
+_BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +101,9 @@ class Coloring:
         self.colors.setflags(write=False)
 
     def counts(self) -> np.ndarray:
-        """Hyperedges per color, as int64; one pass per color, so the uint8
-        colors are never widened."""
-        return np.array(
-            [np.count_nonzero(self.colors == c) for c in range(self.r)], dtype=np.int64
-        )
+        """Hyperedges per color, as int64, tallied a chunk at a time by
+        ``_tally``: no array as long as the colors is built."""
+        return np.array([_tally(self.colors, c) for c in range(self.r)], dtype=np.int64)
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
@@ -116,6 +120,16 @@ class Coloring:
     def save(self, path) -> None:
         """Write ``{"r": r, "colors": [...]}`` through ``_write_rows``."""
         _write_rows(path, {"r": self.r}, "colors", self.colors.__getitem__, self.colors.size)
+
+
+def _tally(colors: np.ndarray, color: int) -> int:
+    """Entries of ``colors`` equal to ``color``, counted a ``_SCAN_CHUNK`` at a
+    time: the uint8 colors are never widened, and the comparison's bool
+    temporary is one chunk long."""
+    return sum(
+        int(np.count_nonzero(colors[lo : lo + _SCAN_CHUNK] == color))
+        for lo in range(0, colors.size, _SCAN_CHUNK)
+    )
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
@@ -185,7 +199,9 @@ def adversarial_coloring(
     _check_r(r)
     _check_seed(seed)
     if strategy == "round_robin":
-        return Coloring(r, (np.arange(len(h)) % r).astype(np.uint8))
+        # one uint8 byte per hyperedge (plus at most r - 1), nothing wider
+        cycle = np.arange(r, dtype=np.uint8)
+        return Coloring(r, np.tile(cycle, -(-len(h) // r))[: len(h)])
     if strategy == "vertex_cut":
         return _vertex_cut_coloring(h, r, seed)
     if strategy == "balanced_greedy":
@@ -199,6 +215,32 @@ def pick_majority_color(counts: np.ndarray) -> int:
     if not counts.any():
         raise ParameterError("counts", "cannot pick a majority color of an empty hypergraph")
     return int(np.argmax(counts))
+
+
+# ---------------------------------------------------------------------------
+# the packed live mask
+# ---------------------------------------------------------------------------
+
+
+def _live_bits(live: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Whether each of ``ids`` is set in the packed mask ``live``."""
+    return (live[ids >> 3] & _BIT[ids & 7]) != 0
+
+
+def _clear_bits(live: np.ndarray, ids: np.ndarray) -> None:
+    """Clear the bits of ``ids`` in the packed mask ``live``; ``np.bitwise_and.at``
+    applies every id, also where several ids (or one id twice) share a byte."""
+    np.bitwise_and.at(live, ids >> 3, ~_BIT[ids & 7])
+
+
+def _packed_live(col: Coloring, color: int) -> np.ndarray:
+    """The packed mask of ``color``'s hyperedges, packed a ``_SCAN_CHUNK`` at a
+    time, so the comparison's bool temporary is one chunk long."""
+    live = np.empty(-(-col.colors.size // 8), dtype=np.uint8)
+    for lo in range(0, col.colors.size, _SCAN_CHUNK):
+        hi = lo + _SCAN_CHUNK
+        live[lo // 8 : hi // 8] = np.packbits(col.colors[lo:hi] == color)
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +277,8 @@ def _check_round(
     expected[sorted(in_path | in_trash)] = False
     assert np.array_equal(expected, unused), "unused mask out of sync"
     if len(path) >= g.k:
-        ok, reason = validate_tight_path_verbose(h, path, deleted=~live)
+        deleted = np.unpackbits(live, count=len(h)) == 0
+        ok, reason = validate_tight_path_verbose(h, path, deleted=deleted)
         assert ok, f"path is not a tight path of live hyperedges: {reason}"
 
 
@@ -245,13 +288,16 @@ def _find_start_edge(
     """Least live hyperedge inside U with id >= ``lo``.
 
     The scan reads the live mask a chunk of ``_FIRST_SCAN_CHUNK`` ids at a
-    time, doubling up to ``_SCAN_CHUNK``, and decodes only the chunk's live
-    ids, so a hit near ``lo`` decodes few keys.
+    time, doubling up to ``_SCAN_CHUNK``, unpacks only the bytes that cover
+    the chunk, and decodes only the chunk's live ids, so a hit near ``lo``
+    decodes few keys.
     """
     step = _FIRST_SCAN_CHUNK
     while lo < len(h):
         hi = min(lo + step, len(h))
-        ids = lo + np.flatnonzero(live[lo:hi])
+        skip = lo % 8  # bits of the first byte below lo
+        bits = np.unpackbits(live[lo // 8 : -(-hi // 8)]).view(bool)[skip : skip + hi - lo]
+        ids = bits.nonzero()[0] + lo
         if ids.size:
             ok = unused[h.vertex_rows(ids)].all(axis=1)
             if ok.any():
@@ -270,15 +316,16 @@ def _eligible_extensions(
         return ext
     ids = h.ids_for_keys(keys)
     ok = ids >= 0
-    ok[ok] = live[ids[ok]]
+    ok[ok] = _live_bits(live, ids[ok])
     return ext[ok]
 
 
 def greedy_round(
     h: TightHypergraph, live: np.ndarray, n: int, debug: bool = False
 ) -> tuple[RoundOutcome, RoundRecord]:
-    """Run one greedy round against the live hyperedges, the ids set in the
-    bool mask ``live`` (working color, not deleted).
+    """Run one greedy round against the live hyperedges, the ids whose bits
+    are set in ``live`` (working color, not deleted): a uint8 array of
+    ``ceil(len(h) / 8)`` bytes, one bit per id in ``np.packbits`` order.
 
     Its state is three locals: ``path``; ``trash``, a list of (k-1)-vertex
     tuples; and ``unused``, the mask of U.  A start edge (the least live
@@ -295,8 +342,9 @@ def greedy_round(
     """
     g = h.graph
     _check_n(n, g.k)
-    if not (isinstance(live, np.ndarray) and live.dtype == bool and live.shape == (len(h),)):
-        raise ParameterError("live", f"must be a bool array of shape ({len(h)},)")
+    shape = (-(-len(h) // 8),)
+    if not (isinstance(live, np.ndarray) and live.dtype == np.uint8 and live.shape == shape):
+        raise ParameterError("live", f"must be a packed uint8 bit mask of shape {shape}")
     path: list[int] = []
     trash: list[tuple[int, ...]] = []
     unused = np.ones(g.num_vertices, dtype=bool)
@@ -413,7 +461,7 @@ def audit_certificate(
     total = count_proper_cycles(g)
     if total != len(h):
         raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
-    working = int((col.colors == color).sum())
+    working = _tally(col.colors, color)
     k, r = g.k, col.r
     rounds = [restricted_check(g, rec.path_snapshot, rec.trash, r) for rec in outcome.rounds]
     meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total)
@@ -454,7 +502,7 @@ def run_outer(
     _check_coloring(h, col, 0 if color is None else color)
     if color is None:
         color = pick_majority_color(col.counts())
-    live = col.colors == color
+    live = _packed_live(col, color)
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
         kind, rec = greedy_round(h, live, n)
@@ -462,8 +510,8 @@ def run_outer(
             return FoundPath(color=color, vertices=rec.path_snapshot)
         if kind is RoundOutcome.TRASH_FULL:
             rounds.append(rec)
-            for row in rec.trash.rows.tolist():
-                live[h.extension_ids(row)] = False
+            rows = rec.trash.rows.tolist()
+            _clear_bits(live, np.concatenate([h.extension_ids(row) for row in rows]))
             continue
         cset = sorted(rec.trash.rows.ravel().tolist())
         cert = Certificate(

@@ -717,6 +717,48 @@ class TestFamilyCounts:
         assert 0 < expected < count_family_extensions(g, fam)
         assert count_restricted_extensions(g, aset, fam) == expected
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        m=st.integers(2, 5),
+        p=st.floats(0.3, 0.95),
+        seed=st.integers(0, 2**32),
+        n_paths=st.integers(1, 5),
+        restrict=st.booleans(),
+        block=st.sampled_from([2, 512]),
+    )
+    def test_grouped_masks_match_per_row_sums_and_brute(
+        self, k, m, p, seed, n_paths, restrict, block
+    ):
+        # rows that miss the same part share one mask, _ROW_BLOCK rows at a time
+        g = random_graph(k, m, p, seed)
+        fam = sample_trash_family(g, n_paths, spawn_rng(seed))
+        if fam is None:
+            return
+        rows = fam.rows.tolist()
+        allowed = None
+        aset = []
+        if restrict:
+            aset = np.flatnonzero(spawn_rng(seed + 1).random(g.num_vertices) < 0.5).tolist()
+            allowed = np.zeros(g.num_vertices, dtype=bool)
+            allowed[aset] = True
+            allowed[fam.rows] = True
+        with mock.patch.object(cycles, "_ROW_BLOCK", block):
+            if restrict:
+                got = count_restricted_extensions(g, aset, fam)
+            else:
+                got = count_family_extensions(g, fam)
+        per_row = sum(
+            int(np.count_nonzero(cycles._completion_mask(g, row, allowed)[2])) for row in rows
+        )
+        brute = 0
+        for s in brute_sets(g):
+            for row in rows:
+                if set(row) <= s:
+                    (ext,) = s - set(row)
+                    brute += allowed is None or bool(allowed[ext])
+        assert got == per_row == brute
+
     def test_restricted_bounded_by_family(self):
         g = random_graph(3, 8, 0.5, 53)
         fam_paths = []

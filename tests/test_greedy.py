@@ -45,6 +45,13 @@ def complete_h(tiny_complete):
     return build_hypergraph(tiny_complete)
 
 
+@pytest.fixture(scope="module")
+def million_h():
+    h = build_hypergraph(random_graph(3, 200, 0.5, 1))
+    assert len(h) == 1_001_036
+    return h
+
+
 class TestColorings:
     def test_random_deterministic(self, complete_h):
         a = random_coloring(complete_h, 2, 7)
@@ -55,6 +62,25 @@ class TestColorings:
     def test_round_robin_alternates(self, complete_h):
         col = adversarial_coloring(complete_h, 2, "round_robin")
         assert list(col.colors) == [0, 1, 0, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 13])
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_round_robin_is_the_id_modulo_r(self, r, length):
+        # the first `length` keys of K(3, 3) stand in for a host of that size
+        h = cycles.TightHypergraph(complete_layered(3, 3), np.arange(length))
+        col = adversarial_coloring(h, r, "round_robin")
+        assert col.colors.dtype == np.uint8
+        assert np.array_equal(col.colors, (np.arange(length) % r).astype(np.uint8))
+
+    def test_round_robin_allocates_about_a_byte_per_hyperedge(self, million_h):
+        tracemalloc.start()
+        try:
+            col = adversarial_coloring(million_h, 3, "round_robin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col.counts().tolist() == [333_679, 333_679, 333_678]
+        assert peak < 2 * len(million_h)
 
     def test_random_frequencies(self):
         g = complete_layered(3, 11)  # 1331 hyperedges
@@ -173,11 +199,31 @@ class TestMajority:
         assert counts.dtype == np.int64 and counts.sum() == col.colors.size == 1_001_036
         assert peak < 2 * col.colors.nbytes
 
+    def test_counts_tally_a_chunk_at_a_time(self, million_h, monkeypatch):
+        col = random_coloring(million_h, 3, 0)
+        expected = np.bincount(col.colors, minlength=3)
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 1 << 12)
+        tracemalloc.start()
+        try:
+            counts = col.counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts, expected)
+        # one chunk's bool temporary, not one bool per hyperedge
+        assert peak < 4 * greedy._SCAN_CHUNK
+
+    @pytest.mark.parametrize("length", [0, 7, 8, 9, 17])
+    def test_counts_across_chunk_boundaries(self, monkeypatch, length):
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 8)
+        colors = (np.arange(length) * 7 % 3).astype(np.uint8)
+        assert np.array_equal(Coloring(3, colors).counts(), np.bincount(colors, minlength=3))
+
 
 class TestGreedyRound:
     def test_no_working_edges(self, tiny_complete, complete_h):
         col = mono_coloring(complete_h, 1)
-        kind, rec = greedy_round(complete_h, col.colors == 0, n=4)
+        kind, rec = greedy_round(complete_h, np.packbits(col.colors == 0), n=4)
         assert kind is RoundOutcome.NO_WORKING_EDGE
         assert rec.path_snapshot == [] and len(rec.trash) == 0
 
@@ -185,7 +231,7 @@ class TestGreedyRound:
         g = complete_layered(3, 6)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        kind, rec = greedy_round(h, col.colors == 0, n=6, debug=True)
+        kind, rec = greedy_round(h, np.packbits(col.colors == 0), n=6, debug=True)
         assert kind is RoundOutcome.PATH_FOUND
         assert len(rec.trash) == 0  # extension never fails in a complete graph
         assert validate_tight_path(h, rec.path_snapshot, col, 0)
@@ -194,13 +240,13 @@ class TestGreedyRound:
         colors = np.ones(8, dtype=np.uint8)
         colors[0] = 0
         col = Coloring(2, colors)
-        kind, rec = greedy_round(complete_h, col.colors == 0, n=3)
+        kind, rec = greedy_round(complete_h, np.packbits(col.colors == 0), n=3)
         assert kind is RoundOutcome.PATH_FOUND
         assert rec.path_snapshot == [0, 2, 4]  # canonical layout from the part-0 vertex
 
     def test_case2_produces_trash(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        kind, rec = greedy_round(complete_h, col.colors == 0, n=4, debug=True)
+        kind, rec = greedy_round(complete_h, np.packbits(col.colors == 0), n=4, debug=True)
         assert kind is RoundOutcome.NO_WORKING_EDGE
         assert len(rec.trash) == 2  # both parity-0 components get trashed
 
@@ -213,27 +259,32 @@ class TestGreedyRound:
             if len(h) == 0:
                 continue
             col = random_coloring(h, 2, seed)
-            greedy_round(h, col.colors == 0, n=5, debug=True)
-            greedy_round(h, col.colors == 1, n=5, debug=True)
+            greedy_round(h, np.packbits(col.colors == 0), n=5, debug=True)
+            greedy_round(h, np.packbits(col.colors == 1), n=5, debug=True)
 
     def test_trash_full_terminates(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        greedy_round(complete_h, col.colors == 0, n=2 * 3)
+        greedy_round(complete_h, np.packbits(col.colors == 0), n=2 * 3)
         # n=6 > reachable trash here; rerun with n=2 rejected (n < k)
         with pytest.raises(ParameterError):
-            greedy_round(complete_h, col.colors == 0, n=2)
+            greedy_round(complete_h, np.packbits(col.colors == 0), n=2)
 
     @pytest.mark.parametrize(
         "live",
         [
-            np.ones(3, dtype=bool),
+            np.ones(0, dtype=np.uint8),
             np.ones(8, dtype=np.uint8),
-            [True] * 8,
-            np.ones((8, 1), dtype=bool),
+            [255],
+            np.ones((1, 1), dtype=np.uint8),
+            np.ones(8, dtype=bool),
+            np.ones(1, dtype=bool),
+            np.ones(2, dtype=np.uint8),
         ],
-        ids=["short", "uint8", "list", "2d"],
+        ids=["short", "uint8", "list", "2d", "unpacked-bool", "bool", "long"],
     )
     def test_rejects_a_mask_that_is_not_one_bool_per_hyperedge(self, complete_h, live):
+        # the mask is packed: one bit per hyperedge, ceil(8 / 8) = 1 uint8 byte;
+        # one uint8 or bool per hyperedge is refused
         with pytest.raises(ParameterError) as excinfo:
             greedy_round(complete_h, live, 4)
         assert excinfo.value.field == "live"
@@ -253,7 +304,7 @@ class TestStartEdgeCursor:
         colors[list(eligible)] = 0
         if unused is None:
             unused = np.ones(h.graph.num_vertices, dtype=bool)
-        return greedy._find_start_edge(h, colors == 0, unused, lo)
+        return greedy._find_start_edge(h, np.packbits(colors == 0), unused, lo)
 
     @pytest.mark.parametrize("target", [0, 1023, 1024, 3071, 3072, 7168, 7999])
     def test_first_eligible_id(self, big, target):
@@ -341,9 +392,78 @@ class TestStartEdgeCursor:
             return full_scan(h, live, unused, lo)
 
         monkeypatch.setattr(greedy, "_find_start_edge", spy)
-        greedy_round(h, col.colors == pick_majority_color(col.counts()), n=10, debug=True)
+        live = np.packbits(col.colors == pick_majority_color(col.counts()))
+        greedy_round(h, live, n=10, debug=True)
         # debug mode follows every cursor scan with a scan from id 0
         assert any(lo > 0 for lo in los[0::2]) and not any(los[1::2])
+
+
+class TestPackedLiveMask:
+    """The live mask holds one bit per hyperedge id, in ``np.packbits`` order."""
+
+    @pytest.fixture(scope="class")
+    def odd_h(self):
+        # 2197 hyperedges: the last byte holds 5 ids, and scans cross 1024 and 3072
+        h = build_hypergraph(complete_layered(3, 13))
+        assert len(h) % 8 == 5
+        return h
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), density=st.floats(0.001, 0.5), lo=st.integers(0, 2200))
+    def test_scan_matches_an_unpacked_reference(self, odd_h, seed, density, lo):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(len(odd_h)) < density
+        unused = rng.random(odd_h.graph.num_vertices) < 0.9
+        eligible = np.flatnonzero(mask & unused[odd_h.vertex_rows()].all(axis=1))
+        later = eligible[eligible >= lo]
+        expected = int(later[0]) if later.size else None
+        assert greedy._find_start_edge(odd_h, np.packbits(mask), unused, lo) == expected
+
+    @pytest.mark.parametrize("lo", [1, 3, 7, 9, 1021, 2190, 2196])
+    def test_scan_from_inside_a_byte(self, odd_h, lo):
+        # the ids of lo's byte below lo are live, and must be skipped
+        mask = np.zeros(len(odd_h), dtype=bool)
+        mask[lo - lo % 8 : lo] = True
+        mask[lo] = True
+        unused = np.ones(odd_h.graph.num_vertices, dtype=bool)
+        assert greedy._find_start_edge(odd_h, np.packbits(mask), unused, lo) == lo
+        mask[lo] = False
+        assert greedy._find_start_edge(odd_h, np.packbits(mask), unused, lo) is None
+
+    def test_bit_lookups_match_an_unpacked_reference(self):
+        mask = np.random.default_rng(3).random(21) < 0.5
+        ids = np.arange(21)
+        assert np.array_equal(greedy._live_bits(np.packbits(mask), ids), mask)
+
+    def test_clearing_ids_that_share_a_byte(self):
+        live = np.packbits(np.ones(21, dtype=bool))  # 3 bytes, the last one partial
+        # 8, 9, 10 and 15 share a byte; 15 and 9 come twice
+        greedy._clear_bits(live, np.array([8, 9, 10, 15, 15, 20, 9]))
+        expected = np.ones(21, dtype=bool)
+        expected[[8, 9, 10, 15, 20]] = False
+        assert np.array_equal(np.unpackbits(live, count=21).view(bool), expected)
+        assert not np.unpackbits(live)[21:].any()  # the padding stays clear
+
+    def test_packing_a_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 16)
+        colors = (np.arange(45) * 5 % 3).astype(np.uint8)
+        for color in range(3):
+            live = greedy._packed_live(Coloring(3, colors), color)
+            assert np.array_equal(live, np.packbits(colors == color))
+
+    def test_run_outer_allocates_a_bit_per_hyperedge(self, million_h, monkeypatch):
+        col = random_coloring(million_h, 2, 1)
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 1 << 14)
+        tracemalloc.start()
+        try:
+            out = run_outer(million_h, col, n=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(out, FoundPath)
+        # the packed mask and one chunk, plus 64 KiB for the first scan's 1024
+        # ids and their decoded keys; a bool per hyperedge alone is 1 MB
+        assert peak < len(million_h) // 8 + greedy._SCAN_CHUNK + 64 * 1024
 
 
 class TestRunOuter:
@@ -434,7 +554,7 @@ class TestRunOuter:
         h = build_hypergraph(random_graph(k, m, p, seed))
         col = random_coloring(h, r, seed)
         for color in range(r):
-            greedy_round(h, col.colors == color, n, debug=True)
+            greedy_round(h, np.packbits(col.colors == color), n, debug=True)
             out = run_outer(h, col, n, color=color)
             if isinstance(out, FoundPath):
                 assert len(out.vertices) >= n
