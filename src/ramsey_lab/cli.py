@@ -371,7 +371,7 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
     check = _required(config, "check")
     if check == "cycles":
         keys = brute_force_cycle_keys(g)
-        fast = _cycles.cycle_keys(g)
+        fast = _cycles.cycle_keys(g).keys()
         return 0, {
             "check": "cycles",
             "count": int(keys.size),

@@ -12,29 +12,38 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it.  It also sets the
 key width from (k, m) alone: uint32 when m**k <= 2**32, so that every key
-fits in 32 bits, and uint64 otherwise.  Enumeration emits keys in ascending
-order, into one array of exactly the counted total, which is refused before
-allocation when its 4 or 8 bytes per key would not fit in physical memory.
-Part 0's closed-walk counts give each start vertex its own slice of that
-array, so the start vertices are enumerated in parallel on every CPU the
-process may run on (there is no setting for it) - on fewer threads when
-more would hold over a quarter of the key array in temporaries - and each
-start's keys are checked against its own count: paths grow through the
-middle parts, and the last level expands only to vertices that close the
-cycle, so no path that fails to close is built; the start's keys are taken
-from one table that encodes every (path, closer) pair.
+fits in 32 bits, and uint64 otherwise.
+
+Enumeration emits keys in ascending order into a ``KeyStore`` of exactly
+the counted total: the low 16, 32 or 64 bits of every key, plus one int64
+offset table over the high bits, at the width that makes the store
+smallest (see ``_store_layout``; at 65.8M keys of 31 bits that is 16-bit
+halves under 2**15 buckets, 2 bytes a key, and a sparse host keeps one
+bucket of whole keys).  The store is refused before allocation when its
+bytes would not fit in physical memory.  Part 0's closed-walk counts give
+each start vertex its own ids in the store, and every bucket edge lies in
+one start's key range, so the start vertices are enumerated in parallel on
+every CPU the process may run on (there is no setting for it) - on fewer
+threads when more would hold over a quarter of the store in temporaries -
+and each start's keys are checked against its own count: paths grow
+through the middle parts, and the last level expands only to vertices that
+close the cycle, so no path that fails to close is built; the start's low
+halves are taken from one table that encodes every (path, closer) pair
+modulo the width.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
 ints.  Float32 holds the chain's integers exactly below 2**24; when one of
 its computed entries reaches 2**24, the kernel redoes that step, and runs
 the rest of the call, in float64 on one float64 copy of the blocks, and it
 refuses the chain only when an entry reaches 2**53, where float64 stops
-being exact.  The float32 copy is read-only and the kernel
-never writes into it, so a caller that holds one can pass it to any number
-of counts.  The chain runs ``_ROW_BLOCK`` rows at a time, so no m x m
-prefix is built.  The meeting count sums it over the set's own rows only,
-counting each cycle at the first part where it meets the set: the chains
-of later parts skip the set's vertices in earlier parts.
+being exact.  The float32 copy is read-only and the kernel never writes
+into it, so a caller that holds one can pass it to any number of counts; a
+one-shot count hands its copy over instead, and a fallback then frees each
+float32 block as its float64 copy is made.  The chain runs ``_ROW_BLOCK``
+rows at a time, so no m x m prefix is built.  The meeting count sums it
+over the set's own rows only, counting each cycle at the first part where
+it meets the set: the chains of later parts skip the set's vertices in
+earlier parts.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -71,6 +80,7 @@ __all__ = [
     "cycles_per_vertex",
     "cycles_through_vertex",
     "cycle_keys",
+    "KeyStore",
     "encode_keys",
     "decode_keys",
     "extend_path",
@@ -166,15 +176,25 @@ def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
     return fb
 
 
-def _float64_blocks(fb: list[np.ndarray]) -> list[np.ndarray]:
+def _float64_blocks(fb: list[np.ndarray], own: bool = False) -> list[np.ndarray]:
     """Float64 copies of ``fb`` for a chain that left float32's exact range,
     refused before copying when their ``8 * k * m**2`` bytes would exceed
-    physical memory."""
+    physical memory.
+
+    With ``own`` the copies replace the blocks in ``fb`` itself, one at a
+    time, so each float32 block is freed as its copy is made when ``fb``
+    held the only reference to it.
+    """
     _check_fits_in_memory("float64 blocks", 8 * len(fb) * fb[0].size)
-    return [b.astype(np.float64) for b in fb]
+    wide = fb if own else [None] * len(fb)
+    for i, b in enumerate(fb):
+        wide[i] = b.astype(np.float64)
+    return wide
 
 
-def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.ndarray:
+def _closed_walks(
+    fb: list[np.ndarray], part: int, rows=None, skip=None, *, own: bool = False
+) -> np.ndarray:
     """Proper cycles through the local vertices ``rows`` of ``part`` (all of
     them by default) that avoid the ``skip`` vertices: the closing diagonal
     of the block chain rotated to start at ``part`` (closed walks
@@ -195,7 +215,11 @@ def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.n
     product and the closing diagonal are checked as they are computed (see
     ``_exact``).  A float32 step that reaches 2**24 is redone in float64
     from its exact float32 prefix, and the rest of the call runs in float64
-    on one float64 copy of the blocks, made at the first such step.
+    on one float64 copy of the blocks, made at the first such step.  A
+    caller that hands ``fb`` over (``own``, for a one-shot count) gets that
+    copy in ``fb`` itself, each float32 block freed as its copy is made, so
+    a fallback holds 8 bytes per vertex pair rather than 12; a caller that
+    shares ``fb`` between counts keeps its float32 blocks.
     ``ResourceLimitError`` is raised at the first float64 entry that reaches
     2**53.  (That holds for the GEMM behind ``@``; a Strassen-type product,
     which subtracts, would not keep it.)
@@ -216,8 +240,9 @@ def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.n
                 prefix[:, skip[q]] = 0.0
             walks = _exact(_chain_step(prefix, blocks[q], block, j == k - 1))
             if walks is None:  # so blocks is fb, and wide not yet made
-                blocks = wide = _float64_blocks(fb)
+                # the prefix first: one that is a view of fb would keep its block
                 prefix = prefix.astype(np.float64)
+                blocks = wide = _float64_blocks(fb, own)
                 walks = _exact(_chain_step(prefix, blocks[q], block, j == k - 1))
             prefix = walks
         out[lo:hi] = prefix
@@ -246,16 +271,18 @@ def _exact(counts: np.ndarray) -> np.ndarray | None:
 
 def count_proper_cycles(g: LayeredGraph) -> int:
     """Total number of proper cycles (no materialization)."""
-    return sum(_closed_walks(_float_blocks(g), 0).tolist())
+    return sum(_closed_walks(_float_blocks(g), 0, own=True).tolist())
 
 
 def cycles_per_vertex(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> np.ndarray:
     """Proper-cycle count through every vertex, as an int64 array of length k*m.
 
-    ``fb`` is ``_float_blocks(g)`` when the caller already holds it.
+    ``fb`` is ``_float_blocks(g)`` when the caller already holds it; without
+    it the count makes its own copy and hands it to the kernel.
     """
-    fb = _float_blocks(g) if fb is None else fb
-    return np.concatenate([_closed_walks(fb, part) for part in range(g.k)])
+    own = fb is None
+    fb = _float_blocks(g) if own else fb
+    return np.concatenate([_closed_walks(fb, part, own=own) for part in range(g.k)])
 
 
 def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
@@ -311,7 +338,7 @@ def _radices(k: int, m: int) -> np.ndarray:
     return radix
 
 
-def encode_keys(cols, m: int):
+def encode_keys(cols, m: int, dtype=None):
     """Canonical keys, in the radix dtype, from k columns of part-local
     indices (column i: part i).
 
@@ -319,72 +346,203 @@ def encode_keys(cols, m: int):
     part's index for every key; all-scalar columns give one key.  The terms
     are summed in the radix dtype and the result is cast to it, so no mix of
     scalars and 0-d arrays widens the keys.
+
+    With ``dtype``, an unsigned integer dtype no wider than the radices',
+    each key's low bits that fit it: the columns and the radices are cast to
+    it, which keeps their low bits, and its sums wrap, which keeps the low
+    bits of the key.
     """
     radix = _radices(len(cols), m)
-    terms = (np.asarray(c, dtype=radix.dtype) * r for c, r in zip(cols, radix))
-    return functools.reduce(np.add, terms).astype(radix.dtype, copy=False)
+    dtype = radix.dtype if dtype is None else np.dtype(dtype)
+    radix = radix.astype(dtype, copy=False)
+    terms = (np.asarray(c).astype(dtype, copy=False) * r for c, r in zip(cols, radix))
+    return functools.reduce(np.add, terms).astype(dtype, copy=False)
 
 
-def cycle_keys(g: LayeredGraph) -> np.ndarray:
-    """All proper cycles as ascending canonical keys, in the codec's width.
+@dataclass(frozen=True, eq=False)
+class KeyStore:
+    """Ascending canonical keys, split into low halves and a bucket table.
+
+    ``low`` holds the low ``width`` bits of every key, in the unsigned dtype
+    of that width (16, 32 or 64 bits); ``offsets`` is an int64 table over
+    the high bits, so the keys whose high bits are ``j`` are
+    ``low[offsets[j]:offsets[j + 1]]``.  With one bucket, ``low`` is the
+    keys themselves.  ``dtype`` is the codec's key width, in which ``keys``
+    rebuilds them.  Both arrays are read-only; only ``cycle_keys`` and
+    ``_split_keys`` fill them.
+    """
+
+    low: np.ndarray
+    offsets: np.ndarray
+    dtype: np.dtype
+
+    def __post_init__(self):
+        self.low.setflags(write=False)
+        self.offsets.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.low.size
+
+    @property
+    def width(self) -> int:
+        return 8 * self.low.itemsize
+
+    @property
+    def nbytes(self) -> int:
+        return self.low.nbytes + self.offsets.nbytes
+
+    def keys(self, ids=slice(None)) -> np.ndarray:
+        """The keys of the ids ``ids`` selects (a slice or an int array; all
+        by default), in the codec's width.  A key's high bits are the bucket
+        whose offsets enclose its id."""
+        low = self.low[ids]
+        if self.offsets.size == 2:
+            return low.astype(self.dtype, copy=False)
+        ids = np.arange(*ids.indices(len(self))) if isinstance(ids, slice) else np.asarray(ids)
+        ids = np.where(ids < 0, ids + len(self), ids)
+        high = np.searchsorted(self.offsets, ids, side="right") - 1
+        return (high.astype(self.dtype) << self.width) | low
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Ids of the canonical ``keys`` (an array of any integer dtype), as
+        int64; -1 where a key is not stored.
+
+        The queries are cast to the stored dtype, so that no search copies
+        the store; a key that a cast changes (one beyond the key width, or
+        negative) is not stored.  With one bucket the lookup is a plain
+        ``searchsorted``.  Otherwise each query is bisected inside its own
+        bucket, all queries at once, in as many steps as the largest of
+        their buckets needs.
+        """
+        n, low = self.low.size, self.low
+        if n == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        if self.offsets.size == 2:
+            want = keys.astype(low.dtype, copy=False)
+            lo = np.searchsorted(low, want)
+            fits = want == keys
+        else:
+            query = keys.astype(self.dtype, copy=False)
+            high = query >> self.width
+            fits = (high < self.offsets.size - 1) & (query == keys)
+            high = np.where(fits, high, 0).astype(np.intp)
+            want = query.astype(low.dtype)  # the cast keeps the low bits
+            lo, end = self.offsets[high], self.offsets[high + 1]
+            hi = end
+            for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+                mid = (lo + hi) >> 1
+                less = low[np.minimum(mid, n - 1)] < want
+                lo = np.where(less & (mid < hi), mid + 1, lo)
+                hi = np.where(less, hi, mid)
+            fits &= lo < end
+        # past the last key, lo is n (or its bucket's end), and low[n - 1] < want
+        return np.where(fits & (low[np.minimum(lo, n - 1)] == want), lo, -1)
+
+
+def _store_bytes(total: int, width: int, buckets: int) -> int:
+    """Bytes of a store of ``total`` keys split at ``width`` into ``buckets``."""
+    return total * width // 8 + 8 * (buckets + 1)
+
+
+def _store_layout(k: int, m: int, total: int) -> tuple[int, int]:
+    """The low width and bucket count of a store of ``total`` keys of (k, m):
+    of 16, 32 and 64 bits, the width that makes the store's bytes smallest
+    (the narrower on a tie), with one bucket per value of the bits above it
+    in the largest key, m**k - 1."""
+    bits = (m**k - 1).bit_length()
+    layouts = [(w, 2 ** max(bits - w, 0)) for w in (16, 32, 64)]
+    return min(layouts, key=lambda layout: _store_bytes(total, *layout))
+
+
+def _new_store(k: int, m: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unfilled ``low`` and ``offsets`` of a ``KeyStore`` for ``total``
+    keys of (k, m), laid out by ``_store_layout``.
+
+    ``ResourceLimitError`` is raised when the store's bytes would exceed
+    physical memory, before anything is allocated.  The offsets of the
+    bucket edges at or beyond m**k, past every key, are set here; the rest
+    are left to the caller.
+    """
+    width, buckets = _store_layout(k, m, total)
+    _check_fits_in_memory("cycle keys", _store_bytes(total, width, buckets))
+    low = np.empty(total, dtype=f"uint{width}")
+    offsets = np.empty(buckets + 1, dtype=np.int64)
+    offsets[-(-(m**k) >> width) :] = total
+    return low, offsets
+
+
+def _split_keys(keys, k: int, m: int) -> KeyStore:
+    """The store of ``keys``, ascending canonical keys of (k, m) of any
+    integer dtype whose values keep the codec's width."""
+    keys = _in_key_width(keys, k, m)
+    low, offsets = _new_store(k, m, keys.size)
+    low[:] = keys.astype(low.dtype)  # the cast keeps the low bits
+    edges = -(-(m**k) >> 8 * low.itemsize)  # the bucket edges below m**k
+    offsets[:edges] = np.searchsorted(keys, np.arange(edges, dtype=keys.dtype) << 8 * low.itemsize)
+    return KeyStore(low, offsets, keys.dtype)
+
+
+def cycle_keys(g: LayeredGraph) -> KeyStore:
+    """All proper cycles as the ``KeyStore`` of their ascending canonical keys.
 
     Counts first via matrix products: the closed walks through each vertex
     ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
-    own slice ``out[bounds[a]:bounds[a+1]]`` of one array of exactly
-    ``total`` keys.  ``ResourceLimitError`` is raised when that array's
-    ``itemsize * total`` bytes (4 or 8 per key, as ``_radices`` sets) would
-    exceed physical memory, so runaway parameters fail before it is
-    allocated.  The start vertices are dealt round-robin to
+    own ids ``bounds[a]:bounds[a+1]`` of a store of exactly ``total`` keys.
+    ``ResourceLimitError`` is raised when that store's bytes (see
+    ``_new_store``) would exceed physical memory, so runaway parameters fail
+    before it is allocated.  The start vertices are dealt round-robin to
     ``_worker_count`` threads (numpy releases the GIL in the gathers and
-    passes that do the work); each fills only its own slices, so the keys
-    do not depend on the scheduling or the number of threads.  A worker's
+    passes that do the work); each fills only its own ids and the offsets
+    of the bucket edges inside its own key range, so the store does not
+    depend on the scheduling or the number of threads.  A worker's
     exception is raised here, and a start whose enumerated cycles differ
     from its own count raises ``InvariantViolationError``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     fb = _float_blocks(g)
-    per_start = _closed_walks(fb, 0)
-    held = _held_bytes(g, fb, per_start)
-    del fb
+    per_start = _closed_walks(fb, 0, own=True)
     bounds = [0, *itertools.accumulate(per_start.tolist())]
-    total = bounds[-1]
-    dtype = _radices(g.k, g.m).dtype
-    _check_fits_in_memory("cycle keys", dtype.itemsize * total)
-    out = np.empty(total, dtype=dtype)
-    workers = _worker_count(held, out.nbytes)
+    low, offsets = _new_store(g.k, g.m, bounds[-1])
+    held = _held_bytes(g, fb, per_start, low.itemsize)
+    del fb
+    workers = _worker_count(held, low.nbytes)
+    starts = [range(w, g.m, workers) for w in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(lambda w: _fill_keys(g, out, bounds, range(w, g.m, workers)), range(workers)))
-    return out
+        list(pool.map(lambda s: _fill_keys(g, low, offsets, bounds, s), starts))
+    return KeyStore(low, offsets, _radices(g.k, g.m).dtype)
 
 
-def _held_bytes(g: LayeredGraph, fb: list[np.ndarray], per_start: np.ndarray) -> np.ndarray:
+def _held_bytes(
+    g: LayeredGraph, fb: list[np.ndarray], per_start: np.ndarray, itemsize: int
+) -> np.ndarray:
     """Bytes each part-0 vertex holds while ``_fill_keys`` enumerates it, as
-    float64.
+    float64, for key low halves of ``itemsize`` bytes.
 
     With P paths through the middle parts and C closers, that is the P x m
-    row gather of the last middle block, the P x C bool submatrix and key
-    table, and the int64 flat index of the start's ``per_start`` cycles.
-    Both come from ``fb``, the float blocks, in their own dtype, so no block
-    is cast: P is a matrix-vector chain over the blocks into the last middle
-    part, and C a column sum of the closing block.  Only these length-m
-    vectors are cast to float64.
+    row gather of the last middle block, the P int64 row keys and their
+    encoding, the P x C bool submatrix and table of low halves, and the
+    int64 flat index of the start's ``per_start`` cycles.  Both come from
+    ``fb``, the float blocks, in their own dtype, so no block is cast: P is
+    a matrix-vector chain over the blocks into the last middle part, and C
+    a column sum of the closing block.  Only these length-m vectors are
+    cast to float64.
     """
     k, m = g.k, g.m
-    itemsize = _radices(k, m).itemsize
     paths = functools.reduce(lambda v, b: b @ v, reversed(fb[: k - 2]), np.ones(m, fb[0].dtype))
     paths, closers = paths.astype(np.float64), fb[k - 1].sum(axis=0, dtype=np.float64)
-    return paths * (m + (1 + itemsize) * closers) + 8 * per_start
+    return paths * (m + 16 + (1 + itemsize) * closers) + 8 * per_start
 
 
 def _worker_count(held: np.ndarray, key_bytes: int) -> int:
     """Threads for ``cycle_keys``: one per CPU the process may run on, but no
-    more than keep the workers' temporaries under a quarter of the key
-    array's ``key_bytes`` (so never more than one per start vertex).
+    more than keep the workers' temporaries under a quarter of the
+    ``key_bytes`` of the store's low halves (so never more than one per
+    start vertex).
 
     ``held`` is ``_held_bytes``, so ``w`` workers hold at most
     ``w * max(held)``; since a start's flat index alone takes at least the
-    bytes of its own keys, the rule never admits more workers than a
+    bytes of its own low halves, the rule never admits more workers than a
     quarter of the starts.  One worker is always used, so a start with most
     of the cycles still takes its own temporaries.
     """
@@ -399,22 +557,39 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_keys(g: LayeredGraph, out: np.ndarray, bounds: list[int], starts) -> None:
-    """Write the keys of the proper cycles through each part-0 vertex ``a`` in
-    ``starts`` into ``out[bounds[a]:bounds[a+1]]``, ascending.
+def _fill_keys(
+    g: LayeredGraph, low: np.ndarray, offsets: np.ndarray, bounds: list[int], starts
+) -> None:
+    """Write the low halves of the keys of the proper cycles through each
+    part-0 vertex ``a`` in ``starts`` into ``low[bounds[a]:bounds[a+1]]``,
+    ascending, and the offsets of the bucket edges inside ``a``'s key range.
 
     Paths from ``a`` grow through the middle parts 1..k-2 along the rows of
     the dense blocks, and the last level expands only to the part-(k-1)
     vertices that close back to ``a``, so no path that fails to close is
-    ever built.  The keys of every (path, closer) pair are encoded as one
-    table, and the pairs whose last edge exists are taken from it.  Raises
-    ``InvariantViolationError`` before writing when a start's cycles do not
-    number exactly its slice.
+    ever built.  The low halves of every (path, closer) pair are encoded as
+    one table, and the pairs whose last edge exists are taken from it.
+    Raises ``InvariantViolationError`` before writing keys when a start's
+    cycles do not number exactly its ids.
+
+    ``a``'s keys are ``a * span`` plus a path's row key (its key with
+    closer 0, a multiple of m) plus its closer's index.  A bucket edge
+    ``j * 2**w`` in that range splits at most one row, so the keys below it
+    are a searchsorted over the row keys, then over that row's closers,
+    then over the flat index of the taken pairs.
     """
     k, m = g.k, g.m
+    width, span = 8 * low.itemsize, m ** (k - 1)
     last, close = g.blocks[k - 2], g.blocks[k - 1]
     for a in starts:
         lo, hi = bounds[a], bounds[a + 1]
+        j0, j1 = -(-a * span >> width), -(-(a + 1) * span >> width)
+        # the bucket edges in a's key range, relative to its first key a * span;
+        # only an edge inside the range is below span, so only then is it int64
+        edges = np.arange(j1 - j0, dtype=np.int64) << width
+        if j1 > j0:
+            edges += (j0 << width) - a * span
+        below = np.zeros(edges.size, dtype=np.int64)  # a's keys below each edge
         found = 0
         closers = np.flatnonzero(close[:, a])
         if closers.size:
@@ -433,14 +608,19 @@ def _fill_keys(g: LayeredGraph, out: np.ndarray, bounds: list[int], starts) -> N
                 flat = np.flatnonzero(last[ends][:, closers])
                 found = flat.size
                 if found == hi - lo:
-                    table = encode_keys([a, *(c[:, None] for c in cols), closers], m)
+                    table = encode_keys([a, *(c[:, None] for c in cols), closers], m, low.dtype)
                     # flat indexes the table's own shape, so "clip" clips nothing;
-                    # unlike the default mode, it writes into out without a buffer
-                    np.take(table.ravel(), flat, out=out[lo:hi], mode="clip")
+                    # unlike the default mode, it writes into low without a buffer
+                    np.take(table.ravel(), flat, out=low[lo:hi], mode="clip")
+                    rows = encode_keys([0, *cols, 0], m).astype(np.int64)
+                    row = np.searchsorted(rows, edges) - 1  # the row an edge splits, -1: none
+                    split = row * closers.size + np.searchsorted(closers, edges - rows[row])
+                    below = np.searchsorted(flat, np.where(row >= 0, split, 0))
         if found != hi - lo:
             raise InvariantViolationError(
                 f"start vertex {a}: enumerated {found} proper cycles, counted {hi - lo}"
             )
+        offsets[j0:j1] = lo + below
 
 
 def _in_key_width(keys, k: int, m: int) -> np.ndarray:
@@ -563,20 +743,22 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
 class TightHypergraph:
     """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
 
-    Hyperedges are held as the ascending canonical key array, in the codec's
-    width; ids are ranks in that order.  Built by ``build_hypergraph``, whose ``cycle_keys``
-    emits the keys strictly ascending.  Membership tests and extension
-    lookups run directly on the key array, so the structure stays usable at
-    tens of millions of hyperedges.
+    Hyperedges are held as the ``KeyStore`` of their ascending canonical
+    keys; ids are ranks in that order.  Built by ``build_hypergraph``,
+    whose ``cycle_keys`` emits the keys strictly ascending.  Membership
+    tests and extension lookups run directly on the store, so the structure
+    stays usable at tens of millions of hyperedges.
     """
 
-    def __init__(self, graph: LayeredGraph, keys: np.ndarray):
+    def __init__(self, graph: LayeredGraph, keys):
+        """``keys`` is the store from ``cycle_keys(graph)``, or ascending
+        canonical keys of any integer dtype whose values keep the codec's
+        width, which are split into a store here."""
         self.graph = graph
-        self.keys = _in_key_width(keys, graph.k, graph.m)
-        self.keys.setflags(write=False)
+        self.store = keys if isinstance(keys, KeyStore) else _split_keys(keys, graph.k, graph.m)
 
     def __len__(self) -> int:
-        return int(self.keys.size)
+        return self.store.low.size
 
     @property
     def num_vertices(self) -> int:
@@ -585,9 +767,9 @@ class TightHypergraph:
     def vertex_rows(self, ids=slice(None)) -> np.ndarray:
         """The hyperedges ``ids`` selects (a slice or an int array of ids; all by
         default) as an (N, k) int64 block of part-indexed global ids.  Only the
-        selected keys are decoded."""
+        selected keys are rebuilt and decoded."""
         g = self.graph
-        return decode_keys(self.keys[ids], g.k, g.m) + np.arange(g.k, dtype=np.int64) * g.m
+        return decode_keys(self.store.keys(ids), g.k, g.m) + np.arange(g.k, dtype=np.int64) * g.m
 
     def hyperedge(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < len(self):
@@ -611,19 +793,9 @@ class TightHypergraph:
         return int(self.ids_for_keys(encode_keys(locs, g.m)))
 
     def ids_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Ids for canonical keys; -1 where the key is not a hyperedge.
-
-        The queries are cast to the key array's dtype, since a search with
-        wider queries would copy the whole array; a key that the cast
-        changes (one beyond the key width, or negative) is no hyperedge.
-        """
-        keys = np.asarray(keys)
-        query = keys.astype(self.keys.dtype, copy=False)
-        if len(self) == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.searchsorted(self.keys, query)
-        ok = (self.keys[np.minimum(pos, len(self) - 1)] == query) & (query == keys)
-        return np.where(ok, pos, -1).astype(np.int64)
+        """Ids for canonical keys; -1 where the key is not a hyperedge (see
+        ``KeyStore.find``)."""
+        return self.store.find(np.asarray(keys))
 
     def extension_ids(self, path) -> np.ndarray:
         """Ids of hyperedges extending a (k-1)-path (the on-demand path index)."""
@@ -635,8 +807,8 @@ class TightHypergraph:
 
     def save(self, path) -> None:
         """Write ``{"vertices": N, "edges": [...]}`` through ``_write_rows``, which
-        decodes a chunk of hyperedges at a time, so memory stays near the key
-        array's."""
+        decodes a chunk of hyperedges at a time, so memory stays near the
+        store's."""
         _write_rows(path, {"vertices": self.num_vertices}, "edges", self.vertex_rows, len(self))
 
 

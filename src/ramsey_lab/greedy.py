@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 _SCAN_CHUNK = 1 << 20  # a multiple of 8, so a chunk packs into whole bytes
-_FIRST_SCAN_CHUNK = 1 << 10
+_FIRST_SCAN_CHUNK = 1 << 6
 _BALANCED_GREEDY_CAP = 200_000
 # the bit of id i in its byte of a packed mask is _BIT[i % 8] (np.packbits order)
 _BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -161,7 +161,7 @@ def _balanced_greedy_coloring(h: TightHypergraph, r: int) -> Coloring:
             "balanced-greedy strategy is for small hypergraphs", len(h), _BALANCED_GREEDY_CAP
         )
     g = h.graph
-    locs = decode_keys(h.keys, g.k, g.m)
+    locs = decode_keys(h.store.keys(), g.k, g.m)
     # slot[q][eid]: the key of edge eid with part q's index zeroed, shared by
     # every edge that differs from it in part q only
     slot = [

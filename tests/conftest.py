@@ -30,10 +30,10 @@ def tiny_complete():
 
 @pytest.fixture
 def beyond_memory():
-    """(k, m) of a p = 1 host whose m**k cycle keys (8 bytes each, 205 GB)
-    exceed physical memory; fails up front on a host that could hold them,
-    rather than letting the test enumerate them."""
+    """(k, m) of a p = 1 host whose store of m**k cycle keys (16-bit low
+    halves, 51 GB) exceeds physical memory; fails up front on a host that
+    could hold it, rather than letting the test enumerate it."""
     k, m = 4, 400
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    assert 8 * m**k > physical, f"{physical} bytes of memory could hold the keys"
+    assert 2 * m**k > physical, f"{physical} bytes of memory could hold the store"
     return k, m

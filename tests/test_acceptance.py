@@ -84,7 +84,7 @@ def ac1_sweep():
                     g = generate_random(
                         GraphParams(k=k, part_size=m, edge_prob=p, seed=seed)
                     )
-                    fast = cycle_keys(g)
+                    fast = cycle_keys(g).keys()
                     brute = brute_force_cycle_keys(g)
                     if not np.array_equal(fast, brute):
                         mismatches += 1

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramsey_lab import (
@@ -63,7 +63,7 @@ class TestEnumeration:
     def test_matches_brute_force_on_100_seeds(self):
         for seed in range(100):
             g = random_graph(3, 6, 0.5, seed)
-            assert np.array_equal(cycle_keys(g), brute_force_cycle_keys(g))
+            assert np.array_equal(cycle_keys(g).keys(), brute_force_cycle_keys(g))
 
     def test_matches_brute_force_other_uniformities(self):
         for k in (4, 5):
@@ -90,7 +90,7 @@ class TestEnumeration:
             blocks[seed % (k - 2)][:] = False
         g = LayeredGraph(k, m, blocks)
         with mock.patch.object(cycles, "_worker_count", return_value=workers):
-            keys = cycle_keys(g)
+            keys = cycle_keys(g).keys()
         assert (keys[1:] > keys[:-1]).all()  # TightHypergraph relies on strict order
         assert np.array_equal(keys, brute_force_cycle_keys(g))
 
@@ -102,10 +102,12 @@ class TestEnumeration:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            keys = cycle_keys(g)
+            store = cycle_keys(g)
         finally:
             sys.setswitchinterval(interval)
-        assert keys.tobytes() == serial.tobytes()
+        assert store.offsets.size == 65  # 16-bit low halves under 64 buckets
+        assert store.low.tobytes() == serial.low.tobytes()
+        assert store.offsets.tobytes() == serial.offsets.tobytes()
 
     def test_worker_count_holds_temporaries_to_a_quarter_of_the_keys(self, monkeypatch):
         monkeypatch.setattr(cycles, "_available_cpus", lambda: 16)
@@ -140,8 +142,8 @@ class TestEnumeration:
         for i, d in offsets.items():
             off[starts[i]] = d
 
-        def skewed(fb, part, rows=None, skip=None):
-            return _closed_walks(fb, part, rows, skip) + off
+        def skewed(fb, part, rows=None, skip=None, **kw):
+            return _closed_walks(fb, part, rows, skip, **kw) + off
 
         monkeypatch.setattr(cycles, "_closed_walks", skewed)
         # a skewed start refuses the keys whichever worker reaches it
@@ -154,10 +156,10 @@ class TestEnumeration:
         assert cycles_per_vertex(g)[1] > 0  # start 1 has cycles, so it encodes keys
         encode = cycles.encode_keys
 
-        def failing(cols, m):
+        def failing(cols, m, dtype=None):
             if cols[0] == 1:
                 raise RuntimeError(f"boom in {threading.current_thread().name}")
-            return encode(cols, m)
+            return encode(cols, m, dtype)
 
         monkeypatch.setattr(cycles, "encode_keys", failing)
         monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 2)
@@ -176,13 +178,13 @@ class TestEnumeration:
                 g = random_graph(k, m, p, 1)
                 tracemalloc.start()
                 try:
-                    keys = cycle_keys(g)
+                    store = cycle_keys(g)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert keys.size == size
+                assert len(store) == size
                 if p == 0.5:
-                    assert peak < 1.5 * keys.nbytes, (cpus, k, m)
+                    assert peak < 1.5 * store.nbytes, (cpus, k, m)
                 else:
                     # so few keys that the float32 copy of the blocks, which the
                     # count makes before the keys exist, is the peak
@@ -193,22 +195,22 @@ class TestEnumeration:
             g = random_graph(k, m, p, 1)
             fb = cycles._float_blocks(g)
             per_start = _closed_walks(fb, 0)
-            held = cycles._held_bytes(g, fb, per_start)
             bounds = [0, *itertools.accumulate(per_start.tolist())]
-            out = np.empty(bounds[-1], dtype=cycles._radices(k, m).dtype)
+            low, offsets = cycles._new_store(k, m, bounds[-1])
+            held = cycles._held_bytes(g, fb, per_start, low.itemsize)
             for a in range(0, m, 3):
                 tracemalloc.start()
                 try:
-                    cycles._fill_keys(g, out, bounds, [a])
+                    cycles._fill_keys(g, low, offsets, bounds, [a])
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 # beyond the figure: numpy's fixed ufunc buffers and small arrays
                 assert peak <= held[a] + 2**17, (k, m, a)
-            keys = cycle_keys(g)
+            store = cycle_keys(g)
             for a in range(0, m, 3):
                 own = slice(bounds[a], bounds[a + 1])
-                assert np.array_equal(out[own], keys[own])
+                assert np.array_equal(low[own], store.low[own])
 
     @pytest.mark.parametrize(
         "count",
@@ -236,14 +238,17 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # refused after counting, before the key array is allocated
-        assert excinfo.value.required == 8 * m**k
+        # refused after counting, before the store is allocated: 16-bit low
+        # halves of the 35-bit keys under 2**19 buckets
+        assert excinfo.value.required == 2 * m**k + 8 * (2**19 + 1)
         assert peak < 50 * 2**20
 
-    def test_32_bit_key_array_beyond_physical_memory_refused(self):
-        k, m = 4, 256  # m**k == 2**32: the most keys that fit 32 bits, 17.2 GB of them
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert 4 * m**k > physical, f"{physical} bytes of memory could hold the keys"
+    def test_32_bit_key_array_beyond_physical_memory_refused(self, monkeypatch):
+        k, m = 4, 256  # m**k == 2**32: the most keys that fit 32 bits
+        # their store takes 8.6 GB, which a larger machine could hold: the
+        # physical figure is set to 4 GiB, so the test enumerates nothing
+        pages = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         g = random_graph(k, m, 1.0, 0)
         tracemalloc.start()
         try:
@@ -252,8 +257,9 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4 bytes a key, refused after counting, before the key array is allocated
-        assert excinfo.value.required == 4 * m**k
+        # 2 bytes a key and 2**16 + 1 offsets, refused after counting, before
+        # the store is allocated
+        assert excinfo.value.required == 2 * m**k + 8 * (2**16 + 1)
         assert peak < 50 * 2**20
 
     def test_count_matches_enumeration(self):
@@ -386,17 +392,19 @@ class TestFloat32:
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """The number of float64 copies made, and the closed-walk calls made."""
+        """The number of float64 copies made, and the closed-walk calls made
+        on float32 blocks (a one-shot count's later calls may get the blocks
+        its first call widened in place)."""
         made = {"float64": 0, "calls": 0}
         copy, walks = cycles._float64_blocks, cycles._closed_walks
 
-        def counted_copy(fb):
+        def counted_copy(fb, *args):
             made["float64"] += 1
-            return copy(fb)
+            return copy(fb, *args)
 
-        def counted_walks(*args):
-            made["calls"] += 1
-            return walks(*args)
+        def counted_walks(fb, *args, **kwargs):
+            made["calls"] += fb[0].dtype == np.float32
+            return walks(fb, *args, **kwargs)
 
         monkeypatch.setattr(cycles, "_float64_blocks", counted_copy)
         monkeypatch.setattr(cycles, "_closed_walks", counted_walks)
@@ -414,7 +422,7 @@ class TestFloat32:
         assert per_vertex.dtype == np.int64 and (per_vertex == m ** (k - 1)).all()
         # a part-0 and a part-1 vertex: the cycles avoiding both are (m-1)**2 m**(k-2)
         assert count_cycles_meeting(g, [0, m]) == m**k - (m - 1) ** 2 * m ** (k - 2)
-        # one float64 copy per closed-walk call that left float32, none otherwise
+        # one float64 copy per float32 closed-walk call that left float32, none otherwise
         assert fallbacks["float64"] == (fallbacks["calls"] if float64 else 0)
 
     @pytest.mark.parametrize("k, m, p", [(3, 40, 0.5), (4, 12, 0.6), (5, 8, 0.7)])
@@ -444,13 +452,28 @@ class TestFloat32:
         assert _closed_walks(fb, 0).tolist() == walks
         assert fallbacks["float64"] == copies
 
+    def test_one_shot_fallback_holds_only_the_float64_blocks(self):
+        # K(4, 257) closes at 257**3 >= 2**24; the count hands its float32
+        # blocks over, so each is freed as its float64 copy is made
+        k, m = 4, 257
+        g = complete_layered(k, m)
+        tracemalloc.start()
+        try:
+            assert count_proper_cycles(g) == m**k
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 blocks and one float64 row block of the chain's prefix;
+        # both copies of the blocks together would take 12 * k * m**2
+        assert peak < 8 * k * m * m + 8 * cycles._ROW_BLOCK * m
+
     def test_held_bytes_cast_no_block(self):
         g = random_graph(4, 300, 0.5, 0)
         fb = cycles._float_blocks(g)
         per_start = _closed_walks(fb, 0)
         tracemalloc.start()
         try:
-            held = cycles._held_bytes(g, fb, per_start)
+            held = cycles._held_bytes(g, fb, per_start, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -975,7 +998,9 @@ class TestHypergraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * h.keys.nbytes
+        # 12 bytes a hyperedge, the bound this test set as 3 x 4-byte keys: half
+        # the int64 rows of a whole decode, before any of its text
+        assert peak < 12 * len(h)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_codec_roundtrip_up_to_64_bits(self, k):
@@ -1016,47 +1041,167 @@ class TestHypergraph:
     def test_sparse_hosts_either_side_of_32_bits(self, m, dtype, seed):
         g = random_graph(3, m, 0.002, seed)
         h = build_hypergraph(g)
-        assert h.keys.dtype == dtype
+        keys = h.store.keys()
+        assert h.store.dtype == keys.dtype == dtype
         assert len(h) == count_proper_cycles(g) > 0
-        assert (h.keys[1:] > h.keys[:-1]).all()
+        assert (keys[1:] > keys[:-1]).all()
         for row in h.vertex_rows().tolist():
             assert [g.part_of(v) for v in row] == [0, 1, 2]
             assert all(g.adjacent(row[i], row[(i + 1) % 3]) for i in range(3))
-        assert h.ids_for_keys(h.keys).tolist() == list(range(len(h)))
+        assert h.ids_for_keys(keys).tolist() == list(range(len(h)))
         beyond = np.array([m**3, 2**64 - 1], dtype=np.uint64)
         assert h.ids_for_keys(beyond).tolist() == [-1, -1]
+
+    def test_build_allocates_two_bytes_a_hyperedge(self):
+        # 16-bit low halves under 128 buckets, and temporaries of one start
+        g = random_graph(3, 200, 0.5, 1)
+        tracemalloc.start()
+        try:
+            h = build_hypergraph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(h) == 1_001_036 and h.store.offsets.size == 129
+        assert peak < 1.5 * 2 * len(h)
 
     def test_lookups_do_not_copy_the_key_array(self):
         # a search with queries wider than the keys would copy the whole array
         h = build_hypergraph(random_graph(3, 200, 0.5, 1))
-        assert len(h) >= 1_000_000 and h.keys.dtype == np.uint32
+        assert len(h) >= 1_000_000 and h.store.dtype == np.uint32
         ids = [0, 5, 500_000, len(h) - 1]
         path = list(h.hyperedge(7)[:2])
+        keys = h.store.keys(ids)
         tracemalloc.start()
         try:
             found = [
-                h.ids_for_keys(h.keys[ids]),
-                h.ids_for_keys(h.keys[ids].astype(np.uint64)),
-                h.ids_for_keys(h.keys[ids].astype(np.int64)),
+                h.ids_for_keys(keys),
+                h.ids_for_keys(keys.astype(np.uint64)),
+                h.ids_for_keys(keys.astype(np.int64)),
             ]
             ext = h.extension_ids(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < h.keys.nbytes / 10
+        assert peak < h.store.nbytes / 10
         assert all(f.tolist() == ids for f in found)
         assert 7 in ext.tolist() and all(set(path) <= set(h.hyperedge(int(e))) for e in ext)
+
+    # (k, m, hyperedges): instances D, S and S4, the million-edge host, the
+    # p = 1 host K(4, 400), and a sparse host with keys of 63 bits
+    @pytest.mark.parametrize(
+        "k, m, total, layout",
+        [
+            (3, 1200, 65_789_151, (16, 2**15)),
+            (3, 1200, 13_635, (32, 1)),
+            (4, 40, 4019, (16, 64)),
+            (3, 200, 1_001_036, (16, 128)),
+            (4, 400, 400**4, (16, 2**19)),
+            (6, 1449, 10, (64, 1)),
+        ],
+    )
+    def test_store_layout_takes_the_fewest_bytes(self, k, m, total, layout):
+        assert cycles._store_layout(k, m, total) == layout
+        bits = (m**k - 1).bit_length()
+        least = cycles._store_bytes(total, *layout)
+        for width in (16, 32, 64):
+            assert least <= cycles._store_bytes(total, width, 2 ** max(bits - width, 0))
+        if (k, m, total) == (3, 1200, 65_789_151):
+            assert least == 131_840_454  # 263,156,604 bytes as whole 32-bit keys
+
+    # hosts either side of the width rule: S4's shape splits its keys at 16
+    # bits under 64 buckets, 25 of them empty; sparse hosts, and hosts whose
+    # keys fit 16 bits, keep one bucket of whole keys
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(3, 5), (3, 60), (3, 120), (4, 7), (4, 40), (5, 5), (5, 16)]),
+        p=st.sampled_from([0.0, 0.02, 0.1, 0.2, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(4, 40), p=0.2, seed=7)
+    @example(shape=(5, 16), p=0.1, seed=3)
+    @example(shape=(3, 5), p=1.0, seed=0)
+    def test_store_lookups_either_side_of_the_width_rule(self, shape, p, seed):
+        k, m = shape
+        g = random_graph(k, m, p, seed)
+        h = build_hypergraph(g)
+        assert (h.store.width, h.store.offsets.size - 1) == cycles._store_layout(k, m, len(h))
+        brute = brute_force_cycle_keys(g)
+        rows = h.vertex_rows()
+        keys = encode_keys(list((rows - np.arange(k) * m).T), m)
+        assert np.array_equal(keys, brute)
+        assert np.array_equal(h.ids_for_keys(keys), np.arange(len(h)))
+        if len(h):  # negative ids count from the end, as in numpy
+            assert np.array_equal(h.vertex_rows(np.array([-1, 0, -len(h)])), rows[[-1, 0, 0]])
+        probe = spawn_rng(seed).integers(0, m**k, 200)
+        assert (h.ids_for_keys(probe[~np.isin(probe, brute)]) == -1).all()
+        # beyond the key space, some equal to a member in their low 16 or 32 bits
+        top = int(brute[-1]) if brute.size else 0
+        beyond = [m**k, m**k + 1, top + 2**16, top + 2**32, 2**63 - 1]
+        beyond = np.array([x for x in beyond if x >= m**k], dtype=np.int64)
+        for query in (beyond, beyond.astype(np.uint64), np.array([2**64 - 1], dtype=np.uint64)):
+            assert (h.ids_for_keys(query) == -1).all()
+        # negative keys, also ones that wrap to a member in 16 or 32 bits
+        assert h.ids_for_keys(np.array([-1, top - 2**16, top - 2**32])).tolist() == [-1] * 3
+
+    # hosts whose keys need more than 32 bits: a small random host placed at
+    # increasing random positions of each part, so its cycles keep their order
+    # and the brute-force oracle still enumerates them
+    @pytest.mark.parametrize(
+        "k, m0, m, p, layout",
+        [
+            (3, 12, 1700, 0.0, (64, 1)),  # empty
+            (3, 12, 1700, 0.05, (64, 1)),  # one cycle
+            (3, 12, 1700, 0.4, (32, 2)),
+            (5, 6, 200, 0.5, (64, 1)),
+            (5, 6, 200, 0.7, (32, 128)),
+            (6, 5, 1449, 0.7, (64, 1)),
+        ],
+    )
+    def test_store_of_keys_wider_than_32_bits(self, k, m0, m, p, layout):
+        small = random_graph(k, m0, p, 4)
+        rng = spawn_rng(9)
+        pos = [np.sort(rng.choice(m, m0, replace=False)) for _ in range(k)]
+        blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
+        for i, b in enumerate(blocks):
+            b[np.ix_(pos[i], pos[(i + 1) % k])] = small.blocks[i]
+        h = build_hypergraph(LayeredGraph(k, m, blocks))
+        assert (h.store.width, h.store.offsets.size - 1) == layout
+        assert h.store.dtype == np.uint64 and len(h) == count_proper_cycles(small)
+        local = decode_keys(brute_force_cycle_keys(small), k, m0)
+        brute = encode_keys([pos[i][local[:, i]] for i in range(k)], m)
+        rows = h.vertex_rows()
+        keys = encode_keys(list((rows - np.arange(k) * m).T), m)
+        assert np.array_equal(keys, brute)
+        assert np.array_equal(h.ids_for_keys(keys), np.arange(len(h)))
+        probe = spawn_rng(5).integers(0, m**k, 200, dtype=np.uint64)
+        assert (h.ids_for_keys(probe[~np.isin(probe, brute)]) == -1).all()
+        assert h.ids_for_keys(np.array([-1, -(2**40)])).tolist() == [-1, -1]
+        assert h.ids_for_keys(np.array([m**k, 2**64 - 1], dtype=np.uint64)).tolist() == [-1, -1]
+
+    # sparse drawn hosts with 64-bit halves, checked cycle by cycle
+    @pytest.mark.parametrize("k, m, p", [(3, 1700, 0.0), (5, 100, 0.01), (5, 200, 0.012)])
+    def test_sparse_hosts_with_64_bit_halves(self, k, m, p):
+        g = random_graph(k, m, p, 0)
+        h = build_hypergraph(g)
+        assert (h.store.width, h.store.offsets.size) == (64, 2)
+        assert len(h) == count_proper_cycles(g)
+        local = h.vertex_rows() - np.arange(k) * m
+        for i in range(k):
+            assert g.blocks[i][local[:, i], local[:, (i + 1) % k]].all()
+        keys = encode_keys(list(local.T), m)
+        assert (keys[1:] > keys[:-1]).all()
+        assert np.array_equal(h.ids_for_keys(keys), np.arange(len(h)))
 
     def test_keys_beyond_the_key_width_never_wrap_into_a_hit(self):
         g = complete_layered(3, 4)  # every one of the m**k = 64 keys is a hyperedge
         h = build_hypergraph(g)
-        assert h.keys.dtype == np.uint32 and h.keys.tolist() == list(range(64))
+        assert h.store.dtype == np.uint32 and h.store.keys().tolist() == list(range(64))
         wide = np.array([5, 63, 64, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 5], dtype=np.uint64)
         assert h.ids_for_keys(wide).tolist() == [5, 63, -1, -1, -1, -1, -1]
         assert h.ids_for_keys(np.array([-1, 5 - 2**32, 7])).tolist() == [-1, -1, 7]
         assert h.ids_for_keys([2**32 + 7, 7]).tolist() == [-1, 7]
         # the constructor takes keys of any integer dtype whose values keep the width
-        assert cycles.TightHypergraph(g, np.arange(64, dtype=np.uint64)).keys.dtype == np.uint32
+        assert cycles.TightHypergraph(g, np.arange(64, dtype=np.uint64)).store.dtype == np.uint32
         for keys in ([5, 2**32 + 6], [-1, 5]):
             with pytest.raises(ParameterError, match="^keys: "):
                 cycles.TightHypergraph(g, np.array(keys, dtype=np.int64))
@@ -1070,7 +1215,7 @@ class TestHypergraph:
 
     def test_decode_keys_roundtrip(self):
         g = random_graph(4, 5, 0.5, 83)
-        keys = cycle_keys(g)
+        keys = cycle_keys(g).keys()
         locs = decode_keys(keys, 4, 5)
         rebuilt = (
             locs.astype(np.uint64)

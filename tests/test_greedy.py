@@ -36,7 +36,7 @@ def mono_coloring(h, color, r=2):
 
 
 def parity_coloring(h):
-    locs = decode_keys(h.keys, h.graph.k, h.graph.m)
+    locs = decode_keys(h.store.keys(), h.graph.k, h.graph.m)
     return Coloring(2, (locs.sum(axis=1) % 2).astype(np.uint8))
 
 
@@ -291,11 +291,11 @@ class TestGreedyRound:
 
 
 class TestStartEdgeCursor:
-    """``_find_start_edge`` scans from ``lo`` in chunks of 1024, 2048, ... ids."""
+    """``_find_start_edge`` scans from ``lo`` in chunks of 64, 128, ... ids."""
 
     @pytest.fixture(scope="class")
     def big(self):
-        # 8000 hyperedges; scans from 0 end chunks at 1024, 3072 and 7168
+        # 8000 hyperedges; scans from 0 end chunks at 64, 192, 448, ..., 4032
         return build_hypergraph(complete_layered(3, 20))
 
     @staticmethod
@@ -306,7 +306,7 @@ class TestStartEdgeCursor:
             unused = np.ones(h.graph.num_vertices, dtype=bool)
         return greedy._find_start_edge(h, np.packbits(colors == 0), unused, lo)
 
-    @pytest.mark.parametrize("target", [0, 1023, 1024, 3071, 3072, 7168, 7999])
+    @pytest.mark.parametrize("target", [0, 63, 64, 191, 192, 1023, 1024, 3071, 3072, 7168, 7999])
     def test_first_eligible_id(self, big, target):
         assert self.scan(big, [target]) == target
         assert self.scan(big, [target], lo=target) == target
@@ -335,7 +335,14 @@ class TestStartEdgeCursor:
             return real_decode(keys, k, m)
 
         monkeypatch.setattr(cycles, "decode_keys", spy)
-        # from lo = 6 the chunks end at 1030 and 3078; only live ids are decoded
+        # chunks of 64 ids at first: from lo = 6 they end at 70, 198, 454, 966, 1990
+        assert greedy._FIRST_SCAN_CHUNK == 64
+        assert self.scan(big, [5, 60, 700, 2000], lo=6) == 60
+        assert self.scan(big, [5, 1100, 1900, 2000], lo=6) == 1100
+        assert decoded == [1, 2]
+        # chunks of 1024 ids at first: from lo = 6 they end at 1030 and 3078
+        monkeypatch.setattr(greedy, "_FIRST_SCAN_CHUNK", 1024)
+        decoded.clear()
         assert self.scan(big, [5, 700, 2000, 5000], lo=6) == 700
         assert self.scan(big, [5, 1100, 2000, 5000], lo=6) == 1100
         assert decoded == [1, 2]
