@@ -10,9 +10,8 @@ representation - a tuple (or an ``(N, k)`` row block) of global vertex ids
 whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
-format; everything else encodes and decodes through it.  It also sets the
-key width from (k, m) alone: uint32 when m**k <= 2**32, so that every key
-fits in 32 bits, and uint64 otherwise.
+format; everything else encodes and decodes through it.  Its keys are
+uint64; the only width rule is the store's.
 
 Enumeration emits keys in ascending order into a ``KeyStore`` of exactly
 the counted total: the low 16, 32 or 64 bits of every key, plus one int64
@@ -33,13 +32,13 @@ modulo the width.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
 ints.  Float32 holds the chain's integers exactly below 2**24; when one of
-its computed entries reaches 2**24, the kernel redoes that step, and runs
-the rest of the call, in float64 on one float64 copy of the blocks, and it
+its computed entries reaches 2**24, the kernel redoes that step in
+float64, after replacing the caller's blocks in place with read-only
+float64 copies, each float32 block freed as its copy is made; the rest of
+that call, and every later count on the same list, runs in float64.  It
 refuses the chain only when an entry reaches 2**53, where float64 stops
-being exact.  The float32 copy is read-only and the kernel never writes
-into it, so a caller that holds one can pass it to any number of counts; a
-one-shot count hands its copy over instead, and a fallback then frees each
-float32 block as its float64 copy is made.  The chain runs ``_ROW_BLOCK``
+being exact.  The kernel never writes into a block, so a caller that holds
+the list can pass it to any number of counts.  The chain runs ``_ROW_BLOCK``
 rows at a time, so no m x m prefix is built.  The meeting count sums it
 over the set's own rows only, counting each cycle at the first part where
 it meets the set: the chains of later parts skip the set's vertices in
@@ -167,7 +166,9 @@ def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
     """Read-only float32 copies of the adjacency blocks, refused before copying
     when their ``4 * k * m**2`` bytes would exceed physical memory.
 
-    No count writes into them, so one copy can serve many counts on ``g``.
+    No count writes into them, so one list can serve many counts on ``g``;
+    the first count that leaves float32's exact range widens the list in
+    place (see ``_float64_blocks``), and the later ones run in float64.
     """
     _check_fits_in_memory("float blocks", 4 * g.k * g.m * g.m)
     fb = [b.astype(np.float32) for b in g.blocks]
@@ -176,25 +177,21 @@ def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
     return fb
 
 
-def _float64_blocks(fb: list[np.ndarray], own: bool = False) -> list[np.ndarray]:
-    """Float64 copies of ``fb`` for a chain that left float32's exact range,
-    refused before copying when their ``8 * k * m**2`` bytes would exceed
-    physical memory.
+def _float64_blocks(fb: list[np.ndarray]) -> None:
+    """Replace the blocks of ``fb`` in place with read-only float64 copies,
+    for a chain that left float32's exact range; refused before copying
+    when their ``8 * k * m**2`` bytes would exceed physical memory.
 
-    With ``own`` the copies replace the blocks in ``fb`` itself, one at a
-    time, so each float32 block is freed as its copy is made when ``fb``
-    held the only reference to it.
+    One block is copied at a time, so each float32 block is freed as its
+    copy is made when ``fb`` held the only reference to it.
     """
     _check_fits_in_memory("float64 blocks", 8 * len(fb) * fb[0].size)
-    wide = fb if own else [None] * len(fb)
     for i, b in enumerate(fb):
-        wide[i] = b.astype(np.float64)
-    return wide
+        fb[i] = b.astype(np.float64)
+        fb[i].setflags(write=False)
 
 
-def _closed_walks(
-    fb: list[np.ndarray], part: int, rows=None, skip=None, *, own: bool = False
-) -> np.ndarray:
+def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.ndarray:
     """Proper cycles through the local vertices ``rows`` of ``part`` (all of
     them by default) that avoid the ``skip`` vertices: the closing diagonal
     of the block chain rotated to start at ``part`` (closed walks
@@ -214,36 +211,31 @@ def _closed_walks(
     reads at least the limit in any summation order.  So each prefix
     product and the closing diagonal are checked as they are computed (see
     ``_exact``).  A float32 step that reaches 2**24 is redone in float64
-    from its exact float32 prefix, and the rest of the call runs in float64
-    on one float64 copy of the blocks, made at the first such step.  A
-    caller that hands ``fb`` over (``own``, for a one-shot count) gets that
-    copy in ``fb`` itself, each float32 block freed as its copy is made, so
-    a fallback holds 8 bytes per vertex pair rather than 12; a caller that
-    shares ``fb`` between counts keeps its float32 blocks.
-    ``ResourceLimitError`` is raised at the first float64 entry that reaches
-    2**53.  (That holds for the GEMM behind ``@``; a Strassen-type product,
-    which subtracts, would not keep it.)
+    from its exact float32 prefix, after ``_float64_blocks`` has widened
+    ``fb`` itself in place, so a fallback holds 8 bytes per vertex pair
+    rather than 12, and the rest of the call, like every later count on
+    ``fb``, runs in float64.  ``ResourceLimitError`` is raised at the first
+    float64 entry that reaches 2**53.  (That holds for the GEMM behind
+    ``@``; a Strassen-type product, which subtracts, would not keep it.)
     """
     k, m = len(fb), fb[part].shape[0]
     size = m if rows is None else len(rows)
     out = np.empty(size, dtype=np.int64)
-    wide = None  # the float64 blocks, once a float32 entry has reached 2**24
     for lo in range(0, size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, size)
         block = slice(lo, hi) if rows is None else rows[lo:hi]
-        blocks = fb if wide is None else wide
-        prefix = blocks[part][block]
+        prefix = fb[part][block]
         for j in range(1, k):
             q = (part + j) % k
             if skip is not None and len(skip[q]):
                 prefix = prefix.copy()  # the first prefix may be a view of fb
                 prefix[:, skip[q]] = 0.0
-            walks = _exact(_chain_step(prefix, blocks[q], block, j == k - 1))
-            if walks is None:  # so blocks is fb, and wide not yet made
+            walks = _exact(_chain_step(prefix, fb[q], block, j == k - 1))
+            if walks is None:  # so fb is still float32
                 # the prefix first: one that is a view of fb would keep its block
                 prefix = prefix.astype(np.float64)
-                blocks = wide = _float64_blocks(fb, own)
-                walks = _exact(_chain_step(prefix, blocks[q], block, j == k - 1))
+                _float64_blocks(fb)
+                walks = _exact(_chain_step(prefix, fb[q], block, j == k - 1))
             prefix = walks
         out[lo:hi] = prefix
     return out
@@ -271,18 +263,17 @@ def _exact(counts: np.ndarray) -> np.ndarray | None:
 
 def count_proper_cycles(g: LayeredGraph) -> int:
     """Total number of proper cycles (no materialization)."""
-    return sum(_closed_walks(_float_blocks(g), 0, own=True).tolist())
+    return sum(_closed_walks(_float_blocks(g), 0).tolist())
 
 
 def cycles_per_vertex(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> np.ndarray:
     """Proper-cycle count through every vertex, as an int64 array of length k*m.
 
     ``fb`` is ``_float_blocks(g)`` when the caller already holds it; without
-    it the count makes its own copy and hands it to the kernel.
+    it the count makes its own.
     """
-    own = fb is None
-    fb = _float_blocks(g) if own else fb
-    return np.concatenate([_closed_walks(fb, part, own=own) for part in range(g.k)])
+    fb = _float_blocks(g) if fb is None else fb
+    return np.concatenate([_closed_walks(fb, part) for part in range(g.k)])
 
 
 def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
@@ -325,32 +316,27 @@ def count_cycles_meeting(g: LayeredGraph, cset, fb: list[np.ndarray] | None = No
 
 @functools.lru_cache(maxsize=64)
 def _radices(k: int, m: int) -> np.ndarray:
-    """Per-part key radices ``m**(k-1-i)``; read-only, computed once per (k, m).
-
-    Their dtype is the key width: uint32 when every key, at most m**k - 1,
-    fits in 32 bits, uint64 otherwise.
-    """
+    """Per-part key radices ``m**(k-1-i)`` as uint64, the key dtype;
+    read-only, computed once per (k, m)."""
     if m**k >= 2**64:
         raise ResourceLimitError("canonical key space exceeds 64 bits", m**k, 2**64)
-    dtype = np.uint32 if m**k <= 2**32 else np.uint64
-    radix = np.array([m ** (k - 1 - i) for i in range(k)], dtype=dtype)
+    radix = np.array([m ** (k - 1 - i) for i in range(k)], dtype=np.uint64)
     radix.setflags(write=False)
     return radix
 
 
 def encode_keys(cols, m: int, dtype=None):
-    """Canonical keys, in the radix dtype, from k columns of part-local
-    indices (column i: part i).
+    """Canonical keys, as uint64, from k columns of part-local indices
+    (column i: part i).
 
     Columns broadcast against each other, so a scalar column fixes that
     part's index for every key; all-scalar columns give one key.  The terms
-    are summed in the radix dtype and the result is cast to it, so no mix of
-    scalars and 0-d arrays widens the keys.
+    are summed in uint64 and the result is cast to it, so no mix of scalars
+    and 0-d arrays changes the keys' dtype.
 
-    With ``dtype``, an unsigned integer dtype no wider than the radices',
-    each key's low bits that fit it: the columns and the radices are cast to
-    it, which keeps their low bits, and its sums wrap, which keeps the low
-    bits of the key.
+    With ``dtype``, an unsigned integer dtype, each key's low bits that fit
+    it: the columns and the radices are cast to it, which keeps their low
+    bits, and its sums wrap, which keeps the low bits of the key.
     """
     radix = _radices(len(cols), m)
     dtype = radix.dtype if dtype is None else np.dtype(dtype)
@@ -367,14 +353,11 @@ class KeyStore:
     of that width (16, 32 or 64 bits); ``offsets`` is an int64 table over
     the high bits, so the keys whose high bits are ``j`` are
     ``low[offsets[j]:offsets[j + 1]]``.  With one bucket, ``low`` is the
-    keys themselves.  ``dtype`` is the codec's key width, in which ``keys``
-    rebuilds them.  Both arrays are read-only; only ``cycle_keys`` and
-    ``_split_keys`` fill them.
+    keys themselves.  Both arrays are read-only; ``cycle_keys`` fills them.
     """
 
     low: np.ndarray
     offsets: np.ndarray
-    dtype: np.dtype
 
     def __post_init__(self):
         self.low.setflags(write=False)
@@ -393,26 +376,26 @@ class KeyStore:
 
     def keys(self, ids=slice(None)) -> np.ndarray:
         """The keys of the ids ``ids`` selects (a slice or an int array; all
-        by default), in the codec's width.  A key's high bits are the bucket
-        whose offsets enclose its id."""
+        by default), as uint64.  A key's high bits are the bucket whose
+        offsets enclose its id."""
         low = self.low[ids]
         if self.offsets.size == 2:
-            return low.astype(self.dtype, copy=False)
+            return low.astype(np.uint64, copy=False)
         ids = np.arange(*ids.indices(len(self))) if isinstance(ids, slice) else np.asarray(ids)
         ids = np.where(ids < 0, ids + len(self), ids)
         high = np.searchsorted(self.offsets, ids, side="right") - 1
-        return (high.astype(self.dtype) << self.width) | low
+        return (high.astype(np.uint64) << self.width) | low
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Ids of the canonical ``keys`` (an array of any integer dtype), as
         int64; -1 where a key is not stored.
 
-        The queries are cast to the stored dtype, so that no search copies
-        the store; a key that a cast changes (one beyond the key width, or
-        negative) is not stored.  With one bucket the lookup is a plain
-        ``searchsorted``.  Otherwise each query is bisected inside its own
-        bucket, all queries at once, in as many steps as the largest of
-        their buckets needs.
+        The queries are cast to the stored dtype (through uint64 when there
+        is more than one bucket), so that no search copies the store; a key
+        that a cast changes (one beyond the stored width, or negative) is
+        not stored.  With one bucket the lookup is a plain ``searchsorted``.
+        Otherwise each query is bisected inside its own bucket, all queries
+        at once, in as many steps as the largest of their buckets needs.
         """
         n, low = self.low.size, self.low
         if n == 0:
@@ -422,7 +405,7 @@ class KeyStore:
             lo = np.searchsorted(low, want)
             fits = want == keys
         else:
-            query = keys.astype(self.dtype, copy=False)
+            query = keys.astype(np.uint64, copy=False)
             high = query >> self.width
             fits = (high < self.offsets.size - 1) & (query == keys)
             high = np.where(fits, high, 0).astype(np.intp)
@@ -471,17 +454,6 @@ def _new_store(k: int, m: int, total: int) -> tuple[np.ndarray, np.ndarray]:
     return low, offsets
 
 
-def _split_keys(keys, k: int, m: int) -> KeyStore:
-    """The store of ``keys``, ascending canonical keys of (k, m) of any
-    integer dtype whose values keep the codec's width."""
-    keys = _in_key_width(keys, k, m)
-    low, offsets = _new_store(k, m, keys.size)
-    low[:] = keys.astype(low.dtype)  # the cast keeps the low bits
-    edges = -(-(m**k) >> 8 * low.itemsize)  # the bucket edges below m**k
-    offsets[:edges] = np.searchsorted(keys, np.arange(edges, dtype=keys.dtype) << 8 * low.itemsize)
-    return KeyStore(low, offsets, keys.dtype)
-
-
 def cycle_keys(g: LayeredGraph) -> KeyStore:
     """All proper cycles as the ``KeyStore`` of their ascending canonical keys.
 
@@ -501,7 +473,7 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
     from concurrent.futures import ThreadPoolExecutor
 
     fb = _float_blocks(g)
-    per_start = _closed_walks(fb, 0, own=True)
+    per_start = _closed_walks(fb, 0)
     bounds = [0, *itertools.accumulate(per_start.tolist())]
     low, offsets = _new_store(g.k, g.m, bounds[-1])
     held = _held_bytes(g, fb, per_start, low.itemsize)
@@ -510,7 +482,7 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
     starts = [range(w, g.m, workers) for w in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(lambda s: _fill_keys(g, low, offsets, bounds, s), starts))
-    return KeyStore(low, offsets, _radices(g.k, g.m).dtype)
+    return KeyStore(low, offsets)
 
 
 def _held_bytes(
@@ -623,25 +595,28 @@ def _fill_keys(
         offsets[j0:j1] = lo + below
 
 
-def _in_key_width(keys, k: int, m: int) -> np.ndarray:
-    """``keys`` in the codec's width for (k, m), cast only when their dtype
-    differs; ``ParameterError`` when the cast would change a key (one beyond
-    the width, or negative)."""
-    keys = np.asarray(keys)
-    cast = keys.astype(_radices(k, m).dtype, copy=False)
-    if cast is not keys and not np.array_equal(cast, keys):
-        raise ParameterError("keys", f"a key does not fit the {cast.dtype} key width")
-    return cast
-
-
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Decode canonical keys into (len, k) int64 part-local indices."""
+    """Decode canonical keys (of any integer dtype) into (len, k) int64
+    part-local indices.
+
+    ``ParameterError`` when a key lies outside 0..m**k - 1, which is when
+    its leading digit, the quotient by m**(k-1), is m or more: the keys are
+    decoded as uint64, where a negative key wraps past m**k.  A digit is a
+    floor division by its radix and the remainder a multiply and subtract,
+    which together run faster than ``divmod``; digit i is written to row i
+    of a (k, len) array, so every write is contiguous, and the result is
+    that array's transpose.
+    """
     radix = _radices(k, m)
-    out = np.empty((keys.size, k), dtype=np.int64)
-    rem = _in_key_width(keys, k, m)
-    for i in range(k):
-        out[:, i], rem = np.divmod(rem, radix[i])
-    return out
+    rem = np.asarray(keys).astype(np.uint64, copy=False)
+    digits = np.empty((k, rem.size), dtype=np.uint64)
+    for i in range(k - 1):
+        np.floor_divide(rem, radix[i], out=digits[i])
+        rem = rem - digits[i] * radix[i]
+    digits[-1] = rem
+    if digits[0].max(initial=0) >= m:
+        raise ParameterError("keys", f"a key is not below m**k = {m**k}")
+    return digits.T.view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +725,10 @@ class TightHypergraph:
     stays usable at tens of millions of hyperedges.
     """
 
-    def __init__(self, graph: LayeredGraph, keys):
-        """``keys`` is the store from ``cycle_keys(graph)``, or ascending
-        canonical keys of any integer dtype whose values keep the codec's
-        width, which are split into a store here."""
+    def __init__(self, graph: LayeredGraph, store: KeyStore):
+        """``store`` is ``cycle_keys(graph)``."""
         self.graph = graph
-        self.store = keys if isinstance(keys, KeyStore) else _split_keys(keys, graph.k, graph.m)
+        self.store = store
 
     def __len__(self) -> int:
         return self.store.low.size
@@ -769,7 +742,7 @@ class TightHypergraph:
         default) as an (N, k) int64 block of part-indexed global ids.  Only the
         selected keys are rebuilt and decoded."""
         g = self.graph
-        return decode_keys(self.store.keys(ids), g.k, g.m) + np.arange(g.k, dtype=np.int64) * g.m
+        return decode_keys(self.store.keys(ids), g.k, g.m) + np.arange(0, g.num_vertices, g.m)
 
     def hyperedge(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < len(self):

@@ -276,8 +276,9 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
     Trial 0 uses the adversarial set of the (k-1)n vertices carrying the
     most cycles; remaining trials sample uniformly.  Trials on a cycle-free
     graph are vacuous skips.  One read-only float32 copy of the blocks
-    serves the per-vertex count and every trial's meeting count (a chain
-    that reaches 2**24 makes its own float64 copy).
+    serves the per-vertex count and every trial's meeting count (the first
+    chain that reaches 2**24 widens it to float64 in place, and the later
+    counts read that).
     """
     _check_trial_args(r, n, trials, seed)
     k = g.k

@@ -36,7 +36,7 @@ from ramsey_lab import cycles, reporting
 from ramsey_lab.cycles import _closed_walks, _extensions, cycle_keys, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.seeds import spawn_rng
-from ramsey_lab.verifier import sample_trash_family
+from ramsey_lab.verifier import check_property_ii, sample_trash_family
 from conftest import random_graph, validate_document
 
 
@@ -392,15 +392,15 @@ class TestFloat32:
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """The number of float64 copies made, and the closed-walk calls made
-        on float32 blocks (a one-shot count's later calls may get the blocks
-        its first call widened in place)."""
+        """The number of times float64 copies were made, and the closed-walk
+        calls made on float32 blocks (a count's later calls get the blocks
+        its first fallback widened in place, so they run in float64)."""
         made = {"float64": 0, "calls": 0}
         copy, walks = cycles._float64_blocks, cycles._closed_walks
 
-        def counted_copy(fb, *args):
+        def counted_copy(fb):
             made["float64"] += 1
-            return copy(fb, *args)
+            copy(fb)
 
         def counted_walks(fb, *args, **kwargs):
             made["calls"] += fb[0].dtype == np.float32
@@ -453,8 +453,8 @@ class TestFloat32:
         assert fallbacks["float64"] == copies
 
     def test_one_shot_fallback_holds_only_the_float64_blocks(self):
-        # K(4, 257) closes at 257**3 >= 2**24; the count hands its float32
-        # blocks over, so each is freed as its float64 copy is made
+        # K(4, 257) closes at 257**3 >= 2**24; the count's blocks are widened
+        # in place, so each float32 block is freed as its float64 copy is made
         k, m = 4, 257
         g = complete_layered(k, m)
         tracemalloc.start()
@@ -466,6 +466,23 @@ class TestFloat32:
         # the float64 blocks and one float64 row block of the chain's prefix;
         # both copies of the blocks together would take 12 * k * m**2
         assert peak < 8 * k * m * m + 8 * cycles._ROW_BLOCK * m
+
+    def test_shared_blocks_are_widened_once(self, fallbacks):
+        # property (ii) shares one list of blocks between the per-vertex count
+        # and every trial's meeting count: on K(4, 257) the first chain that
+        # reaches 2**24 widens that list, and every later count reads it
+        g = complete_layered(4, 257)
+        tracemalloc.start()
+        try:
+            report = check_property_ii(g, 2, 3, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passes == 5
+        assert (fallbacks["float64"], fallbacks["calls"]) == (1, 1)
+        # a fresh float64 copy per count (12 of them) peaked at 4.71 MiB; the
+        # one list widened in place peaks at 3.95 MiB
+        assert peak < 4.7 * 2**20
 
     def test_held_bytes_cast_no_block(self):
         g = random_graph(4, 300, 0.5, 0)
@@ -1021,34 +1038,40 @@ class TestHypergraph:
         with pytest.raises(ResourceLimitError):
             decode_keys(keys, k, m + 1)
 
+    # dtype: the narrowest unsigned dtype that holds every key, m**k - 1
     @pytest.mark.parametrize(
         "k, m, dtype",
         [(4, 256, np.uint32), (3, 1625, np.uint32), (4, 257, np.uint64), (3, 1626, np.uint64)],
     )
     def test_keys_are_32_bits_while_m_to_the_k_fits(self, k, m, dtype):
-        assert cycles._radices(k, m).dtype == dtype
+        assert cycles._radices(k, m).dtype == np.uint64
         rng = np.random.default_rng(m)
         locs = np.vstack([np.zeros(k, dtype=np.int64), np.full(k, m - 1), rng.integers(0, m, (50, k))])
         keys = encode_keys(list(locs.T), m)
-        assert keys.dtype == dtype and int(keys[1]) == m**k - 1
+        assert keys.dtype == np.uint64 and int(keys[1]) == m**k - 1
         assert np.array_equal(decode_keys(keys, k, m), locs)
-        # one key from scalar columns keeps the width too
+        # the keys decode the same from the narrowest dtype that holds them
+        assert np.array_equal(keys.astype(dtype), keys)
+        assert np.array_equal(decode_keys(keys.astype(dtype), k, m), locs)
+        # one key from scalar columns is uint64 too
         top = encode_keys([m - 1] * k, m)
-        assert top.dtype == dtype and int(top) == m**k - 1
+        assert top.dtype == np.uint64 and int(top) == m**k - 1
 
-    # just below and just above m**k == 2**32
+    # just below and just above m**k == 2**32; dtype: the narrowest unsigned
+    # dtype that holds every key, m**k - 1
     @pytest.mark.parametrize("m, dtype, seed", [(1625, np.uint32, 2), (1626, np.uint64, 2)])
     def test_sparse_hosts_either_side_of_32_bits(self, m, dtype, seed):
         g = random_graph(3, m, 0.002, seed)
         h = build_hypergraph(g)
         keys = h.store.keys()
-        assert h.store.dtype == keys.dtype == dtype
+        assert keys.dtype == np.uint64
         assert len(h) == count_proper_cycles(g) > 0
         assert (keys[1:] > keys[:-1]).all()
         for row in h.vertex_rows().tolist():
             assert [g.part_of(v) for v in row] == [0, 1, 2]
             assert all(g.adjacent(row[i], row[(i + 1) % 3]) for i in range(3))
         assert h.ids_for_keys(keys).tolist() == list(range(len(h)))
+        assert h.ids_for_keys(keys.astype(dtype)).tolist() == list(range(len(h)))
         beyond = np.array([m**3, 2**64 - 1], dtype=np.uint64)
         assert h.ids_for_keys(beyond).tolist() == [-1, -1]
 
@@ -1067,15 +1090,15 @@ class TestHypergraph:
     def test_lookups_do_not_copy_the_key_array(self):
         # a search with queries wider than the keys would copy the whole array
         h = build_hypergraph(random_graph(3, 200, 0.5, 1))
-        assert len(h) >= 1_000_000 and h.store.dtype == np.uint32
         ids = [0, 5, 500_000, len(h) - 1]
         path = list(h.hyperedge(7)[:2])
         keys = h.store.keys(ids)
+        assert len(h) >= 1_000_000 and keys.dtype == np.uint64
         tracemalloc.start()
         try:
             found = [
+                h.ids_for_keys(keys.astype(np.uint32)),
                 h.ids_for_keys(keys),
-                h.ids_for_keys(keys.astype(np.uint64)),
                 h.ids_for_keys(keys.astype(np.int64)),
             ]
             ext = h.extension_ids(path)
@@ -1141,7 +1164,8 @@ class TestHypergraph:
         for query in (beyond, beyond.astype(np.uint64), np.array([2**64 - 1], dtype=np.uint64)):
             assert (h.ids_for_keys(query) == -1).all()
         # negative keys, also ones that wrap to a member in 16 or 32 bits
-        assert h.ids_for_keys(np.array([-1, top - 2**16, top - 2**32])).tolist() == [-1] * 3
+        wraps = [-1, top % 2**16 - 2**16, top % 2**32 - 2**32]
+        assert h.ids_for_keys(np.array(wraps)).tolist() == [-1] * 3
 
     # hosts whose keys need more than 32 bits: a small random host placed at
     # increasing random positions of each part, so its cycles keep their order
@@ -1166,7 +1190,7 @@ class TestHypergraph:
             b[np.ix_(pos[i], pos[(i + 1) % k])] = small.blocks[i]
         h = build_hypergraph(LayeredGraph(k, m, blocks))
         assert (h.store.width, h.store.offsets.size - 1) == layout
-        assert h.store.dtype == np.uint64 and len(h) == count_proper_cycles(small)
+        assert h.store.keys().dtype == np.uint64 and len(h) == count_proper_cycles(small)
         local = decode_keys(brute_force_cycle_keys(small), k, m0)
         brute = encode_keys([pos[i][local[:, i]] for i in range(k)], m)
         rows = h.vertex_rows()
@@ -1195,23 +1219,45 @@ class TestHypergraph:
     def test_keys_beyond_the_key_width_never_wrap_into_a_hit(self):
         g = complete_layered(3, 4)  # every one of the m**k = 64 keys is a hyperedge
         h = build_hypergraph(g)
-        assert h.store.dtype == np.uint32 and h.store.keys().tolist() == list(range(64))
+        assert h.store.keys().tolist() == list(range(64))
         wide = np.array([5, 63, 64, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 5], dtype=np.uint64)
         assert h.ids_for_keys(wide).tolist() == [5, 63, -1, -1, -1, -1, -1]
         assert h.ids_for_keys(np.array([-1, 5 - 2**32, 7])).tolist() == [-1, -1, 7]
         assert h.ids_for_keys([2**32 + 7, 7]).tolist() == [-1, 7]
-        # the constructor takes keys of any integer dtype whose values keep the width
-        assert cycles.TightHypergraph(g, np.arange(64, dtype=np.uint64)).store.dtype == np.uint32
-        for keys in ([5, 2**32 + 6], [-1, 5]):
-            with pytest.raises(ParameterError, match="^keys: "):
-                cycles.TightHypergraph(g, np.array(keys, dtype=np.int64))
-        with pytest.raises(ParameterError, match="^keys: "):
-            cycles.TightHypergraph(g, np.array([5, 2**32 + 6], dtype=np.uint64))
-        # and so does decoding, where a wrapped key would decode to a valid row
+        # nor does decoding, where a wrapped key would decode to a valid row
         assert decode_keys(np.array([63], dtype=np.uint64), 3, 4).tolist() == [[3, 3, 3]]
         for keys in (np.array([2**32 + 63], dtype=np.uint64), np.array([-1])):
             with pytest.raises(ParameterError, match="^keys: "):
                 decode_keys(keys, 3, 4)
+
+    # keys at or beyond m**k once decoded to a part-local index of m or more;
+    # m = 1 has the one key 0, and its leading digit is the key itself
+    @pytest.mark.parametrize(
+        "k, m, keys",
+        [
+            (3, 4, [64]),
+            (3, 4, [2**32 - 1]),
+            (3, 4, [0, 63, 64]),
+            (3, 4, np.array([2**64 - 1], dtype=np.uint64)),
+            (3, 4, np.array([-1, 5])),
+            (3, 4, np.array([-(2**63)])),
+            (3, 1, [1]),
+            (3, 1, [-1]),
+            (3, 1, np.array([2**64 - 1], dtype=np.uint64)),
+            (1, 5, [5]),
+        ],
+    )
+    def test_decode_keys_refuses_keys_outside_the_key_space(self, k, m, keys):
+        with pytest.raises(ParameterError, match="^keys: "):
+            decode_keys(keys, k, m)
+
+    def test_decode_keys_accepts_the_whole_key_space(self):
+        assert decode_keys([0], 3, 1).tolist() == [[0, 0, 0]]
+        assert decode_keys([4, 0], 1, 5).tolist() == [[4], [0]]
+        assert decode_keys(np.arange(64, dtype=np.int64), 3, 4).tolist() == [
+            list(t) for t in itertools.product(range(4), repeat=3)
+        ]
+        assert decode_keys(np.empty(0, dtype=np.uint64), 3, 4).shape == (0, 3)
 
     def test_decode_keys_roundtrip(self):
         g = random_graph(4, 5, 0.5, 83)

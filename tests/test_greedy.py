@@ -67,7 +67,8 @@ class TestColorings:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_round_robin_is_the_id_modulo_r(self, r, length):
         # the first `length` keys of K(3, 3) stand in for a host of that size
-        h = cycles.TightHypergraph(complete_layered(3, 3), np.arange(length))
+        store = cycles.KeyStore(np.arange(length, dtype=np.uint64), np.array([0, length]))
+        h = cycles.TightHypergraph(complete_layered(3, 3), store)
         col = adversarial_coloring(h, r, "round_robin")
         assert col.colors.dtype == np.uint8
         assert np.array_equal(col.colors, (np.arange(length) % r).astype(np.uint8))
