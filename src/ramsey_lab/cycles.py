@@ -10,25 +10,33 @@ representation - a tuple (or an ``(N, k)`` row block) of global vertex ids
 whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
-format; everything else encodes and decodes through it.  Its keys are
+format; everything else encodes and decodes through it, but for one fact
+that a rows store reads keys by: a key is the key of its first k-1 digits
+(encoded with k-1 columns) times m plus its last digit.  Its keys are
 uint64; the only width rule is the store's.
 
-Enumeration emits keys in ascending order into a ``KeyStore`` of exactly
-the counted total: the low 16, 32 or 64 bits of every key, plus one int64
-offset table over the high bits, at the width that makes the store
-smallest (see ``_store_layout``; at 65.8M keys of 31 bits that is 16-bit
-halves under 2**15 buckets, 2 bytes a key, and a sparse host keeps one
-bucket of whole keys).  The store is refused before allocation when its
-bytes would not fit in physical memory.  Part 0's closed-walk counts give
-each start vertex its own ids in the store, and every bucket edge lies in
-one start's key range, so the start vertices are enumerated in parallel on
-every CPU the process may run on (there is no setting for it) - on fewer
-threads when more would hold over a quarter of the store in temporaries -
-and each start's keys are checked against its own count: paths grow
+Enumeration fills a ``KeyStore`` of exactly the counted total, in one of
+two layouts, whichever takes fewer bytes (see ``_store_layout``).  A
+hyperedge is a (k-1)-vertex *prefix path* through parts 0..k-2, closed by a
+part-(k-1) vertex adjacent to both of its ends, and its key is the
+prefix path's key (its first k-1 digits) times m plus that closer.  The
+*flat* layout holds every key whole, in the narrowest of uint16, uint32
+and uint64 that holds m**k - 1 (a sparse host keeps this one).  The *rows*
+layout holds the ascending uint64 keys of every prefix path plus an int64
+offset per row, and reads a row's closers from the adjacency blocks when
+it is asked for them: a dense host, with many closers per prefix path,
+keeps this one (instance D: 484,455 rows in 7.75 MB, against 263 MB of
+whole keys).  Ids are ranks in key order in both.  The store is refused
+before allocation when its bytes would not fit in physical memory.  Part
+0's closed-walk counts give each start vertex its own ids in the store.
+A flat store's start vertices are enumerated in parallel on every CPU the
+process may run on (there is no setting for it) - on fewer threads when
+more would hold over a quarter of the store in temporaries: paths grow
 through the middle parts, and the last level expands only to vertices that
-close the cycle, so no path that fails to close is built; the start's low
-halves are taken from one table that encodes every (path, closer) pair
-modulo the width.
+close the cycle, so no path that fails to close is built.  A rows store
+takes each start's prefix paths, and their closer counts from one product
+of the last two blocks; either way each start's cycles are checked against
+its own count.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
 ints.  Float32 holds the chain's integers exactly below 2**24; when one of
@@ -334,9 +342,8 @@ def encode_keys(cols, m: int, dtype=None):
     are summed in uint64 and the result is cast to it, so no mix of scalars
     and 0-d arrays changes the keys' dtype.
 
-    With ``dtype``, an unsigned integer dtype, each key's low bits that fit
-    it: the columns and the radices are cast to it, which keeps their low
-    bits, and its sums wrap, which keeps the low bits of the key.
+    With ``dtype``, an unsigned integer dtype that holds every key, the
+    keys in that dtype: the columns and the radices are cast to it.
     """
     radix = _radices(len(cols), m)
     dtype = radix.dtype if dtype is None else np.dtype(dtype)
@@ -347,111 +354,184 @@ def encode_keys(cols, m: int, dtype=None):
 
 @dataclass(frozen=True, eq=False)
 class KeyStore:
-    """Ascending canonical keys, split into low halves and a bucket table.
+    """Ascending canonical keys, in the flat or the rows layout.
 
-    ``low`` holds the low ``width`` bits of every key, in the unsigned dtype
-    of that width (16, 32 or 64 bits); ``offsets`` is an int64 table over
-    the high bits, so the keys whose high bits are ``j`` are
-    ``low[offsets[j]:offsets[j + 1]]``.  With one bucket, ``low`` is the
-    keys themselves.  Both arrays are read-only; ``cycle_keys`` fills them.
+    Flat (``offsets`` is None): ``head`` holds every key whole, in an
+    unsigned dtype of 16, 32 or 64 bits.  Rows: ``head`` holds the
+    ascending uint64 keys of every prefix path of ``graph`` (its proper
+    paths through parts 0..k-2, closing or not) and ``offsets``, int64 and
+    one longer, gives row i the ids ``offsets[i]:offsets[i + 1]``.  Those
+    are the hyperedges that close the row's path: the set bits of
+    ``blocks[k-2][end] & blocks[k-1][:, a]``, for the path's part-0 vertex
+    ``a`` and part-(k-2) vertex ``end``, ranked ascending, so ids are ranks
+    in key order in both layouts.  A rows store reads the closers from the
+    graph's read-only blocks, ``_ROW_BLOCK`` distinct rows at a time, and
+    never builds a mask per id.  Both arrays are read-only; ``cycle_keys``
+    fills them.
     """
 
-    low: np.ndarray
-    offsets: np.ndarray
+    head: np.ndarray
+    offsets: np.ndarray | None = None
+    graph: LayeredGraph | None = None
 
     def __post_init__(self):
-        self.low.setflags(write=False)
-        self.offsets.setflags(write=False)
+        self.head.setflags(write=False)
+        if self.offsets is not None:
+            self.offsets.setflags(write=False)
 
     def __len__(self) -> int:
-        return self.low.size
+        return self.head.size if self.offsets is None else int(self.offsets[-1])
 
     @property
-    def width(self) -> int:
-        return 8 * self.low.itemsize
+    def layout(self) -> str:
+        return "flat" if self.offsets is None else "rows"
 
     @property
     def nbytes(self) -> int:
-        return self.low.nbytes + self.offsets.nbytes
+        return self.head.nbytes + (0 if self.offsets is None else self.offsets.nbytes)
 
     def keys(self, ids=slice(None)) -> np.ndarray:
         """The keys of the ids ``ids`` selects (a slice or an int array; all
-        by default), as uint64.  A key's high bits are the bucket whose
-        offsets enclose its id."""
-        low = self.low[ids]
-        if self.offsets.size == 2:
-            return low.astype(np.uint64, copy=False)
-        ids = np.arange(*ids.indices(len(self))) if isinstance(ids, slice) else np.asarray(ids)
-        ids = np.where(ids < 0, ids + len(self), ids)
-        high = np.searchsorted(self.offsets, ids, side="right") - 1
-        return (high.astype(np.uint64) << self.width) | low
+        by default), as uint64.  Negative ids count from the end, as in
+        numpy; ``IndexError`` for an id out of range."""
+        if self.offsets is None:
+            return self.head[ids].astype(np.uint64, copy=False)
+        n = len(self)
+        if isinstance(ids, slice):
+            start, stop, step = ids.indices(n)
+            if step == 1:
+                return self._run_keys(start, max(start, stop))
+            ids = np.arange(start, stop, step)
+        ids = np.asarray(ids)
+        if ids.size and (ids.min() < -n or ids.max() >= n):
+            raise IndexError(f"hyperedge id out of range [{-n}, {n})")
+        ids = np.where(ids < 0, ids + n, ids)
+        rows = np.searchsorted(self.offsets, ids, side="right") - 1
+        out = np.empty(ids.shape, dtype=np.uint64)
+        for blk, part, t in self._row_blocks(rows):
+            counts = self.offsets[blk + 1] - self.offsets[blk]
+            first = np.cumsum(counts) - counts  # where each row's keys start
+            out[part] = self._row_keys(blk)[first[t] + ids[part] - self.offsets[blk[t]]]
+        return out
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Ids of the canonical ``keys`` (an array of any integer dtype), as
         int64; -1 where a key is not stored.
 
-        The queries are cast to the stored dtype (through uint64 when there
-        is more than one bucket), so that no search copies the store; a key
-        that a cast changes (one beyond the stored width, or negative) is
-        not stored.  With one bucket the lookup is a plain ``searchsorted``.
-        Otherwise each query is bisected inside its own bucket, all queries
-        at once, in as many steps as the largest of their buckets needs.
+        Flat: the queries are cast to the stored dtype, so that no search
+        copies the store, and a key that the cast changes (one beyond the
+        stored width, or negative) is not stored.  Rows: a key in the key
+        space is split into its prefix key and its closer; the prefix is
+        looked up among the rows, and its id is the row's first id plus the
+        closer's rank among the row's closers.
         """
-        n, low = self.low.size, self.low
-        if n == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        if self.offsets.size == 2:
-            want = keys.astype(low.dtype, copy=False)
-            lo = np.searchsorted(low, want)
-            fits = want == keys
+        if self.offsets is None:
+            if self.head.size == 0:
+                return np.full(keys.shape, -1, dtype=np.int64)
+            want = keys.astype(self.head.dtype, copy=False)
+            lo = np.searchsorted(self.head, want)
+            # past the last key, lo is n, and head[n - 1] < want
+            hit = (want == keys) & (self.head[np.minimum(lo, self.head.size - 1)] == want)
+            return np.where(hit, lo, -1)
+        k, m = self.graph.k, self.graph.m
+        shape, keys = keys.shape, keys.ravel()
+        out = np.full(keys.size, -1, dtype=np.int64)
+        if self.head.size == 0:
+            return out.reshape(shape)
+        query = keys.astype(np.uint64)  # a negative key wraps; it is refused below
+        ok = query < np.uint64(m**k)
+        if keys.dtype.kind == "i":
+            ok &= keys >= 0
+        prefix, closer = np.divmod(query, np.uint64(m))
+        row = np.minimum(np.searchsorted(self.head, prefix), self.head.size - 1)
+        ok &= self.head[row] == prefix
+        sel = np.flatnonzero(ok)
+        row, closer = row[sel], closer[sel].astype(np.intp)
+        for blk, part, t in self._row_blocks(row):
+            mask = self._masks(blk)
+            # a row's running count of closers is at most m
+            rank = np.cumsum(mask, axis=1, dtype=np.min_scalar_type(m))
+            c = closer[part]
+            found = mask[t, c]
+            out[sel[part[found]]] = self.offsets[blk[t[found]]] + rank[t[found], c[found]] - 1
+        return out.reshape(shape)
+
+    def _run_keys(self, start: int, stop: int) -> np.ndarray:
+        """The keys of the ids ``start:stop`` of a rows store, one block of
+        ``_ROW_BLOCK`` rows at a time."""
+        off = self.offsets
+        out = np.empty(stop - start, dtype=np.uint64)
+        first = int(np.searchsorted(off, start, side="right")) - 1
+        last = int(np.searchsorted(off, stop, side="left"))  # rows first..last-1 hold them
+        for lo in range(first, last, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, last)
+            a, b = max(start, int(off[lo])), min(stop, int(off[hi]))
+            out[a - start : b - start] = self._row_keys(np.arange(lo, hi))[a - off[lo] : b - off[lo]]
+        return out
+
+    def _row_blocks(self, rows: np.ndarray):
+        """The distinct entries of ``rows``, ``_ROW_BLOCK`` at a time, as
+        ``(blk, part, t)``: the block's rows, ascending, the positions in
+        ``rows`` that hold one of them, and the index in ``blk`` of each."""
+        uniq, inv = np.unique(rows, return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        cuts = np.searchsorted(inv[order], np.arange(0, uniq.size + _ROW_BLOCK, _ROW_BLOCK))
+        for lo, (c0, c1) in zip(range(0, uniq.size, _ROW_BLOCK), zip(cuts, cuts[1:])):
+            part = order[c0:c1]
+            yield uniq[lo : lo + _ROW_BLOCK], part, inv[part] - lo
+
+    def _masks(self, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), m) bool masks of the closers of the ``rows``."""
+        g, prefix = self.graph, self.head[rows]
+        mask = g.blocks[g.k - 2][prefix % np.uint64(g.m)]  # the path's part-(k-2) vertex
+        mask &= g.blocks[g.k - 1].T[prefix // np.uint64(g.m ** (g.k - 2))]  # its part-0 vertex
+        return mask
+
+    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Every key of the ``rows`` (distinct, ascending), ascending: a
+        row's prefix key times m plus each of its closers.  The masks'
+        flat index is ``i * m`` plus the closer for the i-th row, so each
+        key is that index plus ``(prefix - i) * m``, never negative."""
+        flat = np.flatnonzero(self._masks(rows)).view(np.uint64)
+        shift = (self.head[rows] - np.arange(rows.size, dtype=np.uint64)) * np.uint64(self.graph.m)
+        return flat + np.repeat(shift, self.offsets[rows + 1] - self.offsets[rows])
+
+
+def _key_dtype(k: int, m: int) -> np.dtype:
+    """The narrowest of uint16, uint32 and uint64 that holds every key of
+    (k, m), up to m**k - 1 (``ResourceLimitError`` beyond 64 bits)."""
+    top = int(_radices(k, m)[0]) * m - 1
+    return next(np.dtype(t) for t in (np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max)
+
+
+def _store_bytes(k: int, m: int, total: int, rows: int) -> dict[str, int]:
+    """Bytes of each layout of a store of ``total`` keys of (k, m) with
+    ``rows`` prefix paths: whole keys (flat), or a uint64 key per prefix
+    path plus one more int64 offset than rows (rows)."""
+    return {"flat": total * _key_dtype(k, m).itemsize, "rows": 8 * rows + 8 * (rows + 1)}
+
+
+def _store_layout(k: int, m: int, total: int, rows: int) -> str:
+    """The layout of fewer bytes, ``"flat"`` or ``"rows"`` (flat on a tie)."""
+    nbytes = _store_bytes(k, m, total, rows)
+    return min(nbytes, key=nbytes.__getitem__)
+
+
+def _prefix_paths(fb: list[np.ndarray]) -> np.ndarray:
+    """Prefix paths (proper paths through parts 0..k-2) from each part-0
+    vertex, as int64: a matrix-vector chain over the float blocks ``fb``, in
+    their own dtype, so no block is cast.  It is exact as ``_closed_walks``
+    is: when a float32 entry reaches 2**24, ``_float64_blocks`` widens
+    ``fb`` in place and the chain is redone in float64."""
+    while True:
+        paths = np.ones(fb[0].shape[0], dtype=fb[0].dtype)
+        for b in reversed(fb[: len(fb) - 2]):
+            paths = _exact(b @ paths)
+            if paths is None:
+                break
         else:
-            query = keys.astype(np.uint64, copy=False)
-            high = query >> self.width
-            fits = (high < self.offsets.size - 1) & (query == keys)
-            high = np.where(fits, high, 0).astype(np.intp)
-            want = query.astype(low.dtype)  # the cast keeps the low bits
-            lo, end = self.offsets[high], self.offsets[high + 1]
-            hi = end
-            for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
-                mid = (lo + hi) >> 1
-                less = low[np.minimum(mid, n - 1)] < want
-                lo = np.where(less & (mid < hi), mid + 1, lo)
-                hi = np.where(less, hi, mid)
-            fits &= lo < end
-        # past the last key, lo is n (or its bucket's end), and low[n - 1] < want
-        return np.where(fits & (low[np.minimum(lo, n - 1)] == want), lo, -1)
-
-
-def _store_bytes(total: int, width: int, buckets: int) -> int:
-    """Bytes of a store of ``total`` keys split at ``width`` into ``buckets``."""
-    return total * width // 8 + 8 * (buckets + 1)
-
-
-def _store_layout(k: int, m: int, total: int) -> tuple[int, int]:
-    """The low width and bucket count of a store of ``total`` keys of (k, m):
-    of 16, 32 and 64 bits, the width that makes the store's bytes smallest
-    (the narrower on a tie), with one bucket per value of the bits above it
-    in the largest key, m**k - 1."""
-    bits = (m**k - 1).bit_length()
-    layouts = [(w, 2 ** max(bits - w, 0)) for w in (16, 32, 64)]
-    return min(layouts, key=lambda layout: _store_bytes(total, *layout))
-
-
-def _new_store(k: int, m: int, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unfilled ``low`` and ``offsets`` of a ``KeyStore`` for ``total``
-    keys of (k, m), laid out by ``_store_layout``.
-
-    ``ResourceLimitError`` is raised when the store's bytes would exceed
-    physical memory, before anything is allocated.  The offsets of the
-    bucket edges at or beyond m**k, past every key, are set here; the rest
-    are left to the caller.
-    """
-    width, buckets = _store_layout(k, m, total)
-    _check_fits_in_memory("cycle keys", _store_bytes(total, width, buckets))
-    low = np.empty(total, dtype=f"uint{width}")
-    offsets = np.empty(buckets + 1, dtype=np.int64)
-    offsets[-(-(m**k) >> width) :] = total
-    return low, offsets
+            return paths.astype(np.int64)
+        _float64_blocks(fb)
 
 
 def cycle_keys(g: LayeredGraph) -> KeyStore:
@@ -459,62 +539,74 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
 
     Counts first via matrix products: the closed walks through each vertex
     ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
-    own ids ``bounds[a]:bounds[a+1]`` of a store of exactly ``total`` keys.
-    ``ResourceLimitError`` is raised when that store's bytes (see
-    ``_new_store``) would exceed physical memory, so runaway parameters fail
-    before it is allocated.  The start vertices are dealt round-robin to
+    own ids ``bounds[a]:bounds[a+1]``.  The prefix paths are counted too,
+    and ``_store_layout`` picks the layout of fewer bytes.
+    ``ResourceLimitError`` is raised when that store's bytes would exceed
+    physical memory, so runaway parameters fail before it is allocated.
+
+    A flat store's start vertices are dealt round-robin to
     ``_worker_count`` threads (numpy releases the GIL in the gathers and
-    passes that do the work); each fills only its own ids and the offsets
-    of the bucket edges inside its own key range, so the store does not
-    depend on the scheduling or the number of threads.  A worker's
-    exception is raised here, and a start whose enumerated cycles differ
+    passes that do the work); each fills only its own ids, so the store
+    does not depend on the scheduling or the number of threads, and a
+    worker's exception is raised here.  A rows store is filled by
+    ``_fill_rows`` on this thread.  A start whose enumerated cycles differ
     from its own count raises ``InvariantViolationError``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    k, m = g.k, g.m
     fb = _float_blocks(g)
     per_start = _closed_walks(fb, 0)
     bounds = [0, *itertools.accumulate(per_start.tolist())]
-    low, offsets = _new_store(g.k, g.m, bounds[-1])
-    held = _held_bytes(g, fb, per_start, low.itemsize)
+    paths = _prefix_paths(fb)
+    rows = int(paths.sum())
+    layout = _store_layout(k, m, bounds[-1], rows)
+    _check_fits_in_memory("cycle keys", _store_bytes(k, m, bounds[-1], rows)[layout])
+    if layout == "rows":
+        last, close = fb[k - 2 :]
+        del fb
+        # closers[a, end]: the part-(k-1) vertices adjacent to both a and end;
+        # at most m < 2**22, so exact in float32 and never None
+        closers = _exact(close.T @ last.T)
+        del last, close
+        return _fill_rows(g, closers, bounds, paths)
+    keys = np.empty(bounds[-1], dtype=_key_dtype(k, m))
+    held = _held_bytes(g, fb, per_start, keys.itemsize)
     del fb
-    workers = _worker_count(held, low.nbytes)
-    starts = [range(w, g.m, workers) for w in range(workers)]
+    workers = _worker_count(held, keys.nbytes)
+    starts = [range(w, m, workers) for w in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(lambda s: _fill_keys(g, low, offsets, bounds, s), starts))
-    return KeyStore(low, offsets)
+        list(pool.map(lambda s: _fill_keys(g, keys, bounds, s), starts))
+    return KeyStore(keys)
 
 
 def _held_bytes(
     g: LayeredGraph, fb: list[np.ndarray], per_start: np.ndarray, itemsize: int
 ) -> np.ndarray:
     """Bytes each part-0 vertex holds while ``_fill_keys`` enumerates it, as
-    float64, for key low halves of ``itemsize`` bytes.
+    float64, for keys of ``itemsize`` bytes.
 
     With P paths through the middle parts and C closers, that is the P x m
     row gather of the last middle block, the P int64 row keys and their
-    encoding, the P x C bool submatrix and table of low halves, and the
-    int64 flat index of the start's ``per_start`` cycles.  Both come from
+    encoding, the P x C bool submatrix and table of keys, and the int64
+    flat index of the start's ``per_start`` cycles.  Both come from
     ``fb``, the float blocks, in their own dtype, so no block is cast: P is
-    a matrix-vector chain over the blocks into the last middle part, and C
-    a column sum of the closing block.  Only these length-m vectors are
-    cast to float64.
+    ``_prefix_paths``, and C a column sum of the closing block.  Only these
+    length-m vectors are cast to float64.
     """
-    k, m = g.k, g.m
-    paths = functools.reduce(lambda v, b: b @ v, reversed(fb[: k - 2]), np.ones(m, fb[0].dtype))
-    paths, closers = paths.astype(np.float64), fb[k - 1].sum(axis=0, dtype=np.float64)
-    return paths * (m + 16 + (1 + itemsize) * closers) + 8 * per_start
+    paths = _prefix_paths(fb).astype(np.float64)
+    closers = fb[g.k - 1].sum(axis=0, dtype=np.float64)
+    return paths * (g.m + 16 + (1 + itemsize) * closers) + 8 * per_start
 
 
 def _worker_count(held: np.ndarray, key_bytes: int) -> int:
-    """Threads for ``cycle_keys``: one per CPU the process may run on, but no
-    more than keep the workers' temporaries under a quarter of the
-    ``key_bytes`` of the store's low halves (so never more than one per
-    start vertex).
+    """Threads for a flat store: one per CPU the process may run on, but
+    no more than keep the workers' temporaries under a quarter of the
+    ``key_bytes`` of the store (so never more than one per start vertex).
 
     ``held`` is ``_held_bytes``, so ``w`` workers hold at most
     ``w * max(held)``; since a start's flat index alone takes at least the
-    bytes of its own low halves, the rule never admits more workers than a
+    bytes of its own keys, the rule never admits more workers than a
     quarter of the starts.  One worker is always used, so a start with most
     of the cycles still takes its own temporaries.
     """
@@ -529,70 +621,81 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_keys(
-    g: LayeredGraph, low: np.ndarray, offsets: np.ndarray, bounds: list[int], starts
-) -> None:
-    """Write the low halves of the keys of the proper cycles through each
-    part-0 vertex ``a`` in ``starts`` into ``low[bounds[a]:bounds[a+1]]``,
-    ascending, and the offsets of the bucket edges inside ``a``'s key range.
+def _paths_from(g: LayeredGraph, a: int) -> list[np.ndarray]:
+    """The part-local columns (parts 1..k-2) of the prefix paths from
+    part-0 vertex ``a``, in ascending key order.  They grow along the rows
+    of the dense blocks, and row-major order over (path, next vertex) is
+    ascending key order."""
+    cols: list[np.ndarray] = []
+    ends = np.array([a], dtype=np.int64)
+    for part in range(g.k - 2):
+        rep, ends = np.nonzero(g.blocks[part][ends])
+        cols = [c[rep] for c in cols]
+        cols.append(ends)
+    return cols
 
-    Paths from ``a`` grow through the middle parts 1..k-2 along the rows of
-    the dense blocks, and the last level expands only to the part-(k-1)
-    vertices that close back to ``a``, so no path that fails to close is
-    ever built.  The low halves of every (path, closer) pair are encoded as
-    one table, and the pairs whose last edge exists are taken from it.
-    Raises ``InvariantViolationError`` before writing keys when a start's
-    cycles do not number exactly its ids.
 
-    ``a``'s keys are ``a * span`` plus a path's row key (its key with
-    closer 0, a multiple of m) plus its closer's index.  A bucket edge
-    ``j * 2**w`` in that range splits at most one row, so the keys below it
-    are a searchsorted over the row keys, then over that row's closers,
-    then over the flat index of the taken pairs.
+def _check_found(a: int, found: int, counted: int) -> None:
+    if found != counted:
+        raise InvariantViolationError(
+            f"start vertex {a}: enumerated {found} proper cycles, counted {counted}"
+        )
+
+
+def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int], starts) -> None:
+    """Write the keys of the proper cycles through each part-0 vertex ``a``
+    in ``starts`` into ``keys[bounds[a]:bounds[a+1]]``, ascending.
+
+    The prefix paths from ``a`` come from ``_paths_from``, and only the
+    part-(k-1) vertices that close back to ``a`` are tried as their
+    closers, so no path that fails to close is ever built.  The keys of
+    every (path, closer) pair are encoded as one table, and the pairs whose
+    last edge exists are taken from it.  Raises ``InvariantViolationError``
+    before writing keys when a start's cycles do not number exactly its ids.
     """
     k, m = g.k, g.m
-    width, span = 8 * low.itemsize, m ** (k - 1)
     last, close = g.blocks[k - 2], g.blocks[k - 1]
     for a in starts:
         lo, hi = bounds[a], bounds[a + 1]
-        j0, j1 = -(-a * span >> width), -(-(a + 1) * span >> width)
-        # the bucket edges in a's key range, relative to its first key a * span;
-        # only an edge inside the range is below span, so only then is it int64
-        edges = np.arange(j1 - j0, dtype=np.int64) << width
-        if j1 > j0:
-            edges += (j0 << width) - a * span
-        below = np.zeros(edges.size, dtype=np.int64)  # a's keys below each edge
         found = 0
         closers = np.flatnonzero(close[:, a])
         if closers.size:
-            # part-local columns of the paths through the middle parts 1..k-2
-            cols: list[np.ndarray] = []
-            ends = np.array([a], dtype=np.int64)
-            for part in range(k - 2):
-                # row-major order over (path, next vertex) is ascending key order
-                rep, ends = np.nonzero(g.blocks[part][ends])
-                if ends.size == 0:
-                    break
-                cols = [c[rep] for c in cols]
-                cols.append(ends)
-            else:  # every middle level had paths
-                # row-major order over (path, closer) is ascending key order
-                flat = np.flatnonzero(last[ends][:, closers])
-                found = flat.size
-                if found == hi - lo:
-                    table = encode_keys([a, *(c[:, None] for c in cols), closers], m, low.dtype)
-                    # flat indexes the table's own shape, so "clip" clips nothing;
-                    # unlike the default mode, it writes into low without a buffer
-                    np.take(table.ravel(), flat, out=low[lo:hi], mode="clip")
-                    rows = encode_keys([0, *cols, 0], m).astype(np.int64)
-                    row = np.searchsorted(rows, edges) - 1  # the row an edge splits, -1: none
-                    split = row * closers.size + np.searchsorted(closers, edges - rows[row])
-                    below = np.searchsorted(flat, np.where(row >= 0, split, 0))
-        if found != hi - lo:
+            cols = _paths_from(g, a)
+            # row-major order over (path, closer) is ascending key order
+            flat = np.flatnonzero(last[cols[-1]][:, closers])
+            found = flat.size
+            if found == hi - lo:
+                table = encode_keys([a, *(c[:, None] for c in cols), closers], m, keys.dtype)
+                # flat indexes the table's own shape, so "clip" clips nothing;
+                # unlike the default mode, it writes into keys without a buffer
+                np.take(table.ravel(), flat, out=keys[lo:hi], mode="clip")
+        _check_found(a, found, hi - lo)
+
+
+def _fill_rows(
+    g: LayeredGraph, closers: np.ndarray, bounds: list[int], paths: np.ndarray
+) -> KeyStore:
+    """The rows store of ``g``: each part-0 vertex ``a``'s prefix paths, in
+    key order, and their offsets from ``closers[a, end]``, the number of
+    closers of a path from ``a`` to ``end``.  Raises
+    ``InvariantViolationError`` when a start's paths do not number exactly
+    ``paths[a]``, or its closers do not number exactly its ids."""
+    firsts = [0, *itertools.accumulate(paths.tolist())]
+    head = np.empty(firsts[-1], dtype=np.uint64)
+    offsets = np.empty(firsts[-1] + 1, dtype=np.int64)
+    offsets[0] = 0
+    for a in range(g.m):
+        lo, hi = firsts[a], firsts[a + 1]
+        cols = _paths_from(g, a)
+        if cols[-1].size != hi - lo:
             raise InvariantViolationError(
-                f"start vertex {a}: enumerated {found} proper cycles, counted {hi - lo}"
+                f"start vertex {a}: enumerated {cols[-1].size} prefix paths, counted {hi - lo}"
             )
-        offsets[j0:j1] = lo + below
+        head[lo:hi] = encode_keys([a, *cols], g.m)
+        ends = np.cumsum(closers[a, cols[-1]].astype(np.int64))
+        _check_found(a, int(ends[-1]) if ends.size else 0, bounds[a + 1] - bounds[a])
+        offsets[lo + 1 : hi + 1] = bounds[a] + ends
+    return KeyStore(head, offsets, g)
 
 
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -719,10 +822,11 @@ class TightHypergraph:
     """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
 
     Hyperedges are held as the ``KeyStore`` of their ascending canonical
-    keys; ids are ranks in that order.  Built by ``build_hypergraph``,
-    whose ``cycle_keys`` emits the keys strictly ascending.  Membership
-    tests and extension lookups run directly on the store, so the structure
-    stays usable at tens of millions of hyperedges.
+    keys, flat or in rows; ids are ranks in that order.  Built by
+    ``build_hypergraph``, whose ``cycle_keys`` fills the store strictly
+    ascending.  Membership tests and extension lookups run directly on the
+    store, so the structure stays usable at tens of millions of hyperedges
+    (and a rows store at billions).
     """
 
     def __init__(self, graph: LayeredGraph, store: KeyStore):
@@ -731,7 +835,7 @@ class TightHypergraph:
         self.store = store
 
     def __len__(self) -> int:
-        return self.store.low.size
+        return len(self.store)
 
     @property
     def num_vertices(self) -> int:

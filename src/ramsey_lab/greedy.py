@@ -45,6 +45,7 @@ from .errors import ParameterError, ResourceLimitError
 from .layered_graph import (
     LayeredGraph,
     _all_integers,
+    _check_fits_in_memory,
     _check_n,
     _check_r,
     _check_seed,
@@ -111,6 +112,8 @@ class Coloring:
         _check_r(r)
         if not (isinstance(colors, list) and _all_integers(colors)):
             raise ParameterError("colors", "must be a flat array of integers")
+        # the int64 read and the uint8 colors made from it
+        _check_fits_in_memory("colors", 9 * len(colors))
         try:
             values = np.fromiter(colors, np.int64, len(colors))
         except OverflowError:  # an integer beyond int64
@@ -136,6 +139,7 @@ def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     """I.i.d. uniform colors from the Philox stream for ``seed``."""
     _check_r(r)
     _check_seed(seed)
+    _check_fits_in_memory("colors", len(h))
     colors = spawn_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
     return Coloring(r, colors)
 
@@ -198,6 +202,7 @@ def adversarial_coloring(
     """
     _check_r(r)
     _check_seed(seed)
+    _check_fits_in_memory("colors", len(h))
     if strategy == "round_robin":
         # one uint8 byte per hyperedge (plus at most r - 1), nothing wider
         cycle = np.arange(r, dtype=np.uint8)
@@ -235,7 +240,9 @@ def _clear_bits(live: np.ndarray, ids: np.ndarray) -> None:
 
 def _packed_live(col: Coloring, color: int) -> np.ndarray:
     """The packed mask of ``color``'s hyperedges, packed a ``_SCAN_CHUNK`` at a
-    time, so the comparison's bool temporary is one chunk long."""
+    time, so the comparison's bool temporary is one chunk long.  Refused
+    before allocation when its bytes would exceed physical memory."""
+    _check_fits_in_memory("live flags", -(-col.colors.size // 8))
     live = np.empty(-(-col.colors.size // 8), dtype=np.uint8)
     for lo in range(0, col.colors.size, _SCAN_CHUNK):
         hi = lo + _SCAN_CHUNK

@@ -30,10 +30,11 @@ def tiny_complete():
 
 @pytest.fixture
 def beyond_memory():
-    """(k, m) of a p = 1 host whose store of m**k cycle keys (16-bit low
-    halves, 51 GB) exceeds physical memory; fails up front on a host that
+    """(k, m) of a p = 1 host whose store of m**k cycle keys exceeds physical
+    memory in both layouts: its smaller one, a row per prefix path (m**(k-1)
+    of them, 16 bytes each), takes 410 GB.  Fails up front on a host that
     could hold it, rather than letting the test enumerate it."""
-    k, m = 4, 400
+    k, m = 5, 400
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    assert 2 * m**k > physical, f"{physical} bytes of memory could hold the store"
+    assert 16 * m ** (k - 1) > physical, f"{physical} bytes of memory could hold the store"
     return k, m

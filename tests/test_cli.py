@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
 from pathlib import Path
@@ -89,7 +90,7 @@ class TestEnumerate:
         argv = ["enumerate", "--k", str(k), "--m", str(m), "--p", "1", "--seed", "0"]
         code, stdout, err = run_cli(argv, capsys)
         assert code == 0, err
-        assert json.loads(stdout)["results"]["total_cycles"] == m**k == 25_600_000_000
+        assert json.loads(stdout)["results"]["total_cycles"] == m**k == 10_240_000_000_000
 
     def test_export_beyond_physical_memory_exit_1(self, tmp_path, capsys, beyond_memory):
         k, m = beyond_memory
@@ -193,6 +194,18 @@ class TestColor:
 class TestGreedy:
     ARGS = ["greedy", "--k", "3", "--r", "2", "--n", "12", "--m", "60",
             "--p", "0.35", "--seed", "7", "--coloring", "random"]
+
+    def test_greedy_colors_beyond_physical_memory_exit_1(self, capsys, monkeypatch):
+        # the million-edge host's graph arrays, float32 blocks (480,000 bytes)
+        # and rows store (319,784 bytes) fit in 600,000 bytes; its colors do not
+        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 600_000}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        argv = ["greedy", "--k", "3", "--m", "200", "--p", "0.5", "--seed", "1", "--r", "2",
+                "--n", "10", "--coloring", "random", "--coloring-seed", "1"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: colors need more bytes ") and err.count("\n") == 1
+        assert err.endswith("(required 1001036, cap 600000)\n")
 
     def test_runs_and_reports(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"

@@ -50,6 +50,14 @@ def subpaths(c):
     return [[c[(q + 1 + j) % k] for j in range(k - 1)] for q in range(k)]
 
 
+LAYOUTS = ("flat", "rows")
+
+
+def forced(layout):
+    """Make ``cycle_keys`` build the ``layout`` store, whichever is smaller."""
+    return mock.patch.object(cycles, "_store_layout", lambda k, m, total, rows: layout)
+
+
 class TestEnumeration:
     def test_complete_3_2_has_8_cycles(self, tiny_complete):
         cycles = build_hypergraph(tiny_complete).hyperedges()
@@ -81,21 +89,27 @@ class TestEnumeration:
         seed=st.integers(0, 2**32),
         no_closers=st.booleans(),
         empty_middle=st.booleans(),
+        layout=st.sampled_from(LAYOUTS),
     )
-    def test_matches_brute_force_drawn(self, workers, k, m, p, seed, no_closers, empty_middle):
+    def test_matches_brute_force_drawn(
+        self, workers, k, m, p, seed, no_closers, empty_middle, layout
+    ):
         blocks = [b.copy() for b in random_graph(k, m, p, seed).blocks]
         if no_closers:  # start vertex seed % m closes no path
             blocks[k - 1][:, seed % m] = False
         if empty_middle:  # one block the middle levels expand through
             blocks[seed % (k - 2)][:] = False
         g = LayeredGraph(k, m, blocks)
-        with mock.patch.object(cycles, "_worker_count", return_value=workers):
-            keys = cycle_keys(g).keys()
+        with mock.patch.object(cycles, "_worker_count", return_value=workers), forced(layout):
+            store = cycle_keys(g)
+        assert store.layout == layout
+        keys = store.keys()
         assert (keys[1:] > keys[:-1]).all()  # TightHypergraph relies on strict order
         assert np.array_equal(keys, brute_force_cycle_keys(g))
 
     def test_many_workers_with_frequent_switches_match_one(self, monkeypatch):
         g = random_graph(4, 40, 0.5, 5)
+        monkeypatch.setattr(cycles, "_store_layout", lambda k, m, total, rows: "flat")
         monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 1)
         serial = cycle_keys(g)
         monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 16)
@@ -105,9 +119,8 @@ class TestEnumeration:
             store = cycle_keys(g)
         finally:
             sys.setswitchinterval(interval)
-        assert store.offsets.size == 65  # 16-bit low halves under 64 buckets
-        assert store.low.tobytes() == serial.low.tobytes()
-        assert store.offsets.tobytes() == serial.offsets.tobytes()
+        assert store.layout == "flat" and store.head.dtype == np.uint32  # whole 32-bit keys
+        assert store.head.tobytes() == serial.head.tobytes()
 
     def test_worker_count_holds_temporaries_to_a_quarter_of_the_keys(self, monkeypatch):
         monkeypatch.setattr(cycles, "_available_cpus", lambda: 16)
@@ -147,9 +160,10 @@ class TestEnumeration:
 
         monkeypatch.setattr(cycles, "_closed_walks", skewed)
         # a skewed start refuses the keys whichever worker reaches it
-        skewed_starts = f"^start vertex ({starts[0]}|{starts[1]}): "
-        with pytest.raises(InvariantViolationError, match=skewed_starts):
-            cycle_keys(g)
+        skewed_starts = f"^start vertex ({starts[0]}|{starts[1]}): enumerated "
+        for layout in LAYOUTS:
+            with forced(layout), pytest.raises(InvariantViolationError, match=skewed_starts):
+                cycle_keys(g)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         g = random_graph(4, 6, 0.6, 3)
@@ -162,6 +176,7 @@ class TestEnumeration:
             return encode(cols, m, dtype)
 
         monkeypatch.setattr(cycles, "encode_keys", failing)
+        monkeypatch.setattr(cycles, "_store_layout", lambda k, m, total, rows: "flat")
         monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 2)
         # start 1 is dealt to the second worker, a thread of its own
         with pytest.raises(RuntimeError, match="^boom in (?!MainThread)"):
@@ -176,19 +191,19 @@ class TestEnumeration:
                 (3, 400, 0.05, 8093),
             ]:
                 g = random_graph(k, m, p, 1)
-                tracemalloc.start()
-                try:
-                    store = cycle_keys(g)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert len(store) == size
-                if p == 0.5:
-                    assert peak < 1.5 * store.nbytes, (cpus, k, m)
-                else:
-                    # so few keys that the float32 copy of the blocks, which the
-                    # count makes before the keys exist, is the peak
-                    assert peak < 1.5 * 4 * k * m * m, (cpus, k, m)
+                for layout in LAYOUTS:
+                    tracemalloc.start()
+                    try:
+                        with forced(layout):
+                            store = cycle_keys(g)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert len(store) == size
+                    # the store, or the float32 copy of the blocks that the
+                    # count makes before the store exists, when that is larger
+                    # (the sparse host, and the rows store at k = 3)
+                    assert peak < 1.5 * max(store.nbytes, 4 * k * m * m), (cpus, k, m, layout)
 
     def test_held_bytes_bound_what_a_start_holds(self):
         for k, m, p in [(3, 200, 0.5), (4, 60, 0.5), (3, 400, 0.05), (5, 20, 0.6)]:
@@ -196,21 +211,22 @@ class TestEnumeration:
             fb = cycles._float_blocks(g)
             per_start = _closed_walks(fb, 0)
             bounds = [0, *itertools.accumulate(per_start.tolist())]
-            low, offsets = cycles._new_store(k, m, bounds[-1])
-            held = cycles._held_bytes(g, fb, per_start, low.itemsize)
+            keys = np.empty(bounds[-1], dtype=cycles._key_dtype(k, m))
+            held = cycles._held_bytes(g, fb, per_start, keys.itemsize)
             for a in range(0, m, 3):
                 tracemalloc.start()
                 try:
-                    cycles._fill_keys(g, low, offsets, bounds, [a])
+                    cycles._fill_keys(g, keys, bounds, [a])
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 # beyond the figure: numpy's fixed ufunc buffers and small arrays
                 assert peak <= held[a] + 2**17, (k, m, a)
-            store = cycle_keys(g)
+            with forced("flat"):
+                store = cycle_keys(g)
             for a in range(0, m, 3):
                 own = slice(bounds[a], bounds[a + 1])
-                assert np.array_equal(low[own], store.low[own])
+                assert np.array_equal(keys[own], store.head[own])
 
     @pytest.mark.parametrize(
         "count",
@@ -238,29 +254,34 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # refused after counting, before the store is allocated: 16-bit low
-        # halves of the 35-bit keys under 2**19 buckets
-        assert excinfo.value.required == 2 * m**k + 8 * (2**19 + 1)
+        # refused after counting, before the store is allocated: the smaller
+        # layout is a uint64 key and an int64 offset per prefix path
+        nbytes = cycles._store_bytes(k, m, m**k, m ** (k - 1))
+        assert excinfo.value.required == nbytes["rows"] == 16 * m ** (k - 1) + 8
+        assert nbytes["flat"] == 8 * m**k > excinfo.value.cap
         assert peak < 50 * 2**20
 
     def test_32_bit_key_array_beyond_physical_memory_refused(self, monkeypatch):
         k, m = 4, 256  # m**k == 2**32: the most keys that fit 32 bits
-        # their store takes 8.6 GB, which a larger machine could hold: the
-        # physical figure is set to 4 GiB, so the test enumerates nothing
-        pages = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 2**12}
-        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        # whole keys take 17 GB and rows 268 MB, which a larger machine could
+        # hold: the physical figure is set 8 bytes short of the forced
+        # layout, so the test enumerates nothing
         g = random_graph(k, m, 1.0, 0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="^cycle keys ") as excinfo:
-                build_hypergraph(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 2 bytes a key and 2**16 + 1 offsets, refused after counting, before
-        # the store is allocated
-        assert excinfo.value.required == 2 * m**k + 8 * (2**16 + 1)
-        assert peak < 50 * 2**20
+        need = {"flat": 4 * m**k, "rows": 16 * m ** (k - 1) + 8}
+        for layout in LAYOUTS:
+            pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need[layout] - 8}
+            monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+            tracemalloc.start()
+            try:
+                with forced(layout), pytest.raises(ResourceLimitError) as excinfo:
+                    build_hypergraph(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # refused after counting, before the store is allocated
+            assert str(excinfo.value).startswith("cycle keys "), layout
+            assert excinfo.value.required == need[layout], layout
+            assert peak < 50 * 2**20
 
     def test_count_matches_enumeration(self):
         for seed in range(20):
@@ -1007,17 +1028,20 @@ class TestHypergraph:
         # a smaller chunk keeps the traced run short; the peak is one chunk's
         # rows and text, so it stays flat as the hypergraph grows
         monkeypatch.setattr(reporting, "_WRITE_CHUNK", 4096)
-        h = build_hypergraph(random_graph(3, 100, 0.5, 1))
-        assert len(h) > 25 * 4096
-        tracemalloc.start()
-        try:
-            h.save(tmp_path / "h.json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 12 bytes a hyperedge, the bound this test set as 3 x 4-byte keys: half
-        # the int64 rows of a whole decode, before any of its text
-        assert peak < 12 * len(h)
+        g = random_graph(3, 100, 0.5, 1)
+        for layout in LAYOUTS:
+            with forced(layout):
+                h = build_hypergraph(g)
+            assert len(h) > 25 * 4096
+            tracemalloc.start()
+            try:
+                h.save(tmp_path / "h.json")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # 12 bytes a hyperedge, the bound this test set as 3 x 4-byte keys:
+            # half the int64 rows of a whole decode, before any of its text
+            assert peak < 12 * len(h), layout
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_codec_roundtrip_up_to_64_bits(self, k):
@@ -1076,7 +1100,7 @@ class TestHypergraph:
         assert h.ids_for_keys(beyond).tolist() == [-1, -1]
 
     def test_build_allocates_two_bytes_a_hyperedge(self):
-        # 16-bit low halves under 128 buckets, and temporaries of one start
+        # a row per prefix path, and the count's float32 blocks
         g = random_graph(3, 200, 0.5, 1)
         tracemalloc.start()
         try:
@@ -1084,70 +1108,77 @@ class TestHypergraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(h) == 1_001_036 and h.store.offsets.size == 129
+        assert len(h) == 1_001_036 and h.store.layout == "rows"
         assert peak < 1.5 * 2 * len(h)
 
     def test_lookups_do_not_copy_the_key_array(self):
         # a search with queries wider than the keys would copy the whole array
-        h = build_hypergraph(random_graph(3, 200, 0.5, 1))
-        ids = [0, 5, 500_000, len(h) - 1]
-        path = list(h.hyperedge(7)[:2])
-        keys = h.store.keys(ids)
-        assert len(h) >= 1_000_000 and keys.dtype == np.uint64
-        tracemalloc.start()
-        try:
-            found = [
-                h.ids_for_keys(keys.astype(np.uint32)),
-                h.ids_for_keys(keys),
-                h.ids_for_keys(keys.astype(np.int64)),
-            ]
-            ext = h.extension_ids(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < h.store.nbytes / 10
-        assert all(f.tolist() == ids for f in found)
-        assert 7 in ext.tolist() and all(set(path) <= set(h.hyperedge(int(e))) for e in ext)
+        g = random_graph(3, 200, 0.5, 1)
+        for layout in LAYOUTS:
+            with forced(layout):
+                h = build_hypergraph(g)
+            ids = [0, 5, 500_000, len(h) - 1]
+            path = list(h.hyperedge(7)[:2])
+            keys = h.store.keys(ids)
+            assert len(h) >= 1_000_000 and keys.dtype == np.uint64
+            tracemalloc.start()
+            try:
+                found = [
+                    h.ids_for_keys(keys.astype(np.uint32)),
+                    h.ids_for_keys(keys),
+                    h.ids_for_keys(keys.astype(np.int64)),
+                ]
+                ext = h.extension_ids(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < h.store.nbytes / 10, layout
+            assert all(f.tolist() == ids for f in found)
+            assert 7 in ext.tolist() and all(set(path) <= set(h.hyperedge(int(e))) for e in ext)
 
-    # (k, m, hyperedges): instances D, S and S4, the million-edge host, the
-    # p = 1 host K(4, 400), and a sparse host with keys of 63 bits
+    # (k, m, hyperedges, (layout, prefix paths)): instances D, S and S4, the
+    # million-edge host, the p = 1 host K(4, 400), and a sparse host with
+    # keys of 63 bits and a made-up count of prefix paths
     @pytest.mark.parametrize(
         "k, m, total, layout",
         [
-            (3, 1200, 65_789_151, (16, 2**15)),
-            (3, 1200, 13_635, (32, 1)),
-            (4, 40, 4019, (16, 64)),
-            (3, 200, 1_001_036, (16, 128)),
-            (4, 400, 400**4, (16, 2**19)),
-            (6, 1449, 10, (64, 1)),
+            (3, 1200, 65_789_151, ("rows", 484_455)),
+            (3, 1200, 13_635, ("flat", 28_624)),
+            (4, 40, 4019, ("flat", 2644)),
+            (3, 200, 1_001_036, ("rows", 19_986)),
+            (4, 400, 400**4, ("rows", 400**3)),
+            (6, 1449, 10, ("flat", 100)),
         ],
     )
     def test_store_layout_takes_the_fewest_bytes(self, k, m, total, layout):
-        assert cycles._store_layout(k, m, total) == layout
-        bits = (m**k - 1).bit_length()
-        least = cycles._store_bytes(total, *layout)
-        for width in (16, 32, 64):
-            assert least <= cycles._store_bytes(total, width, 2 ** max(bits - width, 0))
+        name, rows = layout
+        assert cycles._store_layout(k, m, total, rows) == name
+        nbytes = cycles._store_bytes(k, m, total, rows)
+        assert nbytes[name] == min(nbytes.values())
         if (k, m, total) == (3, 1200, 65_789_151):
-            assert least == 131_840_454  # 263,156,604 bytes as whole 32-bit keys
+            assert nbytes == {"flat": 263_156_604, "rows": 7_751_288}
+        if (k, m, total) == (3, 1200, 13_635):
+            assert nbytes == {"flat": 54_540, "rows": 457_992}
 
-    # hosts either side of the width rule: S4's shape splits its keys at 16
-    # bits under 64 buckets, 25 of them empty; sparse hosts, and hosts whose
-    # keys fit 16 bits, keep one bucket of whole keys
+    # hosts whose keys take 16, 32 or 64 bits whole, in either layout: rows
+    # with no closers, empty hosts, S4's host, and complete ones
     @settings(max_examples=30, deadline=None)
     @given(
         shape=st.sampled_from([(3, 5), (3, 60), (3, 120), (4, 7), (4, 40), (5, 5), (5, 16)]),
         p=st.sampled_from([0.0, 0.02, 0.1, 0.2, 0.5]),
         seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(LAYOUTS),
     )
-    @example(shape=(4, 40), p=0.2, seed=7)
-    @example(shape=(5, 16), p=0.1, seed=3)
-    @example(shape=(3, 5), p=1.0, seed=0)
-    def test_store_lookups_either_side_of_the_width_rule(self, shape, p, seed):
+    @example(shape=(4, 40), p=0.2, seed=7, layout="flat")
+    @example(shape=(4, 40), p=0.2, seed=7, layout="rows")
+    @example(shape=(5, 16), p=0.1, seed=3, layout="rows")
+    @example(shape=(3, 5), p=1.0, seed=0, layout="rows")
+    def test_store_lookups_either_side_of_the_width_rule(self, shape, p, seed, layout):
         k, m = shape
         g = random_graph(k, m, p, seed)
-        h = build_hypergraph(g)
-        assert (h.store.width, h.store.offsets.size - 1) == cycles._store_layout(k, m, len(h))
+        with forced(layout):
+            h = build_hypergraph(g)
+        assert h.store.layout == layout
         brute = brute_force_cycle_keys(g)
         rows = h.vertex_rows()
         keys = encode_keys(list((rows - np.arange(k) * m).T), m)
@@ -1169,16 +1200,17 @@ class TestHypergraph:
 
     # hosts whose keys need more than 32 bits: a small random host placed at
     # increasing random positions of each part, so its cycles keep their order
-    # and the brute-force oracle still enumerates them
+    # and the brute-force oracle still enumerates them; (the layout it takes,
+    # its prefix paths), and each layout is checked
     @pytest.mark.parametrize(
         "k, m0, m, p, layout",
         [
-            (3, 12, 1700, 0.0, (64, 1)),  # empty
-            (3, 12, 1700, 0.05, (64, 1)),  # one cycle
-            (3, 12, 1700, 0.4, (32, 2)),
-            (5, 6, 200, 0.5, (64, 1)),
-            (5, 6, 200, 0.7, (32, 128)),
-            (6, 5, 1449, 0.7, (64, 1)),
+            (3, 12, 1700, 0.0, ("flat", 0)),  # empty
+            (3, 12, 1700, 0.05, ("flat", 5)),  # one cycle
+            (3, 12, 1700, 0.4, ("flat", 41)),
+            (5, 6, 200, 0.5, ("flat", 100)),
+            (5, 6, 200, 0.7, ("rows", 356)),
+            (6, 5, 1449, 0.7, ("rows", 587)),
         ],
     )
     def test_store_of_keys_wider_than_32_bits(self, k, m0, m, p, layout):
@@ -1188,26 +1220,145 @@ class TestHypergraph:
         blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
         for i, b in enumerate(blocks):
             b[np.ix_(pos[i], pos[(i + 1) % k])] = small.blocks[i]
-        h = build_hypergraph(LayeredGraph(k, m, blocks))
-        assert (h.store.width, h.store.offsets.size - 1) == layout
-        assert h.store.keys().dtype == np.uint64 and len(h) == count_proper_cycles(small)
+        g = LayeredGraph(k, m, blocks)
+        h = build_hypergraph(g)
+        assert (h.store.layout, int(cycles._prefix_paths(cycles._float_blocks(g)).sum())) == layout
         local = decode_keys(brute_force_cycle_keys(small), k, m0)
         brute = encode_keys([pos[i][local[:, i]] for i in range(k)], m)
-        rows = h.vertex_rows()
-        keys = encode_keys(list((rows - np.arange(k) * m).T), m)
-        assert np.array_equal(keys, brute)
-        assert np.array_equal(h.ids_for_keys(keys), np.arange(len(h)))
-        probe = spawn_rng(5).integers(0, m**k, 200, dtype=np.uint64)
-        assert (h.ids_for_keys(probe[~np.isin(probe, brute)]) == -1).all()
-        assert h.ids_for_keys(np.array([-1, -(2**40)])).tolist() == [-1, -1]
-        assert h.ids_for_keys(np.array([m**k, 2**64 - 1], dtype=np.uint64)).tolist() == [-1, -1]
+        for name in LAYOUTS:
+            with forced(name):
+                h = build_hypergraph(g)
+            assert h.store.keys().dtype == np.uint64 and len(h) == count_proper_cycles(small)
+            rows = h.vertex_rows()
+            keys = encode_keys(list((rows - np.arange(k) * m).T), m)
+            assert np.array_equal(keys, brute)
+            assert np.array_equal(h.ids_for_keys(keys), np.arange(len(h)))
+            probe = spawn_rng(5).integers(0, m**k, 200, dtype=np.uint64)
+            assert (h.ids_for_keys(probe[~np.isin(probe, brute)]) == -1).all()
+            assert h.ids_for_keys(np.array([-1, -(2**40)])).tolist() == [-1, -1]
+            top = np.array([m**k, 2**64 - 1], dtype=np.uint64)
+            assert h.ids_for_keys(top).tolist() == [-1, -1]
+
+    def test_rows_store_takes_a_third_of_a_byte_a_hyperedge(self):
+        # a uint64 key and an int64 offset for each of the 19,986 prefix paths
+        g = random_graph(3, 200, 0.5, 1)
+        tracemalloc.start()
+        try:
+            h = build_hypergraph(g)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(h) == 1_001_036 and h.store.layout == "rows"
+        assert h.store.nbytes == 16 * 19_986 + 8 < len(h) / 3
+        assert held < len(h) / 2
+        # the peak is the count's float32 blocks (480,000 bytes) and one
+        # prefix product of the chain, under a byte a hyperedge
+        assert peak < len(h)
+
+    def test_vertex_rows_of_a_rows_store_decode_like_a_flat_one(self):
+        # a slice of 2**20 ids costs a rows store one block of _ROW_BLOCK x m
+        # closer masks beyond what the same decode costs a flat store
+        g = random_graph(3, 200, 0.5, 1)
+        peaks = {}
+        for layout in LAYOUTS:
+            with forced(layout):
+                h = build_hypergraph(g)
+            tracemalloc.start()
+            try:
+                out = h.vertex_rows(slice(0, 2**20))
+                peaks[layout] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (len(h), 3)
+        assert peaks["rows"] <= peaks["flat"] + cycles._ROW_BLOCK * g.m
+        # the output, and the decode's digits and keys
+        assert peaks["rows"] < 3 * out.nbytes
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(3, 5),
+        m=st.integers(1, 7),
+        p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(LAYOUTS),
+        data=st.data(),
+    )
+    def test_both_layouts_match_brute_force(self, k, m, p, seed, layout, data):
+        g = random_graph(k, m, p, seed)
+        with forced(layout):
+            h = build_hypergraph(g)
+        brute = brute_force_cycle_keys(g)
+        n = len(h)
+        assert h.store.layout == layout and n == brute.size
+        assert np.array_equal(h.store.keys(), brute)
+        # id arrays in any order, negative ids among them, and slices
+        ids = np.array(data.draw(st.lists(st.integers(-n, n - 1), max_size=40)) if n else [],
+                       dtype=np.int64)
+        assert np.array_equal(h.store.keys(ids), brute[ids])
+        a, b = data.draw(st.lists(st.integers(-n - 2, n + 2), min_size=2, max_size=2))
+        for step in (1, 3):
+            assert np.array_equal(h.store.keys(slice(a, b, step)), brute[a:b:step])
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                h.store.keys(np.array([bad]))
+        # the whole key space: members map to their ids, the rest to -1
+        want = np.full(m**k, -1)
+        want[brute.astype(np.int64)] = np.arange(n)
+        space = np.arange(m**k)
+        assert np.array_equal(h.ids_for_keys(space), want)
+        assert np.array_equal(h.ids_for_keys(space.astype(np.uint64)), want)
+        # negative keys, and keys at or beyond m**k
+        assert (h.ids_for_keys(np.array([-1, -(m**k), -(2**62), m**k, 2**63 - 1])) == -1).all()
+        assert (h.ids_for_keys(np.array([m**k, 2**64 - 1], dtype=np.uint64)) == -1).all()
+
+    # a gate at scale with no oracle: on K(k, m) every one-per-part tuple is a
+    # hyperedge, so there are m**k of them and each one's id is its key
+    @pytest.mark.parametrize("k, m", [(3, 300), (4, 60), (5, 20)])
+    def test_complete_hosts_in_closed_form(self, k, m):
+        h = build_hypergraph(complete_layered(k, m))
+        n = m**k
+        assert len(h) == n and h.store.layout == "rows"
+        for a in (0, n // 2 - 50_000, n - 100_000):
+            ids = np.arange(a, a + 100_000)
+            assert np.array_equal(h.store.keys(slice(a, a + 100_000)), ids)
+            assert np.array_equal(h.ids_for_keys(ids), ids)
+        ids = spawn_rng(k).integers(0, n, 1000)
+        assert np.array_equal(h.store.keys(ids), ids)
+
+    # K(k, m) less the edge (u, v) of block q: the m**(k-2) cycles through it
+    # are gone, and a key's id is the key less the removed keys below it;
+    # q = 0 removes a prefix path, k - 2 a closer of some rows, k - 1 a closer
+    # of every row through u's part-0 vertex
+    @pytest.mark.parametrize("k, m", [(3, 300), (4, 60), (5, 20)])
+    @pytest.mark.parametrize("q", [0, -2, -1], ids=["first", "last-prefix", "closing"])
+    def test_complete_hosts_less_one_edge_in_closed_form(self, k, m, q):
+        q %= k
+        u, v = 7, 11
+        blocks = [b.copy() for b in complete_layered(k, m).blocks]
+        blocks[q][u, v] = False
+        h = build_hypergraph(LayeredGraph(k, m, blocks))
+        n = m**k - m ** (k - 2)
+        assert len(h) == n and h.store.layout == "rows"
+        # digit q is u and digit q + 1 is v; the other k - 2 digits run free
+        free = iter(np.indices((m,) * (k - 2)).reshape(k - 2, -1))
+        cols = [u if i == q else v if i == (q + 1) % k else next(free) for i in range(k)]
+        removed = np.sort(encode_keys(cols, m)).astype(np.int64)
+        assert (h.ids_for_keys(removed) == -1).all()
+        middle = int(removed[removed.size // 2])
+        for a in (0, max(middle - 50_000, 0), m**k - 100_000):
+            keys = np.arange(a, a + 100_000)
+            keys = keys[~np.isin(keys, removed)]
+            ids = keys - np.searchsorted(removed, keys)
+            assert np.array_equal(h.ids_for_keys(keys), ids)
+            assert np.array_equal(h.store.keys(slice(ids[0], ids[-1] + 1)), keys)
+            assert np.array_equal(h.store.keys(ids[::-7]), keys[::-7])
 
     # sparse drawn hosts with 64-bit halves, checked cycle by cycle
     @pytest.mark.parametrize("k, m, p", [(3, 1700, 0.0), (5, 100, 0.01), (5, 200, 0.012)])
     def test_sparse_hosts_with_64_bit_halves(self, k, m, p):
         g = random_graph(k, m, p, 0)
         h = build_hypergraph(g)
-        assert (h.store.width, h.store.offsets.size) == (64, 2)
+        assert h.store.layout == "flat" and h.store.head.dtype == np.uint64
         assert len(h) == count_proper_cycles(g)
         local = h.vertex_rows() - np.arange(k) * m
         for i in range(k):
@@ -1218,12 +1369,14 @@ class TestHypergraph:
 
     def test_keys_beyond_the_key_width_never_wrap_into_a_hit(self):
         g = complete_layered(3, 4)  # every one of the m**k = 64 keys is a hyperedge
-        h = build_hypergraph(g)
-        assert h.store.keys().tolist() == list(range(64))
-        wide = np.array([5, 63, 64, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 5], dtype=np.uint64)
-        assert h.ids_for_keys(wide).tolist() == [5, 63, -1, -1, -1, -1, -1]
-        assert h.ids_for_keys(np.array([-1, 5 - 2**32, 7])).tolist() == [-1, -1, 7]
-        assert h.ids_for_keys([2**32 + 7, 7]).tolist() == [-1, 7]
+        for layout in LAYOUTS:
+            with forced(layout):
+                h = build_hypergraph(g)
+            assert h.store.keys().tolist() == list(range(64))
+            wide = np.array([5, 63, 64, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 5], dtype=np.uint64)
+            assert h.ids_for_keys(wide).tolist() == [5, 63, -1, -1, -1, -1, -1]
+            assert h.ids_for_keys(np.array([-1, 5 - 2**32, 7])).tolist() == [-1, -1, 7]
+            assert h.ids_for_keys([2**32 + 7, 7]).tolist() == [-1, 7]
         # nor does decoding, where a wrapped key would decode to a valid row
         assert decode_keys(np.array([63], dtype=np.uint64), 3, 4).tolist() == [[3, 3, 3]]
         for keys in (np.array([2**32 + 63], dtype=np.uint64), np.array([-1])):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from ramsey_lab import (
     FoundPath,
     LayeredGraph,
     ParameterError,
+    ResourceLimitError,
     adversarial_coloring,
     audit_certificate,
     build_hypergraph,
@@ -67,7 +69,7 @@ class TestColorings:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_round_robin_is_the_id_modulo_r(self, r, length):
         # the first `length` keys of K(3, 3) stand in for a host of that size
-        store = cycles.KeyStore(np.arange(length, dtype=np.uint64), np.array([0, length]))
+        store = cycles.KeyStore(np.arange(length, dtype=np.uint64))
         h = cycles.TightHypergraph(complete_layered(3, 3), store)
         col = adversarial_coloring(h, r, "round_robin")
         assert col.colors.dtype == np.uint8
@@ -404,6 +406,63 @@ class TestStartEdgeCursor:
         greedy_round(h, live, n=10, debug=True)
         # debug mode follows every cursor scan with a scan from id 0
         assert any(lo > 0 for lo in los[0::2]) and not any(los[1::2])
+
+
+class TestSizeRule:
+    """The per-hyperedge arrays of a coloring and of the live mask are
+    refused before they are allocated: a rows store no longer bounds them."""
+
+    @pytest.fixture
+    def physical(self, monkeypatch):
+        """Set the physical memory figure to a number of bytes."""
+
+        def set_bytes(n):
+            pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": n}
+            monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+        return set_bytes
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda h: random_coloring(h, 2, 1),
+            lambda h: adversarial_coloring(h, 2, "round_robin"),
+            lambda h: adversarial_coloring(h, 2, "vertex_cut", 1),
+        ],
+        ids=["random", "round_robin", "vertex_cut"],
+    )
+    def test_colors_beyond_physical_memory_refused(self, million_h, physical, make):
+        n = len(million_h)
+        physical(n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="^colors need more bytes") as excinfo:
+                make(million_h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (excinfo.value.required, excinfo.value.cap) == (n, n - 1)
+        assert peak < n // 10  # refused before the colors were allocated
+        physical(n)
+        assert make(million_h).colors.size == n
+
+    def test_coloring_file_beyond_physical_memory_refused(self, physical):
+        doc = {"r": 2, "colors": [0, 1] * 50}
+        physical(9 * 100 - 1)  # the int64 read and the uint8 colors
+        with pytest.raises(ResourceLimitError, match="^colors need more bytes") as excinfo:
+            Coloring.from_json(doc)
+        assert excinfo.value.required == 900
+        physical(900)
+        assert Coloring.from_json(doc).colors.tolist() == [0, 1] * 50
+
+    def test_live_mask_beyond_physical_memory_refused(self, physical):
+        col = Coloring(2, np.zeros(21, dtype=np.uint8))
+        physical(2)  # 21 bits take 3 bytes
+        with pytest.raises(ResourceLimitError, match="^live flags need more bytes") as excinfo:
+            greedy._packed_live(col, 0)
+        assert excinfo.value.required == 3
+        physical(3)
+        assert greedy._packed_live(col, 0).tolist() == [255, 255, 248]
 
 
 class TestPackedLiveMask:
