@@ -28,15 +28,13 @@ it is asked for them: a dense host, with many closers per prefix path,
 keeps this one (instance D: 484,455 rows in 7.75 MB, against 263 MB of
 whole keys).  Ids are ranks in key order in both.  The store is refused
 before allocation when its bytes would not fit in physical memory.  Part
-0's closed-walk counts give each start vertex its own ids in the store.
-A flat store's start vertices are enumerated in parallel on every CPU the
-process may run on (there is no setting for it) - on fewer threads when
-more would hold over a quarter of the store in temporaries: paths grow
-through the middle parts, and the last level expands only to vertices that
-close the cycle, so no path that fails to close is built.  A rows store
-takes each start's prefix paths, and their closer counts from one product
-of the last two blocks; either way each start's cycles are checked against
-its own count.
+0's closed-walk counts give each start vertex its own ids in the store,
+and the start vertices are enumerated one at a time on the caller's
+thread.  A flat store grows each start's paths through the middle parts,
+and its last level expands only to vertices that close the cycle, so no
+path that fails to close is built.  A rows store takes each start's prefix
+paths, and their closer counts from one product of the last two blocks;
+either way each start's cycles are checked against its own count.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
 ints.  Float32 holds the chain's integers exactly below 2**24; when one of
@@ -66,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,12 +470,15 @@ class KeyStore:
         """The distinct entries of ``rows``, ``_ROW_BLOCK`` at a time, as
         ``(blk, part, t)``: the block's rows, ascending, the positions in
         ``rows`` that hold one of them, and the index in ``blk`` of each."""
-        uniq, inv = np.unique(rows, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        cuts = np.searchsorted(inv[order], np.arange(0, uniq.size + _ROW_BLOCK, _ROW_BLOCK))
-        for lo, (c0, c1) in zip(range(0, uniq.size, _ROW_BLOCK), zip(cuts, cuts[1:])):
-            part = order[c0:c1]
-            yield uniq[lo : lo + _ROW_BLOCK], part, inv[part] - lo
+        order = np.argsort(rows, kind="stable")
+        srt = rows[order]
+        new = np.ones(srt.size, dtype=bool)
+        np.not_equal(srt[1:], srt[:-1], out=new[1:])
+        rank = np.cumsum(new) - 1  # each sorted entry's index among the distinct rows
+        uniq = srt[new]
+        cuts = np.searchsorted(rank, np.arange(0, uniq.size + _ROW_BLOCK, _ROW_BLOCK))
+        for lo, c0, c1 in zip(range(0, uniq.size, _ROW_BLOCK), cuts, cuts[1:]):
+            yield uniq[lo : lo + _ROW_BLOCK], order[c0:c1], rank[c0:c1] - lo
 
     def _masks(self, rows: np.ndarray) -> np.ndarray:
         """The (len(rows), m) bool masks of the closers of the ``rows``."""
@@ -544,20 +544,14 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
     ``ResourceLimitError`` is raised when that store's bytes would exceed
     physical memory, so runaway parameters fail before it is allocated.
 
-    A flat store's start vertices are dealt round-robin to
-    ``_worker_count`` threads (numpy releases the GIL in the gathers and
-    passes that do the work); each fills only its own ids, so the store
-    does not depend on the scheduling or the number of threads, and a
-    worker's exception is raised here.  A rows store is filled by
-    ``_fill_rows`` on this thread.  A start whose enumerated cycles differ
-    from its own count raises ``InvariantViolationError``.
+    The store is filled on this thread, by ``_fill_keys`` (flat) or
+    ``_fill_rows`` (rows), one start vertex at a time.  A start whose
+    enumerated cycles differ from its own count raises
+    ``InvariantViolationError``.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     k, m = g.k, g.m
     fb = _float_blocks(g)
-    per_start = _closed_walks(fb, 0)
-    bounds = [0, *itertools.accumulate(per_start.tolist())]
+    bounds = [0, *itertools.accumulate(_closed_walks(fb, 0).tolist())]
     paths = _prefix_paths(fb)
     rows = int(paths.sum())
     layout = _store_layout(k, m, bounds[-1], rows)
@@ -570,55 +564,10 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
         closers = _exact(close.T @ last.T)
         del last, close
         return _fill_rows(g, closers, bounds, paths)
-    keys = np.empty(bounds[-1], dtype=_key_dtype(k, m))
-    held = _held_bytes(g, fb, per_start, keys.itemsize)
     del fb
-    workers = _worker_count(held, keys.nbytes)
-    starts = [range(w, m, workers) for w in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(lambda s: _fill_keys(g, keys, bounds, s), starts))
+    keys = np.empty(bounds[-1], dtype=_key_dtype(k, m))
+    _fill_keys(g, keys, bounds)
     return KeyStore(keys)
-
-
-def _held_bytes(
-    g: LayeredGraph, fb: list[np.ndarray], per_start: np.ndarray, itemsize: int
-) -> np.ndarray:
-    """Bytes each part-0 vertex holds while ``_fill_keys`` enumerates it, as
-    float64, for keys of ``itemsize`` bytes.
-
-    With P paths through the middle parts and C closers, that is the P x m
-    row gather of the last middle block, the P int64 row keys and their
-    encoding, the P x C bool submatrix and table of keys, and the int64
-    flat index of the start's ``per_start`` cycles.  Both come from
-    ``fb``, the float blocks, in their own dtype, so no block is cast: P is
-    ``_prefix_paths``, and C a column sum of the closing block.  Only these
-    length-m vectors are cast to float64.
-    """
-    paths = _prefix_paths(fb).astype(np.float64)
-    closers = fb[g.k - 1].sum(axis=0, dtype=np.float64)
-    return paths * (g.m + 16 + (1 + itemsize) * closers) + 8 * per_start
-
-
-def _worker_count(held: np.ndarray, key_bytes: int) -> int:
-    """Threads for a flat store: one per CPU the process may run on, but
-    no more than keep the workers' temporaries under a quarter of the
-    ``key_bytes`` of the store (so never more than one per start vertex).
-
-    ``held`` is ``_held_bytes``, so ``w`` workers hold at most
-    ``w * max(held)``; since a start's flat index alone takes at least the
-    bytes of its own keys, the rule never admits more workers than a
-    quarter of the starts.  One worker is always used, so a start with most
-    of the cycles still takes its own temporaries.
-    """
-    per_worker = max(4 * int(held.max(initial=0)), 1)
-    return max(1, min(_available_cpus(), key_bytes // per_worker))
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _paths_from(g: LayeredGraph, a: int) -> list[np.ndarray]:
@@ -642,9 +591,9 @@ def _check_found(a: int, found: int, counted: int) -> None:
         )
 
 
-def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int], starts) -> None:
+def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int]) -> None:
     """Write the keys of the proper cycles through each part-0 vertex ``a``
-    in ``starts`` into ``keys[bounds[a]:bounds[a+1]]``, ascending.
+    into ``keys[bounds[a]:bounds[a+1]]``, ascending.
 
     The prefix paths from ``a`` come from ``_paths_from``, and only the
     part-(k-1) vertices that close back to ``a`` are tried as their
@@ -655,7 +604,7 @@ def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int], starts) -> 
     """
     k, m = g.k, g.m
     last, close = g.blocks[k - 2], g.blocks[k - 1]
-    for a in starts:
+    for a in range(m):
         lo, hi = bounds[a], bounds[a + 1]
         found = 0
         closers = np.flatnonzero(close[:, a])

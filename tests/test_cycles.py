@@ -2,7 +2,6 @@ import itertools
 import json
 import os
 import pickle
-import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -79,10 +78,8 @@ class TestEnumeration:
                 g = random_graph(k, 5, 0.6, seed)
                 assert build_hypergraph(g).hyperedges() == brute_force_cycles(g)
 
-    # the memory cap keeps hosts this small on one worker, so the count is set
     @settings(max_examples=120, deadline=None)
     @given(
-        workers=st.sampled_from([1, 2, 3, 8]),  # 8 > m: more workers than starts
         k=st.integers(3, 6),
         m=st.integers(1, 7),
         p=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
@@ -91,55 +88,19 @@ class TestEnumeration:
         empty_middle=st.booleans(),
         layout=st.sampled_from(LAYOUTS),
     )
-    def test_matches_brute_force_drawn(
-        self, workers, k, m, p, seed, no_closers, empty_middle, layout
-    ):
+    def test_matches_brute_force_drawn(self, k, m, p, seed, no_closers, empty_middle, layout):
         blocks = [b.copy() for b in random_graph(k, m, p, seed).blocks]
         if no_closers:  # start vertex seed % m closes no path
             blocks[k - 1][:, seed % m] = False
         if empty_middle:  # one block the middle levels expand through
             blocks[seed % (k - 2)][:] = False
         g = LayeredGraph(k, m, blocks)
-        with mock.patch.object(cycles, "_worker_count", return_value=workers), forced(layout):
+        with forced(layout):
             store = cycle_keys(g)
         assert store.layout == layout
         keys = store.keys()
         assert (keys[1:] > keys[:-1]).all()  # TightHypergraph relies on strict order
         assert np.array_equal(keys, brute_force_cycle_keys(g))
-
-    def test_many_workers_with_frequent_switches_match_one(self, monkeypatch):
-        g = random_graph(4, 40, 0.5, 5)
-        monkeypatch.setattr(cycles, "_store_layout", lambda k, m, total, rows: "flat")
-        monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 1)
-        serial = cycle_keys(g)
-        monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 16)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            store = cycle_keys(g)
-        finally:
-            sys.setswitchinterval(interval)
-        assert store.layout == "flat" and store.head.dtype == np.uint32  # whole 32-bit keys
-        assert store.head.tobytes() == serial.head.tobytes()
-
-    def test_worker_count_holds_temporaries_to_a_quarter_of_the_keys(self, monkeypatch):
-        monkeypatch.setattr(cycles, "_available_cpus", lambda: 16)
-        def workers(held, key_bytes):
-            return cycles._worker_count(np.array(held, dtype=np.float64), key_bytes)
-
-        # a worker holds up to 1000 bytes, a quarter of 4000 of the key bytes
-        assert workers([1000] * 100, 12_000) == 3
-        assert workers([1000] * 100, 15_999) == 3
-        assert workers([100] * 1000, 100_000) == 16  # the CPUs bind
-        assert workers([10_000] + [10] * 99, 10_990) == 1  # one start dominates
-        assert workers([0] * 5, 0) == 1  # no cycles: still one worker
-
-    def test_available_cpus_reads_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert cycles._available_cpus() == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert cycles._available_cpus() == 6
 
     # {i: d} adds d to the count of the i-th start vertex that has cycles;
     # the last case leaves the total right, so only the per-start check sees it
@@ -159,13 +120,13 @@ class TestEnumeration:
             return _closed_walks(fb, part, rows, skip, **kw) + off
 
         monkeypatch.setattr(cycles, "_closed_walks", skewed)
-        # a skewed start refuses the keys whichever worker reaches it
         skewed_starts = f"^start vertex ({starts[0]}|{starts[1]}): enumerated "
         for layout in LAYOUTS:
             with forced(layout), pytest.raises(InvariantViolationError, match=skewed_starts):
                 cycle_keys(g)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        """A start's exception reaches the caller from the caller's own thread."""
         g = random_graph(4, 6, 0.6, 3)
         assert cycles_per_vertex(g)[1] > 0  # start 1 has cycles, so it encodes keys
         encode = cycles.encode_keys
@@ -176,57 +137,31 @@ class TestEnumeration:
             return encode(cols, m, dtype)
 
         monkeypatch.setattr(cycles, "encode_keys", failing)
-        monkeypatch.setattr(cycles, "_store_layout", lambda k, m, total, rows: "flat")
-        monkeypatch.setattr(cycles, "_worker_count", lambda held, key_bytes: 2)
-        # start 1 is dealt to the second worker, a thread of its own
-        with pytest.raises(RuntimeError, match="^boom in (?!MainThread)"):
-            cycle_keys(g)
+        # both layouts fill the store on the caller's thread
+        for layout in LAYOUTS:
+            with forced(layout), pytest.raises(RuntimeError, match="^boom in MainThread$"):
+                cycle_keys(g)
 
-    def test_peak_memory_is_the_key_array(self, monkeypatch):
-        for cpus in (1, 4, 16):
-            monkeypatch.setattr(cycles, "_available_cpus", lambda: cpus)
-            for k, m, p, size in [
-                (3, 200, 0.5, 1_001_036),
-                (4, 60, 0.5, 836_893),
-                (3, 400, 0.05, 8093),
-            ]:
-                g = random_graph(k, m, p, 1)
-                for layout in LAYOUTS:
-                    tracemalloc.start()
-                    try:
-                        with forced(layout):
-                            store = cycle_keys(g)
-                        peak = tracemalloc.get_traced_memory()[1]
-                    finally:
-                        tracemalloc.stop()
-                    assert len(store) == size
-                    # the store, or the float32 copy of the blocks that the
-                    # count makes before the store exists, when that is larger
-                    # (the sparse host, and the rows store at k = 3)
-                    assert peak < 1.5 * max(store.nbytes, 4 * k * m * m), (cpus, k, m, layout)
-
-    def test_held_bytes_bound_what_a_start_holds(self):
-        for k, m, p in [(3, 200, 0.5), (4, 60, 0.5), (3, 400, 0.05), (5, 20, 0.6)]:
+    def test_peak_memory_is_the_key_array(self):
+        for k, m, p, size in [
+            (3, 200, 0.5, 1_001_036),
+            (4, 60, 0.5, 836_893),
+            (3, 400, 0.05, 8093),
+        ]:
             g = random_graph(k, m, p, 1)
-            fb = cycles._float_blocks(g)
-            per_start = _closed_walks(fb, 0)
-            bounds = [0, *itertools.accumulate(per_start.tolist())]
-            keys = np.empty(bounds[-1], dtype=cycles._key_dtype(k, m))
-            held = cycles._held_bytes(g, fb, per_start, keys.itemsize)
-            for a in range(0, m, 3):
+            for layout in LAYOUTS:
                 tracemalloc.start()
                 try:
-                    cycles._fill_keys(g, keys, bounds, [a])
+                    with forced(layout):
+                        store = cycle_keys(g)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                # beyond the figure: numpy's fixed ufunc buffers and small arrays
-                assert peak <= held[a] + 2**17, (k, m, a)
-            with forced("flat"):
-                store = cycle_keys(g)
-            for a in range(0, m, 3):
-                own = slice(bounds[a], bounds[a + 1])
-                assert np.array_equal(keys[own], store.head[own])
+                assert len(store) == size
+                # the store, or the float32 copy of the blocks that the
+                # count makes before the store exists, when that is larger
+                # (the sparse host, and the rows store at k = 3)
+                assert peak < 1.5 * max(store.nbytes, 4 * k * m * m), (k, m, layout)
 
     @pytest.mark.parametrize(
         "count",
@@ -506,16 +441,17 @@ class TestFloat32:
         assert peak < 4.7 * 2**20
 
     def test_held_bytes_cast_no_block(self):
+        """The prefix-path chain holds less than one block: it casts none."""
         g = random_graph(4, 300, 0.5, 0)
         fb = cycles._float_blocks(g)
-        per_start = _closed_walks(fb, 0)
         tracemalloc.start()
         try:
-            held = cycles._held_bytes(g, fb, per_start, 2)
+            paths = cycles._prefix_paths(fb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held.dtype == np.float64
+        assert paths.dtype == np.int64
+        assert all(b.dtype == np.float32 for b in fb)  # the chain stayed exact in float32
         assert peak < fb[0].nbytes  # a float64 copy of a block would take twice that
 
 
