@@ -3,6 +3,9 @@ hypergraphs: random host construction, proper-cycle enumeration and
 counting, the greedy tight-path builder with audited certificates, and
 Monte Carlo property verification."""
 
+# set before the submodules load: ``reporting`` reads it while this package initializes
+__version__ = "0.1.0"
+
 from .bounds import (
     ExpectedStats,
     chernoff_lower,
@@ -70,5 +73,3 @@ from .verifier import (
     concentration_experiment,
     sample_trash_family,
 )
-
-__version__ = "0.1.0"

@@ -48,6 +48,7 @@ from .verifier import (
     CONCENTRATION_STATISTICS,
     _check_ratio_args,
     _check_trial_args,
+    _ratio_scales,
     check_property_i,
     check_property_ii,
     check_property_iii,
@@ -342,7 +343,11 @@ def _mode_verify(config: dict) -> tuple[int, dict]:
     r, n = _required(config, "r"), _required(config, "n")
     # refuse the run's own numbers before the graph, which dominates its memory
     if prop == "iii":
-        _check_ratio_args(r, n)
+        # the ratios' scales depend on k and m too, known before a graph is generated
+        if "k" in config and "m" in config:
+            _ratio_scales(config["k"], config["m"], r, n)
+        else:
+            _check_ratio_args(r, n)
         return 0, asdict(check_property_iii(_resolve_graph(config), r, n))
     trials = config.get("trials", 0)
     trial_seed = config.setdefault("trial_seed", derive_seed(config.get("seed", 0), 2))

@@ -12,20 +12,20 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it, but for one fact
 that a rows store reads keys by: a key is the key of its first k-1 digits
-(encoded with k-1 columns) times m plus its last digit.  Its keys are
-uint64; the only width rule is the store's.
+(encoded with k-1 columns) times m plus its last digit.  Keys are uint64
+everywhere, in the codec and in both store layouts; a key space beyond 64
+bits is refused.
 
 Enumeration fills a ``KeyStore`` of exactly the counted total, in one of
 two layouts, whichever takes fewer bytes (see ``_store_layout``).  A
 hyperedge is a (k-1)-vertex *prefix path* through parts 0..k-2, closed by a
 part-(k-1) vertex adjacent to both of its ends, and its key is the
 prefix path's key (its first k-1 digits) times m plus that closer.  The
-*flat* layout holds every key whole, in the narrowest of uint16, uint32
-and uint64 that holds m**k - 1 (a sparse host keeps this one).  The *rows*
-layout holds the ascending uint64 keys of every prefix path plus an int64
+*flat* layout holds every key whole (a sparse host keeps this one).  The
+*rows* layout holds the ascending keys of every prefix path plus an int64
 offset per row, and reads a row's closers from the adjacency blocks when
 it is asked for them: a dense host, with many closers per prefix path,
-keeps this one (instance D: 484,455 rows in 7.75 MB, against 263 MB of
+keeps this one (instance D: 484,455 rows in 7.75 MB, against 526 MB of
 whole keys).  Ids are ranks in key order in both.  The store is refused
 before allocation when its bytes would not fit in physical memory.  Part
 0's closed-walk counts give each start vertex its own ids in the store,
@@ -330,7 +330,7 @@ def _radices(k: int, m: int) -> np.ndarray:
     return radix
 
 
-def encode_keys(cols, m: int, dtype=None):
+def encode_keys(cols, m: int):
     """Canonical keys, as uint64, from k columns of part-local indices
     (column i: part i).
 
@@ -338,27 +338,22 @@ def encode_keys(cols, m: int, dtype=None):
     part's index for every key; all-scalar columns give one key.  The terms
     are summed in uint64 and the result is cast to it, so no mix of scalars
     and 0-d arrays changes the keys' dtype.
-
-    With ``dtype``, an unsigned integer dtype that holds every key, the
-    keys in that dtype: the columns and the radices are cast to it.
     """
     radix = _radices(len(cols), m)
-    dtype = radix.dtype if dtype is None else np.dtype(dtype)
-    radix = radix.astype(dtype, copy=False)
-    terms = (np.asarray(c).astype(dtype, copy=False) * r for c, r in zip(cols, radix))
-    return functools.reduce(np.add, terms).astype(dtype, copy=False)
+    terms = (np.asarray(c).astype(np.uint64, copy=False) * r for c, r in zip(cols, radix))
+    return functools.reduce(np.add, terms).astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
 class KeyStore:
-    """Ascending canonical keys, in the flat or the rows layout.
+    """Ascending canonical keys, in the flat or the rows layout; ``head`` is
+    uint64 in both.
 
-    Flat (``offsets`` is None): ``head`` holds every key whole, in an
-    unsigned dtype of 16, 32 or 64 bits.  Rows: ``head`` holds the
-    ascending uint64 keys of every prefix path of ``graph`` (its proper
-    paths through parts 0..k-2, closing or not) and ``offsets``, int64 and
-    one longer, gives row i the ids ``offsets[i]:offsets[i + 1]``.  Those
-    are the hyperedges that close the row's path: the set bits of
+    Flat (``offsets`` is None): ``head`` holds every key whole.  Rows:
+    ``head`` holds the ascending keys of every prefix path of ``graph`` (its
+    proper paths through parts 0..k-2, closing or not) and ``offsets``,
+    int64 and one longer, gives row i the ids ``offsets[i]:offsets[i + 1]``.
+    Those are the hyperedges that close the row's path: the set bits of
     ``blocks[k-2][end] & blocks[k-1][:, a]``, for the path's part-0 vertex
     ``a`` and part-(k-2) vertex ``end``, ranked ascending, so ids are ranks
     in key order in both layouts.  A rows store reads the closers from the
@@ -392,7 +387,7 @@ class KeyStore:
         by default), as uint64.  Negative ids count from the end, as in
         numpy; ``IndexError`` for an id out of range."""
         if self.offsets is None:
-            return self.head[ids].astype(np.uint64, copy=False)
+            return self.head[ids]
         n = len(self)
         if isinstance(ids, slice):
             start, stop, step = ids.indices(n)
@@ -415,34 +410,29 @@ class KeyStore:
         """Ids of the canonical ``keys`` (an array of any integer dtype), as
         int64; -1 where a key is not stored.
 
-        Flat: the queries are cast to the stored dtype, so that no search
-        copies the store, and a key that the cast changes (one beyond the
-        stored width, or negative) is not stored.  Rows: a key in the key
-        space is split into its prefix key and its closer; the prefix is
-        looked up among the rows, and its id is the row's first id plus the
-        closer's rank among the row's closers.
+        Both layouts cast the queries to uint64 once and refuse a negative
+        one, which wraps past 2**63, where a stored key may lie once
+        m**k > 2**63.  No range check is needed: a key at or beyond m**k is
+        no stored key, and its prefix, at or beyond m**(k-1), is no row's.
+        Flat: the query is searched among the keys.  Rows: it is split into
+        its prefix key and its closer; the prefix is looked up among the
+        rows, and its id is the row's first id plus the closer's rank among
+        the row's closers.
         """
-        if self.offsets is None:
-            if self.head.size == 0:
-                return np.full(keys.shape, -1, dtype=np.int64)
-            want = keys.astype(self.head.dtype, copy=False)
-            lo = np.searchsorted(self.head, want)
-            # past the last key, lo is n, and head[n - 1] < want
-            hit = (want == keys) & (self.head[np.minimum(lo, self.head.size - 1)] == want)
-            return np.where(hit, lo, -1)
-        k, m = self.graph.k, self.graph.m
-        shape, keys = keys.shape, keys.ravel()
-        out = np.full(keys.size, -1, dtype=np.int64)
+        query = keys.astype(np.uint64, copy=False)  # a negative key wraps; refused below
         if self.head.size == 0:
-            return out.reshape(shape)
-        query = keys.astype(np.uint64)  # a negative key wraps; it is refused below
-        ok = query < np.uint64(m**k)
-        if keys.dtype.kind == "i":
-            ok &= keys >= 0
+            return np.full(keys.shape, -1, dtype=np.int64)
+        if self.offsets is None:
+            lo = np.searchsorted(self.head, query)
+            # past the last key, lo is n, and head[n - 1] < query
+            hit = (keys >= 0) & (self.head[np.minimum(lo, self.head.size - 1)] == query)
+            return np.where(hit, lo, -1)
+        m = self.graph.m
+        shape, keys, query = keys.shape, keys.ravel(), query.ravel()
+        out = np.full(keys.size, -1, dtype=np.int64)
         prefix, closer = np.divmod(query, np.uint64(m))
         row = np.minimum(np.searchsorted(self.head, prefix), self.head.size - 1)
-        ok &= self.head[row] == prefix
-        sel = np.flatnonzero(ok)
+        sel = np.flatnonzero((keys >= 0) & (self.head[row] == prefix))
         row, closer = row[sel], closer[sel].astype(np.intp)
         for blk, part, t in self._row_blocks(row):
             mask = self._masks(blk)
@@ -497,23 +487,16 @@ class KeyStore:
         return flat + np.repeat(shift, self.offsets[rows + 1] - self.offsets[rows])
 
 
-def _key_dtype(k: int, m: int) -> np.dtype:
-    """The narrowest of uint16, uint32 and uint64 that holds every key of
-    (k, m), up to m**k - 1 (``ResourceLimitError`` beyond 64 bits)."""
-    top = int(_radices(k, m)[0]) * m - 1
-    return next(np.dtype(t) for t in (np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max)
+def _store_bytes(total: int, rows: int) -> dict[str, int]:
+    """Bytes of each layout of a store of ``total`` keys with ``rows``
+    prefix paths: a uint64 key per hyperedge (flat), or a uint64 key per
+    prefix path plus one more int64 offset than rows (rows)."""
+    return {"flat": 8 * total, "rows": 8 * rows + 8 * (rows + 1)}
 
 
-def _store_bytes(k: int, m: int, total: int, rows: int) -> dict[str, int]:
-    """Bytes of each layout of a store of ``total`` keys of (k, m) with
-    ``rows`` prefix paths: whole keys (flat), or a uint64 key per prefix
-    path plus one more int64 offset than rows (rows)."""
-    return {"flat": total * _key_dtype(k, m).itemsize, "rows": 8 * rows + 8 * (rows + 1)}
-
-
-def _store_layout(k: int, m: int, total: int, rows: int) -> str:
+def _store_layout(total: int, rows: int) -> str:
     """The layout of fewer bytes, ``"flat"`` or ``"rows"`` (flat on a tie)."""
-    nbytes = _store_bytes(k, m, total, rows)
+    nbytes = _store_bytes(total, rows)
     return min(nbytes, key=nbytes.__getitem__)
 
 
@@ -541,21 +524,23 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
     ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
     own ids ``bounds[a]:bounds[a+1]``.  The prefix paths are counted too,
     and ``_store_layout`` picks the layout of fewer bytes.
-    ``ResourceLimitError`` is raised when that store's bytes would exceed
-    physical memory, so runaway parameters fail before it is allocated.
+    ``ResourceLimitError`` is raised before counting when the key space
+    exceeds 64 bits, and when the store's bytes would exceed physical
+    memory, so runaway parameters fail before it is allocated.
 
     The store is filled on this thread, by ``_fill_keys`` (flat) or
     ``_fill_rows`` (rows), one start vertex at a time.  A start whose
     enumerated cycles differ from its own count raises
     ``InvariantViolationError``.
     """
-    k, m = g.k, g.m
+    k = g.k
+    _radices(k, g.m)  # refuses a key space beyond 64 bits
     fb = _float_blocks(g)
     bounds = [0, *itertools.accumulate(_closed_walks(fb, 0).tolist())]
     paths = _prefix_paths(fb)
     rows = int(paths.sum())
-    layout = _store_layout(k, m, bounds[-1], rows)
-    _check_fits_in_memory("cycle keys", _store_bytes(k, m, bounds[-1], rows)[layout])
+    layout = _store_layout(bounds[-1], rows)
+    _check_fits_in_memory("cycle keys", _store_bytes(bounds[-1], rows)[layout])
     if layout == "rows":
         last, close = fb[k - 2 :]
         del fb
@@ -565,7 +550,7 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
         del last, close
         return _fill_rows(g, closers, bounds, paths)
     del fb
-    keys = np.empty(bounds[-1], dtype=_key_dtype(k, m))
+    keys = np.empty(bounds[-1], dtype=np.uint64)
     _fill_keys(g, keys, bounds)
     return KeyStore(keys)
 
@@ -614,7 +599,7 @@ def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int]) -> None:
             flat = np.flatnonzero(last[cols[-1]][:, closers])
             found = flat.size
             if found == hi - lo:
-                table = encode_keys([a, *(c[:, None] for c in cols), closers], m, keys.dtype)
+                table = encode_keys([a, *(c[:, None] for c in cols), closers], m)
                 # flat indexes the table's own shape, so "clip" clips nothing;
                 # unlike the default mode, it writes into keys without a buffer
                 np.take(table.ravel(), flat, out=keys[lo:hi], mode="clip")

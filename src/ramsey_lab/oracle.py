@@ -180,15 +180,19 @@ def arrow_check(
     The first hyperedge's color is fixed to 0 (color-class symmetry), cutting
     the enumeration by a factor of r; the reported counterexample is the
     lexicographically least under that normalization.  Verdict None means a
-    path search hit its cap.
+    path search hit its cap.  ``ResourceLimitError`` when the r**len(h)
+    colorings exceed ``coloring_cap``; it requires len(h) hyperedges against
+    a cap of the most hyperedges whose colorings are within ``coloring_cap``.
     """
     _check_n(n, h.graph.k)
     _check_r(r)
     edge_count = len(h)
-    if r**edge_count > coloring_cap:
-        raise ResourceLimitError(
-            "coloring space exceeds cap", r**edge_count, coloring_cap
-        )
+    # in hyperedges, since r**edge_count may run to thousands of digits
+    fits = 0
+    while r ** (fits + 1) <= coloring_cap:
+        fits += 1
+    if edge_count > fits:
+        raise ResourceLimitError(f"coloring space of {r}**hyperedges exceeds cap", edge_count, fits)
     if edge_count == 0:
         return ArrowResult(False, [], 1)
     checked = 0

@@ -14,6 +14,8 @@ import csv
 import datetime as _dt
 import json
 
+from . import __version__
+
 REPORT_SCHEMA_VERSION = 1
 
 TRIAL_CSV_HEADER = ["trial", "statistic", "value", "expectation", "ratio"]
@@ -36,22 +38,13 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _library_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("ramsey-lab")
-    except Exception:
-        return "unknown"
-
-
 def make_report(mode: str, config: dict, results: dict) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "mode": mode,
         "config": config,
         "metadata": {
-            "library_version": _library_version(),
+            "library_version": __version__,
             "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         },
         "results": results,

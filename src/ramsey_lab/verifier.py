@@ -43,6 +43,8 @@ from .layered_graph import (
     GraphParams,
     LayeredGraph,
     _check_integer,
+    _check_k,
+    _check_m,
     _check_r,
     _check_seed,
     generate_random,
@@ -231,6 +233,29 @@ def _check_ratio_args(r: int, n: int) -> None:
         raise ParameterError("n", f"must be >= 2 for the ln n scaling, got {n}")
 
 
+def _ratio_scales(k: int, m: int, r: int, n: int) -> tuple[float, float]:
+    """Property (iii)'s denominators c^k (n ln n)^(k/2), at c = m/n, and
+    r^k (n ln n)^(k/2), after refusing r and n.
+
+    They depend on the parameters alone, so a run can refuse them before its
+    graph exists: ``ParameterError`` (field k) when one overflows float64 or
+    underflows to 0, so that no ratio could be taken.
+    """
+    _check_ratio_args(r, n)
+    _check_k(k)
+    _check_m(m)
+    try:
+        scale = (n * math.log(n)) ** (k / 2.0)
+        dens = ((m / n) ** k * scale, r**k * scale)
+        if 0.0 not in dens:
+            return dens
+    except OverflowError:
+        pass
+    raise ParameterError(
+        "k", f"the property (iii) scales leave float64 at k = {k}, m = {m}, r = {r}, n = {n}"
+    )
+
+
 def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
     """Sampled check that restricted extensions stay under family/(2kr).
 
@@ -315,13 +340,11 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
 
 def check_property_iii(g: LayeredGraph, r: int, n: int) -> RatioReport:
     """Total cycle count relative to c^k (n ln n)^(k/2), at c = m/n, and r^k (n ln n)^(k/2)."""
-    _check_ratio_args(r, n)
-    k, c_eff = g.k, g.m / n
+    den_c, den_r = _ratio_scales(g.k, g.m, r, n)
     total = count_proper_cycles(g)
-    scale = (n * math.log(n)) ** (k / 2.0)
     return RatioReport(
-        total_cycles=total, c_eff=c_eff, ratio_c=total / ((c_eff**k) * scale),
-        ratio_r=total / ((r**k) * scale), params={"k": k, "m": g.m, "r": r, "n": n},
+        total_cycles=total, c_eff=g.m / n, ratio_c=total / den_c, ratio_r=total / den_r,
+        params={"k": g.k, "m": g.m, "r": r, "n": n},
     )
 
 
@@ -373,6 +396,12 @@ def concentration_experiment(
         "cycles_through_vertex": stats.cycles_per_vertex,
         "single_path_extensions": stats.extensions_per_path,
     }[statistic]
+    # m**k overflows to inf, and inf times a p**k that underflows to 0 is NaN
+    if not math.isfinite(expectation):
+        raise ParameterError(
+            "k", f"the {statistic} expectation leaves float64 at k = {base.k}, "
+            f"m = {base.part_size}, p = {base.edge_prob}"
+        )
 
     def one(trial: int):
         params = GraphParams(

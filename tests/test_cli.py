@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_tight_path
-from ramsey_lab import cli
+from ramsey_lab import cli, verifier
 from ramsey_lab.cli import _MODE_FLAGS, MODES, build_parser, main, run
 from ramsey_lab.errors import ParameterError
 from ramsey_lab.reporting import canonical_json, strip_timestamp
@@ -431,6 +431,28 @@ class TestVerify:
         assert code == 1 and stdout == ""
         assert err == line
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--property", "iii", "--k", "300", "--m", "60", "--p", "0.001",
+             "--seed", "0", "--r", "2", "--n", "2"],
+            ["concentration", "--statistic", "total_cycles", "--k", "300", "--m", "60",
+             "--p", "0.001", "--trials", "1", "--seed", "0"],
+        ],
+        ids=["verify-iii", "concentration"],
+    )
+    def test_large_k_float_overflow_refused_before_generating(self, monkeypatch, capsys, argv):
+        # c**k = 30**300 and the expectation 60**300 * 0.001**300 leave float64;
+        # both depend on the parameters alone
+        def generate_too_soon(params):
+            raise AssertionError("generate_random ran before the overflow was refused")
+
+        monkeypatch.setattr(cli, "generate_random", generate_too_soon)
+        monkeypatch.setattr(verifier, "generate_random", generate_too_soon)
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: k: ") and err.count("\n") == 1
+
     def test_missing_property_exit_1(self, capsys):
         code, _, err = run_cli(
             ["verify", "--k", "3", "--m", "5", "--p", "0.5", "--seed", "0",
@@ -595,6 +617,16 @@ class TestOracleMode:
         res = json.loads(stdout)["results"]
         assert res["verdict"] is False
         assert res["counterexample"] == [0, 1, 1, 0, 1, 0, 0, 1]
+
+    def test_arrow_refusal_counts_hyperedges(self, capsys):
+        # K(3, 25) has 15,625 hyperedges; 2**15625 has 4,704 digits
+        code, stdout, err = run_cli(
+            ["oracle", "--check", "arrow", "--k", "3", "--m", "25", "--p", "1",
+             "--seed", "0", "--n", "3", "--r", "2"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: coloring space of 2**hyperedges exceeds cap (required 15625, cap 23)\n"
 
 
 class TestConfigHandling:

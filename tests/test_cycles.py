@@ -54,7 +54,7 @@ LAYOUTS = ("flat", "rows")
 
 def forced(layout):
     """Make ``cycle_keys`` build the ``layout`` store, whichever is smaller."""
-    return mock.patch.object(cycles, "_store_layout", lambda k, m, total, rows: layout)
+    return mock.patch.object(cycles, "_store_layout", lambda total, rows: layout)
 
 
 class TestEnumeration:
@@ -131,10 +131,10 @@ class TestEnumeration:
         assert cycles_per_vertex(g)[1] > 0  # start 1 has cycles, so it encodes keys
         encode = cycles.encode_keys
 
-        def failing(cols, m, dtype=None):
+        def failing(cols, m):
             if cols[0] == 1:
                 raise RuntimeError(f"boom in {threading.current_thread().name}")
-            return encode(cols, m, dtype)
+            return encode(cols, m)
 
         monkeypatch.setattr(cycles, "encode_keys", failing)
         # both layouts fill the store on the caller's thread
@@ -191,18 +191,18 @@ class TestEnumeration:
             tracemalloc.stop()
         # refused after counting, before the store is allocated: the smaller
         # layout is a uint64 key and an int64 offset per prefix path
-        nbytes = cycles._store_bytes(k, m, m**k, m ** (k - 1))
+        nbytes = cycles._store_bytes(m**k, m ** (k - 1))
         assert excinfo.value.required == nbytes["rows"] == 16 * m ** (k - 1) + 8
         assert nbytes["flat"] == 8 * m**k > excinfo.value.cap
         assert peak < 50 * 2**20
 
     def test_32_bit_key_array_beyond_physical_memory_refused(self, monkeypatch):
-        k, m = 4, 256  # m**k == 2**32: the most keys that fit 32 bits
-        # whole keys take 17 GB and rows 268 MB, which a larger machine could
-        # hold: the physical figure is set 8 bytes short of the forced
+        k, m = 4, 256  # m**k == 2**32
+        # whole uint64 keys take 34 GB and rows 268 MB, which a larger machine
+        # could hold: the physical figure is set 8 bytes short of the forced
         # layout, so the test enumerates nothing
         g = random_graph(k, m, 1.0, 0)
-        need = {"flat": 4 * m**k, "rows": 16 * m ** (k - 1) + 8}
+        need = {"flat": 8 * m**k, "rows": 16 * m ** (k - 1) + 8}
         for layout in LAYOUTS:
             pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need[layout] - 8}
             monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -1088,16 +1088,16 @@ class TestHypergraph:
     )
     def test_store_layout_takes_the_fewest_bytes(self, k, m, total, layout):
         name, rows = layout
-        assert cycles._store_layout(k, m, total, rows) == name
-        nbytes = cycles._store_bytes(k, m, total, rows)
+        assert cycles._store_layout(total, rows) == name
+        nbytes = cycles._store_bytes(total, rows)
         assert nbytes[name] == min(nbytes.values())
         if (k, m, total) == (3, 1200, 65_789_151):
-            assert nbytes == {"flat": 263_156_604, "rows": 7_751_288}
+            assert nbytes == {"flat": 526_313_208, "rows": 7_751_288}
         if (k, m, total) == (3, 1200, 13_635):
-            assert nbytes == {"flat": 54_540, "rows": 457_992}
+            assert nbytes == {"flat": 109_080, "rows": 457_992}
 
-    # hosts whose keys take 16, 32 or 64 bits whole, in either layout: rows
-    # with no closers, empty hosts, S4's host, and complete ones
+    # hosts whose keys fit 16, 32 or 64 bits, in either layout: rows with no
+    # closers, empty hosts, S4's host, and complete ones
     @settings(max_examples=30, deadline=None)
     @given(
         shape=st.sampled_from([(3, 5), (3, 60), (3, 120), (4, 7), (4, 40), (5, 5), (5, 16)]),
@@ -1192,8 +1192,9 @@ class TestHypergraph:
         assert peak < len(h)
 
     def test_vertex_rows_of_a_rows_store_decode_like_a_flat_one(self):
-        # a slice of 2**20 ids costs a rows store one block of _ROW_BLOCK x m
-        # closer masks beyond what the same decode costs a flat store
+        # a flat slice is a view of the store; a rows store builds the
+        # slice's uint64 keys, 8 bytes an id, from one block of _ROW_BLOCK x m
+        # closer masks at a time, beyond what the same decode costs a flat one
         g = random_graph(3, 200, 0.5, 1)
         peaks = {}
         for layout in LAYOUTS:
@@ -1206,7 +1207,7 @@ class TestHypergraph:
             finally:
                 tracemalloc.stop()
             assert out.shape == (len(h), 3)
-        assert peaks["rows"] <= peaks["flat"] + cycles._ROW_BLOCK * g.m
+        assert peaks["rows"] <= peaks["flat"] + 8 * len(h) + cycles._ROW_BLOCK * g.m
         # the output, and the decode's digits and keys
         assert peaks["rows"] < 3 * out.nbytes
 
@@ -1318,6 +1319,36 @@ class TestHypergraph:
         for keys in (np.array([2**32 + 63], dtype=np.uint64), np.array([-1])):
             with pytest.raises(ParameterError, match="^keys: "):
                 decode_keys(keys, 3, 4)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_queries_beyond_2_to_53_and_2_to_63_resolve_exactly(self, layout):
+        # K(6, 1449) has keys up to 1449**6 - 1 > 2**63; this host keeps two of
+        # its cycles, on local vertex 1000 and on local vertex 1448 of every part
+        k, m = 6, 1449
+        blocks = [np.zeros((m, m), dtype=bool) for _ in range(k)]
+        for b in blocks:
+            b[[1000, m - 1], [1000, m - 1]] = True
+        with forced(layout):
+            h = build_hypergraph(LayeredGraph(k, m, blocks))
+        low, top = (v * (m**k - 1) // (m - 1) for v in (1000, m - 1))
+        assert h.store.layout == layout and h.store.keys().tolist() == [low, top]
+        assert 2**53 < low < 2**63 <= top == m**k - 1
+        # exact in int64 and uint64: a query through float64 would round key + 1 to key
+        assert h.ids_for_keys(np.array([low, low + 1], dtype=np.int64)).tolist() == [0, -1]
+        assert h.ids_for_keys(np.array([low, low + 1], dtype=np.uint64)).tolist() == [0, -1]
+        assert h.ids_for_keys(np.array([top, top - 1], dtype=np.uint64)).tolist() == [1, -1]
+        # the negative int64 key that wraps onto the top key as uint64
+        wrap = np.array([top - 2**64], dtype=np.int64)
+        assert wrap.astype(np.uint64).tolist() == [top]
+        assert h.ids_for_keys(wrap).tolist() == [-1]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_key_space_beyond_64_bits_refused(self, layout):
+        # 100**10 > 2**64 keys
+        with forced(layout), pytest.raises(
+            ResourceLimitError, match="^canonical key space exceeds 64 bits "
+        ):
+            build_hypergraph(random_graph(10, 100, 0.02, 0))
 
     # keys at or beyond m**k once decoded to a part-local index of m or more;
     # m = 1 has the one key 0, and its leading digit is the key itself

@@ -127,6 +127,23 @@ class TestArrow:
         with pytest.raises(ResourceLimitError):
             arrow_check(h, 3, 2, coloring_cap=1000)
 
+    def test_coloring_cap_is_stated_in_hyperedges(self):
+        # 2**15625 colorings: a refusal stating them would run to 4,704 digits
+        h = build_hypergraph(complete_layered(3, 25))
+        with pytest.raises(ResourceLimitError) as excinfo:
+            arrow_check(h, 3, 2)
+        # 2**23 <= 10**7 < 2**24
+        assert (excinfo.value.required, excinfo.value.cap) == (15_625, 23)
+        assert str(excinfo.value) == (
+            "coloring space of 2**hyperedges exceeds cap (required 15625, cap 23)"
+        )
+        # K(3, 2) has 8 hyperedges: 2**8 colorings are within a cap of 2**8
+        small = build_hypergraph(complete_layered(3, 2))
+        assert arrow_check(small, 3, 2, coloring_cap=2**8).verdict is True
+        with pytest.raises(ResourceLimitError) as excinfo:
+            arrow_check(small, 3, 2, coloring_cap=2**8 - 1)
+        assert (excinfo.value.required, excinfo.value.cap) == (8, 7)
+
     def test_unknown_propagates(self, tiny_complete):
         h = build_hypergraph(tiny_complete)
         res = arrow_check(h, 6, 2, search_cap=1)
