@@ -251,10 +251,8 @@ def _resolve_coloring(config: dict, g: LayeredGraph) -> tuple[TightHypergraph, C
         if choice == "random":
             return h, random_coloring(h, r, seed)
         return h, adversarial_coloring(h, r, choice, seed)
-    if col.colors.size != len(h):
-        raise ParameterError(
-            "coloring", f"file colors {col.colors.size} edges, hypergraph has {len(h)}"
-        )
+    if len(col) != len(h):
+        raise ParameterError("coloring", f"file colors {len(col)} edges, hypergraph has {len(h)}")
     return h, col
 
 

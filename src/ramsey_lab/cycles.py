@@ -836,7 +836,7 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
 def _check_coloring(h: TightHypergraph, col, color: int) -> None:
     """Refuse a coloring that does not give every hyperedge of h a color, then
     a working ``color`` that is not one of its colors."""
-    if col.colors.size != len(h):
+    if len(col) != len(h):
         raise ParameterError("col", "coloring is not total over the hypergraph")
     _check_color(color, col.r)
 
@@ -873,7 +873,7 @@ def validate_tight_path_verbose(
         eid = h.edge_id(window)
         if eid < 0:
             return False, "window-not-hyperedge"
-        if coloring is not None and int(coloring.colors[eid]) != color:
+        if coloring is not None and int(coloring[eid]) != color:
             return False, "window-wrong-color"
         if deleted is not None and deleted[eid]:
             return False, "deleted-window"

@@ -11,12 +11,14 @@ trash.  The outer loop keeps the record of each full trash, restarts after
 deleting every working-color hyperedge that extends a trashed path, and
 finishes with either a found path or an audited certificate.
 
-The search reads one live mask over hyperedge ids, packed one bit per id in
-``np.packbits`` order (``ceil(len(h) / 8)`` bytes): ``run_outer`` packs the
-working-color hyperedges into it a chunk at a time, and each restart
-clears the bits of the ones it deletes.  No bool or int array as long as
-the hyperedges is built: the scans unpack only the bytes they read, and
-the color tallies count a chunk at a time.  Every choice (starting edge,
+A coloring holds ``(r - 1).bit_length()`` bit planes over hyperedge ids,
+packed one bit per id in ``np.packbits`` order (``ceil(len(h) / 8)`` bytes
+each): every coloring is packed a chunk of colors at a time, and its color
+tally is taken in the same pass.  The search reads one live mask packed the
+same way: ``run_outer`` builds it from the planes with bitwise operations,
+and each restart clears the bits of the ones it deletes.  No bool or int
+array as long as the hyperedges is built, nor one byte per hyperedge: the
+scans unpack only the bytes they read.  Every choice (starting edge,
 extension vertex) is the lexicographically least eligible option, so runs
 are replayable.  Within a round the start-edge scan resumes at the last
 start edge, because the eligible set only shrinks there (see
@@ -70,7 +72,8 @@ __all__ = [
     "outcome_to_json",
 ]
 
-_SCAN_CHUNK = 1 << 20  # a multiple of 8, so a chunk packs into whole bytes
+# a multiple of 8, so a chunk packs into whole bytes, and so of 4 (see random_coloring)
+_SCAN_CHUNK = 1 << 20
 _FIRST_SCAN_CHUNK = 1 << 6
 _BALANCED_GREEDY_CAP = 200_000
 # the bit of id i in its byte of a packed mask is _BIT[i % 8] (np.packbits order)
@@ -82,29 +85,70 @@ _BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """Total assignment of one of r colors to every hyperedge, in canonical order."""
+    """Total assignment of one of r colors to every hyperedge, in canonical order.
 
-    r: int
-    colors: np.ndarray
+    The colors are held as ``B = (r - 1).bit_length()`` packed bit planes:
+    ``planes`` is a read-only ``(B, ceil(N / 8))`` uint8 array whose row b
+    holds bit b of each hyperedge's color in ``np.packbits`` order, so r = 2
+    takes N/8 bytes and r = 256 takes N.  ``len(col)`` is N, ``col[ids]``
+    unpacks the colors of a slice or of ids in 0..N-1, and ``counts()``
+    returns the tally taken while the planes were packed.
+    """
 
-    def __post_init__(self):
-        _check_r(self.r)
-        colors = np.asarray(self.colors)
+    def __init__(self, r: int, colors) -> None:
+        _check_r(r)
+        colors = np.asarray(colors)
         if colors.ndim != 1:
             raise ParameterError("colors", f"must be a flat array, got shape {colors.shape}")
-        if colors.size and (
-            colors.dtype.kind not in "iu" or colors.min() < 0 or colors.max() >= self.r
-        ):
-            raise ParameterError("colors", f"must be integers in 0..{self.r - 1}")
-        object.__setattr__(self, "colors", np.ascontiguousarray(colors, dtype=np.uint8))
-        self.colors.setflags(write=False)
+        self._pack(r, colors.size, lambda lo, hi: colors[lo:hi])
+
+    @classmethod
+    def _from_chunks(cls, r: int, size: int, chunk) -> "Coloring":
+        """The coloring of ``size`` ids packed from ``chunk`` (see ``_pack``)."""
+        col = cls.__new__(cls)
+        col._pack(r, size, chunk)
+        return col
+
+    def _pack(self, r: int, size: int, chunk) -> None:
+        """Pack ``chunk(lo, hi)``, the integer colors of ids lo..hi-1, called a
+        ``_SCAN_CHUNK`` at a time in id order: each chunk is range-checked,
+        tallied and packed into the planes, whose bytes are refused before
+        allocation when they would exceed physical memory."""
+        _check_fits_in_memory("colors", _plane_bytes(r, size))
+        planes = np.empty((int(r - 1).bit_length(), -(-size // 8)), dtype=np.uint8)
+        counts = np.zeros(r, dtype=np.int64)
+        for lo in range(0, size, _SCAN_CHUNK):
+            hi = min(lo + _SCAN_CHUNK, size)
+            values = chunk(lo, hi)
+            if values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= r:
+                raise ParameterError("colors", f"must be integers in 0..{r - 1}")
+            values = values.astype(np.uint8, copy=False)
+            if r == 2:  # the colors are plane 0's bits: no comparison temporary
+                ones = np.count_nonzero(values)
+                counts += (hi - lo - ones, ones)
+            else:
+                counts += [np.count_nonzero(values == c) for c in range(r)]
+            for b, plane in enumerate(planes):
+                plane[lo // 8 : -(-hi // 8)] = np.packbits(values if r == 2 else values & 1 << b)
+            del values  # freed before the next chunk is made
+        planes.setflags(write=False)
+        self.r, self.planes, self._counts, self._size = r, planes, counts, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, ids) -> np.ndarray:
+        """The uint8 colors of a slice of ids, or of ids in 0..N-1."""
+        if isinstance(ids, slice):
+            ids = np.arange(*ids.indices(self._size))
+        ids = np.asarray(ids)
+        bits = (self.planes[:, ids >> 3] & _BIT[ids & 7]) != 0
+        return np.packbits(bits, axis=0, bitorder="little")[0]
 
     def counts(self) -> np.ndarray:
-        """Hyperedges per color, as int64, tallied a chunk at a time by
-        ``_tally``: no array as long as the colors is built."""
-        return np.array([_tally(self.colors, c) for c in range(self.r)], dtype=np.int64)
+        """Hyperedges per color, as int64."""
+        return self._counts.copy()
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
@@ -112,36 +156,42 @@ class Coloring:
         _check_r(r)
         if not (isinstance(colors, list) and _all_integers(colors)):
             raise ParameterError("colors", "must be a flat array of integers")
-        # the int64 read and the uint8 colors made from it
-        _check_fits_in_memory("colors", 9 * len(colors))
-        try:
-            values = np.fromiter(colors, np.int64, len(colors))
+        values = iter(colors)
+        try:  # read through int64 a chunk at a time
+            return cls._from_chunks(
+                r, len(colors), lambda lo, hi: np.fromiter(values, np.int64, hi - lo)
+            )
         except OverflowError:  # an integer beyond int64
             raise ParameterError("colors", f"must be integers in 0..{r - 1}") from None
-        return cls(r, values)
 
     def save(self, path) -> None:
         """Write ``{"r": r, "colors": [...]}`` through ``_write_rows``."""
-        _write_rows(path, {"r": self.r}, "colors", self.colors.__getitem__, self.colors.size)
+        _write_rows(path, {"r": self.r}, "colors", self.__getitem__, len(self))
 
 
-def _tally(colors: np.ndarray, color: int) -> int:
-    """Entries of ``colors`` equal to ``color``, counted a ``_SCAN_CHUNK`` at a
-    time: the uint8 colors are never widened, and the comparison's bool
-    temporary is one chunk long."""
-    return sum(
-        int(np.count_nonzero(colors[lo : lo + _SCAN_CHUNK] == color))
-        for lo in range(0, colors.size, _SCAN_CHUNK)
-    )
+def _plane_bytes(r: int, size: int) -> int:
+    """Bytes of the bit planes of ``size`` colors out of r."""
+    return int(r - 1).bit_length() * -(-size // 8)
 
 
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
-    """I.i.d. uniform colors from the Philox stream for ``seed``."""
+    """I.i.d. uniform colors from the Philox stream for ``seed``.
+
+    For r a power of two numpy draws each uint8 color from one byte of the
+    stream, four to a 32-bit word and without rejection, so draws of a
+    multiple of 4 colors continue the one-shot stream: the colors are drawn
+    a ``_SCAN_CHUNK`` at a time, and no array of N colors is made.  Other r
+    sample by rejection, so their colors are drawn in one shot, then packed.
+    """
     _check_r(r)
     _check_seed(seed)
-    _check_fits_in_memory("colors", len(h))
-    colors = spawn_rng(seed).integers(0, r, size=len(h), dtype=np.uint8)
-    return Coloring(r, colors)
+    rng = spawn_rng(seed)
+    if r & (r - 1) == 0:
+        return Coloring._from_chunks(
+            r, len(h), lambda lo, hi: rng.integers(0, r, size=hi - lo, dtype=np.uint8)
+        )
+    _check_fits_in_memory("colors", _plane_bytes(r, len(h)) + len(h))
+    return Coloring(r, rng.integers(0, r, size=len(h), dtype=np.uint8))
 
 
 def _vertex_cut_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
@@ -149,11 +199,9 @@ def _vertex_cut_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     size = max(1, g.num_vertices // 4)
     cut = np.zeros(g.num_vertices, dtype=bool)
     cut[spawn_rng(seed).choice(g.num_vertices, size=size, replace=False)] = True
-    colors = np.empty(len(h), dtype=np.uint8)
-    for lo in range(0, len(h), _SCAN_CHUNK):
-        ids = slice(lo, lo + _SCAN_CHUNK)
-        colors[ids] = np.where(cut[h.vertex_rows(ids)].any(axis=1), 0, 1)
-    return Coloring(r, colors)
+    return Coloring._from_chunks(
+        r, len(h), lambda lo, hi: (~cut[h.vertex_rows(slice(lo, hi))].any(axis=1)).view(np.uint8)
+    )
 
 
 def _balanced_greedy_coloring(h: TightHypergraph, r: int) -> Coloring:
@@ -202,11 +250,12 @@ def adversarial_coloring(
     """
     _check_r(r)
     _check_seed(seed)
-    _check_fits_in_memory("colors", len(h))
     if strategy == "round_robin":
-        # one uint8 byte per hyperedge (plus at most r - 1), nothing wider
+        # a chunk's colors are a window of the cycle 0..r-1 repeated in uint8
         cycle = np.arange(r, dtype=np.uint8)
-        return Coloring(r, np.tile(cycle, -(-len(h) // r))[: len(h)])
+        return Coloring._from_chunks(
+            r, len(h), lambda lo, hi: np.tile(cycle, (hi - lo) // r + 2)[lo % r : lo % r + hi - lo]
+        )
     if strategy == "vertex_cut":
         return _vertex_cut_coloring(h, r, seed)
     if strategy == "balanced_greedy":
@@ -239,14 +288,21 @@ def _clear_bits(live: np.ndarray, ids: np.ndarray) -> None:
 
 
 def _packed_live(col: Coloring, color: int) -> np.ndarray:
-    """The packed mask of ``color``'s hyperedges, packed a ``_SCAN_CHUNK`` at a
-    time, so the comparison's bool temporary is one chunk long.  Refused
-    before allocation when its bytes would exceed physical memory."""
-    _check_fits_in_memory("live flags", -(-col.colors.size // 8))
-    live = np.empty(-(-col.colors.size // 8), dtype=np.uint8)
-    for lo in range(0, col.colors.size, _SCAN_CHUNK):
-        hi = lo + _SCAN_CHUNK
-        live[lo // 8 : hi // 8] = np.packbits(col.colors[lo:hi] == color)
+    """The packed mask of ``color``'s hyperedges, built from the planes
+    without unpacking a color: the AND of each plane where ``color`` has its
+    bit set and of the plane's inverse where not, with the padding bits
+    cleared.  Refused before allocation when its bytes would exceed
+    physical memory."""
+    _check_fits_in_memory("live flags", col.planes.shape[1])
+    live = np.full(col.planes.shape[1], 255, dtype=np.uint8)
+    for b, plane in enumerate(col.planes):
+        if color >> b & 1:
+            live &= plane
+        else:  # live &= ~plane, with no inverted copy of the plane
+            live |= plane
+            live ^= plane
+    if len(col) % 8:
+        live[-1] &= 0xFF00 >> len(col) % 8 & 0xFF
     return live
 
 
@@ -468,7 +524,7 @@ def audit_certificate(
     total = count_proper_cycles(g)
     if total != len(h):
         raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
-    working = _tally(col.colors, color)
+    working = int(col._counts[color])
     k, r = g.k, col.r
     rounds = [restricted_check(g, rec.path_snapshot, rec.trash, r) for rec in outcome.rounds]
     meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total)

@@ -95,8 +95,9 @@ def _colored_edges(
     h: TightHypergraph, coloring=None, color: int | None = None
 ) -> list[frozenset[int]]:
     sets = []
+    colors = None if coloring is None else coloring[:]
     for i in range(len(h)):
-        if coloring is not None and int(coloring.colors[i]) != int(color):
+        if colors is not None and int(colors[i]) != int(color):
             continue
         sets.append(frozenset(h.hyperedge(i)))
     return sets

@@ -160,7 +160,7 @@ def _independent_window_check(h, g, col, color, seq, n):
             if not g.adjacent(ordered[i], ordered[(i + 1) % g.k]):
                 return False
         eid = h.edge_id(window)
-        if eid < 0 or int(col.colors[eid]) != color:
+        if eid < 0 or int(col[eid]) != color:
             return False
     return True
 

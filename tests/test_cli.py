@@ -196,16 +196,17 @@ class TestGreedy:
             "--p", "0.35", "--seed", "7", "--coloring", "random"]
 
     def test_greedy_colors_beyond_physical_memory_exit_1(self, capsys, monkeypatch):
-        # the million-edge host's graph arrays, float32 blocks (480,000 bytes)
-        # and rows store (319,784 bytes) fit in 600,000 bytes; its colors do not
-        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 600_000}
+        # the complete K(3, 200) host's graph arrays, float32 blocks (480,000
+        # bytes) and rows store (640,008 bytes) fit in 999,999 bytes; the bit
+        # plane of its 8,000,000 colors (1,000,000 bytes) does not
+        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 999_999}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        argv = ["greedy", "--k", "3", "--m", "200", "--p", "0.5", "--seed", "1", "--r", "2",
+        argv = ["greedy", "--k", "3", "--m", "200", "--p", "1", "--seed", "1", "--r", "2",
                 "--n", "10", "--coloring", "random", "--coloring-seed", "1"]
         code, stdout, err = run_cli(argv, capsys)
         assert code == 1 and stdout == ""
         assert err.startswith("error: colors need more bytes ") and err.count("\n") == 1
-        assert err.endswith("(required 1001036, cap 600000)\n")
+        assert err.endswith("(required 1000000, cap 999999)\n")
 
     def test_runs_and_reports(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"

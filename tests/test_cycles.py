@@ -953,7 +953,7 @@ class TestHypergraph:
         writers = [
             (g, {"k": 3, "m": 2, "edges": g.edges()}),
             (h, {"vertices": h.num_vertices, "edges": h.vertex_rows().tolist()}),
-            (col, {"r": 3, "colors": col.colors.tolist()}),
+            (col, {"r": 3, "colors": col[:].tolist()}),
         ]
         for obj, whole in writers:
             path = tmp_path / "out.json"

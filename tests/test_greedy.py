@@ -29,6 +29,7 @@ from ramsey_lab import (
 from ramsey_lab import cycles, greedy, reporting
 from ramsey_lab.cycles import decode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
+from ramsey_lab.seeds import spawn_rng
 from conftest import random_graph
 
 
@@ -58,12 +59,12 @@ class TestColorings:
     def test_random_deterministic(self, complete_h):
         a = random_coloring(complete_h, 2, 7)
         b = random_coloring(complete_h, 2, 7)
-        assert np.array_equal(a.colors, b.colors)
-        assert not np.array_equal(a.colors, random_coloring(complete_h, 2, 8).colors)
+        assert np.array_equal(a[:], b[:])
+        assert not np.array_equal(a[:], random_coloring(complete_h, 2, 8)[:])
 
     def test_round_robin_alternates(self, complete_h):
         col = adversarial_coloring(complete_h, 2, "round_robin")
-        assert list(col.colors) == [0, 1, 0, 1, 0, 1, 0, 1]
+        assert list(col[:]) == [0, 1, 0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 13])
     @pytest.mark.parametrize("r", [2, 3, 5])
@@ -72,10 +73,12 @@ class TestColorings:
         store = cycles.KeyStore(np.arange(length, dtype=np.uint64))
         h = cycles.TightHypergraph(complete_layered(3, 3), store)
         col = adversarial_coloring(h, r, "round_robin")
-        assert col.colors.dtype == np.uint8
-        assert np.array_equal(col.colors, (np.arange(length) % r).astype(np.uint8))
+        assert col[:].dtype == np.uint8
+        assert np.array_equal(col[:], (np.arange(length) % r).astype(np.uint8))
 
-    def test_round_robin_allocates_about_a_byte_per_hyperedge(self, million_h):
+    def test_round_robin_allocates_about_a_byte_per_hyperedge(self, million_h, monkeypatch):
+        # a chunk well below the host's size tells the planes from the chunks
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 1 << 16)
         tracemalloc.start()
         try:
             col = adversarial_coloring(million_h, 3, "round_robin")
@@ -83,7 +86,8 @@ class TestColorings:
         finally:
             tracemalloc.stop()
         assert col.counts().tolist() == [333_679, 333_679, 333_678]
-        assert peak < 2 * len(million_h)
+        # two bit planes of N/8 bytes, a chunk of the cycle and one temporary
+        assert peak < 2 * -(-len(million_h) // 8) + 3 * greedy._SCAN_CHUNK
 
     def test_random_frequencies(self):
         g = complete_layered(3, 11)  # 1331 hyperedges
@@ -103,7 +107,7 @@ class TestColorings:
         cut = set(rng.choice(g.num_vertices, size=max(1, g.num_vertices // 4), replace=False).tolist())
         for eid in range(len(complete_h)):
             meets = bool(cut & set(complete_h.hyperedge(eid)))
-            assert col.colors[eid] == (0 if meets else 1)
+            assert col[eid] == (0 if meets else 1)
 
     def test_balanced_greedy_small(self, complete_h):
         col = adversarial_coloring(complete_h, 2, "balanced_greedy")
@@ -120,21 +124,22 @@ class TestColorings:
         path = tmp_path / "col.json"
         col.save(path)
         back = Coloring.from_json(json.loads(path.read_text()))
-        assert back.r == 3 and np.array_equal(back.colors, col.colors)
+        assert back.r == 3 and np.array_equal(back[:], col[:])
 
     def test_save_peak_memory_is_near_the_colors_array(self, tmp_path, monkeypatch):
         # as for the hypergraph, the peak is one chunk's colors and text; a color
-        # is one byte against some 60 of text and objects, so the chunk is smaller
+        # is a bit against some 60 bytes of text and objects, so the chunk is
+        # smaller
         monkeypatch.setattr(reporting, "_WRITE_CHUNK", 1024)
         col = random_coloring(build_hypergraph(random_graph(3, 100, 0.5, 1)), 2, 1)
-        assert col.colors.size > 100 * 1024
+        assert len(col) > 100 * 1024
         tracemalloc.start()
         try:
             col.save(tmp_path / "col.json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * col.colors.nbytes
+        assert peak < 3 * len(col)
 
     def test_total_required(self):
         with pytest.raises(ParameterError):
@@ -170,6 +175,42 @@ class TestColorings:
         assert random_coloring(complete_h, 256, 3).r == 256
 
 
+class TestColorPlanes:
+    """A coloring of N hyperedges with r colors is held as (r - 1).bit_length()
+    packed bit planes of ceil(N / 8) bytes, packed a chunk at a time."""
+
+    @pytest.mark.parametrize("length", [40, 41, 47, 1000, 1001, 1007])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 256])
+    def test_planes_match_the_one_shot_colors(self, monkeypatch, r, length):
+        # a chunk of 16 ids splits every host into chunks, the last one partial
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 16)
+        store = cycles.KeyStore(np.arange(length, dtype=np.uint64))
+        h = cycles.TightHypergraph(complete_layered(3, 11), store)
+        col = random_coloring(h, r, 5)
+        colors = spawn_rng(5).integers(0, r, length, dtype=np.uint8)
+        assert col.planes.shape == ((r - 1).bit_length(), -(-length // 8))
+        assert len(col) == length and np.array_equal(col[:], colors)
+        ids = np.random.default_rng(r).permutation(length)[:9]
+        assert np.array_equal(col[ids], colors[ids]) and col[length - 1] == colors[-1]
+        assert np.array_equal(col.counts(), np.bincount(colors, minlength=r))
+        for c in range(r):
+            assert np.array_equal(greedy._packed_live(col, c), np.packbits(colors == c))
+
+    def test_random_coloring_holds_a_bit_per_hyperedge(self, million_h, monkeypatch):
+        # a chunk well below the host's size tells the plane from the chunks
+        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 1 << 16)
+        tracemalloc.start()
+        try:
+            col = random_coloring(million_h, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col.planes.nbytes == -(-len(million_h) // 8) == 125_130
+        # the plane and a drawn chunk with its packed bits; the colors as
+        # bytes would be 1,001,036
+        assert peak < col.planes.nbytes + 2 * greedy._SCAN_CHUNK
+
+
 class TestMajority:
     def test_basic(self, complete_h):
         colors = np.array([0] * 5 + [1] * 3, dtype=np.uint8)
@@ -199,22 +240,23 @@ class TestMajority:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts.dtype == np.int64 and counts.sum() == col.colors.size == 1_001_036
-        assert peak < 2 * col.colors.nbytes
+        assert counts.dtype == np.int64 and counts.sum() == len(col) == 1_001_036
+        assert peak < 2 * len(col)
 
     def test_counts_tally_a_chunk_at_a_time(self, million_h, monkeypatch):
-        col = random_coloring(million_h, 3, 0)
-        expected = np.bincount(col.colors, minlength=3)
+        colors = random_coloring(million_h, 3, 0)[:]
+        expected = np.bincount(colors, minlength=3)
         monkeypatch.setattr(greedy, "_SCAN_CHUNK", 1 << 12)
         tracemalloc.start()
         try:
-            counts = col.counts()
+            counts = Coloring(3, colors).counts()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(counts, expected)
-        # one chunk's bool temporary, not one bool per hyperedge
-        assert peak < 4 * greedy._SCAN_CHUNK
+        # the tally is taken while packing: beside the two planes, one chunk's
+        # bool temporary, not one bool per hyperedge
+        assert peak < 2 * -(-colors.size // 8) + 4 * greedy._SCAN_CHUNK
 
     @pytest.mark.parametrize("length", [0, 7, 8, 9, 17])
     def test_counts_across_chunk_boundaries(self, monkeypatch, length):
@@ -226,7 +268,7 @@ class TestMajority:
 class TestGreedyRound:
     def test_no_working_edges(self, tiny_complete, complete_h):
         col = mono_coloring(complete_h, 1)
-        kind, rec = greedy_round(complete_h, np.packbits(col.colors == 0), n=4)
+        kind, rec = greedy_round(complete_h, np.packbits(col[:] == 0), n=4)
         assert kind is RoundOutcome.NO_WORKING_EDGE
         assert rec.path_snapshot == [] and len(rec.trash) == 0
 
@@ -234,7 +276,7 @@ class TestGreedyRound:
         g = complete_layered(3, 6)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        kind, rec = greedy_round(h, np.packbits(col.colors == 0), n=6, debug=True)
+        kind, rec = greedy_round(h, np.packbits(col[:] == 0), n=6, debug=True)
         assert kind is RoundOutcome.PATH_FOUND
         assert len(rec.trash) == 0  # extension never fails in a complete graph
         assert validate_tight_path(h, rec.path_snapshot, col, 0)
@@ -243,13 +285,13 @@ class TestGreedyRound:
         colors = np.ones(8, dtype=np.uint8)
         colors[0] = 0
         col = Coloring(2, colors)
-        kind, rec = greedy_round(complete_h, np.packbits(col.colors == 0), n=3)
+        kind, rec = greedy_round(complete_h, np.packbits(col[:] == 0), n=3)
         assert kind is RoundOutcome.PATH_FOUND
         assert rec.path_snapshot == [0, 2, 4]  # canonical layout from the part-0 vertex
 
     def test_case2_produces_trash(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        kind, rec = greedy_round(complete_h, np.packbits(col.colors == 0), n=4, debug=True)
+        kind, rec = greedy_round(complete_h, np.packbits(col[:] == 0), n=4, debug=True)
         assert kind is RoundOutcome.NO_WORKING_EDGE
         assert len(rec.trash) == 2  # both parity-0 components get trashed
 
@@ -262,15 +304,15 @@ class TestGreedyRound:
             if len(h) == 0:
                 continue
             col = random_coloring(h, 2, seed)
-            greedy_round(h, np.packbits(col.colors == 0), n=5, debug=True)
-            greedy_round(h, np.packbits(col.colors == 1), n=5, debug=True)
+            greedy_round(h, np.packbits(col[:] == 0), n=5, debug=True)
+            greedy_round(h, np.packbits(col[:] == 1), n=5, debug=True)
 
     def test_trash_full_terminates(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        greedy_round(complete_h, np.packbits(col.colors == 0), n=2 * 3)
+        greedy_round(complete_h, np.packbits(col[:] == 0), n=2 * 3)
         # n=6 > reachable trash here; rerun with n=2 rejected (n < k)
         with pytest.raises(ParameterError):
-            greedy_round(complete_h, np.packbits(col.colors == 0), n=2)
+            greedy_round(complete_h, np.packbits(col[:] == 0), n=2)
 
     @pytest.mark.parametrize(
         "live",
@@ -402,15 +444,15 @@ class TestStartEdgeCursor:
             return full_scan(h, live, unused, lo)
 
         monkeypatch.setattr(greedy, "_find_start_edge", spy)
-        live = np.packbits(col.colors == pick_majority_color(col.counts()))
+        live = np.packbits(col[:] == pick_majority_color(col.counts()))
         greedy_round(h, live, n=10, debug=True)
         # debug mode follows every cursor scan with a scan from id 0
         assert any(lo > 0 for lo in los[0::2]) and not any(los[1::2])
 
 
 class TestSizeRule:
-    """The per-hyperedge arrays of a coloring and of the live mask are
-    refused before they are allocated: a rows store no longer bounds them."""
+    """The bit planes of a coloring and the live mask are refused before they
+    are allocated: a rows store no longer bounds them."""
 
     @pytest.fixture
     def physical(self, monkeypatch):
@@ -423,17 +465,21 @@ class TestSizeRule:
         return set_bytes
 
     @pytest.mark.parametrize(
-        "make",
+        "make, required",
         [
-            lambda h: random_coloring(h, 2, 1),
-            lambda h: adversarial_coloring(h, 2, "round_robin"),
-            lambda h: adversarial_coloring(h, 2, "vertex_cut", 1),
+            # one plane of ceil(N / 8) bytes at r = 2
+            (lambda h: random_coloring(h, 2, 1), lambda n: -(-n // 8)),
+            (lambda h: adversarial_coloring(h, 2, "round_robin"), lambda n: -(-n // 8)),
+            (lambda h: adversarial_coloring(h, 2, "vertex_cut", 1), lambda n: -(-n // 8)),
+            # two planes, plus the N bytes of the one-shot draw
+            (lambda h: random_coloring(h, 3, 1), lambda n: 2 * -(-n // 8) + n),
         ],
-        ids=["random", "round_robin", "vertex_cut"],
+        ids=["random", "round_robin", "vertex_cut", "random-r3"],
     )
-    def test_colors_beyond_physical_memory_refused(self, million_h, physical, make):
+    def test_colors_beyond_physical_memory_refused(self, million_h, physical, make, required):
         n = len(million_h)
-        physical(n - 1)
+        need = required(n)
+        physical(need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="^colors need more bytes") as excinfo:
@@ -441,19 +487,19 @@ class TestSizeRule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (excinfo.value.required, excinfo.value.cap) == (n, n - 1)
-        assert peak < n // 10  # refused before the colors were allocated
-        physical(n)
-        assert make(million_h).colors.size == n
+        assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
+        assert peak < n // 100  # refused before the planes were allocated
+        physical(need)
+        assert len(make(million_h)) == n
 
     def test_coloring_file_beyond_physical_memory_refused(self, physical):
         doc = {"r": 2, "colors": [0, 1] * 50}
-        physical(9 * 100 - 1)  # the int64 read and the uint8 colors
+        physical(12)  # 100 colors out of 2 take one plane of 13 bytes
         with pytest.raises(ResourceLimitError, match="^colors need more bytes") as excinfo:
             Coloring.from_json(doc)
-        assert excinfo.value.required == 900
-        physical(900)
-        assert Coloring.from_json(doc).colors.tolist() == [0, 1] * 50
+        assert excinfo.value.required == 13
+        physical(13)
+        assert Coloring.from_json(doc)[:].tolist() == [0, 1] * 50
 
     def test_live_mask_beyond_physical_memory_refused(self, physical):
         col = Coloring(2, np.zeros(21, dtype=np.uint8))
@@ -462,7 +508,9 @@ class TestSizeRule:
             greedy._packed_live(col, 0)
         assert excinfo.value.required == 3
         physical(3)
+        # color 0's mask inverts the plane, and clears the 3 padding bits again
         assert greedy._packed_live(col, 0).tolist() == [255, 255, 248]
+        assert greedy._packed_live(col, 1).tolist() == [0, 0, 0]
 
 
 class TestPackedLiveMask:
@@ -621,7 +669,7 @@ class TestRunOuter:
         h = build_hypergraph(random_graph(k, m, p, seed))
         col = random_coloring(h, r, seed)
         for color in range(r):
-            greedy_round(h, np.packbits(col.colors == color), n, debug=True)
+            greedy_round(h, np.packbits(col[:] == color), n, debug=True)
             out = run_outer(h, col, n, color=color)
             if isinstance(out, FoundPath):
                 assert len(out.vertices) >= n

@@ -217,7 +217,7 @@ class TestSeedRule:
 
     def test_largest_seed_passes(self):
         h = build_hypergraph(complete_layered(3, 2))
-        assert len(random_coloring(h, 2, 2**64 - 1).colors) == 8
+        assert len(random_coloring(h, 2, 2**64 - 1)) == 8
         assert GraphParams(3, 2, 0.5, np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
