@@ -19,7 +19,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import cycles as _cycles
 from .cycles import TightHypergraph, build_hypergraph, count_proper_cycles
 from .errors import InvariantViolationError, ParameterError, ResourceLimitError
 from .greedy import (
@@ -374,7 +373,7 @@ def _mode_oracle(config: dict) -> tuple[int, dict]:
     check = _required(config, "check")
     if check == "cycles":
         keys = brute_force_cycle_keys(g)
-        fast = _cycles.cycle_keys(g).keys()
+        fast = build_hypergraph(g).keys()
         return 0, {
             "check": "cycles",
             "count": int(keys.size),

@@ -16,23 +16,23 @@ that a rows store reads keys by: a key is the key of its first k-1 digits
 everywhere, in the codec and in both store layouts; a key space beyond 64
 bits is refused.
 
-Enumeration fills a ``KeyStore`` of exactly the counted total, in one of
-two layouts, whichever takes fewer bytes (see ``_store_layout``).  A
+``build_hypergraph`` fills one ``TightHypergraph`` with exactly the counted
+total of keys, in the layout of fewer bytes (see ``_store_layout``).  A
 hyperedge is a (k-1)-vertex *prefix path* through parts 0..k-2, closed by a
 part-(k-1) vertex adjacent to both of its ends, and its key is the
 prefix path's key (its first k-1 digits) times m plus that closer.  The
 *flat* layout holds every key whole (a sparse host keeps this one).  The
 *rows* layout holds the ascending keys of every prefix path plus an int64
-offset per row, and reads a row's closers from the adjacency blocks when
-it is asked for them: a dense host, with many closers per prefix path,
-keeps this one (instance D: 484,455 rows in 7.75 MB, against 526 MB of
-whole keys).  Ids are ranks in key order in both.  The store is refused
-before allocation when its bytes would not fit in physical memory.  Part
-0's closed-walk counts give each start vertex its own ids in the store,
-and the start vertices are enumerated one at a time on the caller's
-thread.  A flat store grows each start's paths through the middle parts,
-and its last level expands only to vertices that close the cycle, so no
-path that fails to close is built.  A rows store takes each start's prefix
+offset per row, and reads a row's closers from the adjacency blocks,
+through ``_completion_mask``, when it is asked for them: a dense host, with
+many closers per prefix path, keeps this one (instance D: 484,455 rows in
+7.75 MB, against 526 MB of whole keys).  Ids are ranks in key order in
+both.  The store is refused before allocation when its bytes would not fit
+in physical memory.  Part 0's closed-walk counts give each start vertex its
+own ids, and the start vertices are enumerated one at a time on the
+caller's thread.  A flat store grows each start's paths through the middle
+parts, and its last level expands only to vertices that close the cycle, so
+no path that fails to close is built.  A rows store takes each start's prefix
 paths, and their closer counts from one product of the last two blocks;
 either way each start's cycles are checked against its own count.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
@@ -53,11 +53,14 @@ earlier parts.
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
 that the rows are pairwise vertex-disjoint.  A row runs along its arc of
-parts and starts in the lower-numbered of its two endpoint parts.  Both
-extension counts go through ``_count_extensions``, a plain sum of
-``_completion_mask`` sizes with no keys encoded, one mask call for the
-rows that miss the same part: two (k-1)-subsets of one k-set share
-k-2 >= 1 vertices, so no cycle extends two paths of a disjoint family.
+parts and starts in the lower-numbered of its two endpoint parts.  One
+closer mask, ``_completion_mask``, is the one AND of two blocks: the part-q
+vertices adjacent to given ends in parts q-1 and q+1.  A path's extensions,
+a rows store's closers (q = k-1) and both extension counts read it; the
+counts go through ``_count_extensions``, a plain sum of mask sizes with no
+keys encoded, one mask call for the rows that miss the same part: two
+(k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle extends
+two paths of a disjoint family.
 """
 
 from __future__ import annotations
@@ -83,8 +86,6 @@ __all__ = [
     "count_proper_cycles",
     "cycles_per_vertex",
     "cycles_through_vertex",
-    "cycle_keys",
-    "KeyStore",
     "encode_keys",
     "decode_keys",
     "extend_path",
@@ -344,149 +345,6 @@ def encode_keys(cols, m: int):
     return functools.reduce(np.add, terms).astype(np.uint64, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class KeyStore:
-    """Ascending canonical keys, in the flat or the rows layout; ``head`` is
-    uint64 in both.
-
-    Flat (``offsets`` is None): ``head`` holds every key whole.  Rows:
-    ``head`` holds the ascending keys of every prefix path of ``graph`` (its
-    proper paths through parts 0..k-2, closing or not) and ``offsets``,
-    int64 and one longer, gives row i the ids ``offsets[i]:offsets[i + 1]``.
-    Those are the hyperedges that close the row's path: the set bits of
-    ``blocks[k-2][end] & blocks[k-1][:, a]``, for the path's part-0 vertex
-    ``a`` and part-(k-2) vertex ``end``, ranked ascending, so ids are ranks
-    in key order in both layouts.  A rows store reads the closers from the
-    graph's read-only blocks, ``_ROW_BLOCK`` distinct rows at a time, and
-    never builds a mask per id.  Both arrays are read-only; ``cycle_keys``
-    fills them.
-    """
-
-    head: np.ndarray
-    offsets: np.ndarray | None = None
-    graph: LayeredGraph | None = None
-
-    def __post_init__(self):
-        self.head.setflags(write=False)
-        if self.offsets is not None:
-            self.offsets.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.head.size if self.offsets is None else int(self.offsets[-1])
-
-    @property
-    def layout(self) -> str:
-        return "flat" if self.offsets is None else "rows"
-
-    @property
-    def nbytes(self) -> int:
-        return self.head.nbytes + (0 if self.offsets is None else self.offsets.nbytes)
-
-    def keys(self, ids=slice(None)) -> np.ndarray:
-        """The keys of the ids ``ids`` selects (a slice or an int array; all
-        by default), as uint64.  Negative ids count from the end, as in
-        numpy; ``IndexError`` for an id out of range."""
-        if self.offsets is None:
-            return self.head[ids]
-        n = len(self)
-        if isinstance(ids, slice):
-            start, stop, step = ids.indices(n)
-            if step == 1:
-                return self._run_keys(start, max(start, stop))
-            ids = np.arange(start, stop, step)
-        ids = np.asarray(ids)
-        if ids.size and (ids.min() < -n or ids.max() >= n):
-            raise IndexError(f"hyperedge id out of range [{-n}, {n})")
-        ids = np.where(ids < 0, ids + n, ids)
-        rows = np.searchsorted(self.offsets, ids, side="right") - 1
-        out = np.empty(ids.shape, dtype=np.uint64)
-        for blk, part, t in self._row_blocks(rows):
-            counts = self.offsets[blk + 1] - self.offsets[blk]
-            first = np.cumsum(counts) - counts  # where each row's keys start
-            out[part] = self._row_keys(blk)[first[t] + ids[part] - self.offsets[blk[t]]]
-        return out
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """Ids of the canonical ``keys`` (an array of any integer dtype), as
-        int64; -1 where a key is not stored.
-
-        Both layouts cast the queries to uint64 once and refuse a negative
-        one, which wraps past 2**63, where a stored key may lie once
-        m**k > 2**63.  No range check is needed: a key at or beyond m**k is
-        no stored key, and its prefix, at or beyond m**(k-1), is no row's.
-        Flat: the query is searched among the keys.  Rows: it is split into
-        its prefix key and its closer; the prefix is looked up among the
-        rows, and its id is the row's first id plus the closer's rank among
-        the row's closers.
-        """
-        query = keys.astype(np.uint64, copy=False)  # a negative key wraps; refused below
-        if self.head.size == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
-        if self.offsets is None:
-            lo = np.searchsorted(self.head, query)
-            # past the last key, lo is n, and head[n - 1] < query
-            hit = (keys >= 0) & (self.head[np.minimum(lo, self.head.size - 1)] == query)
-            return np.where(hit, lo, -1)
-        m = self.graph.m
-        shape, keys, query = keys.shape, keys.ravel(), query.ravel()
-        out = np.full(keys.size, -1, dtype=np.int64)
-        prefix, closer = np.divmod(query, np.uint64(m))
-        row = np.minimum(np.searchsorted(self.head, prefix), self.head.size - 1)
-        sel = np.flatnonzero((keys >= 0) & (self.head[row] == prefix))
-        row, closer = row[sel], closer[sel].astype(np.intp)
-        for blk, part, t in self._row_blocks(row):
-            mask = self._masks(blk)
-            # a row's running count of closers is at most m
-            rank = np.cumsum(mask, axis=1, dtype=np.min_scalar_type(m))
-            c = closer[part]
-            found = mask[t, c]
-            out[sel[part[found]]] = self.offsets[blk[t[found]]] + rank[t[found], c[found]] - 1
-        return out.reshape(shape)
-
-    def _run_keys(self, start: int, stop: int) -> np.ndarray:
-        """The keys of the ids ``start:stop`` of a rows store, one block of
-        ``_ROW_BLOCK`` rows at a time."""
-        off = self.offsets
-        out = np.empty(stop - start, dtype=np.uint64)
-        first = int(np.searchsorted(off, start, side="right")) - 1
-        last = int(np.searchsorted(off, stop, side="left"))  # rows first..last-1 hold them
-        for lo in range(first, last, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, last)
-            a, b = max(start, int(off[lo])), min(stop, int(off[hi]))
-            out[a - start : b - start] = self._row_keys(np.arange(lo, hi))[a - off[lo] : b - off[lo]]
-        return out
-
-    def _row_blocks(self, rows: np.ndarray):
-        """The distinct entries of ``rows``, ``_ROW_BLOCK`` at a time, as
-        ``(blk, part, t)``: the block's rows, ascending, the positions in
-        ``rows`` that hold one of them, and the index in ``blk`` of each."""
-        order = np.argsort(rows, kind="stable")
-        srt = rows[order]
-        new = np.ones(srt.size, dtype=bool)
-        np.not_equal(srt[1:], srt[:-1], out=new[1:])
-        rank = np.cumsum(new) - 1  # each sorted entry's index among the distinct rows
-        uniq = srt[new]
-        cuts = np.searchsorted(rank, np.arange(0, uniq.size + _ROW_BLOCK, _ROW_BLOCK))
-        for lo, c0, c1 in zip(range(0, uniq.size, _ROW_BLOCK), cuts, cuts[1:]):
-            yield uniq[lo : lo + _ROW_BLOCK], order[c0:c1], rank[c0:c1] - lo
-
-    def _masks(self, rows: np.ndarray) -> np.ndarray:
-        """The (len(rows), m) bool masks of the closers of the ``rows``."""
-        g, prefix = self.graph, self.head[rows]
-        mask = g.blocks[g.k - 2][prefix % np.uint64(g.m)]  # the path's part-(k-2) vertex
-        mask &= g.blocks[g.k - 1].T[prefix // np.uint64(g.m ** (g.k - 2))]  # its part-0 vertex
-        return mask
-
-    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Every key of the ``rows`` (distinct, ascending), ascending: a
-        row's prefix key times m plus each of its closers.  The masks'
-        flat index is ``i * m`` plus the closer for the i-th row, so each
-        key is that index plus ``(prefix - i) * m``, never negative."""
-        flat = np.flatnonzero(self._masks(rows)).view(np.uint64)
-        shift = (self.head[rows] - np.arange(rows.size, dtype=np.uint64)) * np.uint64(self.graph.m)
-        return flat + np.repeat(shift, self.offsets[rows + 1] - self.offsets[rows])
-
-
 def _store_bytes(total: int, rows: int) -> dict[str, int]:
     """Bytes of each layout of a store of ``total`` keys with ``rows``
     prefix paths: a uint64 key per hyperedge (flat), or a uint64 key per
@@ -517,8 +375,9 @@ def _prefix_paths(fb: list[np.ndarray]) -> np.ndarray:
         _float64_blocks(fb)
 
 
-def cycle_keys(g: LayeredGraph) -> KeyStore:
-    """All proper cycles as the ``KeyStore`` of their ascending canonical keys.
+def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
+    """All proper cycles of g as a ``TightHypergraph`` of their ascending
+    canonical keys.
 
     Counts first via matrix products: the closed walks through each vertex
     ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
@@ -552,7 +411,7 @@ def cycle_keys(g: LayeredGraph) -> KeyStore:
     del fb
     keys = np.empty(bounds[-1], dtype=np.uint64)
     _fill_keys(g, keys, bounds)
-    return KeyStore(keys)
+    return TightHypergraph(g, keys)
 
 
 def _paths_from(g: LayeredGraph, a: int) -> list[np.ndarray]:
@@ -608,7 +467,7 @@ def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int]) -> None:
 
 def _fill_rows(
     g: LayeredGraph, closers: np.ndarray, bounds: list[int], paths: np.ndarray
-) -> KeyStore:
+) -> TightHypergraph:
     """The rows store of ``g``: each part-0 vertex ``a``'s prefix paths, in
     key order, and their offsets from ``closers[a, end]``, the number of
     closers of a path from ``a`` to ``end``.  Raises
@@ -629,7 +488,7 @@ def _fill_rows(
         ends = np.cumsum(closers[a, cols[-1]].astype(np.int64))
         _check_found(a, int(ends[-1]) if ends.size else 0, bounds[a + 1] - bounds[a])
         offsets[lo + 1 : hi + 1] = bounds[a] + ends
-    return KeyStore(head, offsets, g)
+    return TightHypergraph(g, head, offsets)
 
 
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -661,32 +520,17 @@ def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _completion_mask(
-    g: LayeredGraph, rows, allowed: np.ndarray | None = None
-) -> tuple[int, list[dict[int, int]], np.ndarray]:
-    """Where (k-1)-vertex proper paths that miss one part close into proper cycles.
-
-    ``rows`` is one path (k-1 global ids, in any order) or an (N, k-1)
-    block of them, each row missing the part q its first row misses.
-    Returns q, each path's part-local indices keyed by part, and the mask
-    over q's locals adjacent to the path's vertices in parts q-1 and q+1:
-    of shape (m,) for one path, read through views of the blocks, and
-    (N, m) for a block.  With ``allowed`` (a bool mask over all vertices) a
-    completing vertex must also be allowed.
-    """
-    k, m = g.k, g.m
-    one = np.isscalar(rows[0])
-    paths = [rows] if one else np.asarray(rows).tolist()
-    locs = [{v // m: v % m for v in path} for path in paths]
-    (q,) = set(range(k)) - locs[0].keys()
-    a, b = (q - 1) % k, (q + 1) % k
-    # one path, the greedy's per-step case, indexes the blocks by scalars: views, no copies
-    before = locs[0][a] if one else [loc[a] for loc in locs]
-    after = locs[0][b] if one else [loc[b] for loc in locs]
-    mask = g.blocks[a][before] & g.blocks[q].T[after]
+def _completion_mask(g: LayeredGraph, q: int, before, after, allowed=None) -> np.ndarray:
+    """The mask over part q's locals adjacent to the part-(q-1) local
+    ``before`` and the part-(q+1) local ``after``: the closers of a path
+    between them.  Scalar ends give one path's (m,) mask, read through views
+    of the blocks (the greedy's per-step case); arrays of N ends give an
+    (N, m) block.  With ``allowed`` (a bool mask over all vertices) a closer
+    must also be allowed."""
+    mask = g.blocks[(q - 1) % g.k][before] & g.blocks[q].T[after]
     if allowed is not None:
-        mask &= allowed[q * m : (q + 1) * m]
-    return q, locs, mask
+        mask &= allowed[q * g.m : (q + 1) * g.m]
+    return mask
 
 
 def _extensions(
@@ -697,9 +541,11 @@ def _extensions(
     Returns the completing vertices (ascending global ids) and the canonical
     keys of the cycles they close, as ``_completion_mask`` allows them.
     """
-    q, (locs,), mask = _completion_mask(g, vertices, allowed)
-    locs[q] = mask.nonzero()[0]
-    return locs[q] + q * g.m, encode_keys([locs[i] for i in range(g.k)], g.m)
+    k, m = g.k, g.m
+    locs = {v // m: v % m for v in vertices}
+    (q,) = set(range(k)) - locs.keys()
+    locs[q] = _completion_mask(g, q, locs[(q - 1) % k], locs[(q + 1) % k], allowed).nonzero()[0]
+    return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
 
 
 def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
@@ -717,17 +563,20 @@ def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
     """Proper cycles extending some family path (by an allowed vertex).
 
     A sum of completion masks, with no keys encoded: the family is
-    disjoint, so no cycle extends two paths.  The rows that miss the same
-    part share one ``_completion_mask`` call, ``_ROW_BLOCK`` rows at a time.
+    disjoint, so no cycle extends two paths.  The rows that miss part q
+    share one ``_completion_mask`` call, ``_ROW_BLOCK`` rows at a time, on
+    their first and last columns: a row runs between parts q-1 and q+1 and
+    starts in the lower-numbered one, q+1 when q is 0 or k-1, else q-1.
     """
     k, m = g.k, g.m
     # a row holds one vertex in each part but the one it misses
     missing = k * (k - 1) // 2 - (fam.rows // m).sum(axis=1)
     total = 0
     for q in range(k):
-        group = fam.rows[missing == q]
-        for lo in range(0, len(group), _ROW_BLOCK):
-            mask = _completion_mask(g, group[lo : lo + _ROW_BLOCK], allowed)[2]
+        cols = [-1, 0] if q in (0, k - 1) else [0, -1]  # the ends in parts q-1, q+1
+        ends = fam.rows[missing == q][:, cols] % m
+        for lo in range(0, len(ends), _ROW_BLOCK):
+            mask = _completion_mask(g, q, *ends[lo : lo + _ROW_BLOCK].T, allowed)
             total += int(np.count_nonzero(mask))
     return total
 
@@ -752,35 +601,77 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-class TightHypergraph:
-    """The k-uniform hypergraph whose hyperedges are proper cycles of a graph.
+def _absolute_ids(ids, n: int) -> np.ndarray:
+    """Int ``ids`` of n items, a negative one counting from the end, as in numpy;
+    ``IndexError`` for an id outside [-n, n)."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < -n or ids.max() >= n):
+        raise IndexError(f"hyperedge id out of range [{-n}, {n})")
+    return np.where(ids < 0, ids + n, ids)
 
-    Hyperedges are held as the ``KeyStore`` of their ascending canonical
-    keys, flat or in rows; ids are ranks in that order.  Built by
-    ``build_hypergraph``, whose ``cycle_keys`` fills the store strictly
-    ascending.  Membership tests and extension lookups run directly on the
-    store, so the structure stays usable at tens of millions of hyperedges
-    (and a rows store at billions).
+
+class TightHypergraph:
+    """The k-uniform hypergraph whose hyperedges are the proper cycles of
+    ``graph``, held as their ascending canonical keys in the read-only
+    uint64 ``head`` and int64 ``offsets`` that ``build_hypergraph`` fills;
+    ids are ranks in key order.
+
+    Flat (``offsets`` is None): ``head`` holds every key whole.  Rows:
+    ``head`` holds the keys of every prefix path (proper paths through
+    parts 0..k-2, closing or not), and row i holds the ids
+    ``offsets[i]:offsets[i + 1]``, its path's closers ranked ascending, read
+    through ``_completion_mask`` ``_ROW_BLOCK`` distinct rows at a time,
+    with no mask per id.  Lookups run on these arrays, so the structure
+    stays usable at tens of millions of hyperedges (a rows store at billions).
     """
 
-    def __init__(self, graph: LayeredGraph, store: KeyStore):
-        """``store`` is ``cycle_keys(graph)``."""
-        self.graph = graph
-        self.store = store
+    def __init__(self, graph: LayeredGraph, head: np.ndarray, offsets: np.ndarray | None = None):
+        self.graph, self.head, self.offsets = graph, head, offsets
+        head.setflags(write=False)
+        if offsets is not None:
+            offsets.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.store)
+        return self.head.size if self.offsets is None else int(self.offsets[-1])
 
     @property
     def num_vertices(self) -> int:
         return self.graph.num_vertices
+
+    @property
+    def layout(self) -> str:
+        return "flat" if self.offsets is None else "rows"
+
+    @property
+    def nbytes(self) -> int:
+        return self.head.nbytes + (0 if self.offsets is None else self.offsets.nbytes)
+
+    def keys(self, ids=slice(None)) -> np.ndarray:
+        """The keys of the ids ``ids`` selects (a slice or an int array; all
+        by default), as uint64.  Negative ids count from the end, as in
+        numpy; ``IndexError`` for an id out of range."""
+        if self.offsets is None:
+            return self.head[ids]
+        if isinstance(ids, slice):
+            start, stop, step = ids.indices(len(self))
+            if step == 1:
+                return self._run_keys(start, max(start, stop))
+            ids = np.arange(start, stop, step)
+        ids = _absolute_ids(ids, len(self))
+        rows = np.searchsorted(self.offsets, ids, side="right") - 1
+        out = np.empty(ids.shape, dtype=np.uint64)
+        for blk, part, t in self._row_blocks(rows):
+            counts = self.offsets[blk + 1] - self.offsets[blk]
+            first = np.cumsum(counts) - counts  # where each row's keys start
+            out[part] = self._row_keys(blk)[first[t] + ids[part] - self.offsets[blk[t]]]
+        return out
 
     def vertex_rows(self, ids=slice(None)) -> np.ndarray:
         """The hyperedges ``ids`` selects (a slice or an int array of ids; all by
         default) as an (N, k) int64 block of part-indexed global ids.  Only the
         selected keys are rebuilt and decoded."""
         g = self.graph
-        return decode_keys(self.store.keys(ids), g.k, g.m) + np.arange(0, g.num_vertices, g.m)
+        return decode_keys(self.keys(ids), g.k, g.m) + np.arange(0, g.num_vertices, g.m)
 
     def hyperedge(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < len(self):
@@ -803,10 +694,43 @@ class TightHypergraph:
             raise InvariantViolationError("vertex set misses a part")
         return int(self.ids_for_keys(encode_keys(locs, g.m)))
 
-    def ids_for_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Ids for canonical keys; -1 where the key is not a hyperedge (see
-        ``KeyStore.find``)."""
-        return self.store.find(np.asarray(keys))
+    def ids_for_keys(self, keys) -> np.ndarray:
+        """Ids of the canonical ``keys`` (an array of any integer dtype), as
+        int64; -1 where a key is not a hyperedge.
+
+        Both layouts cast the queries to uint64 once and refuse a negative
+        one, which wraps past 2**63, where a stored key may lie once
+        m**k > 2**63.  No range check is needed: a key at or beyond m**k is
+        no stored key, and its prefix, at or beyond m**(k-1), is no row's.
+        Flat: the query is searched among the keys.  Rows: it is split into
+        its prefix key and its closer; the prefix is looked up among the
+        rows, and its id is the row's first id plus the closer's rank among
+        the row's closers.
+        """
+        keys = np.asarray(keys)
+        query = keys.astype(np.uint64, copy=False)  # a negative key wraps; refused below
+        if self.head.size == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        if self.offsets is None:
+            lo = np.searchsorted(self.head, query)
+            # past the last key, lo is n, and head[n - 1] < query
+            hit = (keys >= 0) & (self.head[np.minimum(lo, self.head.size - 1)] == query)
+            return np.where(hit, lo, -1)
+        m = self.graph.m
+        shape, keys, query = keys.shape, keys.ravel(), query.ravel()
+        out = np.full(keys.size, -1, dtype=np.int64)
+        prefix, closer = np.divmod(query, np.uint64(m))
+        row = np.minimum(np.searchsorted(self.head, prefix), self.head.size - 1)
+        sel = np.flatnonzero((keys >= 0) & (self.head[row] == prefix))
+        row, closer = row[sel], closer[sel].astype(np.intp)
+        for blk, part, t in self._row_blocks(row):
+            mask = self._closers(blk)
+            # a row's running count of closers is at most m
+            rank = np.cumsum(mask, axis=1, dtype=np.min_scalar_type(m))
+            c = closer[part]
+            found = mask[t, c]
+            out[sel[part[found]]] = self.offsets[blk[t[found]]] + rank[t[found], c[found]] - 1
+        return out.reshape(shape)
 
     def extension_ids(self, path) -> np.ndarray:
         """Ids of hyperedges extending a (k-1)-path (the on-demand path index)."""
@@ -822,10 +746,48 @@ class TightHypergraph:
         store's."""
         _write_rows(path, {"vertices": self.num_vertices}, "edges", self.vertex_rows, len(self))
 
+    def _run_keys(self, start: int, stop: int) -> np.ndarray:
+        """The keys of the ids ``start:stop`` of a rows store, one block of
+        ``_ROW_BLOCK`` rows at a time."""
+        off = self.offsets
+        out = np.empty(stop - start, dtype=np.uint64)
+        first = int(np.searchsorted(off, start, side="right")) - 1
+        last = int(np.searchsorted(off, stop, side="left"))  # rows first..last-1 hold them
+        for lo in range(first, last, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, last)
+            a, b = max(start, int(off[lo])), min(stop, int(off[hi]))
+            out[a - start : b - start] = self._row_keys(np.arange(lo, hi))[a - off[lo] : b - off[lo]]
+        return out
 
-def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
-    """Enumerate all proper cycles of g into a TightHypergraph."""
-    return TightHypergraph(g, cycle_keys(g))
+    def _row_blocks(self, rows: np.ndarray):
+        """The distinct entries of ``rows``, ``_ROW_BLOCK`` at a time, as
+        ``(blk, part, t)``: the block's rows, ascending, the positions in
+        ``rows`` that hold one of them, and the index in ``blk`` of each."""
+        order = np.argsort(rows, kind="stable")
+        srt = rows[order]
+        new = np.ones(srt.size, dtype=bool)
+        np.not_equal(srt[1:], srt[:-1], out=new[1:])
+        rank = np.cumsum(new) - 1  # each sorted entry's index among the distinct rows
+        uniq = srt[new]
+        cuts = np.searchsorted(rank, np.arange(0, uniq.size + _ROW_BLOCK, _ROW_BLOCK))
+        for lo, c0, c1 in zip(range(0, uniq.size, _ROW_BLOCK), cuts, cuts[1:]):
+            yield uniq[lo : lo + _ROW_BLOCK], order[c0:c1], rank[c0:c1] - lo
+
+    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """Every key of the ``rows`` (distinct, ascending), ascending: a
+        row's prefix key times m plus each of its closers.  The masks'
+        flat index is ``i * m`` plus the closer for the i-th row, so each
+        key is that index plus ``(prefix - i) * m``, never negative."""
+        flat = np.flatnonzero(self._closers(rows)).view(np.uint64)
+        shift = (self.head[rows] - np.arange(rows.size, dtype=np.uint64)) * np.uint64(self.graph.m)
+        return flat + np.repeat(shift, self.offsets[rows + 1] - self.offsets[rows])
+
+    def _closers(self, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), m) closer masks of the ``rows``: ``_completion_mask``
+        at q = k-1 between the last and the first digit of each prefix key."""
+        g, prefix = self.graph, self.head[rows]
+        before, after = prefix % np.uint64(g.m), prefix // np.uint64(g.m ** (g.k - 2))
+        return _completion_mask(g, g.k - 1, before, after)
 
 
 # ---------------------------------------------------------------------------

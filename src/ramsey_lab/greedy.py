@@ -35,6 +35,7 @@ import numpy as np
 from .cycles import (
     TightHypergraph,
     TrashFamily,
+    _absolute_ids,
     _check_coloring,
     count_proper_cycles,
     decode_keys,
@@ -92,7 +93,7 @@ class Coloring:
     ``planes`` is a read-only ``(B, ceil(N / 8))`` uint8 array whose row b
     holds bit b of each hyperedge's color in ``np.packbits`` order, so r = 2
     takes N/8 bytes and r = 256 takes N.  ``len(col)`` is N, ``col[ids]``
-    unpacks the colors of a slice or of ids in 0..N-1, and ``counts()``
+    unpacks the colors of a slice or of ids in -N..N-1, and ``counts()``
     returns the tally taken while the planes were packed.
     """
 
@@ -139,10 +140,13 @@ class Coloring:
         return self._size
 
     def __getitem__(self, ids) -> np.ndarray:
-        """The uint8 colors of a slice of ids, or of ids in 0..N-1."""
+        """The uint8 colors of a slice of ids, or of int ids (a scalar or an
+        array): a negative id counts from the end, as in numpy, and an id
+        outside [-N, N) raises ``IndexError``, as ``TightHypergraph.keys``."""
         if isinstance(ids, slice):
             ids = np.arange(*ids.indices(self._size))
-        ids = np.asarray(ids)
+        else:
+            ids = _absolute_ids(ids, self._size)
         bits = (self.planes[:, ids >> 3] & _BIT[ids & 7]) != 0
         return np.packbits(bits, axis=0, bitorder="little")[0]
 
@@ -213,7 +217,7 @@ def _balanced_greedy_coloring(h: TightHypergraph, r: int) -> Coloring:
             "balanced-greedy strategy is for small hypergraphs", len(h), _BALANCED_GREEDY_CAP
         )
     g = h.graph
-    locs = decode_keys(h.store.keys(), g.k, g.m)
+    locs = decode_keys(h.keys(), g.k, g.m)
     # slot[q][eid]: the key of edge eid with part q's index zeroed, shared by
     # every edge that differs from it in part q only
     slot = [

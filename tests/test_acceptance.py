@@ -35,7 +35,6 @@ from ramsey_lab import (
     run_outer,
 )
 from ramsey_lab.cli import run as cli_run
-from ramsey_lab.cycles import cycle_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.reporting import canonical_json
 from ramsey_lab.seeds import derive_seed
@@ -84,7 +83,7 @@ def ac1_sweep():
                     g = generate_random(
                         GraphParams(k=k, part_size=m, edge_prob=p, seed=seed)
                     )
-                    fast = cycle_keys(g).keys()
+                    fast = build_hypergraph(g).keys()
                     brute = brute_force_cycle_keys(g)
                     if not np.array_equal(fast, brute):
                         mismatches += 1

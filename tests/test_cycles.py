@@ -32,7 +32,7 @@ from ramsey_lab import (
     validate_tight_path_verbose,
 )
 from ramsey_lab import cycles, reporting
-from ramsey_lab.cycles import _closed_walks, _extensions, cycle_keys, decode_keys, encode_keys
+from ramsey_lab.cycles import _closed_walks, _extensions, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.seeds import spawn_rng
 from ramsey_lab.verifier import check_property_ii, sample_trash_family
@@ -53,7 +53,7 @@ LAYOUTS = ("flat", "rows")
 
 
 def forced(layout):
-    """Make ``cycle_keys`` build the ``layout`` store, whichever is smaller."""
+    """Make ``build_hypergraph`` build the ``layout`` store, whichever is smaller."""
     return mock.patch.object(cycles, "_store_layout", lambda total, rows: layout)
 
 
@@ -70,7 +70,7 @@ class TestEnumeration:
     def test_matches_brute_force_on_100_seeds(self):
         for seed in range(100):
             g = random_graph(3, 6, 0.5, seed)
-            assert np.array_equal(cycle_keys(g).keys(), brute_force_cycle_keys(g))
+            assert np.array_equal(build_hypergraph(g).keys(), brute_force_cycle_keys(g))
 
     def test_matches_brute_force_other_uniformities(self):
         for k in (4, 5):
@@ -96,9 +96,9 @@ class TestEnumeration:
             blocks[seed % (k - 2)][:] = False
         g = LayeredGraph(k, m, blocks)
         with forced(layout):
-            store = cycle_keys(g)
-        assert store.layout == layout
-        keys = store.keys()
+            h = build_hypergraph(g)
+        assert h.layout == layout
+        keys = h.keys()
         assert (keys[1:] > keys[:-1]).all()  # TightHypergraph relies on strict order
         assert np.array_equal(keys, brute_force_cycle_keys(g))
 
@@ -123,7 +123,7 @@ class TestEnumeration:
         skewed_starts = f"^start vertex ({starts[0]}|{starts[1]}): enumerated "
         for layout in LAYOUTS:
             with forced(layout), pytest.raises(InvariantViolationError, match=skewed_starts):
-                cycle_keys(g)
+                build_hypergraph(g)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         """A start's exception reaches the caller from the caller's own thread."""
@@ -140,7 +140,7 @@ class TestEnumeration:
         # both layouts fill the store on the caller's thread
         for layout in LAYOUTS:
             with forced(layout), pytest.raises(RuntimeError, match="^boom in MainThread$"):
-                cycle_keys(g)
+                build_hypergraph(g)
 
     def test_peak_memory_is_the_key_array(self):
         for k, m, p, size in [
@@ -153,20 +153,20 @@ class TestEnumeration:
                 tracemalloc.start()
                 try:
                     with forced(layout):
-                        store = cycle_keys(g)
+                        h = build_hypergraph(g)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert len(store) == size
+                assert len(h) == size
                 # the store, or the float32 copy of the blocks that the
                 # count makes before the store exists, when that is larger
                 # (the sparse host, and the rows store at k = 3)
-                assert peak < 1.5 * max(store.nbytes, 4 * k * m * m), (k, m, layout)
+                assert peak < 1.5 * max(h.nbytes, 4 * k * m * m), (k, m, layout)
 
     @pytest.mark.parametrize(
         "count",
         [
-            cycle_keys,
+            build_hypergraph,
             count_proper_cycles,
             cycles_per_vertex,
             lambda g: count_cycles_meeting(g, [0, g.m + 1, 2 * g.m + 2]),
@@ -745,9 +745,7 @@ class TestFamilyCounts:
                 got = count_restricted_extensions(g, aset, fam)
             else:
                 got = count_family_extensions(g, fam)
-        per_row = sum(
-            int(np.count_nonzero(cycles._completion_mask(g, row, allowed)[2])) for row in rows
-        )
+        per_row = sum(_extensions(g, row, allowed)[0].size for row in rows)
         brute = 0
         for s in brute_sets(g):
             for row in rows:
@@ -755,6 +753,30 @@ class TestFamilyCounts:
                     (ext,) = s - set(row)
                     brute += allowed is None or bool(allowed[ext])
         assert got == per_row == brute
+
+    # a gate at scale with no oracle: on K(k, m) every (k-1)-path has exactly
+    # m closers, and its closers in the family are the family's vertices in
+    # the part it misses; rows miss every part, given in both directions, and
+    # the rows that miss part 0 outnumber _ROW_BLOCK
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_family_counts_on_complete_hosts_in_closed_form(self, k):
+        sizes = [cycles._ROW_BLOCK + 7, *range(3, k + 2)]  # rows that miss part q
+        m = max(sum(sizes) - size for size in sizes) + 3
+        g = complete_layered(k, m)
+        free = [0] * k  # the next unused local of each part
+        paths = []
+        for q, size in enumerate(sizes):
+            for i in range(size):
+                path = []
+                for part in ((q + 1 + j) % k for j in range(k - 1)):
+                    path.append(part * m + free[part])
+                    free[part] += 1
+                paths.append(path[::-1] if i % 2 else path)
+        fam = trash_family(g, paths)
+        assert count_family_extensions(g, fam) == m * len(fam)
+        in_part = np.bincount(fam.rows.ravel() // m, minlength=k)
+        restricted = sum(size * int(in_part[q]) for q, size in enumerate(sizes))
+        assert count_restricted_extensions(g, [], fam) == restricted
 
     def test_restricted_bounded_by_family(self):
         g = random_graph(3, 8, 0.5, 53)
@@ -1023,7 +1045,7 @@ class TestHypergraph:
     def test_sparse_hosts_either_side_of_32_bits(self, m, dtype, seed):
         g = random_graph(3, m, 0.002, seed)
         h = build_hypergraph(g)
-        keys = h.store.keys()
+        keys = h.keys()
         assert keys.dtype == np.uint64
         assert len(h) == count_proper_cycles(g) > 0
         assert (keys[1:] > keys[:-1]).all()
@@ -1044,7 +1066,7 @@ class TestHypergraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(h) == 1_001_036 and h.store.layout == "rows"
+        assert len(h) == 1_001_036 and h.layout == "rows"
         assert peak < 1.5 * 2 * len(h)
 
     def test_lookups_do_not_copy_the_key_array(self):
@@ -1055,7 +1077,7 @@ class TestHypergraph:
                 h = build_hypergraph(g)
             ids = [0, 5, 500_000, len(h) - 1]
             path = list(h.hyperedge(7)[:2])
-            keys = h.store.keys(ids)
+            keys = h.keys(ids)
             assert len(h) >= 1_000_000 and keys.dtype == np.uint64
             tracemalloc.start()
             try:
@@ -1068,7 +1090,7 @@ class TestHypergraph:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < h.store.nbytes / 10, layout
+            assert peak < h.nbytes / 10, layout
             assert all(f.tolist() == ids for f in found)
             assert 7 in ext.tolist() and all(set(path) <= set(h.hyperedge(int(e))) for e in ext)
 
@@ -1114,7 +1136,7 @@ class TestHypergraph:
         g = random_graph(k, m, p, seed)
         with forced(layout):
             h = build_hypergraph(g)
-        assert h.store.layout == layout
+        assert h.layout == layout
         brute = brute_force_cycle_keys(g)
         rows = h.vertex_rows()
         keys = encode_keys(list((rows - np.arange(k) * m).T), m)
@@ -1158,13 +1180,13 @@ class TestHypergraph:
             b[np.ix_(pos[i], pos[(i + 1) % k])] = small.blocks[i]
         g = LayeredGraph(k, m, blocks)
         h = build_hypergraph(g)
-        assert (h.store.layout, int(cycles._prefix_paths(cycles._float_blocks(g)).sum())) == layout
+        assert (h.layout, int(cycles._prefix_paths(cycles._float_blocks(g)).sum())) == layout
         local = decode_keys(brute_force_cycle_keys(small), k, m0)
         brute = encode_keys([pos[i][local[:, i]] for i in range(k)], m)
         for name in LAYOUTS:
             with forced(name):
                 h = build_hypergraph(g)
-            assert h.store.keys().dtype == np.uint64 and len(h) == count_proper_cycles(small)
+            assert h.keys().dtype == np.uint64 and len(h) == count_proper_cycles(small)
             rows = h.vertex_rows()
             keys = encode_keys(list((rows - np.arange(k) * m).T), m)
             assert np.array_equal(keys, brute)
@@ -1184,8 +1206,8 @@ class TestHypergraph:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(h) == 1_001_036 and h.store.layout == "rows"
-        assert h.store.nbytes == 16 * 19_986 + 8 < len(h) / 3
+        assert len(h) == 1_001_036 and h.layout == "rows"
+        assert h.nbytes == 16 * 19_986 + 8 < len(h) / 3
         assert held < len(h) / 2
         # the peak is the count's float32 blocks (480,000 bytes) and one
         # prefix product of the chain, under a byte a hyperedge
@@ -1226,18 +1248,18 @@ class TestHypergraph:
             h = build_hypergraph(g)
         brute = brute_force_cycle_keys(g)
         n = len(h)
-        assert h.store.layout == layout and n == brute.size
-        assert np.array_equal(h.store.keys(), brute)
+        assert h.layout == layout and n == brute.size
+        assert np.array_equal(h.keys(), brute)
         # id arrays in any order, negative ids among them, and slices
         ids = np.array(data.draw(st.lists(st.integers(-n, n - 1), max_size=40)) if n else [],
                        dtype=np.int64)
-        assert np.array_equal(h.store.keys(ids), brute[ids])
+        assert np.array_equal(h.keys(ids), brute[ids])
         a, b = data.draw(st.lists(st.integers(-n - 2, n + 2), min_size=2, max_size=2))
         for step in (1, 3):
-            assert np.array_equal(h.store.keys(slice(a, b, step)), brute[a:b:step])
+            assert np.array_equal(h.keys(slice(a, b, step)), brute[a:b:step])
         for bad in (n, -n - 1):
             with pytest.raises(IndexError):
-                h.store.keys(np.array([bad]))
+                h.keys(np.array([bad]))
         # the whole key space: members map to their ids, the rest to -1
         want = np.full(m**k, -1)
         want[brute.astype(np.int64)] = np.arange(n)
@@ -1254,13 +1276,13 @@ class TestHypergraph:
     def test_complete_hosts_in_closed_form(self, k, m):
         h = build_hypergraph(complete_layered(k, m))
         n = m**k
-        assert len(h) == n and h.store.layout == "rows"
+        assert len(h) == n and h.layout == "rows"
         for a in (0, n // 2 - 50_000, n - 100_000):
             ids = np.arange(a, a + 100_000)
-            assert np.array_equal(h.store.keys(slice(a, a + 100_000)), ids)
+            assert np.array_equal(h.keys(slice(a, a + 100_000)), ids)
             assert np.array_equal(h.ids_for_keys(ids), ids)
         ids = spawn_rng(k).integers(0, n, 1000)
-        assert np.array_equal(h.store.keys(ids), ids)
+        assert np.array_equal(h.keys(ids), ids)
 
     # K(k, m) less the edge (u, v) of block q: the m**(k-2) cycles through it
     # are gone, and a key's id is the key less the removed keys below it;
@@ -1275,7 +1297,7 @@ class TestHypergraph:
         blocks[q][u, v] = False
         h = build_hypergraph(LayeredGraph(k, m, blocks))
         n = m**k - m ** (k - 2)
-        assert len(h) == n and h.store.layout == "rows"
+        assert len(h) == n and h.layout == "rows"
         # digit q is u and digit q + 1 is v; the other k - 2 digits run free
         free = iter(np.indices((m,) * (k - 2)).reshape(k - 2, -1))
         cols = [u if i == q else v if i == (q + 1) % k else next(free) for i in range(k)]
@@ -1287,15 +1309,15 @@ class TestHypergraph:
             keys = keys[~np.isin(keys, removed)]
             ids = keys - np.searchsorted(removed, keys)
             assert np.array_equal(h.ids_for_keys(keys), ids)
-            assert np.array_equal(h.store.keys(slice(ids[0], ids[-1] + 1)), keys)
-            assert np.array_equal(h.store.keys(ids[::-7]), keys[::-7])
+            assert np.array_equal(h.keys(slice(ids[0], ids[-1] + 1)), keys)
+            assert np.array_equal(h.keys(ids[::-7]), keys[::-7])
 
     # sparse drawn hosts with 64-bit halves, checked cycle by cycle
     @pytest.mark.parametrize("k, m, p", [(3, 1700, 0.0), (5, 100, 0.01), (5, 200, 0.012)])
     def test_sparse_hosts_with_64_bit_halves(self, k, m, p):
         g = random_graph(k, m, p, 0)
         h = build_hypergraph(g)
-        assert h.store.layout == "flat" and h.store.head.dtype == np.uint64
+        assert h.layout == "flat" and h.head.dtype == np.uint64
         assert len(h) == count_proper_cycles(g)
         local = h.vertex_rows() - np.arange(k) * m
         for i in range(k):
@@ -1309,7 +1331,7 @@ class TestHypergraph:
         for layout in LAYOUTS:
             with forced(layout):
                 h = build_hypergraph(g)
-            assert h.store.keys().tolist() == list(range(64))
+            assert h.keys().tolist() == list(range(64))
             wide = np.array([5, 63, 64, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 5], dtype=np.uint64)
             assert h.ids_for_keys(wide).tolist() == [5, 63, -1, -1, -1, -1, -1]
             assert h.ids_for_keys(np.array([-1, 5 - 2**32, 7])).tolist() == [-1, -1, 7]
@@ -1331,7 +1353,7 @@ class TestHypergraph:
         with forced(layout):
             h = build_hypergraph(LayeredGraph(k, m, blocks))
         low, top = (v * (m**k - 1) // (m - 1) for v in (1000, m - 1))
-        assert h.store.layout == layout and h.store.keys().tolist() == [low, top]
+        assert h.layout == layout and h.keys().tolist() == [low, top]
         assert 2**53 < low < 2**63 <= top == m**k - 1
         # exact in int64 and uint64: a query through float64 would round key + 1 to key
         assert h.ids_for_keys(np.array([low, low + 1], dtype=np.int64)).tolist() == [0, -1]
@@ -1381,7 +1403,7 @@ class TestHypergraph:
 
     def test_decode_keys_roundtrip(self):
         g = random_graph(4, 5, 0.5, 83)
-        keys = cycle_keys(g).keys()
+        keys = build_hypergraph(g).keys()
         locs = decode_keys(keys, 4, 5)
         rebuilt = (
             locs.astype(np.uint64)

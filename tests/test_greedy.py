@@ -39,7 +39,7 @@ def mono_coloring(h, color, r=2):
 
 
 def parity_coloring(h):
-    locs = decode_keys(h.store.keys(), h.graph.k, h.graph.m)
+    locs = decode_keys(h.keys(), h.graph.k, h.graph.m)
     return Coloring(2, (locs.sum(axis=1) % 2).astype(np.uint8))
 
 
@@ -70,8 +70,7 @@ class TestColorings:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_round_robin_is_the_id_modulo_r(self, r, length):
         # the first `length` keys of K(3, 3) stand in for a host of that size
-        store = cycles.KeyStore(np.arange(length, dtype=np.uint64))
-        h = cycles.TightHypergraph(complete_layered(3, 3), store)
+        h = cycles.TightHypergraph(complete_layered(3, 3), np.arange(length, dtype=np.uint64))
         col = adversarial_coloring(h, r, "round_robin")
         assert col[:].dtype == np.uint8
         assert np.array_equal(col[:], (np.arange(length) % r).astype(np.uint8))
@@ -184,8 +183,7 @@ class TestColorPlanes:
     def test_planes_match_the_one_shot_colors(self, monkeypatch, r, length):
         # a chunk of 16 ids splits every host into chunks, the last one partial
         monkeypatch.setattr(greedy, "_SCAN_CHUNK", 16)
-        store = cycles.KeyStore(np.arange(length, dtype=np.uint64))
-        h = cycles.TightHypergraph(complete_layered(3, 11), store)
+        h = cycles.TightHypergraph(complete_layered(3, 11), np.arange(length, dtype=np.uint64))
         col = random_coloring(h, r, 5)
         colors = spawn_rng(5).integers(0, r, length, dtype=np.uint8)
         assert col.planes.shape == ((r - 1).bit_length(), -(-length // 8))
@@ -195,6 +193,27 @@ class TestColorPlanes:
         assert np.array_equal(col.counts(), np.bincount(colors, minlength=r))
         for c in range(r):
             assert np.array_equal(greedy._packed_live(col, c), np.packbits(colors == c))
+
+    # the ids of a coloring follow TightHypergraph.keys: a negative id counts
+    # from the end, and one outside [-N, N) is refused, also where it would
+    # read a padding bit of the last byte or a byte past it
+    @pytest.mark.parametrize("length", [8, 9, 15])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_ids_count_from_the_end_and_are_range_checked(self, r, length):
+        colors = np.array([(3 * i + 1) % r for i in range(length)], dtype=np.uint8)
+        col = Coloring(r, colors)
+        for i in range(-length, length):
+            assert col[i] == colors[i], i
+        ids = np.arange(-length, length)
+        assert np.array_equal(col[ids], colors[ids])
+        assert np.array_equal(col[ids[::-3]], colors[ids[::-3]])
+        assert col[np.array([], dtype=np.int64)].size == 0
+        for a, b, step in [(None, None, 1), (-3, None, 1), (1, -1, 2), (None, None, -1), (-20, 20, 3)]:
+            assert np.array_equal(col[a:b:step], colors[a:b:step]), (a, b, step)
+        for bad in (length, length + 1, 16, -length - 1, -17):
+            for ids in (bad, np.array([0, bad])):
+                with pytest.raises(IndexError, match="out of range"):
+                    col[ids]
 
     def test_random_coloring_holds_a_bit_per_hyperedge(self, million_h, monkeypatch):
         # a chunk well below the host's size tells the plane from the chunks
