@@ -11,30 +11,27 @@ whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
 format; everything else encodes and decodes through it, but for one fact
-that a rows store reads keys by: a key is the key of its first k-1 digits
-(encoded with k-1 columns) times m plus its last digit.  Keys are uint64
-everywhere, in the codec and in both store layouts; a key space beyond 64
-bits is refused.
+that the store is built and read by: a key is the key of its first k-1
+digits (encoded with k-1 columns) times m plus its last digit.  Keys are
+uint64 everywhere, in the codec and in both store layouts; a key space
+beyond 64 bits is refused.
 
 ``build_hypergraph`` fills one ``TightHypergraph`` with exactly the counted
 total of keys, in the layout of fewer bytes (see ``_store_layout``).  A
 hyperedge is a (k-1)-vertex *prefix path* through parts 0..k-2, closed by a
-part-(k-1) vertex adjacent to both of its ends, and its key is the
-prefix path's key (its first k-1 digits) times m plus that closer.  The
-*flat* layout holds every key whole (a sparse host keeps this one).  The
-*rows* layout holds the ascending keys of every prefix path plus an int64
-offset per row, and reads a row's closers from the adjacency blocks,
-through ``_completion_mask``, when it is asked for them: a dense host, with
-many closers per prefix path, keeps this one (instance D: 484,455 rows in
-7.75 MB, against 526 MB of whole keys).  Ids are ranks in key order in
-both.  The store is refused before allocation when its bytes would not fit
-in physical memory.  Part 0's closed-walk counts give each start vertex its
-own ids, and the start vertices are enumerated one at a time on the
-caller's thread.  A flat store grows each start's paths through the middle
-parts, and its last level expands only to vertices that close the cycle, so
-no path that fails to close is built.  A rows store takes each start's prefix
-paths, and their closer counts from one product of the last two blocks;
-either way each start's cycles are checked against its own count.
+part-(k-1) vertex adjacent to both of its ends, so its key is the prefix
+path's key times m plus that closer.  The *flat* layout holds every key
+whole (a sparse host keeps this one).  The *rows* layout holds the ascending
+keys of every prefix path plus an int64 offset per row, and reads a row's
+closers from the adjacency blocks, through ``_completion_mask``, when it is
+asked for them: a dense host, with many closers per prefix path, keeps this
+one (instance D: 484,455 rows in 7.75 MB, against 526 MB of whole keys).
+Ids are ranks in key order in both.  One loop, on the caller's thread,
+fills either layout a part-0 start vertex at a time: it enumerates and
+encodes the start's prefix paths once, and checks them and the start's
+cycles against their own counts.  A rows store keeps the paths, with closer
+counts from one product of the last two blocks; a flat store keys each path
+with its closers, trying only the vertices that close back to the start.
 Every block-chain count (total, per vertex, meeting a vertex set) sums
 ``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
 ints.  Float32 holds the chain's integers exactly below 2**24; when one of
@@ -379,39 +376,60 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     """All proper cycles of g as a ``TightHypergraph`` of their ascending
     canonical keys.
 
-    Counts first via matrix products: the closed walks through each vertex
-    ``a`` of part 0 are its cycles, and their running sum gives ``a`` its
-    own ids ``bounds[a]:bounds[a+1]``.  The prefix paths are counted too,
-    and ``_store_layout`` picks the layout of fewer bytes.
-    ``ResourceLimitError`` is raised before counting when the key space
-    exceeds 64 bits, and when the store's bytes would exceed physical
-    memory, so runaway parameters fail before it is allocated.
+    Counts first via matrix products: each part-0 vertex ``a`` owns the ids
+    ``bounds[a]:bounds[a+1]`` by its closed walks and the rows
+    ``firsts[a]:firsts[a+1]`` by its prefix paths, and ``_store_layout``
+    picks the layout of fewer bytes.  ``ResourceLimitError`` is raised
+    before counting when the key space exceeds 64 bits, and before the store
+    is allocated (the float blocks freed first) when its bytes would exceed
+    physical memory.
 
-    The store is filled on this thread, by ``_fill_keys`` (flat) or
-    ``_fill_rows`` (rows), one start vertex at a time.  A start whose
-    enumerated cycles differ from its own count raises
-    ``InvariantViolationError``.
+    One loop then fills the store, a start at a time on this thread: it
+    enumerates ``a``'s prefix paths once (``_paths_from``) and encodes their
+    keys once.  A rows store writes them and their offsets, from one product
+    of the last two blocks; a flat store tries as closers only the
+    part-(k-1) vertices that close back to ``a`` and writes the key
+    ``prefix * m + closer`` of each (path, closer) pair whose last edge
+    exists.  A start whose prefix paths or cycles differ from its counts
+    raises ``InvariantViolationError`` before its keys are written.
     """
-    k = g.k
-    _radices(k, g.m)  # refuses a key space beyond 64 bits
+    k, m = g.k, g.m
+    _radices(k, m)  # refuses a key space beyond 64 bits
     fb = _float_blocks(g)
     bounds = [0, *itertools.accumulate(_closed_walks(fb, 0).tolist())]
-    paths = _prefix_paths(fb)
-    rows = int(paths.sum())
-    layout = _store_layout(bounds[-1], rows)
-    _check_fits_in_memory("cycle keys", _store_bytes(bounds[-1], rows)[layout])
-    if layout == "rows":
-        last, close = fb[k - 2 :]
-        del fb
-        # closers[a, end]: the part-(k-1) vertices adjacent to both a and end;
-        # at most m < 2**22, so exact in float32 and never None
-        closers = _exact(close.T @ last.T)
-        del last, close
-        return _fill_rows(g, closers, bounds, paths)
-    del fb
-    keys = np.empty(bounds[-1], dtype=np.uint64)
-    _fill_keys(g, keys, bounds)
-    return TightHypergraph(g, keys)
+    firsts = [0, *itertools.accumulate(_prefix_paths(fb).tolist())]
+    layout = _store_layout(bounds[-1], firsts[-1])
+    _check_fits_in_memory("cycle keys", _store_bytes(bounds[-1], firsts[-1])[layout])
+    rows = layout == "rows"
+    last, close = fb[k - 2 :]
+    del fb  # the other blocks are freed before the product
+    # counts[a, end]: the part-(k-1) vertices adjacent to both a and end;
+    # at most m < 2**22, so exact in float32 and never None
+    counts = _exact(close.T @ last.T) if rows else None
+    del last, close
+    head = np.empty(firsts[-1] if rows else bounds[-1], dtype=np.uint64)
+    offsets = np.zeros(firsts[-1] + 1, dtype=np.int64) if rows else None
+    last, close = g.blocks[k - 2], g.blocks[k - 1]
+    for a in range(m):
+        cols = _paths_from(g, a)
+        _check_found(a, "prefix paths", cols[-1].size, firsts[a + 1] - firsts[a])
+        prefix = encode_keys([a, *cols], m)
+        lo, hi = bounds[a], bounds[a + 1]
+        if rows:
+            ends = np.cumsum(counts[a, cols[-1]].astype(np.int64))
+            _check_found(a, "proper cycles", int(ends[-1]) if ends.size else 0, hi - lo)
+            head[firsts[a] : firsts[a + 1]] = prefix
+            offsets[firsts[a] + 1 : firsts[a + 1] + 1] = lo + ends
+        else:
+            closers = np.flatnonzero(close[:, a])
+            # row-major order over (path, closer) is ascending key order
+            hits = np.flatnonzero(last[cols[-1]][:, closers])
+            _check_found(a, "proper cycles", hits.size, hi - lo)
+            table = prefix[:, None] * np.uint64(m) + closers.astype(np.uint64)
+            # hits index the table's own shape, so "clip" clips nothing;
+            # unlike the default mode, it writes into head without a buffer
+            np.take(table.ravel(), hits, out=head[lo:hi], mode="clip")
+    return TightHypergraph(g, head, offsets)
 
 
 def _paths_from(g: LayeredGraph, a: int) -> list[np.ndarray]:
@@ -428,67 +446,11 @@ def _paths_from(g: LayeredGraph, a: int) -> list[np.ndarray]:
     return cols
 
 
-def _check_found(a: int, found: int, counted: int) -> None:
+def _check_found(a: int, what: str, found: int, counted: int) -> None:
     if found != counted:
         raise InvariantViolationError(
-            f"start vertex {a}: enumerated {found} proper cycles, counted {counted}"
+            f"start vertex {a}: enumerated {found} {what}, counted {counted}"
         )
-
-
-def _fill_keys(g: LayeredGraph, keys: np.ndarray, bounds: list[int]) -> None:
-    """Write the keys of the proper cycles through each part-0 vertex ``a``
-    into ``keys[bounds[a]:bounds[a+1]]``, ascending.
-
-    The prefix paths from ``a`` come from ``_paths_from``, and only the
-    part-(k-1) vertices that close back to ``a`` are tried as their
-    closers, so no path that fails to close is ever built.  The keys of
-    every (path, closer) pair are encoded as one table, and the pairs whose
-    last edge exists are taken from it.  Raises ``InvariantViolationError``
-    before writing keys when a start's cycles do not number exactly its ids.
-    """
-    k, m = g.k, g.m
-    last, close = g.blocks[k - 2], g.blocks[k - 1]
-    for a in range(m):
-        lo, hi = bounds[a], bounds[a + 1]
-        found = 0
-        closers = np.flatnonzero(close[:, a])
-        if closers.size:
-            cols = _paths_from(g, a)
-            # row-major order over (path, closer) is ascending key order
-            flat = np.flatnonzero(last[cols[-1]][:, closers])
-            found = flat.size
-            if found == hi - lo:
-                table = encode_keys([a, *(c[:, None] for c in cols), closers], m)
-                # flat indexes the table's own shape, so "clip" clips nothing;
-                # unlike the default mode, it writes into keys without a buffer
-                np.take(table.ravel(), flat, out=keys[lo:hi], mode="clip")
-        _check_found(a, found, hi - lo)
-
-
-def _fill_rows(
-    g: LayeredGraph, closers: np.ndarray, bounds: list[int], paths: np.ndarray
-) -> TightHypergraph:
-    """The rows store of ``g``: each part-0 vertex ``a``'s prefix paths, in
-    key order, and their offsets from ``closers[a, end]``, the number of
-    closers of a path from ``a`` to ``end``.  Raises
-    ``InvariantViolationError`` when a start's paths do not number exactly
-    ``paths[a]``, or its closers do not number exactly its ids."""
-    firsts = [0, *itertools.accumulate(paths.tolist())]
-    head = np.empty(firsts[-1], dtype=np.uint64)
-    offsets = np.empty(firsts[-1] + 1, dtype=np.int64)
-    offsets[0] = 0
-    for a in range(g.m):
-        lo, hi = firsts[a], firsts[a + 1]
-        cols = _paths_from(g, a)
-        if cols[-1].size != hi - lo:
-            raise InvariantViolationError(
-                f"start vertex {a}: enumerated {cols[-1].size} prefix paths, counted {hi - lo}"
-            )
-        head[lo:hi] = encode_keys([a, *cols], g.m)
-        ends = np.cumsum(closers[a, cols[-1]].astype(np.int64))
-        _check_found(a, int(ends[-1]) if ends.size else 0, bounds[a + 1] - bounds[a])
-        offsets[lo + 1 : hi + 1] = bounds[a] + ends
-    return TightHypergraph(g, head, offsets)
 
 
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -601,10 +563,18 @@ def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _id_array(ids) -> np.ndarray:
+    """``ids`` as an array; ``IndexError`` unless its dtype is an integer one."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise IndexError(f"hyperedge ids must be integers, got dtype {ids.dtype}")
+    return ids
+
+
 def _absolute_ids(ids, n: int) -> np.ndarray:
     """Int ``ids`` of n items, a negative one counting from the end, as in numpy;
-    ``IndexError`` for an id outside [-n, n)."""
-    ids = np.asarray(ids)
+    ``IndexError`` for an id outside [-n, n) or a dtype ``_id_array`` refuses."""
+    ids = _id_array(ids)
     if ids.size and (ids.min() < -n or ids.max() >= n):
         raise IndexError(f"hyperedge id out of range [{-n}, {n})")
     return np.where(ids < 0, ids + n, ids)
@@ -649,9 +619,9 @@ class TightHypergraph:
     def keys(self, ids=slice(None)) -> np.ndarray:
         """The keys of the ids ``ids`` selects (a slice or an int array; all
         by default), as uint64.  Negative ids count from the end, as in
-        numpy; ``IndexError`` for an id out of range."""
+        numpy; ``IndexError`` for an id out of range or a non-integer array."""
         if self.offsets is None:
-            return self.head[ids]
+            return self.head[ids if isinstance(ids, slice) else _id_array(ids)]
         if isinstance(ids, slice):
             start, stop, step = ids.indices(len(self))
             if step == 1:
@@ -674,8 +644,8 @@ class TightHypergraph:
         return decode_keys(self.keys(ids), g.k, g.m) + np.arange(0, g.num_vertices, g.m)
 
     def hyperedge(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < len(self):
-            raise IndexError(f"hyperedge id {idx} out of range [0, {len(self)})")
+        """The hyperedge of one int id, under the id rule of ``keys``."""
+        idx = range(len(self))[_id_array(idx)]  # counts from the end; IndexError
         return tuple(self.vertex_rows(slice(idx, idx + 1))[0].tolist())
 
     def hyperedges(self) -> list[tuple[int, ...]]:

@@ -142,7 +142,8 @@ class Coloring:
     def __getitem__(self, ids) -> np.ndarray:
         """The uint8 colors of a slice of ids, or of int ids (a scalar or an
         array): a negative id counts from the end, as in numpy, and an id
-        outside [-N, N) raises ``IndexError``, as ``TightHypergraph.keys``."""
+        outside [-N, N) or an array of another dtype (a boolean mask) raises
+        ``IndexError``, as ``TightHypergraph.keys``."""
         if isinstance(ids, slice):
             ids = np.arange(*ids.indices(self._size))
         else:

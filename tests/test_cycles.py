@@ -125,6 +125,27 @@ class TestEnumeration:
             with forced(layout), pytest.raises(InvariantViolationError, match=skewed_starts):
                 build_hypergraph(g)
 
+    # both layouts check every start's prefix paths against _prefix_paths;
+    # the other starts keep their counts, so the check names this start
+    @pytest.mark.parametrize("d", [-1, 1])
+    def test_prefix_path_count_mismatch_is_refused(self, monkeypatch, d):
+        g = random_graph(4, 5, 0.6, 2)
+        prefix_paths = cycles._prefix_paths
+        a = int(np.flatnonzero(prefix_paths(cycles._float_blocks(g)))[-1])
+
+        def skewed(fb):
+            paths = prefix_paths(fb)
+            paths[a] += d
+            return paths
+
+        monkeypatch.setattr(cycles, "_prefix_paths", skewed)
+        for layout in LAYOUTS:
+            with forced(layout), pytest.raises(
+                InvariantViolationError,
+                match=rf"^start vertex {a}: enumerated \d+ prefix paths, counted",
+            ):
+                build_hypergraph(g)
+
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         """A start's exception reaches the caller from the caller's own thread."""
         g = random_graph(4, 6, 0.6, 3)
@@ -938,6 +959,32 @@ class TestHypergraph:
         assert h.hyperedge(len(h) - 1) == tuple(rows[-1].tolist())
         with pytest.raises(IndexError):
             h.hyperedge(len(h))
+
+    # a boolean mask or a float array is no id array: numpy would read a
+    # mask as a selection and the rows layout as ids 0 and 1, so each layout
+    # and a coloring refuse both alike; a scalar id follows the same rule
+    def test_non_integer_id_arrays_are_refused(self):
+        g = complete_layered(3, 20)
+        mask = np.zeros(g.m**3, dtype=bool)
+        mask[[5, 7]] = True
+        for layout in LAYOUTS:
+            with forced(layout):
+                h = build_hypergraph(g)
+            assert h.layout == layout and len(h) == mask.size
+            col = random_coloring(h, 3, 1)
+            for bad in (mask, np.array([5.0, 7.0]), np.array([True])):
+                for read in (h.keys, h.vertex_rows, col.__getitem__):
+                    with pytest.raises(IndexError, match="must be integers"):
+                        read(bad)
+            with pytest.raises(IndexError, match="must be integers"):
+                h.hyperedge(True)
+            assert h.hyperedge(-1) == h.hyperedge(len(h) - 1) == (19, 39, 59)
+            assert h.hyperedge(np.int64(-len(h))) == h.hyperedge(0) == (0, 20, 40)
+            for bad in (len(h), -len(h) - 1):
+                with pytest.raises(IndexError, match="out of range"):
+                    h.hyperedge(bad)
+            ids = np.flatnonzero(mask)
+            assert np.array_equal(h.keys(ids), ids.astype(np.uint64))
 
     def test_edge_id_roundtrip(self):
         g = random_graph(4, 4, 0.6, 79)
