@@ -14,15 +14,16 @@ finishes with either a found path or an audited certificate.
 A coloring holds ``(r - 1).bit_length()`` bit planes over hyperedge ids,
 packed one bit per id in ``np.packbits`` order (``ceil(len(h) / 8)`` bytes
 each): every coloring is packed a chunk of colors at a time, and its color
-tally is taken in the same pass.  The search reads one live mask packed the
-same way: ``run_outer`` builds it from the planes with bitwise operations,
-and each restart clears the bits of the ones it deletes.  No bool or int
-array as long as the hyperedges is built, nor one byte per hyperedge: the
-scans unpack only the bytes they read.  Every choice (starting edge,
-extension vertex) is the lexicographically least eligible option, so runs
-are replayable.  Within a round the start-edge scan resumes at the last
-start edge, because the eligible set only shrinks there (see
-``greedy_round``).
+tally is taken in the same pass.  The search reads the coloring in place and
+never writes it.  An id is live when the planes spell the working color and
+no restart has deleted it: the first restart allocates ``kept``, an all-ones
+mask packed the same way, and each restart clears the ids it deletes.
+``_live_bytes`` is the one reader of both; the scans read only the bytes
+they need, and no array of a bool, int or byte per hyperedge is built.
+Every choice (starting edge, extension vertex) is the lexicographically
+least eligible option, so runs are replayable.  Within a round the
+start-edge scan resumes at the last start edge, because the eligible set
+only shrinks there (see ``greedy_round``).
 """
 
 from __future__ import annotations
@@ -277,38 +278,30 @@ def pick_majority_color(counts: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the packed live mask
+# live ids, read from the planes
 # ---------------------------------------------------------------------------
 
 
-def _live_bits(live: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Whether each of ``ids`` is set in the packed mask ``live``."""
-    return (live[ids >> 3] & _BIT[ids & 7]) != 0
-
-
-def _clear_bits(live: np.ndarray, ids: np.ndarray) -> None:
-    """Clear the bits of ``ids`` in the packed mask ``live``; ``np.bitwise_and.at``
-    applies every id, also where several ids (or one id twice) share a byte."""
-    np.bitwise_and.at(live, ids >> 3, ~_BIT[ids & 7])
-
-
-def _packed_live(col: Coloring, color: int) -> np.ndarray:
-    """The packed mask of ``color``'s hyperedges, built from the planes
-    without unpacking a color: the AND of each plane where ``color`` has its
-    bit set and of the plane's inverse where not, with the padding bits
-    cleared.  Refused before allocation when its bytes would exceed
-    physical memory."""
-    _check_fits_in_memory("live flags", col.planes.shape[1])
-    live = np.full(col.planes.shape[1], 255, dtype=np.uint8)
+def _live_bytes(col: Coloring, color: int, kept, at) -> np.ndarray:
+    """The bytes ``at`` (a slice or byte indices) of the packed mask of live
+    ids: the AND of each plane where ``color`` has its bit set, of the plane's
+    inverse where not, and of ``kept`` when given; padding bits are not cleared."""
+    live = None
     for b, plane in enumerate(col.planes):
-        if color >> b & 1:
-            live &= plane
-        else:  # live &= ~plane, with no inverted copy of the plane
-            live |= plane
-            live ^= plane
-    if len(col) % 8:
-        live[-1] &= 0xFF00 >> len(col) % 8 & 0xFF
-    return live
+        bits = plane[at] if color >> b & 1 else ~plane[at]
+        live = bits if live is None else live & bits
+    return live if kept is None else live & kept[at]
+
+
+def _live_bits(col: Coloring, color: int, kept, ids: np.ndarray) -> np.ndarray:
+    """Whether each of ``ids`` is live (see ``_live_bytes``)."""
+    return (_live_bytes(col, color, kept, ids >> 3) & _BIT[ids & 7]) != 0
+
+
+def _clear_bits(mask: np.ndarray, ids: np.ndarray) -> None:
+    """Clear the bits of ``ids`` in the packed ``mask``; ``np.bitwise_and.at``
+    applies every id, also where several ids (or one id twice) share a byte."""
+    np.bitwise_and.at(mask, ids >> 3, ~_BIT[ids & 7])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +325,7 @@ class RoundRecord:
 
 
 def _check_round(
-    h: TightHypergraph, live: np.ndarray, path: list[int], trash: list, unused: np.ndarray
+    h: TightHypergraph, col: Coloring, color: int, kept, path: list[int], trash: list, unused
 ) -> None:
     """Assert a round's invariants: path and trash are disjoint, U is the
     rest, and a path of k or more vertices is tight on live hyperedges."""
@@ -345,18 +338,18 @@ def _check_round(
     expected[sorted(in_path | in_trash)] = False
     assert np.array_equal(expected, unused), "unused mask out of sync"
     if len(path) >= g.k:
-        deleted = np.unpackbits(live, count=len(h)) == 0
+        deleted = np.unpackbits(_live_bytes(col, color, kept, slice(None)), count=len(h)) == 0
         ok, reason = validate_tight_path_verbose(h, path, deleted=deleted)
         assert ok, f"path is not a tight path of live hyperedges: {reason}"
 
 
 def _find_start_edge(
-    h: TightHypergraph, live: np.ndarray, unused: np.ndarray, lo: int = 0
+    h: TightHypergraph, col: Coloring, color: int, kept, unused: np.ndarray, lo: int = 0
 ) -> int | None:
     """Least live hyperedge inside U with id >= ``lo``.
 
-    The scan reads the live mask a chunk of ``_FIRST_SCAN_CHUNK`` ids at a
-    time, doubling up to ``_SCAN_CHUNK``, unpacks only the bytes that cover
+    The scan reads a chunk of ``_FIRST_SCAN_CHUNK`` ids at a time, doubling
+    up to ``_SCAN_CHUNK``, reads and unpacks only the live bytes that cover
     the chunk, and decodes only the chunk's live ids, so a hit near ``lo``
     decodes few keys.
     """
@@ -364,8 +357,8 @@ def _find_start_edge(
     while lo < len(h):
         hi = min(lo + step, len(h))
         skip = lo % 8  # bits of the first byte below lo
-        bits = np.unpackbits(live[lo // 8 : -(-hi // 8)]).view(bool)[skip : skip + hi - lo]
-        ids = bits.nonzero()[0] + lo
+        live = np.unpackbits(_live_bytes(col, color, kept, slice(lo // 8, -(-hi // 8))))
+        ids = live.view(bool)[skip : skip + hi - lo].nonzero()[0] + lo
         if ids.size:
             ok = unused[h.vertex_rows(ids)].all(axis=1)
             if ok.any():
@@ -376,7 +369,7 @@ def _find_start_edge(
 
 
 def _eligible_extensions(
-    h: TightHypergraph, live: np.ndarray, unused: np.ndarray, path: list[int]
+    h: TightHypergraph, col: Coloring, color: int, kept, unused: np.ndarray, path: list[int]
 ) -> np.ndarray:
     """Unused vertices extending the last k-1 of the path by a live hyperedge."""
     ext, keys = _extensions(h.graph, path[-(h.graph.k - 1) :], unused)
@@ -384,16 +377,17 @@ def _eligible_extensions(
         return ext
     ids = h.ids_for_keys(keys)
     ok = ids >= 0
-    ok[ok] = _live_bits(live, ids[ok])
+    ok[ok] = _live_bits(col, color, kept, ids[ok])
     return ext[ok]
 
 
 def greedy_round(
-    h: TightHypergraph, live: np.ndarray, n: int, debug: bool = False
+    h: TightHypergraph, col: Coloring, color: int, n: int,
+    kept: np.ndarray | None = None, debug: bool = False,
 ) -> tuple[RoundOutcome, RoundRecord]:
-    """Run one greedy round against the live hyperedges, the ids whose bits
-    are set in ``live`` (working color, not deleted): a uint8 array of
-    ``ceil(len(h) / 8)`` bytes, one bit per id in ``np.packbits`` order.
+    """Run one greedy round against the live hyperedges: those of ``color``
+    in ``col`` whose bits are set in ``kept``, packed as a plane is (all of
+    ``color``'s when ``kept`` is None).  Neither is written.
 
     Its state is three locals: ``path``; ``trash``, a list of (k-1)-vertex
     tuples; and ``unused``, the mask of U.  A start edge (the least live
@@ -405,28 +399,31 @@ def greedy_round(
 
     Each start-edge scan resumes at the last start edge (the cursor ``lo``).
     This is exact: every scan runs with an empty path, so U = V \\ trash;
-    the trash only grows, and ``live`` does not change within a round; so
+    the trash only grows, and the live ids do not change within a round; so
     the eligible set only shrinks, and its least id never decreases.
     """
     g = h.graph
     _check_n(n, g.k)
+    _check_coloring(h, col, color)
     shape = (-(-len(h) // 8),)
-    if not (isinstance(live, np.ndarray) and live.dtype == np.uint8 and live.shape == shape):
-        raise ParameterError("live", f"must be a packed uint8 bit mask of shape {shape}")
+    packed = isinstance(kept, np.ndarray) and kept.dtype == np.uint8 and kept.shape == shape
+    if not (kept is None or packed):
+        raise ParameterError("kept", f"must be a packed uint8 bit mask of shape {shape}")
+    live = (col, color, kept)  # what the live test reads
     path: list[int] = []
     trash: list[tuple[int, ...]] = []
     unused = np.ones(g.num_vertices, dtype=bool)
     lo = 0
     while True:
         if debug:
-            _check_round(h, live, path, trash, unused)
+            _check_round(h, *live, path, trash, unused)
         if len(path) >= n:
             kind = RoundOutcome.PATH_FOUND
             break
         if not path:
-            eid = _find_start_edge(h, live, unused, lo)
+            eid = _find_start_edge(h, *live, unused, lo)
             if debug:
-                assert eid == _find_start_edge(h, live, unused), "cursor skipped a start edge"
+                assert eid == _find_start_edge(h, *live, unused), "cursor skipped a start edge"
             if eid is None:
                 kind = RoundOutcome.NO_WORKING_EDGE
                 break
@@ -434,7 +431,7 @@ def greedy_round(
             path = list(h.hyperedge(eid))
             unused[path] = False
             continue
-        ext = _eligible_extensions(h, live, unused, path)
+        ext = _eligible_extensions(h, *live, unused, path)
         if ext.size:
             path.append(int(ext[0]))
             unused[path[-1]] = False
@@ -449,7 +446,7 @@ def greedy_round(
             unused[path] = True
             path = []
     if debug:
-        _check_round(h, live, path, trash, unused)
+        _check_round(h, *live, path, trash, unused)
     return kind, RoundRecord(path_snapshot=path, trash=trash_family(g, trash))
 
 
@@ -570,16 +567,19 @@ def run_outer(
     _check_coloring(h, col, 0 if color is None else color)
     if color is None:
         color = pick_majority_color(col.counts())
-    live = _packed_live(col, color)
+    kept = None  # every id is kept until the first restart deletes some
     rounds: list[RoundRecord] = []
     for _ in range(len(h) + 2):
-        kind, rec = greedy_round(h, live, n)
+        kind, rec = greedy_round(h, col, color, n, kept)
         if kind is RoundOutcome.PATH_FOUND:
             return FoundPath(color=color, vertices=rec.path_snapshot)
         if kind is RoundOutcome.TRASH_FULL:
             rounds.append(rec)
-            rows = rec.trash.rows.tolist()
-            _clear_bits(live, np.concatenate([h.extension_ids(row) for row in rows]))
+            if kept is None:
+                _check_fits_in_memory("kept flags", col.planes.shape[1])
+                kept = np.full(col.planes.shape[1], 255, dtype=np.uint8)
+            ids = [h.extension_ids(row) for row in rec.trash.rows.tolist()]
+            _clear_bits(kept, np.concatenate(ids))
             continue
         cset = sorted(rec.trash.rows.ravel().tolist())
         cert = Certificate(

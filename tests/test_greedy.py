@@ -191,8 +191,8 @@ class TestColorPlanes:
         ids = np.random.default_rng(r).permutation(length)[:9]
         assert np.array_equal(col[ids], colors[ids]) and col[length - 1] == colors[-1]
         assert np.array_equal(col.counts(), np.bincount(colors, minlength=r))
-        for c in range(r):
-            assert np.array_equal(greedy._packed_live(col, c), np.packbits(colors == c))
+        for b, plane in enumerate(col.planes):
+            assert np.array_equal(plane, np.packbits(colors >> b & 1))
 
     # the ids of a coloring follow TightHypergraph.keys: a negative id counts
     # from the end, and one outside [-N, N) is refused, also where it would
@@ -287,7 +287,7 @@ class TestMajority:
 class TestGreedyRound:
     def test_no_working_edges(self, tiny_complete, complete_h):
         col = mono_coloring(complete_h, 1)
-        kind, rec = greedy_round(complete_h, np.packbits(col[:] == 0), n=4)
+        kind, rec = greedy_round(complete_h, col, 0, n=4)
         assert kind is RoundOutcome.NO_WORKING_EDGE
         assert rec.path_snapshot == [] and len(rec.trash) == 0
 
@@ -295,7 +295,7 @@ class TestGreedyRound:
         g = complete_layered(3, 6)
         h = build_hypergraph(g)
         col = mono_coloring(h, 0)
-        kind, rec = greedy_round(h, np.packbits(col[:] == 0), n=6, debug=True)
+        kind, rec = greedy_round(h, col, 0, n=6, debug=True)
         assert kind is RoundOutcome.PATH_FOUND
         assert len(rec.trash) == 0  # extension never fails in a complete graph
         assert validate_tight_path(h, rec.path_snapshot, col, 0)
@@ -304,13 +304,13 @@ class TestGreedyRound:
         colors = np.ones(8, dtype=np.uint8)
         colors[0] = 0
         col = Coloring(2, colors)
-        kind, rec = greedy_round(complete_h, np.packbits(col[:] == 0), n=3)
+        kind, rec = greedy_round(complete_h, col, 0, n=3)
         assert kind is RoundOutcome.PATH_FOUND
         assert rec.path_snapshot == [0, 2, 4]  # canonical layout from the part-0 vertex
 
     def test_case2_produces_trash(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        kind, rec = greedy_round(complete_h, np.packbits(col[:] == 0), n=4, debug=True)
+        kind, rec = greedy_round(complete_h, col, 0, n=4, debug=True)
         assert kind is RoundOutcome.NO_WORKING_EDGE
         assert len(rec.trash) == 2  # both parity-0 components get trashed
 
@@ -323,18 +323,18 @@ class TestGreedyRound:
             if len(h) == 0:
                 continue
             col = random_coloring(h, 2, seed)
-            greedy_round(h, np.packbits(col[:] == 0), n=5, debug=True)
-            greedy_round(h, np.packbits(col[:] == 1), n=5, debug=True)
+            greedy_round(h, col, 0, n=5, debug=True)
+            greedy_round(h, col, 1, n=5, debug=True)
 
     def test_trash_full_terminates(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
-        greedy_round(complete_h, np.packbits(col[:] == 0), n=2 * 3)
+        greedy_round(complete_h, col, 0, n=2 * 3)
         # n=6 > reachable trash here; rerun with n=2 rejected (n < k)
         with pytest.raises(ParameterError):
-            greedy_round(complete_h, np.packbits(col[:] == 0), n=2)
+            greedy_round(complete_h, col, 0, n=2)
 
     @pytest.mark.parametrize(
-        "live",
+        "kept",
         [
             np.ones(0, dtype=np.uint8),
             np.ones(8, dtype=np.uint8),
@@ -346,12 +346,12 @@ class TestGreedyRound:
         ],
         ids=["short", "uint8", "list", "2d", "unpacked-bool", "bool", "long"],
     )
-    def test_rejects_a_mask_that_is_not_one_bool_per_hyperedge(self, complete_h, live):
+    def test_rejects_a_mask_that_is_not_one_bool_per_hyperedge(self, complete_h, kept):
         # the mask is packed: one bit per hyperedge, ceil(8 / 8) = 1 uint8 byte;
         # one uint8 or bool per hyperedge is refused
         with pytest.raises(ParameterError) as excinfo:
-            greedy_round(complete_h, live, 4)
-        assert excinfo.value.field == "live"
+            greedy_round(complete_h, mono_coloring(complete_h, 0), 0, 4, kept=kept)
+        assert excinfo.value.field == "kept"
 
 
 class TestStartEdgeCursor:
@@ -368,7 +368,7 @@ class TestStartEdgeCursor:
         colors[list(eligible)] = 0
         if unused is None:
             unused = np.ones(h.graph.num_vertices, dtype=bool)
-        return greedy._find_start_edge(h, np.packbits(colors == 0), unused, lo)
+        return greedy._find_start_edge(h, Coloring(2, colors), 0, None, unused, lo)
 
     @pytest.mark.parametrize("target", [0, 63, 64, 191, 192, 1023, 1024, 3071, 3072, 7168, 7999])
     def test_first_eligible_id(self, big, target):
@@ -429,8 +429,8 @@ class TestStartEdgeCursor:
     )
     def test_cursor_matches_full_scan_in_run_outer(self, monkeypatch, k, m, p, seed, minority):
         # sparse restart-heavy instances: every resumed scan must give the
-        # answer of a scan from id 0, on the majority's live mask and on the
-        # minority's
+        # answer of a scan from id 0, for the majority color and for the
+        # minority, before and after restarts delete ids
         g = random_graph(k, m, p, seed)
         h = build_hypergraph(g)
         if k == 3:
@@ -438,18 +438,19 @@ class TestStartEdgeCursor:
         col = random_coloring(h, 2, seed)
         majority = pick_majority_color(col.counts())
         full_scan = greedy._find_start_edge
-        resumed = []
+        resumed, deleting = [], []
 
-        def checked_scan(h, live, unused, lo=0):
-            eid = full_scan(h, live, unused, lo)
-            assert eid == full_scan(h, live, unused)
+        def checked_scan(h, col, color, kept, unused, lo=0):
+            eid = full_scan(h, col, color, kept, unused, lo)
+            assert eid == full_scan(h, col, color, kept, unused)
             resumed.append(lo > 0)
+            deleting.append(kept is not None)
             return eid
 
         monkeypatch.setattr(greedy, "_find_start_edge", checked_scan)
         out = run_outer(h, col, n=10, color=1 - majority if minority else majority)
         assert isinstance(out, Certificate) and len(out.rounds) > 0
-        assert any(resumed)
+        assert any(resumed) and any(deleting)
 
     def test_debug_round_rescans_from_zero(self, monkeypatch):
         g = random_graph(3, 600, 0.03, 1)
@@ -458,20 +459,19 @@ class TestStartEdgeCursor:
         full_scan = greedy._find_start_edge
         los = []
 
-        def spy(h, live, unused, lo=0):
+        def spy(h, col, color, kept, unused, lo=0):
             los.append(lo)
-            return full_scan(h, live, unused, lo)
+            return full_scan(h, col, color, kept, unused, lo)
 
         monkeypatch.setattr(greedy, "_find_start_edge", spy)
-        live = np.packbits(col[:] == pick_majority_color(col.counts()))
-        greedy_round(h, live, n=10, debug=True)
+        greedy_round(h, col, pick_majority_color(col.counts()), n=10, debug=True)
         # debug mode follows every cursor scan with a scan from id 0
         assert any(lo > 0 for lo in los[0::2]) and not any(los[1::2])
 
 
 class TestSizeRule:
-    """The bit planes of a coloring and the live mask are refused before they
-    are allocated: a rows store no longer bounds them."""
+    """The bit planes of a coloring and the greedy's kept mask are refused
+    before they are allocated: a rows store no longer bounds them."""
 
     @pytest.fixture
     def physical(self, monkeypatch):
@@ -520,20 +520,38 @@ class TestSizeRule:
         physical(13)
         assert Coloring.from_json(doc)[:].tolist() == [0, 1] * 50
 
-    def test_live_mask_beyond_physical_memory_refused(self, physical):
-        col = Coloring(2, np.zeros(21, dtype=np.uint8))
-        physical(2)  # 21 bits take 3 bytes
-        with pytest.raises(ResourceLimitError, match="^live flags need more bytes") as excinfo:
-            greedy._packed_live(col, 0)
-        assert excinfo.value.required == 3
-        physical(3)
-        # color 0's mask inverts the plane, and clears the 3 padding bits again
-        assert greedy._packed_live(col, 0).tolist() == [255, 255, 248]
-        assert greedy._packed_live(col, 1).tolist() == [0, 0, 0]
+    def test_kept_mask_beyond_physical_memory_refused(self, physical, monkeypatch):
+        h = build_hypergraph(random_graph(3, 6, 0.7, 2))
+        col = random_coloring(h, 2, 2)
+        assert len(h) == 61  # the kept mask takes 8 bytes
+        real_round = greedy.greedy_round
+        kinds = []
+
+        def spy(*args, **kwargs):
+            kind, rec = real_round(*args, **kwargs)
+            kinds.append(kind)
+            return kind, rec
+
+        monkeypatch.setattr(greedy, "greedy_round", spy)
+        physical(7)
+        # a run that never restarts allocates no mask
+        assert isinstance(run_outer(h, col, n=3), FoundPath)
+        assert kinds == [RoundOutcome.PATH_FOUND]
+        kinds.clear()
+        with pytest.raises(ResourceLimitError, match="^kept flags need more bytes") as excinfo:
+            run_outer(h, col, n=6)
+        assert (excinfo.value.required, excinfo.value.cap) == (8, 7)
+        assert kinds == [RoundOutcome.TRASH_FULL]  # refused at the first restart
+        physical(8)
+        kinds.clear()
+        out = run_outer(h, col, n=6)
+        assert isinstance(out, FoundPath) and len(out.vertices) == 6
+        assert kinds == [RoundOutcome.TRASH_FULL, RoundOutcome.PATH_FOUND]
 
 
 class TestPackedLiveMask:
-    """The live mask holds one bit per hyperedge id, in ``np.packbits`` order."""
+    """Liveness is read from the packed planes and the kept mask, one bit per
+    hyperedge id in ``np.packbits`` order, through ``greedy._live_bytes``."""
 
     @pytest.fixture(scope="class")
     def odd_h(self):
@@ -541,6 +559,11 @@ class TestPackedLiveMask:
         h = build_hypergraph(complete_layered(3, 13))
         assert len(h) % 8 == 5
         return h
+
+    @staticmethod
+    def marked(mask):
+        """A 2-coloring whose color 1 is ``mask``."""
+        return Coloring(2, mask.view(np.uint8))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32), density=st.floats(0.001, 0.5), lo=st.integers(0, 2200))
@@ -551,7 +574,31 @@ class TestPackedLiveMask:
         eligible = np.flatnonzero(mask & unused[odd_h.vertex_rows()].all(axis=1))
         later = eligible[eligible >= lo]
         expected = int(later[0]) if later.size else None
-        assert greedy._find_start_edge(odd_h, np.packbits(mask), unused, lo) == expected
+        assert greedy._find_start_edge(odd_h, self.marked(mask), 1, None, unused, lo) == expected
+
+    @pytest.mark.parametrize("with_kept", [False, True], ids=["all-kept", "kept"])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 256])
+    def test_reads_match_an_unpacked_reference(self, odd_h, r, with_kept):
+        # every read ANDs (r - 1).bit_length() planes, each as is or inverted,
+        # and then the kept mask; the reference unpacks the colors
+        rng = np.random.default_rng(r)
+        col = random_coloring(odd_h, r, r)
+        kept_bool = rng.random(len(odd_h)) < 0.7 if with_kept else np.ones(len(odd_h), bool)
+        kept = np.packbits(kept_bool) if with_kept else None
+        unused = rng.random(odd_h.graph.num_vertices) < 0.9
+        inside = unused[odd_h.vertex_rows()].all(axis=1)
+        ids = np.concatenate([rng.permutation(len(odd_h)), [len(odd_h) - 1, 0, 0]])
+        los = [0, 1, 7, 8, 9, 1023, 2190, 2192, 2196, 2197, *rng.integers(0, len(odd_h), 6)]
+        colors = range(r) if r < 256 else [0, 1, 128, 255, *rng.integers(2, 255, 4)]
+        for color in colors:
+            live = (col[:] == color) & kept_bool
+            assert np.array_equal(greedy._live_bits(col, color, kept, ids), live[ids]), color
+            eligible = np.flatnonzero(live & inside)
+            for lo in los:
+                later = eligible[eligible >= lo]
+                expected = int(later[0]) if later.size else None
+                got = greedy._find_start_edge(odd_h, col, color, kept, unused, lo)
+                assert got == expected, (color, lo)
 
     @pytest.mark.parametrize("lo", [1, 3, 7, 9, 1021, 2190, 2196])
     def test_scan_from_inside_a_byte(self, odd_h, lo):
@@ -560,30 +607,34 @@ class TestPackedLiveMask:
         mask[lo - lo % 8 : lo] = True
         mask[lo] = True
         unused = np.ones(odd_h.graph.num_vertices, dtype=bool)
-        assert greedy._find_start_edge(odd_h, np.packbits(mask), unused, lo) == lo
+        assert greedy._find_start_edge(odd_h, self.marked(mask), 1, None, unused, lo) == lo
         mask[lo] = False
-        assert greedy._find_start_edge(odd_h, np.packbits(mask), unused, lo) is None
+        assert greedy._find_start_edge(odd_h, self.marked(mask), 1, None, unused, lo) is None
 
     def test_bit_lookups_match_an_unpacked_reference(self):
-        mask = np.random.default_rng(3).random(21) < 0.5
-        ids = np.arange(21)
-        assert np.array_equal(greedy._live_bits(np.packbits(mask), ids), mask)
+        rng = np.random.default_rng(3)
+        mask, kept = rng.random((2, 21)) < 0.5
+        col, ids = self.marked(mask), np.arange(21)
+        assert np.array_equal(greedy._live_bits(col, 1, None, ids), mask)
+        assert np.array_equal(greedy._live_bits(col, 0, None, ids), ~mask)
+        assert np.array_equal(greedy._live_bits(col, 1, np.packbits(kept), ids), mask & kept)
 
     def test_clearing_ids_that_share_a_byte(self):
-        live = np.packbits(np.ones(21, dtype=bool))  # 3 bytes, the last one partial
+        kept = np.packbits(np.ones(21, dtype=bool))  # 3 bytes, the last one partial
         # 8, 9, 10 and 15 share a byte; 15 and 9 come twice
-        greedy._clear_bits(live, np.array([8, 9, 10, 15, 15, 20, 9]))
+        greedy._clear_bits(kept, np.array([8, 9, 10, 15, 15, 20, 9]))
         expected = np.ones(21, dtype=bool)
         expected[[8, 9, 10, 15, 20]] = False
-        assert np.array_equal(np.unpackbits(live, count=21).view(bool), expected)
-        assert not np.unpackbits(live)[21:].any()  # the padding stays clear
+        assert np.array_equal(np.unpackbits(kept, count=21).view(bool), expected)
+        assert not np.unpackbits(kept)[21:].any()  # the padding stays clear
 
     def test_packing_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(greedy, "_SCAN_CHUNK", 16)
         colors = (np.arange(45) * 5 % 3).astype(np.uint8)
-        for color in range(3):
-            live = greedy._packed_live(Coloring(3, colors), color)
-            assert np.array_equal(live, np.packbits(colors == color))
+        col = Coloring(3, colors)
+        assert np.array_equal(col[:], colors)
+        for b, plane in enumerate(col.planes):
+            assert np.array_equal(plane, np.packbits(colors >> b & 1))
 
     def test_run_outer_allocates_a_bit_per_hyperedge(self, million_h, monkeypatch):
         col = random_coloring(million_h, 2, 1)
@@ -595,9 +646,10 @@ class TestPackedLiveMask:
         finally:
             tracemalloc.stop()
         assert isinstance(out, FoundPath)
-        # the packed mask and one chunk, plus 64 KiB for the first scan's 1024
-        # ids and their decoded keys; a bool per hyperedge alone is 1 MB
-        assert peak < len(million_h) // 8 + greedy._SCAN_CHUNK + 64 * 1024
+        # the path is found in round 0, so the run reads the plane in place
+        # and allocates no per-hyperedge array: one chunk, plus 64 KiB for the
+        # first scan's ids and their decoded keys; the plane alone is 125 KB
+        assert peak < greedy._SCAN_CHUNK + 64 * 1024
 
 
 class TestRunOuter:
@@ -688,7 +740,7 @@ class TestRunOuter:
         h = build_hypergraph(random_graph(k, m, p, seed))
         col = random_coloring(h, r, seed)
         for color in range(r):
-            greedy_round(h, np.packbits(col[:] == color), n, debug=True)
+            greedy_round(h, col, color, n, debug=True)
             out = run_outer(h, col, n, color=color)
             if isinstance(out, FoundPath):
                 assert len(out.vertices) >= n
