@@ -74,7 +74,7 @@ __all__ = [
     "outcome_to_json",
 ]
 
-# a multiple of 8, so a chunk packs into whole bytes, and so of 4 (see random_coloring)
+# must stay a multiple of 8: a chunk packs into whole bytes and draws whole raw words
 _SCAN_CHUNK = 1 << 20
 _FIRST_SCAN_CHUNK = 1 << 6
 _BALANCED_GREEDY_CAP = 200_000
@@ -183,19 +183,28 @@ def _plane_bytes(r: int, size: int) -> int:
 def random_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     """I.i.d. uniform colors from the Philox stream for ``seed``.
 
-    For r a power of two numpy draws each uint8 color from one byte of the
-    stream, four to a 32-bit word and without rejection, so draws of a
-    multiple of 4 colors continue the one-shot stream: the colors are drawn
-    a ``_SCAN_CHUNK`` at a time, and no array of N colors is made.  Other r
-    sample by rejection, so their colors are drawn in one shot, then packed.
+    For r = 2^b, color i is the top b bits of byte i of the stream's raw
+    64-bit words (``bit_generator.random_raw``) read as little-endian bytes,
+    which is what numpy's uint8 ``integers(0, r)`` returns: it never rejects
+    at a power of two.  The colors are drawn a ``_SCAN_CHUNK`` at a time,
+    shifted in place, and no array of N colors is made; a chunk is a whole
+    number of words (a multiple of 8 ids), so the chunks continue the
+    one-shot stream.  Other r sample by rejection, so their colors are drawn
+    in one shot, then packed.
     """
     _check_r(r)
     _check_seed(seed)
     rng = spawn_rng(seed)
     if r & (r - 1) == 0:
-        return Coloring._from_chunks(
-            r, len(h), lambda lo, hi: rng.integers(0, r, size=hi - lo, dtype=np.uint8)
-        )
+        shift = np.uint8(8 - int(r - 1).bit_length())
+
+        def chunk(lo: int, hi: int) -> np.ndarray:
+            words = rng.bit_generator.random_raw(-(-(hi - lo) // 8))
+            values = words.astype("<u8", copy=False).view(np.uint8)[: hi - lo]
+            values >>= shift
+            return values
+
+        return Coloring._from_chunks(r, len(h), chunk)
     _check_fits_in_memory("colors", _plane_bytes(r, len(h)) + len(h))
     return Coloring(r, rng.integers(0, r, size=len(h), dtype=np.uint8))
 

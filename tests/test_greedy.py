@@ -179,20 +179,22 @@ class TestColorPlanes:
     packed bit planes of ceil(N / 8) bytes, packed a chunk at a time."""
 
     @pytest.mark.parametrize("length", [40, 41, 47, 1000, 1001, 1007])
-    @pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 256])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 16, 32, 128, 256])
     def test_planes_match_the_one_shot_colors(self, monkeypatch, r, length):
-        # a chunk of 16 ids splits every host into chunks, the last one partial
-        monkeypatch.setattr(greedy, "_SCAN_CHUNK", 16)
+        # a chunk of 8 ids is one raw word, and a chunk of 16 leaves a partial
+        # last chunk on every host; the powers of two shift raw bytes by 7..0
         h = cycles.TightHypergraph(complete_layered(3, 11), np.arange(length, dtype=np.uint64))
-        col = random_coloring(h, r, 5)
         colors = spawn_rng(5).integers(0, r, length, dtype=np.uint8)
-        assert col.planes.shape == ((r - 1).bit_length(), -(-length // 8))
-        assert len(col) == length and np.array_equal(col[:], colors)
-        ids = np.random.default_rng(r).permutation(length)[:9]
-        assert np.array_equal(col[ids], colors[ids]) and col[length - 1] == colors[-1]
-        assert np.array_equal(col.counts(), np.bincount(colors, minlength=r))
-        for b, plane in enumerate(col.planes):
-            assert np.array_equal(plane, np.packbits(colors >> b & 1))
+        for chunk in (8, 16):
+            monkeypatch.setattr(greedy, "_SCAN_CHUNK", chunk)
+            col = random_coloring(h, r, 5)
+            assert col.planes.shape == ((r - 1).bit_length(), -(-length // 8))
+            assert len(col) == length and np.array_equal(col[:], colors), chunk
+            ids = np.random.default_rng(r).permutation(length)[:9]
+            assert np.array_equal(col[ids], colors[ids]) and col[length - 1] == colors[-1]
+            assert np.array_equal(col.counts(), np.bincount(colors, minlength=r))
+            for b, plane in enumerate(col.planes):
+                assert np.array_equal(plane, np.packbits(colors >> b & 1))
 
     # the ids of a coloring follow TightHypergraph.keys: a negative id counts
     # from the end, and one outside [-N, N) is refused, also where it would
@@ -216,18 +218,20 @@ class TestColorPlanes:
                     col[ids]
 
     def test_random_coloring_holds_a_bit_per_hyperedge(self, million_h, monkeypatch):
-        # a chunk well below the host's size tells the plane from the chunks
+        # a chunk well below the host's size tells the planes from the chunks
         monkeypatch.setattr(greedy, "_SCAN_CHUNK", 1 << 16)
-        tracemalloc.start()
-        try:
-            col = random_coloring(million_h, 2, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert col.planes.nbytes == -(-len(million_h) // 8) == 125_130
-        # the plane and a drawn chunk with its packed bits; the colors as
-        # bytes would be 1,001,036
-        assert peak < col.planes.nbytes + 2 * greedy._SCAN_CHUNK
+        # the planes and a drawn chunk with its packed bits, and at r > 2 the
+        # tally's one-chunk bool temporary beside them; the colors as bytes
+        # would be 1,001,036
+        for r, chunks in ((2, 2), (4, 3)):
+            tracemalloc.start()
+            try:
+                col = random_coloring(million_h, r, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert col.planes.nbytes == (r - 1).bit_length() * 125_130
+            assert peak < col.planes.nbytes + chunks * greedy._SCAN_CHUNK, r
 
 
 class TestMajority:
