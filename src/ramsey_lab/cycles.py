@@ -10,9 +10,11 @@ representation - a tuple (or an ``(N, k)`` row block) of global vertex ids
 whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
-format; everything else encodes and decodes through it, but for one fact
-that the store is built and read by: a key is the key of its first k-1
-digits (encoded with k-1 columns) times m plus its last digit.  Keys are
+format; everything else encodes and decodes through it, but for two facts.
+The store is built and read by one: a key is the key of its first k-1
+digits (encoded with k-1 columns) times m plus its last digit.  Family ids
+are built by the other: a key is the key with digit q zero plus digit q
+times the radix of q.  Keys are
 uint64 everywhere, in the codec and in both store layouts; a key space
 beyond 64 bits is refused.
 
@@ -52,12 +54,19 @@ int64 array that only ``trash_family`` builds, after checking every row and
 that the rows are pairwise vertex-disjoint.  A row runs along its arc of
 parts and starts in the lower-numbered of its two endpoint parts.  One
 closer mask, ``_completion_mask``, is the one AND of two blocks: the part-q
-vertices adjacent to given ends in parts q-1 and q+1.  A path's extensions,
-a rows store's closers (q = k-1) and both extension counts read it; the
-counts go through ``_count_extensions``, a plain sum of mask sizes with no
-keys encoded, one mask call for the rows that miss the same part: two
-(k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle extends
-two paths of a disjoint family.
+vertices adjacent to given ends in parts q-1 and q+1.  A path's extensions
+(the greedy's step) and a rows store's closers (q = k-1) call it directly.
+Families read it through ``_family_masks``: it walks a stack of rows (one
+family's, or many families' stacked) grouped by the part q they miss,
+``_ROW_BLOCK`` rows at a time, and yields one mask block each.  Three
+readers consume it: ``_count_extensions``, behind both extension counts,
+sums the blocks with no keys encoded (two (k-1)-subsets of one k-set share
+k-2 >= 1 vertices, so no cycle extends two paths of a disjoint family);
+``TightHypergraph.family_ids`` encodes their hits and resolves them in one
+``ids_for_keys`` call, so a greedy restart deletes a round's extensions in
+one pass; and ``verifier.restricted_check`` sums them per family, with and
+without that family's allowed vertices, for every round of a certificate
+or every trial of a property (i) check in one pass.
 """
 
 from __future__ import annotations
@@ -264,9 +273,13 @@ def _exact(counts: np.ndarray) -> np.ndarray | None:
     raise ResourceLimitError("exact float64 counting range exceeded", int(top), 2**53)
 
 
-def count_proper_cycles(g: LayeredGraph) -> int:
-    """Total number of proper cycles (no materialization)."""
-    return sum(_closed_walks(_float_blocks(g), 0).tolist())
+def count_proper_cycles(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> int:
+    """Total number of proper cycles (no materialization).
+
+    ``fb`` is ``_float_blocks(g)`` when the caller already holds it; without
+    it the count makes its own.
+    """
+    return sum(_closed_walks(_float_blocks(g) if fb is None else fb, 0).tolist())
 
 
 def cycles_per_vertex(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> np.ndarray:
@@ -507,6 +520,8 @@ def _extensions(
     locs = {v // m: v % m for v in vertices}
     (q,) = set(range(k)) - locs.keys()
     locs[q] = _completion_mask(g, q, locs[(q - 1) % k], locs[(q + 1) % k], allowed).nonzero()[0]
+    if locs[q].size == 0:  # no closer: no keys to encode
+        return locs[q], np.empty(0, dtype=np.uint64)
     return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
 
 
@@ -521,26 +536,35 @@ def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
     return _extensions(g, row)[0]
 
 
-def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
-    """Proper cycles extending some family path (by an allowed vertex).
+def _family_masks(g: LayeredGraph, rows: np.ndarray, allowed=None):
+    """The closer masks of a stack of family rows (an ``(N, k-1)`` int64
+    array, the rows of one or more families), grouped by the part q each
+    row misses: yields ``(q, idx, mask)`` for ``idx``, up to ``_ROW_BLOCK``
+    indices into ``rows`` in stack order, and their ``(len(idx), m)``
+    ``_completion_mask`` block (closers ``allowed``, when given).
 
-    A sum of completion masks, with no keys encoded: the family is
-    disjoint, so no cycle extends two paths.  The rows that miss part q
-    share one ``_completion_mask`` call, ``_ROW_BLOCK`` rows at a time, on
-    their first and last columns: a row runs between parts q-1 and q+1 and
-    starts in the lower-numbered one, q+1 when q is 0 or k-1, else q-1.
+    A row runs between parts q-1 and q+1 and starts in the lower-numbered
+    one, q+1 when q is 0 or k-1, else q-1, so its ends are its first and
+    last columns.
     """
     k, m = g.k, g.m
     # a row holds one vertex in each part but the one it misses
-    missing = k * (k - 1) // 2 - (fam.rows // m).sum(axis=1)
-    total = 0
+    missing = k * (k - 1) // 2 - (rows // m).sum(axis=1)
     for q in range(k):
         cols = [-1, 0] if q in (0, k - 1) else [0, -1]  # the ends in parts q-1, q+1
-        ends = fam.rows[missing == q][:, cols] % m
-        for lo in range(0, len(ends), _ROW_BLOCK):
-            mask = _completion_mask(g, q, *ends[lo : lo + _ROW_BLOCK].T, allowed)
-            total += int(np.count_nonzero(mask))
-    return total
+        group = np.flatnonzero(missing == q)
+        for lo in range(0, group.size, _ROW_BLOCK):
+            idx = group[lo : lo + _ROW_BLOCK]
+            yield q, idx, _completion_mask(g, q, *(rows[idx][:, cols] % m).T, allowed)
+
+
+def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
+    """Proper cycles extending some family path (by an allowed vertex).
+
+    A sum of the ``_family_masks`` blocks, with no keys encoded: the family
+    is disjoint, so no cycle extends two paths.
+    """
+    return sum(int(np.count_nonzero(mask)) for _, _, mask in _family_masks(g, fam.rows, allowed))
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
@@ -703,11 +727,28 @@ class TightHypergraph:
         return out.reshape(shape)
 
     def extension_ids(self, path) -> np.ndarray:
-        """Ids of hyperedges extending a (k-1)-path (the on-demand path index)."""
-        keys = _extensions(self.graph, path)[1]
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64)
-        ids = self.ids_for_keys(keys)
+        """Ids of hyperedges extending a (k-1)-path, ascending: ``family_ids``
+        of the path validated as a one-row family."""
+        return self.family_ids(trash_family(self.graph, [path]))
+
+    def family_ids(self, fam: TrashFamily) -> np.ndarray:
+        """Ids of the hyperedges extending some path of ``fam``, as int64.
+
+        One ``ids_for_keys`` call resolves the hits of every
+        ``_family_masks`` block.  A hit's key is its row's key, encoded once
+        with each digit placed by its own part (rows run up or down the
+        parts, by the part they miss) and the missing digit q zero, plus the
+        closer times the radix of q.
+        """
+        g, rows = self.graph, fam.rows
+        digits = np.zeros((len(rows), g.k), dtype=np.int64)
+        np.put_along_axis(digits, rows // g.m, rows % g.m, axis=1)
+        row_keys, radix = encode_keys(list(digits.T), g.m), _radices(g.k, g.m)
+        keys = [np.empty(0, dtype=np.uint64)]
+        for q, idx, mask in _family_masks(g, rows):
+            t, closer = np.nonzero(mask)
+            keys.append(row_keys[idx[t]] + closer.astype(np.uint64) * radix[q])
+        ids = self.ids_for_keys(np.concatenate(keys))
         return ids[ids >= 0]
 
     def save(self, path) -> None:

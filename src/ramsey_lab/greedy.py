@@ -38,6 +38,7 @@ from .cycles import (
     TrashFamily,
     _absolute_ids,
     _check_coloring,
+    _float_blocks,
     count_proper_cycles,
     decode_keys,
     encode_keys,
@@ -527,18 +528,24 @@ def audit_certificate(
     g: LayeredGraph,
     col: Coloring,
 ) -> CertificateAudit:
-    """Recompute every certificate quantity from scratch on the graph."""
+    """Recompute every certificate quantity from scratch on the graph.
+
+    One float copy of the blocks serves the total and the meeting count,
+    and one ``restricted_check`` pass checks property (i) on every round.
+    """
     if g is not h.graph:
         raise ParameterError("g", "hypergraph was built over a different graph")
     color = outcome.color
     _check_coloring(h, col, color)
-    total = count_proper_cycles(g)
+    fb = _float_blocks(g)  # one copy serves both block-chain counts
+    total = count_proper_cycles(g, fb)
     if total != len(h):
         raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
     working = int(col._counts[color])
     k, r = g.k, col.r
-    rounds = [restricted_check(g, rec.path_snapshot, rec.trash, r) for rec in outcome.rounds]
-    meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total)
+    meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total, fb)
+    del fb  # freed before the round checks, so their blocks reuse its memory
+    rounds = restricted_check(g, [(rec.path_snapshot, rec.trash) for rec in outcome.rounds], r)
     sum_y = sum(a.restricted_extensions for a in rounds)
     sum_fam = sum(a.family_extensions for a in rounds)
     return CertificateAudit(
@@ -566,7 +573,8 @@ def run_outer(
     found or edges run out; the working color defaults to col's majority.
 
     After each trash-full round, every working-color hyperedge extending a
-    trashed path is deleted and the round restarts with a fresh trash set;
+    trashed path is deleted, all of them found in one ``h.family_ids`` pass
+    over the round's trash, and the round restarts with a fresh trash set;
     vertices stay usable.  Terminates because each trashed path forces at
     least one fresh deletion (the window that carried it into the path).
     A certificate is returned with its audit attached.
@@ -587,8 +595,7 @@ def run_outer(
             if kept is None:
                 _check_fits_in_memory("kept flags", col.planes.shape[1])
                 kept = np.full(col.planes.shape[1], 255, dtype=np.uint8)
-            ids = [h.extension_ids(row) for row in rec.trash.rows.tolist()]
-            _clear_bits(kept, np.concatenate(ids))
+            _clear_bits(kept, h.family_ids(rec.trash))
             continue
         cset = sorted(rec.trash.rows.ravel().tolist())
         cert = Certificate(

@@ -29,11 +29,11 @@ import numpy as np
 from .bounds import chernoff_lower, chernoff_upper, expected_stats, poly_concentration_scale
 from .cycles import (
     TrashFamily,
+    _family_masks,
     _float_blocks,
     count_cycles_meeting,
     count_family_extensions,
     count_proper_cycles,
-    count_restricted_extensions,
     cycles_per_vertex,
     cycles_through_vertex,
     trash_family,
@@ -117,12 +117,56 @@ class RoundAudit:
     ok: bool
 
 
-def restricted_check(g: LayeredGraph, aset, fam: TrashFamily, r: int) -> RoundAudit:
-    """Property (i): restricted extensions of ``fam`` stay under family/(2kr)."""
-    y = count_restricted_extensions(g, aset, fam)
-    t_fam = count_family_extensions(g, fam)
-    bound = t_fam / (2 * g.k * r)
-    return RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound)
+def restricted_check(g: LayeredGraph, pairs, r: int) -> list[RoundAudit]:
+    """Property (i) on each ``(aset, fam)`` pair: the cycles extending a
+    path of ``fam`` by a vertex of aset or of the family stay under the
+    cycles extending one, over 2kr.  Returns one ``RoundAudit`` per pair.
+
+    One ``cycles._family_masks`` pass walks the rows of every family,
+    stacked in pair order, each row tagged with its pair, its owner.  A
+    block's masks are summed per owner as they are, for the family count,
+    and after an AND with the owner's allowed closers, for the restricted
+    count.  That allowed test is built per block, one row per owner in the
+    block, from the ascending keys ``owner * num_vertices + vertex`` of the
+    pairs' allowed vertices, so no array of a pair by a vertex is made.
+    """
+    k, m, nv = g.k, g.m, g.num_vertices
+    fams, asets = [], []
+    for aset, fam in pairs:
+        aset = list(aset)
+        for v in aset:
+            g._check_vertex(v)
+        asets.append(aset)
+        fams.append(fam.rows)
+    size = len(fams)
+    rows = np.concatenate([np.empty((0, k - 1), dtype=np.int64), *fams])
+    owner = np.repeat(np.arange(size), [len(f) for f in fams])
+    keys = np.concatenate([
+        np.repeat(np.arange(size), [len(aset) for aset in asets]) * nv
+        + np.array([v for aset in asets for v in aset], dtype=np.int64),
+        owner.repeat(k - 1) * nv + rows.ravel(),
+    ])
+    keys.sort()
+    family = np.zeros(size, dtype=np.int64)
+    restricted = np.zeros(size, dtype=np.int64)
+    for q, idx, mask in _family_masks(g, rows):
+        own = owner[idx]
+        owners, row = np.unique(own, return_inverse=True)
+        # the keys from the first owner's part q to the last owner's; a hit is
+        # one whose owner is in the block and whose vertex lies in part q
+        lo, hi = np.searchsorted(keys, [owners[0] * nv + q * m, owners[-1] * nv + (q + 1) * m])
+        key_owner, vertex = np.divmod(keys[lo:hi], nv)
+        at = np.searchsorted(owners, key_owner)
+        hit = (owners[at] == key_owner) & (vertex // m == q)
+        allowed = np.zeros((owners.size, m), dtype=bool)
+        allowed[at[hit], vertex[hit] - q * m] = True
+        np.add.at(family, own, np.count_nonzero(mask, axis=1))
+        np.add.at(restricted, own, np.count_nonzero(mask & allowed[row], axis=1))
+    audits = []
+    for y, t_fam in zip(restricted.tolist(), family.tolist()):
+        bound = t_fam / (2 * k * r)
+        audits.append(RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound))
+    return audits
 
 
 def meeting_check(
@@ -259,14 +303,16 @@ def _ratio_scales(k: int, m: int, r: int, n: int) -> tuple[float, float]:
 def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -> PropertyReport:
     """Sampled check that restricted extensions stay under family/(2kr).
 
-    Per trial: a family of n disjoint (k-1)-paths (skip on starvation), a
-    disjoint vertex set of size min(n, rest), then a violation iff the
-    restricted extension count reaches family_extensions/(2kr).
+    Per trial: a family of n disjoint (k-1)-paths (skip on starvation) and
+    a disjoint vertex set of size min(n, rest), drawn from the trial's own
+    stream; a violation iff the restricted extension count reaches
+    family_extensions/(2kr).  One ``restricted_check`` call checks every
+    kept trial.
     """
     _check_trial_args(r, n, trials, seed)
     k = g.k
 
-    def one(trial: int):
+    def draw(trial: int):
         rng = spawn_rng(seed, trial)
         fam = sample_trash_family(g, n, rng)
         if fam is None:
@@ -276,10 +322,12 @@ def check_property_i(g: LayeredGraph, r: int, n: int, trials: int, seed: int) ->
         rest = np.flatnonzero(free)
         a_size = min(n, rest.size)
         aset = rng.choice(rest, size=a_size, replace=False) if a_size else np.empty(0, int)
-        a = restricted_check(g, aset, fam, r)
-        return a.restricted_extensions, a.bound
+        return aset, fam
 
-    outcomes = [one(t) for t in range(trials)]
+    draws = [draw(t) for t in range(trials)]
+    audits = iter(restricted_check(g, [d for d in draws if d is not None], r))
+    outcomes = [None if d is None else next(audits) for d in draws]
+    outcomes = [None if a is None else (a.restricted_extensions, a.bound) for a in outcomes]
     params = {
         "k": k,
         "m": g.m,

@@ -1002,6 +1002,71 @@ class TestHypergraph:
         for eid in ids:
             assert {0, 2} <= set(h.hyperedge(int(eid)))
 
+    # the path is validated as a one-row family, with trash_family's refusals
+    @pytest.mark.parametrize(
+        "path, error, match",
+        [
+            ([0, 1], InvariantViolationError, "hits a part twice"),
+            ([0], InvariantViolationError, "exactly 2 vertices, got 1"),
+            ([0, 4, 8], InvariantViolationError, "exactly 2 vertices, got 3"),
+            ([0, 99], UnknownVertexError, "vertex 99 not in graph"),
+        ],
+    )
+    def test_extension_ids_refuse_malformed_paths(self, path, error, match):
+        h = build_hypergraph(complete_layered(3, 4))
+        with pytest.raises(error, match=match):
+            h.extension_ids(path)
+
+    # families of up to 5 paths drawn on dense hosts: rows that miss part 0 or
+    # k-1 run up the parts and the others down them, and with 2 rows a block
+    # a group spans several blocks
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("k, m, p", [(3, 10, 0.7), (4, 8, 0.8), (5, 8, 0.85)])
+    def test_family_ids_are_the_union_of_per_row_extension_ids(self, k, m, p, layout):
+        missed = set()
+        for seed in range(8):
+            g = random_graph(k, m, p, seed)
+            with forced(layout):
+                h = build_hypergraph(g)
+            assert h.layout == layout
+            fam = sample_trash_family(g, 1 + seed % 5, spawn_rng(seed))
+            assert fam is not None
+            per_row = [h.extension_ids(row) for row in fam.rows.tolist()]
+            with mock.patch.object(cycles, "_ROW_BLOCK", 2):
+                ids = h.family_ids(fam)
+            assert ids.dtype == np.int64
+            assert sorted(ids.tolist()) == sorted(np.concatenate([ids[:0], *per_row]).tolist())
+            assert ids.size == count_family_extensions(g, fam)
+            missed |= {k * (k - 1) // 2 - sum(v // m for v in row) for row in fam.rows.tolist()}
+            empty = h.family_ids(trash_family(g, []))
+            assert empty.dtype == np.int64 and empty.size == 0
+        assert missed == set(range(k))
+
+    # on K(k, m) every (k-1)-path has exactly m closers, so a family of
+    # disjoint paths has m ids a path, none shared; rows miss every part, in
+    # both directions, and the groups span several 3-row blocks
+    @pytest.mark.parametrize("k, m, sizes", [(3, 12, [5, 3, 4]), (4, 12, [4, 2, 3, 2]), (5, 12, [3, 2, 2, 2, 2])])
+    def test_family_ids_on_complete_hosts_in_closed_form(self, k, m, sizes):
+        g = complete_layered(k, m)
+        free = [0] * k  # the next unused local of each part
+        paths = []
+        for q, size in enumerate(sizes):
+            for i in range(size):
+                path = []
+                for part in ((q + 1 + j) % k for j in range(k - 1)):
+                    path.append(part * m + free[part])
+                    free[part] += 1
+                paths.append(path[::-1] if i % 2 else path)
+        fam = trash_family(g, paths)
+        for layout in LAYOUTS:
+            with forced(layout):
+                h = build_hypergraph(g)
+            with mock.patch.object(cycles, "_ROW_BLOCK", 3):
+                ids = h.family_ids(fam)
+            assert ids.size == np.unique(ids).size == m * len(fam), layout
+            rows = h.vertex_rows(ids)
+            assert all(any(set(p) <= set(e) for p in paths) for e in rows.tolist())
+
     def test_export_schema(self, tiny_complete, tmp_path):
         path = tmp_path / "h.json"
         build_hypergraph(tiny_complete).save(path)

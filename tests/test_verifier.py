@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,19 +9,24 @@ import pytest
 from ramsey_lab import (
     GraphParams,
     ParameterError,
+    UnknownVertexError,
     check_property_i,
     check_property_ii,
     check_property_iii,
     complete_layered,
     concentration_experiment,
     count_cycles_meeting,
+    count_family_extensions,
+    count_restricted_extensions,
     cycles_per_vertex,
     expected_stats,
     poly_concentration_scale,
     sample_trash_family,
+    trash_family,
 )
+from ramsey_lab import cycles
 from ramsey_lab.seeds import spawn_rng
-from ramsey_lab.verifier import EPSILON_GRID, _finish
+from ramsey_lab.verifier import EPSILON_GRID, RoundAudit, _finish, restricted_check
 from conftest import random_graph
 
 
@@ -92,6 +99,63 @@ class TestPropertyI:
         assert (rep.trials, rep.passes, rep.violations, rep.skips) == (3, 1, 1, 1)
         assert (rep.margin_min, rep.margin_mean) == (0.0, 0.5)
         assert [row["trial"] for row in rep.rows] == [0, 2]
+
+
+class TestRestrictedCheck:
+    """One ``restricted_check`` pass checks property (i) on many pairs."""
+
+    @staticmethod
+    def drawn_pairs(g, count, seed):
+        """``count`` (aset, family) pairs: families of 0..4 paths, and sets of
+        0..5 vertices that may share vertices with their family."""
+        rng = spawn_rng(seed)
+        pairs = []
+        for i in range(count):
+            fam = sample_trash_family(g, i % 5, rng) if i % 5 else trash_family(g, [])
+            assert fam is not None
+            aset = rng.choice(g.num_vertices, size=i % 6, replace=False)
+            pairs.append((aset.tolist() if i % 2 else aset, fam))
+        return pairs
+
+    # with 3 rows a block, a block holds the rows of several pairs and a
+    # pair's rows span blocks
+    @pytest.mark.parametrize("block", [3, 512])
+    @pytest.mark.parametrize("k, m, p, seed", [(3, 12, 0.5, 1), (4, 8, 0.6, 2), (5, 6, 0.7, 3)])
+    def test_matches_per_pair_counts(self, k, m, p, seed, block):
+        g = random_graph(k, m, p, seed)
+        pairs = self.drawn_pairs(g, 40, seed)
+        with mock.patch.object(cycles, "_ROW_BLOCK", block):
+            audits = restricted_check(g, pairs, 3)
+        assert len(audits) == len(pairs)
+        for (aset, fam), a in zip(pairs, audits):
+            y = count_restricted_extensions(g, aset, fam)
+            t_fam = count_family_extensions(g, fam)
+            bound = t_fam / (2 * k * 3)
+            assert a == RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound)
+        assert any(a.restricted_extensions for a in audits)
+        assert restricted_check(g, [], 3) == []
+
+    def test_refuses_an_unknown_vertex(self):
+        g = complete_layered(3, 4)
+        fam = trash_family(g, [[0, 4]])
+        with pytest.raises(UnknownVertexError, match="vertex 12 not in graph"):
+            restricted_check(g, [([8], fam), ([12], fam)], 2)
+
+    # the pass holds its blocks and a few words a pair, never a row of the
+    # vertices per pair: 500 more pairs on 9,000 vertices cost well under
+    # the 4.5 MB such rows would take
+    def test_memory_does_not_grow_with_the_number_of_rounds(self):
+        g = random_graph(3, 3000, 0.01, 1)
+        pairs = self.drawn_pairs(g, 20, 5)
+        peaks = []
+        for rounds in (500, 1000):
+            tracemalloc.start()
+            try:
+                restricted_check(g, pairs * (rounds // 20), 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 500 * g.num_vertices / 3
 
 
 class TestPropertyII:
