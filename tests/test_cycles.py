@@ -560,6 +560,8 @@ class TestExtendPath:
     def test_no_edges_to_missing_part(self):
         g = LayeredGraph.from_edges(3, 2, [(0, 2)])
         assert extend_path(g, [0, 2]).size == 0
+        ext, keys = _extensions(g, [0, 2])  # returned before any key is encoded
+        assert (ext.size, ext.dtype, keys.size, keys.dtype) == (0, np.int64, 0, np.uint64)
 
     def test_matches_brute_subpath_count(self):
         g = random_graph(3, 6, 0.5, 23)
