@@ -23,7 +23,6 @@ from .cycles import (
     count_restricted_extensions,
     cycles_per_vertex,
     cycles_through_vertex,
-    extend_path,
     trash_family,
     validate_tight_path,
     validate_tight_path_verbose,

@@ -58,15 +58,16 @@ vertices adjacent to given ends in parts q-1 and q+1.  A path's extensions
 (the greedy's step) and a rows store's closers (q = k-1) call it directly.
 Families read it through ``_family_masks``: it walks a stack of rows (one
 family's, or many families' stacked) grouped by the part q they miss,
-``_ROW_BLOCK`` rows at a time, and yields one mask block each.  Three
-readers consume it: ``_count_extensions``, behind both extension counts,
-sums the blocks with no keys encoded (two (k-1)-subsets of one k-set share
-k-2 >= 1 vertices, so no cycle extends two paths of a disjoint family);
+``_ROW_BLOCK`` rows at a time, and yields one mask block each.  Two
+readers consume it.  ``_family_counts`` sums the blocks per family, with
+and without that family's allowed vertices, with no keys encoded (two
+(k-1)-subsets of one k-set share k-2 >= 1 vertices, so no cycle extends two
+paths of a disjoint family): it is behind both public extension counts and
+``verifier.restricted_check``, which checks property (i) on every round of
+a certificate or every trial of a sampled check in one pass.
 ``TightHypergraph.family_ids`` encodes their hits and resolves them in one
 ``ids_for_keys`` call, so a greedy restart deletes a round's extensions in
-one pass; and ``verifier.restricted_check`` sums them per family, with and
-without that family's allowed vertices, for every round of a certificate
-or every trial of a property (i) check in one pass.
+one pass.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ __all__ = [
     "cycles_through_vertex",
     "encode_keys",
     "decode_keys",
-    "extend_path",
     "count_family_extensions",
     "count_restricted_extensions",
     "count_cycles_meeting",
@@ -273,13 +273,9 @@ def _exact(counts: np.ndarray) -> np.ndarray | None:
     raise ResourceLimitError("exact float64 counting range exceeded", int(top), 2**53)
 
 
-def count_proper_cycles(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> int:
-    """Total number of proper cycles (no materialization).
-
-    ``fb`` is ``_float_blocks(g)`` when the caller already holds it; without
-    it the count makes its own.
-    """
-    return sum(_closed_walks(_float_blocks(g) if fb is None else fb, 0).tolist())
+def count_proper_cycles(g: LayeredGraph) -> int:
+    """Total number of proper cycles (no materialization)."""
+    return sum(_closed_walks(_float_blocks(g), 0).tolist())
 
 
 def cycles_per_vertex(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> np.ndarray:
@@ -525,23 +521,12 @@ def _extensions(
     return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
 
 
-def extend_path(g: LayeredGraph, vertices) -> np.ndarray:
-    """Global ids of vertices completing a (k-1)-vertex proper path into a cycle.
-
-    The path is validated as a one-row family.  The completing vertex lies in
-    the one part the path misses and must be adjacent to both path endpoints;
-    each returned vertex closes a distinct proper cycle.
-    """
-    (row,) = trash_family(g, [vertices]).rows.tolist()
-    return _extensions(g, row)[0]
-
-
-def _family_masks(g: LayeredGraph, rows: np.ndarray, allowed=None):
+def _family_masks(g: LayeredGraph, rows: np.ndarray):
     """The closer masks of a stack of family rows (an ``(N, k-1)`` int64
     array, the rows of one or more families), grouped by the part q each
     row misses: yields ``(q, idx, mask)`` for ``idx``, up to ``_ROW_BLOCK``
     indices into ``rows`` in stack order, and their ``(len(idx), m)``
-    ``_completion_mask`` block (closers ``allowed``, when given).
+    ``_completion_mask`` block.
 
     A row runs between parts q-1 and q+1 and starts in the lower-numbered
     one, q+1 when q is 0 or k-1, else q-1, so its ends are its first and
@@ -555,31 +540,66 @@ def _family_masks(g: LayeredGraph, rows: np.ndarray, allowed=None):
         group = np.flatnonzero(missing == q)
         for lo in range(0, group.size, _ROW_BLOCK):
             idx = group[lo : lo + _ROW_BLOCK]
-            yield q, idx, _completion_mask(g, q, *(rows[idx][:, cols] % m).T, allowed)
+            yield q, idx, _completion_mask(g, q, *(rows[idx][:, cols] % m).T)
 
 
-def _count_extensions(g: LayeredGraph, fam: TrashFamily, allowed=None) -> int:
-    """Proper cycles extending some family path (by an allowed vertex).
+def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Property (i)'s two counts for each ``(aset, fam)`` pair, as int64
+    arrays in pair order: the cycles extending a path of ``fam`` by a vertex
+    of aset or of the family (restricted), and the cycles extending one
+    (family), both sums of mask hits.
 
-    A sum of the ``_family_masks`` blocks, with no keys encoded: the family
-    is disjoint, so no cycle extends two paths.
+    One ``_family_masks`` pass walks the rows of every family, stacked in
+    pair order, each row tagged with its pair, its owner.  A block's masks
+    are summed per owner as they are, for the family count, and after an AND
+    with the owner's allowed closers, for the restricted count.  That
+    allowed test is built per block, one row per owner in the block, from
+    the ascending keys ``owner * num_vertices + vertex`` of the pairs'
+    allowed vertices, so no array of a pair by a vertex is made.
     """
-    return sum(int(np.count_nonzero(mask)) for _, _, mask in _family_masks(g, fam.rows, allowed))
+    k, m, nv = g.k, g.m, g.num_vertices
+    fams, asets = [], []
+    for aset, fam in pairs:
+        aset = list(aset)
+        for v in aset:
+            g._check_vertex(v)
+        asets.append(aset)
+        fams.append(fam.rows)
+    size = len(fams)
+    rows = np.concatenate([np.empty((0, k - 1), dtype=np.int64), *fams])
+    owner = np.repeat(np.arange(size), [len(f) for f in fams])
+    keys = np.concatenate([
+        np.repeat(np.arange(size), [len(aset) for aset in asets]) * nv
+        + np.array([v for aset in asets for v in aset], dtype=np.int64),
+        owner.repeat(k - 1) * nv + rows.ravel(),
+    ])
+    keys.sort()
+    family = np.zeros(size, dtype=np.int64)
+    restricted = np.zeros(size, dtype=np.int64)
+    for q, idx, mask in _family_masks(g, rows):
+        own = owner[idx]
+        owners, row = np.unique(own, return_inverse=True)
+        # the keys from the first owner's part q to the last owner's; a hit is
+        # one whose owner is in the block and whose vertex lies in part q
+        lo, hi = np.searchsorted(keys, [owners[0] * nv + q * m, owners[-1] * nv + (q + 1) * m])
+        key_owner, vertex = np.divmod(keys[lo:hi], nv)
+        at = np.searchsorted(owners, key_owner)
+        hit = (owners[at] == key_owner) & (vertex // m == q)
+        allowed = np.zeros((owners.size, m), dtype=bool)
+        allowed[at[hit], vertex[hit] - q * m] = True
+        np.add.at(family, own, np.count_nonzero(mask, axis=1))
+        np.add.at(restricted, own, np.count_nonzero(mask & allowed[row], axis=1))
+    return restricted, family
 
 
 def count_family_extensions(g: LayeredGraph, fam: TrashFamily) -> int:
     """Number of distinct proper cycles extending at least one family path."""
-    return _count_extensions(g, fam)
+    return int(_family_counts(g, [((), fam)])[1][0])
 
 
 def count_restricted_extensions(g: LayeredGraph, aset, fam: TrashFamily) -> int:
     """Distinct cycles extending a family path by a vertex from aset or the family."""
-    allowed = np.zeros(g.num_vertices, dtype=bool)
-    for v in aset:
-        g._check_vertex(v)
-        allowed[int(v)] = True
-    allowed[fam.rows] = True
-    return _count_extensions(g, fam, allowed)
+    return int(_family_counts(g, [(aset, fam)])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +691,6 @@ class TightHypergraph:
         """The hyperedge of one int id, under the id rule of ``keys``."""
         idx = range(len(self))[_id_array(idx)]  # counts from the end; IndexError
         return tuple(self.vertex_rows(slice(idx, idx + 1))[0].tolist())
-
-    def hyperedges(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.vertex_rows().tolist()]
 
     def edge_id(self, vertices) -> int:
         """Id of the hyperedge with this one-per-part vertex set (any order), or -1."""

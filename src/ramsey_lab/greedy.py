@@ -38,7 +38,6 @@ from .cycles import (
     TrashFamily,
     _absolute_ids,
     _check_coloring,
-    _float_blocks,
     count_proper_cycles,
     decode_keys,
     encode_keys,
@@ -503,12 +502,6 @@ class CertificateAudit:
     minority_ok: bool  # (e)
     minority_margin: float
 
-    def contradiction_consistent(self) -> bool:
-        """(d) holds, and (b) and (c) force (e); False flags an accounting leak."""
-        return self.extension_budget_ok and (
-            self.minority_ok or not (self.per_round_ok and self.meeting_ok)
-        )
-
 
 @dataclass
 class Certificate:
@@ -530,21 +523,20 @@ def audit_certificate(
 ) -> CertificateAudit:
     """Recompute every certificate quantity from scratch on the graph.
 
-    One float copy of the blocks serves the total and the meeting count,
-    and one ``restricted_check`` pass checks property (i) on every round.
+    The total and the meeting count each make their own float copy of the
+    blocks, one after the other, and one ``restricted_check`` pass checks
+    property (i) on every round.
     """
     if g is not h.graph:
         raise ParameterError("g", "hypergraph was built over a different graph")
     color = outcome.color
     _check_coloring(h, col, color)
-    fb = _float_blocks(g)  # one copy serves both block-chain counts
-    total = count_proper_cycles(g, fb)
+    total = count_proper_cycles(g)
     if total != len(h):
         raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
     working = int(col._counts[color])
     k, r = g.k, col.r
-    meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total, fb)
-    del fb  # freed before the round checks, so their blocks reuse its memory
+    meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total)
     rounds = restricted_check(g, [(rec.path_snapshot, rec.trash) for rec in outcome.rounds], r)
     sum_y = sum(a.restricted_extensions for a in rounds)
     sum_fam = sum(a.family_extensions for a in rounds)

@@ -254,7 +254,7 @@ class LayeredGraph:
         if not _all_integers(chain.from_iterable(edges)):
             u, v = next(e for e in edges if not _all_integers(e))
             raise ParameterError("edges", f"edge ({u!r}, {v!r}) has a non-integer endpoint")
-        if edges and not (
+        if len(edges) and not (
             0 <= min(chain.from_iterable(edges)) and max(chain.from_iterable(edges)) < n
         ):
             u, v = next(e for e in edges if not (0 <= e[0] < n and 0 <= e[1] < n))

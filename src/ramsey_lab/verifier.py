@@ -2,6 +2,8 @@
 
 Properties (i) and (ii) are one function each, ``restricted_check`` and
 ``meeting_check``, shared by the sampled checks and the certificate audit.
+``restricted_check`` reads its counts from ``cycles._family_counts``, the
+pass behind the public extension counts too, and adds the 2kr bound.
 
 The structural claims are universally quantified over exponentially many
 family/set choices, so desk-scale verification samples them: random
@@ -29,7 +31,7 @@ import numpy as np
 from .bounds import chernoff_lower, chernoff_upper, expected_stats, poly_concentration_scale
 from .cycles import (
     TrashFamily,
-    _family_masks,
+    _family_counts,
     _float_blocks,
     count_cycles_meeting,
     count_family_extensions,
@@ -120,51 +122,13 @@ class RoundAudit:
 def restricted_check(g: LayeredGraph, pairs, r: int) -> list[RoundAudit]:
     """Property (i) on each ``(aset, fam)`` pair: the cycles extending a
     path of ``fam`` by a vertex of aset or of the family stay under the
-    cycles extending one, over 2kr.  Returns one ``RoundAudit`` per pair.
-
-    One ``cycles._family_masks`` pass walks the rows of every family,
-    stacked in pair order, each row tagged with its pair, its owner.  A
-    block's masks are summed per owner as they are, for the family count,
-    and after an AND with the owner's allowed closers, for the restricted
-    count.  That allowed test is built per block, one row per owner in the
-    block, from the ascending keys ``owner * num_vertices + vertex`` of the
-    pairs' allowed vertices, so no array of a pair by a vertex is made.
+    cycles extending one, over 2kr.  Returns one ``RoundAudit`` per pair,
+    from one ``cycles._family_counts`` pass over every pair.
     """
-    k, m, nv = g.k, g.m, g.num_vertices
-    fams, asets = [], []
-    for aset, fam in pairs:
-        aset = list(aset)
-        for v in aset:
-            g._check_vertex(v)
-        asets.append(aset)
-        fams.append(fam.rows)
-    size = len(fams)
-    rows = np.concatenate([np.empty((0, k - 1), dtype=np.int64), *fams])
-    owner = np.repeat(np.arange(size), [len(f) for f in fams])
-    keys = np.concatenate([
-        np.repeat(np.arange(size), [len(aset) for aset in asets]) * nv
-        + np.array([v for aset in asets for v in aset], dtype=np.int64),
-        owner.repeat(k - 1) * nv + rows.ravel(),
-    ])
-    keys.sort()
-    family = np.zeros(size, dtype=np.int64)
-    restricted = np.zeros(size, dtype=np.int64)
-    for q, idx, mask in _family_masks(g, rows):
-        own = owner[idx]
-        owners, row = np.unique(own, return_inverse=True)
-        # the keys from the first owner's part q to the last owner's; a hit is
-        # one whose owner is in the block and whose vertex lies in part q
-        lo, hi = np.searchsorted(keys, [owners[0] * nv + q * m, owners[-1] * nv + (q + 1) * m])
-        key_owner, vertex = np.divmod(keys[lo:hi], nv)
-        at = np.searchsorted(owners, key_owner)
-        hit = (owners[at] == key_owner) & (vertex // m == q)
-        allowed = np.zeros((owners.size, m), dtype=bool)
-        allowed[at[hit], vertex[hit] - q * m] = True
-        np.add.at(family, own, np.count_nonzero(mask, axis=1))
-        np.add.at(restricted, own, np.count_nonzero(mask & allowed[row], axis=1))
+    restricted, family = _family_counts(g, pairs)
     audits = []
     for y, t_fam in zip(restricted.tolist(), family.tolist()):
-        bound = t_fam / (2 * k * r)
+        bound = t_fam / (2 * g.k * r)
         audits.append(RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound))
     return audits
 

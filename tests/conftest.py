@@ -12,6 +12,14 @@ def random_graph(k, m, p, seed):
     return generate_random(GraphParams(k=k, part_size=m, edge_prob=p, seed=seed))
 
 
+def contradiction_consistent(audit) -> bool:
+    """A ``CertificateAudit``'s checks are consistent: (d) holds, and (b) and
+    (c) force (e); False flags an accounting leak."""
+    return audit.extension_budget_ok and (
+        audit.minority_ok or not (audit.per_round_ok and audit.meeting_ok)
+    )
+
+
 def load_schema(name: str) -> dict:
     """One of the package's ``<name>.schema.json`` documents."""
     ref = importlib.resources.files("ramsey_lab.schemas").joinpath(f"{name}.schema.json")

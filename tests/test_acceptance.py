@@ -38,6 +38,7 @@ from ramsey_lab.cli import run as cli_run
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.reporting import canonical_json
 from ramsey_lab.seeds import derive_seed
+from conftest import contradiction_consistent
 
 DESK_K = 3
 DESK_R = 2
@@ -185,7 +186,7 @@ def _ac5_run(h, g, workers: int):
             "color": out.color,
             "accounting_ok": audit.accounting_ok,
             "extension_budget_ok": audit.extension_budget_ok,
-            "contradiction_consistent": audit.contradiction_consistent(),
+            "contradiction_consistent": contradiction_consistent(audit),
         }, out
 
     if workers <= 1:
@@ -221,7 +222,7 @@ def test_ac1_oracle_equivalence(ac1_sweep):
     # spot-check full object lists on one instance per uniformity
     for k in (3, 4, 5):
         g = generate_random(GraphParams(k=k, part_size=6, edge_prob=0.5, seed=derive_seed(802, k)))
-        assert build_hypergraph(g).hyperedges() == brute_force_cycles(g)
+        assert [tuple(c) for c in build_hypergraph(g).vertex_rows().tolist()] == brute_force_cycles(g)
     assert ac1_sweep["elapsed"] < 60.0, f"took {ac1_sweep['elapsed']:.1f}s"
     print(
         f"\nAC-1 PASS: 2700 graphs, 0 mismatches, {ac1_sweep['elapsed']:.1f}s"
@@ -342,7 +343,7 @@ def test_ac6_certificate_implication(desk_hypergraph, desk_graph, ac5_bundle):
         assert audit is not None, label
         assert audit.accounting_ok, f"(a) failed on {label}"
         assert audit.extension_budget_ok, f"(d) failed on {label}"
-        assert audit.contradiction_consistent(), (
+        assert contradiction_consistent(audit), (
             f"(b) and (c) passed but (e) failed on {label}: "
             f"working={audit.working_color_edges}, total={audit.total_cycles}"
         )

@@ -25,7 +25,6 @@ from ramsey_lab import (
     count_restricted_extensions,
     cycles_per_vertex,
     cycles_through_vertex,
-    extend_path,
     random_coloring,
     trash_family,
     validate_tight_path,
@@ -59,13 +58,13 @@ def forced(layout):
 
 class TestEnumeration:
     def test_complete_3_2_has_8_cycles(self, tiny_complete):
-        cycles = build_hypergraph(tiny_complete).hyperedges()
+        cycles = [tuple(c) for c in build_hypergraph(tiny_complete).vertex_rows().tolist()]
         assert len(cycles) == 8
         assert cycles[0] == (0, 2, 4)
         assert cycles == sorted(cycles)
 
     def test_empty_graph_has_none(self):
-        assert build_hypergraph(random_graph(3, 5, 0.0, 1)).hyperedges() == []
+        assert build_hypergraph(random_graph(3, 5, 0.0, 1)).vertex_rows().tolist() == []
 
     def test_matches_brute_force_on_100_seeds(self):
         for seed in range(100):
@@ -76,7 +75,8 @@ class TestEnumeration:
         for k in (4, 5):
             for seed in range(20):
                 g = random_graph(k, 5, 0.6, seed)
-                assert build_hypergraph(g).hyperedges() == brute_force_cycles(g)
+                rows = build_hypergraph(g).vertex_rows().tolist()
+                assert [tuple(c) for c in rows] == brute_force_cycles(g)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -242,7 +242,7 @@ class TestEnumeration:
     def test_count_matches_enumeration(self):
         for seed in range(20):
             g = random_graph(4, 4, 0.5, seed)
-            assert count_proper_cycles(g) == len(build_hypergraph(g).hyperedges())
+            assert count_proper_cycles(g) == len(build_hypergraph(g).vertex_rows())
 
 
 class TestExactness:
@@ -555,37 +555,36 @@ class TestVertexCounts:
 
 class TestExtendPath:
     def test_complete_3_2_two_extensions(self, tiny_complete):
-        assert list(extend_path(tiny_complete, [0, 2])) == [4, 5]
+        assert _extensions(tiny_complete, [0, 2])[0].tolist() == [4, 5]
 
     def test_no_edges_to_missing_part(self):
         g = LayeredGraph.from_edges(3, 2, [(0, 2)])
-        assert extend_path(g, [0, 2]).size == 0
         ext, keys = _extensions(g, [0, 2])  # returned before any key is encoded
         assert (ext.size, ext.dtype, keys.size, keys.dtype) == (0, np.int64, 0, np.uint64)
 
     def test_matches_brute_subpath_count(self):
         g = random_graph(3, 6, 0.5, 23)
         sets = brute_sets(g)
-        for c in build_hypergraph(g).hyperedges():
+        for c in build_hypergraph(g).vertex_rows().tolist():
             for b in subpaths(c):
                 expected = sum(1 for s in sets if set(b) <= s)
-                assert len(extend_path(g, b)) == expected
+                assert len(_extensions(g, b)[0]) == expected
 
     def test_extension_identity(self):
         # every proper cycle extends exactly k sub-(k-1)-paths, and extending
         # each sub-path recovers the dropped vertex
         for k, seed in ((3, 5), (4, 6)):
             g = random_graph(k, 4, 0.7, seed)
-            for c in build_hypergraph(g).hyperedges():
+            for c in build_hypergraph(g).vertex_rows().tolist():
                 subs = subpaths(c)
                 assert len({frozenset(b) for b in subs}) == k
                 for b in subs:
                     (dropped,) = set(c) - set(b)
-                    assert dropped in extend_path(g, b)
+                    assert dropped in _extensions(g, b)[0]
 
     def test_rejects_short_path(self, tiny_complete):
         with pytest.raises(InvariantViolationError):
-            extend_path(complete_layered(4, 2), [0, 2])
+            build_hypergraph(complete_layered(4, 2)).extension_ids([0, 2])
 
     @pytest.mark.parametrize("k, m, p, seed", [(3, 6, 0.5, 1), (3, 5, 0.8, 2), (4, 4, 0.7, 3), (5, 3, 0.8, 4)])
     def test_extensions_match_brute_force(self, k, m, p, seed):
@@ -697,7 +696,7 @@ class TestFamilyCounts:
         g = random_graph(k, m, p, seed)
         fam = sample_trash_family(g, 2, spawn_rng(seed))
         assert fam is not None and len(fam) == 2
-        assert all(extend_path(g, row).size for row in fam.rows.tolist())
+        assert all(_extensions(g, row)[0].size for row in fam.rows.tolist())
         return g, fam
 
     @FAMILIES
@@ -954,7 +953,7 @@ class TestHypergraph:
         h = build_hypergraph(g)
         rows = h.vertex_rows()
         assert rows.shape == (len(h), 4) and rows.dtype == np.int64
-        assert [tuple(r) for r in rows.tolist()] == h.hyperedges() == brute_force_cycles(g)
+        assert [tuple(r) for r in rows.tolist()] == brute_force_cycles(g)
         assert np.array_equal(h.vertex_rows(slice(2, 5)), rows[2:5])
         assert np.array_equal(h.vertex_rows(np.array([4, 1, 4])), rows[[4, 1, 4]])
         assert (rows // g.m == np.arange(4)).all()  # entry i lies in part i
@@ -1624,7 +1623,7 @@ class TestVertexIds:
         with pytest.raises(UnknownVertexError):
             trash_family(tiny_complete, [[bad, 4]])
         with pytest.raises(UnknownVertexError):
-            extend_path(tiny_complete, [bad, 4])
+            build_hypergraph(tiny_complete).extension_ids([bad, 4])
 
     @NON_INTEGER_IDS
     def test_validate_reports_unknown_vertex(self, tiny_complete, bad):

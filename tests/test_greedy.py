@@ -30,7 +30,7 @@ from ramsey_lab import cycles, greedy, reporting
 from ramsey_lab.cycles import decode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
 from ramsey_lab.seeds import spawn_rng
-from conftest import random_graph
+from conftest import contradiction_consistent, random_graph
 
 
 def mono_coloring(h, color, r=2):
@@ -776,12 +776,12 @@ class TestParityInstance:
         # majority color can never satisfy (e); so (b) or (c) must fail
         assert not audit.minority_ok
         assert (not audit.per_round_ok) or (not audit.meeting_ok)
-        assert audit.contradiction_consistent()
+        assert contradiction_consistent(audit)
         # deterministic counting identities hold
         assert audit.accounting_ok
         assert audit.extension_budget_ok
         # a failed (d) is a leak whatever (b), (c) and (e) say
-        assert not dataclasses.replace(audit, extension_budget_ok=False).contradiction_consistent()
+        assert not contradiction_consistent(dataclasses.replace(audit, extension_budget_ok=False))
 
     def test_audit_recomputation_matches(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)

@@ -395,6 +395,18 @@ class TestStructure:
             blocks[u // m][u % m, v % m] = True
         assert LayeredGraph.from_edges(k, m, edges) == LayeredGraph(k, m, blocks)
 
+    def test_from_edges_takes_numpy_edge_arrays(self):
+        # the library's own edge array, a one-row array and an empty one build
+        # graphs; the range rule tests the array's length, not its truth value
+        g = random_graph(3, 5, 0.5, seed=4)
+        assert LayeredGraph.from_edges(3, 5, g._edge_array()) == g
+        assert LayeredGraph.from_edges(3, 5, np.array([[0, 5]])).edges() == [(0, 5)]
+        empty = LayeredGraph.from_edges(3, 5, np.empty((0, 2), dtype=np.int64))
+        assert empty == LayeredGraph.from_edges(3, 5, []) and empty.edges() == []
+        with pytest.raises(ParameterError) as excinfo:
+            LayeredGraph.from_edges(3, 5, np.array([[0, 5], [0, 99]]))
+        assert str(excinfo.value) == "edges: edge (0, 99) out of vertex range [0, 15)"
+
     def test_from_edges_rejects_negative_m(self):
         # checked before the blocks are sized, so a negative m never reaches numpy
         with pytest.raises(ParameterError):

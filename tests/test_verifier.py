@@ -25,6 +25,7 @@ from ramsey_lab import (
     trash_family,
 )
 from ramsey_lab import cycles
+from ramsey_lab.cycles import _extensions
 from ramsey_lab.seeds import spawn_rng
 from ramsey_lab.verifier import EPSILON_GRID, RoundAudit, _finish, restricted_check
 from conftest import random_graph
@@ -128,8 +129,16 @@ class TestRestrictedCheck:
             audits = restricted_check(g, pairs, 3)
         assert len(audits) == len(pairs)
         for (aset, fam), a in zip(pairs, audits):
+            # one pair at a time, so no other owner shares its blocks
             y = count_restricted_extensions(g, aset, fam)
             t_fam = count_family_extensions(g, fam)
+            # and each row's own extensions, summed, through no family pass
+            allowed = np.zeros(g.num_vertices, dtype=bool)
+            allowed[np.asarray(aset, dtype=np.int64)] = True
+            allowed[fam.rows] = True
+            rows = fam.rows.tolist()
+            assert y == sum(_extensions(g, row, allowed)[0].size for row in rows)
+            assert t_fam == sum(_extensions(g, row)[0].size for row in rows)
             bound = t_fam / (2 * k * 3)
             assert a == RoundAudit(y, t_fam, bound, margin=bound - y, ok=y < bound)
         assert any(a.restricted_extensions for a in audits)
