@@ -34,19 +34,18 @@ encodes the start's prefix paths once, and checks them and the start's
 cycles against their own counts.  A rows store keeps the paths, with closer
 counts from one product of the last two blocks; a flat store keys each path
 with its closers, trying only the vertices that close back to the start.
-Every block-chain count (total, per vertex, meeting a vertex set) sums
-``_closed_walks`` over the float32 blocks from ``_float_blocks``, as Python
-ints.  Float32 holds the chain's integers exactly below 2**24; when one of
-its computed entries reaches 2**24, the kernel redoes that step in
-float64, after replacing the caller's blocks in place with read-only
-float64 copies, each float32 block freed as its copy is made; the rest of
-that call, and every later count on the same list, runs in float64.  It
-refuses the chain only when an entry reaches 2**53, where float64 stops
-being exact.  The kernel never writes into a block, so a caller that holds
-the list can pass it to any number of counts.  The chain runs ``_ROW_BLOCK``
-rows at a time, so no m x m prefix is built.  The meeting count sums it
-over the set's own rows only, counting each cycle at the first part where
-it meets the set: the chains of later parts skip the set's vertices in
+Every block-chain count (total, per vertex, meeting vertex sets) makes
+one copy of the blocks with ``_float_blocks`` and sums ``_closed_walks``
+over it, as Python ints.  Float32 holds the chain's integers exactly below
+2**24; when one of its computed entries reaches 2**24, the kernel redoes
+that step in float64, after replacing the copy's blocks in place with
+read-only float64 copies, each float32 block freed as its copy is made;
+the rest of that count runs in float64.  It refuses the chain only when an
+entry reaches 2**53, where float64 stops being exact.  The chain runs
+``_ROW_BLOCK`` rows at a time, so no m x m prefix is built.
+``_meeting_counts`` counts any number of vertex sets on one copy, each over
+the set's own rows only, counting each cycle at the first part where it
+meets the set: the chains of later parts skip the set's vertices in
 earlier parts.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
@@ -178,8 +177,8 @@ def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
     """Read-only float32 copies of the adjacency blocks, refused before copying
     when their ``4 * k * m**2`` bytes would exceed physical memory.
 
-    No count writes into them, so one list can serve many counts on ``g``;
-    the first count that leaves float32's exact range widens the list in
+    No count writes into them, so ``_meeting_counts`` counts every set on one
+    list; the first chain that leaves float32's exact range widens it in
     place (see ``_float64_blocks``), and the later ones run in float64.
     """
     _check_fits_in_memory("float blocks", 4 * g.k * g.m * g.m)
@@ -225,7 +224,7 @@ def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.n
     ``_exact``).  A float32 step that reaches 2**24 is redone in float64
     from its exact float32 prefix, after ``_float64_blocks`` has widened
     ``fb`` itself in place, so a fallback holds 8 bytes per vertex pair
-    rather than 12, and the rest of the call, like every later count on
+    rather than 12, and the rest of the call, like every later call on
     ``fb``, runs in float64.  ``ResourceLimitError`` is raised at the first
     float64 entry that reaches 2**53.  (That holds for the GEMM behind
     ``@``; a Strassen-type product, which subtracts, would not keep it.)
@@ -278,13 +277,9 @@ def count_proper_cycles(g: LayeredGraph) -> int:
     return sum(_closed_walks(_float_blocks(g), 0).tolist())
 
 
-def cycles_per_vertex(g: LayeredGraph, fb: list[np.ndarray] | None = None) -> np.ndarray:
-    """Proper-cycle count through every vertex, as an int64 array of length k*m.
-
-    ``fb`` is ``_float_blocks(g)`` when the caller already holds it; without
-    it the count makes its own.
-    """
-    fb = _float_blocks(g) if fb is None else fb
+def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
+    """Proper-cycle count through every vertex, as an int64 array of length k*m."""
+    fb = _float_blocks(g)
     return np.concatenate([_closed_walks(fb, part) for part in range(g.k)])
 
 
@@ -293,7 +288,7 @@ def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
     return count_cycles_meeting(g, [v])
 
 
-def count_cycles_meeting(g: LayeredGraph, cset, fb: list[np.ndarray] | None = None) -> int:
+def count_cycles_meeting(g: LayeredGraph, cset) -> int:
     """Number of proper cycles intersecting the vertex set ``cset``.
 
     First-hit rule: a cycle is counted once, at the first part q (in order
@@ -301,24 +296,31 @@ def count_cycles_meeting(g: LayeredGraph, cset, fb: list[np.ndarray] | None = No
     the count adds the closed walks through cset's locals in part q that
     skip cset's vertices in parts 0..q-1.  Each chain runs on cset's rows
     only, so the cost grows with |cset|*m**2 per chain step, not with m**3.
-    ``fb`` is ``_float_blocks(g)`` when the caller already holds it; the
-    count only reads it, so one copy serves any number of sets.
     """
-    cset = list(cset)
-    for v in cset:
-        g._check_vertex(v)
-    if not cset:
-        return 0
-    part, local = np.divmod(np.unique(np.array(cset, dtype=np.int64)), g.m)
-    fb = _float_blocks(g) if fb is None else fb
-    skip = [local[:0]] * g.k
-    count = 0
-    for q in range(g.k):
-        rows = local[part == q]
-        if rows.size:
-            count += sum(_closed_walks(fb, q, rows, skip).tolist())
-        skip[q] = rows
-    return count
+    return _meeting_counts(g, [cset])[0]
+
+
+def _meeting_counts(g: LayeredGraph, csets) -> list[int]:
+    """The proper cycles meeting each vertex set of ``csets``, as Python ints
+    in set order, by ``count_cycles_meeting``'s first-hit rule.  Every vertex
+    of every set is checked first; then one ``_float_blocks`` copy (none when
+    every set is empty) serves the sets in turn."""
+    sets = []
+    for cset in map(list, csets):
+        for v in cset:
+            g._check_vertex(v)
+        sets.append(np.divmod(np.unique(np.array(cset, dtype=np.int64)), g.m))
+    fb = _float_blocks(g) if any(part.size for part, _ in sets) else None
+    counts = []
+    for part, local in sets:
+        skip, count = [local[:0]] * g.k, 0
+        for q in range(g.k):
+            rows = local[part == q]
+            if rows.size:
+                count += sum(_closed_walks(fb, q, rows, skip).tolist())
+            skip[q] = rows
+        counts.append(count)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +464,21 @@ def _check_found(a: int, what: str, found: int, counted: int) -> None:
         )
 
 
+def _key_array(keys) -> np.ndarray:
+    """``keys`` as an array; ``ParameterError`` unless its dtype is an integer one."""
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise ParameterError("keys", f"keys must be integers, got dtype {keys.dtype}")
+    return keys
+
+
 def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     """Decode canonical keys (of any integer dtype) into (len, k) int64
     part-local indices.
 
-    ``ParameterError`` when a key lies outside 0..m**k - 1, which is when
-    its leading digit, the quotient by m**(k-1), is m or more: the keys are
+    ``ParameterError`` for a dtype ``_key_array`` refuses, so that no float
+    or bool is truncated into a key, and for a key outside 0..m**k - 1, whose
+    leading digit, the quotient by m**(k-1), is m or more: the keys are
     decoded as uint64, where a negative key wraps past m**k.  A digit is a
     floor division by its radix and the remainder a multiply and subtract,
     which together run faster than ``divmod``; digit i is written to row i
@@ -475,7 +486,7 @@ def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
     that array's transpose.
     """
     radix = _radices(k, m)
-    rem = np.asarray(keys).astype(np.uint64, copy=False)
+    rem = _key_array(keys).astype(np.uint64, copy=False)
     digits = np.empty((k, rem.size), dtype=np.uint64)
     for i in range(k - 1):
         np.floor_divide(rem, radix[i], out=digits[i])
@@ -706,8 +717,8 @@ class TightHypergraph:
         return int(self.ids_for_keys(encode_keys(locs, g.m)))
 
     def ids_for_keys(self, keys) -> np.ndarray:
-        """Ids of the canonical ``keys`` (an array of any integer dtype), as
-        int64; -1 where a key is not a hyperedge.
+        """Ids of the canonical ``keys`` (an array of any integer dtype, as
+        ``_key_array`` requires), as int64; -1 where a key is not a hyperedge.
 
         Both layouts cast the queries to uint64 once and refuse a negative
         one, which wraps past 2**63, where a stored key may lie once
@@ -718,7 +729,7 @@ class TightHypergraph:
         rows, and its id is the row's first id plus the closer's rank among
         the row's closers.
         """
-        keys = np.asarray(keys)
+        keys = _key_array(keys)
         query = keys.astype(np.uint64, copy=False)  # a negative key wraps; refused below
         if self.head.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)

@@ -536,7 +536,7 @@ def audit_certificate(
         raise ParameterError("h", "hypergraph does not enumerate all proper cycles of g")
     working = int(col._counts[color])
     k, r = g.k, col.r
-    meeting, meeting_bound = meeting_check(g, outcome.intersecting_set, r, total)
+    (meeting,), meeting_bound = meeting_check(g, [outcome.intersecting_set], r, total)
     rounds = restricted_check(g, [(rec.path_snapshot, rec.trash) for rec in outcome.rounds], r)
     sum_y = sum(a.restricted_extensions for a in rounds)
     sum_fam = sum(a.family_extensions for a in rounds)

@@ -250,9 +250,9 @@ class LayeredGraph:
         n = k * m
         if not set(map(len, edges)) <= {2}:
             edge = next(e for e in edges if len(e) != 2)
-            raise ParameterError("edges", f"edge {edge!r:.40} is not a pair")
+            raise ParameterError("edges", f"edge {_python(edge)!r:.40} is not a pair")
         if not _all_integers(chain.from_iterable(edges)):
-            u, v = next(e for e in edges if not _all_integers(e))
+            u, v = map(_python, next(e for e in edges if not _all_integers(e)))
             raise ParameterError("edges", f"edge ({u!r}, {v!r}) has a non-integer endpoint")
         if len(edges) and not (
             0 <= min(chain.from_iterable(edges)) and max(chain.from_iterable(edges)) < n
@@ -306,6 +306,11 @@ class LayeredGraph:
 
     def __repr__(self) -> str:
         return f"LayeredGraph(k={self.k}, m={self.m}, edges={self.edge_count()})"
+
+
+def _python(value):
+    """``value``, a numpy array or scalar as Python values, for a refusal's text."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _is_integer_type(t: type) -> bool:

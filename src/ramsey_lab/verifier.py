@@ -2,8 +2,8 @@
 
 Properties (i) and (ii) are one function each, ``restricted_check`` and
 ``meeting_check``, shared by the sampled checks and the certificate audit.
-``restricted_check`` reads its counts from ``cycles._family_counts``, the
-pass behind the public extension counts too, and adds the 2kr bound.
+Each adds its bound to the counts of one ``cycles._family_counts`` or
+``cycles._meeting_counts`` call over every trial or round.
 
 The structural claims are universally quantified over exponentially many
 family/set choices, so desk-scale verification samples them: random
@@ -32,8 +32,7 @@ from .bounds import chernoff_lower, chernoff_upper, expected_stats, poly_concent
 from .cycles import (
     TrashFamily,
     _family_counts,
-    _float_blocks,
-    count_cycles_meeting,
+    _meeting_counts,
     count_family_extensions,
     count_proper_cycles,
     cycles_per_vertex,
@@ -133,14 +132,11 @@ def restricted_check(g: LayeredGraph, pairs, r: int) -> list[RoundAudit]:
     return audits
 
 
-def meeting_check(
-    g: LayeredGraph, cset, r: int, total: int, fb: list[np.ndarray] | None = None
-) -> tuple[int, float]:
-    """Property (ii): cycles meeting ``cset`` against total/(2r); returns (count, bound).
-
-    ``fb`` is ``cycles._float_blocks(g)`` when the caller already holds it.
-    """
-    return count_cycles_meeting(g, cset, fb), total / (2 * r)
+def meeting_check(g: LayeredGraph, csets, r: int, total: int) -> tuple[list[int], float]:
+    """Property (ii) on each vertex set of ``csets``: the cycles meeting it
+    stay under total/(2r).  Returns the counts, in set order, from one
+    ``cycles._meeting_counts`` call, and the bound."""
+    return _meeting_counts(g, csets), total / (2 * r)
 
 
 def sample_trash_family(
@@ -312,31 +308,25 @@ def check_property_ii(g: LayeredGraph, r: int, n: int, trials: int, seed: int) -
 
     Trial 0 uses the adversarial set of the (k-1)n vertices carrying the
     most cycles; remaining trials sample uniformly.  Trials on a cycle-free
-    graph are vacuous skips.  One read-only float32 copy of the blocks
-    serves the per-vertex count and every trial's meeting count (the first
-    chain that reaches 2**24 widens it to float64 in place, and the later
-    counts read that).
+    graph are vacuous skips.  One ``meeting_check`` call counts every
+    trial's set.
     """
     _check_trial_args(r, n, trials, seed)
     k = g.k
     c_size = (k - 1) * n
     if g.num_vertices < c_size:
         raise ParameterError("n", f"graph has {g.num_vertices} vertices, need {c_size}")
-    fb = _float_blocks(g)
-    per_vertex = cycles_per_vertex(g, fb)
+    per_vertex = cycles_per_vertex(g)
     total = sum(per_vertex[: g.m].tolist())  # every cycle has one vertex in part 0
 
-    def one(trial: int):
-        if total == 0:
-            return None
+    def draw(trial: int):
         if trial == 0:
-            cset = np.argsort(-per_vertex, kind="stable")[:c_size]
-        else:
-            rng = spawn_rng(seed, trial)
-            cset = rng.choice(g.num_vertices, size=c_size, replace=False)
-        return meeting_check(g, cset, r, total, fb)
+            return np.argsort(-per_vertex, kind="stable")[:c_size]
+        return spawn_rng(seed, trial).choice(g.num_vertices, size=c_size, replace=False)
 
-    outcomes = [one(t) for t in range(trials)]
+    csets = [draw(t) for t in range(trials)] if total else []
+    counts, bound = meeting_check(g, csets, r, total)
+    outcomes = [(count, bound) for count in counts] if total else [None] * trials
     params = {
         "k": k,
         "m": g.m,

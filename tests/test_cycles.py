@@ -352,16 +352,16 @@ class TestExactness:
 
     def test_float64_fallback_beyond_physical_memory_refused(self, monkeypatch):
         # K(4, 257) closes at 257**3 >= 2**24, so the count needs the float64 copy
+        # (the float32 copy, half that size, fits)
         g = complete_layered(4, 257)
-        fb = cycles._float_blocks(g)
         need = 8 * 4 * 257 * 257
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         with pytest.raises(ResourceLimitError, match="^float64 blocks need more bytes") as excinfo:
-            cycles_per_vertex(g, fb)
+            cycles_per_vertex(g)
         assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
         pages["SC_PAGE_SIZE"] = need
-        assert (cycles_per_vertex(g, fb) == 257**3).all()
+        assert (cycles_per_vertex(g) == 257**3).all()
 
 
 class TestFloat32:
@@ -403,15 +403,23 @@ class TestFloat32:
         assert fallbacks["float64"] == (fallbacks["calls"] if float64 else 0)
 
     @pytest.mark.parametrize("k, m, p", [(3, 40, 0.5), (4, 12, 0.6), (5, 8, 0.7)])
-    def test_counts_equal_float64_counts(self, k, m, p):
+    def test_counts_equal_float64_counts(self, monkeypatch, k, m, p):
+        def float64_blocks(g):
+            fb = [b.astype(np.float64) for b in g.blocks]
+            for b in fb:
+                b.setflags(write=False)
+            return fb
+
         for seed in range(3):
             g = random_graph(k, m, p, seed)
-            fb64 = [b.astype(np.float64) for b in g.blocks]
-            assert np.array_equal(cycles_per_vertex(g), cycles_per_vertex(g, fb64))
             rng = spawn_rng(seed)
-            for size in (1, k, k * m // 2):
-                cset = rng.choice(k * m, size=size, replace=False)
-                assert count_cycles_meeting(g, cset) == count_cycles_meeting(g, cset, fb64)
+            csets = [rng.choice(k * m, size=size, replace=False) for size in (1, k, k * m // 2)]
+            per_vertex = cycles_per_vertex(g)
+            meeting = [count_cycles_meeting(g, cset) for cset in csets]
+            with monkeypatch.context() as patch:
+                patch.setattr(cycles, "_float_blocks", float64_blocks)
+                assert np.array_equal(per_vertex, cycles_per_vertex(g))
+                assert meeting == [count_cycles_meeting(g, cset) for cset in csets]
 
     # (first prefix row, closing block, walks, float64 copies): the prefix
     # product or the closing sum reaching 2**24 is redone in float64
@@ -445,9 +453,10 @@ class TestFloat32:
         assert peak < 8 * k * m * m + 8 * cycles._ROW_BLOCK * m
 
     def test_shared_blocks_are_widened_once(self, fallbacks):
-        # property (ii) shares one list of blocks between the per-vertex count
-        # and every trial's meeting count: on K(4, 257) the first chain that
-        # reaches 2**24 widens that list, and every later count reads it
+        # property (ii) makes two lists of blocks, one for the per-vertex
+        # count and one for every trial's meeting count: on K(4, 257) the
+        # first chain on each that reaches 2**24 widens it, and the later
+        # chains on it read it
         g = complete_layered(4, 257)
         tracemalloc.start()
         try:
@@ -456,9 +465,9 @@ class TestFloat32:
         finally:
             tracemalloc.stop()
         assert report.passes == 5
-        assert (fallbacks["float64"], fallbacks["calls"]) == (1, 1)
-        # a fresh float64 copy per count (12 of them) peaked at 4.71 MiB; the
-        # one list widened in place peaks at 3.95 MiB
+        assert (fallbacks["float64"], fallbacks["calls"]) == (2, 2)
+        # a fresh float64 copy per count (12 of them) peaked at 4.71 MiB; one
+        # list widened in place at a time peaks at about 4.06 MiB
         assert peak < 4.7 * 2**20
 
     def test_held_bytes_cast_no_block(self):
@@ -874,24 +883,41 @@ class TestMeetingCounts:
         data=st.data(),
     )
     def test_one_copy_serves_every_set(self, k, m, p, seed, data):
-        # the sets run in turn on one float copy: a set's skipped vertices
-        # must not leak into the next count, nor into the copy
+        # one call counts the sets in turn on one float copy: a set's skipped
+        # vertices must not leak into the next count, nor into the copy
         g = random_graph(k, m, p, seed)
         sets = brute_sets(g)
         nv, mid = k * m, k // 2
-        fb = cycles._float_blocks(g)
-        before = [b.tobytes() for b in fb]
-        csets = [
+        csets = data.draw(st.permutations([
             data.draw(st.lists(st.integers(0, nv - 1), max_size=2 * nv)),
             data.draw(st.lists(st.integers((k - 1) * m, nv - 1), max_size=m)),
             data.draw(st.lists(st.integers(mid * m, (mid + 1) * m - 1), max_size=m)),
             list(range(nv)),
             [],
-        ]
-        for cset in data.draw(st.permutations(csets)):
-            expected = sum(1 for s in sets if s & set(cset))
-            assert count_cycles_meeting(g, cset, fb) == expected, cset
-        assert [b.tobytes() for b in fb] == before
+        ]))
+        copies, float_blocks = [], cycles._float_blocks
+
+        def copy(g):
+            copies.append(float_blocks(g))
+            return copies[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cycles, "_float_blocks", copy)
+            counts = cycles._meeting_counts(g, csets)
+        assert counts == [sum(1 for s in sets if s & set(cset)) for cset in csets]
+        assert len(copies) == 1
+        assert [b.tobytes() for b in copies[0]] == [b.tobytes() for b in float_blocks(g)]
+
+    def test_sets_are_checked_first_and_empty_sets_need_no_copy(self, monkeypatch, tiny_complete):
+        def no_copy(g):
+            raise AssertionError("a float copy was made")
+
+        monkeypatch.setattr(cycles, "_float_blocks", no_copy)
+        assert cycles._meeting_counts(tiny_complete, [[], (), np.empty(0, int)]) == [0, 0, 0]
+        assert cycles._meeting_counts(tiny_complete, []) == []
+        # the bad vertex of the last set is refused before the first set is counted
+        with pytest.raises(UnknownVertexError):
+            cycles._meeting_counts(tiny_complete, [[0], [1, 6]])
 
     def test_chains_run_on_the_sets_rows_only(self, monkeypatch):
         # first-hit count: every chain starts from explicit rows of the set, and
@@ -1454,6 +1480,29 @@ class TestHypergraph:
         for keys in (np.array([2**32 + 63], dtype=np.uint64), np.array([-1])):
             with pytest.raises(ParameterError, match="^keys: "):
                 decode_keys(keys, 3, 4)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_keys_of_no_integer_dtype_are_refused(self, layout):
+        # a float or bool query would be truncated into a key: 5.5 into 5
+        g = random_graph(3, 20, 0.5, 1)
+        with forced(layout):
+            h = build_hypergraph(g)
+        assert h.layout == layout
+        stored = h.keys([5])
+        for keys in (stored.astype(float) + 0.5, np.array([True]), []):
+            with pytest.raises(ParameterError, match="^keys: keys must be integers, got dtype"):
+                h.ids_for_keys(keys)
+            with pytest.raises(ParameterError, match="^keys: keys must be integers, got dtype"):
+                decode_keys(keys, 3, 20)
+        assert h.ids_for_keys(stored).tolist() == [5]
+        # every integer width that holds the keys still resolves them
+        small = complete_layered(3, 4)  # keys 0..63
+        with forced(layout):
+            h = build_hypergraph(small)
+        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64):
+            keys = np.arange(64, dtype=dtype)
+            assert h.ids_for_keys(keys).tolist() == list(range(64)), dtype
+            assert np.array_equal(decode_keys(keys, 3, 4), decode_keys(h.keys(), 3, 4)), dtype
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_queries_beyond_2_to_53_and_2_to_63_resolve_exactly(self, layout):

@@ -382,6 +382,22 @@ class TestStructure:
             LayeredGraph.from_edges(3, 2, edges)
         assert str(excinfo.value) == f"edges: {message}"
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (np.array([[0, 1.5]]), "edge (0.0, 1.5) has a non-integer endpoint"),
+            (np.array([[0, 5, 7]]), "edge [0, 5, 7] is not a pair"),
+            ([(0, 2), (np.float64(0.0), 2)], "edge (0.0, 2) has a non-integer endpoint"),
+            ([(0, 2), np.array([0, 2, 4])], "edge [0, 2, 4] is not a pair"),
+        ],
+        ids=["float-array", "three-columns", "numpy-scalar", "array-row"],
+    )
+    def test_from_edges_names_a_numpy_edge_by_its_python_values(self, edges, message):
+        with pytest.raises(ParameterError) as excinfo:
+            LayeredGraph.from_edges(3, 2, edges)
+        assert str(excinfo.value) == f"edges: {message}"
+        assert "np." not in str(excinfo.value) and "array(" not in str(excinfo.value)
+
     @pytest.mark.parametrize("k, m, p, seed", [(3, 7, 0.5, 1), (4, 5, 0.3, 2), (5, 1, 1.0, 3)])
     def test_from_edges_matches_one_edge_at_a_time(self, monkeypatch, k, m, p, seed):
         # either orientation and repeats of an edge set one block entry, across chunks

@@ -197,6 +197,26 @@ class TestPropertyII:
         heavy = np.argsort(-cycles_per_vertex(g), kind="stable")[:4]
         assert rep.rows[0]["value"] == count_cycles_meeting(g, heavy)
 
+    @pytest.mark.parametrize(
+        "g, n",
+        [(lambda: random_graph(3, 12, 0.5, seed=8), 2), (lambda: complete_layered(4, 257), 3)],
+        ids=["small-random", "K(4,257)"],
+    )
+    def test_every_trial_counts_its_own_set(self, g, n):
+        # the trials' sets are counted in one batch; on K(4, 257) it widens to
+        # float64 partway through.  No set may leak into another's count
+        g = g()
+        trials, seed, size = 5, 2, (g.k - 1) * n
+        rep = check_property_ii(g, r=2, n=n, trials=trials, seed=seed)
+        csets = [np.argsort(-cycles_per_vertex(g), kind="stable")[:size]] + [
+            spawn_rng(seed, t).choice(g.num_vertices, size=size, replace=False)
+            for t in range(1, trials)
+        ]
+        assert [row["trial"] for row in rep.rows] == list(range(trials))
+        assert [row["value"] for row in rep.rows] == [
+            count_cycles_meeting(g, cset) for cset in csets
+        ]
+
     def test_tiny_complete_violates(self):
         # on a tiny dense instance every (k-1)n-set meets most cycles, so the
         # property fails; this run must report violations, not errors
