@@ -32,21 +32,23 @@ Ids are ranks in key order in both.  One loop, on the caller's thread,
 fills either layout a part-0 start vertex at a time: it enumerates and
 encodes the start's prefix paths once, and checks them and the start's
 cycles against their own counts.  A rows store keeps the paths, with closer
-counts from one product of the last two blocks; a flat store keys each path
-with its closers, trying only the vertices that close back to the start.
-Every block-chain count (total, per vertex, meeting vertex sets) makes
-one copy of the blocks with ``_float_blocks`` and sums ``_closed_walks``
-over it, as Python ints.  Float32 holds the chain's integers exactly below
-2**24; when one of its computed entries reaches 2**24, the kernel redoes
-that step in float64, after replacing the copy's blocks in place with
-read-only float64 copies, each float32 block freed as its copy is made;
-the rest of that count runs in float64.  It refuses the chain only when an
-entry reaches 2**53, where float64 stops being exact.  The chain runs
-``_ROW_BLOCK`` rows at a time, so no m x m prefix is built.
-``_meeting_counts`` counts any number of vertex sets on one copy, each over
-the set's own rows only, counting each cycle at the first part where it
-meets the set: the chains of later parts skip the set's vertices in
-earlier parts.
+counts from products of the last two blocks, one block of starts at a
+time; a flat store keys each path with its closers, trying only the
+vertices that close back to the start.
+Every block-chain count (total, per vertex, meeting vertex sets, and the
+per-start counts of ``build_hypergraph``) sums ``_closed_walks`` over the
+graph's own blocks, as Python ints.  Each call makes float32 copies of
+only the k-2 middle blocks its chain multiplies through, and casts the
+first block's rows and the closing block's columns ``_ROW_BLOCK`` rows at a
+time, so no m x m prefix is built.  Float32 holds the chain's integers
+exactly below 2**24; when one of its computed entries reaches 2**24, the
+kernel redoes that step in float64, after widening the call's copies to
+float64 one block at a time; the rest of that call runs in float64.  It
+refuses the chain only when an entry reaches 2**53, where float64 stops
+being exact.  ``_meeting_counts`` counts any number of vertex sets in one
+chain per part, over the sets' own rows only, counting each cycle at the
+first part where it meets its set: each row of a later part's chain skips
+its own set's vertices in earlier parts.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -165,7 +167,8 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
 # exact counting via adjacency-block products
 # ---------------------------------------------------------------------------
 
-# rows per block-chain pass: bounds each prefix at _ROW_BLOCK x m floats
+# rows per block-chain pass: bounds each prefix, and each cast of the first
+# block's rows or the closing block's columns, at _ROW_BLOCK x m floats
 # (4 bytes each in float32, 8 after a float64 fallback)
 _ROW_BLOCK = 512
 
@@ -173,91 +176,104 @@ _ROW_BLOCK = 512
 _EXACT_BELOW = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
 
-def _float_blocks(g: LayeredGraph) -> list[np.ndarray]:
-    """Read-only float32 copies of the adjacency blocks, refused before copying
-    when their ``4 * k * m**2`` bytes would exceed physical memory.
-
-    No count writes into them, so ``_meeting_counts`` counts every set on one
-    list; the first chain that leaves float32's exact range widens it in
-    place (see ``_float64_blocks``), and the later ones run in float64.
-    """
-    _check_fits_in_memory("float blocks", 4 * g.k * g.m * g.m)
-    fb = [b.astype(np.float32) for b in g.blocks]
-    for b in fb:
-        b.setflags(write=False)
-    return fb
+def _cast_blocks(blocks: list, dtype, what: str) -> None:
+    """Replace the blocks of the list ``blocks`` in place with ``dtype``
+    copies, refused as ``what`` before any is made when their bytes would
+    exceed physical memory.  One block is copied at a time, so each old
+    block is freed as its copy is made when the list held its only
+    reference."""
+    _check_fits_in_memory(what, np.dtype(dtype).itemsize * sum(b.size for b in blocks))
+    for i, b in enumerate(blocks):
+        blocks[i] = b.astype(dtype)
 
 
-def _float64_blocks(fb: list[np.ndarray]) -> None:
-    """Replace the blocks of ``fb`` in place with read-only float64 copies,
-    for a chain that left float32's exact range; refused before copying
-    when their ``8 * k * m**2`` bytes would exceed physical memory.
-
-    One block is copied at a time, so each float32 block is freed as its
-    copy is made when ``fb`` held the only reference to it.
-    """
-    _check_fits_in_memory("float64 blocks", 8 * len(fb) * fb[0].size)
-    for i, b in enumerate(fb):
-        fb[i] = b.astype(np.float64)
-        fb[i].setflags(write=False)
-
-
-def _closed_walks(fb: list[np.ndarray], part: int, rows=None, skip=None) -> np.ndarray:
+def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
     """Proper cycles through the local vertices ``rows`` of ``part`` (all of
-    them by default) that avoid the ``skip`` vertices: the closing diagonal
+    them by default) that avoid their ``skip`` vertices: the closing diagonal
     of the block chain rotated to start at ``part`` (closed walks
-    part -> part+1 -> ... -> part), as int64.
+    part -> part+1 -> ... -> part) over the graph's own ``blocks``, as int64.
 
-    ``skip``, if given, holds one array of part-local indices per part; its
-    entry for ``part`` itself is not read.  Before the chain multiplies
-    through a part, and before it closes, it zeroes the prefix columns of
-    that part's skipped vertices, so the walks through them are dropped and
-    ``fb`` is only read.  The chain runs ``_ROW_BLOCK`` rows at a time, so no
-    prefix larger than ``_ROW_BLOCK`` x m is ever built.
+    ``skip``, if given, is ``(owner, keys)``: ``owner`` names each row's
+    owner, ascending, so the rows of one owner are a run, and ``keys`` holds
+    one ascending array per part of the keys ``owner * m + local`` of the
+    vertices that owner's rows avoid; the entry for ``part`` itself is not
+    read.  Before the chain multiplies through a part, and before it closes,
+    it zeroes each row's prefix entries at its owner's vertices of that
+    part, so the walks through them are dropped.  ``blocks`` is only read.
 
-    ``fb`` is float32 (from ``_float_blocks``) or float64.  Every entry of
-    the chain is a sum of non-negative integers, so its dtype holds it
-    exactly while it stays below 2**24 (float32) or 2**53 (float64); and
-    since rounding is monotone, a sum that ever reached that limit still
-    reads at least the limit in any summation order.  So each prefix
-    product and the closing diagonal are checked as they are computed (see
-    ``_exact``).  A float32 step that reaches 2**24 is redone in float64
-    from its exact float32 prefix, after ``_float64_blocks`` has widened
-    ``fb`` itself in place, so a fallback holds 8 bytes per vertex pair
-    rather than 12, and the rest of the call, like every later call on
-    ``fb``, runs in float64.  ``ResourceLimitError`` is raised at the first
-    float64 entry that reaches 2**53.  (That holds for the GEMM behind
-    ``@``; a Strassen-type product, which subtracts, would not keep it.)
+    The chain multiplies through the k-2 middle blocks, of which the call
+    makes its own float copies (float32 for bool blocks, float64 for a wider
+    dtype), refused by ``_cast_blocks`` before any is made.  It runs
+    ``_ROW_BLOCK`` rows at a time and copies the first block's rows and the
+    closing block's columns one row block at a time, so no other copy or
+    prefix larger than ``_ROW_BLOCK`` x m is built.
+
+    Every entry of the chain is a sum of non-negative integers, so its dtype
+    holds it exactly while it stays below 2**24 (float32) or 2**53
+    (float64); and since rounding is monotone, a sum that ever reached that
+    limit still reads at least the limit in any summation order.  So each
+    prefix product and the closing diagonal are checked as they are computed
+    (see ``_exact``).  A float32 step that reaches 2**24 is redone in
+    float64 from its exact float32 prefix, after the call's copies are
+    widened to float64 one block at a time, so a fallback holds 8 bytes per
+    vertex pair of the middle blocks rather than 12; the rest of the call
+    runs in float64, and the next call starts in float32 again.
+    ``ResourceLimitError`` is raised at the first float64 entry that reaches
+    2**53.  (That holds for the GEMM behind ``@``; a Strassen-type product,
+    which subtracts, would not keep it.)
     """
-    k, m = len(fb), fb[part].shape[0]
+    k, m = len(blocks), blocks[part].shape[0]
+    first, close = blocks[part], blocks[(part - 1) % k]
+    mid = [blocks[(part + j) % k] for j in range(1, k - 1)]
+    _cast_blocks(mid, np.promote_types(first.dtype, np.float32), "float blocks")
     size = m if rows is None else len(rows)
     out = np.empty(size, dtype=np.int64)
     for lo in range(0, size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, size)
         block = slice(lo, hi) if rows is None else rows[lo:hi]
-        prefix = fb[part][block]
+        prefix = first[block].astype(mid[0].dtype)  # a copy, so the skips may write
         for j in range(1, k):
             q = (part + j) % k
-            if skip is not None and len(skip[q]):
-                prefix = prefix.copy()  # the first prefix may be a view of fb
-                prefix[:, skip[q]] = 0.0
-            walks = _exact(_chain_step(prefix, fb[q], block, j == k - 1))
-            if walks is None:  # so fb is still float32
-                # the prefix first: one that is a view of fb would keep its block
+            if skip is not None:
+                _skip_walks(prefix, skip[0][lo:hi], skip[1][q], m)
+            walks = _exact(_chain_step(prefix, mid, close, block, j))
+            if walks is None:  # so the copies are still float32
                 prefix = prefix.astype(np.float64)
-                _float64_blocks(fb)
-                walks = _exact(_chain_step(prefix, fb[q], block, j == k - 1))
+                _cast_blocks(mid, np.float64, "float64 blocks")
+                walks = _exact(_chain_step(prefix, mid, close, block, j))
             prefix = walks
         out[lo:hi] = prefix
     return out
 
 
-def _chain_step(prefix: np.ndarray, b: np.ndarray, block, close: bool) -> np.ndarray:
-    """The chain's next prefix ``prefix @ b``, or, when ``close``, the closing
-    diagonal through the ``block`` columns of ``b``."""
-    if close:
-        return np.einsum("ab,ba->a", prefix, b[:, block])
-    return prefix @ b
+def _chain_step(prefix: np.ndarray, mid: list, close: np.ndarray, block, j: int) -> np.ndarray:
+    """The chain's j-th step: the next prefix ``prefix @ mid[j-1]``, or, at
+    j = k-1, the closing diagonal through the ``block`` columns of
+    ``close``.  Those columns are gathered as contiguous rows of
+    ``close.T`` in the blocks' own dtype; ``einsum`` casts them as it sums,
+    a buffer at a time."""
+    if j <= len(mid):
+        return prefix @ mid[j - 1]
+    return np.einsum("ab,ab->a", prefix, np.ascontiguousarray(close.T[block]))
+
+
+def _skip_walks(prefix: np.ndarray, owner: np.ndarray, keys: np.ndarray, m: int) -> None:
+    """Zero the entries of ``prefix`` (one row per entry of the ascending
+    ``owner``) at the locals its row's owner avoids, given by the ascending
+    keys ``owner * m + local``: a mask built one row per owner in the block,
+    as ``_family_counts`` builds its allowed test."""
+    lo, hi = np.searchsorted(keys, [owner[0] * m, (owner[-1] + 1) * m])
+    if lo == hi:
+        return
+    new = np.ones(owner.size, dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=new[1:])
+    owners, row = owner[new], np.cumsum(new) - 1  # each row's index among the owners
+    key_owner, local = np.divmod(keys[lo:hi], m)
+    at = np.searchsorted(owners, key_owner)
+    hit = owners[np.minimum(at, owners.size - 1)] == key_owner
+    avoid = np.zeros((owners.size, m), dtype=bool)
+    avoid[at[hit], local[hit]] = True
+    prefix[avoid[row]] = 0.0
 
 
 def _exact(counts: np.ndarray) -> np.ndarray | None:
@@ -274,13 +290,12 @@ def _exact(counts: np.ndarray) -> np.ndarray | None:
 
 def count_proper_cycles(g: LayeredGraph) -> int:
     """Total number of proper cycles (no materialization)."""
-    return sum(_closed_walks(_float_blocks(g), 0).tolist())
+    return sum(_closed_walks(g.blocks, 0).tolist())
 
 
 def cycles_per_vertex(g: LayeredGraph) -> np.ndarray:
     """Proper-cycle count through every vertex, as an int64 array of length k*m."""
-    fb = _float_blocks(g)
-    return np.concatenate([_closed_walks(fb, part) for part in range(g.k)])
+    return np.concatenate([_closed_walks(g.blocks, part) for part in range(g.k)])
 
 
 def cycles_through_vertex(g: LayeredGraph, v: int) -> int:
@@ -302,24 +317,40 @@ def count_cycles_meeting(g: LayeredGraph, cset) -> int:
 
 def _meeting_counts(g: LayeredGraph, csets) -> list[int]:
     """The proper cycles meeting each vertex set of ``csets``, as Python ints
-    in set order, by ``count_cycles_meeting``'s first-hit rule.  Every vertex
-    of every set is checked first; then one ``_float_blocks`` copy (none when
-    every set is empty) serves the sets in turn."""
+    in set order, by ``count_cycles_meeting``'s first-hit rule.
+
+    Every vertex of every set is checked first.  The sets are then stacked
+    as the keys ``owner * num_vertices + vertex``, the owner being the set's
+    index, and deduplicated by sorting, so the keys run by owner, part and
+    local.  One chain per part q that holds a vertex of some set counts the
+    part-q rows of every set: each row skips its own set's vertices in parts
+    0..q-1, and its walks are added, as Python ints, to its set's count.
+    """
+    k, m, nv = g.k, g.m, g.num_vertices
     sets = []
     for cset in map(list, csets):
         for v in cset:
             g._check_vertex(v)
-        sets.append(np.divmod(np.unique(np.array(cset, dtype=np.int64)), g.m))
-    fb = _float_blocks(g) if any(part.size for part, _ in sets) else None
-    counts = []
-    for part, local in sets:
-        skip, count = [local[:0]] * g.k, 0
-        for q in range(g.k):
-            rows = local[part == q]
-            if rows.size:
-                count += sum(_closed_walks(fb, q, rows, skip).tolist())
-            skip[q] = rows
-        counts.append(count)
+        sets.append(np.array(cset, dtype=np.int64))
+    keys = np.concatenate([
+        np.empty(0, dtype=np.int64),
+        *(owner * nv + cset for owner, cset in enumerate(sets)),
+    ])
+    keys.sort()
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    owner, vertex = np.divmod(keys[new], nv)
+    part, local = np.divmod(vertex, m)
+    counts = [0] * len(sets)
+    avoid = [local[:0]] * k  # per part, the keys owner * m + local of the skipped vertices
+    for q in range(k):
+        at = part == q
+        if at.any():
+            rows_owner, rows = owner[at], local[at]
+            walks = _closed_walks(g.blocks, q, rows, (rows_owner, avoid))
+            for o, w in zip(rows_owner.tolist(), walks.tolist()):
+                counts[o] += w
+            avoid[q] = rows_owner * m + rows
     return counts
 
 
@@ -366,21 +397,18 @@ def _store_layout(total: int, rows: int) -> str:
     return min(nbytes, key=nbytes.__getitem__)
 
 
-def _prefix_paths(fb: list[np.ndarray]) -> np.ndarray:
+def _prefix_paths(blocks) -> np.ndarray:
     """Prefix paths (proper paths through parts 0..k-2) from each part-0
-    vertex, as int64: a matrix-vector chain over the float blocks ``fb``, in
-    their own dtype, so no block is cast.  It is exact as ``_closed_walks``
-    is: when a float32 entry reaches 2**24, ``_float64_blocks`` widens
-    ``fb`` in place and the chain is redone in float64."""
-    while True:
-        paths = np.ones(fb[0].shape[0], dtype=fb[0].dtype)
-        for b in reversed(fb[: len(fb) - 2]):
-            paths = _exact(b @ paths)
-            if paths is None:
-                break
-        else:
-            return paths.astype(np.int64)
-        _float64_blocks(fb)
+    vertex, as int64: a matrix-vector chain over ``blocks[:k-2]`` that
+    starts from the row counts of ``blocks[k-3]`` and casts each earlier
+    block to int64 ``_ROW_BLOCK`` rows at a time.  A count is at most
+    m**(k-2), below 2**62 once ``_radices`` has refused a key space beyond 64
+    bits, so int64 holds it exactly."""
+    paths = np.count_nonzero(blocks[len(blocks) - 3], axis=1).astype(np.int64)
+    for b in reversed(blocks[: len(blocks) - 3]):
+        rows = range(0, len(b), _ROW_BLOCK)
+        paths = np.concatenate([b[lo : lo + _ROW_BLOCK].astype(np.int64) @ paths for lo in rows])
+    return paths
 
 
 def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
@@ -392,13 +420,14 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     ``firsts[a]:firsts[a+1]`` by its prefix paths, and ``_store_layout``
     picks the layout of fewer bytes.  ``ResourceLimitError`` is raised
     before counting when the key space exceeds 64 bits, and before the store
-    is allocated (the float blocks freed first) when its bytes would exceed
+    is allocated (no float copy is held then) when its bytes would exceed
     physical memory.
 
     One loop then fills the store, a start at a time on this thread: it
     enumerates ``a``'s prefix paths once (``_paths_from``) and encodes their
-    keys once.  A rows store writes them and their offsets, from one product
-    of the last two blocks; a flat store tries as closers only the
+    keys once.  A rows store writes them and their offsets, from closer
+    counts computed one block of starts at a time, a product with a float32
+    copy of the last block; a flat store tries as closers only the
     part-(k-1) vertices that close back to ``a`` and writes the key
     ``prefix * m + closer`` of each (path, closer) pair whose last edge
     exists.  A start whose prefix paths or cycles differ from its counts
@@ -406,28 +435,31 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     """
     k, m = g.k, g.m
     _radices(k, m)  # refuses a key space beyond 64 bits
-    fb = _float_blocks(g)
-    bounds = [0, *itertools.accumulate(_closed_walks(fb, 0).tolist())]
-    firsts = [0, *itertools.accumulate(_prefix_paths(fb).tolist())]
+    bounds = [0, *itertools.accumulate(_closed_walks(g.blocks, 0).tolist())]
+    firsts = [0, *itertools.accumulate(_prefix_paths(g.blocks).tolist())]
     layout = _store_layout(bounds[-1], firsts[-1])
     _check_fits_in_memory("cycle keys", _store_bytes(bounds[-1], firsts[-1])[layout])
     rows = layout == "rows"
-    last, close = fb[k - 2 :]
-    del fb  # the other blocks are freed before the product
-    # counts[a, end]: the part-(k-1) vertices adjacent to both a and end;
-    # at most m < 2**22, so exact in float32 and never None
-    counts = _exact(close.T @ last.T) if rows else None
-    del last, close
     head = np.empty(firsts[-1] if rows else bounds[-1], dtype=np.uint64)
     offsets = np.zeros(firsts[-1] + 1, dtype=np.int64) if rows else None
     last, close = g.blocks[k - 2], g.blocks[k - 1]
+    # the closer counts' one float32 block: the chain's size rule charged
+    # at least as many bytes for its own copies, freed by now
+    last_t = last.T.astype(np.float32) if rows else None
+    # starts per closer-count product: its float32 cast and its counts each
+    # take at most a quarter of a row block and a quarter of a block
+    step = max(1, min(_ROW_BLOCK, m) // 4)
     for a in range(m):
         cols = _paths_from(g, a)
         _check_found(a, "prefix paths", cols[-1].size, firsts[a + 1] - firsts[a])
         prefix = encode_keys([a, *cols], m)
         lo, hi = bounds[a], bounds[a + 1]
         if rows:
-            ends = np.cumsum(counts[a, cols[-1]].astype(np.int64))
+            if a % step == 0:
+                # counts[i, end]: the part-(k-1) vertices adjacent to both
+                # start a + i and end; at most m < 2**22, so exact in float32
+                counts = close[:, a : a + step].T.astype(np.float32) @ last_t
+            ends = np.cumsum(counts[a % step, cols[-1]].astype(np.int64))
             _check_found(a, "proper cycles", int(ends[-1]) if ends.size else 0, hi - lo)
             head[firsts[a] : firsts[a + 1]] = prefix
             offsets[firsts[a] + 1 : firsts[a + 1] + 1] = lo + ends

@@ -3,7 +3,9 @@
 Properties (i) and (ii) are one function each, ``restricted_check`` and
 ``meeting_check``, shared by the sampled checks and the certificate audit.
 Each adds its bound to the counts of one ``cycles._family_counts`` or
-``cycles._meeting_counts`` call over every trial or round.
+``cycles._meeting_counts`` call over every trial or round; the meeting
+counts of every trial run in one block chain per part, so property (ii)
+makes k chains for its per-vertex count and at most k for all its trials.
 
 The structural claims are universally quantified over exponentially many
 family/set choices, so desk-scale verification samples them: random

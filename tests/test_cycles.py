@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -109,15 +111,15 @@ class TestEnumeration:
     )
     def test_count_mismatch_is_refused(self, monkeypatch, offsets):
         g = random_graph(4, 5, 0.6, 2)
-        per_start = _closed_walks(cycles._float_blocks(g), 0)
+        per_start = _closed_walks(g.blocks, 0)
         starts = np.flatnonzero(per_start)  # starts with cycles, so no count goes negative
         assert starts.size >= 2
         off = np.zeros_like(per_start)
         for i, d in offsets.items():
             off[starts[i]] = d
 
-        def skewed(fb, part, rows=None, skip=None, **kw):
-            return _closed_walks(fb, part, rows, skip, **kw) + off
+        def skewed(blocks, part, rows=None, skip=None, **kw):
+            return _closed_walks(blocks, part, rows, skip, **kw) + off
 
         monkeypatch.setattr(cycles, "_closed_walks", skewed)
         skewed_starts = f"^start vertex ({starts[0]}|{starts[1]}): enumerated "
@@ -131,10 +133,10 @@ class TestEnumeration:
     def test_prefix_path_count_mismatch_is_refused(self, monkeypatch, d):
         g = random_graph(4, 5, 0.6, 2)
         prefix_paths = cycles._prefix_paths
-        a = int(np.flatnonzero(prefix_paths(cycles._float_blocks(g)))[-1])
+        a = int(np.flatnonzero(prefix_paths(g.blocks))[-1])
 
-        def skewed(fb):
-            paths = prefix_paths(fb)
+        def skewed(blocks):
+            paths = prefix_paths(blocks)
             paths[a] += d
             return paths
 
@@ -179,8 +181,8 @@ class TestEnumeration:
                 finally:
                     tracemalloc.stop()
                 assert len(h) == size
-                # the store, or the float32 copy of the blocks that the
-                # count makes before the store exists, when that is larger
+                # the store, or the float32 copies and row blocks that the
+                # count makes before the store exists, when they are larger
                 # (the sparse host, and the rows store at k = 3)
                 assert peak < 1.5 * max(h.nbytes, 4 * k * m * m), (k, m, layout)
 
@@ -340,7 +342,7 @@ class TestExactness:
     )
     def test_float_blocks_beyond_physical_memory_refused(self, monkeypatch, count):
         g = random_graph(3, 4, 0.5, 0)
-        need = 4 * 3 * 4 * 4  # one float32 copy of each block
+        need = 4 * (3 - 2) * 4 * 4  # a float32 copy of each block the chain multiplies through
         # physical memory one byte short of the copies; nothing is allocated for real
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -351,10 +353,11 @@ class TestExactness:
         count(g)
 
     def test_float64_fallback_beyond_physical_memory_refused(self, monkeypatch):
-        # K(4, 257) closes at 257**3 >= 2**24, so the count needs the float64 copy
-        # (the float32 copy, half that size, fits)
+        # K(4, 257) closes at 257**3 >= 2**24, so each chain needs float64
+        # copies of its k-2 = 2 middle blocks (the float32 copies, half that
+        # size, fit)
         g = complete_layered(4, 257)
-        need = 8 * 4 * 257 * 257
+        need = 8 * 2 * 257 * 257
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         with pytest.raises(ResourceLimitError, match="^float64 blocks need more bytes") as excinfo:
@@ -369,23 +372,24 @@ class TestFloat32:
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """The number of times float64 copies were made, and the closed-walk
-        calls made on float32 blocks (a count's later calls get the blocks
-        its first fallback widened in place, so they run in float64)."""
-        made = {"float64": 0, "calls": 0}
-        copy, walks = cycles._float64_blocks, cycles._closed_walks
+        """The float64 widenings of each closed-walk call, in call order: a
+        chain widens its own copies the first time one of its steps leaves
+        float32, and the next call starts in float32 again."""
+        per_call = []
+        exact, walks = cycles._exact, cycles._closed_walks
 
-        def counted_copy(fb):
-            made["float64"] += 1
-            copy(fb)
+        def counted_exact(counts):
+            out = exact(counts)
+            per_call[-1] += out is None
+            return out
 
-        def counted_walks(fb, *args, **kwargs):
-            made["calls"] += fb[0].dtype == np.float32
-            return walks(fb, *args, **kwargs)
+        def counted_walks(*args, **kwargs):
+            per_call.append(0)
+            return walks(*args, **kwargs)
 
-        monkeypatch.setattr(cycles, "_float64_blocks", counted_copy)
+        monkeypatch.setattr(cycles, "_exact", counted_exact)
         monkeypatch.setattr(cycles, "_closed_walks", counted_walks)
-        return made
+        return per_call
 
     # K(3, 300) stays below 2**24; K(4, 257) closes at 257**3 >= 2**24; in
     # K(5, 257) the second product reaches 257**3, mid-chain.  Row blocks of
@@ -399,16 +403,16 @@ class TestFloat32:
         assert per_vertex.dtype == np.int64 and (per_vertex == m ** (k - 1)).all()
         # a part-0 and a part-1 vertex: the cycles avoiding both are (m-1)**2 m**(k-2)
         assert count_cycles_meeting(g, [0, m]) == m**k - (m - 1) ** 2 * m ** (k - 2)
-        # one float64 copy per float32 closed-walk call that left float32, none otherwise
-        assert fallbacks["float64"] == (fallbacks["calls"] if float64 else 0)
+        # 1 + k + 2 chains, each widened once when it leaves float32, never otherwise
+        assert fallbacks == [int(float64)] * (k + 3)
 
     @pytest.mark.parametrize("k, m, p", [(3, 40, 0.5), (4, 12, 0.6), (5, 8, 0.7)])
     def test_counts_equal_float64_counts(self, monkeypatch, k, m, p):
-        def float64_blocks(g):
-            fb = [b.astype(np.float64) for b in g.blocks]
-            for b in fb:
-                b.setflags(write=False)
-            return fb
+        kernel = cycles._closed_walks
+
+        def float64_walks(blocks, *args):
+            # float64 blocks, so the chain runs in float64 from its first step
+            return kernel([b.astype(np.float64) for b in blocks], *args)
 
         for seed in range(3):
             g = random_graph(k, m, p, seed)
@@ -417,11 +421,11 @@ class TestFloat32:
             per_vertex = cycles_per_vertex(g)
             meeting = [count_cycles_meeting(g, cset) for cset in csets]
             with monkeypatch.context() as patch:
-                patch.setattr(cycles, "_float_blocks", float64_blocks)
+                patch.setattr(cycles, "_closed_walks", float64_walks)
                 assert np.array_equal(per_vertex, cycles_per_vertex(g))
                 assert meeting == [count_cycles_meeting(g, cset) for cset in csets]
 
-    # (first prefix row, closing block, walks, float64 copies): the prefix
+    # (first prefix row, closing block, walks, float64 widenings): the prefix
     # product or the closing sum reaching 2**24 is redone in float64
     @pytest.mark.parametrize(
         "first, closing, walks, copies",
@@ -434,12 +438,13 @@ class TestFloat32:
     )
     def test_entries_of_2_to_24_fall_back(self, fallbacks, first, closing, walks, copies):
         fb = [b.astype(np.float32) for b in TestExactness.chain(first, closing)]
-        assert _closed_walks(fb, 0).tolist() == walks
-        assert fallbacks["float64"] == copies
+        assert cycles._closed_walks(fb, 0).tolist() == walks
+        assert fallbacks == [copies]
 
     def test_one_shot_fallback_holds_only_the_float64_blocks(self):
-        # K(4, 257) closes at 257**3 >= 2**24; the count's blocks are widened
-        # in place, so each float32 block is freed as its float64 copy is made
+        # K(4, 257) closes at 257**3 >= 2**24; the chain widens its own
+        # copies of the k-2 middle blocks in place, so each float32 copy is
+        # freed as its float64 copy is made
         k, m = 4, 257
         g = complete_layered(k, m)
         tracemalloc.start()
@@ -448,16 +453,19 @@ class TestFloat32:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float64 blocks and one float64 row block of the chain's prefix;
-        # both copies of the blocks together would take 12 * k * m**2
-        assert peak < 8 * k * m * m + 8 * cycles._ROW_BLOCK * m
+        # the float64 middle blocks and three float64 row blocks: the prefix,
+        # its product and the closing block's cast columns; float64 copies of
+        # all k blocks alone would take 8 * k * m**2
+        rows = min(cycles._ROW_BLOCK, m)
+        assert peak < 8 * (k - 2) * m * m + 3 * 8 * rows * m
 
     def test_shared_blocks_are_widened_once(self, fallbacks):
-        # property (ii) makes two lists of blocks, one for the per-vertex
-        # count and one for every trial's meeting count: on K(4, 257) the
-        # first chain on each that reaches 2**24 widens it, and the later
-        # chains on it read it
-        g = complete_layered(4, 257)
+        # property (ii) runs one chain per part for its per-vertex count and
+        # one per part for every trial's meeting counts; on K(4, 257) each
+        # chain widens only its own copies, and at most once, and every
+        # per-vertex chain reaches 257**3 >= 2**24
+        k, m = 4, 257
+        g = complete_layered(k, m)
         tracemalloc.start()
         try:
             report = check_property_ii(g, 2, 3, 5, 1)
@@ -465,50 +473,69 @@ class TestFloat32:
         finally:
             tracemalloc.stop()
         assert report.passes == 5
-        assert (fallbacks["float64"], fallbacks["calls"]) == (2, 2)
-        # a fresh float64 copy per count (12 of them) peaked at 4.71 MiB; one
-        # list widened in place at a time peaks at about 4.06 MiB
-        assert peak < 4.7 * 2**20
+        assert len(fallbacks) == 2 * k and max(fallbacks) == 1
+        assert fallbacks[:k] == [1] * k
+        # one shared list of all k blocks, widened in place, peaked at about
+        # 4.06 MiB; a chain holds the float64 copies of its k-2 middle blocks
+        # and three float64 row blocks
+        rows = min(cycles._ROW_BLOCK, m)
+        assert peak < 8 * (k - 2) * m * m + 3 * 8 * rows * m
 
-    def test_held_bytes_cast_no_block(self):
-        """The prefix-path chain holds less than one block: it casts none."""
-        g = random_graph(4, 300, 0.5, 0)
-        fb = cycles._float_blocks(g)
+    def test_held_bytes_cast_no_block(self, monkeypatch):
+        """The prefix-path chain casts one row block at a time, never a whole block."""
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 64)
+        k, m = 4, 300
+        g = random_graph(k, m, 0.5, 0)
         tracemalloc.start()
         try:
-            paths = cycles._prefix_paths(fb)
+            paths = cycles._prefix_paths(g.blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert paths.dtype == np.int64
-        assert all(b.dtype == np.float32 for b in fb)  # the chain stayed exact in float32
-        assert peak < fb[0].nbytes  # a float64 copy of a block would take twice that
+        expected = g.blocks[0].astype(np.int64) @ g.blocks[1].sum(axis=1)
+        assert np.array_equal(paths, expected)
+        # one int64 row block and the vectors; a float32 copy of one block
+        # would take 4 * m**2
+        assert peak < 8 * 64 * m + 8 * 8 * m
+        assert peak < 4 * m * m
 
 
 class TestKernel:
-    """The float copy is only read, and the chain's row blocks do not change a count."""
+    """The graph's blocks are only read, and the chain's row blocks do not change a count."""
 
     def test_float_blocks_are_read_only(self):
-        fb = cycles._float_blocks(random_graph(3, 4, 0.5, 0))
-        for b in fb:
-            assert b.dtype == np.float32
+        # the kernel reads the graph's own blocks, which are read-only, so a
+        # chain that wrote into them, its skips included, would raise: the
+        # float copies it multiplies through are its own
+        g = random_graph(3, 4, 0.5, 0)
+        for b in g.blocks:
+            assert b.dtype == bool
             with pytest.raises(ValueError, match="read-only"):
-                b[0, 0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                b[[0]] = 0.0
+                b[0, 0] = True
+        before = [b.tobytes() for b in g.blocks]
+        avoid = [np.empty(0, dtype=np.int64), np.array([1, 2]), np.array([0])]
+        skip = (np.zeros(4, dtype=np.int64), avoid)  # one owner: its keys are the locals
+        expected = [0] * 4
+        for c in brute_force_cycles(g):
+            if c[1] % 4 not in (1, 2) and c[2] % 4 != 0:
+                expected[c[0]] += 1
+        assert _closed_walks(g.blocks, 0, None, skip).tolist() == expected
+        assert [b.tobytes() for b in g.blocks] == before
 
     @pytest.mark.parametrize("rows", [None, np.arange(5)], ids=["all-rows", "explicit-rows"])
     def test_skips_drop_walks_and_never_write_into_the_blocks(self, rows):
-        # writable blocks, so a kernel that zeroed fb itself would go unnoticed
-        # but for the byte comparison
+        # writable blocks, so a kernel that zeroed them itself would go
+        # unnoticed but for the byte comparison
         g = random_graph(4, 5, 0.8, 3)
         fb = [b.astype(np.float64) for b in g.blocks]
         before = [b.tobytes() for b in fb]
-        skip = [np.array([0, 1]), np.array([1, 3]), np.array([0]), np.array([2, 4])]
+        avoid = [np.array([0, 1]), np.array([1, 3]), np.array([0]), np.array([2, 4])]
+        skip = (np.zeros(5, dtype=np.int64), avoid)  # one owner: its keys are the locals
         expected = [0] * 5
         for c in brute_force_cycles(g):
             local = [v % 5 for v in c]
-            if all(local[q] not in skip[q] for q in (1, 2, 3)):  # part 0's entry is not read
+            if all(local[q] not in avoid[q] for q in (1, 2, 3)):  # part 0's entry is not read
                 expected[local[0]] += 1
         assert sum(expected) > 0
         assert _closed_walks(fb, 0, rows, skip).tolist() == expected
@@ -529,6 +556,39 @@ class TestKernel:
         # whole parts, so a meeting chain starts from more rows than one block
         for cset in (range(m), range(m, 3 * m), range(k * m)):
             assert count_cycles_meeting(g, cset) == sum(1 for s in sets if s & set(cset))
+
+
+class TestChainMemory:
+    """A count holds float32 copies of the k-2 blocks its chain multiplies
+    through and a few ``_ROW_BLOCK`` x m row blocks, never copies of all k."""
+
+    @staticmethod
+    def meeting_40_sets(g):
+        rng = spawn_rng(3)
+        csets = [rng.choice(g.num_vertices, size=(g.k - 1) * 20, replace=False) for _ in range(40)]
+        return cycles._meeting_counts(g, csets)
+
+    # row blocks of 64 rows, so four of them take less than one block; the
+    # rows store, held once the count is done, is the only other term
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize(
+        "count",
+        [cycles_per_vertex, count_proper_cycles, build_hypergraph, meeting_40_sets],
+        ids=["cycles_per_vertex", "count_proper_cycles", "build_hypergraph", "meeting_counts"],
+    )
+    def test_peak_is_the_middle_blocks_and_row_blocks(self, monkeypatch, k, count):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 64)
+        m = 600
+        g = random_graph(k, m, 0.02, 1)
+        tracemalloc.start()
+        try:
+            with forced("rows"):
+                out = count(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = out.nbytes if isinstance(out, cycles.TightHypergraph) else 0
+        assert peak < held + 4 * (k - 2) * m * m + 4 * (4 * 64 * m)
 
 
 class TestVertexCounts:
@@ -883,8 +943,9 @@ class TestMeetingCounts:
         data=st.data(),
     )
     def test_one_copy_serves_every_set(self, k, m, p, seed, data):
-        # one call counts the sets in turn on one float copy: a set's skipped
-        # vertices must not leak into the next count, nor into the copy
+        # one call counts the sets with one chain per part, each on its own
+        # float copies: a set's skipped vertices must not leak into another
+        # set's rows, nor into the graph's blocks
         g = random_graph(k, m, p, seed)
         sets = brute_sets(g)
         nv, mid = k * m, k // 2
@@ -895,29 +956,75 @@ class TestMeetingCounts:
             list(range(nv)),
             [],
         ]))
-        copies, float_blocks = [], cycles._float_blocks
+        before = [b.tobytes() for b in g.blocks]
+        parts, kernel = [], cycles._closed_walks
 
-        def copy(g):
-            copies.append(float_blocks(g))
-            return copies[-1]
+        def chain(blocks, part, rows=None, skip=None):
+            assert blocks is g.blocks
+            parts.append(part)
+            return kernel(blocks, part, rows, skip)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cycles, "_float_blocks", copy)
+            patch.setattr(cycles, "_closed_walks", chain)
             counts = cycles._meeting_counts(g, csets)
         assert counts == [sum(1 for s in sets if s & set(cset)) for cset in csets]
-        assert len(copies) == 1
-        assert [b.tobytes() for b in copies[0]] == [b.tobytes() for b in float_blocks(g)]
+        assert parts == list(range(k))  # the set of all vertices meets every part
+        assert [b.tobytes() for b in g.blocks] == before
+
+    # with 2 rows a block, a block holds the rows of several sets and a set's
+    # rows span blocks
+    @pytest.mark.parametrize("block", [2, 512])
+    @pytest.mark.parametrize("k, m, p, seed", [(3, 7, 0.6, 1), (4, 5, 0.7, 2), (5, 4, 0.8, 3)])
+    def test_stacked_sets_match_lone_counts(self, k, m, p, seed, block):
+        g = random_graph(k, m, p, seed)
+        sets = brute_sets(g)
+        nv, rng = k * m, spawn_rng(seed)
+        # drawn with replacement, so some repeat vertices, and overlapping
+        drawn = [rng.choice(nv, size=int(rng.integers(1, nv))).tolist() for _ in range(32)]
+        csets = [
+            [],
+            [m + 1, m + 1],  # a repeated vertex
+            *drawn[:16],
+            list(range(m, 2 * m)),  # confined to part 1
+            [],
+            *drawn[16:],
+            list(range((k - 1) * m, nv))[::-1],  # confined to the last part
+            drawn[0] + drawn[1],  # overlaps both
+            [nv - 1, 0, nv - 1],
+        ]
+        with mock.patch.object(cycles, "_ROW_BLOCK", block):
+            counts = cycles._meeting_counts(g, csets)
+            lone = [cycles._meeting_counts(g, [cset])[0] for cset in csets]
+        assert counts == lone == [sum(1 for s in sets if s & set(cset)) for cset in csets]
+        assert len(set(counts)) > 3
 
     def test_sets_are_checked_first_and_empty_sets_need_no_copy(self, monkeypatch, tiny_complete):
-        def no_copy(g):
-            raise AssertionError("a float copy was made")
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
 
-        monkeypatch.setattr(cycles, "_float_blocks", no_copy)
+        monkeypatch.setattr(cycles, "_closed_walks", no_chain)
         assert cycles._meeting_counts(tiny_complete, [[], (), np.empty(0, int)]) == [0, 0, 0]
         assert cycles._meeting_counts(tiny_complete, []) == []
         # the bad vertex of the last set is refused before the first set is counted
         with pytest.raises(UnknownVertexError):
             cycles._meeting_counts(tiny_complete, [[0], [1, 6]])
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on numpy 2; numpy 1 imports it with numpy
+        code = (
+            "import sys, numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from ramsey_lab import complete_layered, count_cycles_meeting\n"
+            "assert count_cycles_meeting(complete_layered(3, 4), [0, 5, 5, 9]) == 64 - 27\n"
+            "print(eager, 'numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cycles.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        eager, imported = out.stdout.split()
+        assert eager == "True" or imported == "False", out.stdout
 
     def test_chains_run_on_the_sets_rows_only(self, monkeypatch):
         # first-hit count: every chain starts from explicit rows of the set, and
@@ -1319,7 +1426,7 @@ class TestHypergraph:
             b[np.ix_(pos[i], pos[(i + 1) % k])] = small.blocks[i]
         g = LayeredGraph(k, m, blocks)
         h = build_hypergraph(g)
-        assert (h.layout, int(cycles._prefix_paths(cycles._float_blocks(g)).sum())) == layout
+        assert (h.layout, int(cycles._prefix_paths(g.blocks).sum())) == layout
         local = decode_keys(brute_force_cycle_keys(small), k, m0)
         brute = encode_keys([pos[i][local[:, i]] for i in range(k)], m)
         for name in LAYOUTS:
