@@ -37,18 +37,19 @@ time; a flat store keys each path with its closers, trying only the
 vertices that close back to the start.
 Every block-chain count (total, per vertex, meeting vertex sets, and the
 per-start counts of ``build_hypergraph``) sums ``_closed_walks`` over the
-graph's own blocks, as Python ints.  Each call makes float32 copies of
-only the k-2 middle blocks its chain multiplies through, and casts the
-first block's rows and the closing block's columns ``_ROW_BLOCK`` rows at a
-time, so no m x m prefix is built.  Float32 holds the chain's integers
+graph's own blocks, as Python ints.  No call copies a whole block to
+float: a chain runs passes of at most ``_ROW_BLOCK`` rows and half a
+block, and casts each block it multiplies through one column panel at a
+time, just before that panel's product; the rows build's closer counts
+cast the last block the same way.  Float32 holds the chain's integers
 exactly below 2**24; when one of its computed entries reaches 2**24, the
-kernel redoes that step in float64, after widening the call's copies to
-float64 one block at a time; the rest of that call runs in float64.  It
-refuses the chain only when an entry reaches 2**53, where float64 stops
-being exact.  ``_meeting_counts`` counts any number of vertex sets in one
-chain per part, over the sets' own rows only, counting each cycle at the
-first part where it meets its set: each row of a later part's chain skips
-its own set's vertices in earlier parts.
+kernel redoes that step in float64 from its exact float32 prefix, and the
+rest of that call runs in float64.  It refuses the chain only when an
+entry reaches 2**53, where float64 stops being exact.
+``_meeting_counts`` counts any number of vertex sets in one chain per
+part, over the sets' own rows only, counting each cycle at the first part
+where it meets its set: each row of a later part's chain skips its own
+set's vertices in earlier parts.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -167,24 +168,49 @@ def trash_family(g: LayeredGraph, paths) -> TrashFamily:
 # exact counting via adjacency-block products
 # ---------------------------------------------------------------------------
 
-# rows per block-chain pass: bounds each prefix, and each cast of the first
-# block's rows or the closing block's columns, at _ROW_BLOCK x m floats
-# (4 bytes each in float32, 8 after a float64 fallback)
+# rows per pass of the block chain, the enumeration and the family loops,
+# bounding each of their blocks at _ROW_BLOCK x m entries
 _ROW_BLOCK = 512
 
 # the integers a float dtype holds exactly: those below 2**(mantissa bits + 1)
 _EXACT_BELOW = {np.dtype(np.float32): 2**24, np.dtype(np.float64): 2**53}
 
 
-def _cast_blocks(blocks: list, dtype, what: str) -> None:
-    """Replace the blocks of the list ``blocks`` in place with ``dtype``
-    copies, refused as ``what`` before any is made when their bytes would
-    exceed physical memory.  One block is copied at a time, so each old
-    block is freed as its copy is made when the list held its only
-    reference."""
-    _check_fits_in_memory(what, np.dtype(dtype).itemsize * sum(b.size for b in blocks))
-    for i, b in enumerate(blocks):
-        blocks[i] = b.astype(dtype)
+def _evened(size: int, most: int) -> int:
+    """The length of the fewest runs of at most ``most`` that cover
+    ``size``, evened out: as many runs as with runs of ``most``, each a
+    chain pass or panel that costs as much to set up whatever its length,
+    but the longest, which sets the peak memory, is as short as they allow
+    (runs of 400 rows, not 512, 512 and 176, over D's m = 1200)."""
+    runs = max(1, -(-size // most))
+    return max(1, -(-size // runs))
+
+
+def _pass_rows(size: int, m: int) -> int:
+    """Rows a pass of a chain over ``size`` rows of m x m blocks: at most a
+    ``_ROW_BLOCK`` and at most half a block, so that no prefix holds a
+    whole block's worth of floats."""
+    return _evened(size, max(1, min(_ROW_BLOCK, m // 2)))
+
+
+def _panel_width(m: int) -> int:
+    """Columns per cast panel of an m x m block that a chain multiplies
+    through: at most half a ``_ROW_BLOCK`` and at most half the block, so
+    that no block is ever held whole in float.  Each panel's product packs
+    the prefix again: on instance D (m = 1200, two cores) panels of at most
+    a quarter of a ``_ROW_BLOCK`` saved about 1 MB of peak RSS in ``verify
+    --property ii`` but made each count 10-15% slower."""
+    return _evened(m, max(1, min(_ROW_BLOCK, m) // 2))
+
+
+def _chain_bytes(dtype, k: int, rows: int, m: int) -> int:
+    """The working set of a chain over ``rows`` rows a pass in ``dtype``:
+    the prefix and, from k = 4, the next prefix (``rows`` x m each), one
+    cast panel (m x ``_panel_width(m)``) and its product, plus ``rows`` x m
+    bools, the closing block's columns of those rows."""
+    width = _panel_width(m)
+    floats = (1 + (k > 3)) * rows * m + (m + rows) * width
+    return np.dtype(dtype).itemsize * floats + rows * m
 
 
 def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
@@ -198,67 +224,99 @@ def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
     one ascending array per part of the keys ``owner * m + local`` of the
     vertices that owner's rows avoid; the entry for ``part`` itself is not
     read.  Before the chain multiplies through a part, and before it closes,
-    it zeroes each row's prefix entries at its owner's vertices of that
-    part, so the walks through them are dropped.  ``blocks`` is only read.
+    it drops the walks of each row through its owner's vertices of that
+    part.  ``blocks`` is only read.
 
-    The chain multiplies through the k-2 middle blocks, of which the call
-    makes its own float copies (float32 for bool blocks, float64 for a wider
-    dtype), refused by ``_cast_blocks`` before any is made.  It runs
-    ``_ROW_BLOCK`` rows at a time and copies the first block's rows and the
-    closing block's columns one row block at a time, so no other copy or
-    prefix larger than ``_ROW_BLOCK`` x m is built.
+    The chain runs ``_pass_rows`` rows a pass.  It casts those rows of the
+    first block to float (float32 for bool blocks, float64 for a wider
+    dtype) and multiplies them through the k-2 middle blocks, each cast one
+    column panel at a time just before that panel's product (see
+    ``_chain_step``); the last product is summed against the closing
+    block's columns of those rows panel by panel, so it is never held
+    whole.  A call thus holds a prefix row block or two, one panel and its
+    product, never a whole block in float, and ``_chain_bytes`` of that
+    working set is checked against physical memory before anything is
+    allocated.
 
     Every entry of the chain is a sum of non-negative integers, so its dtype
     holds it exactly while it stays below 2**24 (float32) or 2**53
     (float64); and since rounding is monotone, a sum that ever reached that
     limit still reads at least the limit in any summation order.  So each
-    prefix product and the closing diagonal are checked as they are computed
+    product panel and the closing diagonal are checked as they are computed
     (see ``_exact``).  A float32 step that reaches 2**24 is redone in
-    float64 from its exact float32 prefix, after the call's copies are
-    widened to float64 one block at a time, so a fallback holds 8 bytes per
-    vertex pair of the middle blocks rather than 12; the rest of the call
-    runs in float64, and the next call starts in float32 again.
-    ``ResourceLimitError`` is raised at the first float64 entry that reaches
-    2**53.  (That holds for the GEMM behind ``@``; a Strassen-type product,
-    which subtracts, would not keep it.)
+    float64 from its exact float32 prefix, once ``_chain_bytes`` of the
+    float64 working set is allowed; the rest of the call runs in float64,
+    and the next call starts in float32 again.  ``ResourceLimitError`` is
+    raised at the first float64 entry that reaches 2**53.  (That holds for
+    the GEMM behind ``@``; a Strassen-type product, which subtracts, would
+    not keep it.)
     """
     k, m = len(blocks), blocks[part].shape[0]
     first, close = blocks[part], blocks[(part - 1) % k]
     mid = [blocks[(part + j) % k] for j in range(1, k - 1)]
-    _cast_blocks(mid, np.promote_types(first.dtype, np.float32), "float blocks")
     size = m if rows is None else len(rows)
+    height = _pass_rows(size, m)
+    dtype = np.promote_types(first.dtype, np.float32)
+    _check_fits_in_memory("float panels", _chain_bytes(dtype, k, height, m))
     out = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, size)
+    for lo in range(0, size, height):
+        hi = min(lo + height, size)
         block = slice(lo, hi) if rows is None else rows[lo:hi]
-        prefix = first[block].astype(mid[0].dtype)  # a copy, so the skips may write
-        for j in range(1, k):
-            q = (part + j) % k
+        owner = None if skip is None else skip[0][lo:hi]
+        prefix = first[block].astype(dtype)  # a copy, so the skips may write
+        for j, b in enumerate(mid, 1):
             if skip is not None:
-                _skip_walks(prefix, skip[0][lo:hi], skip[1][q], m)
-            walks = _exact(_chain_step(prefix, mid, close, block, j))
-            if walks is None:  # so the copies are still float32
-                prefix = prefix.astype(np.float64)
-                _cast_blocks(mid, np.float64, "float64 blocks")
-                walks = _exact(_chain_step(prefix, mid, close, block, j))
+                _skip_walks(prefix, owner, skip[1][(part + j) % k], m)
+            ends = None
+            if j == k - 2:  # the last product closes as it is computed
+                # contiguous rows of the chain's own, so the skips may write
+                ends = np.require(close.T[block], requirements="CW")
+                if skip is not None:
+                    _skip_walks(ends, owner, skip[1][(part - 1) % k], m)
+            walks = _chain_step(prefix, b, ends)
+            if walks is None:  # so the call was still in float32
+                dtype = np.dtype(np.float64)
+                _check_fits_in_memory("float64 panels", _chain_bytes(dtype, k, height, m))
+                prefix = prefix.astype(dtype)
+                walks = _chain_step(prefix, b, ends)
             prefix = walks
         out[lo:hi] = prefix
     return out
 
 
-def _chain_step(prefix: np.ndarray, mid: list, close: np.ndarray, block, j: int) -> np.ndarray:
-    """The chain's j-th step: the next prefix ``prefix @ mid[j-1]``, or, at
-    j = k-1, the closing diagonal through the ``block`` columns of
-    ``close``.  Those columns are gathered as contiguous rows of
-    ``close.T`` in the blocks' own dtype; ``einsum`` casts them as it sums,
-    a buffer at a time."""
-    if j <= len(mid):
-        return prefix @ mid[j - 1]
-    return np.einsum("ab,ab->a", prefix, np.ascontiguousarray(close.T[block]))
+def _chain_step(prefix: np.ndarray, b: np.ndarray, ends=None):
+    """``prefix @ b`` in ``prefix``'s dtype or, given the closing block's
+    columns ``ends`` (a bool row of them per prefix row), the closing
+    diagonal ``(prefix @ b * ends).sum(axis=1)``; ``None`` at the first
+    float32 entry of either that reaches 2**24 (see ``_exact``).
+
+    ``b`` (of any dtype, a transposed view too) is cast ``_panel_width``
+    columns at a time into one panel buffer of its own layout, just before
+    that panel's product.  Each product is written into its columns of
+    ``prefix @ b`` and checked; at the close it is written into one buffer
+    instead, checked, and summed against its columns of ``ends`` into the
+    diagonal, which is checked once it holds every panel's terms: they are
+    non-negative, so the rule of ``_closed_walks`` holds for that order of
+    summing too."""
+    rows, m = prefix.shape[0], b.shape[1]
+    width = _panel_width(m)
+    panel = np.empty_like(b[:, :width], dtype=prefix.dtype)
+    # the product itself, or at the close one panel's product at a time
+    walks = np.empty((rows, m if ends is None else width), dtype=prefix.dtype)
+    diag = np.zeros(rows, dtype=prefix.dtype)
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
+        np.copyto(panel[:, : hi - lo], b[:, lo:hi])
+        cols = slice(lo, hi) if ends is None else slice(0, hi - lo)
+        if _exact(np.matmul(prefix, panel[:, : hi - lo], out=walks[:, cols])) is None:
+            return None
+        if ends is not None:
+            diag += np.einsum("ab,ab->a", walks[:, cols], ends[:, lo:hi])
+    return walks if ends is None else _exact(diag)
 
 
-def _skip_walks(prefix: np.ndarray, owner: np.ndarray, keys: np.ndarray, m: int) -> None:
-    """Zero the entries of ``prefix`` (one row per entry of the ascending
+def _skip_walks(walks: np.ndarray, owner: np.ndarray, keys: np.ndarray, m: int) -> None:
+    """Zero the entries of ``walks`` (one row per entry of the ascending
     ``owner``) at the locals its row's owner avoids, given by the ascending
     keys ``owner * m + local``: a mask built one row per owner in the block,
     as ``_family_counts`` builds its allowed test."""
@@ -273,7 +331,7 @@ def _skip_walks(prefix: np.ndarray, owner: np.ndarray, keys: np.ndarray, m: int)
     hit = owners[np.minimum(at, owners.size - 1)] == key_owner
     avoid = np.zeros((owners.size, m), dtype=bool)
     avoid[at[hit], local[hit]] = True
-    prefix[avoid[row]] = 0.0
+    walks[avoid[row]] = 0
 
 
 def _exact(counts: np.ndarray) -> np.ndarray | None:
@@ -420,14 +478,15 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     ``firsts[a]:firsts[a+1]`` by its prefix paths, and ``_store_layout``
     picks the layout of fewer bytes.  ``ResourceLimitError`` is raised
     before counting when the key space exceeds 64 bits, and before the store
-    is allocated (no float copy is held then) when its bytes would exceed
-    physical memory.
+    is allocated (no float row block is held then) when its bytes would
+    exceed physical memory.
 
     One loop then fills the store, a start at a time on this thread: it
     enumerates ``a``'s prefix paths once (``_paths_from``) and encodes their
     keys once.  A rows store writes them and their offsets, from closer
-    counts computed one block of starts at a time, a product with a float32
-    copy of the last block; a flat store tries as closers only the
+    counts computed one block of starts at a time by ``_chain_step``, which
+    casts the last block to float32 one column panel of its transpose at a
+    time; a flat store tries as closers only the
     part-(k-1) vertices that close back to ``a`` and writes the key
     ``prefix * m + closer`` of each (path, closer) pair whose last edge
     exists.  A start whose prefix paths or cycles differ from its counts
@@ -443,12 +502,14 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     head = np.empty(firsts[-1] if rows else bounds[-1], dtype=np.uint64)
     offsets = np.zeros(firsts[-1] + 1, dtype=np.int64) if rows else None
     last, close = g.blocks[k - 2], g.blocks[k - 1]
-    # the closer counts' one float32 block: the chain's size rule charged
-    # at least as many bytes for its own copies, freed by now
-    last_t = last.T.astype(np.float32) if rows else None
-    # starts per closer-count product: its float32 cast and its counts each
-    # take at most a quarter of a row block and a quarter of a block
-    step = max(1, min(_ROW_BLOCK, m) // 4)
+    # starts per closer-count product: its float32 starts and its counts
+    # each take half a chain pass of m floats, and it casts the last block
+    # one panel at a time, so the chain's size rule charged more than this
+    # working set.  (A quarter of a row block, half the starts, cast the
+    # last block twice as often and raised dense-greedy's peak RSS on
+    # instance D by 1.8 MB, through where the allocator then placed the
+    # coloring's chunks.)
+    step = max(1, _pass_rows(m, m) // 2)
     for a in range(m):
         cols = _paths_from(g, a)
         _check_found(a, "prefix paths", cols[-1].size, firsts[a + 1] - firsts[a])
@@ -458,7 +519,7 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
             if a % step == 0:
                 # counts[i, end]: the part-(k-1) vertices adjacent to both
                 # start a + i and end; at most m < 2**22, so exact in float32
-                counts = close[:, a : a + step].T.astype(np.float32) @ last_t
+                counts = _chain_step(close[:, a : a + step].T.astype(np.float32), last.T)
             ends = np.cumsum(counts[a % step, cols[-1]].astype(np.int64))
             _check_found(a, "proper cycles", int(ends[-1]) if ends.size else 0, hi - lo)
             head[firsts[a] : firsts[a + 1]] = prefix

@@ -149,7 +149,8 @@ class TestEnumeration:
                 build_hypergraph(g)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        """A start's exception reaches the caller from the caller's own thread."""
+        """The store is filled on the caller's own thread, so an exception
+        raised while a start's keys are encoded reaches the caller as raised."""
         g = random_graph(4, 6, 0.6, 3)
         assert cycles_per_vertex(g)[1] > 0  # start 1 has cycles, so it encodes keys
         encode = cycles.encode_keys
@@ -308,9 +309,9 @@ class TestExactness:
     @staticmethod
     def last_row_chain(first, closing):
         """A k = 3 chain over m = _ROW_BLOCK + 1 rows whose only non-zero prefix
-        row is the last, alone in the second row block: ``first`` starts that
-        row, the middle block is the identity, and ``closing`` is the last
-        column of the closing block."""
+        row is the last, in the last pass: ``first`` starts that row, the
+        middle block is the identity, and ``closing`` is the last column of
+        the closing block."""
         m = cycles._ROW_BLOCK + 1
         fb = [np.zeros((m, m)), np.eye(m), np.zeros((m, m))]
         fb[0][m - 1, : len(first)] = first
@@ -333,34 +334,84 @@ class TestExactness:
         walks = _closed_walks(fb, 0)
         assert walks[-1] == 2**53 - 1 and not walks[:-1].any()
 
+    @staticmethod
+    def panel_chain(first, closing):
+        """A k = 3 chain over m = 6 whose only non-zero prefix row is row 0:
+        ``first`` is that row, the middle block is the identity but for a one
+        at (4, 5), so prefix entry 5 sums ``first[4] + first[5]``, and
+        ``closing`` is the first column of the closing block.  With
+        ``_ROW_BLOCK`` at 4 the middle block is cast in panels of two
+        columns, and entries 4 and 5 lie in the last of them."""
+        m = 6
+        fb = [np.zeros((m, m)), np.eye(m), np.zeros((m, m))]
+        fb[1][4, 5] = 1.0
+        fb[0][0] = first
+        fb[2][:, 0] = closing
+        return fb
+
+    def test_prefix_entry_in_a_later_panel_refused(self, monkeypatch):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 4)
+        assert cycles._panel_width(6) == 2
+        # the closing block is zero, so only the last panel's check can refuse
+        fb = self.panel_chain([0.0, 0.0, 0.0, 0.0, 2.0**52, 2.0**52], [0.0] * 6)
+        with pytest.raises(ResourceLimitError) as excinfo:
+            _closed_walks(fb, 0)
+        assert excinfo.value.required == excinfo.value.cap == 2**53
+
+    def test_closing_sum_over_panels_refused(self, monkeypatch):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 4)
+        assert cycles._panel_width(6) == 2
+        # 2**52 from the first panel and 2**52 from the last reach 2**53 together only
+        closing = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        fb = self.panel_chain([2.0**52, 0.0, 0.0, 0.0, 0.0, 2.0**52], closing)
+        with pytest.raises(ResourceLimitError) as excinfo:
+            _closed_walks(fb, 0)
+        assert excinfo.value.required == excinfo.value.cap == 2**53
+        fb = self.panel_chain([2.0**52, 0.0, 0.0, 0.0, 0.0, 2.0**52 - 1], closing)
+        assert _closed_walks(fb, 0).tolist() == [2**53 - 1, 0, 0, 0, 0, 0]
+
+    # (count, rows a pass): a chain over a whole part of m = 4 runs passes of
+    # two rows, half a block; one over a single vertex, one pass of one row
     @pytest.mark.parametrize(
-        "count",
-        [count_proper_cycles, cycles_per_vertex, lambda g: cycles_through_vertex(g, 0),
-         lambda g: count_cycles_meeting(g, [0])],
+        "count, rows",
+        [
+            (count_proper_cycles, 2),
+            (cycles_per_vertex, 2),
+            (lambda g: cycles_through_vertex(g, 0), 1),
+            (lambda g: count_cycles_meeting(g, [0]), 1),
+        ],
         ids=["count_proper_cycles", "cycles_per_vertex", "cycles_through_vertex",
              "count_cycles_meeting"],
     )
-    def test_float_blocks_beyond_physical_memory_refused(self, monkeypatch, count):
+    def test_float_blocks_beyond_physical_memory_refused(self, monkeypatch, count, rows):
         g = random_graph(3, 4, 0.5, 0)
-        need = 4 * (3 - 2) * 4 * 4  # a float32 copy of each block the chain multiplies through
-        # physical memory one byte short of the copies; nothing is allocated for real
+        m, width = 4, 2  # panels of half the block
+        # the chain's working set: a float32 prefix of the pass's rows, one
+        # float32 panel of the middle block and its product, and the closing
+        # block's columns of those rows as bools; no block is copied whole
+        need = 4 * (rows * m + (m + rows) * width) + rows * m
+        # physical memory one byte short of it; nothing is allocated for real
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        with pytest.raises(ResourceLimitError, match="^float blocks need more bytes") as excinfo:
+        with pytest.raises(ResourceLimitError, match="^float panels need more bytes") as excinfo:
             count(g)
         assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
         pages["SC_PAGE_SIZE"] = need
         count(g)
 
     def test_float64_fallback_beyond_physical_memory_refused(self, monkeypatch):
-        # K(4, 257) closes at 257**3 >= 2**24, so each chain needs float64
-        # copies of its k-2 = 2 middle blocks (the float32 copies, half that
-        # size, fit)
+        # K(4, 257) closes at 257**3 >= 2**24, so each chain goes on in
+        # float64.  Its working set then holds two float64 prefixes (at k = 4,
+        # the prefix and the next) of a pass's rows, one float64 panel and its
+        # product, and the closing columns of those rows as bools; passes and
+        # panels are 86 wide, a third of the block.  The float32 working set,
+        # half that size but for the bools, fits.
         g = complete_layered(4, 257)
-        need = 8 * 2 * 257 * 257
+        m, rows, width = 257, 86, 86
+        need = 8 * (2 * rows * m + (m + rows) * width) + rows * m
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": need - 1}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        with pytest.raises(ResourceLimitError, match="^float64 blocks need more bytes") as excinfo:
+        with pytest.raises(ResourceLimitError, match="^float64 panels need more bytes") as excinfo:
             cycles_per_vertex(g)
         assert (excinfo.value.required, excinfo.value.cap) == (need, need - 1)
         pages["SC_PAGE_SIZE"] = need
@@ -372,8 +423,8 @@ class TestFloat32:
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """The float64 widenings of each closed-walk call, in call order: a
-        chain widens its own copies the first time one of its steps leaves
+        """The float64 fallbacks of each closed-walk call, in call order: a
+        chain goes on in float64 from the first of its steps that leaves
         float32, and the next call starts in float32 again."""
         per_call = []
         exact, walks = cycles._exact, cycles._closed_walks
@@ -392,8 +443,9 @@ class TestFloat32:
         return per_call
 
     # K(3, 300) stays below 2**24; K(4, 257) closes at 257**3 >= 2**24; in
-    # K(5, 257) the second product reaches 257**3, mid-chain.  Row blocks of
-    # 100, so a chain that fell back runs its later row blocks in float64 too.
+    # K(5, 257) the second product reaches 257**3, mid-chain.  Passes of at
+    # most 100 rows, so a chain that fell back runs its later passes in
+    # float64 too.
     @pytest.mark.parametrize("k, m, float64", [(3, 300, False), (4, 257, True), (5, 257, True)])
     def test_closed_forms_on_complete_hosts(self, monkeypatch, fallbacks, k, m, float64):
         monkeypatch.setattr(cycles, "_ROW_BLOCK", 100)
@@ -403,7 +455,7 @@ class TestFloat32:
         assert per_vertex.dtype == np.int64 and (per_vertex == m ** (k - 1)).all()
         # a part-0 and a part-1 vertex: the cycles avoiding both are (m-1)**2 m**(k-2)
         assert count_cycles_meeting(g, [0, m]) == m**k - (m - 1) ** 2 * m ** (k - 2)
-        # 1 + k + 2 chains, each widened once when it leaves float32, never otherwise
+        # 1 + k + 2 chains, each falling back once when it leaves float32, never otherwise
         assert fallbacks == [int(float64)] * (k + 3)
 
     @pytest.mark.parametrize("k, m, p", [(3, 40, 0.5), (4, 12, 0.6), (5, 8, 0.7)])
@@ -425,7 +477,7 @@ class TestFloat32:
                 assert np.array_equal(per_vertex, cycles_per_vertex(g))
                 assert meeting == [count_cycles_meeting(g, cset) for cset in csets]
 
-    # (first prefix row, closing block, walks, float64 widenings): the prefix
+    # (first prefix row, closing block, walks, float64 fallbacks): the prefix
     # product or the closing sum reaching 2**24 is redone in float64
     @pytest.mark.parametrize(
         "first, closing, walks, copies",
@@ -441,10 +493,31 @@ class TestFloat32:
         assert cycles._closed_walks(fb, 0).tolist() == walks
         assert fallbacks == [copies]
 
+    # (first prefix row, closing column, row 0's walks, float64 fallbacks) on
+    # panels of two columns: an entry of 2**24 + 1 in the last panel, or a
+    # closing sum that reaches it over the first and last panels only, is
+    # redone in float64, where float32 would round it to 2**24
+    @pytest.mark.parametrize(
+        "first, closing, walks, expected",
+        [
+            ([2.0**23, 0.0, 0.0, 0.0, 0.0, 2.0**23 - 1], [1.0, 0, 0, 0, 0, 1], 2**24 - 1, 0),
+            ([2.0**23, 0.0, 0.0, 0.0, 0.0, 2.0**23 + 1], [1.0, 0, 0, 0, 0, 1], 2**24 + 1, 1),
+            ([0.0, 0.0, 0.0, 0.0, 2.0**23 + 1, 2.0**23], [0.0, 0, 0, 0, 0, 1], 2**24 + 1, 1),
+        ],
+        ids=["below", "closing", "prefix"],
+    )
+    def test_entries_of_2_to_24_in_a_later_panel_fall_back(
+        self, monkeypatch, fallbacks, first, closing, walks, expected
+    ):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 4)
+        assert cycles._panel_width(6) == 2
+        fb = [b.astype(np.float32) for b in TestExactness.panel_chain(first, closing)]
+        assert cycles._closed_walks(fb, 0).tolist() == [walks, 0, 0, 0, 0, 0]
+        assert fallbacks == [expected]
+
     def test_one_shot_fallback_holds_only_the_float64_blocks(self):
-        # K(4, 257) closes at 257**3 >= 2**24; the chain widens its own
-        # copies of the k-2 middle blocks in place, so each float32 copy is
-        # freed as its float64 copy is made
+        # K(4, 257) closes at 257**3 >= 2**24; the chain redoes that step in
+        # float64, on float64 row blocks and panels, and copies no block whole
         k, m = 4, 257
         g = complete_layered(k, m)
         tracemalloc.start()
@@ -453,17 +526,17 @@ class TestFloat32:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float64 middle blocks and three float64 row blocks: the prefix,
-        # its product and the closing block's cast columns; float64 copies of
-        # all k blocks alone would take 8 * k * m**2
+        # less than three float64 row blocks: a pass holds two prefixes, one
+        # panel and its product, each narrower than the block; float64
+        # copies of the k-2 middle blocks alone would take 8 * (k-2) * m**2
         rows = min(cycles._ROW_BLOCK, m)
-        assert peak < 8 * (k - 2) * m * m + 3 * 8 * rows * m
+        assert peak < 3 * 8 * rows * m
 
     def test_shared_blocks_are_widened_once(self, fallbacks):
         # property (ii) runs one chain per part for its per-vertex count and
         # one per part for every trial's meeting counts; on K(4, 257) each
-        # chain widens only its own copies, and at most once, and every
-        # per-vertex chain reaches 257**3 >= 2**24
+        # chain falls back to float64 at most once, and every per-vertex
+        # chain reaches 257**3 >= 2**24
         k, m = 4, 257
         g = complete_layered(k, m)
         tracemalloc.start()
@@ -476,10 +549,10 @@ class TestFloat32:
         assert len(fallbacks) == 2 * k and max(fallbacks) == 1
         assert fallbacks[:k] == [1] * k
         # one shared list of all k blocks, widened in place, peaked at about
-        # 4.06 MiB; a chain holds the float64 copies of its k-2 middle blocks
-        # and three float64 row blocks
+        # 4.06 MiB; a chain holds float64 row blocks and one float64 panel,
+        # less than three float64 row blocks in all, and copies no block
         rows = min(cycles._ROW_BLOCK, m)
-        assert peak < 8 * (k - 2) * m * m + 3 * 8 * rows * m
+        assert peak < 3 * 8 * rows * m
 
     def test_held_bytes_cast_no_block(self, monkeypatch):
         """The prefix-path chain casts one row block at a time, never a whole block."""
@@ -507,7 +580,8 @@ class TestKernel:
     def test_float_blocks_are_read_only(self):
         # the kernel reads the graph's own blocks, which are read-only, so a
         # chain that wrote into them, its skips included, would raise: the
-        # float copies it multiplies through are its own
+        # float prefixes and panels it multiplies and the closing columns
+        # whose skipped entries it zeroes are its own
         g = random_graph(3, 4, 0.5, 0)
         for b in g.blocks:
             assert b.dtype == bool
@@ -559,8 +633,8 @@ class TestKernel:
 
 
 class TestChainMemory:
-    """A count holds float32 copies of the k-2 blocks its chain multiplies
-    through and a few ``_ROW_BLOCK`` x m row blocks, never copies of all k."""
+    """A count holds a few ``_ROW_BLOCK`` x m row blocks and one panel of a
+    block its chain multiplies through, never a float copy of a block."""
 
     @staticmethod
     def meeting_40_sets(g):
@@ -568,8 +642,12 @@ class TestChainMemory:
         csets = [rng.choice(g.num_vertices, size=(g.k - 1) * 20, replace=False) for _ in range(40)]
         return cycles._meeting_counts(g, csets)
 
-    # row blocks of 64 rows, so four of them take less than one block; the
-    # rows store, held once the count is done, is the only other term
+    # passes of at most 64 rows and panels of at most 32 columns: the
+    # prefix (and, at k = 4, the next prefix), a panel and its product, the
+    # closing columns, and the meeting sets' arrays and skip masks stay
+    # below five float32 row blocks of 64 x m, where one float32 copy of a
+    # block would take 4 * m**2 (over nine row blocks); the rows
+    # store, held once the count is done, is the only other term
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize(
         "count",
@@ -588,7 +666,7 @@ class TestChainMemory:
         finally:
             tracemalloc.stop()
         held = out.nbytes if isinstance(out, cycles.TightHypergraph) else 0
-        assert peak < held + 4 * (k - 2) * m * m + 4 * (4 * 64 * m)
+        assert peak < held + 5 * (4 * 64 * m)
 
 
 class TestVertexCounts:
