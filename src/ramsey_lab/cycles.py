@@ -49,7 +49,9 @@ entry reaches 2**53, where float64 stops being exact.
 ``_meeting_counts`` counts any number of vertex sets in one chain per
 part, over the sets' own rows only, counting each cycle at the first part
 where it meets its set: each row of a later part's chain skips its own
-set's vertices in earlier parts.
+set's vertices in earlier parts.  Those skips, like ``_family_counts``'
+allowed closers below, are bool masks that ``_owner_mask`` builds from
+ascending keys tagged with each row's owner, one mask row per owner.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -318,20 +320,33 @@ def _chain_step(prefix: np.ndarray, b: np.ndarray, ends=None):
 def _skip_walks(walks: np.ndarray, owner: np.ndarray, keys: np.ndarray, m: int) -> None:
     """Zero the entries of ``walks`` (one row per entry of the ascending
     ``owner``) at the locals its row's owner avoids, given by the ascending
-    keys ``owner * m + local``: a mask built one row per owner in the block,
-    as ``_family_counts`` builds its allowed test."""
-    lo, hi = np.searchsorted(keys, [owner[0] * m, (owner[-1] + 1) * m])
+    keys ``owner * m + local``."""
+    avoid = _owner_mask(owner, keys, m, 0, m)
+    if avoid is not None:
+        walks[avoid] = 0
+
+
+def _owner_mask(owner: np.ndarray, keys: np.ndarray, stride: int, base: int, m: int):
+    """The ``(owner.size, m)`` bool mask of the locals each row's owner holds
+    among the ascending ``keys``, each ``owner * stride + base + local`` with
+    0 <= local < m (and base + m <= stride), or ``None`` when no row's owner
+    holds one; ``owner``, one per row, is ascending.  The mask is built one
+    row per owner in ``owner`` and expanded to the rows, so no array of an
+    owner by a key is made."""
+    lo, hi = np.searchsorted(keys, [owner[0] * stride + base, owner[-1] * stride + base + m])
     if lo == hi:
-        return
+        return None
     new = np.ones(owner.size, dtype=bool)
     np.not_equal(owner[1:], owner[:-1], out=new[1:])
     owners, row = owner[new], np.cumsum(new) - 1  # each row's index among the owners
-    key_owner, local = np.divmod(keys[lo:hi], m)
+    key_owner, local = np.divmod(keys[lo:hi], stride)
+    local -= base
     at = np.searchsorted(owners, key_owner)
-    hit = owners[np.minimum(at, owners.size - 1)] == key_owner
-    avoid = np.zeros((owners.size, m), dtype=bool)
-    avoid[at[hit], local[hit]] = True
-    walks[avoid[row]] = 0
+    # keys end below the last owner's base + m, so no key's owner passes the last owner
+    hit = (owners[at] == key_owner) & (local >= 0) & (local < m)
+    mask = np.zeros((owners.size, m), dtype=bool)
+    mask[at[hit], local[hit]] = True
+    return mask[row]
 
 
 def _exact(counts: np.ndarray) -> np.ndarray | None:
@@ -400,6 +415,7 @@ def _meeting_counts(g: LayeredGraph, csets) -> list[int]:
     owner, vertex = np.divmod(keys[new], nv)
     part, local = np.divmod(vertex, m)
     counts = [0] * len(sets)
+    del sets, keys, new, vertex  # the chains read only owner, part and local
     avoid = [local[:0]] * k  # per part, the keys owner * m + local of the skipped vertices
     for q in range(k):
         at = part == q
@@ -657,9 +673,9 @@ def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
     pair order, each row tagged with its pair, its owner.  A block's masks
     are summed per owner as they are, for the family count, and after an AND
     with the owner's allowed closers, for the restricted count.  That
-    allowed test is built per block, one row per owner in the block, from
-    the ascending keys ``owner * num_vertices + vertex`` of the pairs'
-    allowed vertices, so no array of a pair by a vertex is made.
+    allowed test is built per block by ``_owner_mask`` from the ascending
+    keys ``owner * num_vertices + vertex`` of the pairs' allowed vertices,
+    so no array of a pair by a vertex is made.
     """
     k, m, nv = g.k, g.m, g.num_vertices
     fams, asets = [], []
@@ -681,18 +697,11 @@ def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
     family = np.zeros(size, dtype=np.int64)
     restricted = np.zeros(size, dtype=np.int64)
     for q, idx, mask in _family_masks(g, rows):
-        own = owner[idx]
-        owners, row = np.unique(own, return_inverse=True)
-        # the keys from the first owner's part q to the last owner's; a hit is
-        # one whose owner is in the block and whose vertex lies in part q
-        lo, hi = np.searchsorted(keys, [owners[0] * nv + q * m, owners[-1] * nv + (q + 1) * m])
-        key_owner, vertex = np.divmod(keys[lo:hi], nv)
-        at = np.searchsorted(owners, key_owner)
-        hit = (owners[at] == key_owner) & (vertex // m == q)
-        allowed = np.zeros((owners.size, m), dtype=bool)
-        allowed[at[hit], vertex[hit] - q * m] = True
+        own = owner[idx]  # ascending: idx is, and the rows are stacked in pair order
         np.add.at(family, own, np.count_nonzero(mask, axis=1))
-        np.add.at(restricted, own, np.count_nonzero(mask & allowed[row], axis=1))
+        allowed = _owner_mask(own, keys, nv, q * m, m)  # each row's allowed part-q locals
+        if allowed is not None:
+            np.add.at(restricted, own, np.count_nonzero(mask & allowed, axis=1))
     return restricted, family
 
 

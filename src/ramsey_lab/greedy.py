@@ -523,9 +523,9 @@ def audit_certificate(
 ) -> CertificateAudit:
     """Recompute every certificate quantity from scratch on the graph.
 
-    The total and the meeting count each make their own float copy of the
-    blocks, one after the other, and one ``restricted_check`` pass checks
-    property (i) on every round.
+    The total and the meeting count each run their block chains on the
+    graph's own blocks, one after the other, and copy no block; one
+    ``restricted_check`` pass checks property (i) on every round.
     """
     if g is not h.graph:
         raise ParameterError("g", "hypergraph was built over a different graph")

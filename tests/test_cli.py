@@ -6,15 +6,24 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ramsey_lab import Coloring, build_hypergraph, complete_layered, validate_tight_path
+from ramsey_lab import (
+    Coloring,
+    build_hypergraph,
+    complete_layered,
+    random_coloring,
+    run_outer,
+    validate_tight_path,
+)
 from ramsey_lab import cli, verifier
 from ramsey_lab.cli import _MODE_FLAGS, MODES, build_parser, main, run
+from ramsey_lab.cycles import encode_keys
 from ramsey_lab.errors import ParameterError
 from ramsey_lab.reporting import canonical_json, strip_timestamp
 from ramsey_lab.verifier import CONCENTRATION_STATISTICS
-from conftest import validate_document
+from conftest import random_graph, validate_document
 
 ROOT = Path(__file__).resolve().parent.parent
 # a small graph and a property-ii run for the verify cases; _SMALL_NO_P leaves p to a file
@@ -22,6 +31,8 @@ _SMALL_NO_P = ["--k", "3", "--m", "20", "--seed", "1", "--r", "2", "--n", "3", "
 _SMALL = [*_SMALL_NO_P, "--p", "0.3"]
 # a complete host with 27 hyperedges
 _TINY = ["--k", "3", "--m", "3", "--p", "1", "--seed", "0"]
+# S4: a k = 4 host with 4,019 hyperedges (8 * 502 + 3) in a flat store
+_S4 = ["--k", "4", "--m", "40", "--p", "0.2", "--seed", "7"]
 PINNED = json.loads((ROOT / "tests" / "data" / "pinned_greedy_reports.json").read_text())
 DIGESTS = json.loads((ROOT / "tests" / "data" / "pinned_greedy_digests.json").read_text())
 VERIFY_DIGESTS = json.loads(
@@ -101,8 +112,30 @@ class TestEnumerate:
             capsys,
         )
         assert code == 1 and stdout == ""
-        assert err.startswith("error: cycle keys ") and err.count("\n") == 1
+        assert err.startswith("error: cycle keys need more bytes ") and err.count("\n") == 1
         assert not hg.exists()
+
+    # K(4, 400) has 25.6e9 proper cycles; K(4, 257) closes at 257**3 >= 2**24
+    # cycles a vertex, so its count goes on in float64
+    @pytest.mark.parametrize("m, total", [(400, 25_600_000_000), (257, 4_362_470_401)])
+    def test_complete_k4_totals(self, capsys, m, total):
+        argv = ["enumerate", "--k", "4", "--m", str(m), "--p", "1", "--seed", "0"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["results"]["total_cycles"] == total == m**4
+
+    def test_s4_export_holds_each_cycle_once_in_part_order(self, tmp_path, capsys):
+        # S4's store is flat: the file holds total_cycles rows, each one vertex
+        # per part in part order, and their keys are strictly ascending
+        hg = tmp_path / "s4h.json"
+        code, stdout, err = run_cli(["enumerate", *_S4, "--export-hypergraph", str(hg)], capsys)
+        assert code == 0, err
+        rows = np.array(json.loads(hg.read_text())["edges"], dtype=np.int64)
+        total = json.loads(stdout)["results"]["total_cycles"]
+        assert rows.shape == (total, 4) and total == 4019
+        assert (rows // 40 == np.arange(4)).all()
+        keys = encode_keys(list((rows % 40).T), 40)
+        assert (keys[1:] > keys[:-1]).all()
 
     def test_counts_beyond_int64(self, capsys):
         # each vertex lies on 1449**5 < 2**53 cycles, the total exceeds 2**63
@@ -174,6 +207,39 @@ class TestColor:
         assert second.read_bytes() == first.read_bytes()
         counts = json.loads(read)["results"]["color_counts"]
         assert counts == json.loads(drawn)["results"]["color_counts"] and sum(counts) > 0
+
+    def test_round_robin_counts_on_s4(self, capsys):
+        # built in uint8 and tallied a chunk at a time
+        argv = ["color", *_S4, "--r", "3", "--coloring", "round_robin"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 0, err
+        res = json.loads(stdout)["results"]
+        assert res["color_counts"] == [1340, 1340, 1339] and res["hyperedges"] == 4019
+
+    def test_graph_coloring_and_hypergraph_files_are_read_back(self, tmp_path, capsys):
+        # color reads its own coloring file back and writes the same bytes, the
+        # greedy loads the graph and the coloring, and the exported hypergraph
+        # holds one row per counted proper cycle
+        names = ("g.json", "c1.json", "c2.json", "h.json")
+        graph, first, second, hg = (tmp_path / name for name in names)
+        code, _, err = run_cli(["generate", "--k", "3", "--m", "60", "--p", "0.5", "--seed", "1",
+                                "--out", str(graph)], capsys)
+        assert code == 0, err
+        base = ["color", "--graph", str(graph), "--r", "2"]
+        code, _, err = run_cli([*base, "--coloring", "vertex_cut", "--out", str(first)], capsys)
+        assert code == 0, err
+        code, _, err = run_cli([*base, "--coloring", f"@{first}", "--out", str(second)], capsys)
+        assert code == 0, err
+        assert second.read_bytes() == first.read_bytes()
+        code, stdout, err = run_cli(["greedy", "--graph", str(graph), "--r", "2", "--n", "8",
+                                     "--coloring", f"@{first}"], capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["results"]["outcome"]["kind"] in ("path", "certificate")
+        code, stdout, err = run_cli(["enumerate", "--graph", str(graph),
+                                     "--export-hypergraph", str(hg)], capsys)
+        assert code == 0, err
+        edges = json.loads(hg.read_text())["edges"]
+        assert len(edges) == json.loads(stdout)["results"]["total_cycles"] > 0
 
     def test_seeded_files_are_pinned(self, tmp_path, capsys):
         # the graph and random-coloring streams, pinned byte for byte: a change of
@@ -270,13 +336,60 @@ class TestGreedy:
         assert f"r: must be an integer, got {r_value!r}" in err
 
     def test_explicit_color_flag(self, capsys):
-        code, stdout, _ = run_cli(
-            ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2",
-             "--n", "4", "--coloring", "round_robin", "--color", "1"],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(stdout)["results"]["working_color"] == 1
+        # a tie of two colors, and vertex_cut's strict minority of three
+        for host in (["--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2", "--n", "4",
+                      "--coloring", "round_robin"],
+                     ["--k", "3", "--m", "60", "--p", "0.1", "--seed", "1", "--r", "3", "--n", "8",
+                      "--coloring", "vertex_cut"]):
+            code, stdout, err = run_cli(["greedy", *host, "--color", "1"], capsys)
+            assert code == 0, err
+            res = json.loads(stdout)["results"]
+            assert res["working_color"] == 1
+        assert res["majority_color"] != 1
+
+    def test_s4_certificate_audit_matches_recounts(self, capsys):
+        # each of S4's 150 exhausted rounds keeps exactly n = 12 trash rows and
+        # a path snapshot shorter than n, and check (d) holds
+        code, stdout, err = run_cli(["greedy", *_S4, "--r", "2", "--n", "12", "--coloring",
+                                     "random", "--coloring-seed", "7"], capsys)
+        assert code == 0, err
+        outcome = json.loads(stdout)["results"]["outcome"]
+        assert outcome["kind"] == "certificate" and len(outcome["rounds"]) == 150
+        assert all(len(r["trash"]) == 12 and len(r["path_snapshot"]) < 12
+                   for r in outcome["rounds"])
+        assert outcome["audit"]["extension_budget_ok"]
+        # each round's grouped family ids (int64) equal the union of its rows'
+        # extension ids, and the report's audit rounds equal recounts that
+        # share no code with the audit's family counter: a round's family
+        # count is its ids' number, and its restricted count decodes each
+        # row's extension ids and keeps those whose closer lies on the path
+        # snapshot or in the trash
+        h = build_hypergraph(random_graph(4, 40, 0.2, 7))
+        cert = run_outer(h, random_coloring(h, 2, 7), 12)
+        audits = outcome["audit"]["rounds"]
+        assert h.layout == "flat" and len(cert.rounds) == len(audits) == 150
+        for rec, audit in zip(cert.rounds, audits):
+            ids = h.family_ids(rec.trash)
+            per_row = [h.extension_ids(row) for row in rec.trash.rows.tolist()]
+            assert ids.dtype == np.int64
+            assert np.array_equal(np.sort(ids), np.sort(np.concatenate(per_row)))
+            assert audit["family_extensions"] == ids.size
+            allowed = set(rec.path_snapshot) | set(rec.trash.rows.ravel().tolist())
+            restricted = 0
+            for row, row_ids in zip(rec.trash.rows.tolist(), per_row):
+                for edge in h.vertex_rows(row_ids).tolist():
+                    (closer,) = set(edge) - set(row)
+                    restricted += closer in allowed
+            assert audit["restricted_extensions"] == restricted
+
+    def test_s4_working_color_2_of_4(self, capsys):
+        # every read of color 2 ANDs bit plane 0 inverted and plane 1 as is
+        code, stdout, err = run_cli(["greedy", *_S4, "--r", "4", "--n", "12", "--coloring",
+                                     "random", "--coloring-seed", "7", "--color", "2"], capsys)
+        assert code == 0, err
+        outcome = json.loads(stdout)["results"]["outcome"]
+        assert outcome["kind"] == "certificate" and outcome["color"] == 2
+        assert len(outcome["rounds"]) == 83
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -388,6 +501,38 @@ class TestVerify:
         assert lines[0] == "trial,statistic,value,expectation,ratio"
         assert len(lines) == 1 + res["trials"] - res["skips"]
 
+    # property (i) samples families and sets, and 5 of these 10 trials
+    # violate; the k = 4 property (ii) run takes the meeting chain through a
+    # middle block, and 1 of its 4 trials violates
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            (["--property", "i", "--k", "3", "--m", "60", "--p", "0.3", "--seed", "1",
+              "--n", "6", "--trials", "10"], 10),
+            (["--property", "ii", "--k", "4", "--m", "40", "--p", "0.5", "--seed", "1",
+              "--n", "3", "--trials", "4"], 4),
+        ],
+        ids=["i-k3", "ii-k4"],
+    )
+    def test_results_account_for_every_trial(self, capsys, argv, trials):
+        code, stdout, err = run_cli(["verify", *argv, "--r", "2"], capsys)
+        res = json.loads(stdout)["results"]
+        assert res["trials"] == trials == res["passes"] + res["violations"] + res["skips"]
+        assert code == (2 if res["violations"] else 0), err
+
+    def test_property_ii_on_the_float64_path(self, capsys):
+        # K(4, 257) closes at 257**3 >= 2**24 cycles a vertex: every chain of
+        # the per-vertex count and of both trials' meeting counts goes on in
+        # float64, and both trials pass
+        code, stdout, err = run_cli(
+            ["verify", "--property", "ii", "--k", "4", "--m", "257", "--p", "1", "--seed", "0",
+             "--r", "2", "--n", "3", "--trials", "2"],
+            capsys,
+        )
+        assert code == 0, err
+        res = json.loads(stdout)["results"]
+        assert res["passes"] == 2 == res["trials"]
+
     def test_violations_exit_2(self, capsys):
         # dense tiny instance: property ii always violated
         code, stdout, _ = run_cli(
@@ -408,6 +553,16 @@ class TestVerify:
         assert code == 0
         res = json.loads(stdout)["results"]
         assert res["ratio_c"] == pytest.approx((4 / math.log(4)) ** 1.5, rel=1e-12)
+
+    def test_property_iii_total_on_a_drawn_graph(self, capsys):
+        # the count on a randomly drawn graph: a change in the graph stream fails here
+        code, stdout, err = run_cli(
+            ["verify", "--property", "iii", "--canonical", "3", "2", "30", "--m", "60",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["results"]["total_cycles"] == 8324
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -535,6 +690,30 @@ class TestOracleMode:
         assert code == 0
         res = json.loads(stdout)["results"]
         assert res["agrees_with_enumeration"] is True
+
+    # flat stores at k = 4 and k = 6 (two and four middle levels), and rows
+    # stores at k = 3 (m = 200) and k = 4 (m = 12)
+    @pytest.mark.parametrize(
+        "k, m, p, layout",
+        [(4, 8, 0.5, "flat"), (6, 5, 0.7, "flat"), (3, 200, 0.5, "rows"), (4, 12, 0.9, "rows")],
+    )
+    def test_cycles_check_in_both_layouts(self, monkeypatch, capsys, k, m, p, layout):
+        layouts, build = [], cli.build_hypergraph
+
+        def spy(g):
+            h = build(g)
+            layouts.append(h.layout)
+            return h
+
+        monkeypatch.setattr(cli, "build_hypergraph", spy)
+        code, stdout, err = run_cli(
+            ["oracle", "--check", "cycles", "--k", str(k), "--m", str(m), "--p", str(p),
+             "--seed", "2"],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(stdout)["results"]["agrees_with_enumeration"] is True
+        assert layouts == [layout]
 
     GRAPH = ["--k", "3", "--m", "3", "--p", "1", "--seed", "0"]
 

@@ -36,7 +36,7 @@ from ramsey_lab import cycles, reporting
 from ramsey_lab.cycles import _closed_walks, _extensions, decode_keys, encode_keys
 from ramsey_lab.oracle import brute_force_cycle_keys, brute_force_cycles
 from ramsey_lab.seeds import spawn_rng
-from ramsey_lab.verifier import check_property_ii, sample_trash_family
+from ramsey_lab.verifier import check_property_ii, meeting_check, sample_trash_family
 from conftest import random_graph, validate_document
 
 
@@ -80,6 +80,9 @@ class TestEnumeration:
                 rows = build_hypergraph(g).vertex_rows().tolist()
                 assert [tuple(c) for c in rows] == brute_force_cycles(g)
 
+    # the flat layout forced on two hosts that are rows stores by size (k = 3,
+    # m = 200 and k = 4, m = 12) and on a k = 5 host, so both layouts run at
+    # k = 3 and k = 4 beyond the drawn sizes too
     @settings(max_examples=120, deadline=None)
     @given(
         k=st.integers(3, 6),
@@ -90,6 +93,9 @@ class TestEnumeration:
         empty_middle=st.booleans(),
         layout=st.sampled_from(LAYOUTS),
     )
+    @example(k=3, m=200, p=0.5, seed=2, no_closers=False, empty_middle=False, layout="flat")
+    @example(k=4, m=12, p=0.9, seed=2, no_closers=False, empty_middle=False, layout="flat")
+    @example(k=5, m=8, p=0.7, seed=2, no_closers=False, empty_middle=False, layout="flat")
     def test_matches_brute_force_drawn(self, k, m, p, seed, no_closers, empty_middle, layout):
         blocks = [b.copy() for b in random_graph(k, m, p, seed).blocks]
         if no_closers:  # start vertex seed % m closes no path
@@ -532,6 +538,21 @@ class TestFloat32:
         rows = min(cycles._ROW_BLOCK, m)
         assert peak < 3 * 8 * rows * m
 
+    def test_per_vertex_fallback_peaks_below_the_float64_middle_blocks(self):
+        # each of K(4, 257)'s k per-vertex chains closes at 257**3 >= 2**24 and
+        # goes on in float64, casting one column panel at a time, so the count
+        # peaks below float64 copies of its k-2 middle blocks
+        k, m = 4, 257
+        g = complete_layered(k, m)
+        tracemalloc.start()
+        try:
+            per_vertex = cycles_per_vertex(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(per_vertex) == k * m and (per_vertex == m**3).all()
+        assert peak < 8 * (k - 2) * m * m
+
     def test_shared_blocks_are_widened_once(self, fallbacks):
         # property (ii) runs one chain per part for its per-vertex count and
         # one per part for every trial's meeting counts; on K(4, 257) each
@@ -647,14 +668,18 @@ class TestChainMemory:
     # closing columns, and the meeting sets' arrays and skip masks stay
     # below five float32 row blocks of 64 x m, where one float32 copy of a
     # block would take 4 * m**2 (over nine row blocks); the rows
-    # store, held once the count is done, is the only other term
+    # store, held once the count is done, is the only other term.  The
+    # meeting count releases its stacked sets, their keys, the dedup mask and
+    # the vertices (25 bytes a stacked vertex) before its first chain, so its
+    # bound is lower by as much.
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize(
-        "count",
-        [cycles_per_vertex, count_proper_cycles, build_hypergraph, meeting_40_sets],
+        "count, released",
+        [(cycles_per_vertex, 0), (count_proper_cycles, 0), (build_hypergraph, 0),
+         (meeting_40_sets, 25 * 40 * 20)],
         ids=["cycles_per_vertex", "count_proper_cycles", "build_hypergraph", "meeting_counts"],
     )
-    def test_peak_is_the_middle_blocks_and_row_blocks(self, monkeypatch, k, count):
+    def test_peak_is_the_middle_blocks_and_row_blocks(self, monkeypatch, k, count, released):
         monkeypatch.setattr(cycles, "_ROW_BLOCK", 64)
         m = 600
         g = random_graph(k, m, 0.02, 1)
@@ -666,7 +691,7 @@ class TestChainMemory:
         finally:
             tracemalloc.stop()
         held = out.nbytes if isinstance(out, cycles.TightHypergraph) else 0
-        assert peak < held + 5 * (4 * 64 * m)
+        assert peak < held + 5 * (4 * 64 * m) - released * (k - 1)
 
 
 class TestVertexCounts:
@@ -988,6 +1013,28 @@ class TestMeetingCounts:
         g = random_graph(4, 5, 0.5, 67)
         total = count_proper_cycles(g)
         assert count_cycles_meeting(g, [0, 6, 11]) <= total
+
+    # sets that touch every part, so the skips of one part reach the chains of
+    # every later one, an empty set and a set with a repeated vertex: each set
+    # counted alone, and all five in one meeting_check call, whose stacked
+    # chain per part skips each set's own vertices in that set's rows only
+    @pytest.mark.parametrize("k, m", [(4, 6), (5, 4)])
+    def test_meeting_check_matches_brute_force_on_every_part(self, k, m):
+        g = random_graph(k, m, 0.7, 3)
+        sets = brute_sets(g)
+        assert sets
+        csets = (
+            [q * m + q % m for q in range(k)],
+            list(range(0, k * m, 2)),
+            list(range(k * m)),
+            [],
+            [m + 1, 0, m + 1],
+        )
+        batch, bound = meeting_check(g, csets, 2, len(sets))
+        assert bound == len(sets) / 4
+        for cset, batched in zip(csets, batch, strict=True):
+            expected = sum(1 for s in sets if s & set(cset))
+            assert count_cycles_meeting(g, cset) == expected == batched, cset
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1380,6 +1427,23 @@ class TestHypergraph:
         assert h.ids_for_keys(keys.astype(dtype)).tolist() == list(range(len(h)))
         beyond = np.array([m**3, 2**64 - 1], dtype=np.uint64)
         assert h.ids_for_keys(beyond).tolist() == [-1, -1]
+
+    # sparse k = 4 hosts at m**k == 2**32 and just above, both flat with a
+    # uint64 head: their decoded rows re-encode into strictly ascending uint64
+    # keys that look up their own ids, and the top key m**k - 1 encoded from
+    # scalar columns stays uint64 under numpy 1.24's value-based casting too
+    @pytest.mark.parametrize("m", [256, 257])
+    def test_flat_k4_hosts_either_side_of_32_bits(self, m):
+        h = build_hypergraph(random_graph(4, m, 0.02, 1))
+        assert len(h) > 0
+        assert h.layout == "flat" and h.head.dtype == np.uint64
+        locs = h.vertex_rows() - np.arange(4) * m
+        keys = encode_keys(list(locs.T), m)
+        assert keys.dtype == np.uint64 and (keys[1:] > keys[:-1]).all()
+        assert np.array_equal(h.ids_for_keys(keys), np.arange(len(h)))
+        top = encode_keys([m - 1] * 4, m)
+        assert top.dtype == np.uint64 and int(top) == m**4 - 1
+        assert decode_keys(np.array([top]), 4, m).tolist() == [[m - 1] * 4]
 
     def test_build_allocates_two_bytes_a_hyperedge(self):
         # a row per prefix path, and the count's float32 blocks

@@ -178,14 +178,16 @@ class TestColorPlanes:
     """A coloring of N hyperedges with r colors is held as (r - 1).bit_length()
     packed bit planes of ceil(N / 8) bytes, packed a chunk at a time."""
 
-    @pytest.mark.parametrize("length", [40, 41, 47, 1000, 1001, 1007])
+    # 4,019 is S4's hyperedge count, which ends in a partial byte
+    @pytest.mark.parametrize("length", [40, 41, 47, 1000, 1001, 1007, 4019])
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 8, 16, 32, 128, 256])
     def test_planes_match_the_one_shot_colors(self, monkeypatch, r, length):
-        # a chunk of 8 ids is one raw word, and a chunk of 16 leaves a partial
-        # last chunk on every host; the powers of two shift raw bytes by 7..0
-        h = cycles.TightHypergraph(complete_layered(3, 11), np.arange(length, dtype=np.uint64))
+        # a chunk of 8 ids is one raw word, and chunks of 16 and 256 leave a
+        # partial last chunk on every host; the powers of two shift raw bytes
+        # by 7..0
+        h = cycles.TightHypergraph(complete_layered(3, 16), np.arange(length, dtype=np.uint64))
         colors = spawn_rng(5).integers(0, r, length, dtype=np.uint8)
-        for chunk in (8, 16):
+        for chunk in (8, 16, 256):
             monkeypatch.setattr(greedy, "_SCAN_CHUNK", chunk)
             col = random_coloring(h, r, 5)
             assert col.planes.shape == ((r - 1).bit_length(), -(-length // 8))
