@@ -38,10 +38,10 @@ vertices that close back to the start.
 Every block-chain count (total, per vertex, meeting vertex sets, and the
 per-start counts of ``build_hypergraph``) sums ``_closed_walks`` over the
 graph's own blocks, as Python ints.  No call copies a whole block to
-float: a chain runs passes of at most ``_ROW_BLOCK`` rows and half a
-block, and casts each block it multiplies through one column panel at a
-time, just before that panel's product; the rows build's closer counts
-cast the last block the same way.  Float32 holds the chain's integers
+float.  One rule of m, ``_tile``, sizes every chain: passes of at most a
+tile of rows, each block cast one column panel of half a tile at a time,
+just before that panel's product, and the rows build's closer counts for
+half a pass of starts at a time.  Float32 holds the chain's integers
 exactly below 2**24; when one of its computed entries reaches 2**24, the
 kernel redoes that step in float64 from its exact float32 prefix, and the
 rest of that call runs in float64.  It refuses the chain only when an
@@ -188,21 +188,24 @@ def _evened(size: int, most: int) -> int:
     return max(1, -(-size // runs))
 
 
-def _pass_rows(size: int, m: int) -> int:
-    """Rows a pass of a chain over ``size`` rows of m x m blocks: at most a
-    ``_ROW_BLOCK`` and at most half a block, so that no prefix holds a
-    whole block's worth of floats."""
-    return _evened(size, max(1, min(_ROW_BLOCK, m // 2)))
+def _tile(m: int) -> int:
+    """The most rows a chain pass over m x m blocks takes, from which every
+    chain size derives: a ``_ROW_BLOCK`` or half the block, whichever is
+    less, so no prefix holds a block's worth of floats; but toward a quarter
+    of the block while a prefix holds at most ``_ROW_BLOCK**3 / 8`` entries
+    (64 MiB of float32), as each panel product packs the prefix again.  That
+    term binds only for 4 row blocks < m < ``_ROW_BLOCK**2 / 8``: at the
+    canonical m = 8640 passes take 1728 rows, not 509."""
+    return max(min(_ROW_BLOCK, m // 2), min(m // 4, _ROW_BLOCK**3 // (8 * m)), 1)
 
 
 def _panel_width(m: int) -> int:
     """Columns per cast panel of an m x m block that a chain multiplies
-    through: at most half a ``_ROW_BLOCK`` and at most half the block, so
-    that no block is ever held whole in float.  Each panel's product packs
-    the prefix again: on instance D (m = 1200, two cores) panels of at most
-    a quarter of a ``_ROW_BLOCK`` saved about 1 MB of peak RSS in ``verify
+    through: half a ``_tile``, but at least half a ``_ROW_BLOCK`` or half
+    the block, whichever is less.  On instance D (m = 1200, two cores)
+    quarter-row-block panels saved about 1 MB of peak RSS in ``verify
     --property ii`` but made each count 10-15% slower."""
-    return _evened(m, max(1, min(_ROW_BLOCK, m) // 2))
+    return _evened(m, max(_tile(m) // 2, min(_ROW_BLOCK, m) // 2, 1))
 
 
 def _chain_bytes(dtype, k: int, rows: int, m: int) -> int:
@@ -229,14 +232,14 @@ def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
     it drops the walks of each row through its owner's vertices of that
     part.  ``blocks`` is only read.
 
-    The chain runs ``_pass_rows`` rows a pass.  It casts those rows of the
-    first block to float (float32 for bool blocks, float64 for a wider
-    dtype) and multiplies them through the k-2 middle blocks, each cast one
-    column panel at a time just before that panel's product (see
-    ``_chain_step``); the last product is summed against the closing
-    block's columns of those rows panel by panel, so it is never held
-    whole.  A call thus holds a prefix row block or two, one panel and its
-    product, never a whole block in float, and ``_chain_bytes`` of that
+    The chain runs passes of at most ``_tile(m)`` rows, evened out.  It
+    casts those rows of the first block to float (float32 for bool blocks,
+    float64 for a wider dtype) and multiplies them through the k-2 middle
+    blocks, each cast one column panel at a time just before that panel's
+    product (see ``_chain_step``); the last product is summed against the
+    closing block's columns of those rows panel by panel, so it is never
+    held whole.  A call thus holds a prefix row block or two, one panel and
+    its product, never a whole block in float, and ``_chain_bytes`` of that
     working set is checked against physical memory before anything is
     allocated.
 
@@ -257,7 +260,7 @@ def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
     first, close = blocks[part], blocks[(part - 1) % k]
     mid = [blocks[(part + j) % k] for j in range(1, k - 1)]
     size = m if rows is None else len(rows)
-    height = _pass_rows(size, m)
+    height = _evened(size, _tile(m))
     dtype = np.promote_types(first.dtype, np.float32)
     _check_fits_in_memory("float panels", _chain_bytes(dtype, k, height, m))
     out = np.empty(size, dtype=np.int64)
@@ -292,14 +295,14 @@ def _chain_step(prefix: np.ndarray, b: np.ndarray, ends=None):
     diagonal ``(prefix @ b * ends).sum(axis=1)``; ``None`` at the first
     float32 entry of either that reaches 2**24 (see ``_exact``).
 
-    ``b`` (of any dtype, a transposed view too) is cast ``_panel_width``
-    columns at a time into one panel buffer of its own layout, just before
-    that panel's product.  Each product is written into its columns of
-    ``prefix @ b`` and checked; at the close it is written into one buffer
-    instead, checked, and summed against its columns of ``ends`` into the
-    diagonal, which is checked once it holds every panel's terms: they are
-    non-negative, so the rule of ``_closed_walks`` holds for that order of
-    summing too."""
+    ``b`` (of any dtype, a transposed view too) is cast ``_panel_width(m)``
+    columns (half a ``_tile``) at a time into one panel buffer of its own
+    layout, just before that panel's product.  Each product is written into
+    its columns of ``prefix @ b`` and checked; at the close it is written
+    into one buffer instead, checked, and summed against its columns of
+    ``ends`` into the diagonal, which is checked once it holds every panel's
+    terms: they are non-negative, so the rule of ``_closed_walks`` holds for
+    that order of summing too."""
     rows, m = prefix.shape[0], b.shape[1]
     width = _panel_width(m)
     panel = np.empty_like(b[:, :width], dtype=prefix.dtype)
@@ -500,13 +503,13 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     One loop then fills the store, a start at a time on this thread: it
     enumerates ``a``'s prefix paths once (``_paths_from``) and encodes their
     keys once.  A rows store writes them and their offsets, from closer
-    counts computed one block of starts at a time by ``_chain_step``, which
-    casts the last block to float32 one column panel of its transpose at a
-    time; a flat store tries as closers only the
-    part-(k-1) vertices that close back to ``a`` and writes the key
-    ``prefix * m + closer`` of each (path, closer) pair whose last edge
-    exists.  A start whose prefix paths or cycles differ from its counts
-    raises ``InvariantViolationError`` before its keys are written.
+    counts computed by ``_chain_step`` for half a chain pass of starts at a
+    time, casting the last block to float32 one column panel of its
+    transpose at a time; a flat store tries as closers only the part-(k-1)
+    vertices that close back to ``a`` and writes the key ``prefix * m +
+    closer`` of each (path, closer) pair whose last edge exists.  A start
+    whose prefix paths or cycles differ from its counts raises
+    ``InvariantViolationError`` before its keys are written.
     """
     k, m = g.k, g.m
     _radices(k, m)  # refuses a key space beyond 64 bits
@@ -518,14 +521,8 @@ def build_hypergraph(g: LayeredGraph) -> TightHypergraph:
     head = np.empty(firsts[-1] if rows else bounds[-1], dtype=np.uint64)
     offsets = np.zeros(firsts[-1] + 1, dtype=np.int64) if rows else None
     last, close = g.blocks[k - 2], g.blocks[k - 1]
-    # starts per closer-count product: its float32 starts and its counts
-    # each take half a chain pass of m floats, and it casts the last block
-    # one panel at a time, so the chain's size rule charged more than this
-    # working set.  (A quarter of a row block, half the starts, cast the
-    # last block twice as often and raised dense-greedy's peak RSS on
-    # instance D by 1.8 MB, through where the allocator then placed the
-    # coloring's chunks.)
-    step = max(1, _pass_rows(m, m) // 2)
+    # starts and their counts take one chain prefix, within its charged bytes
+    step = max(1, _evened(m, _tile(m)) // 2)
     for a in range(m):
         cols = _paths_from(g, a)
         _check_found(a, "prefix paths", cols[-1].size, firsts[a + 1] - firsts[a])

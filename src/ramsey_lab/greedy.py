@@ -327,10 +327,12 @@ class RoundOutcome(Enum):
 @dataclass
 class RoundRecord:
     """One round's end: its path (for a certificate, the snapshot at
-    trash-full time) and its trash family."""
+    trash-full time), its trash family, and the vertices it returned to U
+    as leftovers shorter than k, in order (``None`` when not recorded)."""
 
     path_snapshot: list[int]
     trash: TrashFamily
+    released: list[int] | None = None
 
 
 def _check_round(
@@ -404,7 +406,8 @@ def greedy_round(
     end moves the path's last k-1 vertices to the trash, still out of U, and
     a leftover shorter than k, no tight path, goes back to U.  It returns
     the outcome and the record of the final path (empty when no start edge
-    is left) and trash.  ``debug`` asserts the invariants after every move.
+    is left), trash and released leftovers.  ``debug`` asserts the
+    invariants after every move.
 
     Each start-edge scan resumes at the last start edge (the cursor ``lo``).
     This is exact: every scan runs with an empty path, so U = V \\ trash;
@@ -422,6 +425,7 @@ def greedy_round(
     path: list[int] = []
     trash: list[tuple[int, ...]] = []
     unused = np.ones(g.num_vertices, dtype=bool)
+    released: list[int] = []
     lo = 0
     while True:
         if debug:
@@ -452,11 +456,12 @@ def greedy_round(
             kind = RoundOutcome.TRASH_FULL
             break
         if len(path) < g.k:
+            released.extend(path)
             unused[path] = True
             path = []
     if debug:
         _check_round(h, *live, path, trash, unused)
-    return kind, RoundRecord(path_snapshot=path, trash=trash_family(g, trash))
+    return kind, RoundRecord(path_snapshot=path, trash=trash_family(g, trash), released=released)
 
 
 # ---------------------------------------------------------------------------

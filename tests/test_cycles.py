@@ -694,6 +694,90 @@ class TestChainMemory:
         assert peak < held + 5 * (4 * 64 * m) - released * (k - 1)
 
 
+class TestChainSizes:
+    """One rule of m, ``_tile``, sizes every chain: the rows of its passes,
+    the columns of the panels it casts, and the rows build's block of
+    starts, half a pass over the part."""
+
+    # (m, rows a pass over a whole part, panel columns): D's and S's
+    # m = 1200, a part of half a row block and m = 44,500, where a k = 4
+    # canonical host's bool blocks and chain outgrow about 8 GB, keep a tile
+    # of a row block or half the part; the canonical k = 4, n = 8 host's
+    # m = 4096 and k = 3, n = 30 host's m = 8640 lie inside the growth
+    # window, where passes of at most 512 rows took 509 at m = 8640
+    @pytest.mark.parametrize(
+        "m, rows, width",
+        [(1200, 400, 240), (257, 86, 86), (44_500, 512, 256), (4096, 1024, 512), (8640, 1728, 960)],
+    )
+    def test_sizes(self, m, rows, width):
+        assert cycles._evened(m, cycles._tile(m)) == rows
+        assert cycles._panel_width(m) == width
+        # the closer counts' float32 starts (half a pass), their counts and
+        # one panel fit the working set charged for the part's chain
+        starts = rows // 2
+        assert 4 * (2 * starts * m + m * width) <= cycles._chain_bytes(np.float32, 3, rows, m)
+
+    @pytest.mark.parametrize("block", [1, 4, 64, 512])
+    def test_growth_binds_only_inside_its_window(self, monkeypatch, block):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", block)
+        low, high = 4 * block, block**2 // 8
+        for m in itertools.chain(range(1, low + 1), range(max(high, 1), high + 4 * block)):
+            # a pass of a row block or half the part, a panel of half a row
+            # block or half the part
+            assert cycles._tile(m) == max(1, min(block, m // 2))
+            assert cycles._panel_width(m) == cycles._evened(m, max(1, min(block, m) // 2))
+        for m in range(low + 1, high):
+            tile = cycles._tile(m)
+            assert block <= tile <= m // 4  # from a row block toward a quarter of the part
+            assert tile * m <= block**3 // 8  # a prefix of at most 64 MiB of float32 at 512
+            assert cycles._panel_width(m) == cycles._evened(m, tile // 2)
+
+    # (row block, host, starts per closer-count product): the chain's sizes
+    # at D's m, at a part of half a row block, and inside the growth window
+    @pytest.mark.parametrize(
+        "block, host, starts",
+        [(512, (3, 1200, 0.02, 1), 200), (512, (3, 257, 0.1, 1), 43), (64, (3, 400, 1.0, 1), 40)],
+    )
+    def test_closer_counts_take_half_a_pass_of_starts(self, monkeypatch, block, host, starts):
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", block)
+        g = random_graph(*host)
+        step, calls = cycles._chain_step, []
+
+        def counted_step(prefix, b, ends=None):
+            if ends is None:  # only the build's closer counts multiply without closing
+                calls.append(prefix.shape[0])
+            return step(prefix, b, ends)
+
+        monkeypatch.setattr(cycles, "_chain_step", counted_step)
+        with forced("rows"):
+            h = build_hypergraph(g)
+        m = g.m
+        assert calls == [starts] * (m // starts) + ([m % starts] if m % starts else [])
+        assert len(h) == count_proper_cycles(g)
+
+    def test_counts_inside_the_growth_window(self, monkeypatch):
+        # at a row block of 64, K(3, 400) lies in the window 256 < m < 512:
+        # its passes take 80 rows, not 64, and its panels 40 columns
+        monkeypatch.setattr(cycles, "_ROW_BLOCK", 64)
+        m = 400
+        assert (cycles._evened(m, cycles._tile(m)), cycles._panel_width(m)) == (80, 40)
+        g = complete_layered(3, m)
+        tracemalloc.start()
+        try:
+            total = count_proper_cycles(g)
+            per_vertex = cycles_per_vertex(g)
+            meeting = count_cycles_meeting(g, [0, m])  # a part-0 and a part-1 vertex
+            h = build_hypergraph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == len(h) == m**3
+        assert per_vertex.dtype == np.int64 and (per_vertex == m**2).all()
+        assert meeting == m**3 - (m - 1) ** 2 * m
+        # the store, held once built, beside less than one float32 copy of a block
+        assert peak < h.nbytes + 4 * m * m
+
+
 class TestVertexCounts:
     def test_complete_3_2(self, tiny_complete):
         for v in range(6):

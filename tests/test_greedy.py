@@ -30,6 +30,7 @@ from ramsey_lab import cycles, greedy, reporting
 from ramsey_lab.cycles import decode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
 from ramsey_lab.seeds import spawn_rng
+from ramsey_lab.verifier import restricted_check
 from conftest import contradiction_consistent, random_graph
 
 
@@ -762,6 +763,38 @@ class TestRunOuter:
                 for row in fam.rows.tolist()
             ]
             assert len(set(trashed)) == len(trashed), "a path was trashed twice"
+
+    # (host, coloring seed, n, working-color edges, final meeting count, Σy
+    # with A the snapshot, check (a) there, Σy with A the snapshot and the
+    # released vertices) on the sparse restart-heavy host S, its k = 4 twin
+    # S4 and the smoke host
+    @pytest.mark.parametrize(
+        "host, col_seed, n, working, meeting, snapshot_y, snapshot_ok, released_y",
+        [
+            ((3, 1200, 0.02, 7), 11, 10, 6_846, 109, 2_223, False, 6_849),
+            ((4, 40, 0.2, 7), 7, 12, 2_028, 2_189, 1_141, True, 2_388),
+            ((3, 60, 0.1, 1), 11, 8, 96, 48, 21, False, 87),
+        ],
+        ids=["S", "S4", "smoke"],
+    )
+    def test_released_vertices_balance_check_a(
+        self, host, col_seed, n, working, meeting, snapshot_y, snapshot_ok, released_y
+    ):
+        # a leftover shorter than k goes back to U, so the working edges that
+        # completed through it are charged to no round unless A holds it
+        g = random_graph(*host)
+        h = build_hypergraph(g)
+        col = random_coloring(h, 2, col_seed)
+        out = run_outer(h, col, n)
+        assert isinstance(out, Certificate)
+        audit = out.audit
+        assert (audit.working_color_edges, audit.meeting_final_trash) == (working, meeting)
+        assert sum(a.restricted_extensions for a in audit.rounds) == snapshot_y
+        assert audit.accounting_ok is snapshot_ok
+        pairs = [({*rec.path_snapshot, *rec.released}, rec.trash) for rec in out.rounds]
+        fixed = restricted_check(g, pairs, col.r)
+        assert sum(a.restricted_extensions for a in fixed) == released_y
+        assert working <= released_y + meeting  # check (a) with the released vertices
 
 
 class TestParityInstance:
