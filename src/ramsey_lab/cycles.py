@@ -49,9 +49,10 @@ entry reaches 2**53, where float64 stops being exact.
 ``_meeting_counts`` counts any number of vertex sets in one chain per
 part, over the sets' own rows only, counting each cycle at the first part
 where it meets its set: each row of a later part's chain skips its own
-set's vertices in earlier parts.  Those skips, like ``_family_counts``'
-allowed closers below, are bool masks that ``_owner_mask`` builds from
-ascending keys tagged with each row's owner, one mask row per owner.
+set's vertices in earlier parts.  Every owner's vertex set, a meeting set
+or ``_family_counts``' allowed closers below, is stacked by ``_set_keys``
+as ascending keys ``owner * num_vertices + vertex``, a chain's skip too;
+``_owner_mask`` reads a part of them as a bool mask, a row per owner.
 
 A (k-1)-vertex proper path is a row of a ``TrashFamily``: an ``(N, k-1)``
 int64 array that only ``trash_family`` builds, after checking every row and
@@ -225,12 +226,12 @@ def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
     part -> part+1 -> ... -> part) over the graph's own ``blocks``, as int64.
 
     ``skip``, if given, is ``(owner, keys)``: ``owner`` names each row's
-    owner, ascending, so the rows of one owner are a run, and ``keys`` holds
-    one ascending array per part of the keys ``owner * m + local`` of the
-    vertices that owner's rows avoid; the entry for ``part`` itself is not
-    read.  Before the chain multiplies through a part, and before it closes,
-    it drops the walks of each row through its owner's vertices of that
-    part.  ``blocks`` is only read.
+    owner, ascending, so the rows of one owner are a run, and ``keys`` are
+    the keys ``owner * k * m + vertex`` (the ``_set_keys`` form) of the
+    vertices its rows avoid; keys in ``part`` itself are not read.  Before
+    the chain multiplies through a part, and before it closes, it drops the
+    walks of each row through its owner's vertices of that part.
+    ``blocks`` is only read.
 
     The chain runs passes of at most ``_tile(m)`` rows, evened out.  It
     casts those rows of the first block to float (float32 for bool blocks,
@@ -271,13 +272,13 @@ def _closed_walks(blocks, part: int, rows=None, skip=None) -> np.ndarray:
         prefix = first[block].astype(dtype)  # a copy, so the skips may write
         for j, b in enumerate(mid, 1):
             if skip is not None:
-                _skip_walks(prefix, owner, skip[1][(part + j) % k], m)
+                _skip_walks(prefix, owner, skip[1], k, (part + j) % k)
             ends = None
             if j == k - 2:  # the last product closes as it is computed
                 # contiguous rows of the chain's own, so the skips may write
                 ends = np.require(close.T[block], requirements="CW")
                 if skip is not None:
-                    _skip_walks(ends, owner, skip[1][(part - 1) % k], m)
+                    _skip_walks(ends, owner, skip[1], k, (part - 1) % k)
             walks = _chain_step(prefix, b, ends)
             if walks is None:  # so the call was still in float32
                 dtype = np.dtype(np.float64)
@@ -320,29 +321,39 @@ def _chain_step(prefix: np.ndarray, b: np.ndarray, ends=None):
     return walks if ends is None else _exact(diag)
 
 
-def _skip_walks(walks: np.ndarray, owner: np.ndarray, keys: np.ndarray, m: int) -> None:
-    """Zero the entries of ``walks`` (one row per entry of the ascending
-    ``owner``) at the locals its row's owner avoids, given by the ascending
-    keys ``owner * m + local``."""
-    avoid = _owner_mask(owner, keys, m, 0, m)
+def _skip_walks(walks: np.ndarray, owner: np.ndarray, keys: np.ndarray, k: int, q: int) -> None:
+    """Zero the entries of ``walks`` (a row per entry of the ascending ``owner``,
+    a column per part-q local) at its row's owner's vertices among ``keys``."""
+    avoid = _owner_mask(owner, keys, k, q, walks.shape[1])
     if avoid is not None:
         walks[avoid] = 0
 
 
-def _owner_mask(owner: np.ndarray, keys: np.ndarray, stride: int, base: int, m: int):
-    """The ``(owner.size, m)`` bool mask of the locals each row's owner holds
-    among the ascending ``keys``, each ``owner * stride + base + local`` with
-    0 <= local < m (and base + m <= stride), or ``None`` when no row's owner
-    holds one; ``owner``, one per row, is ascending.  The mask is built one
-    row per owner in ``owner`` and expanded to the rows, so no array of an
-    owner by a key is made."""
-    lo, hi = np.searchsorted(keys, [owner[0] * stride + base, owner[-1] * stride + base + m])
+def _set_keys(owner: np.ndarray, vertex: np.ndarray, nv: int) -> np.ndarray:
+    """The ascending, distinct keys ``owner * nv + vertex`` of int64 arrays of
+    already-checked vertices and their owners: every owner's vertex set
+    stacked in one form, which ``_owner_mask`` reads."""
+    keys = owner * nv + vertex
+    keys.sort()
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
+def _owner_mask(owner: np.ndarray, keys: np.ndarray, k: int, q: int, m: int):
+    """The ``(owner.size, m)`` bool mask of the part-q locals each row's
+    owner holds among ``_set_keys``' ``keys`` (``owner * k * m + q * m +
+    local``), or ``None`` when no row's owner holds one; ``owner``, one per
+    row, is ascending.  The mask is built one row per owner and expanded to
+    the rows, so no array of an owner by a key is made."""
+    nv, base = k * m, q * m
+    lo, hi = np.searchsorted(keys, [owner[0] * nv + base, owner[-1] * nv + base + m])
     if lo == hi:
         return None
     new = np.ones(owner.size, dtype=bool)
     np.not_equal(owner[1:], owner[:-1], out=new[1:])
     owners, row = owner[new], np.cumsum(new) - 1  # each row's index among the owners
-    key_owner, local = np.divmod(keys[lo:hi], stride)
+    key_owner, local = np.divmod(keys[lo:hi], nv)
     local -= base
     at = np.searchsorted(owners, key_owner)
     # keys end below the last owner's base + m, so no key's owner passes the last owner
@@ -395,12 +406,12 @@ def _meeting_counts(g: LayeredGraph, csets) -> list[int]:
     """The proper cycles meeting each vertex set of ``csets``, as Python ints
     in set order, by ``count_cycles_meeting``'s first-hit rule.
 
-    Every vertex of every set is checked first.  The sets are then stacked
-    as the keys ``owner * num_vertices + vertex``, the owner being the set's
-    index, and deduplicated by sorting, so the keys run by owner, part and
-    local.  One chain per part q that holds a vertex of some set counts the
-    part-q rows of every set: each row skips its own set's vertices in parts
-    0..q-1, and its walks are added, as Python ints, to its set's count.
+    Every vertex of every set is checked first.  ``_set_keys`` then stacks
+    the sets, the owner being the set's index, so the keys run by owner,
+    part and local.  One chain per part q that holds a vertex of some set
+    counts the part-q rows of every set, with the keys of parts 0..q-1 as
+    its skip: each row skips its own set's vertices there, and its walks are
+    added, as Python ints, to its set's count.
     """
     k, m, nv = g.k, g.m, g.num_vertices
     sets = []
@@ -408,26 +419,18 @@ def _meeting_counts(g: LayeredGraph, csets) -> list[int]:
         for v in cset:
             g._check_vertex(v)
         sets.append(np.array(cset, dtype=np.int64))
-    keys = np.concatenate([
-        np.empty(0, dtype=np.int64),
-        *(owner * nv + cset for owner, cset in enumerate(sets)),
-    ])
-    keys.sort()
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    owner, vertex = np.divmod(keys[new], nv)
-    part, local = np.divmod(vertex, m)
+    owner = np.repeat(np.arange(len(sets)), [cset.size for cset in sets])
+    keys = _set_keys(owner, np.concatenate([np.empty(0, dtype=np.int64), *sets]), nv)
+    owner, vertex = np.divmod(keys, nv)
+    part = vertex // m
     counts = [0] * len(sets)
-    del sets, keys, new, vertex  # the chains read only owner, part and local
-    avoid = [local[:0]] * k  # per part, the keys owner * m + local of the skipped vertices
     for q in range(k):
         at = part == q
         if at.any():
-            rows_owner, rows = owner[at], local[at]
-            walks = _closed_walks(g.blocks, q, rows, (rows_owner, avoid))
+            rows_owner = owner[at]
+            walks = _closed_walks(g.blocks, q, vertex[at] - q * m, (rows_owner, keys[part < q]))
             for o, w in zip(rows_owner.tolist(), walks.tolist()):
                 counts[o] += w
-            avoid[q] = rows_owner * m + rows
     return counts
 
 
@@ -608,17 +611,13 @@ def decode_keys(keys: np.ndarray, k: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _completion_mask(g: LayeredGraph, q: int, before, after, allowed=None) -> np.ndarray:
+def _completion_mask(g: LayeredGraph, q: int, before, after) -> np.ndarray:
     """The mask over part q's locals adjacent to the part-(q-1) local
     ``before`` and the part-(q+1) local ``after``: the closers of a path
     between them.  Scalar ends give one path's (m,) mask, read through views
     of the blocks (the greedy's per-step case); arrays of N ends give an
-    (N, m) block.  With ``allowed`` (a bool mask over all vertices) a closer
-    must also be allowed."""
-    mask = g.blocks[(q - 1) % g.k][before] & g.blocks[q].T[after]
-    if allowed is not None:
-        mask &= allowed[q * g.m : (q + 1) * g.m]
-    return mask
+    (N, m) block."""
+    return g.blocks[(q - 1) % g.k][before] & g.blocks[q].T[after]
 
 
 def _extensions(
@@ -626,13 +625,15 @@ def _extensions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Completions of a (k-1)-vertex proper path into proper cycles.
 
-    Returns the completing vertices (ascending global ids) and the canonical
-    keys of the cycles they close, as ``_completion_mask`` allows them.
+    Returns the completing vertices (ascending global ids), those in
+    ``allowed`` (a bool mask over all vertices) when it is given, and the
+    canonical keys of the cycles they close.
     """
     k, m = g.k, g.m
     locs = {v // m: v % m for v in vertices}
     (q,) = set(range(k)) - locs.keys()
-    locs[q] = _completion_mask(g, q, locs[(q - 1) % k], locs[(q + 1) % k], allowed).nonzero()[0]
+    mask = _completion_mask(g, q, locs[(q - 1) % k], locs[(q + 1) % k])
+    locs[q] = (mask if allowed is None else mask & allowed[q * m : (q + 1) * m]).nonzero()[0]
     if locs[q].size == 0:  # no closer: no keys to encode
         return locs[q], np.empty(0, dtype=np.uint64)
     return locs[q] + q * m, encode_keys([locs[i] for i in range(k)], m)
@@ -670,9 +671,9 @@ def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
     pair order, each row tagged with its pair, its owner.  A block's masks
     are summed per owner as they are, for the family count, and after an AND
     with the owner's allowed closers, for the restricted count.  That
-    allowed test is built per block by ``_owner_mask`` from the ascending
-    keys ``owner * num_vertices + vertex`` of the pairs' allowed vertices,
-    so no array of a pair by a vertex is made.
+    allowed test is built per block by ``_owner_mask`` from the
+    ``_set_keys`` of the pairs' allowed vertices (aset and the family's), so
+    no array of a pair by a vertex is made.
     """
     k, m, nv = g.k, g.m, g.num_vertices
     fams, asets = [], []
@@ -685,18 +686,17 @@ def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
     size = len(fams)
     rows = np.concatenate([np.empty((0, k - 1), dtype=np.int64), *fams])
     owner = np.repeat(np.arange(size), [len(f) for f in fams])
-    keys = np.concatenate([
-        np.repeat(np.arange(size), [len(aset) for aset in asets]) * nv
-        + np.array([v for aset in asets for v in aset], dtype=np.int64),
-        owner.repeat(k - 1) * nv + rows.ravel(),
-    ])
-    keys.sort()
+    keys = _set_keys(  # each pair's allowed vertices: its aset and its family's
+        np.concatenate([np.repeat(np.arange(size), [len(a) for a in asets]), owner.repeat(k - 1)]),
+        np.concatenate([np.array([v for a in asets for v in a], dtype=np.int64), rows.ravel()]),
+        nv,
+    )
     family = np.zeros(size, dtype=np.int64)
     restricted = np.zeros(size, dtype=np.int64)
     for q, idx, mask in _family_masks(g, rows):
         own = owner[idx]  # ascending: idx is, and the rows are stacked in pair order
         np.add.at(family, own, np.count_nonzero(mask, axis=1))
-        allowed = _owner_mask(own, keys, nv, q * m, m)  # each row's allowed part-q locals
+        allowed = _owner_mask(own, keys, k, q, m)  # each row's allowed part-q locals
         if allowed is not None:
             np.add.at(restricted, own, np.count_nonzero(mask & allowed, axis=1))
     return restricted, family
@@ -942,14 +942,13 @@ def _check_coloring(h: TightHypergraph, col, color: int) -> None:
 
 
 def validate_tight_path_verbose(
-    h: TightHypergraph, seq, coloring=None, color: int | None = None, deleted=None
+    h: TightHypergraph, seq, coloring=None, color: int | None = None
 ) -> tuple[bool, str | None]:
     """Check a vertex sequence is a tight path of h; returns (ok, reason).
 
     Reasons: too-short, unknown-vertex, repeated-vertex, window-not-one-per-part,
-    window-not-hyperedge, window-wrong-color, deleted-window (a window whose
-    hyperedge is set in the ``deleted`` mask over hyperedge ids).  A given
-    coloring must pass ``_check_coloring`` with the working ``color``.
+    window-not-hyperedge, window-wrong-color.  A given coloring must pass
+    ``_check_coloring`` with the working ``color``.
     """
     if coloring is not None:
         _check_coloring(h, coloring, color)
@@ -975,8 +974,6 @@ def validate_tight_path_verbose(
             return False, "window-not-hyperedge"
         if coloring is not None and int(coloring[eid]) != color:
             return False, "window-wrong-color"
-        if deleted is not None and deleted[eid]:
-            return False, "deleted-window"
     return True, None
 
 

@@ -610,7 +610,9 @@ class TestKernel:
                 b[0, 0] = True
         before = [b.tobytes() for b in g.blocks]
         avoid = [np.empty(0, dtype=np.int64), np.array([1, 2]), np.array([0])]
-        skip = (np.zeros(4, dtype=np.int64), avoid)  # one owner: its keys are the locals
+        # one owner: its keys are the vertices q * m + local
+        keys = np.concatenate([q * 4 + a for q, a in enumerate(avoid)])
+        skip = (np.zeros(4, dtype=np.int64), keys)
         expected = [0] * 4
         for c in brute_force_cycles(g):
             if c[1] % 4 not in (1, 2) and c[2] % 4 != 0:
@@ -626,11 +628,13 @@ class TestKernel:
         fb = [b.astype(np.float64) for b in g.blocks]
         before = [b.tobytes() for b in fb]
         avoid = [np.array([0, 1]), np.array([1, 3]), np.array([0]), np.array([2, 4])]
-        skip = (np.zeros(5, dtype=np.int64), avoid)  # one owner: its keys are the locals
+        # one owner: its keys are the vertices q * m + local
+        keys = np.concatenate([q * 5 + a for q, a in enumerate(avoid)])
+        skip = (np.zeros(5, dtype=np.int64), keys)
         expected = [0] * 5
         for c in brute_force_cycles(g):
             local = [v % 5 for v in c]
-            if all(local[q] not in avoid[q] for q in (1, 2, 3)):  # part 0's entry is not read
+            if all(local[q] not in avoid[q] for q in (1, 2, 3)):  # part 0's keys are not read
                 expected[local[0]] += 1
         assert sum(expected) > 0
         assert _closed_walks(fb, 0, rows, skip).tolist() == expected
@@ -651,6 +655,46 @@ class TestKernel:
         # whole parts, so a meeting chain starts from more rows than one block
         for cset in (range(m), range(m, 3 * m), range(k * m)):
             assert count_cycles_meeting(g, cset) == sum(1 for s in sets if s & set(cset))
+
+
+def stacked(sets, nv):
+    """``_set_keys`` of a list of vertex lists, each owned by its index."""
+    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    return cycles._set_keys(owner, np.array([v for s in sets for v in s], dtype=np.int64), nv)
+
+
+class TestSetKeys:
+    """Every owner's vertex set, a meeting set or an allowed set, is stacked
+    by ``_set_keys`` as ascending, distinct ``owner * num_vertices + vertex``."""
+
+    def test_keys_are_ascending_distinct_and_owner_keyed(self):
+        nv = 12
+        sets = [[5, 0, 5], [], [11, 3], [0, 0], [7]]
+        keys = stacked(sets, nv)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == sorted({o * nv + v for o, s in enumerate(sets) for v in s})
+        assert stacked([], nv).tolist() == []
+
+    def test_owner_mask_reads_one_part_of_each_owner(self):
+        k, m = 3, 4
+        sets = [[1, 5, 6], [], [4, 11]]  # owner 0: parts 0 and 1; owner 2: parts 1 and 2
+        keys = stacked(sets, k * m)
+        owner = np.array([0, 0, 1, 2])
+        mask = cycles._owner_mask(owner, keys, k, 1, m)
+        assert mask.tolist() == [[0, 1, 1, 0], [0, 1, 1, 0], [0] * 4, [1, 0, 0, 0]]
+        assert cycles._owner_mask(np.array([1]), keys, k, 1, m) is None
+
+    def test_a_bad_vertex_is_refused_before_the_sets_are_stacked(self, monkeypatch, tiny_complete):
+        def no_stack(*args):
+            raise AssertionError("sets were stacked")
+
+        monkeypatch.setattr(cycles, "_set_keys", no_stack)
+        fam = trash_family(tiny_complete, [[2, 4]])
+        text = "vertex 99 not in graph with 6 vertices"
+        with pytest.raises(UnknownVertexError, match=text):
+            cycles._meeting_counts(tiny_complete, [[0], [1, 99]])
+        with pytest.raises(UnknownVertexError, match=text):
+            cycles._family_counts(tiny_complete, [([0], fam), ([99], fam)])
 
 
 class TestChainMemory:
@@ -1969,14 +2013,6 @@ class TestValidateTightPath:
         with pytest.raises(ParameterError) as excinfo:
             validate_tight_path_verbose(h, [0, 2, 4], col, 0)
         assert excinfo.value.field == "col"
-
-    def test_deleted_window(self, tiny_complete):
-        h = build_hypergraph(tiny_complete)
-        deleted = np.zeros(len(h), dtype=bool)
-        assert validate_tight_path_verbose(h, [0, 2, 4], deleted=deleted) == (True, None)
-        deleted[h.edge_id([0, 2, 4])] = True
-        ok, reason = validate_tight_path_verbose(h, [0, 2, 4], deleted=deleted)
-        assert not ok and reason == "deleted-window"
 
     def test_unknown_vertex(self, tiny_complete):
         h = build_hypergraph(tiny_complete)

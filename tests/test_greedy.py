@@ -27,11 +27,52 @@ from ramsey_lab import (
     validate_tight_path,
 )
 from ramsey_lab import cycles, greedy, reporting
-from ramsey_lab.cycles import decode_keys
+from ramsey_lab.cycles import decode_keys, encode_keys
 from ramsey_lab.greedy import RoundOutcome, outcome_to_json
 from ramsey_lab.seeds import spawn_rng
 from ramsey_lab.verifier import restricted_check
 from conftest import contradiction_consistent, random_graph
+
+
+def edge_ledger(h, col, out, released):
+    """Check (a) edge by edge for a certificate ``out``: the working-color
+    edges a round deletes first (those extending its trash that no earlier
+    round deleted) whose closer lies outside A ∪ V(F), A the round's
+    snapshot and, if ``released``, its released vertices; and the working
+    edges no round deletes that miss the final trash.  Built on one
+    ``_family_masks`` pass over every round's trash, the rounds' allowed
+    sets stacked by ``_set_keys`` and read through ``_owner_mask``."""
+    g = h.graph
+    k, m = g.k, g.m
+    fams = [rec.trash.rows for rec in out.rounds]
+    rows = np.concatenate([np.empty((0, k - 1), dtype=np.int64), *fams])
+    owner = np.repeat(np.arange(len(fams)), [len(f) for f in fams])  # a row's round
+    sets = [[*rec.path_snapshot, *(rec.released if released else ())] for rec in out.rounds]
+    keys = cycles._set_keys(  # each round's A and its trash's vertices
+        np.concatenate([np.repeat(np.arange(len(sets)), [len(a) for a in sets]), owner.repeat(k - 1)]),
+        np.concatenate([np.array([v for a in sets for v in a], dtype=np.int64), rows.ravel()]),
+        g.num_vertices,
+    )
+    digits = np.zeros((len(rows), k), dtype=np.int64)
+    np.put_along_axis(digits, rows // m, rows % m, axis=1)
+    row_keys, radix = encode_keys(list(digits.T), m), cycles._radices(k, m)
+    ids, rounds, charged = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, bool)]
+    for q, idx, mask in cycles._family_masks(g, rows):
+        t, closer = np.nonzero(mask)
+        ids.append(h.ids_for_keys(row_keys[idx[t]] + closer.astype(np.uint64) * radix[q]))
+        rounds.append(owner[idx[t]])
+        allowed = cycles._owner_mask(owner[idx], keys, k, q, m)
+        charged.append(np.zeros(t.size, dtype=bool) if allowed is None else allowed[t, closer])
+    ids, rounds, charged = map(np.concatenate, (ids, rounds, charged))
+    assert (ids >= 0).all()
+    order = np.lexsort((rounds, ids))  # each id's hits, earliest round first
+    first = order[np.r_[True, ids[order][1:] != ids[order][:-1]]]
+    deleted = first[col[ids[first]] == out.color]  # a working edge's deleting hit
+    uncharged = np.count_nonzero(~charged[deleted])
+    working = np.flatnonzero(col[:] == out.color)
+    kept = working[~np.isin(working, ids)]
+    final = np.isin(h.vertex_rows(kept), out.final_trash.rows).any(axis=1)
+    return uncharged, np.count_nonzero(~final)
 
 
 def mono_coloring(h, color, r=2):
@@ -332,6 +373,32 @@ class TestGreedyRound:
             col = random_coloring(h, 2, seed)
             greedy_round(h, col, 0, n=5, debug=True)
             greedy_round(h, col, 1, n=5, debug=True)
+
+    def test_debug_check_refuses_a_window_cleared_from_kept(self, monkeypatch):
+        # the check reads the liveness of the path's window ids only, never
+        # a byte per hyperedge, and refuses a path once a window is deleted
+        h = build_hypergraph(complete_layered(3, 6))
+        col = mono_coloring(h, 0)
+        kind, rec = greedy_round(h, col, 0, n=6)
+        assert kind is RoundOutcome.PATH_FOUND
+        path = rec.path_snapshot
+        unused = np.ones(h.num_vertices, dtype=bool)
+        unused[path] = False
+        kept = np.full(-(-len(h) // 8), 255, dtype=np.uint8)
+        reads, live_bytes = [], greedy._live_bytes
+
+        def spy(col, color, kept, at):
+            reads.append(at)
+            return live_bytes(col, color, kept, at)
+
+        monkeypatch.setattr(greedy, "_live_bytes", spy)
+        greedy._check_round(h, col, 0, kept, path, [], unused)
+        assert [np.shape(at) for at in reads] == [(len(path) - 2,)]
+        greedy._clear_bits(kept, np.array([h.edge_id(path[2:5])]))
+        with pytest.raises(AssertionError, match="window that is not live"):
+            greedy._check_round(h, col, 0, kept, path, [], unused)
+        with pytest.raises(AssertionError, match="window that is not live"):
+            greedy._check_round(h, col, 1, None, path, [], unused)  # no window has color 1
 
     def test_trash_full_terminates(self, tiny_complete, complete_h):
         col = parity_coloring(complete_h)
@@ -766,19 +833,20 @@ class TestRunOuter:
 
     # (host, coloring seed, n, working-color edges, final meeting count, Σy
     # with A the snapshot, check (a) there, Σy with A the snapshot and the
-    # released vertices) on the sparse restart-heavy host S, its k = 4 twin
-    # S4 and the smoke host
+    # released vertices, the edge ledger's uncharged deletions with A the
+    # snapshot) on the sparse restart-heavy host S, its k = 4 twin S4 and
+    # the smoke host
     @pytest.mark.parametrize(
-        "host, col_seed, n, working, meeting, snapshot_y, snapshot_ok, released_y",
+        "host, col_seed, n, working, meeting, snapshot_y, snapshot_ok, released_y, uncharged",
         [
-            ((3, 1200, 0.02, 7), 11, 10, 6_846, 109, 2_223, False, 6_849),
-            ((4, 40, 0.2, 7), 7, 12, 2_028, 2_189, 1_141, True, 2_388),
-            ((3, 60, 0.1, 1), 11, 8, 96, 48, 21, False, 87),
+            ((3, 1200, 0.02, 7), 11, 10, 6_846, 109, 2_223, False, 6_849, 4_622),
+            ((4, 40, 0.2, 7), 7, 12, 2_028, 2_189, 1_141, True, 2_388, 1_164),
+            ((3, 60, 0.1, 1), 11, 8, 96, 48, 21, False, 87, 64),
         ],
         ids=["S", "S4", "smoke"],
     )
     def test_released_vertices_balance_check_a(
-        self, host, col_seed, n, working, meeting, snapshot_y, snapshot_ok, released_y
+        self, host, col_seed, n, working, meeting, snapshot_y, snapshot_ok, released_y, uncharged
     ):
         # a leftover shorter than k goes back to U, so the working edges that
         # completed through it are charged to no round unless A holds it
@@ -795,6 +863,10 @@ class TestRunOuter:
         fixed = restricted_check(g, pairs, col.r)
         assert sum(a.restricted_extensions for a in fixed) == released_y
         assert working <= released_y + meeting  # check (a) with the released vertices
+        # edge by edge: with the released vertices every deleted working edge
+        # is charged to its round, and every other one meets the final trash
+        assert edge_ledger(h, col, out, released=False) == (uncharged, 0)
+        assert edge_ledger(h, col, out, released=True) == (0, 0)
 
 
 class TestParityInstance:
