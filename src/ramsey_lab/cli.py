@@ -56,7 +56,7 @@ from .verifier import (
 
 __all__ = ["main", "run", "resolve_config", "build_parser"]
 
-COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut", "balanced_greedy")
+COLORING_STRATEGIES = ("random", "round_robin", "vertex_cut")
 
 # the JSON kind of a config value, named as the error names it; see _has_kind
 _INT, _NUMBER, _STRING = "an integer", "a finite number", "a string"

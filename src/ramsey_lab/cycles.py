@@ -10,11 +10,9 @@ representation - a tuple (or an ``(N, k)`` row block) of global vertex ids
 whose entry ``i`` lies in part ``i`` - and is ranked by the mixed-radix key
 ``sum(local_i * m**(k-1-i))`` over parts ``i``.  The codec - ``_radices``,
 ``encode_keys`` and ``decode_keys`` - is the only code that knows this
-format; everything else encodes and decodes through it, but for two facts.
-The store is built and read by one: a key is the key of its first k-1
-digits (encoded with k-1 columns) times m plus its last digit.  Family ids
-are built by the other: a key is the key with digit q zero plus digit q
-times the radix of q.  Keys are
+format; everything else encodes and decodes through it, but for one fact,
+by which the store is built and read: a key is the key of its first k-1
+digits (encoded with k-1 columns) times m plus its last digit.  Keys are
 uint64 everywhere, in the codec and in both store layouts; a key space
 beyond 64 bits is refused.
 
@@ -70,7 +68,8 @@ and without that family's allowed vertices, with no keys encoded (two
 paths of a disjoint family): it is behind both public extension counts and
 ``verifier.restricted_check``, which checks property (i) on every round of
 a certificate or every trial of a sampled check in one pass.
-``TightHypergraph.family_ids`` encodes their hits and resolves them in one
+``TightHypergraph.family_ids`` encodes their hits, from the part-local
+digits ``_family_masks`` yields with each block, and resolves them in one
 ``ids_for_keys`` call, so a greedy restart deletes a round's extensions in
 one pass.
 """
@@ -642,23 +641,24 @@ def _extensions(
 def _family_masks(g: LayeredGraph, rows: np.ndarray):
     """The closer masks of a stack of family rows (an ``(N, k-1)`` int64
     array, the rows of one or more families), grouped by the part q each
-    row misses: yields ``(q, idx, mask)`` for ``idx``, up to ``_ROW_BLOCK``
-    indices into ``rows`` in stack order, and their ``(len(idx), m)``
-    ``_completion_mask`` block.
-
-    A row runs between parts q-1 and q+1 and starts in the lower-numbered
-    one, q+1 when q is 0 or k-1, else q-1, so its ends are its first and
-    last columns.
+    row misses: yields ``(q, idx, mask, digits)`` for ``idx``, up to
+    ``_ROW_BLOCK`` indices into ``rows`` in stack order, their
+    ``(len(idx), m)`` ``_completion_mask`` block, and their ``(len(idx), k)``
+    part-local digits, digit q zero.  The ends are read from the digits of
+    parts q-1 and q+1, so a row gives the same mask in either direction.
     """
     k, m = g.k, g.m
+    part = rows // m
+    digits = np.zeros((len(rows), k), dtype=np.int64)
+    np.put_along_axis(digits, part, rows % m, axis=1)
     # a row holds one vertex in each part but the one it misses
-    missing = k * (k - 1) // 2 - (rows // m).sum(axis=1)
+    missing = k * (k - 1) // 2 - part.sum(axis=1)
     for q in range(k):
-        cols = [-1, 0] if q in (0, k - 1) else [0, -1]  # the ends in parts q-1, q+1
         group = np.flatnonzero(missing == q)
         for lo in range(0, group.size, _ROW_BLOCK):
             idx = group[lo : lo + _ROW_BLOCK]
-            yield q, idx, _completion_mask(g, q, *(rows[idx][:, cols] % m).T)
+            dig = digits[idx]
+            yield q, idx, _completion_mask(g, q, dig[:, (q - 1) % k], dig[:, (q + 1) % k]), dig
 
 
 def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -693,7 +693,7 @@ def _family_counts(g: LayeredGraph, pairs) -> tuple[np.ndarray, np.ndarray]:
     )
     family = np.zeros(size, dtype=np.int64)
     restricted = np.zeros(size, dtype=np.int64)
-    for q, idx, mask in _family_masks(g, rows):
+    for q, idx, mask, _ in _family_masks(g, rows):
         own = owner[idx]  # ascending: idx is, and the rows are stacked in pair order
         np.add.at(family, own, np.count_nonzero(mask, axis=1))
         allowed = _owner_mask(own, keys, k, q, m)  # each row's allowed part-q locals
@@ -862,19 +862,15 @@ class TightHypergraph:
         """Ids of the hyperedges extending some path of ``fam``, as int64.
 
         One ``ids_for_keys`` call resolves the hits of every
-        ``_family_masks`` block.  A hit's key is its row's key, encoded once
-        with each digit placed by its own part (rows run up or down the
-        parts, by the part they miss) and the missing digit q zero, plus the
-        closer times the radix of q.
+        ``_family_masks`` block, each encoded from its row's digits with
+        the closer as digit q.
         """
-        g, rows = self.graph, fam.rows
-        digits = np.zeros((len(rows), g.k), dtype=np.int64)
-        np.put_along_axis(digits, rows // g.m, rows % g.m, axis=1)
-        row_keys, radix = encode_keys(list(digits.T), g.m), _radices(g.k, g.m)
         keys = [np.empty(0, dtype=np.uint64)]
-        for q, idx, mask in _family_masks(g, rows):
+        for q, idx, mask, digits in _family_masks(self.graph, fam.rows):
             t, closer = np.nonzero(mask)
-            keys.append(row_keys[idx[t]] + closer.astype(np.uint64) * radix[q])
+            cols = list(digits[t].T)
+            cols[q] = closer
+            keys.append(encode_keys(cols, self.graph.m))
         ids = self.ids_for_keys(np.concatenate(keys))
         return ids[ids >= 0]
 

@@ -39,13 +39,12 @@ from .cycles import (
     _absolute_ids,
     _check_coloring,
     count_proper_cycles,
-    decode_keys,
-    encode_keys,
+    decode_keys,  # not called: perfbench/spans.py wraps it here, and its tests check that
     trash_family,
     validate_tight_path_verbose,
     _extensions,
 )
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .layered_graph import (
     LayeredGraph,
     _all_integers,
@@ -77,7 +76,6 @@ __all__ = [
 # must stay a multiple of 8: a chunk packs into whole bytes and draws whole raw words
 _SCAN_CHUNK = 1 << 20
 _FIRST_SCAN_CHUNK = 1 << 6
-_BALANCED_GREEDY_CAP = 200_000
 # the bit of id i in its byte of a packed mask is _BIT[i % 8] (np.packbits order)
 _BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
@@ -219,49 +217,13 @@ def _vertex_cut_coloring(h: TightHypergraph, r: int, seed: int) -> Coloring:
     )
 
 
-def _balanced_greedy_coloring(h: TightHypergraph, r: int) -> Coloring:
-    """Chain-averse coloring: each edge takes the color minimizing the number
-    of already-colored tight neighbors (edges differing in one part slot),
-    breaking ties toward the least-used color, then the smallest index."""
-    if len(h) > _BALANCED_GREEDY_CAP:
-        raise ResourceLimitError(
-            "balanced-greedy strategy is for small hypergraphs", len(h), _BALANCED_GREEDY_CAP
-        )
-    g = h.graph
-    locs = decode_keys(h.keys(), g.k, g.m)
-    # slot[q][eid]: the key of edge eid with part q's index zeroed, shared by
-    # every edge that differs from it in part q only
-    slot = [
-        encode_keys([0 if i == q else locs[:, i] for i in range(g.k)], g.m).tolist()
-        for q in range(g.k)
-    ]
-    neighbor_counts: dict[tuple[int, int], np.ndarray] = {}
-    used = np.zeros(r, dtype=np.int64)
-    colors = np.empty(len(h), dtype=np.uint8)
-    for eid in range(len(h)):
-        wildcards = [(q, slot[q][eid]) for q in range(g.k)]
-        score = np.zeros(r, dtype=np.int64)
-        for w in wildcards:
-            cnt = neighbor_counts.get(w)
-            if cnt is not None:
-                score += cnt
-        best = min(range(r), key=lambda c: (int(score[c]), int(used[c]), c))
-        colors[eid] = best
-        used[best] += 1
-        for w in wildcards:
-            cnt = neighbor_counts.setdefault(w, np.zeros(r, dtype=np.int64))
-            cnt[best] += 1
-    return Coloring(r, colors)
-
-
 def adversarial_coloring(
     h: TightHypergraph, r: int, strategy: str, seed: int = 0
 ) -> Coloring:
     """Structured colorings for stress tests.
 
-    balanced_greedy: chain-averse (see above); vertex_cut: edges meeting a
-    random quarter of the vertices get color 0, the rest color 1;
-    round_robin: colors cycle 0..r-1 in canonical edge order.
+    vertex_cut: edges meeting a random quarter of the vertices get color 0,
+    the rest color 1; round_robin: colors cycle 0..r-1 in canonical edge order.
     """
     _check_r(r)
     _check_seed(seed)
@@ -273,8 +235,6 @@ def adversarial_coloring(
         )
     if strategy == "vertex_cut":
         return _vertex_cut_coloring(h, r, seed)
-    if strategy == "balanced_greedy":
-        return _balanced_greedy_coloring(h, r)
     raise ParameterError("strategy", f"unknown adversarial strategy {strategy!r}")
 
 

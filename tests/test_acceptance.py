@@ -323,7 +323,6 @@ def test_ac6_certificate_implication(desk_hypergraph, desk_graph, ac5_bundle):
 
     def colorings(h):
         yield "round_robin", adversarial_coloring(h, 2, "round_robin")
-        yield "balanced_greedy", adversarial_coloring(h, 2, "balanced_greedy")
         for s in range(3):
             yield f"vertex_cut-{s}", adversarial_coloring(h, 2, "vertex_cut", seed=s)
         for s in range(6):

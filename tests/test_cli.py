@@ -319,6 +319,18 @@ class TestGreedy:
         )
         assert code == 1 and err.startswith("error: coloring: ")
 
+    def test_coloring_file_must_color_every_hyperedge(self, tmp_path, capsys):
+        # the one coloring check that waits for the hypergraph; k=3, m=4, p=1 has 64
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"r": 2, "colors": [0, 1, 0, 1, 0]}))
+        code, stdout, err = run_cli(
+            ["greedy", "--k", "3", "--m", "4", "--p", "1", "--seed", "0", "--r", "2",
+             "--n", "6", "--coloring", f"@{col}"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: coloring: file colors 5 edges, hypergraph has 64\n"
+
     @pytest.mark.parametrize(
         "r_value, r_flag", [(2.5, "2"), (3.0, "3"), (True, "2")], ids=["fraction", "float", "bool"]
     )
@@ -406,12 +418,17 @@ class TestGreedy:
               "--color", "7"], "error: color: must be in 0..1, got 7\n"),
             (["greedy", "--n", "8", "--coloring", "bogus"],
              "error: coloring: unknown strategy 'bogus'\n"),
+            (["greedy", "--n", "8", "--coloring", "balanced_greedy"],
+             "error: coloring: unknown strategy 'balanced_greedy'\n"),
             (["greedy", "--n", "8", "--coloring", "@missing.json"],
              "error: coloring: cannot read coloring file missing.json: "
              "[Errno 2] No such file or directory: 'missing.json'\n"),
+            (["greedy", "--n", "8", "--coloring", "@r3.json"],
+             "error: coloring: file has r=3, run has r=2\n"),
         ],
         ids=["greedy-n2", "greedy-r300", "greedy-color7", "color-r300", "oracle-n2",
-             "arrow-r1", "oracle-color7", "greedy-bogus", "greedy-missing-file"],
+             "arrow-r1", "oracle-color7", "greedy-bogus", "greedy-balanced-greedy",
+             "greedy-missing-file", "greedy-r3-file"],
     )
     def test_bad_numbers_are_refused_before_enumerating(self, monkeypatch, tmp_path, capsys,
                                                         argv, line):
@@ -420,7 +437,8 @@ class TestGreedy:
             raise AssertionError("build_hypergraph ran before the run's numbers were checked")
 
         monkeypatch.setattr(cli, "build_hypergraph", enumerate_too_soon)
-        monkeypatch.chdir(tmp_path)  # where missing.json is missing
+        monkeypatch.chdir(tmp_path)  # where missing.json is missing, and r3.json has r = 3
+        (tmp_path / "r3.json").write_text(json.dumps({"r": 3, "colors": [0, 1, 2]}))
         mode, *extra = argv
         code, stdout, err = run_cli([mode, *_TINY, "--r", "2", *extra], capsys)
         assert code == 1 and stdout == ""
@@ -567,23 +585,26 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, line",
         [
-            (["--property", "i", "--n", "3", "--trials", "-1"],
+            ([*_TINY, "--property", "i", "--n", "3", "--trials", "-1"],
              "error: trials: must be >= 0, got -1\n"),
-            (["--property", "ii", "--n", "3", "--trials", "2", "--r", "300"],
+            ([*_TINY, "--property", "ii", "--n", "3", "--trials", "2", "--r", "300"],
              "error: r: must lie in 2..256, got 300\n"),
-            (["--property", "iii", "--n", "1"],
+            ([*_TINY, "--property", "iii", "--n", "1"],
+             "error: n: must be >= 2 for the ln n scaling, got 1\n"),
+            (["--graph", "missing.json", "--property", "iii", "--n", "1"],
              "error: n: must be >= 2 for the ln n scaling, got 1\n"),
         ],
-        ids=["trials-1", "r300", "iii-n1"],
+        ids=["trials-1", "r300", "iii-n1", "iii-n1-graph-file"],
     )
     def test_bad_verify_numbers_are_refused_before_generating(self, monkeypatch, capsys,
                                                               argv, line):
-        # the graph dominates a verify run's memory, so the run's own numbers go first
+        # the graph dominates a verify run's memory, so the run's own numbers go
+        # first; a graph file is not read, so a missing one is not named
         def generate_too_soon(params):
             raise AssertionError("generate_random ran before the run's numbers were checked")
 
         monkeypatch.setattr(cli, "generate_random", generate_too_soon)
-        code, stdout, err = run_cli(["verify", *_TINY, "--r", "2", *argv], capsys)
+        code, stdout, err = run_cli(["verify", "--r", "2", *argv], capsys)
         assert code == 1 and stdout == ""
         assert err == line
 
@@ -1058,6 +1079,8 @@ class TestConfigHandling:
             (["color", *_TINY, "--r", "300"], "r"),
             (["oracle", "--check", "arrow", *_TINY, "--r", "1", "--n", "4"], "r"),
             (["oracle", "--check", "tight-path", *_TINY, "--n", "2"], "n"),
+            (["greedy", "--k", "3", "--m", "3", "--p", "0", "--seed", "0", "--r", "2",
+              "--n", "4"], "graph"),
             (["concentration", "--statistic", "total_cycles", "--k", "2", "--m", "3",
               "--p", "0.5", "--trials", "2", "--seed", "0"], "k"),
             (["concentration", "--statistic", "total_cycles", "--k", "3", "--m", "3",
@@ -1068,7 +1091,7 @@ class TestConfigHandling:
         ids=["greedy-r1", "greedy-n0", "generate-p1.5", "generate-k2", "generate-m0",
              "canonical-k2", "canonical-r1", "canonical-n2", "verify-i-r1",
              "verify-i-trials-1", "verify-iii-n1", "verify-iii-r0", "verify-ii-r300",
-             "color-r300", "arrow-r1", "tight-path-n2", "concentration-k2",
+             "color-r300", "arrow-r1", "tight-path-n2", "greedy-p0", "concentration-k2",
              "concentration-p2", "concentration-m0"],
     )
     def test_bad_parameter_names_its_key(self, capsys, argv, key):
@@ -1076,6 +1099,11 @@ class TestConfigHandling:
         code, stdout, err = run_cli(argv, capsys)
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+    def test_report_path_that_is_a_directory_exit_1(self, tmp_path, capsys):
+        code, stdout, err = run_cli(["generate", *_TINY, "--report", str(tmp_path)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("io error: [Errno 21] ") and err.count("\n") == 1
 
     def test_removed_flag_exit_2(self, capsys):
         # an abbreviation is no flag either: flag names mirror config keys 1:1

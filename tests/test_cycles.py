@@ -1100,6 +1100,28 @@ class TestFamilyCounts:
         restricted = sum(size * int(in_part[q]) for q, size in enumerate(sizes))
         assert count_restricted_extensions(g, [], fam) == restricted
 
+    def test_masks_read_a_row_in_either_direction(self):
+        # the ends are read by part, not from trash_family's orientation
+        g = random_graph(4, 12, 0.5, 3)
+        fam = sample_trash_family(g, 6, spawn_rng(3))
+        forward = list(cycles._family_masks(g, fam.rows))
+        backward = list(cycles._family_masks(g, fam.rows[:, ::-1]))
+        assert [q for q, *_ in forward] == [q for q, *_ in backward] == [0, 1, 2, 3]
+        for (_, idx, mask, digits), (_, idx2, mask2, digits2) in zip(forward, backward):
+            assert np.array_equal(idx, idx2) and np.array_equal(digits, digits2)
+            assert mask.any() and np.array_equal(mask, mask2)
+
+    def test_counts_past_a_64_bit_key_space(self):
+        # 1626**6 >= 2**64: the host's cycles have no uint64 keys, but its
+        # families are counted all the same
+        k, m = 6, 1626
+        assert m**k >= 2**64
+        cycle = [q * m for q in range(k)]
+        g = LayeredGraph.from_edges(k, m, list(zip(cycle, cycle[1:] + cycle[:1])))
+        fam = trash_family(g, [cycle[:-1]])
+        assert count_family_extensions(g, fam) == 1
+        assert count_restricted_extensions(g, [cycle[-1]], fam) == 1
+
     def test_restricted_bounded_by_family(self):
         g = random_graph(3, 8, 0.5, 53)
         fam_paths = []
@@ -1381,6 +1403,14 @@ class TestHypergraph:
             assert h.edge_id(cyc) == eid
             # any ordering of the vertex set resolves to the same id
             assert h.edge_id(tuple(reversed(cyc))) == eid
+
+    @pytest.mark.parametrize(
+        "vertices, match", [([0, 1, 8], "hits a part twice"), ([0, 4], "misses a part")]
+    )
+    def test_edge_id_refuses_a_set_not_one_per_part(self, vertices, match):
+        h = build_hypergraph(complete_layered(3, 4))
+        with pytest.raises(InvariantViolationError, match=match):
+            h.edge_id(vertices)
 
     def test_extension_ids(self, tiny_complete):
         h = build_hypergraph(tiny_complete)

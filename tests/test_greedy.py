@@ -53,20 +53,19 @@ def edge_ledger(h, col, out, released):
         np.concatenate([np.array([v for a in sets for v in a], dtype=np.int64), rows.ravel()]),
         g.num_vertices,
     )
-    digits = np.zeros((len(rows), k), dtype=np.int64)
-    np.put_along_axis(digits, rows // m, rows % m, axis=1)
-    row_keys, radix = encode_keys(list(digits.T), m), cycles._radices(k, m)
     ids, rounds, charged = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, bool)]
-    for q, idx, mask in cycles._family_masks(g, rows):
+    for q, idx, mask, digits in cycles._family_masks(g, rows):
         t, closer = np.nonzero(mask)
-        ids.append(h.ids_for_keys(row_keys[idx[t]] + closer.astype(np.uint64) * radix[q]))
+        cols = list(digits[t].T)
+        cols[q] = closer
+        ids.append(h.ids_for_keys(encode_keys(cols, m)))
         rounds.append(owner[idx[t]])
         allowed = cycles._owner_mask(owner[idx], keys, k, q, m)
         charged.append(np.zeros(t.size, dtype=bool) if allowed is None else allowed[t, closer])
     ids, rounds, charged = map(np.concatenate, (ids, rounds, charged))
     assert (ids >= 0).all()
     order = np.lexsort((rounds, ids))  # each id's hits, earliest round first
-    first = order[np.r_[True, ids[order][1:] != ids[order][:-1]]]
+    first = order[np.unique(ids[order], return_index=True)[1]]
     deleted = first[col[ids[first]] == out.color]  # a working edge's deleting hit
     uncharged = np.count_nonzero(~charged[deleted])
     working = np.flatnonzero(col[:] == out.color)
@@ -150,15 +149,10 @@ class TestColorings:
             meets = bool(cut & set(complete_h.hyperedge(eid)))
             assert col[eid] == (0 if meets else 1)
 
-    def test_balanced_greedy_small(self, complete_h):
-        col = adversarial_coloring(complete_h, 2, "balanced_greedy")
-        counts = col.counts()
-        assert counts.sum() == 8
-        assert abs(int(counts[0]) - int(counts[1])) <= 2
-
     def test_unknown_strategy(self, complete_h):
-        with pytest.raises(ParameterError):
-            adversarial_coloring(complete_h, 2, "nope")
+        for strategy in ("nope", "balanced_greedy"):
+            with pytest.raises(ParameterError):
+                adversarial_coloring(complete_h, 2, strategy)
 
     def test_file_roundtrip(self, complete_h, tmp_path):
         col = random_coloring(complete_h, 3, 11)
@@ -808,10 +802,12 @@ class TestRunOuter:
         data=st.data(),
     )
     def test_round_records_on_drawn_hosts(self, k, m, p, r, seed, data):
-        # check (a) is left out: it fails on some of these hosts, because the
-        # vertices a round returns to U are charged to no round
+        # the audit's (a), with A the snapshot, fails on some of these hosts,
+        # because the vertices a round returns to U are charged to no round;
+        # (a) and the edge ledger are checked with A = snapshot ∪ released
         n = data.draw(st.integers(k, 3 * k - 1), label="n")
-        h = build_hypergraph(random_graph(k, m, p, seed))
+        g = random_graph(k, m, p, seed)
+        h = build_hypergraph(g)
         col = random_coloring(h, r, seed)
         for color in range(r):
             greedy_round(h, col, color, n, debug=True)
@@ -830,6 +826,18 @@ class TestRunOuter:
                 for row in fam.rows.tolist()
             ]
             assert len(set(trashed)) == len(trashed), "a path was trashed twice"
+            assert edge_ledger(h, col, out, released=True) == (0, 0)
+            pairs = [({*rec.path_snapshot, *rec.released}, rec.trash) for rec in out.rounds]
+            fixed = restricted_check(g, pairs, r)
+            assert out.audit.working_color_edges <= (
+                sum(a.restricted_extensions for a in fixed) + out.audit.meeting_final_trash
+            )  # (a)
+            # the set-size rule: per part, A ∪ V(F) holds at most n family
+            # vertices, n released ones and ⌈(n-1)/k⌉ snapshot vertices
+            for aset, fam in pairs:
+                vertices = np.array([*aset, *fam.rows.ravel()], dtype=np.int64)
+                per_part = np.bincount(np.unique(vertices) // m, minlength=k)
+                assert per_part.max() <= 2 * n + -(-(n - 1) // k)
 
     # (host, coloring seed, n, working-color edges, final meeting count, Σy
     # with A the snapshot, check (a) there, Σy with A the snapshot and the
@@ -911,6 +919,14 @@ class TestParityInstance:
             audit_certificate(out, h, relabelled, col)
         assert excinfo.value.field == "g"
 
+    def test_audit_refuses_a_hypergraph_missing_a_cycle(self, tiny_complete, complete_h):
+        # every key but the last, and a coloring total on them
+        h = cycles.TightHypergraph(tiny_complete, complete_h.keys()[:-1])
+        out = Certificate(color=0, rounds=[], final_trash=cycles.trash_family(tiny_complete, []),
+                          intersecting_set=[])
+        with pytest.raises(ParameterError) as excinfo:
+            audit_certificate(out, h, tiny_complete, mono_coloring(h, 1))
+        assert str(excinfo.value) == "h: hypergraph does not enumerate all proper cycles of g"
 
     def test_audit_refuses_a_partial_coloring(self, tiny_complete, complete_h):
         out = run_outer(complete_h, parity_coloring(complete_h), n=4)

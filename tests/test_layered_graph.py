@@ -428,6 +428,19 @@ class TestStructure:
         with pytest.raises(ParameterError):
             LayeredGraph.from_edges(3, -1, [])
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([np.zeros((2, 2), dtype=bool)] * 2, "expected 3 adjacency blocks, got 2"),
+            ([np.zeros((2, 2), dtype=np.uint8)] * 3, "block 0 must be a (2, 2) boolean array"),
+        ],
+        ids=["two-blocks", "uint8-block"],
+    )
+    def test_constructor_refuses_malformed_blocks(self, blocks, message):
+        with pytest.raises(ParameterError) as excinfo:
+            LayeredGraph(3, 2, blocks)
+        assert str(excinfo.value) == f"blocks: {message}"
+
     def test_blocks_immutable(self, tiny_complete):
         with pytest.raises(ValueError):
             tiny_complete.blocks[0][0, 0] = False

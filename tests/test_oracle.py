@@ -18,6 +18,7 @@ from ramsey_lab import (
     random_coloring,
     run_outer,
     tight_path_exists,
+    validate_tight_path,
 )
 from conftest import random_graph
 
@@ -52,6 +53,18 @@ class TestTightPathSearch:
         res = tight_path_exists(h, 3)
         assert res.verdict is Verdict.ABSENT
         assert res.witness is None
+
+    # (seed, verdict, states expanded) on two draws at k = 3, m = 2, p = 0.6:
+    # in both the search enters a dead branch and backs out of it
+    @pytest.mark.parametrize(
+        "seed, verdict, expanded", [(10, Verdict.FOUND, 10), (0, Verdict.ABSENT, 28)]
+    )
+    def test_backtracks_out_of_dead_branches(self, seed, verdict, expanded):
+        h = build_hypergraph(random_graph(3, 2, 0.6, seed))
+        res = tight_path_exists(h, 5)
+        assert (res.verdict, res.expanded) == (verdict, expanded)
+        if verdict is Verdict.FOUND:
+            assert len(res.witness) == 5 and validate_tight_path(h, res.witness)
 
     def test_unknown_on_tiny_cap(self):
         h = build_hypergraph(complete_layered(3, 3))
